@@ -3,10 +3,11 @@
 //! per chip exploration.
 
 use acim_arch::AcimSpec;
-use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network};
+use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 use acim_dse::{ChipDesignProblem, ChipDseConfig};
 use acim_moga::Problem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rayon::prelude::*;
 use std::hint::black_box;
 
 fn chip_eval(c: &mut Criterion) {
@@ -15,7 +16,7 @@ fn chip_eval(c: &mut Criterion) {
 
     let evaluator = ChipEvaluator::s28_default();
     let spec = AcimSpec::from_dimensions(128, 32, 4, 4).expect("valid spec");
-    let network = Network::edge_cnn(3);
+    let mix = WorkloadMix::from(Network::edge_cnn(3));
 
     for (name, rows, cols) in [("1x1", 1, 1), ("2x2", 2, 2), ("4x4", 4, 4)] {
         let chip = ChipSpec::new(
@@ -27,15 +28,15 @@ fn chip_eval(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     evaluator
-                        .evaluate(black_box(chip), &network)
+                        .evaluate_mix(black_box(chip), &mix)
                         .expect("evaluates"),
                 )
             })
         });
     }
 
-    // Batch evaluation amortises thread spawning across chips — this is
-    // the shape a population-parallel DSE would use.
+    // Batch evaluation: one pool task per chip, each costing its rounds
+    // serially — the population fan-out `ChipDesignProblem` uses.
     let chips: Vec<ChipSpec> = (1..=8)
         .map(|n| {
             ChipSpec::new(MacroGrid::uniform(1, n, spec).expect("valid grid"), 64)
@@ -44,14 +45,18 @@ fn chip_eval(c: &mut Criterion) {
         .collect();
     group.bench_function("evaluate_batch_8_chips", |b| {
         b.iter(|| {
-            let results = evaluator.evaluate_batch(black_box(&chips), &network);
+            let results: Vec<_> = black_box(&chips)
+                .par_iter()
+                .with_max_len(1)
+                .map(|chip| evaluator.evaluate_mix(chip, &mix))
+                .collect();
             black_box(results.len())
         })
     });
 
     // The full genome → objectives path NSGA-II drives.
-    let problem = ChipDesignProblem::new(&ChipDseConfig::for_network(Network::edge_cnn(3)))
-        .expect("valid problem");
+    let problem =
+        ChipDesignProblem::new(&ChipDseConfig::for_mix(mix.clone())).expect("valid problem");
     let genes = [0.5, 0.3, 0.6, 0.4, 0.4, 0.5];
     group.bench_function("problem_evaluate_genome", |b| {
         b.iter(|| black_box(problem.evaluate(black_box(&genes))))

@@ -2,7 +2,7 @@
 //!
 //! A chip serving a three-tenant mix (CNN + transformer + SNN) can be
 //! scored two ways: one `evaluate_mix` call that schedules all tenants
-//! together, or one single-network evaluation per tenant back to back.
+//! together, or one mix-of-one evaluation per tenant back to back.
 //! The mix path derives each distinct macro's metrics **once for the
 //! whole mix** and schedules every tenant against that shared table; the
 //! sequential path re-derives the grid per tenant.  On mixed-macro grids
@@ -16,10 +16,9 @@
 //! pair** (a mix sweep and a sequential sweep back to back, order
 //! alternating per sample), so a CPU-frequency or contention window
 //! skews both medians together and cancels out of the ratio instead of
-//! landing on whichever side happened to run inside it.  The setup
-//! asserts the refactor's bit-identity guarantee before the clocks
-//! start: a mix-of-one reproduces the single-network evaluation bit for
-//! bit, and the parallel and serial mix paths agree exactly.
+//! landing on whichever side happened to run inside it.  The per-tenant
+//! mixes of one are built before the clocks start, so the sequential side
+//! times evaluation, not cloning networks.
 
 use std::time::{Duration, Instant};
 
@@ -35,26 +34,16 @@ const MAX_SAMPLES: usize = 10;
 /// whole mix in one call each.
 fn mix_sweep(evaluator: &ChipEvaluator, chips: &[ChipSpec], mix: &WorkloadMix) {
     for chip in chips {
-        black_box(
-            evaluator
-                .evaluate_mix_serial(chip, mix)
-                .unwrap()
-                .makespan_ns,
-        );
+        black_box(evaluator.evaluate_mix(chip, mix).unwrap().makespan_ns);
     }
 }
 
-/// One full sweep of the naive path: one single-network evaluation per
-/// tenant per chip, back to back.
-fn sequential_sweep(evaluator: &ChipEvaluator, chips: &[ChipSpec], mix: &WorkloadMix) {
+/// One full sweep of the naive path: one evaluation per tenant (each a
+/// mix of one) per chip, back to back.
+fn sequential_sweep(evaluator: &ChipEvaluator, chips: &[ChipSpec], singles: &[WorkloadMix]) {
     for chip in chips {
-        for tenant in mix.tenants() {
-            black_box(
-                evaluator
-                    .evaluate_serial(chip, &tenant.network)
-                    .unwrap()
-                    .latency_ns,
-            );
+        for single in singles {
+            black_box(evaluator.evaluate_mix(chip, single).unwrap().makespan_ns);
         }
     }
 }
@@ -97,39 +86,11 @@ fn chip_mix(c: &mut Criterion) {
         .collect();
 
     let evaluator = ChipEvaluator::s28_default();
-
-    // Correctness gate before the clocks start.
-    for chip in &chips {
-        for tenant in mix.tenants() {
-            let single = evaluator
-                .evaluate_mix_serial(chip, &WorkloadMix::single(tenant.network.clone()))
-                .unwrap()
-                .combined();
-            let plain = evaluator.evaluate_serial(chip, &tenant.network).unwrap();
-            assert_eq!(
-                single.latency_ns.to_bits(),
-                plain.latency_ns.to_bits(),
-                "mix-of-one latency drifted from the single-network path"
-            );
-            assert_eq!(
-                single.energy_per_inference_pj.to_bits(),
-                plain.energy_per_inference_pj.to_bits(),
-                "mix-of-one energy drifted from the single-network path"
-            );
-        }
-        let parallel = evaluator.evaluate_mix(chip, &mix).unwrap();
-        let serial = evaluator.evaluate_mix_serial(chip, &mix).unwrap();
-        assert_eq!(
-            parallel.makespan_ns.to_bits(),
-            serial.makespan_ns.to_bits(),
-            "parallel and serial mix evaluation disagree"
-        );
-        assert_eq!(
-            parallel.total_energy_pj.to_bits(),
-            serial.total_energy_pj.to_bits(),
-            "parallel and serial mix evaluation disagree"
-        );
-    }
+    let singles: Vec<WorkloadMix> = mix
+        .tenants()
+        .iter()
+        .map(|tenant| WorkloadMix::from(tenant.network.clone()))
+        .collect();
 
     // Paired measurement: one warm-up of each sweep, then MAX_SAMPLES
     // adjacent-in-time (mix, sequential) duration pairs with alternating
@@ -137,7 +98,7 @@ fn chip_mix(c: &mut Criterion) {
     // through `iter_custom`, so the gated ratio compares measurements
     // taken microseconds apart, not bench-groups apart.
     mix_sweep(&evaluator, &chips, &mix);
-    sequential_sweep(&evaluator, &chips, &mix);
+    sequential_sweep(&evaluator, &chips, &singles);
     let pairs: Vec<(Duration, Duration)> = (0..MAX_SAMPLES)
         .map(|sample| {
             let time = |f: &dyn Fn()| {
@@ -146,7 +107,7 @@ fn chip_mix(c: &mut Criterion) {
                 start.elapsed()
             };
             let mix_half = || mix_sweep(&evaluator, &chips, &mix);
-            let sequential_half = || sequential_sweep(&evaluator, &chips, &mix);
+            let sequential_half = || sequential_sweep(&evaluator, &chips, &singles);
             if sample % 2 == 0 {
                 let m = time(&mix_half);
                 let s = time(&sequential_half);

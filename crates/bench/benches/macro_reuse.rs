@@ -24,7 +24,7 @@
 //! never a different search.
 
 use acim_arch::AcimSpec;
-use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, MacroMetricsCache, Network};
+use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, MacroMetricsCache, Network, WorkloadMix};
 use acim_dse::{ChipDseConfig, ChipExplorer, ExploreOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -36,7 +36,7 @@ fn hetero_config() -> ChipDseConfig {
     // specs recur across many genomes and per-macro derivation is a large
     // share of the per-chip cost.  (Bigger grids would fold even more,
     // but 16 independent tile genes make almost every genome infeasible.)
-    let mut config = ChipDseConfig::for_network(Network::transformer_block());
+    let mut config = ChipDseConfig::for_mix(Network::transformer_block());
     config.heterogeneous = true;
     config.grid_rows = vec![2];
     config.grid_cols = vec![2];
@@ -100,7 +100,7 @@ fn macro_reuse(c: &mut Criterion) {
     // a small catalogue, evaluated serially with and without a warm
     // macro-metric cache.  This isolates exactly the work the reuse
     // layer absorbs per chip.
-    let network = Network::transformer_block();
+    let mix = WorkloadMix::from(Network::transformer_block());
     let catalogue: Vec<AcimSpec> = [
         (128usize, 32usize, 2usize, 2u32),
         (128, 32, 4, 3),
@@ -127,7 +127,7 @@ fn macro_reuse(c: &mut Criterion) {
     group.bench_function("eval_no_reuse", |b| {
         b.iter(|| {
             for chip in &chips {
-                black_box(plain_eval.evaluate_serial(chip, &network).unwrap());
+                black_box(plain_eval.evaluate_mix(chip, &mix).unwrap());
             }
         })
     });
@@ -135,7 +135,7 @@ fn macro_reuse(c: &mut Criterion) {
     group.bench_function("eval_reuse", |b| {
         b.iter(|| {
             for chip in &chips {
-                black_box(warm_eval.evaluate_serial(chip, &network).unwrap());
+                black_box(warm_eval.evaluate_mix(chip, &mix).unwrap());
             }
         })
     });

@@ -34,8 +34,7 @@ fn chip_problem() -> ChipDesignProblem {
     // A deep network makes one chip evaluation substantial (per-layer
     // costing across up to 4x4 grids), which is the regime the parallel
     // batch path targets.
-    ChipDesignProblem::new(&ChipDseConfig::for_network(Network::edge_cnn(16)))
-        .expect("valid problem")
+    ChipDesignProblem::new(&ChipDseConfig::for_mix(Network::edge_cnn(16))).expect("valid problem")
 }
 
 fn nsga2_config() -> Nsga2Config {

@@ -20,7 +20,7 @@ fn chip_config() -> ChipFlowConfig {
     // what the restored caches absorb — dominates the per-request cost,
     // not NSGA-II's selection machinery and not the fixed
     // service-construction/restore overhead both sides share.
-    let mut config = ChipFlowConfig::for_network(Network::edge_cnn(64));
+    let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(64));
     config.dse.population_size = 32;
     config.dse.generations = 24;
     config.validate_best = false;

@@ -18,7 +18,7 @@ fn chip_config() -> ChipFlowConfig {
     // A deep network (66 layers) over the full default grid catalogue, so
     // objective evaluation (what the cache absorbs) dominates the
     // per-request cost instead of NSGA-II's selection machinery.
-    let mut config = ChipFlowConfig::for_network(Network::edge_cnn(64));
+    let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(64));
     config.dse.population_size = 32;
     config.dse.generations = 12;
     config.validate_best = false;

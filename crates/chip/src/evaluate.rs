@@ -14,21 +14,23 @@
 //!
 //! # Multi-tenant mixes
 //!
-//! The evaluator scores either one [`Network`] or a whole [`WorkloadMix`]
-//! ([`ChipEvaluator::evaluate_mix`]).  Both run the same core: the mix
-//! partitioner's rounds (see [`crate::partition`]) are costed one by one,
-//! each round's latency is the *shared* compute/traffic overlap of all
-//! member layers, and every tenant then rolls its rounds up into its own
-//! [`ChipMetrics`].  A single binary tenant produces exactly one
-//! one-member round per layer, so the single-network path is the
-//! degenerate mix bit for bit.  Per-macro derivations are shared across
-//! tenants automatically: the grid's macro metrics are folded once per
-//! chip (and once per [`MacroMetricsCache`] across chips), no matter how
-//! many tenants schedule onto them.
+//! The evaluator scores a whole [`WorkloadMix`]
+//! ([`ChipEvaluator::evaluate_mix`]); one network is the mix of one
+//! (`WorkloadMix::from(network)`).  The mix partitioner's rounds (see
+//! [`crate::partition`]) are costed one by one, each round's latency is
+//! the *shared* compute/traffic overlap of all member layers, and every
+//! tenant then rolls its rounds up into its own [`ChipMetrics`].  A single
+//! binary tenant produces exactly one one-member round per layer.
+//! Per-macro derivations are shared across tenants automatically: the
+//! grid's macro metrics are folded once per chip (and once per
+//! [`MacroMetricsCache`] across chips), no matter how many tenants schedule
+//! onto them.
 //!
-//! Round evaluation is embarrassingly parallel and runs under `rayon`;
-//! every per-round quantity is a pure function of `(chip, mix, params)` so
-//! the parallel result is bit-identical to the sequential one.
+//! Rounds are costed serially: a chip has only a handful of them, and the
+//! DSE already fans whole chips out across the pool
+//! (`acim_dse::ChipDesignProblem`'s batch evaluation), which scales better
+//! than splitting one chip's rounds.  Every per-round quantity is a pure
+//! function of `(chip, mix, params)`, so results are deterministic.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -36,16 +38,13 @@ use std::fmt;
 use acim_arch::AcimSpec;
 use acim_model::{ModelInvariants, ModelParams, SpecKey};
 use acim_moga::CacheStats;
-use rayon::prelude::*;
+use acim_workloads::{Network, WorkloadMix};
 
 use crate::error::ChipError;
 use crate::grid::MacroGrid;
 use crate::interconnect::ChipCostParams;
 use crate::metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
-use crate::network::{Network, WorkloadMix};
-use crate::partition::{
-    partition_streams, LayerPartition, MixPartition, RoundPartition, StreamSpec,
-};
+use crate::partition::{partition_mix, LayerPartition, MixPartition, RoundPartition};
 
 /// A complete chip specification: the macro grid plus the sizing of the
 /// shared global buffer.
@@ -97,8 +96,7 @@ pub struct LayerCost {
     pub traffic_ns: f64,
     /// Latency of the layer's scheduling round in ns: shared
     /// compute/traffic overlap of every co-scheduled layer, plus NoC fill.
-    /// Equals the layer's own overlap when it runs alone (single-network
-    /// evaluation).
+    /// Equals the layer's own overlap when it runs alone (a mix of one).
     pub latency_ns: f64,
     /// Macro MAC energy in fJ.
     pub mac_energy_fj: f64,
@@ -316,13 +314,6 @@ impl MixMetrics {
     }
 }
 
-/// One tenant's borrowed scheduling view: the stream plus its weight.
-#[derive(Debug, Clone, Copy)]
-struct TenantStream<'a> {
-    stream: StreamSpec<'a>,
-    weight: f64,
-}
-
 /// Costs of one scheduling round: the shared round latency plus each
 /// member's tenant-attributed [`LayerCost`].
 struct RoundCost {
@@ -338,8 +329,8 @@ struct MemberCost {
     fill_hops: usize,
 }
 
-/// Evaluates chip specifications against networks — or whole workload
-/// mixes — with the analytic model.
+/// Evaluates chip specifications against workload mixes with the analytic
+/// model, through its one method [`ChipEvaluator::evaluate_mix`].
 ///
 /// # Macro-metric reuse
 ///
@@ -468,69 +459,14 @@ impl ChipEvaluator {
         Ok(metrics)
     }
 
-    /// Evaluates one chip on one network, fanning the per-round costs out
-    /// across worker threads.
+    /// Evaluates one chip on a workload mix; one network is the mix of
+    /// one (`WorkloadMix::from(network)`).
     ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the network is empty or a macro
-    /// specification fails the estimation model.
-    pub fn evaluate(&self, chip: &ChipSpec, network: &Network) -> Result<ChipMetrics, ChipError> {
-        self.evaluate_impl(chip, network, true)
-    }
-
-    /// Evaluates one chip on one network without spawning worker threads.
-    ///
-    /// Bit-identical to [`ChipEvaluator::evaluate`] (the parallel map is
-    /// order-preserving over pure per-round functions).  Batch callers use
-    /// this inside their own population-level fan-out: parallelising
-    /// across chips scales better than across a handful of rounds, and
-    /// nesting both oversubscribes the cores.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the network is empty or a macro
-    /// specification fails the estimation model.
-    pub fn evaluate_serial(
-        &self,
-        chip: &ChipSpec,
-        network: &Network,
-    ) -> Result<ChipMetrics, ChipError> {
-        self.evaluate_impl(chip, network, false)
-    }
-
-    fn evaluate_impl(
-        &self,
-        chip: &ChipSpec,
-        network: &Network,
-        parallel: bool,
-    ) -> Result<ChipMetrics, ChipError> {
-        if network.is_empty() {
-            return Err(ChipError::invalid_config(
-                "network",
-                "network must have at least one layer",
-            ));
-        }
-        // The single network is the degenerate one-tenant mix: same core,
-        // no clones, bit-identical rollup.
-        let mix = self.evaluate_streams_impl(
-            chip,
-            &[TenantStream {
-                stream: StreamSpec::binary(network),
-                weight: 1.0,
-            }],
-            parallel,
-        )?;
-        let tenant = mix.tenants.into_iter().next().expect("one tenant in");
-        Ok(tenant.metrics)
-    }
-
-    /// Evaluates one chip on a whole workload mix, fanning the per-round
-    /// costs out across worker threads.
-    ///
-    /// Shared macros are derived once for the whole mix (and reused across
-    /// chips through the optional [`MacroMetricsCache`]); each tenant's
-    /// rollup covers only its own layers, with round latencies shared.
+    /// Schedules the tenants, costs every round serially, and rolls the
+    /// rounds up per tenant and for the mix.  Shared macros are derived
+    /// once for the whole mix (and reused across chips through the
+    /// optional [`MacroMetricsCache`]); each tenant's rollup covers only
+    /// its own layers, with round latencies shared.
     ///
     /// # Errors
     ///
@@ -542,81 +478,20 @@ impl ChipEvaluator {
         chip: &ChipSpec,
         mix: &WorkloadMix,
     ) -> Result<MixMetrics, ChipError> {
-        self.evaluate_mix_impl(chip, mix, true)
-    }
-
-    /// Evaluates one chip on a mix without spawning worker threads;
-    /// bit-identical to [`ChipEvaluator::evaluate_mix`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the mix fails
-    /// [`WorkloadMix::validate`] or a macro specification fails the
-    /// estimation model.
-    pub fn evaluate_mix_serial(
-        &self,
-        chip: &ChipSpec,
-        mix: &WorkloadMix,
-    ) -> Result<MixMetrics, ChipError> {
-        self.evaluate_mix_impl(chip, mix, false)
-    }
-
-    fn evaluate_mix_impl(
-        &self,
-        chip: &ChipSpec,
-        mix: &WorkloadMix,
-        parallel: bool,
-    ) -> Result<MixMetrics, ChipError> {
-        mix.validate()?;
-        let tenants: Vec<TenantStream<'_>> = mix
-            .tenants()
-            .iter()
-            .map(|tenant| TenantStream {
-                stream: StreamSpec {
-                    network: &tenant.network,
-                    activation_bits: tenant.quant.activation_bits,
-                },
-                weight: tenant.weight,
-            })
-            .collect();
-        self.evaluate_streams_impl(chip, &tenants, parallel)
-    }
-
-    /// The shared evaluation core: schedules the streams, costs every
-    /// round (in parallel when asked), and rolls the rounds up per tenant
-    /// and for the mix.
-    fn evaluate_streams_impl(
-        &self,
-        chip: &ChipSpec,
-        tenants: &[TenantStream<'_>],
-        parallel: bool,
-    ) -> Result<MixMetrics, ChipError> {
         let grid = &chip.grid;
         // One derivation per distinct macro for the whole mix
         // (cache-assisted when a shared macro-metric cache is installed),
         // fanned back out to every grid position.
         let macro_metrics = self.grid_macro_metrics(grid)?;
         let cycle_ns: Vec<f64> = macro_metrics.iter().map(|m| m.cycle_ns).collect();
-        let streams: Vec<StreamSpec<'_>> = tenants.iter().map(|t| t.stream).collect();
-        let partition = partition_streams(grid, &streams, &cycle_ns)?;
+        let partition = partition_mix(grid, mix, &cycle_ns)?;
+        let tenants = mix.tenants();
 
-        // Per-round costs are independent — evaluate them in parallel on
-        // scoped work-stealing helpers (unless the caller already
-        // parallelises at a coarser grain, as the batch paths do).
-        // Order is preserved by `collect`, keeping results deterministic.
-        let round_costs: Vec<RoundCost> = if parallel {
-            partition
-                .rounds
-                .par_iter()
-                .map(|round| self.round_cost(chip, tenants, round, &partition, &macro_metrics))
-                .collect()
-        } else {
-            partition
-                .rounds
-                .iter()
-                .map(|round| self.round_cost(chip, tenants, round, &partition, &macro_metrics))
-                .collect()
-        };
+        let round_costs: Vec<RoundCost> = partition
+            .rounds
+            .iter()
+            .map(|round| self.round_cost(chip, mix, round, &partition, &macro_metrics))
+            .collect();
 
         let makespan_ns = round_costs
             .iter()
@@ -628,7 +503,7 @@ impl ChipEvaluator {
         // Hand each member cost back to its tenant, in round order.
         let mut tenant_layers: Vec<Vec<LayerCost>> = tenants
             .iter()
-            .map(|t| Vec::with_capacity(t.stream.network.len()))
+            .map(|t| Vec::with_capacity(t.network.len()))
             .collect();
         for round in round_costs {
             for (tenant_index, cost) in round.members {
@@ -646,12 +521,12 @@ impl ChipEvaluator {
         let tenant_metrics = tenants
             .iter()
             .zip(tenant_layers)
-            .enumerate()
-            .map(|(tenant_index, (tenant, layers))| TenantMetrics {
-                name: tenant.stream.network.name.clone(),
+            .zip(&partition.streams)
+            .map(|((tenant, layers), stream)| TenantMetrics {
+                name: tenant.name().to_string(),
                 weight: tenant.weight,
-                metrics: self.rollup_metrics(chip, tenant.stream.network, layers, area_mf2),
-                macro_reads: partition.streams[tenant_index].total_tiles(),
+                metrics: self.rollup_metrics(chip, &tenant.network, layers, area_mf2),
+                macro_reads: stream.total_tiles(),
             })
             .collect();
 
@@ -663,10 +538,9 @@ impl ChipEvaluator {
         })
     }
 
-    /// Rolls one tenant's round costs up into its chip metrics.  This is
-    /// the pre-mix single-network aggregation, unchanged: summed round
-    /// latencies, own energy plus leakage over the tenant's latency, worst
-    /// own SNR, mean own utilization.
+    /// Rolls one tenant's round costs up into its chip metrics: summed
+    /// round latencies, own energy plus leakage over the tenant's latency,
+    /// worst own SNR, mean own utilization.
     fn rollup_metrics(
         &self,
         chip: &ChipSpec,
@@ -732,7 +606,7 @@ impl ChipEvaluator {
     fn round_cost(
         &self,
         chip: &ChipSpec,
-        tenants: &[TenantStream<'_>],
+        mix: &WorkloadMix,
         round: &RoundPartition,
         partition: &MixPartition,
         macro_metrics: &[MacroMetrics],
@@ -744,7 +618,7 @@ impl ChipEvaluator {
             let placement = &partition.streams[tenant_index].layers[round.round];
             let member = self.member_cost(
                 chip,
-                tenants[tenant_index].stream.network,
+                &mix.tenants()[tenant_index].network,
                 placement,
                 macro_metrics,
             );
@@ -863,65 +737,13 @@ impl ChipEvaluator {
             fill_hops,
         }
     }
-
-    /// Evaluates many chips at once (used by the DSE problem); one
-    /// work-stealing task **per chip**, so a large grid or deep network on
-    /// one chip does not stall the rest of the batch (each chip's rounds
-    /// are still costed serially to avoid nested fan-out).  The tasks
-    /// borrow the caller's slice in place on the scoped executor — no
-    /// per-batch clones of the specs, evaluator or network.  Deterministic
-    /// in input order.
-    pub fn evaluate_batch(
-        &self,
-        chips: &[ChipSpec],
-        network: &Network,
-    ) -> Vec<Result<ChipMetrics, ChipError>> {
-        chips
-            .par_iter()
-            .with_max_len(1)
-            .map(|chip| self.evaluate_serial(chip, network))
-            .collect()
-    }
-
-    /// Mix counterpart of [`ChipEvaluator::evaluate_batch`]: one
-    /// work-stealing task per chip, each scoring the whole mix serially.
-    /// Deterministic in input order.
-    pub fn evaluate_mix_batch(
-        &self,
-        chips: &[ChipSpec],
-        mix: &WorkloadMix,
-    ) -> Vec<Result<MixMetrics, ChipError>> {
-        chips
-            .par_iter()
-            .with_max_len(1)
-            .map(|chip| self.evaluate_mix_serial(chip, mix))
-            .collect()
-    }
-}
-
-/// Convenience: partitions and evaluates in one call with default
-/// parameters (used by examples and benches).
-///
-/// # Errors
-///
-/// Returns [`ChipError`] when evaluation fails.
-pub fn evaluate_chip(chip: &ChipSpec, network: &Network) -> Result<ChipMetrics, ChipError> {
-    ChipEvaluator::s28_default().evaluate(chip, network)
-}
-
-/// Convenience: evaluates a whole mix with default parameters.
-///
-/// # Errors
-///
-/// Returns [`ChipError`] when evaluation fails.
-pub fn evaluate_chip_mix(chip: &ChipSpec, mix: &WorkloadMix) -> Result<MixMetrics, ChipError> {
-    ChipEvaluator::s28_default().evaluate_mix(chip, mix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use acim_arch::AcimSpec;
+    use rayon::prelude::*;
 
     fn spec(h: usize, w: usize, l: usize, b: u32) -> AcimSpec {
         AcimSpec::from_dimensions(h, w, l, b).unwrap()
@@ -935,9 +757,24 @@ mod tests {
         .unwrap()
     }
 
+    /// Default-parameter evaluation of a whole mix.
+    fn evaluate(chip: &ChipSpec, mix: &WorkloadMix) -> MixMetrics {
+        ChipEvaluator::s28_default()
+            .evaluate_mix(chip, mix)
+            .unwrap()
+    }
+
+    /// Default-parameter metrics of one network, scored as the mix of one.
+    fn evaluate_one(chip: &ChipSpec, network: &Network) -> ChipMetrics {
+        evaluate(chip, &network.clone().into())
+            .tenants
+            .remove(0)
+            .metrics
+    }
+
     #[test]
     fn evaluation_produces_finite_positive_metrics() {
-        let metrics = evaluate_chip(&chip(2, 2, 64), &Network::edge_cnn(2)).unwrap();
+        let metrics = evaluate_one(&chip(2, 2, 64), &Network::edge_cnn(2));
         assert!(metrics.latency_ns > 0.0 && metrics.latency_ns.is_finite());
         assert!(metrics.throughput_tops > 0.0);
         assert!(metrics.energy_per_inference_pj > 0.0);
@@ -952,8 +789,8 @@ mod tests {
 
     #[test]
     fn more_macros_cut_latency_but_cost_area() {
-        let small = evaluate_chip(&chip(1, 1, 64), &Network::edge_cnn(2)).unwrap();
-        let big = evaluate_chip(&chip(2, 2, 64), &Network::edge_cnn(2)).unwrap();
+        let small = evaluate_one(&chip(1, 1, 64), &Network::edge_cnn(2));
+        let big = evaluate_one(&chip(2, 2, 64), &Network::edge_cnn(2));
         assert!(
             big.latency_ns < small.latency_ns,
             "grid should parallelise tiles"
@@ -965,8 +802,8 @@ mod tests {
     fn tiny_buffers_refetch_and_pay_energy() {
         let net = Network::edge_cnn(2);
         // block layers hold 64×288 = 18 KiB of weight bits ≈ 2.25 KiB.
-        let tight = evaluate_chip(&chip(2, 2, 1), &net).unwrap();
-        let roomy = evaluate_chip(&chip(2, 2, 64), &net).unwrap();
+        let tight = evaluate_one(&chip(2, 2, 1), &net);
+        let roomy = evaluate_one(&chip(2, 2, 64), &net);
         assert!(tight.layers.iter().any(|l| l.refetch_factor > 1));
         assert!(roomy.layers.iter().all(|l| l.refetch_factor == 1));
         let tight_buffer: f64 = tight.layers.iter().map(|l| l.buffer_energy_fj).sum();
@@ -977,34 +814,19 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_is_deterministic_with_parallel_layers() {
-        let chip = chip(2, 3, 32);
-        let net = Network::edge_cnn(4);
-        let evaluator = ChipEvaluator::s28_default();
-        let a = evaluator.evaluate(&chip, &net).unwrap();
-        let b = evaluator.evaluate(&chip, &net).unwrap();
-        assert_eq!(a, b, "parallel evaluation must be bit-deterministic");
-    }
-
-    #[test]
-    fn serial_evaluation_is_bit_identical_to_parallel() {
-        let chip = chip(3, 2, 32);
-        let net = Network::edge_cnn(5);
-        let evaluator = ChipEvaluator::s28_default();
-        assert_eq!(
-            evaluator.evaluate(&chip, &net).unwrap(),
-            evaluator.evaluate_serial(&chip, &net).unwrap(),
-        );
-    }
-
-    #[test]
     fn batch_evaluation_matches_individual_runs() {
+        // The population fan-out of the DSE: one pool task per chip, each
+        // costing its rounds serially, deterministic in input order.
         let chips = vec![chip(1, 1, 32), chip(1, 2, 32), chip(2, 2, 32)];
-        let net = Network::transformer_block();
+        let mix = WorkloadMix::from(Network::transformer_block());
         let evaluator = ChipEvaluator::s28_default();
-        let batch = evaluator.evaluate_batch(&chips, &net);
+        let batch: Vec<MixMetrics> = chips
+            .par_iter()
+            .with_max_len(1)
+            .map(|chip| evaluator.evaluate_mix(chip, &mix).unwrap())
+            .collect();
         for (chip, result) in chips.iter().zip(batch) {
-            assert_eq!(result.unwrap(), evaluator.evaluate(chip, &net).unwrap());
+            assert_eq!(result, evaluator.evaluate_mix(chip, &mix).unwrap());
         }
     }
 
@@ -1015,22 +837,22 @@ mod tests {
             ChipSpec::new(MacroGrid::uniform(1, 2, spec(128, 32, 4, 2)).unwrap(), 32).unwrap();
         let high_b =
             ChipSpec::new(MacroGrid::uniform(1, 2, spec(128, 32, 4, 5)).unwrap(), 32).unwrap();
-        let low = evaluate_chip(&low_b, &net).unwrap();
-        let high = evaluate_chip(&high_b, &net).unwrap();
+        let low = evaluate_one(&low_b, &net);
+        let high = evaluate_one(&high_b, &net);
         assert!(high.accuracy_db > low.accuracy_db);
     }
 
     #[test]
     fn macro_cache_reuse_is_bit_identical_and_attributed() {
-        let net = Network::edge_cnn(3);
+        let mix = WorkloadMix::from(Network::edge_cnn(3));
         let chips = vec![chip(2, 2, 64), chip(1, 2, 32), chip(2, 2, 64)];
         let plain = ChipEvaluator::s28_default();
         let cache = crate::MacroMetricsCache::new();
         let reusing = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
         for c in &chips {
             assert_eq!(
-                plain.evaluate(c, &net).unwrap(),
-                reusing.evaluate(c, &net).unwrap(),
+                plain.evaluate_mix(c, &mix).unwrap(),
+                reusing.evaluate_mix(c, &mix).unwrap(),
                 "macro-metric reuse must not change results"
             );
         }
@@ -1047,13 +869,17 @@ mod tests {
 
     #[test]
     fn batch_clones_attribute_to_the_originating_evaluator() {
-        let net = Network::transformer_block();
+        let mix = WorkloadMix::from(Network::transformer_block());
         let cache = crate::MacroMetricsCache::new();
         let evaluator = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
         let chips = vec![chip(1, 1, 32), chip(2, 2, 32), chip(1, 2, 32)];
-        let batch = evaluator.evaluate_batch(&chips, &net);
+        let batch: Vec<Result<MixMetrics, ChipError>> = chips
+            .par_iter()
+            .with_max_len(1)
+            .map(|chip| evaluator.clone().evaluate_mix(chip, &mix))
+            .collect();
         assert!(batch.iter().all(Result::is_ok));
-        // The batch path clones the evaluator into pool workers; the
+        // A fan-out may clone the evaluator into pool workers; the
         // clones share the original's counters, so the request-level
         // evaluator sees the whole batch: one distinct macro shape across
         // all three chips -> 1 miss + 2 hits.
@@ -1064,7 +890,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_grid_folds_duplicate_positions() {
-        let net = Network::edge_cnn(2);
+        let mix = WorkloadMix::from(Network::edge_cnn(2));
         let mixed = ChipSpec::new(
             MacroGrid::from_specs(
                 2,
@@ -1082,8 +908,8 @@ mod tests {
         .unwrap();
         let cache = crate::MacroMetricsCache::new();
         let reusing = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        let with_cache = reusing.evaluate(&mixed, &net).unwrap();
-        let without = ChipEvaluator::s28_default().evaluate(&mixed, &net).unwrap();
+        let with_cache = reusing.evaluate_mix(&mixed, &mix).unwrap();
+        let without = evaluate(&mixed, &mix);
         assert_eq!(with_cache, without);
         // Four grid positions, two distinct shapes: two lookups, both
         // misses on a cold cache.
@@ -1095,24 +921,22 @@ mod tests {
     fn empty_network_and_zero_buffer_rejected() {
         assert!(ChipSpec::new(MacroGrid::uniform(1, 1, spec(128, 32, 4, 4)).unwrap(), 0).is_err());
         let evaluator = ChipEvaluator::s28_default();
-        let empty = Network::new("empty", vec![]);
-        assert!(evaluator.evaluate(&chip(1, 1, 32), &empty).is_err());
+        let empty = WorkloadMix::from(Network::new("empty", vec![]));
+        assert!(evaluator.evaluate_mix(&chip(1, 1, 32), &empty).is_err());
     }
 
     #[test]
     fn single_tenant_mix_is_bit_identical_to_network_path() {
-        let evaluator = ChipEvaluator::s28_default();
+        // Every mix-level view of a mix of one is its lone tenant's
+        // metrics, bit for bit — what single-network callers read.
         for (c, net) in [
             (chip(2, 2, 64), Network::edge_cnn(2)),
             (chip(1, 2, 8), Network::transformer_block()),
             (chip(3, 1, 16), Network::snn_pipeline()),
         ] {
-            let single = evaluator.evaluate(&c, &net).unwrap();
-            let mix = evaluator
-                .evaluate_mix(&c, &WorkloadMix::single(net.clone()))
-                .unwrap();
+            let mix = evaluate(&c, &net.clone().into());
+            let single = mix.tenants[0].metrics.clone();
             assert!(mix.is_single());
-            assert_eq!(mix.tenants[0].metrics, single);
             assert_eq!(mix.tenants[0].name, net.name);
             assert_eq!(mix.makespan_ns.to_bits(), single.latency_ns.to_bits());
             assert_eq!(
@@ -1135,7 +959,7 @@ mod tests {
     #[test]
     fn mix_evaluation_produces_per_tenant_metrics() {
         let mix = WorkloadMix::edge_mix();
-        let metrics = evaluate_chip_mix(&chip(2, 2, 64), &mix).unwrap();
+        let metrics = evaluate(&chip(2, 2, 64), &mix);
         assert_eq!(metrics.tenants.len(), 3);
         for tenant in &metrics.tenants {
             assert!(tenant.metrics.latency_ns > 0.0);
@@ -1144,7 +968,7 @@ mod tests {
             assert!(tenant.metrics.accuracy_db.is_finite());
             // Co-scheduling can only extend a tenant's latency relative to
             // running alone on the same chip.
-            let alone = evaluate_chip(&chip(2, 2, 64), &find_net(&mix, &tenant.name)).unwrap();
+            let alone = evaluate_one(&chip(2, 2, 64), &find_net(&mix, &tenant.name));
             assert!(
                 tenant.metrics.latency_ns >= alone.latency_ns,
                 "{}: {} < {}",
@@ -1179,20 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_parallel_serial_and_batch_agree() {
-        let mix = WorkloadMix::edge_mix();
-        let chips = vec![chip(1, 1, 32), chip(2, 2, 64), chip(1, 2, 16)];
-        let evaluator = ChipEvaluator::s28_default();
-        let batch = evaluator.evaluate_mix_batch(&chips, &mix);
-        for (c, result) in chips.iter().zip(batch) {
-            let parallel = evaluator.evaluate_mix(c, &mix).unwrap();
-            let serial = evaluator.evaluate_mix_serial(c, &mix).unwrap();
-            assert_eq!(parallel, serial);
-            assert_eq!(result.unwrap(), parallel);
-        }
-    }
-
-    #[test]
     fn mix_derives_shared_macros_once() {
         let mix = WorkloadMix::edge_mix();
         let cache = crate::MacroMetricsCache::new();
@@ -1213,7 +1023,7 @@ mod tests {
         let mix = WorkloadMix::new("skewed")
             .with_tenant(Network::edge_cnn(2), 10.0)
             .with_tenant(Network::transformer_block(), 0.1);
-        let metrics = evaluate_chip_mix(&chip(2, 2, 64), &mix).unwrap();
+        let metrics = evaluate(&chip(2, 2, 64), &mix);
         let worst = metrics.objectives(MixObjective::WorstTenant);
         let mean = metrics.objectives(MixObjective::WeightedMean);
         // Worst-tenant accuracy is at most (≥ in minimisation form) the
@@ -1233,8 +1043,8 @@ mod tests {
             .with_tenant(Network::edge_cnn(1), 1.0)
             .with_quantized_tenant(Network::transformer_block(), 1.0, 8);
         let c = chip(2, 2, 64);
-        let b = evaluate_chip_mix(&c, &base).unwrap();
-        let q = evaluate_chip_mix(&c, &quant).unwrap();
+        let b = evaluate(&c, &base);
+        let q = evaluate(&c, &quant);
         assert!(q.makespan_ns > b.makespan_ns);
         // The quantized tenant's own energy grows with its issued cycles…
         assert!(

@@ -10,21 +10,23 @@
 //! network objectives:
 //!
 //! * [`grid`] — a mesh of (possibly heterogeneous) macro instances,
-//! * [`network`] — whole-network workloads and multi-tenant
-//!   [`WorkloadMix`]es (re-exported from `acim-workloads`),
 //! * [`partition`] — deterministic least-finish-time tiling of every
-//!   layer across the grid, co-scheduling the streams of a mix round by
-//!   round (the multi-macro generalisation of `acim-workloads::mapping`),
+//!   layer across the grid, co-scheduling the tenants of a
+//!   [`WorkloadMix`] round by round (the multi-macro generalisation of
+//!   `acim-workloads::mapping`),
 //! * [`interconnect`] — mesh, global-buffer and digital-accumulation cost
 //!   parameters,
 //! * [`evaluate`] — the analytic chip evaluator: throughput, energy per
-//!   inference, area and an accuracy proxy, with rayon-parallel (and
-//!   bit-deterministic) layer evaluation,
+//!   inference, area and an accuracy proxy per tenant, through one method,
+//!   [`ChipEvaluator::evaluate_mix`],
 //! * [`metrics_cache`] — the macro-metric reuse layer: a shared, bounded,
 //!   poison-tolerant cache of per-macro `DesignMetrics` the evaluator
 //!   consults instead of re-deriving the same macros chip after chip,
 //! * [`simulate`] — the behavioural validation path, driving one
-//!   `acim_arch::AcimMacro` per grid position.
+//!   `acim_arch::AcimMacro` per tile with the evaluator's timing.
+//!
+//! Workloads come from `acim-workloads` (re-exported here): a single
+//! [`Network`] is the mix of one, `WorkloadMix::from(network)`.
 //!
 //! `acim-dse` builds a `ChipDesignProblem` on top of this crate so NSGA-II
 //! can co-explore macro shape × macro count × buffer sizing, and
@@ -34,14 +36,16 @@
 //!
 //! ```
 //! use acim_arch::AcimSpec;
-//! use acim_chip::{evaluate_chip, ChipSpec, MacroGrid, Network};
+//! use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 //!
 //! # fn main() -> Result<(), acim_chip::ChipError> {
 //! let spec = AcimSpec::from_dimensions(128, 32, 4, 4)?;
 //! let chip = ChipSpec::new(MacroGrid::uniform(2, 2, spec)?, 64)?;
-//! let metrics = evaluate_chip(&chip, &Network::edge_cnn(2))?;
-//! assert!(metrics.throughput_tops > 0.0);
-//! assert!(metrics.layers.len() == 4);
+//! let mix = WorkloadMix::from(Network::edge_cnn(2));
+//! let metrics = ChipEvaluator::s28_default().evaluate_mix(&chip, &mix)?;
+//! let cnn = &metrics.tenants[0].metrics;
+//! assert!(cnn.throughput_tops > 0.0);
+//! assert!(cnn.layers.len() == 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -54,23 +58,19 @@ pub mod evaluate;
 pub mod grid;
 pub mod interconnect;
 pub mod metrics_cache;
-pub mod network;
 pub mod partition;
 pub mod simulate;
 
 pub use error::ChipError;
 pub use evaluate::{
-    evaluate_chip, evaluate_chip_mix, ChipEvaluator, ChipMetrics, ChipSpec, LayerCost, MixMetrics,
-    MixObjective, TenantMetrics,
+    ChipEvaluator, ChipMetrics, ChipSpec, LayerCost, MixMetrics, MixObjective, TenantMetrics,
 };
 pub use grid::MacroGrid;
 pub use interconnect::{AccumulatorParams, BufferParams, ChipCostParams, InterconnectParams};
 pub use metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
-pub use network::{LayerKind, Network, NetworkLayer, Tenant, TenantQuant, WorkloadMix};
 pub use partition::{
-    partition_mix, partition_network, partition_streams, LayerPartition, MixPartition, Partition,
-    RoundPartition, StreamSpec, TileAssignment,
+    partition_mix, LayerPartition, MixPartition, Partition, RoundPartition, TileAssignment,
 };
-pub use simulate::{
-    simulate_mix, simulate_network, ChipSimReport, LayerSimReport, MixSimReport, TenantSimReport,
-};
+pub use simulate::{simulate_mix, ChipSimReport, LayerSimReport, MixSimReport, TenantSimReport};
+
+pub use acim_workloads::{LayerKind, Network, NetworkLayer, Tenant, TenantQuant, WorkloadMix};

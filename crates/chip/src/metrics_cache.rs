@@ -10,20 +10,15 @@
 //! existed, `ChipEvaluator` re-derived those metrics from scratch for
 //! every macro of every chip of every generation.
 //!
-//! [`MacroMetricsCache`] is the shared store closing that loop: a
-//! thread-safe, cheaply cloneable handle to one map from quantized
-//! [`SpecKey`]s to [`MacroMetrics`], optionally bounded with CLOCK-style
-//! eviction (the same [`acim_moga::ClockMap`] core as the genome-level
-//! `CacheStore`).  One cache must be paired with **one**
-//! `acim_model::ModelParams` — the metrics are a pure function of
-//! `(spec, params)`, and the cache trusts its keys exactly as the
-//! genome-level store trusts its design space.  Under that pairing a hit
-//! returns bit-identical values to a recomputation, so explorations with
-//! and without the cache produce identical frontiers.
-//!
-//! Like `CacheStore`, the cache recovers poisoned locks: one panicking
-//! tenant of a multi-tenant service costs its own request, never the
-//! shared store.
+//! [`MacroMetricsCache`] is the shared store closing that loop: the same
+//! [`SharedCache`] type as the genome-level `CacheStore`, keyed by
+//! quantized [`SpecKey`]s and holding [`MacroMetrics`], optionally bounded
+//! with CLOCK-style eviction and tolerant of poisoned locks.  One cache
+//! must be paired with **one** `acim_model::ModelParams` — the metrics are
+//! a pure function of `(spec, params)`, and the cache trusts its keys
+//! exactly as the genome-level store trusts its design space.  Under that
+//! pairing a hit returns bit-identical values to a recomputation, so
+//! explorations with and without the cache produce identical frontiers.
 
 use acim_model::{DesignMetrics, SpecKey};
 use acim_moga::{CacheCounters, CacheStats, SharedCache, TryInsert};
@@ -38,8 +33,8 @@ pub struct MacroMetrics {
     pub cycle_ns: f64,
 }
 
-/// A thread-safe, cheaply cloneable handle to one shared macro-metric
-/// map, keyed by quantized [`SpecKey`]s.
+/// The shared macro-metric store: a [`SharedCache`] from quantized
+/// [`SpecKey`]s to [`MacroMetrics`].
 ///
 /// Clones share the underlying entries (`Arc` semantics): the `easyacim`
 /// service keeps one cache per model-parameter signature and hands clones
@@ -48,107 +43,7 @@ pub struct MacroMetrics {
 /// per-macro work.  Hit/miss attribution lives with the evaluator that
 /// consults the cache (see `ChipEvaluator::macro_cache_stats`), not here,
 /// mirroring the per-wrapper counters of `CachedProblem`.
-#[derive(Clone, Default)]
-pub struct MacroMetricsCache {
-    shared: SharedCache<SpecKey, MacroMetrics>,
-}
-
-impl MacroMetricsCache {
-    /// Creates an empty, unbounded cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty cache holding at most `capacity` distinct macros,
-    /// evicting CLOCK-style beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn bounded(capacity: usize) -> Self {
-        Self {
-            shared: SharedCache::bounded(capacity),
-        }
-    }
-
-    /// Number of distinct macros cached.
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Returns `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// The capacity bound, `None` for unbounded caches.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shared.capacity()
-    }
-
-    /// Entries evicted since creation (or the last
-    /// [`MacroMetricsCache::clear`]), summed over every handle.
-    pub fn evictions(&self) -> u64 {
-        self.shared.evictions()
-    }
-
-    /// Looks up one macro (marking the entry recently used).
-    pub fn get(&self, key: &SpecKey) -> Option<MacroMetrics> {
-        self.shared.get(key)
-    }
-
-    /// Inserts one macro's metrics, reporting whether an existing entry
-    /// was evicted to make room.
-    pub fn insert(&self, key: SpecKey, metrics: MacroMetrics) -> bool {
-        self.shared.insert(key, metrics)
-    }
-
-    /// Inserts only when the key is absent (an existing entry is kept and
-    /// marked recently used) — the primitive behind
-    /// [`MacroCacheClient::get_or_derive`]'s race-tolerant attribution.
-    pub fn try_insert(&self, key: SpecKey, metrics: MacroMetrics) -> TryInsert {
-        self.shared.try_insert(key, metrics)
-    }
-
-    /// Removes every entry and resets the eviction counter.
-    pub fn clear(&self) {
-        self.shared.clear();
-    }
-
-    /// Clones every cached macro derivation out of the map under one
-    /// lock round-trip — the export half of snapshot persistence.  Order
-    /// is unspecified; snapshot writers sort by [`SpecKey`] for
-    /// deterministic files.
-    pub fn export_entries(&self) -> Vec<(SpecKey, MacroMetrics)> {
-        self.shared.export_entries()
-    }
-
-    /// Merges metrics under one lock round-trip, first-wins (live
-    /// entries beat imported ones; under the one-cache-one-`ModelParams`
-    /// pairing either copy is bit-identical).  Bounded caches accept the
-    /// merge CLOCK-style.  Returns `(inserted, skipped)`.
-    pub fn import_entries(
-        &self,
-        entries: impl IntoIterator<Item = (SpecKey, MacroMetrics)>,
-    ) -> (usize, usize) {
-        self.shared.bulk_insert(entries)
-    }
-
-    /// Returns `true` when `other` is a handle to the same underlying map.
-    pub fn shares_entries_with(&self, other: &MacroMetricsCache) -> bool {
-        self.shared.shares_entries_with(&other.shared)
-    }
-}
-
-impl std::fmt::Debug for MacroMetricsCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MacroMetricsCache")
-            .field("entries", &self.len())
-            .field("capacity", &self.capacity())
-            .field("evictions", &self.evictions())
-            .finish()
-    }
-}
+pub type MacroMetricsCache = SharedCache<SpecKey, MacroMetrics>;
 
 /// One consumer's attributed view of a [`MacroMetricsCache`]: the cache
 /// handle (optional — a detached client just derives) plus this
@@ -217,7 +112,7 @@ impl MacroCacheClient {
     /// parallel workers is never serialized by the mutex — each lock
     /// round-trip is just a hash operation.  Two workers racing on one
     /// key may both derive (harmless: the metrics are pure functions of
-    /// the key, and [`MacroMetricsCache::try_insert`] keeps exactly one
+    /// the key, and [`SharedCache::try_insert`] keeps exactly one
     /// copy), but attribution stays deterministic: the insert is
     /// first-wins, so the loser counts its lookup as a hit — per request,
     /// `misses` always equals the entries the request actually inserted
@@ -315,7 +210,7 @@ mod tests {
         cache.insert(key, metrics);
         let poisoner = cache.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = poisoner.shared.lock();
+            let _guard = poisoner.lock();
             panic!("tenant panicked while holding the cache lock");
         }));
         assert!(result.is_err());

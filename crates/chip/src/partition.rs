@@ -22,14 +22,14 @@
 //! tenant consumes layer `r`'s outputs while different tenants are
 //! independent.  Within a round, tenants place their tiles in mix order
 //! onto *shared* per-macro finish times, so a macro loaded by one tenant
-//! repels the next tenant's tiles; round boundaries are barriers.  A mix
-//! with one binary tenant degenerates exactly to the single-network
-//! placement: each round then holds one layer on fresh finish times —
-//! [`partition_network`] *is* that degenerate call.
+//! repels the next tenant's tiles; round boundaries are barriers.  A
+//! single network is the mix of one: each round then holds one layer on
+//! fresh finish times.
+
+use acim_workloads::WorkloadMix;
 
 use crate::error::ChipError;
 use crate::grid::MacroGrid;
-use crate::network::{Network, WorkloadMix};
 
 /// One tile of one layer assigned to one macro.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ impl LayerPartition {
     }
 }
 
-/// The placement of a whole network onto a grid.
+/// The placement of one tenant's network onto a grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Per-layer placements, in network order.
@@ -86,27 +86,6 @@ impl Partition {
     /// Total tiles across all layers.
     pub fn total_tiles(&self) -> usize {
         self.layers.iter().map(|l| l.tiles.len()).sum()
-    }
-}
-
-/// One co-scheduled layer stream: a network plus the activation bit-width
-/// its tenant runs at.  The borrowed form lets the evaluator schedule a
-/// mix — or a single network wrapped on the stack — without cloning.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamSpec<'a> {
-    /// The stream's network.
-    pub network: &'a Network,
-    /// Bit-serial activation width (`>= 1`); scales every tile's cycles.
-    pub activation_bits: u32,
-}
-
-impl<'a> StreamSpec<'a> {
-    /// A binary-activation stream.
-    pub fn binary(network: &'a Network) -> Self {
-        Self {
-            network,
-            activation_bits: 1,
-        }
     }
 }
 
@@ -148,82 +127,30 @@ impl MixPartition {
     }
 }
 
-/// Partitions every layer of `network` across `grid`.
+/// Co-schedules the tenants of a [`WorkloadMix`] onto one grid, round by
+/// round.
 ///
-/// `cycle_time_ns[m]` is the conversion-cycle time of macro `m`; callers
-/// derive it from the estimation model (fast path) or the behavioural
-/// timing model (validation path) so both agree on the placement.
+/// Round `r` places layer `r` of every tenant that has one, tenants in mix
+/// order, tiles least-finish-time on the round's *shared* per-macro finish
+/// times.  Each tenant's [`LayerPartition::busy_ns`] keeps only that
+/// tenant's contribution, so per-tenant and round-level accounting both
+/// fall out of one pass.
 ///
-/// This is the degenerate single-stream case of [`partition_streams`];
-/// the placement is bit-identical to scheduling a one-tenant mix.
-///
-/// # Errors
-///
-/// Returns [`ChipError::InvalidConfig`] when the network is empty, a layer
-/// has a degenerate shape, or `cycle_time_ns` does not match the grid.
-pub fn partition_network(
-    grid: &MacroGrid,
-    network: &Network,
-    cycle_time_ns: &[f64],
-) -> Result<Partition, ChipError> {
-    if network.is_empty() {
-        return Err(ChipError::invalid_config(
-            "network",
-            "network must have at least one layer",
-        ));
-    }
-    let mut mix = partition_streams(grid, &[StreamSpec::binary(network)], cycle_time_ns)?;
-    Ok(mix.streams.pop().expect("one stream in, one partition out"))
-}
-
-/// Partitions a [`WorkloadMix`] across `grid` (see [`partition_streams`]).
+/// `cycle_time_ns[m]` is the conversion-cycle time of macro `m`; the
+/// analytic evaluator and the behavioural simulator both derive it from
+/// the same `TimingModel`, so they agree on the placement.
 ///
 /// # Errors
 ///
 /// Returns [`ChipError::Workload`] when the mix fails
-/// [`WorkloadMix::validate`], and [`ChipError::InvalidConfig`] for grid or
-/// cycle-time mismatches.
+/// [`WorkloadMix::validate`], and [`ChipError::InvalidConfig`] when a layer
+/// has a degenerate shape or `cycle_time_ns` does not match the grid.
 pub fn partition_mix(
     grid: &MacroGrid,
     mix: &WorkloadMix,
     cycle_time_ns: &[f64],
 ) -> Result<MixPartition, ChipError> {
     mix.validate()?;
-    let streams: Vec<StreamSpec<'_>> = mix
-        .tenants()
-        .iter()
-        .map(|tenant| StreamSpec {
-            network: &tenant.network,
-            activation_bits: tenant.quant.activation_bits,
-        })
-        .collect();
-    partition_streams(grid, &streams, cycle_time_ns)
-}
-
-/// Co-schedules several layer streams onto one grid, round by round.
-///
-/// Round `r` places layer `r` of every stream that has one, streams in
-/// input order, tiles least-finish-time on the round's *shared* per-macro
-/// finish times.  Each stream's [`LayerPartition::busy_ns`] keeps only
-/// that stream's contribution, so per-tenant and round-level accounting
-/// both fall out of one pass.
-///
-/// # Errors
-///
-/// Returns [`ChipError::InvalidConfig`] when there are no streams, a
-/// stream is empty or degenerate, `activation_bits` is zero, or
-/// `cycle_time_ns` does not match the grid.
-pub fn partition_streams(
-    grid: &MacroGrid,
-    streams: &[StreamSpec<'_>],
-    cycle_time_ns: &[f64],
-) -> Result<MixPartition, ChipError> {
-    if streams.is_empty() {
-        return Err(ChipError::invalid_config(
-            "streams",
-            "at least one stream is required",
-        ));
-    }
     if cycle_time_ns.len() != grid.num_macros() {
         return Err(ChipError::invalid_config(
             "cycle_time_ns",
@@ -240,53 +167,33 @@ pub fn partition_streams(
             format!("cycle times must be positive and finite, got {bad}"),
         ));
     }
-    for stream in streams {
-        if stream.network.is_empty() {
-            return Err(ChipError::invalid_config(
-                "streams",
-                format!("network `{}` has no layers", stream.network.name),
-            ));
-        }
-        if stream.activation_bits == 0 {
-            return Err(ChipError::invalid_config(
-                "streams",
-                format!(
-                    "network `{}` has activation_bits == 0; must be >= 1",
-                    stream.network.name
-                ),
-            ));
-        }
-    }
 
     let num_macros = grid.num_macros();
-    let num_rounds = streams
+    let tenants = mix.tenants();
+    let mut partitions: Vec<Partition> = tenants
         .iter()
-        .map(|s| s.network.len())
-        .max()
-        .expect("streams is non-empty");
-    let mut partitions: Vec<Partition> = streams
-        .iter()
-        .map(|s| Partition {
-            layers: Vec::with_capacity(s.network.len()),
+        .map(|t| Partition {
+            layers: Vec::with_capacity(t.network.len()),
         })
         .collect();
-    let mut rounds = Vec::with_capacity(num_rounds);
+    let mut rounds = Vec::with_capacity(mix.rounds());
 
-    for round in 0..num_rounds {
+    for round in 0..mix.rounds() {
         let mut round_busy = vec![0.0f64; num_macros];
         let mut members = Vec::new();
-        for (stream_index, stream) in streams.iter().enumerate() {
-            let Some(layer) = stream.network.layers.get(round) else {
+        for (tenant_index, tenant) in tenants.iter().enumerate() {
+            let network = &tenant.network;
+            let Some(layer) = network.layers.get(round) else {
                 continue;
             };
-            members.push(stream_index);
+            members.push(tenant_index);
             let (outputs, dot_length) = layer.shape();
             if outputs == 0 || dot_length == 0 {
                 return Err(ChipError::invalid_config(
                     "layer",
                     format!(
                         "layer `{}` of `{}` has a degenerate {outputs}x{dot_length} shape",
-                        layer.name, stream.network.name
+                        layer.name, network.name
                     ),
                 ));
             }
@@ -308,7 +215,7 @@ pub fn partition_streams(
                 let spec = grid.spec(macro_index);
                 let rows = (outputs - row_base).min(spec.width());
                 let cycles = dot_length.div_ceil(spec.dot_product_length()) as u64
-                    * u64::from(stream.activation_bits);
+                    * u64::from(tenant.quant.activation_bits);
                 let delta_ns = cycles as f64 * cycle_time_ns[macro_index];
                 round_busy[macro_index] += delta_ns;
                 busy_ns[macro_index] += delta_ns;
@@ -324,7 +231,7 @@ pub fn partition_streams(
                 tile += 1;
             }
 
-            partitions[stream_index].layers.push(LayerPartition {
+            partitions[tenant_index].layers.push(LayerPartition {
                 layer: round,
                 shape: (outputs, dot_length),
                 tiles,
@@ -347,6 +254,7 @@ pub fn partition_streams(
 mod tests {
     use super::*;
     use acim_arch::AcimSpec;
+    use acim_workloads::Network;
 
     fn spec(h: usize, w: usize, l: usize, b: u32) -> AcimSpec {
         AcimSpec::from_dimensions(h, w, l, b).unwrap()
@@ -356,11 +264,23 @@ mod tests {
         MacroGrid::uniform(rows, cols, spec(64, 16, 4, 4)).unwrap()
     }
 
+    /// Partitions one network as the mix of one: every round then holds
+    /// just that tenant, with the round's busy times equal to its layer's.
+    fn partition_one(grid: &MacroGrid, network: Network, cycle_time_ns: &[f64]) -> Partition {
+        let mut mix = partition_mix(grid, &network.into(), cycle_time_ns).unwrap();
+        assert_eq!(mix.streams.len(), 1);
+        for (round, placement) in mix.rounds.iter().zip(&mix.streams[0].layers) {
+            assert_eq!(round.members, vec![0]);
+            assert_eq!(round.busy_ns, placement.busy_ns);
+        }
+        mix.streams.pop().unwrap()
+    }
+
     #[test]
     fn tiles_cover_every_output_row_exactly_once() {
         let grid = uniform_grid(2, 2);
         let network = Network::edge_cnn(2);
-        let partition = partition_network(&grid, &network, &[5.0; 4]).unwrap();
+        let partition = partition_one(&grid, network.clone(), &[5.0; 4]);
         assert_eq!(partition.layers.len(), network.len());
         for (layer, placement) in network.layers.iter().zip(&partition.layers) {
             let (outputs, _) = layer.shape();
@@ -381,7 +301,7 @@ mod tests {
         let grid = uniform_grid(2, 2);
         // 64 outputs over width-16 macros → 4 tiles → all 4 macros busy.
         let network = Network::new("wide", vec![Network::edge_cnn(1).layers[1].clone()]);
-        let partition = partition_network(&grid, &network, &[5.0; 4]).unwrap();
+        let partition = partition_one(&grid, network, &[5.0; 4]);
         assert_eq!(partition.layers[0].tiles.len(), 4);
         assert_eq!(partition.layers[0].macros_used(), 4);
     }
@@ -392,7 +312,7 @@ mod tests {
         // scheduler should push most tiles to macro 1.
         let grid = MacroGrid::from_specs(1, 2, vec![spec(64, 16, 4, 4); 2]).unwrap();
         let network = Network::new("wide", vec![Network::edge_cnn(1).layers[1].clone()]);
-        let partition = partition_network(&grid, &network, &[20.0, 5.0]).unwrap();
+        let partition = partition_one(&grid, network, &[20.0, 5.0]);
         let placement = &partition.layers[0];
         let tiles_on_fast = placement
             .tiles
@@ -414,7 +334,7 @@ mod tests {
     fn single_macro_grid_degenerates_to_macro_mapper_tiling() {
         let grid = uniform_grid(1, 1);
         let network = Network::new("one", vec![Network::edge_cnn(1).layers[0].clone()]);
-        let partition = partition_network(&grid, &network, &[5.0]).unwrap();
+        let partition = partition_one(&grid, network, &[5.0]);
         let placement = &partition.layers[0];
         // 16 outputs on a width-16 macro: one tile; 200-long dot product in
         // chunks of 16 → 13 cycles (matches MacroMapper's div_ceil tiling).
@@ -426,39 +346,17 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let grid = uniform_grid(1, 1);
-        let empty = Network::new("empty", vec![]);
-        assert!(partition_network(&grid, &empty, &[5.0]).is_err());
         let network = Network::edge_cnn(1);
-        assert!(partition_network(&grid, &network, &[5.0, 5.0]).is_err());
-        assert!(partition_network(&grid, &network, &[0.0]).is_err());
-        assert!(partition_network(&grid, &network, &[f64::NAN]).is_err());
-        assert!(partition_streams(&grid, &[], &[5.0]).is_err());
-        assert!(partition_streams(
-            &grid,
-            &[StreamSpec {
-                network: &network,
-                activation_bits: 0
-            }],
-            &[5.0]
-        )
-        .is_err());
-        let bad_mix = WorkloadMix::new("empty");
-        assert!(partition_mix(&grid, &bad_mix, &[5.0]).is_err());
-    }
-
-    #[test]
-    fn single_stream_matches_partition_network_exactly() {
-        let grid =
-            MacroGrid::from_specs(1, 2, vec![spec(64, 16, 4, 4), spec(128, 32, 8, 3)]).unwrap();
-        let network = Network::edge_cnn(2);
-        let cycle = [7.25, 3.5];
-        let single = partition_network(&grid, &network, &cycle).unwrap();
-        let mix = partition_mix(&grid, &WorkloadMix::single(network.clone()), &cycle).unwrap();
-        assert_eq!(mix.streams.len(), 1);
-        assert_eq!(mix.streams[0], single);
-        for (round, placement) in mix.rounds.iter().zip(&single.layers) {
-            assert_eq!(round.members, vec![0]);
-            assert_eq!(round.busy_ns, placement.busy_ns);
+        let mix = WorkloadMix::from(network.clone());
+        assert!(partition_mix(&grid, &mix, &[5.0, 5.0]).is_err());
+        assert!(partition_mix(&grid, &mix, &[0.0]).is_err());
+        assert!(partition_mix(&grid, &mix, &[f64::NAN]).is_err());
+        for bad_mix in [
+            WorkloadMix::new("empty"),
+            WorkloadMix::from(Network::new("empty", vec![])),
+            WorkloadMix::new("q0").with_quantized_tenant(network, 1.0, 0),
+        ] {
+            assert!(partition_mix(&grid, &bad_mix, &[5.0]).is_err());
         }
     }
 

@@ -1,24 +1,24 @@
 //! Behavioural multi-macro simulation: the validation path behind the
 //! analytic chip evaluator.
 //!
-//! Lowers every network layer to a concrete [`BinaryMvm`], places its
-//! tiles with the same partitioner the analytic model uses, then drives
-//! one behavioural [`AcimMacro`] per grid position through the
-//! program → MAC → convert sequence of `acim-workloads::mapping`,
-//! accumulating de-quantised partial sums digitally.  The result carries
-//! the *measured* end-to-end error of the whole network on the grid —
-//! the ground truth the analytic accuracy proxy approximates.
+//! Lowers every layer of every tenant to a concrete [`BinaryMvm`], places
+//! its tiles with the same partitioner and the same [`TimingModel`] the
+//! analytic model uses, then drives one behavioural [`AcimMacro`] per tile
+//! through the program → MAC → convert sequence of
+//! `acim-workloads::mapping`, accumulating de-quantised partial sums
+//! digitally.  The result carries the *measured* end-to-end error of every
+//! network on the grid — the ground truth the analytic accuracy proxy
+//! approximates.
 //!
 //! [`BinaryMvm`]: acim_workloads::quantize::BinaryMvm
 
-use acim_arch::{AcimMacro, NoiseConfig};
+use acim_arch::{AcimMacro, NoiseConfig, TimingModel};
 use acim_tech::Technology;
-use acim_workloads::run_output_tile;
+use acim_workloads::{run_output_tile, WorkloadMix};
 
 use crate::error::ChipError;
 use crate::evaluate::ChipSpec;
-use crate::network::{Network, WorkloadMix};
-use crate::partition::{partition_mix, partition_network};
+use crate::partition::partition_mix;
 
 /// Measured behaviour of one layer on the grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +41,8 @@ pub struct LayerSimReport {
     pub latency_ns: f64,
 }
 
-/// Measured behaviour of a whole network on a chip.
+/// Measured behaviour of one network on a chip: one tenant's share of a
+/// [`MixSimReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipSimReport {
     /// Per-layer reports, in network order.
@@ -61,97 +62,6 @@ impl ChipSimReport {
             .map(|l| l.relative_error)
             .fold(0.0, f64::max)
     }
-}
-
-/// Runs every layer of `network` on `chip` behaviourally.
-///
-/// Deterministic per `seed`: layer workloads and each macro's noise stream
-/// derive from it reproducibly.
-///
-/// # Errors
-///
-/// Returns [`ChipError`] when a layer cannot be lowered or a macro
-/// simulation rejects its tiles.
-pub fn simulate_network(
-    chip: &ChipSpec,
-    network: &Network,
-    seed: u64,
-) -> Result<ChipSimReport, ChipError> {
-    let grid = &chip.grid;
-    let tech = Technology::s28();
-    let noise = NoiseConfig::realistic();
-    let cycle_ns: Vec<f64> = grid
-        .specs()
-        .iter()
-        .map(|spec| {
-            acim_arch::TimingModel::s28_default()
-                .cycle_time(spec.adc_bits())
-                .value()
-                / 1000.0
-        })
-        .collect();
-    let partition = partition_network(grid, network, &cycle_ns)?;
-
-    let mut layers = Vec::with_capacity(network.len());
-    for placement in &partition.layers {
-        let layer = &network.layers[placement.layer];
-        let workload = layer.to_workload(seed ^ (placement.layer as u64 + 1))?;
-        let ideal = workload.ideal_binary_outputs();
-        let (outputs, dot_length) = placement.shape;
-
-        let mut total_error = 0.0f64;
-        let mut cycles = 0u64;
-        let mut energy_fj = 0.0f64;
-        let mut busy_ns = vec![0.0f64; grid.num_macros()];
-
-        // Group tiles by macro so each macro is instantiated once and its
-        // energy statistics accumulate over all its tiles.
-        for macro_index in 0..grid.num_macros() {
-            let tiles: Vec<_> = placement
-                .tiles
-                .iter()
-                .filter(|t| t.macro_index == macro_index)
-                .collect();
-            if tiles.is_empty() {
-                continue;
-            }
-            let spec = grid.spec(macro_index);
-            let mut macro_sim = AcimMacro::new(
-                spec,
-                &tech,
-                noise,
-                seed ^ ((placement.layer as u64) << 16) ^ (macro_index as u64 + 1),
-            )?;
-
-            for tile in &tiles {
-                let (accumulated, tile_cycles) =
-                    run_output_tile(&mut macro_sim, spec, &workload, tile.row_base, tile.rows)?;
-                cycles += tile_cycles;
-                busy_ns[macro_index] += tile_cycles as f64 * cycle_ns[macro_index];
-                for (c, acc) in accumulated.iter().enumerate() {
-                    let exact = f64::from(ideal[tile.row_base + c]);
-                    total_error += (acc - exact).abs();
-                }
-            }
-            energy_fj += macro_sim.stats().energy.total().value();
-        }
-
-        layers.push(LayerSimReport {
-            name: layer.name.clone(),
-            cycles,
-            tiles: placement.tiles.len(),
-            macros_used: placement.macros_used(),
-            relative_error: total_error / outputs as f64 / dot_length as f64,
-            energy_fj,
-            latency_ns: busy_ns.iter().copied().fold(0.0, f64::max),
-        });
-    }
-
-    Ok(ChipSimReport {
-        total_latency_ns: layers.iter().map(|l| l.latency_ns).sum(),
-        total_energy_fj: layers.iter().map(|l| l.energy_fj).sum(),
-        layers,
-    })
 }
 
 /// Measured behaviour of one tenant of a co-scheduled mix.
@@ -232,10 +142,11 @@ struct MeasuredLayer {
 /// schedule once per bit-plane: its measured cycles and energy scale by
 /// `q`, matching the analytic partitioner's cycle accounting.
 ///
-/// [`simulate_network`] is unchanged by mix support (its per-macro
-/// grouping and historical seeding are kept so existing validation runs
-/// reproduce bit for bit); it remains the validation path for single
-/// networks.
+/// `timing` sets the macro cycle times the tiles are scheduled and timed
+/// with.  Passing the `ModelParams::timing` the analytic evaluator uses
+/// gives both paths the same schedule: for a mix of one, every simulated
+/// layer `latency_ns` equals the evaluator's `LayerCost::compute_ns` bit
+/// for bit.  One network is the mix of one (`WorkloadMix::from(network)`).
 ///
 /// # Errors
 ///
@@ -244,6 +155,7 @@ struct MeasuredLayer {
 pub fn simulate_mix(
     chip: &ChipSpec,
     mix: &WorkloadMix,
+    timing: &TimingModel,
     seed: u64,
 ) -> Result<MixSimReport, ChipError> {
     let grid = &chip.grid;
@@ -252,12 +164,7 @@ pub fn simulate_mix(
     let cycle_ns: Vec<f64> = grid
         .specs()
         .iter()
-        .map(|spec| {
-            acim_arch::TimingModel::s28_default()
-                .cycle_time(spec.adc_bits())
-                .value()
-                / 1000.0
-        })
+        .map(|spec| timing.cycle_time(spec.adc_bits()).value() / 1000.0)
         .collect();
     let partition = partition_mix(grid, mix, &cycle_ns)?;
 
@@ -377,9 +284,12 @@ pub fn simulate_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::ChipEvaluator;
     use crate::grid::MacroGrid;
+    use crate::interconnect::ChipCostParams;
     use acim_arch::AcimSpec;
-    use acim_workloads::MacroMapper;
+    use acim_model::ModelParams;
+    use acim_workloads::{MacroMapper, Network};
 
     fn spec(h: usize, w: usize, l: usize, b: u32) -> AcimSpec {
         AcimSpec::from_dimensions(h, w, l, b).unwrap()
@@ -393,9 +303,22 @@ mod tests {
         .unwrap()
     }
 
+    /// Simulates a mix with the default timing.
+    fn simulate(chip: &ChipSpec, mix: &WorkloadMix, seed: u64) -> MixSimReport {
+        simulate_mix(chip, mix, &TimingModel::s28_default(), seed).unwrap()
+    }
+
+    /// One network's report, simulated as the mix of one.
+    fn simulate_one(chip: &ChipSpec, network: &Network, seed: u64) -> ChipSimReport {
+        simulate(chip, &network.clone().into(), seed)
+            .tenants
+            .remove(0)
+            .report
+    }
+
     #[test]
     fn network_simulation_reports_small_error() {
-        let report = simulate_network(&chip(2, 2), &Network::edge_cnn(1), 11).unwrap();
+        let report = simulate_one(&chip(2, 2), &Network::edge_cnn(1), 11);
         assert_eq!(report.layers.len(), 3);
         for layer in &report.layers {
             assert!(layer.cycles > 0);
@@ -414,9 +337,9 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic_per_seed() {
-        let a = simulate_network(&chip(2, 2), &Network::transformer_block(), 3).unwrap();
-        let b = simulate_network(&chip(2, 2), &Network::transformer_block(), 3).unwrap();
-        let c = simulate_network(&chip(2, 2), &Network::transformer_block(), 4).unwrap();
+        let a = simulate_one(&chip(2, 2), &Network::transformer_block(), 3);
+        let b = simulate_one(&chip(2, 2), &Network::transformer_block(), 3);
+        let c = simulate_one(&chip(2, 2), &Network::transformer_block(), 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -426,7 +349,7 @@ mod tests {
         // On a 1×1 grid the chip partitioner degenerates to MacroMapper's
         // tiling, so total cycles must agree exactly.
         let network = Network::edge_cnn(1);
-        let report = simulate_network(&chip(1, 1), &network, 5).unwrap();
+        let report = simulate_one(&chip(1, 1), &network, 5);
         for (layer, sim) in network.layers.iter().zip(&report.layers) {
             // Cycle counts depend only on the layer shape, not the seed.
             let workload = layer.to_workload(9).unwrap();
@@ -441,8 +364,8 @@ mod tests {
     #[test]
     fn more_macros_reduce_layer_latency() {
         let network = Network::new("wide", vec![Network::edge_cnn(1).layers[1].clone()]);
-        let one = simulate_network(&chip(1, 1), &network, 2).unwrap();
-        let four = simulate_network(&chip(2, 2), &network, 2).unwrap();
+        let one = simulate_one(&chip(1, 1), &network, 2);
+        let four = simulate_one(&chip(2, 2), &network, 2);
         assert!(four.layers[0].macros_used > 1);
         assert!(four.total_latency_ns < one.total_latency_ns);
     }
@@ -452,7 +375,7 @@ mod tests {
         let mix = WorkloadMix::new("duo")
             .with_tenant(Network::edge_cnn(1), 2.0)
             .with_tenant(Network::snn_pipeline(), 1.0);
-        let report = simulate_mix(&chip(2, 2), &mix, 11).unwrap();
+        let report = simulate(&chip(2, 2), &mix, 11);
         assert_eq!(report.tenants.len(), 2);
         let per_tenant_cycles: u64 = report
             .tenants
@@ -478,9 +401,9 @@ mod tests {
     #[test]
     fn mix_simulation_is_deterministic_per_seed() {
         let mix = WorkloadMix::edge_mix();
-        let a = simulate_mix(&chip(2, 2), &mix, 3).unwrap();
-        let b = simulate_mix(&chip(2, 2), &mix, 3).unwrap();
-        let c = simulate_mix(&chip(2, 2), &mix, 4).unwrap();
+        let a = simulate(&chip(2, 2), &mix, 3);
+        let b = simulate(&chip(2, 2), &mix, 3);
+        let c = simulate(&chip(2, 2), &mix, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -493,8 +416,8 @@ mod tests {
         let reversed = WorkloadMix::new("rev")
             .with_tenant(Network::transformer_block(), 1.0)
             .with_tenant(Network::edge_cnn(1), 1.0);
-        let f = simulate_mix(&chip(2, 2), &forward, 17).unwrap();
-        let r = simulate_mix(&chip(2, 2), &reversed, 17).unwrap();
+        let f = simulate(&chip(2, 2), &forward, 17);
+        let r = simulate(&chip(2, 2), &reversed, 17);
         assert_eq!(f.total_cycles, r.total_cycles);
         assert_eq!(f.total_energy_fj.to_bits(), r.total_energy_fj.to_bits());
         for tenant in &f.tenants {
@@ -516,9 +439,37 @@ mod tests {
     fn quantized_tenant_replays_bit_planes() {
         let binary = WorkloadMix::new("b").with_tenant(Network::snn_pipeline(), 1.0);
         let quant = WorkloadMix::new("q").with_quantized_tenant(Network::snn_pipeline(), 1.0, 4);
-        let b = simulate_mix(&chip(2, 2), &binary, 9).unwrap();
-        let q = simulate_mix(&chip(2, 2), &quant, 9).unwrap();
+        let b = simulate(&chip(2, 2), &binary, 9);
+        let q = simulate(&chip(2, 2), &quant, 9);
         assert_eq!(q.total_cycles, 4 * b.total_cycles);
         assert!(q.makespan_ns > b.makespan_ns);
+    }
+
+    #[test]
+    fn simulated_layer_latency_matches_the_evaluator_under_shared_timing() {
+        let chip =
+            ChipSpec::new(MacroGrid::uniform(2, 2, spec(128, 32, 4, 4)).unwrap(), 64).unwrap();
+        let mix = WorkloadMix::from(Network::edge_cnn(2));
+        let mut slow_conversion = ModelParams::s28_default();
+        slow_conversion.timing.t_conv_per_bit = slow_conversion.timing.t_conv_per_bit * 2.0;
+        for params in [ModelParams::s28_default(), slow_conversion] {
+            let analytic = ChipEvaluator::new(params, ChipCostParams::s28_default())
+                .unwrap()
+                .evaluate_mix(&chip, &mix)
+                .unwrap();
+            let simulated = simulate_mix(&chip, &mix, &params.timing, 0xC812).unwrap();
+            let layers = &simulated.tenants[0].report.layers;
+            assert_eq!(layers.len(), analytic.tenants[0].metrics.layers.len());
+            for (sim, cost) in layers.iter().zip(&analytic.tenants[0].metrics.layers) {
+                assert_eq!(
+                    sim.latency_ns.to_bits(),
+                    cost.compute_ns.to_bits(),
+                    "{}: simulated {} ns vs analytic {} ns",
+                    sim.name,
+                    sim.latency_ns,
+                    cost.compute_ns
+                );
+            }
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! Golden bit-identity regression for the multi-tenant refactor.
 //!
-//! The constants below are the `to_bits()` images of `evaluate_chip`
-//! captured on the last single-network-only revision (commit before the
-//! `WorkloadMix` refactor).  Both the legacy entry point and the
-//! mix-of-one path must keep reproducing them bit-exactly: any drift
-//! means the refactor changed single-tenant arithmetic, which it promises
-//! not to do.
+//! The constants below are the `to_bits()` images of single-network chip
+//! evaluation captured on the last single-network-only revision (commit
+//! before the `WorkloadMix` refactor).  The one evaluation path,
+//! `ChipEvaluator::evaluate_mix`, must keep reproducing them bit-exactly
+//! for a mix of one — both in the tenant's own metrics and in the
+//! mix-level view: any drift means single-tenant arithmetic changed.
 
 use acim_arch::AcimSpec;
-use acim_chip::{evaluate_chip, evaluate_chip_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, MixMetrics, Network, WorkloadMix};
 
 /// `(tag, [latency, throughput, energy, area, accuracy, utilization,
 /// inferences/s])` as raw `f64::to_bits` values.
@@ -122,6 +122,12 @@ fn golden(tag: &str) -> [u64; 7] {
         .1
 }
 
+fn evaluate(chip: &ChipSpec, mix: &WorkloadMix) -> MixMetrics {
+    ChipEvaluator::s28_default()
+        .evaluate_mix(chip, mix)
+        .unwrap()
+}
+
 fn bits(m: &acim_chip::ChipMetrics) -> [u64; 7] {
     [
         m.latency_ns.to_bits(),
@@ -139,8 +145,12 @@ fn single_network_evaluation_matches_pre_refactor_golden_bits() {
     for (ctag, chip) in &chips() {
         for (ntag, network) in &networks() {
             let tag = format!("{ctag}/{ntag}");
-            let metrics = evaluate_chip(chip, network).unwrap();
-            assert_eq!(bits(&metrics), golden(&tag), "{tag} drifted");
+            let metrics = evaluate(chip, &network.clone().into());
+            assert_eq!(
+                bits(&metrics.tenants[0].metrics),
+                golden(&tag),
+                "{tag} drifted"
+            );
         }
     }
 }
@@ -151,7 +161,7 @@ fn mix_of_one_matches_pre_refactor_golden_bits() {
         for (ntag, network) in &networks() {
             let tag = format!("{ctag}/{ntag}");
             let mix = WorkloadMix::single(network.clone());
-            let metrics = evaluate_chip_mix(chip, &mix).unwrap();
+            let metrics = evaluate(chip, &mix);
             assert!(metrics.is_single());
             assert_eq!(bits(&metrics.combined()), golden(&tag), "{tag} drifted");
         }

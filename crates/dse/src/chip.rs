@@ -6,17 +6,16 @@
 //! actually has: "what macro, **how many of them**, and **how much global
 //! buffer** serve this workload best?"  The genome extends the three macro
 //! genes with three chip genes (grid rows, grid cols, buffer capacity),
-//! and each candidate is scored by `acim-chip`'s analytic evaluator —
-//! against one network, or against a whole co-scheduled multi-tenant
-//! [`WorkloadMix`] with worst-tenant or weighted-mean objective
-//! aggregation ([`MixObjective`]) and an optional Monte-Carlo
-//! device-variation yield constraint ([`RobustnessConfig`]).
+//! and each candidate is scored by `acim-chip`'s analytic evaluator
+//! against a co-scheduled [`WorkloadMix`] (one network is the mix of one),
+//! with worst-tenant or weighted-mean objective aggregation
+//! ([`MixObjective`]) and an optional Monte-Carlo device-variation yield
+//! constraint ([`RobustnessConfig`]).
 //!
-//! Two levels of parallelism keep the exploration agile: within one chip,
-//! per-round objective evaluation runs in parallel under `rayon`; across
-//! the population, [`ChipDesignProblem`]'s
+//! Parallelism lives at the population level: [`ChipDesignProblem`]'s
 //! [`Problem::evaluate_batch`] fans a whole NSGA-II generation out over
-//! the cores (order-preserving, so exploration remains bit-reproducible
+//! the cores, one task per chip, while each chip's rounds are costed
+//! serially (order-preserving, so exploration remains bit-reproducible
 //! per seed).
 //!
 //! With [`ChipDseConfig::heterogeneous`] the genome additionally carries
@@ -28,8 +27,8 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 use acim_chip::{
-    ChipCostParams, ChipError, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache,
-    MixMetrics, MixObjective, Network, TenantMetrics, WorkloadMix,
+    ChipCostParams, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache,
+    MixObjective, TenantMetrics, WorkloadMix,
 };
 use acim_model::ModelParams;
 use acim_moga::{
@@ -62,8 +61,8 @@ pub struct ChipDseConfig {
     /// its own (H, L, B_ADC) genes, so NSGA-II can mix macro shapes across
     /// the chip; when `false` (the default) all positions share one macro.
     pub heterogeneous: bool,
-    /// The target workload: one network or a whole co-scheduled
-    /// multi-tenant mix (see [`WorkloadMix`]).
+    /// The target workload: a co-scheduled multi-tenant mix (see
+    /// [`WorkloadMix`]); one network is the mix of one.
     pub mix: WorkloadMix,
     /// How the per-tenant metrics of a mix aggregate into objectives.
     /// Irrelevant for single-tenant mixes (both modes reduce to the
@@ -86,8 +85,9 @@ pub struct ChipDseConfig {
 }
 
 impl ChipDseConfig {
-    /// A default configuration targeting a multi-tenant `mix`.
-    pub fn for_mix(mix: WorkloadMix) -> Self {
+    /// A default configuration targeting a workload mix — or one network,
+    /// which converts into the mix of one.
+    pub fn for_mix(mix: impl Into<WorkloadMix>) -> Self {
         Self {
             array_size: 4 * 1024,
             min_height: 16,
@@ -96,7 +96,7 @@ impl ChipDseConfig {
             grid_cols: vec![1, 2, 3, 4],
             buffer_kib: vec![4, 8, 16, 32, 64, 128],
             heterogeneous: false,
-            mix,
+            mix: mix.into(),
             objective: MixObjective::default(),
             robustness: None,
             population_size: 60,
@@ -105,14 +105,6 @@ impl ChipDseConfig {
             params: ModelParams::s28_default(),
             cost: ChipCostParams::s28_default(),
         }
-    }
-
-    /// A default configuration targeting one `network` — exactly
-    /// [`ChipDseConfig::for_mix`] over the degenerate single-tenant mix,
-    /// which the whole stack scores bit-identically to the pre-mix
-    /// single-network path.
-    pub fn for_network(network: Network) -> Self {
-        Self::for_mix(WorkloadMix::single(network))
     }
 }
 
@@ -123,7 +115,7 @@ pub struct ChipDesignPoint {
     /// The chip (macro grid + buffer).
     pub chip: ChipSpec,
     /// The chip-level metrics.  For a multi-tenant mix this is the
-    /// mix-level view ([`MixMetrics::combined`]): makespan latency,
+    /// mix-level view ([`acim_chip::MixMetrics::combined`]): makespan latency,
     /// aggregate throughput, total energy, worst-tenant accuracy.  For a
     /// single tenant it is that tenant's metrics, unchanged.
     pub metrics: ChipMetrics,
@@ -481,18 +473,11 @@ impl ChipDesignProblem {
         }
     }
 
-    /// The full genome → objectives path, with the per-round fan-out
-    /// toggled by the caller (on for one-off evaluations, off inside the
-    /// population-parallel batch).  Both settings are bit-identical.
-    fn evaluate_genome(&self, genes: &[f64], parallel_rounds: bool) -> Evaluation {
+    /// The full genome → objectives path.
+    fn evaluate_genome(&self, genes: &[f64]) -> Evaluation {
         match self.decode_chip(genes) {
             Ok(chip) => {
-                let result = if parallel_rounds {
-                    self.evaluator.evaluate_mix(&chip, &self.mix)
-                } else {
-                    self.evaluator.evaluate_mix_serial(&chip, &self.mix)
-                };
-                match result {
+                match self.evaluator.evaluate_mix(&chip, &self.mix) {
                     Ok(metrics) => {
                         let objectives = metrics.objectives(self.objective);
                         // The yield sweep only runs for chips that are
@@ -529,26 +514,6 @@ impl ChipDesignProblem {
             metrics,
             tenants: mix_metrics.tenants,
         })
-    }
-
-    /// Evaluates one chip explicitly (used by benches and reports): the
-    /// mix-level combined metrics, which for single-tenant problems are
-    /// that tenant's metrics unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the evaluation fails.
-    pub fn evaluate_chip(&self, chip: &ChipSpec) -> Result<ChipMetrics, ChipError> {
-        Ok(self.evaluator.evaluate_mix(chip, &self.mix)?.combined())
-    }
-
-    /// Evaluates one chip explicitly with the full per-tenant breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChipError`] when the evaluation fails.
-    pub fn evaluate_chip_mix(&self, chip: &ChipSpec) -> Result<MixMetrics, ChipError> {
-        self.evaluator.evaluate_mix(chip, &self.mix)
     }
 }
 
@@ -606,25 +571,25 @@ impl Problem for ChipDesignProblem {
     }
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        self.evaluate_genome(genes, true)
+        self.evaluate_genome(genes)
     }
 
     /// Population-parallel batch evaluation: one work-stealing task **per
     /// genome** (`with_max_len(1)`), so a single deep heterogeneous chip
     /// cannot stall a chunk of uniform ones — stealing rebalances the
     /// skew that heterogeneous grids and variable layer counts produce.
-    /// Within the batch each chip's layers are costed serially —
-    /// parallelising across the population scales better than across a
-    /// handful of layers, and nesting both would oversubscribe the cores.
-    /// The tasks borrow the caller's genome slice in place on the scoped
-    /// executor, so the batch path clones neither the problem nor the
-    /// genomes.  Order-preserving and bit-identical to the serial map, so
-    /// seeded chip explorations stay deterministic.
+    /// Each chip's rounds are costed serially inside its task: a chip has
+    /// only a handful of rounds, and fanning them out as well would spawn
+    /// scoped helpers per chip and oversubscribe the cores.  The tasks
+    /// borrow the caller's genome slice in place on the scoped executor,
+    /// so the batch path clones neither the problem nor the genomes.
+    /// Order-preserving and bit-identical to the serial map, so seeded
+    /// chip explorations stay deterministic.
     fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
         genomes
             .par_iter()
             .with_max_len(1)
-            .map(|genes| self.evaluate_genome(genes, false))
+            .map(|genes| self.evaluate_genome(genes))
             .collect()
     }
 
@@ -887,6 +852,7 @@ impl ChipExplorer {
 mod tests {
     use super::*;
     use crate::encoding::Candidate;
+    use acim_chip::Network;
     use acim_moga::dominates;
 
     fn quick_config() -> ChipDseConfig {
@@ -896,7 +862,7 @@ mod tests {
             grid_rows: vec![1, 2],
             grid_cols: vec![1, 2],
             buffer_kib: vec![8, 32],
-            ..ChipDseConfig::for_network(Network::edge_cnn(1))
+            ..ChipDseConfig::for_mix(Network::edge_cnn(1))
         }
     }
 
@@ -1321,33 +1287,6 @@ mod tests {
                     .with_tenant(Network::edge_cnn(1), 1.0)
                     .with_tenant(Network::snn_pipeline(), 2.0),
             )
-        }
-    }
-
-    #[test]
-    fn single_tenant_mix_explores_bit_identically_to_for_network() {
-        let network_front = ChipExplorer::new(quick_config())
-            .unwrap()
-            .explore()
-            .unwrap();
-        let mix_front = ChipExplorer::new(ChipDseConfig {
-            population_size: 24,
-            generations: 10,
-            grid_rows: vec![1, 2],
-            grid_cols: vec![1, 2],
-            buffer_kib: vec![8, 32],
-            ..ChipDseConfig::for_mix(WorkloadMix::single(Network::edge_cnn(1)))
-        })
-        .unwrap()
-        .explore()
-        .unwrap();
-        assert_eq!(network_front.len(), mix_front.len());
-        for (a, b) in network_front.iter().zip(mix_front.iter()) {
-            assert_eq!(a.chip, b.chip);
-            for (x, y) in a.objective_vector().iter().zip(b.objective_vector()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(a.tenants.len(), 1);
         }
     }
 

@@ -4,8 +4,8 @@
 //! quick seeded NSGA-II chip frontier captured on the last
 //! single-network-only revision (commit before the `WorkloadMix`
 //! refactor).  The same exploration must keep reproducing them bit-exactly
-//! — whether configured through the legacy `for_network` constructor or as
-//! a mix of one tenant, and regardless of the (single-tenant-degenerate)
+//! — whether configured from the network itself or from an explicit mix
+//! of one tenant, and regardless of the (single-tenant-degenerate)
 //! aggregation objective.
 
 use acim_chip::{MixObjective, Network, WorkloadMix};
@@ -130,8 +130,8 @@ fn frontier_bits(config: ChipDseConfig) -> Vec<(u64, u64, u64, u64)> {
 }
 
 #[test]
-fn for_network_frontier_matches_pre_refactor_golden_bits() {
-    let config = quick(ChipDseConfig::for_network(Network::edge_cnn(1)));
+fn single_network_frontier_matches_pre_refactor_golden_bits() {
+    let config = quick(ChipDseConfig::for_mix(Network::edge_cnn(1)));
     assert_eq!(frontier_bits(config), GOLDEN_FRONTIER);
 }
 
@@ -148,7 +148,7 @@ fn aggregation_objective_is_irrelevant_for_a_single_tenant() {
     // Worst-tenant and weighted-mean reduce to the same arithmetic when
     // there is only one tenant, so both reproduce the golden frontier.
     for objective in [MixObjective::WorstTenant, MixObjective::WeightedMean] {
-        let mut config = quick(ChipDseConfig::for_network(Network::edge_cnn(1)));
+        let mut config = quick(ChipDseConfig::for_mix(Network::edge_cnn(1)));
         config.objective = objective;
         assert_eq!(frontier_bits(config), GOLDEN_FRONTIER, "{objective:?}");
     }

@@ -4,13 +4,13 @@
 //! The macro flow of [`crate::flow`] ends with netlists and layouts for
 //! single macros.  `ChipFlow` continues where it stops: it runs the
 //! chip-level co-exploration of `acim-dse` (macro shape × macro count ×
-//! global-buffer sizing against a whole network) and, optionally,
-//! validates the best chip behaviourally by simulating every layer on the
-//! macro grid.
+//! global-buffer sizing against a workload mix) and, optionally,
+//! validates the best chip behaviourally by simulating every tenant's
+//! layers on the macro grid.
 
 use std::time::Duration;
 
-use acim_chip::{ChipSimReport, MixSimReport, Network, WorkloadMix};
+use acim_chip::{ChipSimReport, MixSimReport, WorkloadMix};
 use acim_dse::{ChipDesignPoint, ChipDseConfig, ExploreOptions};
 use acim_moga::EvalStats;
 
@@ -20,31 +20,21 @@ use crate::stage::{ChipStage, Instrumented, ProgressObserver, Stage, TraceContex
 /// Configuration of the chip-composition stage.
 #[derive(Debug, Clone)]
 pub struct ChipFlowConfig {
-    /// The chip-level exploration settings (network, grid/buffer
+    /// The chip-level exploration settings (workload mix, grid/buffer
     /// candidates, NSGA-II parameters).
     pub dse: ChipDseConfig,
     /// Behaviourally validate the highest-throughput frontier chip by
-    /// simulating the network on its macro grid.
+    /// simulating the mix on its macro grid.
     pub validate_best: bool,
     /// Seed of the behavioural validation run.
     pub validation_seed: u64,
 }
 
 impl ChipFlowConfig {
-    /// Default chip stage for a network: explore, then validate the best
-    /// chip behaviourally.
-    pub fn for_network(network: Network) -> Self {
-        Self {
-            dse: ChipDseConfig::for_network(network),
-            validate_best: true,
-            validation_seed: 0xC812,
-        }
-    }
-
-    /// Default chip stage for a multi-tenant workload mix: co-explore,
-    /// then validate the best chip behaviourally with the interleaved
-    /// stream simulator.
-    pub fn for_mix(mix: WorkloadMix) -> Self {
+    /// Default chip stage for a workload mix — or one network, which
+    /// converts into the mix of one: co-explore, then validate the best
+    /// chip behaviourally with the stream simulator.
+    pub fn for_mix(mix: impl Into<WorkloadMix>) -> Self {
         Self {
             dse: ChipDseConfig::for_mix(mix),
             validate_best: true,
@@ -63,14 +53,14 @@ pub struct ChipFlowResult {
     pub engine: EvalStats,
     /// Wall-clock time of the chip exploration.
     pub exploration_time: Duration,
-    /// The behavioural validation of the best-throughput chip, when
-    /// requested — the single-network simulator's report (set for
-    /// single-tenant explorations).
+    /// The behavioural validation of the best-throughput chip for
+    /// single-tenant explorations, when requested: the lone tenant's
+    /// report from the stream simulator.
     pub validation: Option<ChipSimReport>,
     /// The behavioural validation of the best-throughput chip for
-    /// multi-tenant explorations: the interleaved stream simulator's
-    /// per-tenant report.  Exactly one of `validation` / `mix_validation`
-    /// is set when validation is requested.
+    /// multi-tenant explorations: the stream simulator's per-tenant
+    /// report.  Exactly one of `validation` / `mix_validation` is set when
+    /// validation is requested.
     pub mix_validation: Option<MixSimReport>,
 }
 
@@ -179,7 +169,7 @@ mod tests {
     use super::*;
 
     fn quick_config() -> ChipFlowConfig {
-        let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+        let mut config = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
         config.dse.population_size = 16;
         config.dse.generations = 6;
         config.dse.grid_rows = vec![1, 2];

@@ -22,7 +22,7 @@ pub struct FlowConfig {
     /// Whether to emit SPICE/DEF/GDS text alongside the in-memory results.
     pub emit_files: bool,
     /// Optional chip-composition stage: co-explore macro shape × macro
-    /// count × buffer sizing against a whole network after the macro flow.
+    /// count × buffer sizing against a workload mix after the macro flow.
     pub chip: Option<ChipFlowConfig>,
 }
 
@@ -100,12 +100,12 @@ mod tests {
 
     #[test]
     fn invalid_chip_stage_rejected_up_front() {
-        let mut chip = ChipFlowConfig::for_network(acim_chip::Network::edge_cnn(1));
+        let mut chip = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
         chip.dse.population_size = 7;
         let config = FlowConfig::new(16 * 1024).with_chip_stage(chip);
         assert!(config.validate().is_err());
 
-        let chip = ChipFlowConfig::for_network(acim_chip::Network::edge_cnn(1));
+        let chip = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
         let config = FlowConfig::new(16 * 1024).with_chip_stage(chip);
         assert!(config.validate().is_ok());
     }

@@ -277,7 +277,7 @@ mod tests {
         use crate::chip::ChipFlowConfig;
         use acim_chip::Network;
 
-        let mut chip_config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+        let mut chip_config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
         chip_config.dse.population_size = 16;
         chip_config.dse.generations = 5;
         chip_config.dse.grid_rows = vec![1, 2];

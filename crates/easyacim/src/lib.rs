@@ -99,9 +99,9 @@ pub mod prelude {
     pub use acim_arch::{AcimMacro, AcimSpec, NoiseConfig};
     pub use acim_cell::{CellKind, CellLibrary};
     pub use acim_chip::{
-        evaluate_chip, evaluate_chip_mix, simulate_mix, simulate_network, ChipEvaluator,
-        ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache, MixMetrics, MixObjective,
-        MixSimReport, Network, Tenant, TenantMetrics, TenantQuant, WorkloadMix,
+        simulate_mix, ChipEvaluator, ChipMetrics, ChipSimReport, ChipSpec, MacroGrid,
+        MacroMetricsCache, MixMetrics, MixObjective, MixSimReport, Network, Tenant, TenantMetrics,
+        TenantQuant, WorkloadMix,
     };
     pub use acim_dse::{
         ChipDesignPoint, ChipDseConfig, ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig,

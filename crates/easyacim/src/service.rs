@@ -17,8 +17,7 @@
 //! the session it started from).
 //!
 //! Requests are built with the [`ExplorationRequest::macro_space`] /
-//! [`ExplorationRequest::chip_space`] /
-//! [`ExplorationRequest::mix_space`] builders, which attach scheduling
+//! [`ExplorationRequest::chip_space`] builders, which attach scheduling
 //! class ([`Priority`]), an optional completion [`Deadline`], a
 //! warm-start session and a diagnostic label.  An admitted job is
 //! observed and controlled through its [`JobHandle`]: cooperative
@@ -44,7 +43,7 @@
 //! use acim_chip::Network;
 //!
 //! # fn main() -> Result<(), easyacim::ServiceError> {
-//! let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+//! let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
 //! config.dse.population_size = 16;
 //! config.dse.generations = 4;
 //! config.validate_best = false;
@@ -223,19 +222,11 @@ impl ExplorationRequest {
     }
 
     /// A cold request over a chip design space: multi-macro
-    /// co-exploration without the macro netlist/layout stages.
+    /// co-exploration of the config's workload mix (see
+    /// [`ChipFlowConfig::for_mix`]) without the macro netlist/layout
+    /// stages.
     pub fn chip_space(config: ChipFlowConfig) -> Self {
         Self::Chip(ChipRequest::new(config))
-    }
-
-    /// A cold request co-scheduling a multi-tenant [`WorkloadMix`]: the
-    /// default chip-composition stage over `mix` (exploration plus
-    /// behavioural validation of the best chip with the interleaved
-    /// stream simulator).  Shorthand for
-    /// `chip_space(ChipFlowConfig::for_mix(mix))`; tune the exploration
-    /// by building the [`ChipFlowConfig`] explicitly.
-    pub fn mix_space(mix: WorkloadMix) -> Self {
-        Self::Chip(ChipRequest::new(ChipFlowConfig::for_mix(mix)))
     }
 
     fn admission_mut(&mut self) -> &mut Admission {
@@ -1965,7 +1956,7 @@ mod tests {
     use acim_chip::Network;
 
     fn quick_chip_config() -> ChipFlowConfig {
-        let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+        let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
         config.dse.population_size = 16;
         config.dse.generations = 5;
         config.dse.grid_rows = vec![1, 2];
@@ -1982,16 +1973,13 @@ mod tests {
         let mix = WorkloadMix::new("duo")
             .with_tenant(Network::edge_cnn(1), 1.0)
             .with_tenant(Network::snn_pipeline(), 2.0);
-        let mut request = ExplorationRequest::mix_space(mix);
-        let ExplorationRequest::Chip(chip) = &mut request else {
-            panic!("mix_space builds a chip request");
-        };
-        chip.config.dse.population_size = 16;
-        chip.config.dse.generations = 5;
-        chip.config.dse.grid_rows = vec![1, 2];
-        chip.config.dse.grid_cols = vec![1, 2];
-        chip.config.dse.buffer_kib = vec![8, 32];
-        request
+        let mut config = ChipFlowConfig::for_mix(mix);
+        config.dse.population_size = 16;
+        config.dse.generations = 5;
+        config.dse.grid_rows = vec![1, 2];
+        config.dse.grid_cols = vec![1, 2];
+        config.dse.buffer_kib = vec![8, 32];
+        ExplorationRequest::chip_space(config)
     }
 
     #[test]
@@ -2007,8 +1995,8 @@ mod tests {
         for point in &response.result.front {
             assert_eq!(point.tenants.len(), 2);
         }
-        // Validation ran on the interleaved stream simulator, not the
-        // single-network path.
+        // A real mix reports the per-tenant stream validation, not a lone
+        // tenant's.
         let validation = response
             .result
             .mix_validation

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acim_cell::CellLibrary;
-use acim_chip::{simulate_mix, simulate_network};
+use acim_chip::simulate_mix;
 use acim_dse::{
     ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig, ExploreOptions, ParetoFrontierSet,
     UserRequirements,
@@ -711,16 +711,18 @@ impl Stage for ChipStage {
         };
         if self.config.validate_best {
             if let Some(best) = result.best_throughput() {
-                let mix = explorer.problem().mix();
-                // Single-tenant flows keep the historical single-network
-                // simulator (and its exact seeded outputs); real mixes
-                // validate through the interleaved stream simulator.
-                if let [tenant] = mix.tenants() {
-                    let report =
-                        simulate_network(&best.chip, &tenant.network, self.config.validation_seed)?;
-                    result.validation = Some(report);
+                // Simulate with the timing the exploration scored with, so
+                // the behavioural latencies match the analytic ones.
+                let mut report = simulate_mix(
+                    &best.chip,
+                    explorer.problem().mix(),
+                    &self.config.dse.params.timing,
+                    self.config.validation_seed,
+                )?;
+                // A mix of one reports its lone tenant's validation.
+                if report.tenants.len() == 1 {
+                    result.validation = report.tenants.pop().map(|tenant| tenant.report);
                 } else {
-                    let report = simulate_mix(&best.chip, mix, self.config.validation_seed)?;
                     result.mix_validation = Some(report);
                 }
             }

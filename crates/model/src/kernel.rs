@@ -29,10 +29,9 @@
 //! A transcendental call is only replaced by a table when the table entry
 //! is produced by *the same call on the same input* (`adc_energy(B)` for
 //! the eight valid precisions, `log10(2^k)` via [`crate::math::log10_int`]).
-//! Fast paths that change results — currently reciprocal multiplication
-//! instead of division in the throughput term — are compiled in only with
-//! the opt-in `fast-math` feature, which is **off by default** and
-//! excluded from the frontier-reproduction tests.
+//! A rewrite that changes results, such as a reciprocal multiply in place
+//! of a division, is never allowed: the kernel must stay bit-identical to
+//! the scalar path.
 
 use acim_arch::spec::MAX_ADC_BITS;
 use acim_arch::AcimSpec;
@@ -66,12 +65,7 @@ pub struct ModelInvariants {
     cycle_ps: [f64; B_TABLE],
     /// Conversion-cycle time in **seconds** per ADC precision
     /// (Equation 7): `cycle_time(B) · 1e-12`.
-    #[cfg_attr(feature = "fast-math", allow(dead_code))]
     cycle_s: [f64; B_TABLE],
-    /// Reciprocal throughput factor `1 / (cycle_s · 1e12)` per precision —
-    /// only used by the opt-in `fast-math` path.
-    #[cfg_attr(not(feature = "fast-math"), allow(dead_code))]
-    tops_factor: [f64; B_TABLE],
     /// Full ADC conversion energy `adc_energy(B)` in fJ per precision
     /// (Equation 9).
     adc_fj: [f64; B_TABLE],
@@ -109,7 +103,6 @@ impl ModelInvariants {
         let mut six_b = [0.0; B_TABLE];
         let mut cycle_ps = [0.0; B_TABLE];
         let mut cycle_s = [0.0; B_TABLE];
-        let mut tops_factor = [0.0; B_TABLE];
         let mut adc_fj = [0.0; B_TABLE];
         let mut b_a_dff = [0.0; B_TABLE];
         for b in 1..=MAX_ADC_BITS {
@@ -117,7 +110,6 @@ impl ModelInvariants {
             six_b[i] = 6.0 * f64::from(b);
             cycle_ps[i] = timing.cycle_time(b).value();
             cycle_s[i] = cycle_ps[i] * 1e-12;
-            tops_factor[i] = 1.0 / (cycle_s[i] * 1e12);
             adc_fj[i] = params.energy.adc_energy(b)?.value();
             b_a_dff[i] = f64::from(b) * params.area.a_dff.value();
         }
@@ -127,7 +119,6 @@ impl ModelInvariants {
             six_b,
             cycle_ps,
             cycle_s,
-            tops_factor,
             adc_fj,
             e_static_fj: (params.energy.e_compute + params.energy.e_control).value(),
             a_sram: params.area.a_sram.value(),
@@ -192,10 +183,7 @@ impl ModelInvariants {
 
         // Equation 7 (TimingModel::throughput_ops / 1e12).
         let macs_f = (n * width) as f64;
-        #[cfg(not(feature = "fast-math"))]
         let throughput_tops = 2.0 * macs_f / self.cycle_s[b] / 1e12;
-        #[cfg(feature = "fast-math")]
-        let throughput_tops = 2.0 * macs_f * self.tops_factor[b];
 
         // Equations 8–9 (EnergyModelParams::energy_per_mac / tops_per_watt).
         let energy_per_mac_fj = self.e_static_fj + self.adc_fj[b] / n_f;
@@ -307,17 +295,7 @@ mod tests {
 
     fn assert_bit_identical(a: &DesignMetrics, b: &DesignMetrics) {
         assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits());
-        // The opt-in fast-math path replaces the throughput division with
-        // a reciprocal multiply and is only ulp-close, not bit-identical.
-        #[cfg(not(feature = "fast-math"))]
         assert_eq!(a.throughput_tops.to_bits(), b.throughput_tops.to_bits());
-        #[cfg(feature = "fast-math")]
-        assert!(
-            (a.throughput_tops - b.throughput_tops).abs() <= b.throughput_tops.abs() * 1e-12,
-            "fast-math throughput drifted: {} vs {}",
-            a.throughput_tops,
-            b.throughput_tops
-        );
         assert_eq!(a.energy_per_mac_fj.to_bits(), b.energy_per_mac_fj.to_bits());
         assert_eq!(a.tops_per_watt.to_bits(), b.tops_per_watt.to_bits());
         assert_eq!(a.area_f2_per_bit.to_bits(), b.area_f2_per_bit.to_bits());

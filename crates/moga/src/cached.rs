@@ -30,11 +30,9 @@
 //! each request still reports its own [`CacheStats`].
 
 use std::collections::HashMap;
-use std::sync::MutexGuard;
 
 use acim_telemetry::Counter;
 
-use crate::clock::ClockMap;
 use crate::problem::{Evaluation, Problem};
 use crate::shared_cache::SharedCache;
 
@@ -142,7 +140,8 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// A thread-safe, cheaply cloneable handle to one shared evaluation map.
+/// The shared evaluation store: a [`SharedCache`] from quantized genome
+/// keys to [`Evaluation`]s.
 ///
 /// Clones share the same underlying entries (`Arc` semantics), which is
 /// what lets many concurrent [`CachedProblem`] wrappers — one per
@@ -150,141 +149,15 @@ impl std::fmt::Display for CacheStats {
 /// come from one consistent quantizer per store: mixing key functions in
 /// one store silently partitions (or worse, collides) the entries.
 ///
-/// # Capacity and eviction
-///
-/// [`CacheStore::bounded`] caps the store at a fixed number of entries,
-/// recycled CLOCK-style (see [`ClockMap`]) — the configuration a
-/// long-lived service wants, where an unbounded per-space cache would
-/// grow for the life of the process.  Eviction never changes results:
-/// entries are pure functions of their keys, so an evicted entry is a
-/// future miss, not a different answer.
-///
-/// # Poison tolerance
-///
-/// The store is shared by many tenants, and one tenant panicking (in a
-/// worker thread, or inside a [`CacheStore::get_or_insert_with`] closure)
-/// must not take the others down.  The store is a thin newtype over the
-/// generic [`SharedCache`] core, which recovers the guard from a poisoned
-/// mutex on every lock acquisition — see [`SharedCache::lock`].
-#[derive(Clone, Default)]
-pub struct CacheStore {
-    shared: SharedCache<Vec<i64>, Evaluation>,
-}
-
-impl CacheStore {
-    /// Creates an empty, unbounded store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty store holding at most `capacity` entries, evicting
-    /// CLOCK-style beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn bounded(capacity: usize) -> Self {
-        Self {
-            shared: SharedCache::bounded(capacity),
-        }
-    }
-
-    /// Number of cached evaluations.
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Returns `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// The capacity bound, `None` for unbounded stores.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shared.capacity()
-    }
-
-    /// Entries evicted from the store since creation (or the last
-    /// [`CacheStore::clear`]), summed over every wrapper sharing it.
-    pub fn evictions(&self) -> u64 {
-        self.shared.evictions()
-    }
-
-    /// Looks up one key (marking the entry recently used).
-    pub fn get(&self, key: &[i64]) -> Option<Evaluation> {
-        self.shared.get(key)
-    }
-
-    /// Inserts one evaluation and reports whether the insert evicted an
-    /// existing entry.  Re-inserting an existing key overwrites it, which
-    /// is harmless as long as every writer derives evaluations
-    /// deterministically from the key (the [`CachedProblem`] contract).
-    pub fn insert(&self, key: Vec<i64>, evaluation: Evaluation) -> bool {
-        self.shared.insert(key, evaluation)
-    }
-
-    /// Returns the cached evaluation for `key`, computing and inserting it
-    /// via `compute` on a miss — one lock round-trip, so two tenants
-    /// racing on the same key cannot both observe a miss.  The second
-    /// element reports whether the value was a hit.
-    ///
-    /// `compute` runs **under the store lock**: it must stay cheap (a key
-    /// derivation, a pre-computed value), because it serializes every
-    /// other tenant of a shared store while it runs — real evaluations
-    /// belong outside the lock in the racy-get / first-wins-insert
-    /// pattern of `acim_chip`'s `MacroCacheClient::get_or_derive`.  A
-    /// panicking closure poisons the mutex — which the store tolerates
-    /// (see the type-level docs), so a panicking tenant costs only its
-    /// own request.
-    pub fn get_or_insert_with<F>(&self, key: Vec<i64>, compute: F) -> (Evaluation, bool)
-    where
-        F: FnOnce() -> Evaluation,
-    {
-        self.shared.get_or_insert_with(key, compute)
-    }
-
-    /// Removes every entry and resets the eviction counter.
-    pub fn clear(&self) {
-        self.shared.clear();
-    }
-
-    /// Clones every cached evaluation out of the store under one lock
-    /// round-trip — the export half of snapshot persistence.  Order is
-    /// unspecified; snapshot writers sort by key for deterministic files.
-    pub fn export_entries(&self) -> Vec<(Vec<i64>, Evaluation)> {
-        self.shared.export_entries()
-    }
-
-    /// Merges evaluations under one lock round-trip, first-wins (live
-    /// entries beat imported ones; values are pure functions of their
-    /// keys, so either copy is bit-identical).  Bounded stores accept the
-    /// merge CLOCK-style.  Returns `(inserted, skipped)`.
-    pub fn import_entries(
-        &self,
-        entries: impl IntoIterator<Item = (Vec<i64>, Evaluation)>,
-    ) -> (usize, usize) {
-        self.shared.bulk_insert(entries)
-    }
-
-    /// Returns `true` when `other` is a handle to the same underlying map.
-    pub fn shares_entries_with(&self, other: &CacheStore) -> bool {
-        self.shared.shares_entries_with(&other.shared)
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ClockMap<Vec<i64>, Evaluation>> {
-        self.shared.lock()
-    }
-}
-
-impl std::fmt::Debug for CacheStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheStore")
-            .field("entries", &self.len())
-            .field("capacity", &self.capacity())
-            .field("evictions", &self.evictions())
-            .finish()
-    }
-}
+/// [`SharedCache::bounded`] caps the store at a fixed number of entries,
+/// recycled CLOCK-style — the configuration a long-lived service wants,
+/// where an unbounded per-space cache would grow for the life of the
+/// process.  Eviction never changes results: entries are pure functions
+/// of their keys, so an evicted entry is a future miss, not a different
+/// answer.  Every lock recovers a poisoned mutex (see
+/// [`SharedCache::lock`]), so one panicking tenant cannot take the others
+/// down.
+pub type CacheStore = SharedCache<Vec<i64>, Evaluation>;
 
 /// A genome → cache-key quantizer.
 ///
@@ -724,7 +597,7 @@ mod tests {
         alias.insert(vec![1, 2], Evaluation::unconstrained(vec![0.5]));
         assert_eq!(store.len(), 1);
         assert_eq!(
-            store.get(&[1, 2]),
+            store.get(&[1, 2][..]),
             Some(Evaluation::unconstrained(vec![0.5]))
         );
         assert!(store.shares_entries_with(&alias));
@@ -732,25 +605,28 @@ mod tests {
         assert!(format!("{store:?}").contains("entries"));
         store.clear();
         assert!(alias.is_empty());
-        assert_eq!(store.get(&[1, 2]), None);
+        assert_eq!(store.get(&[1, 2][..]), None);
     }
 
     #[test]
     fn poisoned_store_recovers_and_stays_usable() {
-        // A tenant panicking while holding the store lock (the realistic
-        // vector is a panicking `get_or_insert_with` closure) used to
-        // poison the mutex and crash every other tenant's next access.
+        // A tenant panicking while holding the store lock used to poison
+        // the mutex and crash every other tenant's next access.
         let store = CacheStore::new();
         store.insert(vec![1], Evaluation::unconstrained(vec![1.0]));
         let poisoner = store.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            poisoner.get_or_insert_with(vec![2], || panic!("tenant panicked mid-evaluation"));
+            let _guard = poisoner.lock();
+            panic!("tenant panicked mid-evaluation");
         }));
         assert!(result.is_err(), "the poisoning panic must propagate");
 
         // Every other tenant keeps working: reads, writes, and wrapped
         // problems all recover the guard.
-        assert_eq!(store.get(&[1]), Some(Evaluation::unconstrained(vec![1.0])));
+        assert_eq!(
+            store.get(&[1][..]),
+            Some(Evaluation::unconstrained(vec![1.0]))
+        );
         store.insert(vec![3], Evaluation::unconstrained(vec![3.0]));
         assert_eq!(store.len(), 2);
         let cached = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
@@ -850,18 +726,6 @@ mod tests {
         // The accessor exposes the same shared handles.
         cached.counters().hits.inc();
         assert_eq!(counters.hits.get(), 2);
-    }
-
-    #[test]
-    fn get_or_insert_with_is_atomic_per_key() {
-        let store = CacheStore::new();
-        let (first, hit) =
-            store.get_or_insert_with(vec![9], || Evaluation::unconstrained(vec![9.0]));
-        assert!(!hit);
-        let (second, hit) =
-            store.get_or_insert_with(vec![9], || unreachable!("must not recompute"));
-        assert!(hit);
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The one generic bounded-cache core under every shared cache in this
 //! workspace.
 //!
-//! PR 5 grew two structurally identical cache handles — the genome-level
-//! `CacheStore` here in `acim-moga` and the macro-level
-//! `MacroMetricsCache` in `acim-chip` — each hand-rolling the same
-//! `Arc<Mutex<ClockMap>>` plumbing: CLOCK-bounded storage, poison-tolerant
-//! locking, eviction accounting, `Arc`-identity sharing.  [`SharedCache`]
-//! folds that duplication onto one generic wrapper, so the concrete
-//! caches are thin delegating newtypes and the locking/eviction/poison
-//! semantics cannot drift apart.
+//! Both shared caches of the workspace — the genome-level `CacheStore`
+//! here in `acim-moga` and the macro-level `MacroMetricsCache` in
+//! `acim-chip` — are type aliases of [`SharedCache`]: one
+//! `Arc<Mutex<ClockMap>>` handle with CLOCK-bounded storage,
+//! poison-tolerant locking, eviction accounting and `Arc`-identity
+//! sharing, so the locking/eviction/poison semantics cannot drift apart.
 //!
 //! # Poison tolerance
 //!
@@ -125,31 +123,6 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
         self.lock().try_insert(key, value)
     }
 
-    /// Returns the cached value for `key`, computing and inserting it via
-    /// `compute` on a miss — one lock round-trip, so two tenants racing on
-    /// the same key cannot both observe a miss.  The second element
-    /// reports whether the value was a hit.
-    ///
-    /// `compute` runs **under the lock**: it must stay cheap, because it
-    /// serializes every other tenant while it runs — real evaluations
-    /// belong outside the lock in the [`SharedCache::try_insert`]
-    /// first-wins pattern.  A panicking closure poisons the mutex, which
-    /// the cache tolerates, so a panicking tenant costs only its own
-    /// request.
-    pub fn get_or_insert_with<F>(&self, key: K, compute: F) -> (V, bool)
-    where
-        F: FnOnce() -> V,
-        V: Clone,
-    {
-        let mut entries = self.lock();
-        if let Some(value) = entries.get(&key) {
-            return (value.clone(), true);
-        }
-        let value = compute();
-        entries.insert(key, value.clone());
-        (value, false)
-    }
-
     /// Removes every entry and resets the eviction counter.
     pub fn clear(&self) {
         self.lock().clear();
@@ -176,7 +149,7 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
     /// deterministically from keys anyway).  Bounded caches accept the
     /// merge CLOCK-style — beyond capacity the import evicts, exactly
     /// like any other insert.  Returns `(inserted, skipped)`.
-    pub fn bulk_insert(&self, entries: impl IntoIterator<Item = (K, V)>) -> (usize, usize) {
+    pub fn import_entries(&self, entries: impl IntoIterator<Item = (K, V)>) -> (usize, usize) {
         let mut map = self.lock();
         let (mut inserted, mut skipped) = (0, 0);
         for (key, value) in entries {
@@ -263,16 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_with_is_atomic_per_key() {
-        let cache: SharedCache<u32, u32> = SharedCache::new();
-        let (first, hit) = cache.get_or_insert_with(9, || 90);
-        assert!(!hit);
-        let (second, hit) = cache.get_or_insert_with(9, || unreachable!("must not recompute"));
-        assert!(hit);
-        assert_eq!(first, second);
-    }
-
-    #[test]
     fn borrowed_key_lookup_works() {
         // `Vec<i64>` keys looked up by `&[i64]` — the genome-store shape.
         let cache: SharedCache<Vec<i64>, f64> = SharedCache::new();
@@ -294,14 +257,14 @@ mod tests {
         // value and reports the skip.
         let target: SharedCache<u32, u32> = SharedCache::new();
         target.insert(2, 99);
-        let (inserted, skipped) = target.bulk_insert(exported);
+        let (inserted, skipped) = target.import_entries(exported);
         assert_eq!((inserted, skipped), (1, 1));
         assert_eq!(target.get(&2), Some(99), "live entries win over imports");
         assert_eq!(target.get(&1), Some(10));
 
         // A bounded target absorbs what fits and evicts beyond capacity.
         let bounded: SharedCache<u32, u32> = SharedCache::bounded(2);
-        let (inserted, _) = bounded.bulk_insert((0..5).map(|i| (i, i)));
+        let (inserted, _) = bounded.import_entries((0..5).map(|i| (i, i)));
         assert_eq!(inserted, 5);
         assert_eq!(bounded.len(), 2);
         assert_eq!(bounded.evictions(), 3);

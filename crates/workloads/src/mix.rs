@@ -11,8 +11,9 @@
 //! The chip layer (`acim-chip`) co-schedules a mix's layer streams onto
 //! one macro grid with the least-finish-time partitioner and scores
 //! latency / throughput / energy *per tenant*; `acim-dse` aggregates
-//! those into mix-level objectives.  A mix with a single binary-activation
-//! tenant is, by construction, exactly the single-network path.
+//! those into mix-level objectives.  One network is the mix of one
+//! (`WorkloadMix::from(network)`): the chip stack has no separate
+//! single-network path.
 
 use std::fmt;
 
@@ -101,9 +102,8 @@ impl WorkloadMix {
         }
     }
 
-    /// The degenerate mix: one binary-activation tenant with weight 1.
-    /// Scheduling and scoring a single mix is bit-identical to the
-    /// single-network path.
+    /// The degenerate mix: one binary-activation tenant with weight 1 —
+    /// how the chip stack schedules and scores a single network.
     pub fn single(network: Network) -> Self {
         Self {
             name: network.name.clone(),
@@ -240,6 +240,13 @@ impl WorkloadMix {
     }
 }
 
+/// One network is the mix of one: exactly [`WorkloadMix::single`].
+impl From<Network> for WorkloadMix {
+    fn from(network: Network) -> Self {
+        Self::single(network)
+    }
+}
+
 impl fmt::Display for WorkloadMix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -266,6 +273,7 @@ mod tests {
         assert_eq!(mix.tenants()[0].quant, TenantQuant::binary());
         assert_eq!(mix.rounds(), 3);
         mix.validate().unwrap();
+        assert_eq!(WorkloadMix::from(Network::edge_cnn(1)), mix);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Mapping a multi-tenant application mix onto one chip (Figure 1's
 //! motivation, measured end-to-end): a recognition CNN and a transformer
 //! attention block time-share a macro grid.  The example scores the mix
-//! on a fixed chip (co-scheduled vs. each tenant alone), proves the
-//! mix-of-one path is bit-identical to the single-network evaluator, then
-//! runs a mix-aware chip exploration through the service and prints the
-//! per-tenant report and telemetry rows.
+//! on a fixed chip (co-scheduled vs. each tenant alone as a mix of one),
+//! then runs a mix-aware chip exploration through the service and prints
+//! the per-tenant report and telemetry rows.
 //!
 //! ```bash
 //! cargo run --release --example application_mapping -- --quick
@@ -40,25 +39,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chip.buffer_kib
     );
 
+    let evaluator = ChipEvaluator::s28_default();
     let mut sequential_ns = 0.0;
     for (name, network) in [("cnn", &cnn), ("transformer", &transformer)] {
-        let alone = evaluate_chip(&chip, network)?;
+        // A tenant alone is the mix of one.
+        let alone = evaluator
+            .evaluate_mix(&chip, &network.clone().into())?
+            .combined();
         sequential_ns += alone.latency_ns;
         println!(
             "  {name:<12} alone: {:>8.1} ns, {:.3} TOPS, {:.1} pJ/inf",
             alone.latency_ns, alone.throughput_tops, alone.energy_per_inference_pj
         );
-        // The refactor's safety net: a mix of one tenant is bit-identical
-        // to the single-network path.
-        let single = evaluate_chip_mix(&chip, &WorkloadMix::single(network.clone()))?.combined();
-        assert_eq!(
-            single.latency_ns.to_bits(),
-            alone.latency_ns.to_bits(),
-            "mix-of-one must stay bit-identical"
-        );
     }
 
-    let co = evaluate_chip_mix(&chip, &mix)?;
+    let co = evaluator.evaluate_mix(&chip, &mix)?;
     println!(
         "  co-scheduled: makespan {:>8.1} ns (sequential would be {:.1} ns), {:.1} pJ total",
         co.makespan_ns, sequential_ns, co.total_energy_pj

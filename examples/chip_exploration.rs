@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Co-explore macro (H, L, B_ADC) x grid (rows, cols) x buffer KiB.
-    let mut dse = ChipDseConfig::for_network(network.clone());
+    let mut dse = ChipDseConfig::for_mix(network.clone());
     dse.population_size = population_size;
     dse.generations = generations;
     let explorer = ChipExplorer::new(dse.clone())?;
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run the full flow stage (exploration + behavioural validation of the
     // best-throughput chip): every CNN layer is tiled across the macro
     // grid and simulated on the behavioural macro model.
-    let mut stage = ChipFlowConfig::for_network(network);
+    let mut stage = ChipFlowConfig::for_mix(network);
     stage.dse.population_size = population_size;
     stage.dse.generations = generations;
     let result = ChipFlow::new(stage).run()?;

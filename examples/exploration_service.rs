@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     flow.max_layouts = 1;
 
     // …and two identical chip requests over one design space.
-    let mut chip = ChipFlowConfig::for_network(Network::edge_cnn(if quick { 1 } else { 3 }));
+    let mut chip = ChipFlowConfig::for_mix(Network::edge_cnn(if quick { 1 } else { 3 }));
     chip.dse.population_size = population_size;
     chip.dse.generations = generations;
     chip.validate_best = false;

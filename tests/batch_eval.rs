@@ -22,7 +22,7 @@ fn chip_config(heterogeneous: bool) -> ChipDseConfig {
         grid_cols: vec![1, 2],
         buffer_kib: vec![8, 32],
         heterogeneous,
-        ..ChipDseConfig::for_network(Network::edge_cnn(1))
+        ..ChipDseConfig::for_mix(Network::edge_cnn(1))
     }
 }
 

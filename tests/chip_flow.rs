@@ -2,19 +2,38 @@
 //! partitioning onto a macro grid, analytic evaluation, NSGA-II
 //! co-exploration, behavioural validation, and the easyacim flow stage.
 
-use acim_arch::AcimSpec;
-use acim_chip::{evaluate_chip, simulate_network, ChipEvaluator, ChipSpec, MacroGrid, Network};
+use acim_arch::{AcimSpec, TimingModel};
+use acim_chip::{
+    simulate_mix, ChipEvaluator, ChipMetrics, ChipSimReport, ChipSpec, MacroGrid, Network,
+    WorkloadMix,
+};
 use acim_dse::{ChipDseConfig, ChipExplorer};
 use easyacim::{chip_report, ChipFlow, ChipFlowConfig, FlowConfig, TopFlowController};
 
 fn quick_dse(network: Network) -> ChipDseConfig {
-    let mut config = ChipDseConfig::for_network(network);
+    let mut config = ChipDseConfig::for_mix(network);
     config.population_size = 24;
     config.generations = 10;
     config.grid_rows = vec![1, 2];
     config.grid_cols = vec![1, 2];
     config.buffer_kib = vec![8, 32];
     config
+}
+
+/// Default-parameter analytic metrics of one network (the mix of one).
+fn evaluate_one(chip: &ChipSpec, network: &Network) -> ChipMetrics {
+    let mix = WorkloadMix::from(network.clone());
+    let mut metrics = ChipEvaluator::s28_default()
+        .evaluate_mix(chip, &mix)
+        .unwrap();
+    metrics.tenants.remove(0).metrics
+}
+
+/// Behavioural report of one network (the mix of one) at default timing.
+fn simulate_one(chip: &ChipSpec, network: &Network, seed: u64) -> ChipSimReport {
+    let mix = WorkloadMix::from(network.clone());
+    let mut report = simulate_mix(chip, &mix, &TimingModel::s28_default(), seed).unwrap();
+    report.tenants.remove(0).report
 }
 
 #[test]
@@ -24,13 +43,13 @@ fn cnn_maps_onto_macro_grid_end_to_end() {
     let network = Network::edge_cnn(2);
 
     // Analytic path.
-    let metrics = evaluate_chip(&chip, &network).unwrap();
+    let metrics = evaluate_one(&chip, &network);
     assert_eq!(metrics.layers.len(), network.len());
     assert!(metrics.throughput_tops > 0.0);
     assert!(metrics.energy_per_inference_pj > 0.0);
 
     // Behavioural path: every layer runs on the grid with bounded error.
-    let sim = simulate_network(&chip, &network, 17).unwrap();
+    let sim = simulate_one(&chip, &network, 17);
     assert_eq!(sim.layers.len(), network.len());
     assert!(
         sim.max_relative_error() < 0.2,
@@ -40,7 +59,8 @@ fn cnn_maps_onto_macro_grid_end_to_end() {
     // The wide middle layers must actually use several macros.
     assert!(sim.layers.iter().any(|l| l.macros_used > 1));
     // Analytic and measured latency agree on the workload scale (same
-    // partitioner, same cycle counts; timing models differ slightly).
+    // partitioner, cycle counts and timing; the analytic latency adds
+    // buffer-traffic overlap and NoC fill).
     let ratio = metrics.latency_ns / sim.total_latency_ns;
     assert!((0.2..5.0).contains(&ratio), "latency ratio {ratio}");
 }
@@ -79,9 +99,9 @@ fn heterogeneous_grid_evaluates_and_simulates() {
     let dense = AcimSpec::from_dimensions(64, 64, 8, 3).unwrap();
     let chip = ChipSpec::new(MacroGrid::from_specs(1, 2, vec![fast, dense]).unwrap(), 32).unwrap();
     let network = Network::transformer_block();
-    let metrics = evaluate_chip(&chip, &network).unwrap();
+    let metrics = evaluate_one(&chip, &network);
     assert!(metrics.accuracy_db.is_finite());
-    let sim = simulate_network(&chip, &network, 5).unwrap();
+    let sim = simulate_one(&chip, &network, 5);
     assert!(sim.max_relative_error() < 0.3);
 }
 
@@ -89,13 +109,12 @@ fn heterogeneous_grid_evaluates_and_simulates() {
 fn all_three_workload_families_run_on_a_chip() {
     let spec = AcimSpec::from_dimensions(64, 16, 4, 4).unwrap();
     let chip = ChipSpec::new(MacroGrid::uniform(2, 2, spec).unwrap(), 16).unwrap();
-    let evaluator = ChipEvaluator::s28_default();
     for network in [
         Network::edge_cnn(1),
         Network::transformer_block(),
         Network::snn_pipeline(),
     ] {
-        let metrics = evaluator.evaluate(&chip, &network).unwrap();
+        let metrics = evaluate_one(&chip, &network);
         assert!(metrics.latency_ns > 0.0, "{}", network.name);
         assert!(metrics.mean_utilization > 0.0, "{}", network.name);
     }
@@ -103,7 +122,7 @@ fn all_three_workload_families_run_on_a_chip() {
 
 #[test]
 fn chip_flow_stage_reports_front_and_validation() {
-    let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+    let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
     config.dse = quick_dse(Network::edge_cnn(1));
     let result = ChipFlow::new(config).run().unwrap();
     assert!(!result.front.is_empty());
@@ -120,7 +139,7 @@ fn top_flow_controller_composes_macro_and_chip_stages() {
     flow_config.dse.population_size = 24;
     flow_config.dse.generations = 10;
     flow_config.max_layouts = 1;
-    let mut chip_config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+    let mut chip_config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
     chip_config.dse = quick_dse(Network::edge_cnn(1));
     chip_config.validate_best = false;
     let result = TopFlowController::new(flow_config.with_chip_stage(chip_config))

@@ -12,7 +12,7 @@ use easyacim::prelude::*;
 use easyacim::service::{ExplorationRequest, ExplorationService};
 
 fn quick_chip_config() -> ChipFlowConfig {
-    let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+    let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
     config.dse.population_size = 16;
     config.dse.generations = 6;
     config.dse.grid_rows = vec![1, 2];

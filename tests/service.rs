@@ -23,7 +23,7 @@ fn quick_flow_config() -> FlowConfig {
 }
 
 fn quick_chip_config() -> ChipFlowConfig {
-    let mut config = ChipFlowConfig::for_network(Network::edge_cnn(1));
+    let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
     config.dse.population_size = 16;
     config.dse.generations = 6;
     config.dse.grid_rows = vec![1, 2];
@@ -384,7 +384,8 @@ fn panicking_tenant_leaves_the_service_usable() {
     let store = service.cache_store(&space).expect("space has a store");
     let poisoner = store.clone();
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        poisoner.get_or_insert_with(vec![i64::MIN], || panic!("tenant died mid-insert"));
+        let _guard = poisoner.lock();
+        panic!("tenant died holding the store lock");
     }));
     assert!(panicked.is_err());
 
