@@ -31,21 +31,34 @@ fn build_router(block_tracks: bool) -> MazeRouter {
     router
 }
 
+/// Twelve three-terminal nets.  Every terminal is distinct: two nets
+/// sharing a terminal cannot both be routed.
 fn requests() -> Vec<RouteRequest> {
-    (0..12u32)
+    let requests: Vec<RouteRequest> = (0..12u32)
         .map(|i| {
             let offset = f64::from(i) * 1_500.0;
             RouteRequest {
                 net: format!("net_{i}"),
                 net_id: i + 1,
                 terminals: vec![
-                    (0, Point::new(300.0 + offset % 18_000.0, 200.0)),
-                    (0, Point::new(18_000.0 - offset % 17_000.0, 19_000.0)),
-                    (0, Point::new(9_000.0, 400.0 + offset % 15_000.0)),
+                    (0, Point::new(300.0 + offset, 200.0)),
+                    (0, Point::new(18_000.0 - offset, 19_000.0)),
+                    (0, Point::new(9_000.0, 400.0 + offset)),
                 ],
             }
         })
-        .collect()
+        .collect();
+    let terminals: Vec<Point> = requests
+        .iter()
+        .flat_map(|r| r.terminals.iter().map(|&(_, p)| p))
+        .collect();
+    for (i, terminal) in terminals.iter().enumerate() {
+        assert!(
+            !terminals[..i].contains(terminal),
+            "shared terminal {terminal:?}"
+        );
+    }
+    requests
 }
 
 fn router_bench(c: &mut Criterion) {

@@ -489,6 +489,7 @@ garbage line without fields\n\
                 "/benches/telemetry_baseline.json"
             ),
             concat!(env!("CARGO_MANIFEST_DIR"), "/benches/persist_baseline.json"),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/benches/backend_baseline.json"),
         ] {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("baseline {path} must exist: {e}"));

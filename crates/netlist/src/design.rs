@@ -1,7 +1,7 @@
 //! The hierarchical design: a set of modules plus a reference to the leaf
 //! cells of the customized cell library.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use acim_cell::CellLibrary;
 
@@ -90,6 +90,8 @@ impl Design {
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn validate(&self, library: &CellLibrary) -> Result<(), NetlistError> {
+        // Each instantiated module's port set, resolved on first use.
+        let mut port_sets: HashMap<&str, HashSet<&str>> = HashMap::new();
         for module in self.modules.values() {
             for instance in module.instances() {
                 match &instance.reference {
@@ -100,8 +102,11 @@ impl Design {
                                 referenced_from: module.name().to_string(),
                             }
                         })?;
+                        let ports = port_sets.entry(name.as_str()).or_insert_with(|| {
+                            target.ports().iter().map(|(p, _)| p.as_str()).collect()
+                        });
                         for port in instance.connections.keys() {
-                            if !target.port_names().contains(&port.as_str()) {
+                            if !ports.contains(port.as_str()) {
                                 return Err(NetlistError::PortMismatch {
                                     instance: instance.name.clone(),
                                     target: name.clone(),
@@ -165,7 +170,7 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::module::Instance;
+    use crate::module::{Instance, PortDirection};
     use acim_tech::Technology;
 
     fn library() -> CellLibrary {
@@ -235,6 +240,39 @@ mod tests {
             design.validate(&library()),
             Err(NetlistError::PortMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn validation_reports_the_first_mismatch_in_walk_order() {
+        // Modules by name, instances in order, ports by name: the second
+        // instance of `T` is the first bad one, and its first bad port (in
+        // name order) is `Y`, although module `B` also has a bad one.
+        let module_instance = |name: &str, ports: &[&str]| {
+            Instance::new(
+                name,
+                InstanceRef::Module("T".into()),
+                ports.iter().map(|p| (p.to_string(), "n".to_string())),
+            )
+        };
+        let mut design = Design::new("test");
+        let mut target = Module::new("T");
+        target.add_port("P", PortDirection::Input);
+        design.add_module(target).unwrap();
+        let mut a = Module::new("A");
+        a.add_instance(module_instance("X0", &["P"]));
+        a.add_instance(module_instance("X1", &["Z", "P", "Y"]));
+        design.add_module(a).unwrap();
+        let mut b = Module::new("B");
+        b.add_instance(module_instance("X2", &["W"]));
+        design.add_module(b).unwrap();
+        assert_eq!(
+            design.validate(&library()),
+            Err(NetlistError::PortMismatch {
+                instance: "X1".into(),
+                target: "T".into(),
+                details: "no port `Y` on module".into(),
+            })
+        );
     }
 
     #[test]

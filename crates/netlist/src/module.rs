@@ -1,6 +1,6 @@
 //! Modules, ports, nets and instances.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Direction of a module port.
@@ -77,12 +77,29 @@ impl Instance {
 }
 
 /// A hierarchical module: ports, nets and instances.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Module {
     name: String,
     ports: Vec<(String, PortDirection)>,
+    /// Nets in declaration order.
     nets: Vec<String>,
+    /// The names in `nets`, so deduplication is a hash lookup rather than
+    /// a scan.
+    net_index: HashSet<String>,
     instances: Vec<Instance>,
+}
+
+// By hand so the output keeps the declaration-ordered fields only: the
+// index repeats `nets` in hash order.
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.name)
+            .field("ports", &self.ports)
+            .field("nets", &self.nets)
+            .field("instances", &self.instances)
+            .finish()
+    }
 }
 
 impl Module {
@@ -90,9 +107,7 @@ impl Module {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            ports: Vec::new(),
-            nets: Vec::new(),
-            instances: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -111,16 +126,20 @@ impl Module {
     /// Declares an internal net (idempotent).
     pub fn add_net(&mut self, name: impl Into<String>) {
         let name = name.into();
-        if !self.nets.contains(&name) {
+        if !self.net_index.contains(&name) {
+            self.net_index.insert(name.clone());
             self.nets.push(name);
         }
     }
 
     /// Adds an instance.
     pub fn add_instance(&mut self, instance: Instance) {
-        // Any net referenced by a connection becomes a net of this module.
+        // Any net referenced by a connection becomes a net of this module;
+        // only a net not yet declared is copied.
         for net in instance.connections.values() {
-            self.add_net(net.clone());
+            if !self.net_index.contains(net) {
+                self.add_net(net.as_str());
+            }
         }
         self.instances.push(instance);
     }
@@ -152,10 +171,11 @@ impl Module {
 
     /// Returns the nets that are not ports.
     pub fn internal_nets(&self) -> Vec<&str> {
+        let ports: HashSet<&str> = self.ports.iter().map(|(p, _)| p.as_str()).collect();
         self.nets
             .iter()
-            .filter(|n| !self.ports.iter().any(|(p, _)| p == *n))
             .map(String::as_str)
+            .filter(|n| !ports.contains(n))
             .collect()
     }
 
@@ -206,6 +226,26 @@ mod tests {
         m.add_net("A");
         m.add_net("A");
         assert_eq!(m.nets().len(), 1);
+
+        // A port re-declared as a net keeps its one entry, in the position
+        // it was first declared, among nets added before and after it.
+        let mut m = Module::new("Y");
+        m.add_net("N0");
+        m.add_port("A", PortDirection::Input);
+        m.add_net("N1");
+        m.add_net("A");
+        m.add_net("N0");
+        m.add_net("N2");
+        m.add_instance(Instance::new(
+            "XB",
+            InstanceRef::LeafCell("BUF".into()),
+            [
+                ("A".to_string(), "A".to_string()),
+                ("Y".to_string(), "N3".to_string()),
+            ],
+        ));
+        assert_eq!(m.nets(), ["N0", "A", "N1", "N2", "N3"]);
+        assert_eq!(m.internal_nets(), vec!["N0", "N1", "N2", "N3"]);
     }
 
     #[test]

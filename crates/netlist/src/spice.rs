@@ -5,6 +5,7 @@
 //! definitions — the exchange format the paper's customized cell library
 //! uses for its component netlists.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use acim_cell::{CellLibrary, DeviceKind};
@@ -94,52 +95,41 @@ pub fn write_spice(design: &Design, library: &CellLibrary) -> Result<String, Net
     // COLUMN and LOCAL_ARRAY before the top module in the generated designs;
     // SPICE does not require definition-before-use, so ordering is cosmetic.
     for module in design.modules() {
-        let _ = writeln!(
-            out,
-            ".SUBCKT {} {}",
-            module.name(),
-            module.port_names().join(" ")
+        let _ = write!(out, ".SUBCKT {} ", module.name());
+        push_joined(
+            &mut out,
+            module.ports().iter().map(|(port, _)| port.as_str()),
         );
+        out.push('\n');
         for instance in module.instances() {
-            // Connections must be emitted in the target's port order.
-            let port_order: Vec<String> = match &instance.reference {
-                InstanceRef::LeafCell(name) => library
-                    .cell_by_name(name)
-                    .ok_or_else(|| NetlistError::UnknownReference {
-                        name: name.clone(),
-                        referenced_from: module.name().to_string(),
-                    })?
-                    .netlist()
-                    .ports
-                    .clone(),
-                InstanceRef::Module(name) => design
-                    .module(name)
-                    .ok_or_else(|| NetlistError::UnknownReference {
-                        name: name.clone(),
-                        referenced_from: module.name().to_string(),
-                    })?
-                    .port_names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
+            let unknown = |name: &String| NetlistError::UnknownReference {
+                name: name.clone(),
+                referenced_from: module.name().to_string(),
             };
-            let nets: Vec<String> = port_order
-                .iter()
-                .map(|port| {
-                    instance
-                        .net_for(port)
-                        .map(str::to_string)
-                        // Unconnected ports are tied to an explicit open net.
-                        .unwrap_or_else(|| format!("UNCONNECTED_{}_{port}", instance.name))
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "X{} {} {}",
-                instance.name,
-                nets.join(" "),
-                instance.reference.name()
-            );
+            let net = |port: &str| {
+                instance.net_for(port).map_or_else(
+                    // Unconnected ports are tied to an explicit open net.
+                    || Cow::Owned(format!("UNCONNECTED_{}_{port}", instance.name)),
+                    Cow::Borrowed,
+                )
+            };
+            out.push('X');
+            out.push_str(&instance.name);
+            out.push(' ');
+            // Connections must be emitted in the target's port order.
+            match &instance.reference {
+                InstanceRef::LeafCell(name) => {
+                    let cell = library.cell_by_name(name).ok_or_else(|| unknown(name))?;
+                    push_joined(&mut out, cell.netlist().ports.iter().map(|p| net(p)));
+                }
+                InstanceRef::Module(name) => {
+                    let target = design.module(name).ok_or_else(|| unknown(name))?;
+                    push_joined(&mut out, target.ports().iter().map(|(p, _)| net(p)));
+                }
+            }
+            out.push(' ');
+            out.push_str(instance.reference.name());
+            out.push('\n');
         }
         let _ = writeln!(out, ".ENDS {}", module.name());
         let _ = writeln!(out);
@@ -152,10 +142,21 @@ pub fn write_spice(design: &Design, library: &CellLibrary) -> Result<String, Net
     Ok(out)
 }
 
+/// Appends `items` to `out`, separated by single spaces.
+fn push_joined<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = S>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(item.as_ref());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::NetlistGenerator;
+    use crate::module::{Instance, Module, PortDirection};
     use acim_arch::AcimSpec;
     use acim_tech::Technology;
 
@@ -208,6 +209,29 @@ mod tests {
             deck.contains("f\n") || deck.contains("f\r\n"),
             "capacitor value present"
         );
+    }
+
+    #[test]
+    fn open_ports_and_empty_port_lists_keep_their_spacing() {
+        let library = CellLibrary::s28_default(&Technology::s28());
+        let mut design = Design::new("edge");
+        let mut sub = Module::new("SUB");
+        sub.add_port("A", PortDirection::Input);
+        sub.add_port("B", PortDirection::Output);
+        design.add_module(sub).unwrap();
+        design.add_module(Module::new("EMPTY")).unwrap();
+        let mut top = Module::new("TOP");
+        top.add_instance(Instance::new(
+            "U",
+            InstanceRef::Module("SUB".into()),
+            [("A".to_string(), "n".to_string())],
+        ));
+        top.add_instance(Instance::new("E", InstanceRef::Module("EMPTY".into()), []));
+        design.add_module(top).unwrap();
+        let deck = write_spice(&design, &library).unwrap();
+        assert!(deck.contains("\n.SUBCKT EMPTY \n.ENDS EMPTY\n"), "{deck}");
+        assert!(deck.contains("\nXU n UNCONNECTED_U_B SUB\n"), "{deck}");
+        assert!(deck.contains("\nXE  EMPTY\n"), "{deck}");
     }
 
     #[test]
