@@ -71,8 +71,7 @@ fn nsga2_batch(c: &mut Criterion) {
     group.bench_function("batch_cached_eval", |b| {
         b.iter(|| {
             // A fresh cache per run, as the explorers use it.
-            let keyer = problem.keyer();
-            let cached = CachedProblem::with_key_fn(&problem, move |g| keyer.key(g));
+            let cached = CachedProblem::with_key_fn(&problem, |g| problem.cache_key(g));
             let result = Nsga2::new(&cached, config.clone()).with_seed(7).run();
             black_box((result.evaluations(), cached.stats().hits))
         })

@@ -490,6 +490,23 @@ garbage line without fields\n\
             ),
             concat!(env!("CARGO_MANIFEST_DIR"), "/benches/persist_baseline.json"),
             concat!(env!("CARGO_MANIFEST_DIR"), "/benches/backend_baseline.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/dse_runtime_baseline.json"
+            ),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/benches/service_baseline.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/service_sched_baseline.json"
+            ),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/macro_reuse_baseline.json"
+            ),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/chip_mix_baseline.json"
+            ),
         ] {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("baseline {path} must exist: {e}"));

@@ -30,7 +30,7 @@
 //!
 //! `acim-dse` builds a `ChipDesignProblem` on top of this crate so NSGA-II
 //! can co-explore macro shape × macro count × buffer sizing, and
-//! `easyacim` exposes it as a `ChipFlow` stage.
+//! `easyacim` runs it as its `ChipStage`.
 //!
 //! # Example
 //!

@@ -53,9 +53,7 @@ pub type MacroMetricsCache = SharedCache<SpecKey, MacroMetrics>;
 /// across clones, so an evaluator cloned into pool workers still
 /// attributes the whole batch to the request that spawned it — while two
 /// different requests (two clients) on one shared cache each report
-/// their own reuse.  A telemetry registry can adopt the triple (see
-/// [`MacroCacheClient::with_counters`]) so exposition reads the very
-/// counters the hot path bumps.  Both macro-metric consumers in the
+/// their own reuse.  Both macro-metric consumers in the
 /// workspace (`ChipEvaluator` and the macro-space `AcimDesignProblem`)
 /// embed this client, so the lookup/attribution semantics cannot drift
 /// apart.
@@ -83,21 +81,6 @@ impl MacroCacheClient {
     /// The attached cache, when reuse is enabled.
     pub fn cache(&self) -> Option<&MacroMetricsCache> {
         self.cache.as_ref()
-    }
-
-    /// Replaces this client's (fresh, zeroed) counters with externally
-    /// owned ones — typically registry-vended handles, so a telemetry
-    /// layer exposes the same counters the lookups bump.
-    #[must_use]
-    pub fn with_counters(mut self, counters: CacheCounters) -> Self {
-        self.counters = counters;
-        self
-    }
-
-    /// The client's counter triple (clone it to register with a
-    /// telemetry registry).
-    pub fn counters(&self) -> &CacheCounters {
-        &self.counters
     }
 
     /// Snapshot of this client's (and its clones') attribution.

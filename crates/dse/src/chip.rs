@@ -24,22 +24,18 @@
 //! layers next to long-local-array macros for energy-tolerant ones.
 
 use std::fmt;
-use std::ops::ControlFlow;
 
 use acim_chip::{
     ChipCostParams, ChipEvaluator, ChipMetrics, ChipSpec, MacroGrid, MacroMetricsCache,
     MixObjective, TenantMetrics, WorkloadMix,
 };
 use acim_model::ModelParams;
-use acim_moga::{
-    CacheStats, CachedProblem, CancelToken, EvalStats, Evaluation, Nsga2, Nsga2Config,
-    ParetoArchive, Problem,
-};
+use acim_moga::{CacheStats, Evaluation, Problem};
 use rayon::prelude::*;
 
 use crate::encoding::{gene_from_index, index_from_gene, DesignEncoding};
 use crate::error::DseError;
-use crate::explorer::{pool_stats_since, ExploreOptions};
+use crate::explorer::{explore_problem, Budget, Explorable, ExploreOptions, Frontier};
 use crate::robustness::{RobustnessConfig, RobustnessSweep};
 
 /// Configuration of one chip-level exploration run.
@@ -455,22 +451,18 @@ impl ChipDesignProblem {
         ChipSpec::new(grid, buffer_kib).map_err(|_| None)
     }
 
-    /// The canonical cache key of a genome (see [`ChipGenomeKeyer::key`]).
+    /// The canonical cache key of a genome: the decoded grid shape,
+    /// buffer choice and the decode-bucket indices of every **used**
+    /// tile.  Surplus heterogeneous tile genes are excluded, so genomes
+    /// that differ only in inert genes share one cache entry.
     pub fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        self.keyer().key(genes)
-    }
-
-    /// A self-contained quantizer for this problem's genomes — clones
-    /// only the encoding and catalogues (no evaluator or network), so it
-    /// is cheap to move into a [`acim_moga::CachedProblem`] key closure.
-    pub fn keyer(&self) -> ChipGenomeKeyer {
-        ChipGenomeKeyer {
-            encoding: self.encoding.clone(),
-            grid_rows: self.grid_rows.clone(),
-            grid_cols: self.grid_cols.clone(),
-            buffer_kib: self.buffer_kib.clone(),
-            heterogeneous: self.heterogeneous,
+        let (rows, cols, buffer_kib) = self.decode_chip_genes(genes);
+        let used_tiles = if self.heterogeneous { rows * cols } else { 1 };
+        let mut key = vec![rows as i64, cols as i64, buffer_kib as i64];
+        for tile in 0..used_tiles {
+            key.extend(self.encoding.bucket_indices(macro_genes(genes, tile)));
         }
+        key
     }
 
     /// The full genome → objectives path.
@@ -529,36 +521,6 @@ fn macro_genes(genes: &[f64], tile: usize) -> &[f64] {
     }
 }
 
-/// A self-contained chip-genome quantizer: computes the canonical cache
-/// key of a genome without holding the problem's evaluator or network,
-/// so it can be moved into a long-lived cache-key closure cheaply.
-#[derive(Debug, Clone)]
-pub struct ChipGenomeKeyer {
-    encoding: DesignEncoding,
-    grid_rows: Vec<usize>,
-    grid_cols: Vec<usize>,
-    buffer_kib: Vec<usize>,
-    heterogeneous: bool,
-}
-
-impl ChipGenomeKeyer {
-    /// The canonical cache key of a genome: the decoded grid shape,
-    /// buffer choice and the decode-bucket indices of every **used**
-    /// tile.  Surplus heterogeneous tile genes are excluded, so genomes
-    /// that differ only in inert genes share one cache entry.
-    pub fn key(&self, genes: &[f64]) -> Vec<i64> {
-        let rows = self.grid_rows[index_from_gene(genes[3], self.grid_rows.len())];
-        let cols = self.grid_cols[index_from_gene(genes[4], self.grid_cols.len())];
-        let buffer_kib = self.buffer_kib[index_from_gene(genes[5], self.buffer_kib.len())];
-        let used_tiles = if self.heterogeneous { rows * cols } else { 1 };
-        let mut key = vec![rows as i64, cols as i64, buffer_kib as i64];
-        for tile in 0..used_tiles {
-            key.extend(self.encoding.bucket_indices(macro_genes(genes, tile)));
-        }
-        key
-    }
-}
-
 impl Problem for ChipDesignProblem {
     fn num_variables(&self) -> usize {
         // [H, L, B, rows, cols, buffer] plus one (H, L, B) triple per
@@ -598,57 +560,36 @@ impl Problem for ChipDesignProblem {
     }
 }
 
-/// The Pareto set of a chip exploration run.
-#[derive(Debug, Clone, Default)]
-pub struct ChipParetoSet {
-    points: Vec<ChipDesignPoint>,
-    /// Evaluation-engine statistics of the run: evaluations requested,
-    /// cache hit/miss counters (hits are chips the optimiser re-sampled
-    /// and the engine did not re-evaluate), and wall-clock breakdown.
-    pub engine: EvalStats,
-}
+/// Delegates to the inherent methods of the same names.
+impl Explorable for ChipDesignProblem {
+    type Point = ChipDesignPoint;
 
-impl ChipParetoSet {
-    /// The frontier points.
-    pub fn points(&self) -> &[ChipDesignPoint] {
-        &self.points
+    fn decode_point(&self, genes: &[f64]) -> Option<ChipDesignPoint> {
+        Self::decode_point(self, genes)
     }
 
-    /// Number of frontier points.
-    pub fn len(&self) -> usize {
-        self.points.len()
+    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
+        Self::cache_key(self, genes)
     }
 
-    /// Returns `true` when the frontier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+    fn with_macro_cache(self, cache: MacroMetricsCache) -> Self {
+        Self::with_macro_cache(self, cache)
     }
 
-    /// Iterates over the frontier points.
-    pub fn iter(&self) -> impl Iterator<Item = &ChipDesignPoint> {
-        self.points.iter()
-    }
-
-    /// Consumes the set and returns the points.
-    pub fn into_points(self) -> Vec<ChipDesignPoint> {
-        self.points
-    }
-
-    /// The point with the best (largest) value of `key`.
-    pub fn best_by<F: Fn(&ChipDesignPoint) -> f64>(&self, key: F) -> Option<&ChipDesignPoint> {
-        self.points.iter().max_by(|a, b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .expect("metrics must not be NaN")
-        })
+    fn macro_cache_stats(&self) -> CacheStats {
+        Self::macro_cache_stats(self)
     }
 }
+
+/// The frontier of a chip exploration ([`ChipExplorer`]).
+pub type ChipParetoSet = Frontier<ChipDesignPoint>;
 
 /// The chip-level explorer: NSGA-II over [`ChipDesignProblem`] with an
 /// archive of every feasible non-dominated chip evaluated.
 #[derive(Debug, Clone)]
 pub struct ChipExplorer {
     config: ChipDseConfig,
+    budget: Budget,
     problem: ChipDesignProblem,
 }
 
@@ -660,18 +601,18 @@ impl ChipExplorer {
     /// Returns [`DseError::InvalidConfig`] when the configuration is
     /// inconsistent.
     pub fn new(config: ChipDseConfig) -> Result<Self, DseError> {
-        if config.population_size < 4 || !config.population_size.is_multiple_of(2) {
-            return Err(DseError::InvalidConfig(
-                "population size must be an even number >= 4".into(),
-            ));
-        }
-        if config.generations == 0 {
-            return Err(DseError::InvalidConfig(
-                "generation count must be at least 1".into(),
-            ));
-        }
+        let budget = Budget::new(
+            config.population_size,
+            config.generations,
+            config.seed,
+            config.array_size,
+        )?;
         let problem = ChipDesignProblem::new(&config)?;
-        Ok(Self { config, problem })
+        Ok(Self {
+            config,
+            budget,
+            problem,
+        })
     }
 
     /// The configuration.
@@ -711,112 +652,12 @@ impl ChipExplorer {
     pub fn explore_with<F>(
         &self,
         options: &ExploreOptions,
-        mut progress: F,
+        progress: F,
     ) -> Result<ChipParetoSet, DseError>
     where
         F: FnMut(usize),
     {
-        let n_var = Problem::num_variables(&self.problem);
-        for genome in &options.warm_start {
-            if genome.len() != n_var {
-                return Err(DseError::InvalidConfig(format!(
-                    "warm-start genome has {} genes, chip design space has {n_var}",
-                    genome.len()
-                )));
-            }
-        }
-        if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
-            return Err(DseError::from_cancel(reason, 0, self.config.generations));
-        }
-        let nsga_config = Nsga2Config {
-            population_size: self.config.population_size,
-            generations: self.config.generations,
-            initial_population: options.warm_start.clone(),
-            ..Default::default()
-        };
-        // Archive genomes against the objectives NSGA-II already computed;
-        // decoding a genome into a `ChipDesignPoint` repeats the full chip
-        // evaluation, so it is deferred to the surviving archive entries.
-        // The cache wrapper (keyed by decoded buckets) absorbs re-sampled
-        // duplicate chips, and its batch path fans each generation's
-        // unique misses across cores.
-        let mut archive: ParetoArchive<Vec<f64>> = ParetoArchive::new();
-        // Route per-macro metric derivation through the shared reuse
-        // layer when the caller injected one: the cache sits *below* the
-        // genome-level cache, so even a genome never seen before reuses
-        // the macro metrics earlier chips (or macro sessions) derived.
-        let problem = match &options.macro_cache {
-            Some(cache) => self.problem.clone().with_macro_cache(cache.clone()),
-            None => self.problem.clone(),
-        };
-        let problem = &problem;
-        let keyer = self.problem.keyer();
-        let cached = CachedProblem::with_key_fn(problem, move |genes| keyer.key(genes))
-            .with_shared_store(options.store());
-        // Warm-start seeds are archived up front (feasible ones only), so
-        // the warm front dominates-or-equals the front it was seeded from.
-        // Scoring them goes through the cache: when the seeds came from a
-        // request sharing this store, every one is a hit.
-        if !options.warm_start.is_empty() {
-            let evals = cached.evaluate_batch(&options.warm_start);
-            for (genome, eval) in options.warm_start.iter().zip(evals) {
-                if eval.is_feasible() {
-                    archive.insert(eval.objectives, genome.clone());
-                }
-            }
-        }
-        let pool_before = rayon::pool_metrics();
-        let result = Nsga2::new(&cached, nsga_config)
-            .with_seed(self.config.seed)
-            .run_with_observer(|generation, population| {
-                for individual in population {
-                    if individual.is_feasible() {
-                        archive.insert(individual.objectives.clone(), individual.genes.clone());
-                    }
-                }
-                progress(generation);
-                // Cooperative cancellation at the generation boundary: the
-                // completed generation is archived and its cache fills are
-                // already shared, so an interrupted run's side effects are
-                // a clean prefix of an uninterrupted one.
-                match options.cancel.as_ref().map(CancelToken::is_triggered) {
-                    Some(true) => ControlFlow::Break(()),
-                    _ => ControlFlow::Continue(()),
-                }
-            });
-        if result.generations < self.config.generations {
-            let reason = options
-                .cancel
-                .as_ref()
-                .and_then(CancelToken::status)
-                .expect("early NSGA-II stop without a tripped cancel token");
-            return Err(DseError::from_cancel(
-                reason,
-                result.generations,
-                self.config.generations,
-            ));
-        }
-        for individual in &result.population {
-            if individual.is_feasible() {
-                archive.insert(individual.objectives.clone(), individual.genes.clone());
-            }
-        }
-
-        let points: Vec<ChipDesignPoint> = archive
-            .into_entries()
-            .into_iter()
-            .filter_map(|e| problem.decode_point(&e.payload))
-            .collect();
-        if points.is_empty() {
-            return Err(DseError::EmptyDesignSpace {
-                array_size: self.config.array_size,
-            });
-        }
-        let mut engine = result.engine;
-        engine.cache = cached.stats();
-        engine.macro_cache = problem.macro_cache_stats();
-        engine.pool = pool_stats_since(&pool_before);
-        Ok(ChipParetoSet { points, engine })
+        explore_problem(&self.problem, self.budget, options, progress)
     }
 
     /// Re-encodes frontier points into warm-start genomes for a follow-up
@@ -1247,7 +1088,7 @@ mod tests {
         let bounded = explorer
             .explore_with(
                 &ExploreOptions {
-                    cache_capacity: Some(4),
+                    cache: Some(acim_moga::CacheStore::bounded(4)),
                     ..Default::default()
                 },
                 |_| {},

@@ -9,13 +9,18 @@
 //! [`DesignSpaceExplorer::explore`] remains the cold single-run path and
 //! is bit-identical to what it produced before these injection points
 //! existed.
+//!
+//! The macro explorer here and the chip explorer of [`crate::chip`] share
+//! one exploration loop (cache wrapper, NSGA-II observer, Pareto archive,
+//! cancellation) and one result type, [`Frontier`].
 
 use std::ops::ControlFlow;
 
 use acim_chip::MacroMetricsCache;
 use acim_model::ModelParams;
 use acim_moga::{
-    CacheStore, CachedProblem, CancelToken, EvalStats, Nsga2, Nsga2Config, ParetoArchive, PoolStats,
+    CacheStats, CacheStore, CachedProblem, CancelToken, EvalStats, Nsga2, Nsga2Config,
+    ParetoArchive, PoolStats, Problem,
 };
 
 use crate::error::DseError;
@@ -23,20 +28,17 @@ use crate::problem::AcimDesignProblem;
 use crate::solution::DesignPoint;
 
 /// Injection points a long-lived caller can thread into an exploration
-/// run.  The default (no cache handles, no bounds, no warm-start genomes)
-/// reproduces a cold, self-contained run exactly.
+/// run.  The default (no cache handles, no warm-start genomes) reproduces
+/// a cold, self-contained run exactly.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreOptions {
-    /// Shared evaluation-cache store.  `None` gives the run a fresh
-    /// private cache; `Some` makes it read and write entries other runs
-    /// over the **same design space** produced — the store trusts its
-    /// keys, so handing it to a run over a different space poisons it.
+    /// Shared evaluation-cache store.  `None` gives the run a fresh,
+    /// unbounded private cache; `Some` makes it read and write entries
+    /// other runs over the **same design space** produced — the store
+    /// trusts its keys, so handing it to a run over a different space
+    /// poisons it.  A bounded store (`CacheStore::bounded`) changes
+    /// hit/miss/eviction counters, never results.
     pub cache: Option<CacheStore>,
-    /// Capacity bound for the run's **private** evaluation cache, applied
-    /// only when [`ExploreOptions::cache`] is `None` (a shared store
-    /// carries its own bound from construction).  `None` = unbounded.
-    /// Bounding changes hit/miss/eviction counters, never results.
-    pub cache_capacity: Option<usize>,
     /// Shared macro-metric cache (see `acim_chip::MacroMetricsCache`):
     /// per-macro `DesignMetrics` reused **below** the genome-level cache,
     /// across chips, requests, and mixed macro + chip sessions over the
@@ -45,9 +47,9 @@ pub struct ExploreOptions {
     pub macro_cache: Option<MacroMetricsCache>,
     /// Warm-start genomes, typically a previous run's Pareto archive over
     /// the same design space: they seed the initial NSGA-II population
-    /// (see [`Nsga2Config::initial_population`]) and are pre-inserted
-    /// into the run's archive, so the warm frontier can never be worse
-    /// than the seeds it started from.
+    /// (see [`Nsga2Config::initial_population`]) and are scored through
+    /// the run's cache and archived up front, so the warm frontier can
+    /// never be worse than the seeds it started from.
     pub warm_start: Vec<Vec<f64>>,
     /// Cooperative cancellation handle, polled after every generation's
     /// environmental selection.  When it trips, the run stops at that
@@ -56,30 +58,6 @@ pub struct ExploreOptions {
     /// token that never trips is unobservable: the run (RNG stream, cache
     /// fills, frontier) is bit-identical to one without a token.
     pub cancel: Option<CancelToken>,
-}
-
-impl ExploreOptions {
-    /// The run's genome-level cache store: the shared one when injected,
-    /// otherwise a fresh private store honouring
-    /// [`ExploreOptions::cache_capacity`].
-    pub(crate) fn store(&self) -> CacheStore {
-        match (&self.cache, self.cache_capacity) {
-            (Some(store), _) => store.clone(),
-            (None, Some(capacity)) => CacheStore::bounded(capacity),
-            (None, None) => CacheStore::new(),
-        }
-    }
-}
-
-/// Converts a pool-metrics delta into the [`PoolStats`] embedded in
-/// [`EvalStats`].
-pub(crate) fn pool_stats_since(before: &rayon::PoolMetrics) -> PoolStats {
-    let delta = rayon::pool_metrics().delta_since(before);
-    PoolStats {
-        tasks_executed: delta.tasks_executed(),
-        steals: delta.steals(),
-        tasks_per_worker: delta.tasks_per_slot,
-    }
 }
 
 /// Configuration of one exploration run.
@@ -115,20 +93,24 @@ impl Default for DseConfig {
     }
 }
 
-/// The Pareto-frontier set produced by an exploration run: every feasible,
-/// mutually non-dominated design encountered during the search.
-#[derive(Debug, Clone, Default)]
-pub struct ParetoFrontierSet {
-    points: Vec<DesignPoint>,
+/// The Pareto frontier of an exploration run: every feasible, mutually
+/// non-dominated design encountered during the search, in archive
+/// insertion order.
+#[derive(Debug, Clone)]
+pub struct Frontier<T> {
+    points: Vec<T>,
     /// Evaluation-engine statistics of the run: evaluations requested,
     /// cache hit/miss counters (hits are designs the optimiser re-sampled
     /// and the engine did not re-evaluate), and wall-clock breakdown.
     pub engine: EvalStats,
 }
 
-impl ParetoFrontierSet {
+/// The frontier of a macro exploration ([`DesignSpaceExplorer`]).
+pub type ParetoFrontierSet = Frontier<DesignPoint>;
+
+impl<T> Frontier<T> {
     /// The frontier design points.
-    pub fn points(&self) -> &[DesignPoint] {
+    pub fn points(&self) -> &[T] {
         &self.points
     }
 
@@ -143,18 +125,18 @@ impl ParetoFrontierSet {
     }
 
     /// Iterates over the frontier points.
-    pub fn iter(&self) -> impl Iterator<Item = &DesignPoint> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.points.iter()
     }
 
     /// Consumes the set and returns the points.
-    pub fn into_points(self) -> Vec<DesignPoint> {
+    pub fn into_points(self) -> Vec<T> {
         self.points
     }
 
     /// The point with the best (largest) value of a metric selected by
     /// `key`, if the frontier is non-empty.
-    pub fn best_by<F: Fn(&DesignPoint) -> f64>(&self, key: F) -> Option<&DesignPoint> {
+    pub fn best_by<F: Fn(&T) -> f64>(&self, key: F) -> Option<&T> {
         self.points.iter().max_by(|a, b| {
             key(a)
                 .partial_cmp(&key(b))
@@ -163,11 +145,191 @@ impl ParetoFrontierSet {
     }
 }
 
+/// The NSGA-II budget of one run plus the array size its empty-space
+/// error names, validated once for both explorers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Budget {
+    population_size: usize,
+    generations: usize,
+    seed: u64,
+    array_size: usize,
+}
+
+impl Budget {
+    /// Checks the population size and generation count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DseError::InvalidConfig`] for an odd or too-small
+    /// population, or zero generations.
+    pub(crate) fn new(
+        population_size: usize,
+        generations: usize,
+        seed: u64,
+        array_size: usize,
+    ) -> Result<Self, DseError> {
+        if population_size < 4 || !population_size.is_multiple_of(2) {
+            return Err(DseError::InvalidConfig(
+                "population size must be an even number >= 4".into(),
+            ));
+        }
+        if generations == 0 {
+            return Err(DseError::InvalidConfig(
+                "generation count must be at least 1".into(),
+            ));
+        }
+        Ok(Self {
+            population_size,
+            generations,
+            seed,
+            array_size,
+        })
+    }
+}
+
+/// What [`explore_problem`] needs from a design problem on top of
+/// [`Problem`].
+pub(crate) trait Explorable: Problem + Clone + Sync {
+    /// The decoded design of a genome.
+    type Point;
+
+    /// Decodes a genome into its design when it is feasible.
+    fn decode_point(&self, genes: &[f64]) -> Option<Self::Point>;
+
+    /// The decode-aligned cache key of a genome.
+    fn cache_key(&self, genes: &[f64]) -> Vec<i64>;
+
+    /// Routes per-macro metric derivation through a shared cache.
+    fn with_macro_cache(self, cache: MacroMetricsCache) -> Self;
+
+    /// This problem's attribution against its macro-metric cache.
+    fn macro_cache_stats(&self) -> CacheStats;
+}
+
+/// The exploration loop both explorers run: NSGA-II over `problem`
+/// behind a memoizing cache, with a Pareto archive of every feasible
+/// `(objectives, genome)` seen — warm-start seeds first, then each
+/// generation, then the final population.  The archive keeps insertion
+/// order and the first genome of equal objectives; only its survivors
+/// are decoded, at the end.
+pub(crate) fn explore_problem<P: Explorable>(
+    problem: &P,
+    budget: Budget,
+    options: &ExploreOptions,
+    mut progress: impl FnMut(usize),
+) -> Result<Frontier<P::Point>, DseError> {
+    let n_var = problem.num_variables();
+    for genome in &options.warm_start {
+        if genome.len() != n_var {
+            return Err(DseError::InvalidConfig(format!(
+                "warm-start genome has {} genes, design space has {n_var}",
+                genome.len()
+            )));
+        }
+    }
+    // A token that tripped before any work ran: stop before the initial
+    // population is even evaluated.
+    if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
+        return Err(DseError::from_cancel(reason, 0, budget.generations));
+    }
+    // The macro-metric cache sits *below* the genome-level cache, so even
+    // a genome never seen before reuses the macro metrics earlier runs
+    // derived.
+    let problem = match &options.macro_cache {
+        Some(cache) => problem.clone().with_macro_cache(cache.clone()),
+        None => problem.clone(),
+    };
+    let problem = &problem;
+    // Keyed by decode buckets, the cache answers re-sampled designs for
+    // free while its batch path fans each generation's unique misses out
+    // across cores.
+    let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
+        .with_shared_store(options.cache.clone().unwrap_or_default());
+    let mut archive: ParetoArchive<Vec<f64>> = ParetoArchive::new();
+    // Warm-start seeds are archived up front (feasible ones only), so the
+    // warm frontier dominates-or-equals the one it was seeded from.
+    if !options.warm_start.is_empty() {
+        let evals = cached.evaluate_batch(&options.warm_start);
+        for (genome, eval) in options.warm_start.iter().zip(evals) {
+            if eval.is_feasible() {
+                archive.insert(eval.objectives, genome.clone());
+            }
+        }
+    }
+    let nsga_config = Nsga2Config {
+        population_size: budget.population_size,
+        generations: budget.generations,
+        initial_population: options.warm_start.clone(),
+        ..Default::default()
+    };
+    let pool_before = rayon::pool_metrics();
+    let result = Nsga2::new(&cached, nsga_config)
+        .with_seed(budget.seed)
+        .run_with_observer(|generation, population| {
+            for individual in population {
+                if individual.is_feasible() {
+                    archive.insert(individual.objectives.clone(), individual.genes.clone());
+                }
+            }
+            progress(generation);
+            // Cooperative cancellation at the generation boundary: the
+            // completed generation is archived and its cache fills are
+            // already shared, so an interrupted run's side effects are a
+            // clean prefix of an uninterrupted one.
+            match options.cancel.as_ref().map(CancelToken::is_triggered) {
+                Some(true) => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            }
+        });
+    if result.generations < budget.generations {
+        let reason = options
+            .cancel
+            .as_ref()
+            .and_then(CancelToken::status)
+            // The loop only breaks early when the token tripped; a token
+            // cannot un-trip (cancel is sticky, deadlines only move
+            // further into the past).
+            .expect("early NSGA-II stop without a tripped cancel token");
+        return Err(DseError::from_cancel(
+            reason,
+            result.generations,
+            budget.generations,
+        ));
+    }
+    for individual in &result.population {
+        if individual.is_feasible() {
+            archive.insert(individual.objectives.clone(), individual.genes.clone());
+        }
+    }
+
+    let points: Vec<P::Point> = archive
+        .into_entries()
+        .into_iter()
+        .filter_map(|e| problem.decode_point(&e.payload))
+        .collect();
+    if points.is_empty() {
+        return Err(DseError::EmptyDesignSpace {
+            array_size: budget.array_size,
+        });
+    }
+    let pool = rayon::pool_metrics().delta_since(&pool_before);
+    let mut engine = result.engine;
+    engine.cache = cached.stats();
+    engine.macro_cache = problem.macro_cache_stats();
+    engine.pool = PoolStats {
+        tasks_executed: pool.tasks_executed(),
+        steals: pool.steals(),
+        tasks_per_worker: pool.tasks_per_slot,
+    };
+    Ok(Frontier { points, engine })
+}
+
 /// The design-space explorer: NSGA-II over [`AcimDesignProblem`] with a
 /// global archive of every feasible non-dominated design evaluated.
 #[derive(Debug, Clone)]
 pub struct DesignSpaceExplorer {
     config: DseConfig,
+    budget: Budget,
     problem: AcimDesignProblem,
 }
 
@@ -179,23 +341,23 @@ impl DesignSpaceExplorer {
     /// Returns [`DseError::InvalidConfig`] when the configuration is
     /// inconsistent (no valid heights, zero population, …).
     pub fn new(config: DseConfig) -> Result<Self, DseError> {
-        if config.population_size < 4 || !config.population_size.is_multiple_of(2) {
-            return Err(DseError::InvalidConfig(
-                "population size must be an even number >= 4".into(),
-            ));
-        }
-        if config.generations == 0 {
-            return Err(DseError::InvalidConfig(
-                "generation count must be at least 1".into(),
-            ));
-        }
+        let budget = Budget::new(
+            config.population_size,
+            config.generations,
+            config.seed,
+            config.array_size,
+        )?;
         let problem = AcimDesignProblem::new(
             config.array_size,
             config.min_height,
             config.max_height,
             config.params,
         )?;
-        Ok(Self { config, problem })
+        Ok(Self {
+            config,
+            budget,
+            problem,
+        })
     }
 
     /// The configuration.
@@ -237,123 +399,12 @@ impl DesignSpaceExplorer {
     pub fn explore_with<F>(
         &self,
         options: &ExploreOptions,
-        mut progress: F,
+        progress: F,
     ) -> Result<ParetoFrontierSet, DseError>
     where
         F: FnMut(usize),
     {
-        let n_var = self.problem.encoding().num_genes();
-        for genome in &options.warm_start {
-            if genome.len() != n_var {
-                return Err(DseError::InvalidConfig(format!(
-                    "warm-start genome has {} genes, design space has {n_var}",
-                    genome.len()
-                )));
-            }
-        }
-        // A token that tripped before any work ran: stop before the
-        // initial population is even evaluated.
-        if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
-            return Err(DseError::from_cancel(reason, 0, self.config.generations));
-        }
-        let nsga_config = Nsga2Config {
-            population_size: self.config.population_size,
-            generations: self.config.generations,
-            initial_population: options.warm_start.clone(),
-            ..Default::default()
-        };
-        // Archive every feasible design seen in any generation, keyed by the
-        // decoded spec, so the frontier is not limited to the final
-        // population.  The problem is wrapped in a memoizing cache keyed by
-        // decode buckets: the bucketed genome re-samples identical designs
-        // constantly, and the cache answers those re-evaluations for free
-        // while its batch path fans the unique misses out across cores.
-        let mut archive: ParetoArchive<DesignPoint> = ParetoArchive::new();
-        // Route per-macro metric derivation through the shared reuse
-        // layer when the caller injected one (a mixed macro + chip
-        // session over one parameter set then shares per-macro work).
-        let problem = match &options.macro_cache {
-            Some(cache) => self.problem.clone().with_macro_cache(cache.clone()),
-            None => self.problem.clone(),
-        };
-        let problem = &problem;
-        // Warm-start seeds are archived up front: whatever the warm run
-        // finds is unioned with them, so its frontier dominates-or-equals
-        // the one it was seeded from.
-        for genome in &options.warm_start {
-            if let Some(point) = problem.decode_point(genome) {
-                archive.insert(point.objective_vector(), point);
-            }
-        }
-        // The key closure only needs the genome encoding, not a clone of
-        // the whole problem.
-        let key_encoding = self.problem.encoding().clone();
-        let cached =
-            CachedProblem::with_key_fn(problem, move |genes| key_encoding.bucket_indices(genes))
-                .with_shared_store(options.store());
-        let pool_before = rayon::pool_metrics();
-        let result = Nsga2::new(&cached, nsga_config)
-            .with_seed(self.config.seed)
-            .run_with_observer(|generation, population| {
-                for individual in population {
-                    if !individual.is_feasible() {
-                        continue;
-                    }
-                    if let Some(point) = problem.decode_point(&individual.genes) {
-                        archive.insert(point.objective_vector(), point);
-                    }
-                }
-                progress(generation);
-                // Cooperative cancellation: the completed generation is
-                // already archived and its cache fills are in the shared
-                // store, so stopping here leaves every shared structure in
-                // the exact state of an uninterrupted run's prefix.
-                match options.cancel.as_ref().map(CancelToken::is_triggered) {
-                    Some(true) => ControlFlow::Break(()),
-                    _ => ControlFlow::Continue(()),
-                }
-            });
-        if result.generations < self.config.generations {
-            let reason = options
-                .cancel
-                .as_ref()
-                .and_then(CancelToken::status)
-                // The loop only breaks early when the token tripped; a
-                // token cannot un-trip (cancel is sticky, deadlines only
-                // move further into the past).
-                .expect("early NSGA-II stop without a tripped cancel token");
-            return Err(DseError::from_cancel(
-                reason,
-                result.generations,
-                self.config.generations,
-            ));
-        }
-
-        // The final population may contain points the observer never saw at
-        // an archive-worthy moment; fold it in too.
-        for individual in &result.population {
-            if individual.is_feasible() {
-                if let Some(point) = problem.decode_point(&individual.genes) {
-                    archive.insert(point.objective_vector(), point);
-                }
-            }
-        }
-
-        let points: Vec<DesignPoint> = archive
-            .into_entries()
-            .into_iter()
-            .map(|e| e.payload)
-            .collect();
-        if points.is_empty() {
-            return Err(DseError::EmptyDesignSpace {
-                array_size: self.config.array_size,
-            });
-        }
-        let mut engine = result.engine;
-        engine.cache = cached.stats();
-        engine.macro_cache = problem.macro_cache_stats();
-        engine.pool = pool_stats_since(&pool_before);
-        Ok(ParetoFrontierSet { points, engine })
+        explore_problem(&self.problem, self.budget, options, progress)
     }
 
     /// Re-encodes frontier points into warm-start genomes for a follow-up
@@ -537,6 +588,46 @@ mod tests {
                 "cold frontier point lost by the warm run"
             );
         }
+    }
+
+    #[test]
+    fn warm_runs_count_each_seed_lookup_once_in_both_explorers() {
+        // One attribution rule for both explorers: a warm run's genome
+        // cache sees every NSGA-II evaluation plus one up-front lookup
+        // per seed (the seeds are scored before they are archived).
+        let explorer = DesignSpaceExplorer::new(quick_config()).unwrap();
+        let seeds = explorer.session_genomes(explorer.explore().unwrap().points());
+        let options = ExploreOptions {
+            warm_start: seeds.clone(),
+            ..Default::default()
+        };
+        let warm = explorer.explore_with(&options, |_| {}).unwrap();
+        assert!(!seeds.is_empty());
+        assert_eq!(
+            warm.engine.cache.total(),
+            warm.engine.evaluations + seeds.len()
+        );
+
+        let chip = crate::ChipExplorer::new(crate::ChipDseConfig {
+            population_size: 16,
+            generations: 5,
+            grid_rows: vec![1, 2],
+            grid_cols: vec![1, 2],
+            buffer_kib: vec![8, 32],
+            ..crate::ChipDseConfig::for_mix(acim_chip::Network::edge_cnn(1))
+        })
+        .unwrap();
+        let seeds = chip.session_genomes(chip.explore().unwrap().points());
+        let options = ExploreOptions {
+            warm_start: seeds.clone(),
+            ..Default::default()
+        };
+        let warm = chip.explore_with(&options, |_| {}).unwrap();
+        assert!(!seeds.is_empty());
+        assert_eq!(
+            warm.engine.cache.total(),
+            warm.engine.evaluations + seeds.len()
+        );
     }
 
     #[test]

@@ -16,14 +16,18 @@
 //!   (H, W, L, B_ADC) tuple,
 //! * [`problem`] — the [`acim_moga::Problem`] implementation that evaluates
 //!   candidates with the analytic model of `acim-model`,
-//! * [`explorer`] — runs NSGA-II and collects every feasible non-dominated
-//!   design it ever evaluates into a [`ParetoFrontierSet`],
+//! * [`explorer`] — the one exploration loop (NSGA-II behind a memoizing
+//!   genome cache, with a Pareto archive of every feasible non-dominated
+//!   genome it ever evaluates) and its result type, [`Frontier`]; the
+//!   macro explorer returns a [`ParetoFrontierSet`], the chip explorer a
+//!   [`ChipParetoSet`], both instances of it,
 //! * [`enumerate`] — exhaustive enumeration of the (small) discrete space,
 //!   used as ground truth in the ablation benchmarks,
 //! * [`distill`] — the "user distillation" step of Figure 4: filtering the
 //!   frontier with application requirements,
 //! * [`chip`] — the chip-level co-exploration problem (macro shape ×
-//!   macro count × buffer sizing) built on `acim-chip`,
+//!   macro count × buffer sizing) built on `acim-chip`, explored by the
+//!   same loop,
 //! * [`sweep`] — the parameter sweeps behind Figure 9.
 //!
 //! # Example
@@ -62,14 +66,12 @@ pub mod sweep;
 pub use acim_moga::{
     CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats, PoolStats,
 };
-pub use chip::{
-    ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer, ChipGenomeKeyer, ChipParetoSet,
-};
+pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer, ChipParetoSet};
 pub use distill::UserRequirements;
 pub use encoding::DesignEncoding;
 pub use enumerate::enumerate_design_space;
 pub use error::DseError;
-pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, ParetoFrontierSet};
+pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier, ParetoFrontierSet};
 pub use problem::AcimDesignProblem;
 pub use robustness::{RobustnessConfig, RobustnessSweep};
 pub use solution::DesignPoint;

@@ -8,6 +8,7 @@ use rayon::prelude::*;
 
 use crate::encoding::DesignEncoding;
 use crate::error::DseError;
+use crate::explorer::Explorable;
 use crate::solution::DesignPoint;
 
 /// The four-objective, constrained ACIM parameter-selection problem of
@@ -190,6 +191,27 @@ impl Problem for AcimDesignProblem {
 
     fn name(&self) -> &str {
         "easyacim design-space exploration"
+    }
+}
+
+/// Delegates to the inherent methods of the same names.
+impl Explorable for AcimDesignProblem {
+    type Point = DesignPoint;
+
+    fn decode_point(&self, genes: &[f64]) -> Option<DesignPoint> {
+        Self::decode_point(self, genes)
+    }
+
+    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
+        Self::cache_key(self, genes)
+    }
+
+    fn with_macro_cache(self, cache: MacroMetricsCache) -> Self {
+        Self::with_macro_cache(self, cache)
+    }
+
+    fn macro_cache_stats(&self) -> CacheStats {
+        Self::macro_cache_stats(self)
     }
 }
 

@@ -1,21 +1,18 @@
-//! The chip-composition stage of the flow: from a distilled macro space
-//! to a full multi-macro accelerator.
+//! Configuration and result of the chip-composition stage of the flow:
+//! from a distilled macro space to a full multi-macro accelerator.
 //!
 //! The macro flow of [`crate::flow`] ends with netlists and layouts for
-//! single macros.  `ChipFlow` continues where it stops: it runs the
-//! chip-level co-exploration of `acim-dse` (macro shape × macro count ×
-//! global-buffer sizing against a workload mix) and, optionally,
-//! validates the best chip behaviourally by simulating every tenant's
-//! layers on the macro grid.
+//! single macros.  [`crate::stage::ChipStage`] continues where it stops:
+//! it runs the chip-level co-exploration of `acim-dse` (macro shape ×
+//! macro count × global-buffer sizing against a workload mix) and,
+//! optionally, validates the best chip behaviourally by simulating every
+//! tenant's layers on the macro grid.
 
 use std::time::Duration;
 
 use acim_chip::{ChipSimReport, MixSimReport, WorkloadMix};
-use acim_dse::{ChipDesignPoint, ChipDseConfig, ExploreOptions};
+use acim_dse::{ChipDesignPoint, ChipDseConfig};
 use acim_moga::EvalStats;
-
-use crate::error::FlowError;
-use crate::stage::{ChipStage, Instrumented, ProgressObserver, Stage, TraceContext};
 
 /// Configuration of the chip-composition stage.
 #[derive(Debug, Clone)]
@@ -96,77 +93,10 @@ impl ChipFlowResult {
     }
 }
 
-/// The chip-composition stage runner.
-#[derive(Debug, Clone)]
-pub struct ChipFlow {
-    config: ChipFlowConfig,
-}
-
-impl ChipFlow {
-    /// Creates the stage.
-    pub fn new(config: ChipFlowConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ChipFlowConfig {
-        &self.config
-    }
-
-    /// Runs chip exploration (and optional behavioural validation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] when the exploration or the validation
-    /// simulation fails.
-    pub fn run(&self) -> Result<ChipFlowResult, FlowError> {
-        self.run_with(&ExploreOptions::default(), None)
-    }
-
-    /// Runs the stage with caller-injected [`ExploreOptions`] (shared
-    /// cache, warm-start seeds) and an optional progress observer — the
-    /// entry point the multi-tenant service uses.  With default options
-    /// this is exactly [`ChipFlow::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] when the exploration or the validation
-    /// simulation fails.
-    pub fn run_with(
-        &self,
-        options: &ExploreOptions,
-        observer: Option<ProgressObserver>,
-    ) -> Result<ChipFlowResult, FlowError> {
-        self.run_traced(options, observer, None)
-    }
-
-    /// [`ChipFlow::run_with`] plus an optional telemetry context: when
-    /// present, the chip stage runs wrapped in
-    /// [`crate::stage::Instrumented`], recording a `chip` span (parented
-    /// under the context's parent) and a `stage_seconds{stage="chip"}`
-    /// histogram observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] when the exploration or the validation
-    /// simulation fails.
-    pub fn run_traced(
-        &self,
-        options: &ExploreOptions,
-        observer: Option<ProgressObserver>,
-        trace: Option<TraceContext>,
-    ) -> Result<ChipFlowResult, FlowError> {
-        let mut stage = ChipStage::new(self.config.clone()).with_options(options.clone());
-        if let Some(observer) = observer {
-            stage = stage.with_observer(observer);
-        }
-        Instrumented::new(stage, trace).run(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::{ChipStage, Stage};
 
     fn quick_config() -> ChipFlowConfig {
         let mut config = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
@@ -180,7 +110,7 @@ mod tests {
 
     #[test]
     fn chip_stage_produces_front_and_validation() {
-        let result = ChipFlow::new(quick_config()).run().unwrap();
+        let result = ChipStage::new(quick_config()).run(()).unwrap();
         assert!(!result.front.is_empty());
         assert!(result.engine.evaluations > 0);
         assert_eq!(result.engine.cache.total(), result.engine.evaluations);
@@ -198,7 +128,7 @@ mod tests {
     fn best_accessors_pick_the_extremes() {
         let mut config = quick_config();
         config.validate_best = false;
-        let result = ChipFlow::new(config).run().unwrap();
+        let result = ChipStage::new(config).run(()).unwrap();
         let best_energy = result
             .best_energy()
             .unwrap()
@@ -215,7 +145,7 @@ mod tests {
     fn validation_can_be_disabled() {
         let mut config = quick_config();
         config.validate_best = false;
-        let result = ChipFlow::new(config).run().unwrap();
+        let result = ChipStage::new(config).run(()).unwrap();
         assert!(result.validation.is_none());
     }
 
@@ -226,7 +156,7 @@ mod tests {
         config.dse.population_size = 24;
         config.dse.generations = 8;
         config.validate_best = false;
-        let result = ChipFlow::new(config).run().unwrap();
+        let result = ChipStage::new(config).run(()).unwrap();
         assert!(!result.front.is_empty());
         // Every frontier row serialises with the extended CSV schema.
         for point in &result.front {

@@ -64,7 +64,7 @@ mod sched;
 pub mod service;
 pub mod stage;
 
-pub use chip::{ChipFlow, ChipFlowConfig, ChipFlowResult};
+pub use chip::{ChipFlowConfig, ChipFlowResult};
 pub use config::FlowConfig;
 pub use error::FlowError;
 pub use flow::{FlowOptions, FlowResult, GeneratedDesign, TopFlowController};
@@ -77,7 +77,7 @@ pub use service::{
     ChipRequest, Deadline, ExplorationRequest, ExplorationResponse, ExplorationService, JobHandle,
     JobProgress, MacroRequest, Priority, ServiceConfig, ServiceError, SessionArchive, SubmitError,
 };
-pub use stage::{Instrumented, ProgressObserver, Stage, StageProgress, TraceContext};
+pub use stage::{ChipStage, Instrumented, ProgressObserver, Stage, StageProgress, TraceContext};
 
 // The cooperative-cancellation vocabulary of [`FlowOptions::cancel`] and
 // [`acim_dse::ExploreOptions::cancel`], re-exported so downstream users
@@ -123,7 +123,7 @@ pub mod prelude {
     };
 
     pub use crate::{
-        ChipFlow, ChipFlowConfig, ChipFlowResult, ChipRequest, Deadline, ExplorationRequest,
+        ChipFlowConfig, ChipFlowResult, ChipRequest, ChipStage, Deadline, ExplorationRequest,
         ExplorationResponse, ExplorationService, FlowConfig, FlowOptions, FlowResult,
         GeneratedDesign, Instrumented, JobHandle, JobProgress, MacroRequest, PersistError,
         Priority, RestoreReport, ServiceConfig, ServiceError, SessionArchive, SnapshotReport,

@@ -77,7 +77,7 @@ use acim_dse::{
     CacheStore, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig, ExploreOptions,
 };
 use acim_model::ModelParams;
-use acim_moga::{CancelReason, CancelToken, EvalStats};
+use acim_moga::{CancelToken, EvalStats};
 use acim_persist::{PersistError, Snapshot};
 use acim_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, SpanId, SpanText, Telemetry,
@@ -90,7 +90,9 @@ use crate::error::FlowError;
 use crate::flow::{FlowOptions, FlowResult, TopFlowController};
 use crate::persistence::{self, RestoreReport, SnapshotReport};
 use crate::sched::{AdmitError, JobSlot, Scheduler, Ticket};
-use crate::stage::{ProgressObserver, StageProgress, TraceContext};
+use crate::stage::{
+    cancel_error, ChipStage, Instrumented, ProgressObserver, Stage, StageProgress, TraceContext,
+};
 
 pub use crate::sched::{Deadline, Priority};
 
@@ -1720,46 +1722,49 @@ impl ExplorationService {
         (progress, observer)
     }
 
-    /// The cancellation token of one admission: carries the deadline when
-    /// the request set one, so deadline expiry and explicit
-    /// [`JobHandle::cancel`] trip the same token.
-    fn cancel_token(admission: &Admission) -> CancelToken {
-        match admission.deadline {
+    /// Admits one job of `kind` over `space`: reserves a queue slot (or
+    /// rejects with backpressure), builds the cancel token, the request
+    /// instruments, the progress of `total` exploration generations and
+    /// the trace context, hands them to `build` for the job body, and
+    /// enqueues that body behind the pre-run cancellation check and the
+    /// deadline-miss counter.
+    ///
+    /// Callers finish everything fallible first, so a rejected request
+    /// records no span and perturbs no gauge.
+    fn admit<Body>(
+        &self,
+        kind: &'static str,
+        id: u64,
+        admission: Admission,
+        space: String,
+        total: usize,
+        build: impl FnOnce(JobContext) -> Body,
+    ) -> Result<JobHandle, SubmitError>
+    where
+        Body: FnOnce() -> Result<ExplorationResponse, FlowError> + Send + 'static,
+    {
+        let ticket = self.reserve_admission()?;
+        // Deadline expiry and an explicit `JobHandle::cancel` trip the
+        // same token.
+        let cancel = match admission.deadline {
             Some(deadline) => CancelToken::with_deadline(deadline.instant()),
             None => CancelToken::new(),
-        }
-    }
-
-    /// The typed error of a job whose token tripped **before** it started
-    /// (cancelled or deadline-expired while queued).
-    fn pre_run_error(reason: CancelReason, total: usize) -> FlowError {
-        match reason {
-            CancelReason::Cancelled => FlowError::Cancelled {
-                completed: 0,
-                total,
-            },
-            CancelReason::DeadlineExceeded => FlowError::DeadlineExceeded {
-                completed: 0,
-                total,
-            },
-        }
-    }
-
-    /// Wraps a job body with the pre-run cancellation check and the
-    /// deadline-miss counter, producing the closure the scheduler's
-    /// worker runs.
-    fn job_closure(
-        &self,
-        instruments: RequestInstruments,
-        cancel: CancelToken,
-        total: usize,
-        body: impl FnOnce() -> Result<ExplorationResponse, FlowError> + Send + 'static,
-    ) -> Box<dyn FnOnce() -> Result<ExplorationResponse, FlowError> + Send> {
+        };
+        let instruments = self.request_instruments(kind, id, &space, &admission);
+        let parent = instruments.root.as_parent();
+        let (progress, observer) = self.generation_progress(total, parent);
+        let body = build(JobContext {
+            cancel: cancel.clone(),
+            observer,
+            trace: self.trace_context(parent),
+        });
+        let job_cancel = cancel.clone();
         let deadline_misses = self.instruments.deadline_misses.clone();
-        Box::new(move || {
+        let work = Box::new(move || {
             let result = instruments.observe(move || {
-                if let Some(reason) = cancel.status() {
-                    return Err(Self::pre_run_error(reason, total));
+                // Cancelled or deadline-expired while queued.
+                if let Some(reason) = job_cancel.status() {
+                    return Err(cancel_error(reason, 0, total));
                 }
                 body()
             });
@@ -1767,11 +1772,22 @@ impl ExplorationService {
                 deadline_misses.inc();
             }
             result
+        });
+        let slot = JobSlot::new();
+        self.scheduler
+            .enqueue(ticket, admission.priority, slot.clone(), work);
+        Ok(JobHandle {
+            id,
+            space,
+            label: admission.label,
+            priority: admission.priority,
+            cancel,
+            progress,
+            slot,
         })
     }
 
     fn submit_macro(&self, id: u64, request: MacroRequest) -> Result<JobHandle, SubmitError> {
-        let admission = request.admission;
         let controller = TopFlowController::new(request.config).map_err(SubmitError::Invalid)?;
         let config = controller.config().clone();
         let space = macro_space_signature(&config.dse);
@@ -1786,95 +1802,78 @@ impl ExplorationService {
             Some(chip) => Some(ChipExplorer::new(chip.dse.clone()).map_err(FlowError::from)?),
             None => None,
         };
-        // Everything fallible is done: claim a queue slot (or reject with
-        // backpressure) before building instruments, so a rejected
-        // request records no span and perturbs no gauge.
-        let ticket = self.reserve_admission()?;
-
-        let cancel = Self::cancel_token(&admission);
-        let mut total = config.dse.generations;
-        let mut chip_options = ExploreOptions {
-            cancel: Some(cancel.clone()),
-            ..Default::default()
-        };
-        if let Some(chip) = &config.chip {
-            total += chip.dse.generations;
-            chip_options.cache = Some(self.store_for(&chip_space_signature(&chip.dse)));
-            // One macro-metric cache per parameter set: when the chip
-            // stage shares the macro stage's ModelParams, this is the
-            // *same* cache handle — the chip exploration then reuses the
-            // per-macro metrics the macro exploration just derived.
-            chip_options.macro_cache = Some(self.macro_store_for(&chip.dse.params));
-        }
-        let instruments = self.request_instruments("macro", id, &space, &admission);
-        let parent = instruments.root.as_parent();
-        let (progress, observer) = self.generation_progress(total, parent);
-        let options = FlowOptions {
-            exploration: ExploreOptions {
-                cache: Some(self.store_for(&space)),
-                macro_cache: Some(self.macro_store_for(&config.dse.params)),
-                warm_start,
-                cancel: Some(cancel.clone()),
-                ..Default::default()
-            },
-            chip: chip_options,
-            observer: Some(observer),
-            trace: self.trace_context(parent),
-            cancel: Some(cancel.clone()),
-        };
-
-        let job_space = space.clone();
-        let space_outcome = self.space_instruments_for(&space);
-        let chip_outcome = config
-            .chip
-            .as_ref()
-            .and_then(|chip| self.space_instruments_for(&chip_space_signature(&chip.dse)));
-        let archive_registry = Arc::clone(&self.session_archives);
-        let body = move || -> Result<ExplorationResponse, FlowError> {
-            let result = controller.run_with(&options)?;
-            if let Some(outcome) = &space_outcome {
-                outcome.record(&result.engine);
-            }
-            let session =
-                SessionArchive::new(space, session_explorer.session_genomes(&result.frontier));
-            let chip_session = match (&config.chip, &result.chip, &chip_session_explorer) {
-                (Some(chip_config), Some(chip_result), Some(explorer)) => {
-                    let chip_space = chip_space_signature(&chip_config.dse);
-                    if let Some(outcome) = &chip_outcome {
-                        outcome.record(&chip_result.engine);
-                    }
-                    Some(SessionArchive::new(
-                        chip_space,
-                        explorer.session_genomes(&chip_result.front),
-                    ))
-                }
-                _ => None,
-            };
-            record_archives(&archive_registry, &session, chip_session.as_ref());
-            Ok(ExplorationResponse::Macro(MacroResponse {
-                result,
-                session,
-                chip_session,
-            }))
-        };
-        let work = self.job_closure(instruments, cancel.clone(), total, body);
-        let slot = JobSlot::new();
-        self.scheduler
-            .enqueue(ticket, admission.priority, slot.clone(), work);
-
-        Ok(JobHandle {
+        let total = config.dse.generations + config.chip.as_ref().map_or(0, |c| c.dse.generations);
+        self.admit(
+            "macro",
             id,
-            space: job_space,
-            label: admission.label,
-            priority: admission.priority,
-            cancel,
-            progress,
-            slot,
-        })
+            request.admission,
+            space.clone(),
+            total,
+            |job| {
+                let mut chip_options = ExploreOptions {
+                    cancel: Some(job.cancel.clone()),
+                    ..Default::default()
+                };
+                if let Some(chip) = &config.chip {
+                    chip_options.cache = Some(self.store_for(&chip_space_signature(&chip.dse)));
+                    // One macro-metric cache per parameter set: when the chip
+                    // stage shares the macro stage's ModelParams, this is the
+                    // *same* cache handle — the chip exploration then reuses
+                    // the per-macro metrics the macro exploration just derived.
+                    chip_options.macro_cache = Some(self.macro_store_for(&chip.dse.params));
+                }
+                let options = FlowOptions {
+                    exploration: ExploreOptions {
+                        cache: Some(self.store_for(&space)),
+                        macro_cache: Some(self.macro_store_for(&config.dse.params)),
+                        warm_start,
+                        cancel: Some(job.cancel.clone()),
+                    },
+                    chip: chip_options,
+                    observer: Some(job.observer),
+                    trace: job.trace,
+                    cancel: Some(job.cancel),
+                };
+                let space_outcome = self.space_instruments_for(&space);
+                let chip_outcome = config
+                    .chip
+                    .as_ref()
+                    .and_then(|chip| self.space_instruments_for(&chip_space_signature(&chip.dse)));
+                let archive_registry = Arc::clone(&self.session_archives);
+                move || {
+                    let result = controller.run_with(&options)?;
+                    if let Some(outcome) = &space_outcome {
+                        outcome.record(&result.engine);
+                    }
+                    let session = SessionArchive::new(
+                        space,
+                        session_explorer.session_genomes(&result.frontier),
+                    );
+                    let chip_session = match (&config.chip, &result.chip, &chip_session_explorer) {
+                        (Some(chip_config), Some(chip_result), Some(explorer)) => {
+                            let chip_space = chip_space_signature(&chip_config.dse);
+                            if let Some(outcome) = &chip_outcome {
+                                outcome.record(&chip_result.engine);
+                            }
+                            Some(SessionArchive::new(
+                                chip_space,
+                                explorer.session_genomes(&chip_result.front),
+                            ))
+                        }
+                        _ => None,
+                    };
+                    record_archives(&archive_registry, &session, chip_session.as_ref());
+                    Ok(ExplorationResponse::Macro(MacroResponse {
+                        result,
+                        session,
+                        chip_session,
+                    }))
+                }
+            },
+        )
     }
 
     fn submit_chip(&self, id: u64, request: ChipRequest) -> Result<JobHandle, SubmitError> {
-        let admission = request.admission;
         // Built eagerly (rejecting an inconsistent configuration before
         // it touches the queue) and reused by the worker for session
         // re-encoding.
@@ -1884,55 +1883,45 @@ impl ExplorationService {
         let space = chip_space_signature(&config.dse);
         let warm_start =
             check_session(&request.warm_start, &space).map_err(SubmitError::Invalid)?;
-        let ticket = self.reserve_admission()?;
-
-        let cancel = Self::cancel_token(&admission);
-        let options = ExploreOptions {
-            cache: Some(self.store_for(&space)),
-            macro_cache: Some(self.macro_store_for(&config.dse.params)),
-            warm_start,
-            cancel: Some(cancel.clone()),
-            ..Default::default()
-        };
         let total = config.dse.generations;
-        let instruments = self.request_instruments("chip", id, &space, &admission);
-        let parent = instruments.root.as_parent();
-        let (progress, observer) = self.generation_progress(total, parent);
-        let trace = self.trace_context(parent);
-
-        let job_space = space.clone();
-        let space_outcome = self.space_instruments_for(&space);
-        let tenant_outcome = self.tenant_instruments_for(&space, &config.dse.mix);
-        let archive_registry = Arc::clone(&self.session_archives);
-        let body = move || -> Result<ExplorationResponse, FlowError> {
-            let flow = crate::chip::ChipFlow::new(config);
-            let result = flow.run_traced(&options, Some(observer), trace)?;
-            if let Some(outcome) = &space_outcome {
-                outcome.record(&result.engine);
+        self.admit("chip", id, request.admission, space.clone(), total, |job| {
+            let options = ExploreOptions {
+                cache: Some(self.store_for(&space)),
+                macro_cache: Some(self.macro_store_for(&config.dse.params)),
+                warm_start,
+                cancel: Some(job.cancel),
+            };
+            let space_outcome = self.space_instruments_for(&space);
+            let tenant_outcome = self.tenant_instruments_for(&space, &config.dse.mix);
+            let archive_registry = Arc::clone(&self.session_archives);
+            move || {
+                let stage = ChipStage::new(config)
+                    .with_options(options)
+                    .with_observer(job.observer);
+                let result = Instrumented::new(stage, job.trace).run(())?;
+                if let Some(outcome) = &space_outcome {
+                    outcome.record(&result.engine);
+                }
+                if let Some(outcome) = &tenant_outcome {
+                    outcome.record(&result);
+                }
+                let session =
+                    SessionArchive::new(space, session_explorer.session_genomes(&result.front));
+                record_archives(&archive_registry, &session, None);
+                Ok(ExplorationResponse::Chip(ChipResponse { result, session }))
             }
-            if let Some(outcome) = &tenant_outcome {
-                outcome.record(&result);
-            }
-            let session =
-                SessionArchive::new(space, session_explorer.session_genomes(&result.front));
-            record_archives(&archive_registry, &session, None);
-            Ok(ExplorationResponse::Chip(ChipResponse { result, session }))
-        };
-        let work = self.job_closure(instruments, cancel.clone(), total, body);
-        let slot = JobSlot::new();
-        self.scheduler
-            .enqueue(ticket, admission.priority, slot.clone(), work);
-
-        Ok(JobHandle {
-            id,
-            space: job_space,
-            label: admission.label,
-            priority: admission.priority,
-            cancel,
-            progress,
-            slot,
         })
     }
+}
+
+/// What [`ExplorationService::admit`] hands a job-body builder.
+struct JobContext {
+    /// The job's cancellation token (it carries the deadline).
+    cancel: CancelToken,
+    /// Ticks the job's progress and records its generation telemetry.
+    observer: ProgressObserver,
+    /// Instruments the job's stages; `None` when telemetry is disabled.
+    trace: Option<TraceContext>,
 }
 
 impl std::fmt::Debug for ExplorationService {

@@ -58,7 +58,7 @@ pub type ProgressObserver = Arc<dyn Fn(StageProgress) + Send + Sync>;
 
 /// Maps a tripped [`CancelToken`] to the matching [`FlowError`] variant,
 /// tagging it with the interrupted stage's partial progress.
-fn cancel_error(reason: CancelReason, completed: usize, total: usize) -> FlowError {
+pub(crate) fn cancel_error(reason: CancelReason, completed: usize, total: usize) -> FlowError {
     match reason {
         CancelReason::Cancelled => FlowError::Cancelled { completed, total },
         CancelReason::DeadlineExceeded => FlowError::DeadlineExceeded { completed, total },
@@ -139,11 +139,6 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// A context recording root-level stage spans.
-    pub fn new(telemetry: Telemetry) -> Self {
-        Self::under(telemetry, None)
-    }
-
     /// A context parenting stage spans under `parent`.
     pub fn under(telemetry: Telemetry, parent: Option<SpanId>) -> Self {
         let stages = Arc::new(StageHistograms::resolve(&telemetry));

@@ -4,7 +4,8 @@
 //! genome) make NSGA-II re-sample the same designs over and over: crossover
 //! between similar parents and no-op mutations routinely reproduce genomes
 //! the optimiser has already paid to evaluate.  [`CachedProblem`] wraps any
-//! [`Problem`] with a hash map keyed by **quantized** genomes so duplicate
+//! [`Problem`] with a hash map keyed by a caller-supplied genome → key
+//! function (the EasyACIM problems key by decode buckets) so duplicate
 //! designs are never re-evaluated, and counts hits/misses so run reports
 //! can show how much evaluation work the cache absorbed.
 //!
@@ -15,9 +16,8 @@
 //!
 //! Caching is transparent to seeded runs: a hit returns a clone of exactly
 //! the evaluation the serial path would have recomputed, so Pareto fronts
-//! are bit-identical with and without the wrapper (provided the quantum is
-//! finer than the problem's decode resolution, which the conservative
-//! default guarantees for every problem in this workspace).
+//! are bit-identical with and without the wrapper (provided the key
+//! function is decode-aligned, see [`CachedProblem::with_key_fn`]).
 //!
 //! # Sharing one cache across runs
 //!
@@ -35,11 +35,6 @@ use acim_telemetry::Counter;
 
 use crate::problem::{Evaluation, Problem};
 use crate::shared_cache::SharedCache;
-
-/// Default genome quantum: far finer than any decode bucket used by the
-/// EasyACIM problems (whose coarsest axis splits `[0, 1]` into a handful of
-/// buckets), yet coarse enough to fold floating-point dust onto one key.
-pub const DEFAULT_QUANTUM: f64 = 1e-9;
 
 /// Hit/miss/eviction counters of a [`CachedProblem`] (or any other cache
 /// reporting through the same shape, like the chip evaluator's
@@ -91,11 +86,9 @@ impl CacheStats {
 /// workspace records into — [`CachedProblem`] here, the chip evaluator's
 /// `MacroCacheClient` downstream.
 ///
-/// The counters are telemetry [`Counter`]s: lock-free handles that a
-/// telemetry registry can adopt (so a service exposes the *same* counters
-/// the wrapper bumps, instead of a parallel bookkeeping copy), while
-/// [`CacheCounters::stats`] keeps the legacy [`CacheStats`] reporting
-/// shape working unchanged. Clones share the underlying values.
+/// The counters are lock-free telemetry [`Counter`]s, read out in the
+/// [`CacheStats`] shape by [`CacheCounters::stats`].  Clones share the
+/// underlying values.
 #[derive(Debug, Clone, Default)]
 pub struct CacheCounters {
     /// Requests answered from the cache.
@@ -140,13 +133,13 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// The shared evaluation store: a [`SharedCache`] from quantized genome
-/// keys to [`Evaluation`]s.
+/// The shared evaluation store: a [`SharedCache`] from genome keys to
+/// [`Evaluation`]s.
 ///
 /// Clones share the same underlying entries (`Arc` semantics), which is
 /// what lets many concurrent [`CachedProblem`] wrappers — one per
 /// exploration request — amortise evaluations across requests.  Keys must
-/// come from one consistent quantizer per store: mixing key functions in
+/// come from one consistent key function per store: mixing key functions in
 /// one store silently partitions (or worse, collides) the entries.
 ///
 /// [`SharedCache::bounded`] caps the store at a fixed number of entries,
@@ -159,17 +152,14 @@ impl std::fmt::Display for CacheStats {
 /// down.
 pub type CacheStore = SharedCache<Vec<i64>, Evaluation>;
 
-/// A genome → cache-key quantizer.
-///
-/// The key decides which genomes count as "the same design".  The default
-/// folds each gene onto a fine fixed grid; problems with bucketed decoders
-/// (like the EasyACIM design spaces) should instead supply their decode
-/// buckets via [`CachedProblem::with_key_fn`], which makes every genome
-/// that decodes to the same design share one cache entry.
-pub type KeyFn = dyn Fn(&[f64]) -> Vec<i64> + Send + Sync;
+/// A genome → cache-key function borrowing for `'k`.
+type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + Send + Sync + 'k;
 
-/// A [`Problem`] wrapper that memoizes evaluations keyed by quantized
-/// genomes.
+/// A [`Problem`] wrapper that memoizes evaluations by genome key.
+///
+/// The key function may borrow for `'k` (typically the wrapped problem
+/// itself: `|g| problem.cache_key(g)`), so callers need not clone
+/// anything into a `'static` closure.
 ///
 /// # Example
 ///
@@ -185,77 +175,47 @@ pub type KeyFn = dyn Fn(&[f64]) -> Vec<i64> + Send + Sync;
 ///     }
 /// }
 ///
-/// let cached = CachedProblem::new(Square);
+/// let cached = CachedProblem::with_key_fn(Square, |genes| {
+///     genes.iter().map(|g| g.to_bits() as i64).collect()
+/// });
 /// let a = cached.evaluate(&[0.5]);
 /// let b = cached.evaluate(&[0.5]); // answered from the cache
 /// assert_eq!(a, b);
 /// let stats = cached.stats();
 /// assert_eq!((stats.hits, stats.misses), (1, 1));
 /// ```
-pub struct CachedProblem<P> {
+pub struct CachedProblem<'k, P> {
     inner: P,
-    quantum: f64,
-    key_fn: Option<Box<KeyFn>>,
+    key_fn: Box<KeyFn<'k>>,
     store: CacheStore,
     counters: CacheCounters,
 }
 
-impl<P: std::fmt::Debug> std::fmt::Debug for CachedProblem<P> {
+impl<P: std::fmt::Debug> std::fmt::Debug for CachedProblem<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedProblem")
             .field("inner", &self.inner)
-            .field("quantum", &self.quantum)
-            .field("custom_key", &self.key_fn.is_some())
             .field("stats", &self.counters.stats())
             .finish_non_exhaustive()
     }
 }
 
-impl<P: Problem> CachedProblem<P> {
-    /// Wraps a problem with the conservative [`DEFAULT_QUANTUM`].
-    pub fn new(inner: P) -> Self {
-        Self::with_quantum(inner, DEFAULT_QUANTUM)
-    }
-
-    /// Wraps a problem, folding genomes onto cache keys at `quantum`
-    /// resolution.  Larger quanta merge more near-duplicates (useful when
-    /// the decode buckets are coarse); the quantum must stay finer than
-    /// the problem's decode resolution for caching to be semantically
-    /// lossless.
+impl<'k, P: Problem> CachedProblem<'k, P> {
+    /// Wraps a problem with its genome → key function.
     ///
-    /// # Panics
-    ///
-    /// Panics when `quantum` is not strictly positive and finite.
-    pub fn with_quantum(inner: P, quantum: f64) -> Self {
-        assert!(
-            quantum > 0.0 && quantum.is_finite(),
-            "quantum must be positive and finite, got {quantum}"
-        );
-        Self {
-            inner,
-            quantum,
-            key_fn: None,
-            store: CacheStore::new(),
-            counters: CacheCounters::new(),
-        }
-    }
-
-    /// Wraps a problem with a custom genome → key quantizer.
-    ///
-    /// The key function must be **decode-aligned**: two genomes may share a
-    /// key only when the problem evaluates them to the identical
-    /// [`Evaluation`].  Under that contract caching stays bit-lossless and
-    /// far more effective than gene-grid quantization — e.g. the EasyACIM
+    /// The key decides which genomes count as "the same design", and it
+    /// must be **decode-aligned**: two genomes may share a key only when
+    /// the problem evaluates them to the identical [`Evaluation`].  Under
+    /// that contract caching stays bit-lossless — e.g. the EasyACIM
     /// problems key by decoded bucket indices, so every genome that lands
     /// in the same (H, L, B, …) design hits one cache entry.
     pub fn with_key_fn<F>(inner: P, key_fn: F) -> Self
     where
-        F: Fn(&[f64]) -> Vec<i64> + Send + Sync + 'static,
+        F: Fn(&[f64]) -> Vec<i64> + Send + Sync + 'k,
     {
         Self {
             inner,
-            quantum: DEFAULT_QUANTUM,
-            key_fn: Some(Box::new(key_fn)),
+            key_fn: Box::new(key_fn),
             store: CacheStore::new(),
             counters: CacheCounters::new(),
         }
@@ -276,24 +236,6 @@ impl<P: Problem> CachedProblem<P> {
         self
     }
 
-    /// Replaces the wrapper's (fresh, zeroed) counters with externally
-    /// owned ones — typically handles a telemetry registry vended, so the
-    /// registry exposes the very counters the hot path bumps instead of a
-    /// copied-out snapshot. Attribution semantics are the caller's choice:
-    /// hand per-request counters for per-request stats, or one shared
-    /// triple for cumulative per-space stats.
-    #[must_use]
-    pub fn with_counters(mut self, counters: CacheCounters) -> Self {
-        self.counters = counters;
-        self
-    }
-
-    /// The wrapper's counter triple (clone it to register with a
-    /// telemetry registry or to read after the wrapper is dropped).
-    pub fn counters(&self) -> &CacheCounters {
-        &self.counters
-    }
-
     /// The wrapper's store handle (clone it to share entries with another
     /// wrapper or to inspect the cache after the wrapper is dropped).
     pub fn store(&self) -> &CacheStore {
@@ -303,11 +245,6 @@ impl<P: Problem> CachedProblem<P> {
     /// The wrapped problem.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// Consumes the wrapper and returns the inner problem.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     /// Number of distinct designs currently cached (shared-store wrappers
@@ -325,20 +262,9 @@ impl<P: Problem> CachedProblem<P> {
     pub fn stats(&self) -> CacheStats {
         self.counters.stats()
     }
-
-    /// Quantizes a genome into its cache key.
-    fn key(&self, genes: &[f64]) -> Vec<i64> {
-        match &self.key_fn {
-            Some(key_fn) => key_fn(genes),
-            None => genes
-                .iter()
-                .map(|&g| (g / self.quantum).round() as i64)
-                .collect(),
-        }
-    }
 }
 
-impl<P: Problem> Problem for CachedProblem<P> {
+impl<P: Problem> Problem for CachedProblem<'_, P> {
     fn num_variables(&self) -> usize {
         self.inner.num_variables()
     }
@@ -348,7 +274,7 @@ impl<P: Problem> Problem for CachedProblem<P> {
     }
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        let key = self.key(genes);
+        let key = (self.key_fn)(genes);
         if let Some(eval) = self.store.get(&key) {
             self.counters.hits.inc();
             return eval;
@@ -369,7 +295,7 @@ impl<P: Problem> Problem for CachedProblem<P> {
         // store or an earlier duplicate in this batch already knows the
         // design, as a miss otherwise — so per-request counters on a
         // shared store sum to exactly the evaluations the request issued.
-        let keys: Vec<Vec<i64>> = genomes.iter().map(|g| self.key(g)).collect();
+        let keys: Vec<Vec<i64>> = genomes.iter().map(|g| (self.key_fn)(g)).collect();
         let mut results: Vec<Option<Evaluation>> = vec![None; genomes.len()];
         let mut miss_genomes: Vec<Vec<f64>> = Vec::new();
         let mut miss_keys: Vec<Vec<i64>> = Vec::new();
@@ -479,9 +405,16 @@ mod tests {
         }
     }
 
+    /// Wraps `inner` keyed by the exact genome bits.
+    fn cached(inner: Counting) -> CachedProblem<'static, Counting> {
+        CachedProblem::with_key_fn(inner, |genes| {
+            genes.iter().map(|g| g.to_bits() as i64).collect()
+        })
+    }
+
     #[test]
     fn repeat_evaluations_hit_the_cache() {
-        let cached = CachedProblem::new(Counting::new());
+        let cached = cached(Counting::new());
         let a = cached.evaluate(&[0.25, 0.5]);
         let b = cached.evaluate(&[0.25, 0.5]);
         let c = cached.evaluate(&[0.75, 0.5]);
@@ -494,7 +427,7 @@ mod tests {
 
     #[test]
     fn batch_deduplicates_within_and_across_batches() {
-        let cached = CachedProblem::new(Counting::new());
+        let cached = cached(Counting::new());
         let genomes = vec![
             vec![0.1, 0.1],
             vec![0.2, 0.2],
@@ -516,7 +449,7 @@ mod tests {
 
     #[test]
     fn batch_results_preserve_input_order_and_match_serial() {
-        let cached = CachedProblem::new(Counting::new());
+        let cached = cached(Counting::new());
         let genomes: Vec<Vec<f64>> = (0..10)
             .map(|i| vec![f64::from(i) / 10.0, f64::from(i % 3) / 3.0])
             .collect();
@@ -527,26 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn quantization_folds_floating_point_dust() {
-        let cached = CachedProblem::with_quantum(Counting::new(), 1e-6);
-        let _ = cached.evaluate(&[0.5, 0.5]);
-        let _ = cached.evaluate(&[0.5 + 1e-9, 0.5 - 1e-9]);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 1));
-    }
-
-    #[test]
     fn hit_rate_reads_naturally() {
         let stats = CacheStats::hits_misses(3, 1);
         assert_eq!(stats.total(), 4);
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         assert!(stats.to_string().contains("75.0% hit rate"));
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_quantum_is_rejected() {
-        let _ = CachedProblem::with_quantum(Counting::new(), 0.0);
     }
 
     #[test]
@@ -565,20 +484,20 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(cached.stats(), CacheStats::hits_misses(1, 2));
-        assert!(format!("{cached:?}").contains("custom_key: true"));
+        assert!(format!("{cached:?}").contains("CachedProblem"));
     }
 
     #[test]
     fn shared_store_amortises_across_wrappers_with_per_wrapper_stats() {
         let store = CacheStore::new();
-        let first = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let first = cached(Counting::new()).with_shared_store(store.clone());
         let _ = first.evaluate_batch(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(first.stats(), CacheStats::hits_misses(0, 2));
         assert_eq!(store.len(), 2);
 
         // A second wrapper (a new "request") over the same store: answers
         // come from the shared entries, attributed to this wrapper.
-        let second = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let second = cached(Counting::new()).with_shared_store(store.clone());
         let batch = second.evaluate_batch(&[vec![0.2, 0.2], vec![0.3, 0.3]]);
         assert_eq!(batch.len(), 2);
         assert_eq!(second.stats(), CacheStats::hits_misses(1, 1));
@@ -629,7 +548,7 @@ mod tests {
         );
         store.insert(vec![3], Evaluation::unconstrained(vec![3.0]));
         assert_eq!(store.len(), 2);
-        let cached = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let cached = cached(Counting::new()).with_shared_store(store.clone());
         let batch = cached.evaluate_batch(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(batch.len(), 2);
         assert_eq!(cached.stats(), CacheStats::hits_misses(0, 2));
@@ -663,7 +582,7 @@ mod tests {
     #[test]
     fn bounded_wrapper_attributes_its_own_evictions() {
         let store = CacheStore::bounded(2);
-        let cached = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let cached = cached(Counting::new()).with_shared_store(store.clone());
         for i in 0..5 {
             let _ = cached.evaluate(&[f64::from(i) / 10.0, 0.0]);
         }
@@ -686,7 +605,7 @@ mod tests {
         // occurrence, evaluated) plus one hit (the duplicate) — never two
         // misses — and a triplicate is one miss plus two hits.
         let store = CacheStore::new();
-        let request_a = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let request_a = cached(Counting::new()).with_shared_store(store.clone());
         let cohort = vec![
             vec![0.5, 0.5],
             vec![0.5, 0.5],
@@ -704,7 +623,7 @@ mod tests {
 
         // A second request over the shared store sees the duplicate as a
         // plain cross-request hit.
-        let request_b = CachedProblem::new(Counting::new()).with_shared_store(store.clone());
+        let request_b = cached(Counting::new()).with_shared_store(store.clone());
         let evals_b = request_b.evaluate_batch(&[vec![0.5, 0.5], vec![0.5, 0.5]]);
         assert_eq!(evals_b[0], evals[0]);
         assert_eq!(request_b.stats(), CacheStats::hits_misses(2, 0));
@@ -712,29 +631,11 @@ mod tests {
     }
 
     #[test]
-    fn adopted_counters_are_the_ones_the_hot_path_bumps() {
-        // A registry-vended triple handed in via with_counters sees every
-        // hit/miss/eviction the wrapper records — no parallel bookkeeping.
-        let counters = CacheCounters::new();
-        let cached = CachedProblem::new(Counting::new()).with_counters(counters.clone());
-        let _ = cached.evaluate(&[0.1, 0.1]);
-        let _ = cached.evaluate(&[0.1, 0.1]);
-        assert_eq!(counters.hits.get(), 1);
-        assert_eq!(counters.misses.get(), 1);
-        assert_eq!(counters.stats(), cached.stats());
-        assert_eq!(counters.stats(), CacheStats::hits_misses(1, 1));
-        // The accessor exposes the same shared handles.
-        cached.counters().hits.inc();
-        assert_eq!(counters.hits.get(), 2);
-    }
-
-    #[test]
     fn trait_surface_forwards_to_inner() {
-        let cached = CachedProblem::new(Counting::new());
+        let cached = cached(Counting::new());
         assert_eq!(cached.num_variables(), 2);
         assert_eq!(cached.num_objectives(), 1);
         assert_eq!(cached.name(), "counting");
         assert!(cached.is_empty());
-        let _ = cached.into_inner();
     }
 }

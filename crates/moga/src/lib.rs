@@ -39,8 +39,8 @@
 //!    evaluation, so the RNG stream — and therefore the Pareto front — is
 //!    exactly what the historical one-genome-at-a-time loop produced.
 //! 2. **Memoization** — [`CachedProblem`] wraps any problem with a cache
-//!    keyed by quantized genomes, so duplicate designs (which bucketed
-//!    encodings re-sample constantly) are never re-evaluated.  Its batch
+//!    keyed by a caller-supplied genome key, so duplicate designs (which
+//!    bucketed encodings re-sample constantly) are never re-evaluated.  Its batch
 //!    path forwards only the *unique misses* to the inner problem, and its
 //!    [`CacheStats`] hit/miss counters surface in run reports.
 //!

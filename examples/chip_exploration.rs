@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stage = ChipFlowConfig::for_mix(network);
     stage.dse.population_size = population_size;
     stage.dse.generations = generations;
-    let result = ChipFlow::new(stage).run()?;
+    let result = ChipStage::new(stage).run(())?;
     println!("{}", chip_report(&result));
     Ok(())
 }

@@ -88,11 +88,7 @@ proptest! {
         genomes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 3), 1..40)
     ) {
         let problem = macro_problem();
-        let keyed = problem.clone();
-        let cached = CachedProblem::with_key_fn(
-            problem.clone(),
-            move |genes| keyed.cache_key(genes),
-        );
+        let cached = CachedProblem::with_key_fn(problem.clone(), |genes| problem.cache_key(genes));
         // Evaluate the list twice: the second pass is all cache hits and
         // must still be bit-identical.
         let uncached = problem.evaluate_batch(&genomes);
@@ -183,8 +179,7 @@ fn cached_nsga2_produces_the_same_front_as_uncached() {
         ..Default::default()
     };
     let problem = macro_problem();
-    let keyed = problem.clone();
-    let cached = CachedProblem::with_key_fn(&problem, move |genes| keyed.cache_key(genes));
+    let cached = CachedProblem::with_key_fn(&problem, |genes| problem.cache_key(genes));
     let plain_run = Nsga2::new(&problem, config.clone()).with_seed(5).run();
     let cached_run = Nsga2::new(&cached, config).with_seed(5).run();
     assert_eq!(

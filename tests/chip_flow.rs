@@ -8,7 +8,7 @@ use acim_chip::{
     WorkloadMix,
 };
 use acim_dse::{ChipDseConfig, ChipExplorer};
-use easyacim::{chip_report, ChipFlow, ChipFlowConfig, FlowConfig, TopFlowController};
+use easyacim::{chip_report, ChipFlowConfig, ChipStage, FlowConfig, Stage, TopFlowController};
 
 fn quick_dse(network: Network) -> ChipDseConfig {
     let mut config = ChipDseConfig::for_mix(network);
@@ -124,7 +124,7 @@ fn all_three_workload_families_run_on_a_chip() {
 fn chip_flow_stage_reports_front_and_validation() {
     let mut config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
     config.dse = quick_dse(Network::edge_cnn(1));
-    let result = ChipFlow::new(config).run().unwrap();
+    let result = ChipStage::new(config).run(()).unwrap();
     assert!(!result.front.is_empty());
     let report = chip_report(&result);
     assert!(report.contains("frontier chips"));

@@ -2,7 +2,7 @@
 //!
 //! * service-run requests are **bit-identical** to the pre-redesign
 //!   single-tenant entry points (`TopFlowController::run`,
-//!   `ChipFlow::run`) — the shared cache is semantically lossless;
+//!   `ChipStage::run`) — the shared cache is semantically lossless;
 //! * consecutive requests over one design space show nonzero
 //!   cross-request cache hits;
 //! * warm-started runs are deterministic and their final hypervolume is
@@ -78,7 +78,7 @@ fn service_macro_request_is_bit_identical_to_top_flow_controller() {
 
 #[test]
 fn service_chip_request_is_bit_identical_to_chip_flow() {
-    let direct = ChipFlow::new(quick_chip_config()).run().unwrap();
+    let direct = ChipStage::new(quick_chip_config()).run(()).unwrap();
     let service = ExplorationService::new();
     let response = service
         .run(ExplorationRequest::chip_space(quick_chip_config()))
