@@ -1,12 +1,14 @@
-//! Configuration and result of the chip-composition stage of the flow:
-//! from a distilled macro space to a full multi-macro accelerator.
+//! Configuration and result of the chip-composition exploration: from a
+//! macro space to a full multi-macro accelerator.
 //!
 //! The macro flow of [`crate::flow`] ends with netlists and layouts for
-//! single macros.  [`crate::stage::ChipStage`] continues where it stops:
-//! it runs the chip-level co-exploration of `acim-dse` (macro shape ×
-//! macro count × global-buffer sizing against a workload mix) and,
-//! optionally, validates the best chip behaviourally by simulating every
-//! tenant's layers on the macro grid.
+//! single macros.  [`crate::stage::ChipStage`] is a separate exploration
+//! that reads nothing but its own [`ChipFlowConfig`]: it runs the
+//! chip-level co-exploration of `acim-dse` (macro shape × macro count ×
+//! global-buffer sizing against a workload mix) and, optionally,
+//! validates the best chip behaviourally by simulating every tenant's
+//! layers on the macro grid.  On the service it is a chip request, which
+//! runs beside macro requests and shares their macro-metric cache.
 
 use std::time::Duration;
 

@@ -1,9 +1,8 @@
 //! Flow configuration.
 
-use acim_dse::{ChipExplorer, DseConfig, UserRequirements};
+use acim_dse::{DseConfig, UserRequirements};
 use acim_tech::Technology;
 
-use crate::chip::ChipFlowConfig;
 use crate::error::FlowError;
 
 /// Configuration of one end-to-end EasyACIM run.
@@ -21,9 +20,6 @@ pub struct FlowConfig {
     pub max_layouts: usize,
     /// Whether to emit SPICE/DEF/GDS text alongside the in-memory results.
     pub emit_files: bool,
-    /// Optional chip-composition stage: co-explore macro shape × macro
-    /// count × buffer sizing against a workload mix after the macro flow.
-    pub chip: Option<ChipFlowConfig>,
 }
 
 impl FlowConfig {
@@ -40,14 +36,7 @@ impl FlowConfig {
             requirements: UserRequirements::none(),
             max_layouts: 3,
             emit_files: false,
-            chip: None,
         }
-    }
-
-    /// Enables the chip-composition stage with the given settings.
-    pub fn with_chip_stage(mut self, chip: ChipFlowConfig) -> Self {
-        self.chip = Some(chip);
-        self
     }
 
     /// Validates the configuration.
@@ -66,12 +55,6 @@ impl FlowConfig {
             return Err(FlowError::InvalidConfig(
                 "population size must be at least 4".into(),
             ));
-        }
-        if let Some(chip) = &self.chip {
-            // Build the chip explorer eagerly so an inconsistent chip stage
-            // is rejected before the expensive macro flow runs.
-            ChipExplorer::new(chip.dse.clone())
-                .map_err(|e| FlowError::InvalidConfig(format!("chip stage: {e}")))?;
         }
         Ok(())
     }
@@ -96,17 +79,5 @@ mod tests {
         config = FlowConfig::new(1024);
         config.dse.population_size = 2;
         assert!(config.validate().is_err());
-    }
-
-    #[test]
-    fn invalid_chip_stage_rejected_up_front() {
-        let mut chip = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
-        chip.dse.population_size = 7;
-        let config = FlowConfig::new(16 * 1024).with_chip_stage(chip);
-        assert!(config.validate().is_err());
-
-        let chip = ChipFlowConfig::for_mix(acim_chip::Network::edge_cnn(1));
-        let config = FlowConfig::new(16 * 1024).with_chip_stage(chip);
-        assert!(config.validate().is_ok());
     }
 }

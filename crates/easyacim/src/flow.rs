@@ -8,6 +8,11 @@
 //! Both paths produce bit-identical results for a fixed configuration —
 //! the options only change *how fast* the frontier is found, never what
 //! it is.
+//!
+//! A flow explores exactly one macro design space.  Composing chips from
+//! macros is a separate exploration: a [`crate::stage::ChipStage`] run, or
+//! a chip request beside the macro request on the service, which shares
+//! one macro-metric cache between the two.
 
 use std::time::{Duration, Instant};
 
@@ -17,12 +22,11 @@ use acim_layout::MacroLayout;
 use acim_moga::EvalStats;
 use acim_netlist::{Design, DesignStats};
 
-use crate::chip::ChipFlowResult;
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::stage::{
-    ChipStage, DistillStage, ExploreStage, Instrumented, LaidOut, LayoutStage, NetlistStage,
-    ProgressObserver, Stage, TraceContext,
+    DistillStage, ExploreStage, Instrumented, LayoutStage, NetlistStage, ProgressObserver, Stage,
+    TraceContext,
 };
 
 /// One fully generated design: the distilled Pareto point, its hierarchical
@@ -59,42 +63,34 @@ pub struct FlowResult {
     /// Evaluation-engine statistics of the macro exploration
     /// (evaluations, cache hit/miss counters, wall-clock breakdown).
     pub engine: EvalStats,
-    /// The chip-composition stage result, when the stage was configured.
-    pub chip: Option<ChipFlowResult>,
 }
 
 /// Injection points a long-lived caller (the
 /// [`crate::service::ExplorationService`]) threads into one flow run:
-/// shared evaluation caches for the macro and chip design spaces,
-/// warm-start seed populations, and a progress observer.  The default is
-/// a cold, unobserved, self-contained run.
+/// a shared evaluation cache, warm-start seeds, a cancellation token, a
+/// progress observer and a telemetry context.  The default is a cold,
+/// unobserved, self-contained run.
 #[derive(Clone, Default)]
 pub struct FlowOptions {
-    /// Cache / warm-start injection for the macro exploration stage.
+    /// Cache / warm-start / cancellation injection for the exploration.
+    /// Its [`ExploreOptions::cancel`] token is the run's only one: the
+    /// exploration polls it at generation boundaries, the netlist and
+    /// layout stages before every design.
     pub exploration: ExploreOptions,
-    /// Cache / warm-start injection for the optional chip stage.
-    pub chip: ExploreOptions,
     /// Observer receiving one event per unit of stage progress.
     pub observer: Option<ProgressObserver>,
     /// Telemetry context: when present, every stage is wrapped in an
     /// [`Instrumented`] adapter recording per-stage spans (parented under
     /// the context's parent span) and `stage_seconds` histograms.
     pub trace: Option<TraceContext>,
-    /// Cooperative cancellation for the netlist/layout tail stages,
-    /// polled before every design.  The exploration stages carry their
-    /// own token inside [`ExploreOptions::cancel`] (usually a clone of
-    /// this one), where it is polled at generation boundaries.
-    pub cancel: Option<acim_moga::CancelToken>,
 }
 
 impl std::fmt::Debug for FlowOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlowOptions")
             .field("exploration", &self.exploration)
-            .field("chip", &self.chip)
             .field("observed", &self.observer.is_some())
             .field("traced", &self.trace.is_some())
-            .field("cancellable", &self.cancel.is_some())
             .finish()
     }
 }
@@ -130,8 +126,7 @@ impl TopFlowController {
         &self.config
     }
 
-    /// Runs the full flow: exploration → distillation → netlist → layout
-    /// (→ chip composition, when configured).
+    /// Runs the full flow: exploration → distillation → netlist → layout.
     ///
     /// # Errors
     ///
@@ -145,63 +140,39 @@ impl TopFlowController {
     /// Runs the full flow with caller-injected [`FlowOptions`].
     ///
     /// The stages are the typed pipeline of [`crate::stage`]:
-    /// explore → distill → netlist → layout, with the input-free chip
-    /// stage — when configured — running **concurrently** with the
-    /// netlist/layout stages on the persistent worker pool
-    /// ([`rayon::join_owned`]); the chip stage depends only on its
-    /// configuration, so the overlap changes wall-clock, not results.
+    /// explore → distill → netlist → layout.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError`] when any stage fails.
     pub fn run_with(&self, options: &FlowOptions) -> Result<FlowResult, FlowError> {
         let start = Instant::now();
-
-        let macro_stages = || -> Result<LaidOut, FlowError> {
-            let mut explore = ExploreStage::new(self.config.dse.clone())
-                .with_options(options.exploration.clone());
-            let mut netlist = NetlistStage::new(
-                &self.library,
-                self.config.emit_files,
-                self.config.max_layouts,
-            );
-            let mut layout = LayoutStage::new(&self.config.technology, &self.library);
-            if let Some(observer) = &options.observer {
-                explore = explore.with_observer(observer.clone());
-                netlist = netlist.with_observer(observer.clone());
-                layout = layout.with_observer(observer.clone());
-            }
-            if let Some(cancel) = &options.cancel {
-                netlist = netlist.with_cancel(cancel.clone());
-                layout = layout.with_cancel(cancel.clone());
-            }
-            let trace = options.trace.clone();
-            Instrumented::new(explore, trace.clone())
-                .then(Instrumented::new(
-                    DistillStage::new(self.config.requirements),
-                    trace.clone(),
-                ))
-                .then(Instrumented::new(netlist, trace.clone()))
-                .then(Instrumented::new(layout, trace))
-                .run(())
-        };
-
-        let (laid_out, chip) = match &self.config.chip {
-            Some(chip_config) => {
-                let mut chip_stage =
-                    ChipStage::new(chip_config.clone()).with_options(options.chip.clone());
-                if let Some(observer) = &options.observer {
-                    chip_stage = chip_stage.with_observer(observer.clone());
-                }
-                let chip_stage = Instrumented::new(chip_stage, options.trace.clone());
-                // The chip stage owns everything it needs, so it runs as a
-                // `'static` job on the persistent pool while this thread
-                // works through the macro stages.
-                let (chip, laid_out) = rayon::join_owned(move || chip_stage.run(()), macro_stages);
-                (laid_out?, Some(chip?))
-            }
-            None => (macro_stages()?, None),
-        };
+        let mut explore =
+            ExploreStage::new(self.config.dse.clone()).with_options(options.exploration.clone());
+        let mut netlist = NetlistStage::new(
+            &self.library,
+            self.config.emit_files,
+            self.config.max_layouts,
+        );
+        let mut layout = LayoutStage::new(&self.config.technology, &self.library);
+        if let Some(observer) = &options.observer {
+            explore = explore.with_observer(observer.clone());
+            netlist = netlist.with_observer(observer.clone());
+            layout = layout.with_observer(observer.clone());
+        }
+        if let Some(cancel) = &options.exploration.cancel {
+            netlist = netlist.with_cancel(cancel.clone());
+            layout = layout.with_cancel(cancel.clone());
+        }
+        let trace = &options.trace;
+        let laid_out = Instrumented::new(explore, trace.clone())
+            .then(Instrumented::new(
+                DistillStage::new(self.config.requirements),
+                trace.clone(),
+            ))
+            .then(Instrumented::new(netlist, trace.clone()))
+            .then(Instrumented::new(layout, trace.clone()))
+            .run(())?;
 
         Ok(FlowResult {
             frontier: laid_out.frontier,
@@ -210,7 +181,6 @@ impl TopFlowController {
             exploration_time: laid_out.exploration_time,
             total_time: start.elapsed(),
             engine: laid_out.engine,
-            chip,
         })
     }
 }
@@ -273,23 +243,37 @@ mod tests {
     }
 
     #[test]
-    fn chip_stage_runs_when_configured() {
-        use crate::chip::ChipFlowConfig;
-        use acim_chip::Network;
+    fn the_exploration_token_also_stops_netlist_and_layout() {
+        use crate::stage::StageProgress;
+        use acim_moga::CancelToken;
+        use std::sync::Arc;
 
-        let mut chip_config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
-        chip_config.dse.population_size = 16;
-        chip_config.dse.generations = 5;
-        chip_config.dse.grid_rows = vec![1, 2];
-        chip_config.dse.grid_cols = vec![1, 2];
-        chip_config.dse.buffer_kib = vec![8, 32];
-        chip_config.validate_best = false;
-        let config = quick_config(4 * 1024).with_chip_stage(chip_config);
-        let result = TopFlowController::new(config).unwrap().run().unwrap();
-        let chip = result.chip.as_ref().expect("chip stage ran");
-        assert!(!chip.front.is_empty());
-        // The macro flow is untouched by the chip stage.
-        assert!(!result.designs.is_empty());
+        let cancel = CancelToken::new();
+        let trip = cancel.clone();
+        // Tripped after the first netlist, when the exploration is over:
+        // only the netlist stage's poll before the second design can stop
+        // the run.
+        let observer: ProgressObserver = Arc::new(move |event: StageProgress| {
+            if event.stage == "netlist" {
+                trip.cancel();
+            }
+        });
+        let options = FlowOptions {
+            exploration: ExploreOptions {
+                cancel: Some(cancel),
+                ..ExploreOptions::default()
+            },
+            observer: Some(observer),
+            ..FlowOptions::default()
+        };
+        let controller = TopFlowController::new(quick_config(4 * 1024)).unwrap();
+        assert!(matches!(
+            controller.run_with(&options),
+            Err(FlowError::Cancelled {
+                completed: 1,
+                total: 2
+            })
+        ));
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //!   [`GeneratedDesign`] (netlist + layout + metrics) per distilled
 //!   solution,
 //! * the flow itself is assembled from the **typed stages** of [`stage`]
-//!   (explore → distill → netlist → layout, plus the input-free chip
-//!   stage), chained with [`stage::Stage::then`],
+//!   (explore → distill → netlist → layout), chained with
+//!   [`stage::Stage::then`],
+//! * [`ChipStage`] is this reproduction's extension beyond the paper: a
+//!   separate exploration composing chips from several macros against a
+//!   workload mix ([`ChipFlowConfig`]); every run and every service
+//!   request explores exactly one design space, macro or chip,
 //! * [`service::ExplorationService`] is the **multi-tenant front door**:
 //!   a bounded, deadline-aware admission scheduler (fixed worker set,
 //!   priority queue, cooperative cancellation) runs many concurrent
@@ -79,7 +83,7 @@ pub use service::{
 };
 pub use stage::{ChipStage, Instrumented, ProgressObserver, Stage, StageProgress, TraceContext};
 
-// The cooperative-cancellation vocabulary of [`FlowOptions::cancel`] and
+// The cooperative-cancellation vocabulary of
 // [`acim_dse::ExploreOptions::cancel`], re-exported so downstream users
 // can build and trip tokens without naming the MOGA crate.
 pub use acim_moga::{CancelReason, CancelToken};

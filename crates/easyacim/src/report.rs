@@ -317,9 +317,6 @@ pub fn flow_summary(result: &FlowResult) -> String {
     for design in &result.designs {
         out.push_str(&design_report(design));
     }
-    if let Some(chip) = &result.chip {
-        out.push_str(&chip_report(chip));
-    }
     out
 }
 

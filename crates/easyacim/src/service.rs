@@ -143,8 +143,7 @@ pub(crate) struct Admission {
 }
 
 /// A full macro-flow request: exploration → distillation → netlist →
-/// layout (→ chip composition when the config carries a chip stage).
-/// Built through [`ExplorationRequest::macro_space`].
+/// layout.  Built through [`ExplorationRequest::macro_space`].
 #[derive(Debug, Clone)]
 pub struct MacroRequest {
     /// The flow configuration.
@@ -217,8 +216,10 @@ pub enum ExplorationRequest {
 
 impl ExplorationRequest {
     /// A cold request over a macro design space: the full flow of
-    /// `config` (exploration → distillation → netlist → layout, plus the
-    /// chip stage when configured).
+    /// `config` (exploration → distillation → netlist → layout).  Every
+    /// request explores one design space, so a macro plus a chip
+    /// exploration is two requests; run side by side, they share one
+    /// macro-metric cache.
     pub fn macro_space(config: FlowConfig) -> Self {
         Self::Macro(MacroRequest::new(config))
     }
@@ -284,8 +285,6 @@ pub struct MacroResponse {
     /// The macro frontier, re-encoded for warm-starting a follow-up
     /// request over the same macro space.
     pub session: SessionArchive,
-    /// The chip frontier's session, when the flow ran a chip stage.
-    pub chip_session: Option<SessionArchive>,
 }
 
 /// Response to a [`ChipRequest`].
@@ -310,8 +309,8 @@ pub enum ExplorationResponse {
 }
 
 impl ExplorationResponse {
-    /// Evaluation-engine statistics of the request's (primary)
-    /// exploration, including per-request cache hit/miss attribution.
+    /// Evaluation-engine statistics of the request's exploration,
+    /// including per-request cache hit/miss attribution.
     pub fn engine(&self) -> &EvalStats {
         match self {
             ExplorationResponse::Macro(response) => &response.result.engine,
@@ -345,11 +344,10 @@ impl ExplorationResponse {
 }
 
 /// Progress snapshot of a running job, counted in **exploration
-/// generations** (macro plus chip when the flow has a chip stage) — the
-/// dominant cost of a request.  `completed == total` means every
-/// exploration finished; the short netlist/layout tail of a macro flow
-/// may still be running, so use [`JobHandle::is_finished`] to detect
-/// actual completion.
+/// generations** — the dominant cost of a request.  `completed == total`
+/// means the exploration finished; the short netlist/layout tail of a
+/// macro flow may still be running, so use [`JobHandle::is_finished`] to
+/// detect actual completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobProgress {
     /// Exploration generations finished.
@@ -383,9 +381,27 @@ impl std::fmt::Display for JobProgress {
     }
 }
 
+/// A job's progress counters, plus the clock its `generation` spans are
+/// timed on.
 struct ProgressState {
     completed: AtomicUsize,
     total: AtomicUsize,
+    admitted: Instant,
+    /// The previous generation tick, or the job's start, in nanoseconds
+    /// since admission.  A plain atomic — a mutexed instant here would be
+    /// measurable against a warm-cache generation's microsecond-scale
+    /// wall clock.
+    last_tick_ns: AtomicU64,
+}
+
+impl ProgressState {
+    /// Moves the generation clock to `now` and returns its previous
+    /// reading: when the generation ending at `now` began.
+    fn stamp(&self, now: Instant) -> Instant {
+        let now_ns = now.saturating_duration_since(self.admitted).as_nanos() as u64;
+        let previous = self.last_tick_ns.swap(now_ns, Ordering::Relaxed);
+        self.admitted + Duration::from_nanos(previous)
+    }
 }
 
 /// Per-request instrumentation, registered at submission and moved into
@@ -526,15 +542,22 @@ impl TenantInstruments {
     }
 }
 
-/// The per-kind request instruments.
+/// The per-kind request instruments, plus the kind's exploration stage:
+/// every job explores one design space, so a job of this kind ticks only
+/// `stage`'s generations into `generation_seconds{stage}`.
 struct KindInstruments {
+    kind: &'static str,
+    stage: &'static str,
     requests: Counter,
     latency: Histogram,
+    generation_seconds: Histogram,
 }
 
 impl KindInstruments {
-    fn new(registry: &Registry, kind: &'static str) -> Self {
+    fn new(registry: &Registry, kind: &'static str, stage: &'static str) -> Self {
         Self {
+            kind,
+            stage,
             requests: registry.counter(
                 "service_requests_total",
                 "Requests accepted, per request kind.",
@@ -544,6 +567,11 @@ impl KindInstruments {
                 "service_request_seconds",
                 "End-to-end request latency, per request kind.",
                 &[("kind", kind)],
+            ),
+            generation_seconds: registry.histogram(
+                "generation_seconds",
+                "Wall-clock seconds per exploration generation, per stage.",
+                &[("stage", stage)],
             ),
         }
     }
@@ -563,8 +591,6 @@ struct ServiceInstruments {
     rejected_full: Counter,
     rejected_shutdown: Counter,
     deadline_misses: Counter,
-    explore_generation_seconds: Histogram,
-    chip_generation_seconds: Histogram,
     cached_evaluations: Gauge,
     cached_macro_metrics: Gauge,
     cache_evictions: Gauge,
@@ -581,16 +607,9 @@ struct ServiceInstruments {
 impl ServiceInstruments {
     fn new(telemetry: &Telemetry) -> Self {
         let registry = telemetry.registry();
-        let generation_seconds = |stage: &'static str| {
-            registry.histogram(
-                "generation_seconds",
-                "Wall-clock seconds per exploration generation, per stage.",
-                &[("stage", stage)],
-            )
-        };
         Self {
-            macro_requests: KindInstruments::new(registry, "macro"),
-            chip_requests: KindInstruments::new(registry, "chip"),
+            macro_requests: KindInstruments::new(registry, "macro", "explore"),
+            chip_requests: KindInstruments::new(registry, "chip", "chip"),
             queue: registry.gauge(
                 "service_queue_jobs",
                 "Jobs accepted whose worker thread has not started yet.",
@@ -623,8 +642,6 @@ impl ServiceInstruments {
                  execution).",
                 &[],
             ),
-            explore_generation_seconds: generation_seconds("explore"),
-            chip_generation_seconds: generation_seconds("chip"),
             cached_evaluations: registry.gauge(
                 "service_cached_evaluations",
                 "Distinct designs cached across every design space.",
@@ -681,14 +698,6 @@ impl ServiceInstruments {
             stages: Arc::new(crate::stage::StageHistograms::resolve(telemetry)),
         }
     }
-
-    fn kind(&self, kind: &str) -> &KindInstruments {
-        if kind == "macro" {
-            &self.macro_requests
-        } else {
-            &self.chip_requests
-        }
-    }
 }
 
 /// A handle to one admitted request: observe its progress, cancel it
@@ -709,8 +718,8 @@ impl JobHandle {
         self.id
     }
 
-    /// Signature of the (primary) design space the job explores — the key
-    /// of the shared cache it reads and writes.
+    /// Signature of the design space the job explores — the key of the
+    /// shared cache it reads and writes.
     pub fn space(&self) -> &str {
         &self.space
     }
@@ -947,21 +956,6 @@ fn macro_space_signature(config: &DseConfig) -> String {
 /// macro-metric cache under this signature.
 fn params_signature(params: &ModelParams) -> String {
     format!("params/#{:016x}", fnv1a(&format!("{params:?}")))
-}
-
-/// Records a finished job's session archive(s) in the service registry,
-/// last-writer-wins per space — the registry always holds each space's
-/// most recent frontier, which is what a snapshot should capture.
-fn record_archives(
-    registry: &Mutex<HashMap<String, SessionArchive>>,
-    session: &SessionArchive,
-    chip_session: Option<&SessionArchive>,
-) {
-    let mut archives = registry.lock().unwrap_or_else(PoisonError::into_inner);
-    archives.insert(session.space().to_string(), session.clone());
-    if let Some(chip) = chip_session {
-        archives.insert(chip.space().to_string(), chip.clone());
-    }
 }
 
 /// Signature of a chip design space (see [`macro_space_signature`]).
@@ -1528,15 +1522,14 @@ impl ExplorationService {
     /// record a span or perturb the queue gauge.
     fn request_instruments(
         &self,
-        kind: &'static str,
+        kind: &KindInstruments,
         id: u64,
         space: &str,
         admission: &Admission,
     ) -> RequestInstruments {
-        let kind_instruments = self.instruments.kind(kind);
-        kind_instruments.requests.inc();
+        kind.requests.inc();
         let mut root = self.telemetry.span("request");
-        root.attr("kind", kind);
+        root.attr("kind", kind.kind);
         root.attr("job", id.to_string());
         root.attr("space", space.to_string());
         root.attr("priority", admission.priority.to_string());
@@ -1546,7 +1539,7 @@ impl ExplorationService {
         self.instruments.queue.inc();
         RequestInstruments {
             root,
-            latency: kind_instruments.latency.clone(),
+            latency: kind.latency.clone(),
             queue: self.instruments.queue.clone(),
             active: self.instruments.active.clone(),
         }
@@ -1644,50 +1637,36 @@ impl ExplorationService {
 
     /// Builds the progress state of a job totalling `generations`
     /// exploration generations, plus an observer that ticks it only on
-    /// exploration events (netlist/layout events are a short tail the
-    /// total deliberately excludes — see [`JobProgress`]).
+    /// events of the job kind's exploration stage (`explore` for macro
+    /// flows, `chip` for chip runs): a macro flow's netlist/layout events
+    /// are a short tail the total deliberately excludes — see
+    /// [`JobProgress`].
     ///
     /// When the service's telemetry is enabled the observer additionally
     /// records one `generation` span per exploration generation (parented
     /// under the request's root span) and observes its duration in the
-    /// `generation_seconds{stage}` histogram — the per-stage wall-clock
-    /// breakdown the end-to-end `service_request_seconds` cannot give.
+    /// kind's `generation_seconds{stage}` histogram — the per-generation
+    /// wall-clock breakdown the end-to-end `service_request_seconds`
+    /// cannot give.  A generation covers the time since the previous
+    /// tick, or since a worker started the job for the first one.
     fn generation_progress(
         &self,
+        kind: &KindInstruments,
         generations: usize,
         parent: Option<SpanId>,
     ) -> (Arc<ProgressState>, ProgressObserver) {
         let progress = Arc::new(ProgressState {
             completed: AtomicUsize::new(0),
             total: AtomicUsize::new(generations),
+            admitted: Instant::now(),
+            last_tick_ns: AtomicU64::new(0),
         });
         let ticker = progress.clone();
         let telemetry = self.telemetry.clone();
-        let histograms: HashMap<&'static str, Histogram> = if telemetry.is_enabled() {
-            [
-                (
-                    "explore",
-                    self.instruments.explore_generation_seconds.clone(),
-                ),
-                ("chip", self.instruments.chip_generation_seconds.clone()),
-            ]
-            .into_iter()
-            .collect()
-        } else {
-            HashMap::new()
-        };
-        // Per-stage timestamp of the previous tick (nanoseconds since
-        // submission; `u64::MAX` = no tick yet): a generation's span
-        // covers the time since the stage's last event (since submission
-        // for its first), so concurrently running explore and chip stages
-        // attribute their generations independently.  Plain atomics — a
-        // mutexed map here would be measurable against a warm-cache
-        // generation's microsecond-scale wall clock.
-        let last_explore_ns = AtomicU64::new(u64::MAX);
-        let last_chip_ns = AtomicU64::new(u64::MAX);
-        let submitted = Instant::now();
+        let stage = kind.stage;
+        let histogram = kind.generation_seconds.clone();
         let observer: ProgressObserver = Arc::new(move |event: StageProgress| {
-            if !matches!(event.stage, "explore" | "chip") {
+            if event.stage != stage {
                 return;
             }
             // `Release` pairs with the `Acquire` pair in
@@ -1697,27 +1676,16 @@ impl ExplorationService {
                 return;
             }
             let now = Instant::now();
-            let now_ns = now.saturating_duration_since(submitted).as_nanos() as u64;
-            let last_ns = match event.stage {
-                "explore" => &last_explore_ns,
-                _ => &last_chip_ns,
-            };
-            let previous = last_ns.swap(now_ns, Ordering::Relaxed);
-            let duration = if previous == u64::MAX {
-                now.saturating_duration_since(submitted)
-            } else {
-                std::time::Duration::from_nanos(now_ns.saturating_sub(previous))
-            };
+            let started = ticker.stamp(now);
+            let duration = now.saturating_duration_since(started);
             telemetry.spans().record_complete(
                 "generation",
                 parent,
-                now.checked_sub(duration).unwrap_or(submitted),
+                started,
                 duration,
-                vec![(SpanText::Borrowed("stage"), SpanText::Borrowed(event.stage))],
+                vec![(SpanText::Borrowed("stage"), SpanText::Borrowed(stage))],
             );
-            if let Some(histogram) = histograms.get(event.stage) {
-                histogram.observe(duration.as_secs_f64());
-            }
+            histogram.observe(duration.as_secs_f64());
         });
         (progress, observer)
     }
@@ -1727,13 +1695,14 @@ impl ExplorationService {
     /// instruments, the progress of `total` exploration generations and
     /// the trace context, hands them to `build` for the job body, and
     /// enqueues that body behind the pre-run cancellation check and the
-    /// deadline-miss counter.
+    /// deadline-miss counter.  A finished body's cache attribution is
+    /// folded into the space's counters and its session archive recorded.
     ///
     /// Callers finish everything fallible first, so a rejected request
     /// records no span and perturbs no gauge.
     fn admit<Body>(
         &self,
-        kind: &'static str,
+        kind: &KindInstruments,
         id: u64,
         admission: Admission,
         space: String,
@@ -1752,21 +1721,38 @@ impl ExplorationService {
         };
         let instruments = self.request_instruments(kind, id, &space, &admission);
         let parent = instruments.root.as_parent();
-        let (progress, observer) = self.generation_progress(total, parent);
+        let (progress, observer) = self.generation_progress(kind, total, parent);
         let body = build(JobContext {
             cancel: cancel.clone(),
             observer,
             trace: self.trace_context(parent),
         });
+        let space_outcome = self.space_instruments_for(&space);
+        let archives = Arc::clone(&self.session_archives);
         let job_cancel = cancel.clone();
+        let clock = progress.clone();
         let deadline_misses = self.instruments.deadline_misses.clone();
         let work = Box::new(move || {
             let result = instruments.observe(move || {
+                // Generations are timed from here, so the first one does
+                // not absorb the queue wait.
+                clock.stamp(Instant::now());
                 // Cancelled or deadline-expired while queued.
                 if let Some(reason) = job_cancel.status() {
                     return Err(cancel_error(reason, 0, total));
                 }
-                body()
+                let response = body()?;
+                if let Some(outcome) = &space_outcome {
+                    outcome.record(response.engine());
+                }
+                // Last writer wins per space: the registry holds each
+                // space's most recent frontier, which a snapshot captures.
+                let session = response.session();
+                archives
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(session.space().to_string(), session.clone());
+                Ok(response)
             });
             if matches!(result, Err(FlowError::DeadlineExceeded { .. })) {
                 deadline_misses.inc();
@@ -1789,88 +1775,37 @@ impl ExplorationService {
 
     fn submit_macro(&self, id: u64, request: MacroRequest) -> Result<JobHandle, SubmitError> {
         let controller = TopFlowController::new(request.config).map_err(SubmitError::Invalid)?;
-        let config = controller.config().clone();
-        let space = macro_space_signature(&config.dse);
+        let dse = &controller.config().dse;
+        let space = macro_space_signature(dse);
         let warm_start =
             check_session(&request.warm_start, &space).map_err(SubmitError::Invalid)?;
         // Built eagerly (rejecting a bad exploration config before it
         // touches the queue) and reused by the worker for session
         // re-encoding.
-        let session_explorer =
-            DesignSpaceExplorer::new(config.dse.clone()).map_err(FlowError::from)?;
-        let chip_session_explorer = match &config.chip {
-            Some(chip) => Some(ChipExplorer::new(chip.dse.clone()).map_err(FlowError::from)?),
-            None => None,
-        };
-        let total = config.dse.generations + config.chip.as_ref().map_or(0, |c| c.dse.generations);
-        self.admit(
-            "macro",
-            id,
-            request.admission,
-            space.clone(),
-            total,
-            |job| {
-                let mut chip_options = ExploreOptions {
-                    cancel: Some(job.cancel.clone()),
-                    ..Default::default()
-                };
-                if let Some(chip) = &config.chip {
-                    chip_options.cache = Some(self.store_for(&chip_space_signature(&chip.dse)));
-                    // One macro-metric cache per parameter set: when the chip
-                    // stage shares the macro stage's ModelParams, this is the
-                    // *same* cache handle — the chip exploration then reuses
-                    // the per-macro metrics the macro exploration just derived.
-                    chip_options.macro_cache = Some(self.macro_store_for(&chip.dse.params));
-                }
-                let options = FlowOptions {
-                    exploration: ExploreOptions {
-                        cache: Some(self.store_for(&space)),
-                        macro_cache: Some(self.macro_store_for(&config.dse.params)),
-                        warm_start,
-                        cancel: Some(job.cancel.clone()),
-                    },
-                    chip: chip_options,
-                    observer: Some(job.observer),
-                    trace: job.trace,
+        let session_explorer = DesignSpaceExplorer::new(dse.clone()).map_err(FlowError::from)?;
+        let total = dse.generations;
+        let kind = &self.instruments.macro_requests;
+        self.admit(kind, id, request.admission, space.clone(), total, |job| {
+            let options = FlowOptions {
+                exploration: ExploreOptions {
+                    cache: Some(self.store_for(&space)),
+                    macro_cache: Some(self.macro_store_for(&controller.config().dse.params)),
+                    warm_start,
                     cancel: Some(job.cancel),
-                };
-                let space_outcome = self.space_instruments_for(&space);
-                let chip_outcome = config
-                    .chip
-                    .as_ref()
-                    .and_then(|chip| self.space_instruments_for(&chip_space_signature(&chip.dse)));
-                let archive_registry = Arc::clone(&self.session_archives);
-                move || {
-                    let result = controller.run_with(&options)?;
-                    if let Some(outcome) = &space_outcome {
-                        outcome.record(&result.engine);
-                    }
-                    let session = SessionArchive::new(
-                        space,
-                        session_explorer.session_genomes(&result.frontier),
-                    );
-                    let chip_session = match (&config.chip, &result.chip, &chip_session_explorer) {
-                        (Some(chip_config), Some(chip_result), Some(explorer)) => {
-                            let chip_space = chip_space_signature(&chip_config.dse);
-                            if let Some(outcome) = &chip_outcome {
-                                outcome.record(&chip_result.engine);
-                            }
-                            Some(SessionArchive::new(
-                                chip_space,
-                                explorer.session_genomes(&chip_result.front),
-                            ))
-                        }
-                        _ => None,
-                    };
-                    record_archives(&archive_registry, &session, chip_session.as_ref());
-                    Ok(ExplorationResponse::Macro(MacroResponse {
-                        result,
-                        session,
-                        chip_session,
-                    }))
-                }
-            },
-        )
+                },
+                observer: Some(job.observer),
+                trace: job.trace,
+            };
+            move || {
+                let result = controller.run_with(&options)?;
+                let session =
+                    SessionArchive::new(space, session_explorer.session_genomes(&result.frontier));
+                Ok(ExplorationResponse::Macro(MacroResponse {
+                    result,
+                    session,
+                }))
+            }
+        })
     }
 
     fn submit_chip(&self, id: u64, request: ChipRequest) -> Result<JobHandle, SubmitError> {
@@ -1884,30 +1819,25 @@ impl ExplorationService {
         let warm_start =
             check_session(&request.warm_start, &space).map_err(SubmitError::Invalid)?;
         let total = config.dse.generations;
-        self.admit("chip", id, request.admission, space.clone(), total, |job| {
+        let kind = &self.instruments.chip_requests;
+        self.admit(kind, id, request.admission, space.clone(), total, |job| {
             let options = ExploreOptions {
                 cache: Some(self.store_for(&space)),
                 macro_cache: Some(self.macro_store_for(&config.dse.params)),
                 warm_start,
                 cancel: Some(job.cancel),
             };
-            let space_outcome = self.space_instruments_for(&space);
             let tenant_outcome = self.tenant_instruments_for(&space, &config.dse.mix);
-            let archive_registry = Arc::clone(&self.session_archives);
             move || {
                 let stage = ChipStage::new(config)
                     .with_options(options)
                     .with_observer(job.observer);
                 let result = Instrumented::new(stage, job.trace).run(())?;
-                if let Some(outcome) = &space_outcome {
-                    outcome.record(&result.engine);
-                }
                 if let Some(outcome) = &tenant_outcome {
                     outcome.record(&result);
                 }
                 let session =
                     SessionArchive::new(space, session_explorer.session_genomes(&result.front));
-                record_archives(&archive_registry, &session, None);
                 Ok(ExplorationResponse::Chip(ChipResponse { result, session }))
             }
         })
@@ -2468,6 +2398,110 @@ mod tests {
         assert!(text.contains("pool_queue_wait_seconds_bucket"));
         let json = acim_telemetry::json_text(&snapshot);
         assert!(json.contains("\"service_request_seconds\""));
+    }
+
+    #[test]
+    fn macro_request_telemetry_counts_only_exploration_generations() {
+        let mut config = FlowConfig::new(4 * 1024);
+        config.dse.population_size = 24;
+        config.dse.generations = 6;
+        config.max_layouts = 2;
+        let generations = config.dse.generations;
+        let service = ExplorationService::new();
+        let handle = service
+            .submit(ExplorationRequest::macro_space(config))
+            .unwrap();
+        assert_eq!(handle.progress().total, generations);
+        while !handle.is_finished() {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // The netlist and layout stages ticked the observer once per
+        // design, yet progress counts exploration generations only.
+        assert_eq!(
+            handle.progress(),
+            JobProgress {
+                completed: generations,
+                total: generations,
+            }
+        );
+        let response = handle.join().unwrap().into_macro().unwrap();
+        assert_eq!(response.result.designs.len(), 2);
+
+        let snapshot = service.telemetry();
+        let explore = snapshot
+            .histogram("generation_seconds", &[("stage", "explore")])
+            .expect("explore generation histogram");
+        assert_eq!(explore.count as usize, generations);
+        let chip_samples = snapshot
+            .histogram("generation_seconds", &[("stage", "chip")])
+            .map_or(0, |histogram| histogram.count);
+        assert_eq!(chip_samples, 0);
+
+        let root = snapshot
+            .spans
+            .iter()
+            .find(|s| s.name == "request")
+            .expect("root request span");
+        let ticks: Vec<_> = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.name == "generation" && s.parent == Some(root.id))
+            .collect();
+        assert_eq!(ticks.len(), generations);
+        for tick in ticks {
+            assert!(tick
+                .attributes
+                .iter()
+                .any(|(k, v)| k.as_ref() == "stage" && v.as_ref() == "explore"));
+        }
+    }
+
+    #[test]
+    fn queued_job_generations_start_when_a_worker_starts_it() {
+        let service = ExplorationService::with_config(ServiceConfig::default().with_workers(1));
+        let slow = submit_running(
+            &service,
+            ExplorationRequest::chip_space(long_chip_config()).label("slow"),
+        );
+        let quick = service
+            .submit(ExplorationRequest::chip_space(quick_chip_config()).label("quick"))
+            .unwrap();
+        // Let the quick request wait in the queue behind the slow one.
+        std::thread::sleep(Duration::from_millis(10));
+        slow.cancel();
+        assert!(matches!(slow.join(), Err(FlowError::Cancelled { .. })));
+        quick.join().unwrap();
+
+        let snapshot = service.telemetry();
+        let root = |label: &str| {
+            snapshot
+                .spans
+                .iter()
+                .find(|s| {
+                    s.name == "request"
+                        && s.attributes
+                            .iter()
+                            .any(|(k, v)| k.as_ref() == "label" && v.as_ref() == label)
+                })
+                .unwrap_or_else(|| panic!("root span of {label}"))
+        };
+        let slow_root = root("slow");
+        let slow_end = slow_root.start_us + slow_root.duration_us;
+        let quick_id = root("quick").id;
+        let first_generation = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.name == "generation" && s.parent == Some(quick_id))
+            .map(|s| s.start_us)
+            .min()
+            .expect("the quick request ran generations");
+        // The single worker started the quick job only after the slow
+        // one ended, so none of its generations may cover the queue wait.
+        assert!(
+            first_generation >= slow_end,
+            "first generation starts at {first_generation} us, before the worker \
+             freed up at {slow_end} us"
+        );
     }
 
     #[test]

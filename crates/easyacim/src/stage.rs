@@ -1,8 +1,8 @@
 //! Typed, composable flow stages.
 //!
 //! The paper's Figure-4 flow used to be a hard-coded sequence inside
-//! `TopFlowController::run`.  This module breaks it into five [`Stage`]s
-//! with typed inputs and outputs —
+//! `TopFlowController::run`.  This module breaks it into four [`Stage`]s
+//! with typed inputs and outputs, plus the chip exploration —
 //!
 //! ```text
 //! ExploreStage   ()         -> Explored     (NSGA-II Pareto frontier)
@@ -13,12 +13,13 @@
 //! ```
 //!
 //! — chained with [`Stage::then`], which only compiles when the output
-//! type of one stage is the input type of the next.  The controller in
-//! [`crate::flow`] and the multi-tenant service in [`crate::service`]
-//! both assemble their pipelines from these pieces; the stages accept
-//! [`ExploreOptions`] (shared cache, warm-start seeds) and an optional
-//! [`ProgressObserver`], which is how one long-lived service thread
-//! observes many concurrent explorations.
+//! type of one stage is the input type of the next.  `ChipStage` runs on
+//! its own: it explores a chip design space, not the macro flow's.  The
+//! controller in [`crate::flow`] and the multi-tenant service in
+//! [`crate::service`] both assemble their pipelines from these pieces;
+//! the stages accept [`ExploreOptions`] (shared cache, warm-start seeds)
+//! and an optional [`ProgressObserver`], which is how one long-lived
+//! service thread observes many concurrent explorations.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -627,8 +628,8 @@ impl Stage for LayoutStage<'_> {
 /// co-exploration plus optional behavioural validation of the best chip.
 ///
 /// Input-free like [`ExploreStage`]: it depends only on its
-/// configuration, which is what lets [`crate::flow::TopFlowController`]
-/// overlap it with the netlist/layout stages on the persistent pool.
+/// configuration.  It is a run of its own, not a step of the macro flow;
+/// the service runs it for chip requests.
 #[derive(Clone)]
 pub struct ChipStage {
     config: ChipFlowConfig,

@@ -17,11 +17,6 @@ pub enum LayoutError {
         /// Context (block or level being routed).
         context: String,
     },
-    /// Placement could not fit the blocks into the given region.
-    PlacementOverflow {
-        /// Context description.
-        context: String,
-    },
     /// A configuration or geometric parameter was invalid.
     InvalidParameter {
         /// Parameter name.
@@ -42,9 +37,6 @@ impl fmt::Display for LayoutError {
         match self {
             LayoutError::Unroutable { net, context } => {
                 write!(f, "net `{net}` could not be routed in {context}")
-            }
-            LayoutError::PlacementOverflow { context } => {
-                write!(f, "placement does not fit in {context}")
             }
             LayoutError::InvalidParameter { name, reason } => {
                 write!(f, "invalid layout parameter `{name}`: {reason}")

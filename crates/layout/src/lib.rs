@@ -23,9 +23,9 @@
 //!    ([`gds`]); [`metrics`] extracts the dimensions and F²/bit density the
 //!    paper reports in Figure 8.
 //!
-//! General-purpose pieces — the annealing placer ([`placer`]) and the 3-D
-//! grid maze router — are exposed so the ablation benchmarks can exercise
-//! them in isolation (e.g. routing with and without pre-defined tracks).
+//! The 3-D grid maze router is exposed on its own, so the `router` bench
+//! can exercise it in isolation (e.g. routing with and without pre-defined
+//! tracks).
 //!
 //! # Example
 //!
@@ -56,7 +56,6 @@ pub mod flow;
 pub mod gds;
 pub mod grid;
 pub mod metrics;
-pub mod placer;
 pub mod router;
 
 pub use column::ColumnTemplate;
@@ -67,5 +66,4 @@ pub use flow::{LayoutFlow, MacroLayout};
 pub use gds::{write_def, write_gds_text};
 pub use grid::RoutingGrid;
 pub use metrics::LayoutMetrics;
-pub use placer::{AnnealingPlacer, PlacementItem, PlacerConfig};
 pub use router::{MazeRouter, RouteRequest, RouterStats};

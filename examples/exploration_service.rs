@@ -192,7 +192,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let mut chip_session = None;
+    let mut chip_archive = None;
     let chip_space = handles[1].space().to_string();
     for handle in handles {
         let id = handle.id();
@@ -216,7 +216,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     result.engine.cache,
                     result.engine.pool,
                 );
-                chip_session = Some(response.session);
+                chip_archive = Some(response.session);
             }
         }
     }
@@ -242,7 +242,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Warm start: seed a follow-up request from the finished session's
     // Pareto archive.  Over the now-populated shared cache the warm run's
     // evaluations are answered almost entirely from memory.
-    let session = chip_session.expect("a chip request ran");
+    let session = chip_archive.expect("a chip request ran");
     println!(
         "\nwarm-starting a follow-up chip request from {} archived genomes",
         session.len()

@@ -8,7 +8,7 @@ use acim_chip::{
     WorkloadMix,
 };
 use acim_dse::{ChipDseConfig, ChipExplorer};
-use easyacim::{chip_report, ChipFlowConfig, ChipStage, FlowConfig, Stage, TopFlowController};
+use easyacim::{chip_report, ChipFlowConfig, ChipStage, Stage};
 
 fn quick_dse(network: Network) -> ChipDseConfig {
     let mut config = ChipDseConfig::for_mix(network);
@@ -131,24 +131,4 @@ fn chip_flow_stage_reports_front_and_validation() {
     assert!(report.contains("behavioural validation"));
     let validation = result.validation.expect("validation enabled by default");
     assert!(validation.max_relative_error() < 0.5);
-}
-
-#[test]
-fn top_flow_controller_composes_macro_and_chip_stages() {
-    let mut flow_config = FlowConfig::new(4 * 1024);
-    flow_config.dse.population_size = 24;
-    flow_config.dse.generations = 10;
-    flow_config.max_layouts = 1;
-    let mut chip_config = ChipFlowConfig::for_mix(Network::edge_cnn(1));
-    chip_config.dse = quick_dse(Network::edge_cnn(1));
-    chip_config.validate_best = false;
-    let result = TopFlowController::new(flow_config.with_chip_stage(chip_config))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(
-        !result.designs.is_empty(),
-        "macro flow still produces layouts"
-    );
-    assert!(!result.chip.as_ref().unwrap().front.is_empty());
 }

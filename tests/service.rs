@@ -73,7 +73,6 @@ fn service_macro_request_is_bit_identical_to_top_flow_controller() {
     // The session archive re-encodes the frontier one genome per point.
     assert_eq!(response.session.len(), response.result.frontier.len());
     assert!(response.session.space().starts_with("macro/"));
-    assert!(response.chip_session.is_none());
 }
 
 #[test]
