@@ -3,7 +3,7 @@
 //! The estimation model is evaluated tens of thousands of times per
 //! exploration run, so its per-call cost is what makes the "agile" DSE
 //! agile; this bench tracks it for the scalar facade, the hoisted
-//! invariants path, the SoA batch kernel and the detailed SNR model.
+//! invariants kernel and the detailed SNR model.
 //!
 //! Every sample times a block of [`EVALS_PER_SAMPLE`] evaluations and
 //! reports the mean per-evaluation duration, so the ~20 ns `Instant`
@@ -14,7 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use acim_arch::AcimSpec;
-use acim_model::{evaluate, snr_detailed_db, ModelInvariants, ModelParams, SpecBatch};
+use acim_model::{evaluate, snr_detailed_db, ModelInvariants, ModelParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Evaluations timed per sample; reported medians are per-evaluation.
@@ -41,20 +41,6 @@ fn model_eval(c: &mut Criterion) {
             for _ in 0..EVALS_PER_SAMPLE {
                 black_box(invariants.evaluate_spec(black_box(&spec)));
             }
-            start.elapsed() / EVALS_PER_SAMPLE
-        })
-    });
-
-    let mut batch = SpecBatch::with_capacity(EVALS_PER_SAMPLE as usize);
-    for _ in 0..EVALS_PER_SAMPLE {
-        batch.push_spec(&spec);
-    }
-    let mut out = Vec::with_capacity(EVALS_PER_SAMPLE as usize);
-    c.bench_function("model_eval/batch_soa", |b| {
-        b.iter_custom(|_| {
-            let start = Instant::now();
-            invariants.evaluate_batch(black_box(&batch), &mut out);
-            black_box(&out);
             start.elapsed() / EVALS_PER_SAMPLE
         })
     });

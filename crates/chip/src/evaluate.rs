@@ -817,7 +817,7 @@ mod tests {
     fn batch_evaluation_matches_individual_runs() {
         // The population fan-out of the DSE: one pool task per chip, each
         // costing its rounds serially, deterministic in input order.
-        let chips = vec![chip(1, 1, 32), chip(1, 2, 32), chip(2, 2, 32)];
+        let chips = [chip(1, 1, 32), chip(1, 2, 32), chip(2, 2, 32)];
         let mix = WorkloadMix::from(Network::transformer_block());
         let evaluator = ChipEvaluator::s28_default();
         let batch: Vec<MixMetrics> = chips
@@ -872,7 +872,7 @@ mod tests {
         let mix = WorkloadMix::from(Network::transformer_block());
         let cache = crate::MacroMetricsCache::new();
         let evaluator = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
-        let chips = vec![chip(1, 1, 32), chip(2, 2, 32), chip(1, 2, 32)];
+        let chips = [chip(1, 1, 32), chip(2, 2, 32), chip(1, 2, 32)];
         let batch: Vec<Result<MixMetrics, ChipError>> = chips
             .par_iter()
             .with_max_len(1)

@@ -274,7 +274,7 @@ impl ChipDesignProblem {
         let evaluator = ChipEvaluator::new(config.params, config.cost)
             .map_err(|e| DseError::InvalidConfig(e.to_string()))?;
         // The Monte-Carlo corners are hoisted here, once per problem —
-        // genome evaluations only run the batch kernel over them.
+        // genome evaluations only run the hoisted kernel over them.
         let robustness = config
             .robustness
             .map(|rc| RobustnessSweep::new(rc, &config.params))

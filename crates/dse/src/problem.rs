@@ -2,9 +2,8 @@
 
 use acim_arch::AcimSpec;
 use acim_chip::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
-use acim_model::{DesignMetrics, ModelInvariants, ModelParams, SpecBatch, SpecKey};
+use acim_model::{DesignMetrics, ModelInvariants, ModelParams, SpecKey};
 use acim_moga::{CacheStats, Evaluation, Problem};
-use rayon::prelude::*;
 
 use crate::encoding::DesignEncoding;
 use crate::error::DseError;
@@ -20,6 +19,11 @@ use crate::solution::DesignPoint;
 /// explorations and decode passes over the same [`ModelParams`] share one
 /// store of per-macro `DesignMetrics` — with the same bit-identical
 /// results, since the metrics are pure functions of `(spec, params)`.
+///
+/// A batch is scored through the trait's serial map over
+/// [`Problem::evaluate`] on the calling thread: one evaluation is a decode
+/// plus the ~10 ns hoisted kernel, far below what a helper thread costs to
+/// spawn.
 #[derive(Debug, Clone)]
 pub struct AcimDesignProblem {
     encoding: DesignEncoding,
@@ -28,7 +32,7 @@ pub struct AcimDesignProblem {
     // construction so the per-genome path is pure arithmetic.
     invariants: ModelInvariants,
     // Clones share the client's counters, so per-request attribution
-    // survives the batch fan-out.
+    // survives cloning the problem.
     macro_client: MacroCacheClient,
 }
 
@@ -138,55 +142,6 @@ impl Problem for AcimDesignProblem {
             },
             Err(violation) => Evaluation::new([f64::MAX; 4], violation),
         }
-    }
-
-    /// Population-parallel batch evaluation, borrowed straight from the
-    /// caller's slice — the work-stealing tasks reference the genomes in
-    /// place (scoped executor), so the batch path allocates nothing per
-    /// genome.
-    ///
-    /// Without a macro-metric cache the genomes are decoded in parallel
-    /// (`with_max_len(1)`, so one slow decode cannot stall a chunk) and
-    /// every feasible spec then flows through the struct-of-arrays batch
-    /// kernel ([`ModelInvariants::evaluate_batch`]) in one pass.  With a
-    /// cache installed, each genome goes through [`Self::evaluate`] so
-    /// hit/miss attribution keeps working.  Both routes preserve input
-    /// order and are bit-identical to the serial map — seeded explorations
-    /// stay deterministic.
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        if self.macro_client.cache().is_some() {
-            return genomes
-                .par_iter()
-                .with_max_len(1)
-                .map(|genes| self.evaluate(genes))
-                .collect();
-        }
-        let decoded: Vec<Result<AcimSpec, f64>> = genomes
-            .par_iter()
-            .with_max_len(1)
-            .map(|genes| {
-                self.encoding
-                    .decode(genes)
-                    .into_spec(self.encoding.array_size())
-            })
-            .collect();
-        let mut batch = SpecBatch::with_capacity(genomes.len());
-        for spec in decoded.iter().flatten() {
-            batch.push_spec(spec);
-        }
-        let mut metrics = Vec::with_capacity(batch.len());
-        self.invariants.evaluate_batch(&batch, &mut metrics);
-        let mut metrics = metrics.into_iter();
-        decoded
-            .into_iter()
-            .map(|result| match result {
-                Ok(_) => {
-                    let m = metrics.next().expect("one metric per feasible spec");
-                    Evaluation::unconstrained(m.objective_array())
-                }
-                Err(violation) => Evaluation::new([f64::MAX; 4], violation),
-            })
-            .collect()
     }
 
     fn name(&self) -> &str {

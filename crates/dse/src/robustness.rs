@@ -6,8 +6,8 @@
 //! terms.  A chip that clears its accuracy target only at the nominal
 //! corner is not a robust design point.  This module draws `N` seeded
 //! perturbations of the [`ModelParams`] SNR corner, scores every
-//! candidate chip's distinct macros through the hoisted batch kernel
-//! ([`ModelInvariants::evaluate_batch`]) under each corner, and turns the
+//! candidate chip's distinct macros through the hoisted kernel
+//! ([`ModelInvariants::evaluate_spec`]) under each corner, and turns the
 //! fraction of corners where the chip's worst macro still clears an SNR
 //! floor — its **yield** — into an NSGA-II constraint violation.
 //!
@@ -17,7 +17,7 @@
 //! arithmetic — deterministic per seed, thread-safe by `&self`.
 
 use acim_chip::ChipSpec;
-use acim_model::{ModelInvariants, ModelParams, SpecBatch};
+use acim_model::{ModelInvariants, ModelParams};
 use acim_tech::Femtofarad;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,15 +125,12 @@ impl RobustnessSweep {
     /// the SNR floor, in `[0, 1]`.
     pub fn yield_for(&self, chip: &ChipSpec) -> f64 {
         let distinct = chip.grid.distinct_specs();
-        let mut batch = SpecBatch::with_capacity(distinct.len());
-        for spec in distinct {
-            batch.push_spec(spec);
-        }
-        let mut out = Vec::with_capacity(batch.len());
         let mut passes = 0usize;
         for corner in &self.corners {
-            corner.evaluate_batch(&batch, &mut out);
-            let worst = out.iter().map(|m| m.snr_db).fold(f64::INFINITY, f64::min);
+            let worst = distinct
+                .iter()
+                .map(|spec| corner.evaluate_spec(spec).snr_db)
+                .fold(f64::INFINITY, f64::min);
             if worst >= self.config.min_snr_db {
                 passes += 1;
             }

@@ -1,5 +1,5 @@
-//! The batched, allocation-free evaluation kernel of the closed-form
-//! model (Equations 2–11).
+//! The allocation-free evaluation kernel of the closed-form model
+//! (Equations 2–11).
 //!
 //! The design-space explorers evaluate the same `ModelParams` against tens
 //! of thousands of `(H, W, L, B_ADC)` points, yet the historical scalar
@@ -15,12 +15,8 @@
 //!   `B·A_DFF`).  Memoizing a whole function result over its exact integer
 //!   domain is bit-identical by construction — no floating-point operation
 //!   is reordered.
-//! * [`SpecBatch`] — a reusable struct-of-arrays scratch buffer the
-//!   explorers decode whole cohorts into, so the per-genome path touches
-//!   no allocator.
-//! * [`ModelInvariants::evaluate_spec`] /
-//!   [`ModelInvariants::evaluate_batch`] — the per-design remainder:
-//!   a handful of flops per objective, guaranteed bit-identical to
+//! * [`ModelInvariants::evaluate_spec`] — the per-design remainder: a
+//!   handful of flops per objective, guaranteed bit-identical to
 //!   [`crate::objectives::evaluate`] (the equivalence proptests in
 //!   `tests/properties.rs` pin this for the whole discrete grid).
 //!
@@ -131,48 +127,14 @@ impl ModelInvariants {
     /// Evaluates one design through the hoisted invariants — bit-identical
     /// to [`crate::objectives::evaluate`], but infallible and with no
     /// per-parameter work left on the path.
-    pub fn evaluate_spec(&self, spec: &AcimSpec) -> DesignMetrics {
-        self.evaluate_dims(
-            spec.height(),
-            spec.width(),
-            spec.local_array(),
-            spec.adc_bits(),
-        )
-    }
-
-    /// Evaluates a whole struct-of-arrays batch into `out` (cleared
-    /// first), one [`DesignMetrics`] per design **in input order**.
-    ///
-    /// The only allocation is `out`'s growth beyond its retained capacity;
-    /// a reused output buffer makes the loop allocation-free.
-    pub fn evaluate_batch(&self, batch: &SpecBatch, out: &mut Vec<DesignMetrics>) {
-        out.clear();
-        out.reserve(batch.len());
-        for i in 0..batch.len() {
-            out.push(self.evaluate_dims(
-                batch.height[i] as usize,
-                batch.width[i] as usize,
-                batch.local[i] as usize,
-                batch.adc_bits[i],
-            ));
-        }
-    }
-
-    /// The shared per-design kernel over raw, pre-validated dimensions.
     ///
     /// Every expression keeps the operand order and association of the
     /// scalar path (`snr.rs` / `acim-arch` timing + energy / `area.rs`) —
     /// hoisting moved work, it did not reassociate it.
-    #[inline]
-    fn evaluate_dims(
-        &self,
-        height: usize,
-        width: usize,
-        local: usize,
-        adc_bits: u32,
-    ) -> DesignMetrics {
-        let b = adc_bits as usize;
-        debug_assert!((1..B_TABLE).contains(&b), "B_ADC={adc_bits} out of range");
+    pub fn evaluate_spec(&self, spec: &AcimSpec) -> DesignMetrics {
+        let (height, width, local) = (spec.height(), spec.width(), spec.local_array());
+        let b = spec.adc_bits() as usize;
+        debug_assert!((1..B_TABLE).contains(&b), "B_ADC={b} out of range");
         let n = height / local;
         let n_f = n as f64;
         let h_f = height as f64;
@@ -209,81 +171,6 @@ impl ModelInvariants {
     }
 }
 
-/// A reusable struct-of-arrays buffer of decoded `(H, W, L, B_ADC)`
-/// design points.
-///
-/// The explorers decode a whole cohort into one `SpecBatch` (retaining
-/// capacity across generations via [`SpecBatch::clear`]) and hand it to
-/// [`ModelInvariants::evaluate_batch`], keeping the hot loop free of both
-/// `AcimSpec` re-validation and allocator traffic.
-#[derive(Debug, Clone, Default)]
-pub struct SpecBatch {
-    height: Vec<u32>,
-    width: Vec<u32>,
-    local: Vec<u32>,
-    adc_bits: Vec<u32>,
-}
-
-impl SpecBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty batch with room for `capacity` designs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            height: Vec::with_capacity(capacity),
-            width: Vec::with_capacity(capacity),
-            local: Vec::with_capacity(capacity),
-            adc_bits: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Appends one validated design point.
-    pub fn push_spec(&mut self, spec: &AcimSpec) {
-        self.height.push(spec.height() as u32);
-        self.width.push(spec.width() as u32);
-        self.local.push(spec.local_array() as u32);
-        self.adc_bits.push(spec.adc_bits());
-    }
-
-    /// Number of buffered designs.
-    pub fn len(&self) -> usize {
-        self.height.len()
-    }
-
-    /// Returns `true` when no designs are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.height.is_empty()
-    }
-
-    /// Empties the batch, retaining the allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.height.clear();
-        self.width.clear();
-        self.local.clear();
-        self.adc_bits.clear();
-    }
-}
-
-/// Evaluates a whole struct-of-arrays batch with freshly hoisted
-/// invariants — the one-shot convenience over
-/// [`ModelInvariants::evaluate_batch`].  Long-lived problems should hoist
-/// [`ModelInvariants`] once at construction instead.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] when the parameter set fails validation.
-pub fn evaluate_batch(
-    params: &ModelParams,
-    batch: &SpecBatch,
-    out: &mut Vec<DesignMetrics>,
-) -> Result<(), ModelError> {
-    ModelInvariants::new(params)?.evaluate_batch(batch, out);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,47 +204,6 @@ mod tests {
             let scalar = evaluate(&s, &params).unwrap();
             assert_bit_identical(&inv.evaluate_spec(&s), &scalar);
         }
-    }
-
-    #[test]
-    fn batch_matches_scalar_in_order() {
-        let params = ModelParams::s28_default();
-        let specs = [
-            spec(128, 128, 2, 3),
-            spec(128, 128, 8, 3),
-            spec(512, 32, 2, 8),
-        ];
-        let mut batch = SpecBatch::with_capacity(specs.len());
-        for s in &specs {
-            batch.push_spec(s);
-        }
-        assert_eq!(batch.len(), 3);
-        let mut out = Vec::new();
-        evaluate_batch(&params, &batch, &mut out).unwrap();
-        assert_eq!(out.len(), 3);
-        for (s, batched) in specs.iter().zip(&out) {
-            assert_bit_identical(batched, &evaluate(s, &params).unwrap());
-        }
-        // Clearing retains capacity and empties the batch.
-        batch.clear();
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn batch_output_buffer_is_reusable() {
-        let params = ModelParams::s28_default();
-        let inv = ModelInvariants::new(&params).unwrap();
-        let mut batch = SpecBatch::new();
-        batch.push_spec(&spec(128, 128, 8, 3));
-        let mut out = Vec::new();
-        inv.evaluate_batch(&batch, &mut out);
-        let first = out[0];
-        batch.clear();
-        batch.push_spec(&spec(128, 128, 8, 3));
-        batch.push_spec(&spec(64, 256, 8, 3));
-        inv.evaluate_batch(&batch, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_bit_identical(&out[0], &first);
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!
 //! [`objectives::evaluate`] bundles all four into a [`DesignMetrics`] value
 //! and an objective vector in the `[−f_SNR, −f_T, f_E, f_A]` form of
-//! Equation 12.  [`calibrate`] fits the model's empirical constants against
-//! the behavioural simulator in `acim-arch`, which plays the role of the
+//! Equation 12; it is the readable reference.  The explorers' hot path is
+//! [`ModelInvariants::evaluate_spec`] ([`kernel`]), which hoists every
+//! parameter-only quantity once and stays bit-identical to the reference.
+//! [`calibrate`] fits the model's empirical constants against the
+//! behavioural simulator in `acim-arch`, which plays the role of the
 //! paper's post-layout simulation.
 //!
 //! # Example
@@ -55,7 +58,7 @@ pub use area::area_f2_per_bit;
 pub use calibrate::{calibrate_adc_energy, calibrate_snr_offset, CalibrationReport};
 pub use energy::{energy_per_mac_fj, tops_per_watt};
 pub use error::ModelError;
-pub use kernel::{evaluate_batch, ModelInvariants, SpecBatch};
+pub use kernel::ModelInvariants;
 pub use key::SpecKey;
 pub use objectives::{evaluate, DesignMetrics};
 pub use params::{AreaParams, DataDistribution, ModelParams, SnrParams};

@@ -2,7 +2,7 @@
 //!
 //! One conversion surface for the dB arithmetic used across the SNR model
 //! and the calibration fits, plus the table-accelerated `log10` the
-//! batched kernel relies on.  Everything here is **bit-identical** to the
+//! hoisted kernel relies on.  Everything here is **bit-identical** to the
 //! naive `f64` expression it replaces — the speed comes from memoizing
 //! whole function results over the discrete design grid, never from
 //! reassociating floating-point operations (see `ModelInvariants`).

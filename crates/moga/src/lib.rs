@@ -31,13 +31,15 @@
 //!    [`Problem::evaluate_batch`] call ([`random_search()`] does the same in
 //!    chunks).  The default implementation is the serial map, so a plain
 //!    [`Problem`] keeps working; a problem that overrides the batch with a
-//!    parallel map parallelises the whole search (the EasyACIM design
-//!    problems submit one work-stealing pool task per genome to `rayon`,
-//!    so one expensive design cannot stall the rest of its cohort).  Batch implementations must preserve
-//!    input order and be bit-identical to the serial map, which keeps
-//!    seeded runs reproducible: variation never interleaves with
-//!    evaluation, so the RNG stream — and therefore the Pareto front — is
-//!    exactly what the historical one-genome-at-a-time loop produced.
+//!    parallel map parallelises the whole search (the EasyACIM chip design
+//!    problem runs one work-stealing `rayon` task per genome, so one
+//!    expensive chip cannot stall the rest of its cohort, while the macro
+//!    problem's ~10 ns evaluations stay on the serial map).  Batch
+//!    implementations must preserve input order and be bit-identical to
+//!    the serial map, which keeps seeded runs reproducible: variation
+//!    never interleaves with evaluation, so the RNG stream — and therefore
+//!    the Pareto front — is exactly what the historical
+//!    one-genome-at-a-time loop produced.
 //! 2. **Memoization** — [`CachedProblem`] wraps any problem with a cache
 //!    keyed by a caller-supplied genome key, so duplicate designs (which
 //!    bucketed encodings re-sample constantly) are never re-evaluated.  Its batch

@@ -2,7 +2,8 @@
 //! batch evaluation is order-preserving and bit-identical to serial
 //! evaluation for the macro and chip problems, equivalence of the batched
 //! NSGA-II loop with a forced-serial evaluation path, and determinism of
-//! seeded explorations under population-parallel (and cached) evaluation.
+//! seeded explorations under population-parallel (chip) and cached
+//! evaluation.
 
 use acim_dse::{AcimDesignProblem, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig};
 use acim_model::ModelParams;
@@ -27,8 +28,9 @@ fn chip_config(heterogeneous: bool) -> ChipDseConfig {
 }
 
 /// Forces the serial evaluation path: forwards `evaluate` only, so the
-/// trait-default (serial map) batch implementation is used.  This is the
-/// pre-refactor behaviour the parallel path must reproduce bit-for-bit.
+/// trait-default (serial map) batch implementation is used.  Any batch
+/// override — the chip problem's parallel one today, or a future macro
+/// one — must reproduce it bit-for-bit.
 struct ForcedSerial<P>(P);
 
 impl<P: Problem> Problem for ForcedSerial<P> {
@@ -106,15 +108,15 @@ fn batched_nsga2_matches_forced_serial_path_on_the_macro_problem() {
         ..Default::default()
     };
     for seed in [7u64, 99, 0xACE5] {
-        let parallel = Nsga2::new(macro_problem(), config.clone())
+        let batched = Nsga2::new(macro_problem(), config.clone())
             .with_seed(seed)
             .run();
         let serial = Nsga2::new(ForcedSerial(macro_problem()), config.clone())
             .with_seed(seed)
             .run();
-        assert_eq!(parallel.evaluations(), serial.evaluations());
-        assert_eq!(parallel.pareto_objectives(), serial.pareto_objectives());
-        for (a, b) in parallel.population.iter().zip(&serial.population) {
+        assert_eq!(batched.evaluations(), serial.evaluations());
+        assert_eq!(batched.pareto_objectives(), serial.pareto_objectives());
+        for (a, b) in batched.population.iter().zip(&serial.population) {
             assert_eq!(a.genes, b.genes);
             assert_eq!(a.objectives, b.objectives);
         }
@@ -141,12 +143,12 @@ fn batched_nsga2_matches_forced_serial_path_on_the_chip_problem() {
 }
 
 #[test]
-fn soa_batched_exploration_reproduces_the_scalar_path_front() {
-    // A detached macro problem routes whole cohorts through the
-    // struct-of-arrays batch kernel; attaching a macro-metric cache forces
-    // every genome down the per-genome scalar route instead.  A seeded
-    // exploration must produce a bit-identical Pareto front either way —
-    // the SoA kernel is only allowed to be faster, never different.
+fn seeded_macro_front_is_identical_with_and_without_a_metric_cache() {
+    // A detached macro problem derives every spec's metrics through the
+    // hoisted kernel; an attached macro-metric cache derives each spec
+    // once and serves repeats from the shared store.  A seeded exploration
+    // must produce a bit-identical Pareto front either way — the cache is
+    // only allowed to save work, never to change a result.
     use acim_chip::MacroMetricsCache;
     let config = Nsga2Config {
         population_size: 24,
@@ -154,17 +156,17 @@ fn soa_batched_exploration_reproduces_the_scalar_path_front() {
         ..Default::default()
     };
     for seed in [3u64, 0xF00D] {
-        let soa = Nsga2::new(macro_problem(), config.clone())
+        let detached = Nsga2::new(macro_problem(), config.clone())
             .with_seed(seed)
             .run();
-        let scalar = Nsga2::new(
+        let cached = Nsga2::new(
             macro_problem().with_macro_cache(MacroMetricsCache::new()),
             config.clone(),
         )
         .with_seed(seed)
         .run();
-        assert_eq!(soa.pareto_objectives(), scalar.pareto_objectives());
-        for (a, b) in soa.population.iter().zip(&scalar.population) {
+        assert_eq!(detached.pareto_objectives(), cached.pareto_objectives());
+        for (a, b) in detached.population.iter().zip(&cached.population) {
             assert_eq!(a.genes, b.genes);
             assert_eq!(a.objectives, b.objectives);
         }

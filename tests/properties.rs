@@ -8,8 +8,7 @@ use acim_arch::{AcimSpec, TimingModel};
 use acim_cell::{half_perimeter_wire_length, Point, Rect};
 use acim_dse::DesignEncoding;
 use acim_model::{
-    area_f2_per_bit, evaluate, evaluate_batch, snr_simplified_db, tops_per_watt, ModelInvariants,
-    ModelParams, SpecBatch,
+    area_f2_per_bit, evaluate, snr_simplified_db, tops_per_watt, ModelInvariants, ModelParams,
 };
 use acim_moga::{dominates, hypervolume_2d, ParetoArchive};
 use proptest::prelude::*;
@@ -161,13 +160,11 @@ proptest! {
         params in perturbed_model_params()
     ) {
         // Every valid power-of-two (H, W, L, B_ADC) point of the discrete
-        // design grid, evaluated three ways: the scalar facade, the
-        // hoisted-invariants path and the struct-of-arrays batch kernel.
-        // All five metrics must agree to the bit on every point — the
-        // batched exploration is only allowed to be faster, never
-        // different.
+        // design grid, evaluated two ways: the scalar facade and the
+        // hoisted-invariants kernel the explorers run.  All five metrics
+        // must agree to the bit on every point — the kernel is only
+        // allowed to be faster, never different.
         let invariants = ModelInvariants::new(&params).unwrap();
-        let mut batch = SpecBatch::new();
         let mut specs = Vec::new();
         for log_h in 4u32..=10 {
             for log_w in 2u32..=8 {
@@ -176,7 +173,6 @@ proptest! {
                         if let Ok(spec) = AcimSpec::from_dimensions(
                             1 << log_h, 1 << log_w, 1 << log_l, bits)
                         {
-                            batch.push_spec(&spec);
                             specs.push(spec);
                         }
                     }
@@ -184,22 +180,17 @@ proptest! {
             }
         }
         prop_assert!(specs.len() > 100, "grid must not degenerate");
-        let mut batched = Vec::new();
-        evaluate_batch(&params, &batch, &mut batched).unwrap();
-        prop_assert_eq!(batched.len(), specs.len());
-        for (spec, from_batch) in specs.iter().zip(&batched) {
+        for spec in &specs {
             let scalar = evaluate(spec, &params).unwrap();
             let hoisted = invariants.evaluate_spec(spec);
-            for (s, h, b) in [
-                (scalar.snr_db, hoisted.snr_db, from_batch.snr_db),
-                (scalar.throughput_tops, hoisted.throughput_tops, from_batch.throughput_tops),
-                (scalar.energy_per_mac_fj, hoisted.energy_per_mac_fj,
-                 from_batch.energy_per_mac_fj),
-                (scalar.tops_per_watt, hoisted.tops_per_watt, from_batch.tops_per_watt),
-                (scalar.area_f2_per_bit, hoisted.area_f2_per_bit, from_batch.area_f2_per_bit),
+            for (s, h) in [
+                (scalar.snr_db, hoisted.snr_db),
+                (scalar.throughput_tops, hoisted.throughput_tops),
+                (scalar.energy_per_mac_fj, hoisted.energy_per_mac_fj),
+                (scalar.tops_per_watt, hoisted.tops_per_watt),
+                (scalar.area_f2_per_bit, hoisted.area_f2_per_bit),
             ] {
                 prop_assert_eq!(s.to_bits(), h.to_bits(), "invariants diverged on {}", spec);
-                prop_assert_eq!(s.to_bits(), b.to_bits(), "batch diverged on {}", spec);
             }
         }
     }
