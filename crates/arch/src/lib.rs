@@ -53,20 +53,16 @@ pub mod adc;
 pub mod compute_model;
 pub mod energy;
 pub mod error;
-pub mod local_array;
 pub mod macro_sim;
 pub mod snr;
 pub mod spec;
-pub mod sram;
 pub mod timing;
 
 pub use adc::{CdacBank, SarAdc};
 pub use compute_model::{ComputeModel, ComputeModelKind};
 pub use energy::{EnergyBreakdown, EnergyModelParams};
 pub use error::ArchError;
-pub use local_array::LocalArray;
 pub use macro_sim::{AcimMacro, MacroStats, NoiseConfig};
 pub use snr::{measure_snr, SnrMeasurement};
 pub use spec::AcimSpec;
-pub use sram::SramCell;
 pub use timing::{OperatingState, TimingModel};

@@ -1,11 +1,14 @@
 //! Behavioural simulation of the full ACIM macro.
 //!
-//! [`AcimMacro`] instantiates `W` columns of `H / L` local arrays, the
-//! shared compute capacitors, and one SAR ADC per column (reusing the
-//! capacitors as the CDAC).  It runs MAC + conversion cycles with the noise
-//! sources of the paper's Equation 5 — capacitor mismatch, kT/C thermal
-//! noise, comparator noise/offset — so that the analytic estimation model
-//! can be calibrated against "measured" behaviour, playing the role of the
+//! [`AcimMacro`] stores the `H · W` weight bits of `W` columns in one
+//! flat buffer; each column's `H` rows form `H / L` local arrays of `L`
+//! cells, and each local array shares one compute capacitor.  Every column
+//! has one analog accumulator and one SAR ADC (reusing the capacitors as
+//! the CDAC).  A cycle selects one row offset in every local array, so only
+//! `H / L` bits per column compute.  The cycles carry the noise sources of
+//! the paper's Equation 5 — capacitor mismatch, kT/C thermal noise,
+//! comparator noise/offset — so that the analytic estimation model can be
+//! calibrated against "measured" behaviour, playing the role of the
 //! post-layout simulation the paper uses.
 
 use acim_tech::{Femtojoule, Technology};
@@ -16,9 +19,7 @@ use crate::adc::{CdacBank, SarAdc};
 use crate::compute_model::{gaussian, ComputeModel, ComputeModelKind, PvtCondition};
 use crate::energy::{EnergyBreakdown, EnergyModelParams};
 use crate::error::ArchError;
-use crate::local_array::LocalArray;
 use crate::spec::AcimSpec;
-use crate::timing::TimingModel;
 
 /// Which noise sources the simulator injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,13 +80,16 @@ pub struct MacroStats {
 #[derive(Debug, Clone)]
 pub struct AcimMacro {
     spec: AcimSpec,
-    /// `width` columns × `H / L` local arrays per column.
-    columns: Vec<Vec<LocalArray>>,
+    /// The `H · W` weight bits, column-major: bit `(row, col)` sits at
+    /// `col · H + row`, so each column's `H / L` local arrays of `L` cells
+    /// are consecutive.
+    weights: Vec<bool>,
+    /// One column's 1-bit products, rebuilt in place every cycle.
+    products: Vec<bool>,
     /// Per-column analog accumulator.
     compute: Vec<ComputeModel>,
     /// Per-column SAR ADC.
     adcs: Vec<SarAdc>,
-    timing: TimingModel,
     energy_params: EnergyModelParams,
     noise: NoiseConfig,
     /// Thermal-noise sigma expressed as a fraction of full scale.
@@ -96,7 +100,7 @@ pub struct AcimMacro {
 
 impl AcimMacro {
     /// Builds a macro for a specification using the QR compute model (the
-    /// EasyACIM architecture choice).
+    /// EasyACIM architecture choice), with every weight bit `0`.
     ///
     /// # Errors
     ///
@@ -107,28 +111,7 @@ impl AcimMacro {
         noise: NoiseConfig,
         seed: u64,
     ) -> Result<Self, ArchError> {
-        Self::with_compute_model(
-            spec,
-            tech,
-            ComputeModelKind::ChargeRedistribution,
-            noise,
-            seed,
-        )
-    }
-
-    /// Builds a macro with an explicit compute-model kind (used by the
-    /// QR/QS/IS robustness ablation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ArchError`] from sub-component construction.
-    pub fn with_compute_model(
-        spec: &AcimSpec,
-        tech: &Technology,
-        kind: ComputeModelKind,
-        noise: NoiseConfig,
-        seed: u64,
-    ) -> Result<Self, ArchError> {
+        let kind = ComputeModelKind::ChargeRedistribution;
         let mut rng = StdRng::seed_from_u64(seed);
         let n = spec.capacitors_per_column();
         let cap_model = tech.capacitor();
@@ -136,15 +119,9 @@ impl AcimMacro {
         let vdd = tech.vdd().value();
         let comparator = tech.comparator();
 
-        let mut columns = Vec::with_capacity(spec.width());
         let mut compute = Vec::with_capacity(spec.width());
         let mut adcs = Vec::with_capacity(spec.width());
         for _ in 0..spec.width() {
-            let column: Result<Vec<LocalArray>, ArchError> = (0..n)
-                .map(|_| LocalArray::new(spec.local_array()))
-                .collect();
-            columns.push(column?);
-
             let model = if noise.capacitor_mismatch {
                 ComputeModel::with_mismatch(kind, n, mismatch_rel, &mut rng)
             } else {
@@ -175,10 +152,10 @@ impl AcimMacro {
 
         Ok(Self {
             spec: *spec,
-            columns,
+            weights: vec![false; spec.height() * spec.width()],
+            products: Vec::with_capacity(n),
             compute,
             adcs,
-            timing: TimingModel::s28_default(),
             energy_params: EnergyModelParams::s28_default(),
             noise,
             thermal_sigma_rel,
@@ -192,16 +169,6 @@ impl AcimMacro {
         &self.spec
     }
 
-    /// The timing model used for throughput estimates.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
-    /// Replaces the timing model.
-    pub fn set_timing(&mut self, timing: TimingModel) {
-        self.timing = timing;
-    }
-
     /// Replaces the energy-model parameters.
     pub fn set_energy_params(&mut self, params: EnergyModelParams) {
         self.energy_params = params;
@@ -212,6 +179,26 @@ impl AcimMacro {
         &self.stats
     }
 
+    /// The index of weight bit `(row, col)` in the column-major buffer.
+    fn weight_index(&self, row: usize, col: usize) -> Result<usize, ArchError> {
+        let (height, width) = (self.spec.height(), self.spec.width());
+        if row >= height {
+            return Err(ArchError::DimensionMismatch {
+                what: "weight row".into(),
+                expected: height,
+                actual: row,
+            });
+        }
+        if col >= width {
+            return Err(ArchError::DimensionMismatch {
+                what: "weight column".into(),
+                expected: width,
+                actual: col,
+            });
+        }
+        Ok(col * height + row)
+    }
+
     /// Programs one weight bit.  `row` is the global row index in `[0, H)`,
     /// `col` the column index in `[0, W)`.
     ///
@@ -220,23 +207,9 @@ impl AcimMacro {
     /// Returns [`ArchError::DimensionMismatch`] when an index is out of
     /// range.
     pub fn program_bit(&mut self, row: usize, col: usize, value: bool) -> Result<(), ArchError> {
-        if row >= self.spec.height() {
-            return Err(ArchError::DimensionMismatch {
-                what: "weight row".into(),
-                expected: self.spec.height(),
-                actual: row,
-            });
-        }
-        if col >= self.spec.width() {
-            return Err(ArchError::DimensionMismatch {
-                what: "weight column".into(),
-                expected: self.spec.width(),
-                actual: col,
-            });
-        }
-        let local = row / self.spec.local_array();
-        let offset = row % self.spec.local_array();
-        self.columns[col][local].write(offset, value)
+        let index = self.weight_index(row, col)?;
+        self.weights[index] = value;
+        Ok(())
     }
 
     /// Reads back a programmed weight bit.
@@ -246,30 +219,37 @@ impl AcimMacro {
     /// Returns [`ArchError::DimensionMismatch`] when an index is out of
     /// range.
     pub fn read_bit(&self, row: usize, col: usize) -> Result<bool, ArchError> {
-        if row >= self.spec.height() || col >= self.spec.width() {
-            return Err(ArchError::DimensionMismatch {
-                what: "weight index".into(),
-                expected: self.spec.height().max(self.spec.width()),
-                actual: row.max(col),
-            });
-        }
-        let local = row / self.spec.local_array();
-        let offset = row % self.spec.local_array();
-        self.columns[col][local].read(offset)
+        Ok(self.weights[self.weight_index(row, col)?])
     }
 
-    /// Programs the whole array from a closure `f(row, col) -> bit`.
+    /// Programs the whole array from a closure `f(row, col) -> bit`, calling
+    /// it column by column and, within a column, row by row.
     pub fn program_with<F: FnMut(usize, usize) -> bool>(&mut self, mut f: F) {
-        for col in 0..self.spec.width() {
-            for row in 0..self.spec.height() {
-                let local = row / self.spec.local_array();
-                let offset = row % self.spec.local_array();
-                let value = f(row, col);
-                self.columns[col][local]
-                    .write(offset, value)
-                    .expect("indices generated from the spec are in range");
-            }
+        let height = self.spec.height();
+        for (index, bit) in self.weights.iter_mut().enumerate() {
+            *bit = f(index % height, index / height);
         }
+    }
+
+    /// Checks one cycle's inputs: one activation per local array and a row
+    /// offset inside the local array.
+    fn check_cycle(&self, activations: &[bool], row_offset: usize) -> Result<(), ArchError> {
+        let n = self.spec.capacitors_per_column();
+        if activations.len() != n {
+            return Err(ArchError::DimensionMismatch {
+                what: "activation vector".into(),
+                expected: n,
+                actual: activations.len(),
+            });
+        }
+        if row_offset >= self.spec.local_array() {
+            return Err(ArchError::DimensionMismatch {
+                what: "row offset".into(),
+                expected: self.spec.local_array(),
+                actual: row_offset,
+            });
+        }
+        Ok(())
     }
 
     /// Runs one MAC + ADC conversion cycle.
@@ -287,38 +267,21 @@ impl AcimMacro {
         activations: &[bool],
         row_offset: usize,
     ) -> Result<Vec<u32>, ArchError> {
+        self.check_cycle(activations, row_offset)?;
         let n = self.spec.capacitors_per_column();
-        if activations.len() != n {
-            return Err(ArchError::DimensionMismatch {
-                what: "activation vector".into(),
-                expected: n,
-                actual: activations.len(),
-            });
-        }
-        if row_offset >= self.spec.local_array() {
-            return Err(ArchError::DimensionMismatch {
-                what: "row offset".into(),
-                expected: self.spec.local_array(),
-                actual: row_offset,
-            });
-        }
+        let (height, local) = (self.spec.height(), self.spec.local_array());
 
         let mut outputs = Vec::with_capacity(self.spec.width());
         let mut cycle_energy = EnergyBreakdown::new();
         for col in 0..self.spec.width() {
             // MAC state: every local array produces its 1-bit product.
-            let products: Vec<bool> = self.columns[col]
-                .iter()
-                .zip(activations)
-                .map(|(array, &x)| {
-                    array
-                        .mac(row_offset, x)
-                        .expect("row offset validated above")
-                })
-                .collect();
+            let column = &self.weights[col * height..(col + 1) * height];
+            self.products.clear();
+            self.products
+                .extend(column_products(column, local, activations, row_offset));
 
             // Charge redistribution: normalised analog accumulation.
-            let mut v = self.compute[col].accumulate(&products, self.noise.pvt);
+            let mut v = self.compute[col].accumulate(&self.products, self.noise.pvt);
             if self.noise.thermal_noise {
                 v += gaussian(&mut self.rng) * self.thermal_sigma_rel;
             }
@@ -357,47 +320,34 @@ impl AcimMacro {
         activations: &[bool],
         row_offset: usize,
     ) -> Result<Vec<u32>, ArchError> {
-        let n = self.spec.capacitors_per_column();
-        if activations.len() != n {
-            return Err(ArchError::DimensionMismatch {
-                what: "activation vector".into(),
-                expected: n,
-                actual: activations.len(),
-            });
-        }
-        if row_offset >= self.spec.local_array() {
-            return Err(ArchError::DimensionMismatch {
-                what: "row offset".into(),
-                expected: self.spec.local_array(),
-                actual: row_offset,
-            });
-        }
-        let mut result = Vec::with_capacity(self.spec.width());
-        for col in 0..self.spec.width() {
-            let sum = self.columns[col]
-                .iter()
-                .zip(activations)
-                .filter(|(array, &x)| array.mac(row_offset, x).unwrap_or(false))
-                .count();
-            result.push(sum as u32);
-        }
-        Ok(result)
+        self.check_cycle(activations, row_offset)?;
+        let local = self.spec.local_array();
+        Ok(self
+            .weights
+            .chunks_exact(self.spec.height())
+            .map(|column| {
+                column_products(column, local, activations, row_offset)
+                    .filter(|&p| p)
+                    .count() as u32
+            })
+            .collect())
     }
+}
 
-    /// Average measured energy per MAC so far, if any cycles have run.
-    pub fn measured_energy_per_mac(&self) -> Option<Femtojoule> {
-        self.stats.energy.per_mac()
-    }
-
-    /// Estimated throughput of this macro in TOPS (from the timing model,
-    /// not from wall-clock simulation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ArchError`] from the timing model.
-    pub fn throughput_tops(&self) -> Result<f64, ArchError> {
-        self.timing.throughput_tops(&self.spec)
-    }
+/// The 1-bit products of one column in a cycle: the weight at `row_offset`
+/// of each local array of `local` cells, ANDed with that array's
+/// activation.  The other `L − 1` rows of each array are not selected and
+/// do not contribute.
+fn column_products<'a>(
+    column: &'a [bool],
+    local: usize,
+    activations: &'a [bool],
+    row_offset: usize,
+) -> impl Iterator<Item = bool> + 'a {
+    column
+        .chunks_exact(local)
+        .zip(activations)
+        .map(move |(array, &x)| array[row_offset] && x)
 }
 
 #[cfg(test)]
@@ -419,9 +369,53 @@ mod tests {
         m.program_bit(5, 3, true).unwrap();
         assert!(m.read_bit(5, 3).unwrap());
         assert!(!m.read_bit(6, 3).unwrap());
-        assert!(m.program_bit(64, 0, true).is_err());
-        assert!(m.program_bit(0, 16, true).is_err());
-        assert!(m.read_bit(64, 0).is_err());
+        let row = |actual| ArchError::DimensionMismatch {
+            what: "weight row".into(),
+            expected: 64,
+            actual,
+        };
+        let column = |actual| ArchError::DimensionMismatch {
+            what: "weight column".into(),
+            expected: 16,
+            actual,
+        };
+        assert_eq!(m.program_bit(64, 0, true), Err(row(64)));
+        assert_eq!(m.program_bit(0, 16, true), Err(column(16)));
+        assert_eq!(m.read_bit(64, 0), Err(row(64)));
+        assert_eq!(m.read_bit(0, 16), Err(column(16)));
+    }
+
+    #[test]
+    fn unselected_row_does_not_contribute() {
+        // Every local array holds a 1 at row offset 1 and 0 elsewhere: a
+        // cycle at offset 0 does not select those cells, a cycle at offset 1
+        // does.
+        let mut m = build(NoiseConfig::noiseless());
+        let local = m.spec().local_array();
+        m.program_with(|row, _| row % local == 1);
+        let n = m.spec().dot_product_length();
+        let activations = vec![true; n];
+        let full_scale = (1u32 << m.spec().adc_bits()) - 1;
+        assert!(m
+            .ideal_dot_products(&activations, 0)
+            .unwrap()
+            .iter()
+            .all(|&d| d == 0));
+        assert!(m
+            .mac_and_convert(&activations, 0)
+            .unwrap()
+            .iter()
+            .all(|&c| c == 0));
+        assert!(m
+            .ideal_dot_products(&activations, 1)
+            .unwrap()
+            .iter()
+            .all(|&d| d == n as u32));
+        assert!(m
+            .mac_and_convert(&activations, 1)
+            .unwrap()
+            .iter()
+            .all(|&c| c == full_scale));
     }
 
     #[test]
@@ -490,7 +484,7 @@ mod tests {
         let mut m = build(NoiseConfig::noiseless());
         m.program_with(|_, _| true);
         let activations = vec![true; m.spec().dot_product_length()];
-        assert!(m.measured_energy_per_mac().is_none());
+        assert!(m.stats().energy.per_mac().is_none());
         for offset in 0..m.spec().local_array() {
             m.mac_and_convert(&activations, offset).unwrap();
         }
@@ -500,7 +494,7 @@ mod tests {
             stats.macs,
             (m.spec().macs_per_cycle() * m.spec().local_array()) as u64
         );
-        let per_mac = m.measured_energy_per_mac().unwrap();
+        let per_mac = m.stats().energy.per_mac().unwrap();
         // Should match the analytic per-MAC energy (same parameters).
         let analytic = EnergyModelParams::s28_default()
             .energy_per_mac(m.spec())
@@ -530,14 +524,5 @@ mod tests {
         assert_eq!(run(7), run(7));
         // Different seed almost surely differs somewhere (mismatch pattern).
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn throughput_matches_timing_model() {
-        let m = build(NoiseConfig::noiseless());
-        let direct = TimingModel::s28_default()
-            .throughput_tops(m.spec())
-            .unwrap();
-        assert_eq!(m.throughput_tops().unwrap(), direct);
     }
 }

@@ -1,8 +1,11 @@
 //! Criterion bench of the behavioural macro simulator (the reproduction's
-//! post-layout-simulation stand-in): MAC + SAR conversion cycles and the
-//! Monte-Carlo SNR measurement used for model calibration.
+//! post-layout-simulation stand-in): MAC + SAR conversion cycles, the
+//! Monte-Carlo SNR measurement used for model calibration, and one whole
+//! chip validation through `simulate_mix`.
 
 use acim_arch::{measure_snr, AcimMacro, AcimSpec, NoiseConfig};
+use acim_chip::{simulate_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_model::ModelParams;
 use acim_tech::Technology;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -42,6 +45,20 @@ fn macro_sim(c: &mut Criterion) {
             let m = measure_snr(&spec, &tech, NoiseConfig::realistic(), 32, 11)
                 .expect("measurement runs");
             black_box(m.snr_db)
+        });
+    });
+
+    // The golden_validation fixture: edge_cnn(1) on a 2x2 grid of
+    // 64x16 L4 B4 macros at the chip stage's default validation seed.
+    group.bench_function("simulate_mix_edge_cnn1_2x2", |b| {
+        let spec = AcimSpec::from_dimensions(64, 16, 4, 4).expect("valid spec");
+        let grid = MacroGrid::uniform(2, 2, spec).expect("valid grid");
+        let chip = ChipSpec::new(grid, 64).expect("valid chip");
+        let mix = WorkloadMix::from(Network::edge_cnn(1));
+        let params = ModelParams::s28_default();
+        b.iter(|| {
+            let report = simulate_mix(&chip, &mix, &params, 0xC812).expect("simulation runs");
+            black_box(report.total_cycles)
         });
     });
     group.finish();

@@ -507,6 +507,10 @@ garbage line without fields\n\
                 env!("CARGO_MANIFEST_DIR"),
                 "/benches/chip_mix_baseline.json"
             ),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/macro_sim_baseline.json"
+            ),
         ] {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("baseline {path} must exist: {e}"));

@@ -12,8 +12,7 @@
 //! * [`grid`] — a mesh of (possibly heterogeneous) macro instances,
 //! * [`partition`] — deterministic least-finish-time tiling of every
 //!   layer across the grid, co-scheduling the tenants of a
-//!   [`WorkloadMix`] round by round (the multi-macro generalisation of
-//!   `acim-workloads::mapping`),
+//!   [`WorkloadMix`] round by round,
 //! * [`interconnect`] — mesh, global-buffer and digital-accumulation cost
 //!   parameters,
 //! * [`evaluate`] — the analytic chip evaluator: throughput, energy per
@@ -23,7 +22,8 @@
 //!   poison-tolerant cache of per-macro `DesignMetrics` the evaluator
 //!   consults instead of re-deriving the same macros chip after chip,
 //! * [`simulate`] — the behavioural validation path, driving one
-//!   `acim_arch::AcimMacro` per tile with the evaluator's timing.
+//!   `acim_arch::AcimMacro` per tile with the evaluator's timing and
+//!   energy parameters; a single macro is the 1×1 grid.
 //!
 //! Workloads come from `acim-workloads` (re-exported here): a single
 //! [`Network`] is the mix of one, `WorkloadMix::from(network)`.

@@ -1,14 +1,12 @@
 //! Partitioning network layers — one network or a multi-tenant mix —
 //! across the macro grid.
 //!
-//! This generalises `acim-workloads::mapping` from one matrix on one macro
-//! to whole networks on a grid: each layer's weight matrix is cut into
-//! **output tiles** (a contiguous run of output rows no wider than the
-//! target macro's column count `W`), and every tile costs
-//! `ceil(D / N) · activation_bits` MAC+conversion cycles on its macro,
-//! where `D` is the layer's dot-product length, `N` the macro's per-cycle
-//! dot-product length, and `activation_bits` the tenant's bit-serial
-//! activation width (1 for the binary default).
+//! Each layer's weight matrix is cut into **output tiles** (a contiguous
+//! run of output rows no wider than the target macro's column count `W`),
+//! and every tile costs `ceil(D / N) · activation_bits` MAC+conversion
+//! cycles on its macro, where `D` is the layer's dot-product length, `N`
+//! the macro's per-cycle dot-product length, and `activation_bits` the
+//! tenant's bit-serial activation width (1 for the binary default).
 //!
 //! Tiles are placed with deterministic least-finish-time scheduling: the
 //! next tile goes to the macro that currently finishes earliest (ties
@@ -337,7 +335,8 @@ mod tests {
         let partition = partition_one(&grid, network, &[5.0]);
         let placement = &partition.layers[0];
         // 16 outputs on a width-16 macro: one tile; 200-long dot product in
-        // chunks of 16 → 13 cycles (matches MacroMapper's div_ceil tiling).
+        // chunks of 16 → 13 cycles, the div_ceil tiling the behavioural
+        // tile loop in `simulate` runs.
         assert_eq!(placement.tiles.len(), 1);
         assert_eq!(placement.tiles[0].cycles, 13);
         assert_eq!(placement.macros_used(), 1);

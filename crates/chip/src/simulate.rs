@@ -2,19 +2,18 @@
 //! analytic chip evaluator.
 //!
 //! Lowers every layer of every tenant to a concrete [`BinaryMvm`], places
-//! its tiles with the same partitioner and the same [`TimingModel`] the
-//! analytic model uses, then drives one behavioural [`AcimMacro`] per tile
-//! through the program → MAC → convert sequence of
-//! `acim-workloads::mapping`, accumulating de-quantised partial sums
-//! digitally.  The result carries the *measured* end-to-end error of every
-//! network on the grid — the ground truth the analytic accuracy proxy
-//! approximates.
-//!
-//! [`BinaryMvm`]: acim_workloads::quantize::BinaryMvm
+//! its tiles with the same partitioner and the same [`ModelParams`] the
+//! analytic model uses (cycle times from `params.timing`, energy from
+//! `params.energy`), then drives one behavioural [`AcimMacro`] per tile
+//! through program → MAC → convert cycles, accumulating de-quantised
+//! partial sums digitally.  A single macro is the 1×1 grid.  The result
+//! carries the *measured* end-to-end error of every network on the grid —
+//! the ground truth the analytic accuracy proxy approximates.
 
-use acim_arch::{AcimMacro, NoiseConfig, TimingModel};
+use acim_arch::{AcimMacro, ArchError, NoiseConfig};
+use acim_model::ModelParams;
 use acim_tech::Technology;
-use acim_workloads::{run_output_tile, WorkloadMix};
+use acim_workloads::{BinaryMvm, WorkloadMix};
 
 use crate::error::ChipError;
 use crate::evaluate::ChipSpec;
@@ -32,8 +31,8 @@ pub struct LayerSimReport {
     /// Number of distinct macros used.
     pub macros_used: usize,
     /// Mean absolute error of the de-quantised outputs against the exact
-    /// binary dot products, normalised like
-    /// `acim_workloads::MappingReport::relative_error`.
+    /// binary dot products, divided by the layer's outputs and dot-product
+    /// length (0 = perfect).
     pub relative_error: f64,
     /// Measured macro energy in fJ.
     pub energy_fj: f64,
@@ -126,6 +125,50 @@ struct MeasuredLayer {
     tile_macro_cycles: Vec<(usize, u64)>,
 }
 
+/// Runs one output tile — workload rows `row_base .. row_base + rows`, one
+/// per macro column — on `macro_sim`, one MAC+conversion cycle per chunk
+/// of `H / L` dot-product elements, and returns the de-quantised partial
+/// sums with the cycles spent.
+///
+/// A chunk's weights sit at row offset 0 of each local array, zero-padded
+/// past the workload's edge, and every cycle selects offset 0.  No other
+/// row is ever written, so each chunk rewrites only those `W · H / L` cells
+/// of the macro.
+fn run_output_tile(
+    macro_sim: &mut AcimMacro,
+    workload: &BinaryMvm,
+    row_base: usize,
+    rows: usize,
+) -> Result<(Vec<f64>, u64), ArchError> {
+    let spec = *macro_sim.spec();
+    let chunk = spec.dot_product_length();
+    let full_scale = f64::from((1u32 << spec.adc_bits()) - 1);
+    let chunks = workload.cols().div_ceil(chunk);
+    let mut accumulated = vec![0.0f64; rows];
+    let mut activations = vec![false; chunk];
+    for chunk_index in 0..chunks {
+        let col_base = chunk_index * chunk;
+        let cols_in_chunk = (workload.cols() - col_base).min(chunk);
+        for col in 0..spec.width() {
+            for local in 0..chunk {
+                let bit = col < rows
+                    && local < cols_in_chunk
+                    && workload.weights[row_base + col][col_base + local];
+                macro_sim.program_bit(local * spec.local_array(), col, bit)?;
+            }
+        }
+        for (i, slot) in activations.iter_mut().enumerate() {
+            *slot = i < cols_in_chunk && workload.activations[col_base + i];
+        }
+
+        let codes = macro_sim.mac_and_convert(&activations, 0)?;
+        for (acc, &code) in accumulated.iter_mut().zip(&codes) {
+            *acc += f64::from(code) / full_scale * chunk as f64;
+        }
+    }
+    Ok((accumulated, chunks as u64))
+}
+
 /// Runs a whole co-scheduled [`WorkloadMix`] on `chip` behaviourally.
 ///
 /// Each tenant's layers lower to concrete workloads seeded by
@@ -142,11 +185,12 @@ struct MeasuredLayer {
 /// schedule once per bit-plane: its measured cycles and energy scale by
 /// `q`, matching the analytic partitioner's cycle accounting.
 ///
-/// `timing` sets the macro cycle times the tiles are scheduled and timed
-/// with.  Passing the `ModelParams::timing` the analytic evaluator uses
-/// gives both paths the same schedule: for a mix of one, every simulated
-/// layer `latency_ns` equals the evaluator's `LayerCost::compute_ns` bit
-/// for bit.  One network is the mix of one (`WorkloadMix::from(network)`).
+/// `params` are the analytic evaluator's parameters.  `params.timing` sets
+/// the macro cycle times the tiles are scheduled and timed with, so for a
+/// mix of one every simulated layer `latency_ns` equals the evaluator's
+/// `LayerCost::compute_ns` bit for bit.  `params.energy` charges every
+/// simulated cycle.  One network is the mix of one
+/// (`WorkloadMix::from(network)`).
 ///
 /// # Errors
 ///
@@ -155,7 +199,7 @@ struct MeasuredLayer {
 pub fn simulate_mix(
     chip: &ChipSpec,
     mix: &WorkloadMix,
-    timing: &TimingModel,
+    params: &ModelParams,
     seed: u64,
 ) -> Result<MixSimReport, ChipError> {
     let grid = &chip.grid;
@@ -164,7 +208,7 @@ pub fn simulate_mix(
     let cycle_ns: Vec<f64> = grid
         .specs()
         .iter()
-        .map(|spec| timing.cycle_time(spec.adc_bits()).value() / 1000.0)
+        .map(|spec| params.timing.cycle_time(spec.adc_bits()).value() / 1000.0)
         .collect();
     let partition = partition_mix(grid, mix, &cycle_ns)?;
 
@@ -193,8 +237,9 @@ pub fn simulate_mix(
                     noise,
                     tseed ^ ((placement.layer as u64) << 16) ^ (tile_index as u64 + 1),
                 )?;
+                macro_sim.set_energy_params(params.energy);
                 let (accumulated, tile_cycles) =
-                    run_output_tile(&mut macro_sim, spec, &workload, tile.row_base, tile.rows)?;
+                    run_output_tile(&mut macro_sim, &workload, tile.row_base, tile.rows)?;
                 cycles += tile_cycles * bits;
                 tile_macro_cycles.push((tile.macro_index, tile_cycles * bits));
                 for (c, acc) in accumulated.iter().enumerate() {
@@ -288,8 +333,8 @@ mod tests {
     use crate::grid::MacroGrid;
     use crate::interconnect::ChipCostParams;
     use acim_arch::AcimSpec;
-    use acim_model::ModelParams;
-    use acim_workloads::{MacroMapper, Network};
+    use acim_workloads::transformer::ProjectionKind;
+    use acim_workloads::{AttentionProjection, CnnLayer, Network};
 
     fn spec(h: usize, w: usize, l: usize, b: u32) -> AcimSpec {
         AcimSpec::from_dimensions(h, w, l, b).unwrap()
@@ -303,9 +348,9 @@ mod tests {
         .unwrap()
     }
 
-    /// Simulates a mix with the default timing.
+    /// Simulates a mix with the default parameters.
     fn simulate(chip: &ChipSpec, mix: &WorkloadMix, seed: u64) -> MixSimReport {
-        simulate_mix(chip, mix, &TimingModel::s28_default(), seed).unwrap()
+        simulate_mix(chip, mix, &ModelParams::s28_default(), seed).unwrap()
     }
 
     /// One network's report, simulated as the mix of one.
@@ -345,19 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn single_macro_chip_matches_macro_mapper_cycle_count() {
-        // On a 1×1 grid the chip partitioner degenerates to MacroMapper's
-        // tiling, so total cycles must agree exactly.
+    fn single_macro_chip_matches_closed_form_cycle_count() {
+        // On a 1×1 grid every layer runs ceil(rows / W) output tiles of
+        // ceil(cols / (H / L)) chunks each, one cycle per chunk.
         let network = Network::edge_cnn(1);
         let report = simulate_one(&chip(1, 1), &network, 5);
+        let spec = spec(64, 16, 4, 4);
         for (layer, sim) in network.layers.iter().zip(&report.layers) {
-            // Cycle counts depend only on the layer shape, not the seed.
-            let workload = layer.to_workload(9).unwrap();
-            let mapper_report = MacroMapper::new(&spec(64, 16, 4, 4))
-                .unwrap()
-                .run(&workload, 7)
-                .unwrap();
-            assert_eq!(sim.cycles, mapper_report.cycles, "layer {}", layer.name);
+            let (rows, cols) = layer.shape();
+            let expected = rows.div_ceil(spec.width()) * cols.div_ceil(spec.dot_product_length());
+            assert_eq!(sim.cycles, expected as u64, "layer {}", layer.name);
         }
     }
 
@@ -457,7 +499,7 @@ mod tests {
                 .unwrap()
                 .evaluate_mix(&chip, &mix)
                 .unwrap();
-            let simulated = simulate_mix(&chip, &mix, &params.timing, 0xC812).unwrap();
+            let simulated = simulate_mix(&chip, &mix, &params, 0xC812).unwrap();
             let layers = &simulated.tenants[0].report.layers;
             assert_eq!(layers.len(), analytic.tenants[0].metrics.layers.len());
             for (sim, cost) in layers.iter().zip(&analytic.tenants[0].metrics.layers) {
@@ -469,6 +511,195 @@ mod tests {
                     sim.latency_ns,
                     cost.compute_ns
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn simulated_energy_uses_the_shared_energy_parameters() {
+        let mut params = ModelParams::s28_default();
+        params.energy.k2 = params.energy.k2 * 3.0;
+        let spec = spec(64, 16, 4, 4);
+        let mix = WorkloadMix::from(Network::edge_cnn(1));
+        let report = simulate_mix(&chip(2, 2), &mix, &params, 0xC812).unwrap();
+        // Every cycle charges all W columns of H / L MACs each.
+        let macs_per_cycle = (spec.width() * spec.dot_product_length()) as f64;
+        let expected = params.energy.energy_per_mac(&spec).unwrap().value();
+        for layer in &report.tenants[0].report.layers {
+            let per_mac = layer.energy_fj / (layer.cycles as f64 * macs_per_cycle);
+            assert!(
+                (per_mac - expected).abs() / expected < 1e-9,
+                "{}: {per_mac} fJ per MAC vs {expected}",
+                layer.name
+            );
+        }
+    }
+
+    /// Runs `workload` on one macro the way a 1×1 grid does — output tiles
+    /// of `W` rows back to back on the same macro — and returns
+    /// `(tiles, cycles, relative error)`.
+    fn run_on_one_macro(spec: AcimSpec, workload: &BinaryMvm, seed: u64) -> (usize, u64, f64) {
+        let mut macro_sim =
+            AcimMacro::new(&spec, &Technology::s28(), NoiseConfig::noiseless(), seed).unwrap();
+        let ideal = workload.ideal_binary_outputs();
+        let tiles = workload.rows().div_ceil(spec.width());
+        let (mut cycles, mut error) = (0, 0.0);
+        for tile in 0..tiles {
+            let row_base = tile * spec.width();
+            let rows = (workload.rows() - row_base).min(spec.width());
+            let (accumulated, tile_cycles) =
+                run_output_tile(&mut macro_sim, workload, row_base, rows).unwrap();
+            cycles += tile_cycles;
+            for (acc, &exact) in accumulated.iter().zip(&ideal[row_base..]) {
+                error += (acc - f64::from(exact)).abs();
+            }
+        }
+        let relative_error = error / workload.rows() as f64 / workload.cols() as f64;
+        (tiles, cycles, relative_error)
+    }
+
+    /// A dense all-ones MVM of an arbitrary shape, so tiling edge cases
+    /// have exact expected outputs.
+    fn ones_mvm(rows: usize, cols: usize) -> BinaryMvm {
+        BinaryMvm {
+            weights: vec![vec![true; cols]; rows],
+            activations: vec![true; cols],
+            reference: vec![cols as f64; rows],
+            label: format!("ones_{rows}x{cols}"),
+        }
+    }
+
+    #[test]
+    fn cnn_workload_maps_and_reports_cost() {
+        let workload = CnnLayer::small(3).to_workload(1).unwrap();
+        let (tiles, cycles, error) = run_on_one_macro(spec(64, 16, 4, 4), &workload, 9);
+        assert_eq!(tiles, 1, "16 outputs fit in 16 columns");
+        // 72-long dot product in chunks of 16 → 5 cycles.
+        assert_eq!(cycles, 5);
+        assert!(error < 0.2, "error {error}");
+    }
+
+    #[test]
+    fn wide_workload_needs_multiple_tiles() {
+        let workload = AttentionProjection::edge(ProjectionKind::Query)
+            .to_workload(2)
+            .unwrap();
+        let (tiles, cycles, _) = run_on_one_macro(spec(64, 16, 4, 4), &workload, 3);
+        assert_eq!(tiles, 2, "32 outputs over 16 columns");
+        assert!(cycles >= 16);
+    }
+
+    #[test]
+    fn higher_adc_precision_reduces_error() {
+        let workload = CnnLayer::mobile().to_workload(4).unwrap();
+        let (_, _, low) = run_on_one_macro(spec(128, 32, 4, 2), &workload, 5);
+        let (_, _, high) = run_on_one_macro(spec(128, 32, 4, 5), &workload, 5);
+        assert!(high < low, "B=5 error {high} should beat B=2 error {low}");
+    }
+
+    #[test]
+    fn rows_not_dividing_width_pad_the_last_tile() {
+        // 18 outputs on a width-16 macro: one full tile + a 2-row tail.
+        let (tiles, cycles, error) = run_on_one_macro(spec(64, 16, 4, 4), &ones_mvm(18, 16), 3);
+        assert_eq!(tiles, 2);
+        // Dot length equals the chunk, so each tile costs one cycle.
+        assert_eq!(cycles, 2);
+        // All-ones operands saturate the ADC: outputs are exact.
+        assert!(error < 1e-9, "error {error}");
+    }
+
+    #[test]
+    fn dot_length_not_dividing_chunk_pads_the_last_chunk() {
+        // 50-long dot products in chunks of 16: 3 full chunks + a 2-wide
+        // tail chunk that must be zero-padded, not dropped.
+        let (tiles, cycles, error) = run_on_one_macro(spec(64, 16, 4, 4), &ones_mvm(16, 50), 3);
+        assert_eq!(tiles, 1);
+        assert_eq!(cycles, 4);
+        // The tail chunk contributes 2/16 of full scale; dequantisation is
+        // still within one LSB per chunk of the exact 50.
+        assert!(error < 4.0 * (16.0 / 15.0) / 50.0, "error {error}");
+    }
+
+    #[test]
+    fn neither_dimension_divides_evenly() {
+        // 19 outputs x 37-long dot products on a 16-wide, 16-chunk macro:
+        // ragged in both directions at once.
+        let (tiles, cycles, _) = run_on_one_macro(spec(64, 16, 4, 4), &ones_mvm(19, 37), 5);
+        assert_eq!(tiles, 2);
+        assert_eq!(cycles, 2 * 3);
+    }
+
+    #[test]
+    fn single_tile_single_chunk_degenerate_case() {
+        // A 1x1 workload occupies one column of one tile for one cycle —
+        // the smallest mappable MVM.
+        let (tiles, cycles, error) = run_on_one_macro(spec(64, 16, 4, 4), &ones_mvm(1, 1), 3);
+        assert_eq!(tiles, 1);
+        assert_eq!(cycles, 1);
+        // One active cell out of a 16-long chunk: the dequantised output
+        // must round-trip to 1 within one code step.
+        assert!(error <= 16.0 / 15.0, "error {error}");
+    }
+
+    #[test]
+    fn writing_row_offset_zero_matches_reprogramming_every_cell() {
+        // The tile loop writes only the W · H / L cells at row offset 0 of
+        // each chunk.  Reprogramming all H · W cells per chunk, with zeros
+        // at every other offset, must give the same codes on a noisy macro.
+        // 279-long dot products leave a 7-wide tail chunk, and the second
+        // tile's 13 rows leave 3 columns of padding.
+        let spec = spec(64, 16, 4, 4);
+        let layer = CnnLayer {
+            in_channels: 31,
+            out_channels: 61,
+            kernel: 3,
+        };
+        let workload = layer.to_workload(6).unwrap();
+        let chunk = spec.dot_product_length();
+        let noisy = |seed| {
+            AcimMacro::new(&spec, &Technology::s28(), NoiseConfig::realistic(), seed).unwrap()
+        };
+        for (row_base, rows, seed) in [(0usize, 16usize, 21u64), (48, 13, 22)] {
+            let mut reference = noisy(seed);
+            let mut codes = Vec::new();
+            for col_base in (0..workload.cols()).step_by(chunk) {
+                let cols_in_chunk = (workload.cols() - col_base).min(chunk);
+                reference.program_with(|row, col| {
+                    let (local, offset) = (row / spec.local_array(), row % spec.local_array());
+                    offset == 0
+                        && col < rows
+                        && local < cols_in_chunk
+                        && workload.weights[row_base + col][col_base + local]
+                });
+                let activations: Vec<bool> = (0..chunk)
+                    .map(|i| i < cols_in_chunk && workload.activations[col_base + i])
+                    .collect();
+                codes.push(reference.mac_and_convert(&activations, 0).unwrap());
+            }
+            assert_eq!(codes.len(), 18, "17 full chunks and a tail");
+            let full_scale = f64::from((1u32 << spec.adc_bits()) - 1);
+            let mut expected = vec![0.0f64; rows];
+            for chunk_codes in &codes {
+                for (acc, &code) in expected.iter_mut().zip(chunk_codes) {
+                    *acc += f64::from(code) / full_scale * chunk as f64;
+                }
+            }
+
+            let mut macro_sim = noisy(seed);
+            let (accumulated, cycles) =
+                run_output_tile(&mut macro_sim, &workload, row_base, rows).unwrap();
+            assert_eq!(cycles, codes.len() as u64);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&accumulated),
+                bits(&expected),
+                "tile at row {row_base}"
+            );
+            assert_eq!(macro_sim.stats(), reference.stats());
+            for row in 0..spec.height() {
+                for col in 0..spec.width() {
+                    assert_eq!(macro_sim.read_bit(row, col), reference.read_bit(row, col));
+                }
             }
         }
     }

@@ -8,8 +8,9 @@
 //! change to lowering, seeding, noise or accumulation shows up as a bit
 //! change instead of only as an error-threshold crossing.
 
-use acim_arch::{AcimSpec, TimingModel};
+use acim_arch::AcimSpec;
 use acim_chip::{simulate_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_model::ModelParams;
 
 /// `(layer, cycles, energy_fj.to_bits(), relative_error.to_bits())`.
 const GOLDEN: &[(&str, u64, u64, u64)] = &[
@@ -23,7 +24,7 @@ fn single_tenant_validation_matches_golden_bits() {
     let spec = AcimSpec::from_dimensions(64, 16, 4, 4).unwrap();
     let chip = ChipSpec::new(MacroGrid::uniform(2, 2, spec).unwrap(), 64).unwrap();
     let mix = WorkloadMix::from(Network::edge_cnn(1));
-    let report = simulate_mix(&chip, &mix, &TimingModel::s28_default(), 0xC812).unwrap();
+    let report = simulate_mix(&chip, &mix, &ModelParams::s28_default(), 0xC812).unwrap();
     let layers: Vec<(&str, u64, u64, u64)> = report.tenants[0]
         .report
         .layers

@@ -12,8 +12,8 @@
 //!    error measurement bit-identical.
 
 use acim_arch::AcimSpec;
-use acim_arch::TimingModel;
 use acim_chip::{simulate_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_model::ModelParams;
 use proptest::prelude::*;
 
 /// The three workload families, by catalogue index.
@@ -130,7 +130,7 @@ proptest! {
         mix in any_mix(),
         seed in 0u64..1024,
     ) {
-        let report = simulate_mix(&chip, &mix, &TimingModel::s28_default(), seed).unwrap();
+        let report = simulate_mix(&chip, &mix, &ModelParams::s28_default(), seed).unwrap();
         let per_tenant: u64 = report
             .tenants
             .iter()
@@ -146,8 +146,8 @@ proptest! {
         (mix_a, mix_b) in permuted_mixes(),
         seed in 0u64..1024,
     ) {
-        let a = simulate_mix(&chip, &mix_a, &TimingModel::s28_default(), seed).unwrap();
-        let b = simulate_mix(&chip, &mix_b, &TimingModel::s28_default(), seed).unwrap();
+        let a = simulate_mix(&chip, &mix_a, &ModelParams::s28_default(), seed).unwrap();
+        let b = simulate_mix(&chip, &mix_b, &ModelParams::s28_default(), seed).unwrap();
         prop_assert_eq!(a.total_energy_fj.to_bits(), b.total_energy_fj.to_bits());
         prop_assert_eq!(a.total_cycles, b.total_cycles);
         // Each tenant's own measurements are order-invariant too: match

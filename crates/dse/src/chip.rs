@@ -581,9 +581,6 @@ impl Explorable for ChipDesignProblem {
     }
 }
 
-/// The frontier of a chip exploration ([`ChipExplorer`]).
-pub type ChipParetoSet = Frontier<ChipDesignPoint>;
-
 /// The chip-level explorer: NSGA-II over [`ChipDesignProblem`] with an
 /// archive of every feasible non-dominated chip evaluated.
 #[derive(Debug, Clone)]
@@ -632,7 +629,7 @@ impl ChipExplorer {
     ///
     /// Returns [`DseError::EmptyDesignSpace`] when no feasible chip was
     /// ever found.
-    pub fn explore(&self) -> Result<ChipParetoSet, DseError> {
+    pub fn explore(&self) -> Result<Frontier<ChipDesignPoint>, DseError> {
         self.explore_with(&ExploreOptions::default(), |_| {})
     }
 
@@ -653,7 +650,7 @@ impl ChipExplorer {
         &self,
         options: &ExploreOptions,
         progress: F,
-    ) -> Result<ChipParetoSet, DseError>
+    ) -> Result<Frontier<ChipDesignPoint>, DseError>
     where
         F: FnMut(usize),
     {

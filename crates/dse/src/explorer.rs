@@ -105,9 +105,6 @@ pub struct Frontier<T> {
     pub engine: EvalStats,
 }
 
-/// The frontier of a macro exploration ([`DesignSpaceExplorer`]).
-pub type ParetoFrontierSet = Frontier<DesignPoint>;
-
 impl<T> Frontier<T> {
     /// The frontier design points.
     pub fn points(&self) -> &[T] {
@@ -378,7 +375,7 @@ impl DesignSpaceExplorer {
     ///
     /// Returns [`DseError::EmptyDesignSpace`] when the optimiser never found
     /// a feasible design (which indicates an over-constrained array size).
-    pub fn explore(&self) -> Result<ParetoFrontierSet, DseError> {
+    pub fn explore(&self) -> Result<Frontier<DesignPoint>, DseError> {
         self.explore_with(&ExploreOptions::default(), |_| {})
     }
 
@@ -400,7 +397,7 @@ impl DesignSpaceExplorer {
         &self,
         options: &ExploreOptions,
         progress: F,
-    ) -> Result<ParetoFrontierSet, DseError>
+    ) -> Result<Frontier<DesignPoint>, DseError>
     where
         F: FnMut(usize),
     {

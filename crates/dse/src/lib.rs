@@ -19,8 +19,8 @@
 //! * [`explorer`] — the one exploration loop (NSGA-II behind a memoizing
 //!   genome cache, with a Pareto archive of every feasible non-dominated
 //!   genome it ever evaluates) and its result type, [`Frontier`]; the
-//!   macro explorer returns a [`ParetoFrontierSet`], the chip explorer a
-//!   [`ChipParetoSet`], both instances of it,
+//!   macro explorer returns a `Frontier<DesignPoint>`, the chip explorer a
+//!   `Frontier<ChipDesignPoint>`,
 //! * [`enumerate`] — exhaustive enumeration of the (small) discrete space,
 //!   used as ground truth in the ablation benchmarks,
 //! * [`distill`] — the "user distillation" step of Figure 4: filtering the
@@ -66,12 +66,12 @@ pub mod sweep;
 pub use acim_moga::{
     CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats, PoolStats,
 };
-pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer, ChipParetoSet};
+pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer};
 pub use distill::UserRequirements;
 pub use encoding::DesignEncoding;
 pub use enumerate::enumerate_design_space;
 pub use error::DseError;
-pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier, ParetoFrontierSet};
+pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier};
 pub use problem::AcimDesignProblem;
 pub use robustness::{RobustnessConfig, RobustnessSweep};
 pub use solution::DesignPoint;

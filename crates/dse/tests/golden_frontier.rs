@@ -297,7 +297,7 @@ const GOLDEN_MACRO_WARM: &[&str] = &[
 
 /// One `HxW L B` + objective-bits row per frontier point, in frontier
 /// order.
-fn macro_rows(frontier: &acim_dse::ParetoFrontierSet) -> Vec<String> {
+fn macro_rows(frontier: &acim_dse::Frontier<acim_dse::DesignPoint>) -> Vec<String> {
     frontier
         .iter()
         .map(|p| {

@@ -18,7 +18,10 @@ pub struct FlowConfig {
     /// Maximum number of distilled solutions taken through netlist and
     /// layout generation (the most expensive stage); `0` means "all".
     pub max_layouts: usize,
-    /// Whether to emit SPICE/DEF/GDS text alongside the in-memory results.
+    /// Whether to render each generated design's SPICE netlist text into
+    /// `GeneratedDesign::spice`.  The flow renders no DEF or GDS text:
+    /// `acim_layout::write_def` and `acim_layout::write_gds_text` emit
+    /// those from each returned design's `layout.layout`.
     pub emit_files: bool,
 }
 

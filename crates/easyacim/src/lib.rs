@@ -119,7 +119,7 @@ pub mod prelude {
     };
     pub use acim_netlist::{write_spice, NetlistGenerator};
     pub use acim_tech::Technology;
-    pub use acim_workloads::{ApplicationProfile, MacroMapper};
+    pub use acim_workloads::ApplicationProfile;
 
     pub use acim_telemetry::{
         json_text, prometheus_text, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Span,

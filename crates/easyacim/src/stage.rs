@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use acim_cell::CellLibrary;
 use acim_chip::simulate_mix;
 use acim_dse::{
-    ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig, ExploreOptions, ParetoFrontierSet,
+    ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier,
     UserRequirements,
 };
 use acim_layout::LayoutFlow;
@@ -264,7 +264,7 @@ impl<S: Stage> Stage for Instrumented<S> {
 #[derive(Debug, Clone)]
 pub struct Explored {
     /// The full frontier set (points + evaluation-engine stats).
-    pub frontier: ParetoFrontierSet,
+    pub frontier: Frontier<DesignPoint>,
     /// Wall-clock time of the exploration.
     pub exploration_time: Duration,
 }
@@ -707,12 +707,13 @@ impl Stage for ChipStage {
         };
         if self.config.validate_best {
             if let Some(best) = result.best_throughput() {
-                // Simulate with the timing the exploration scored with, so
-                // the behavioural latencies match the analytic ones.
+                // Simulate with the parameters the exploration scored with,
+                // so the behavioural latencies and energy match the
+                // analytic ones.
                 let mut report = simulate_mix(
                     &best.chip,
                     explorer.problem().mix(),
-                    &self.config.dse.params.timing,
+                    &self.config.dse.params,
                     self.config.validation_seed,
                 )?;
                 // A mix of one reports its lone tenant's validation.

@@ -3,9 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use acim_arch::ArchError;
-
-/// Errors produced while building or mapping workloads.
+/// Errors produced while building workloads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadError {
     /// Two operands have incompatible shapes.
@@ -24,8 +22,6 @@ pub enum WorkloadError {
         /// Why it was rejected.
         reason: String,
     },
-    /// An error bubbled up from the architecture crate.
-    Arch(ArchError),
 }
 
 impl fmt::Display for WorkloadError {
@@ -43,25 +39,11 @@ impl fmt::Display for WorkloadError {
             WorkloadError::InvalidParameter { name, reason } => {
                 write!(f, "invalid workload parameter `{name}`: {reason}")
             }
-            WorkloadError::Arch(err) => write!(f, "architecture error: {err}"),
         }
     }
 }
 
-impl Error for WorkloadError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            WorkloadError::Arch(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<ArchError> for WorkloadError {
-    fn from(err: ArchError) -> Self {
-        WorkloadError::Arch(err)
-    }
-}
+impl Error for WorkloadError {}
 
 #[cfg(test)]
 mod tests {
@@ -75,8 +57,14 @@ mod tests {
             right: (5, 6),
         };
         assert!(e.to_string().contains("3x4"));
-        let e: WorkloadError = ArchError::invalid_spec("x", "y").into();
-        assert!(e.to_string().contains("architecture error"));
+        let e = WorkloadError::InvalidParameter {
+            name: "rows".into(),
+            reason: "must be positive".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid workload parameter `rows`: must be positive"
+        );
     }
 
     #[test]

@@ -5,36 +5,40 @@
 //! Figure 1 of the paper motivates the synthesizable architecture with the
 //! mismatch between a fixed ACIM macro and the very different accuracy /
 //! throughput / energy requirements of edge applications — transformers,
-//! CNNs and SNNs.  This crate provides exactly those three workload
-//! families, a binary quantiser, and the machinery to map their
-//! matrix-vector products onto the behavioural macro of `acim-arch`:
+//! CNNs and SNNs.  This crate describes exactly those three workload
+//! families and a binary quantiser; it knows nothing about the macro.  The
+//! chip layer (`acim-chip`) tiles the workloads onto macro grids, both
+//! analytically and through the behavioural macro of `acim-arch`.
 //!
 //! * [`tensor`] — a minimal dense matrix type,
 //! * [`quantize`] — binarisation / bit-slicing of activations and weights,
 //! * [`cnn`], [`transformer`], [`snn`] — synthetic layer workloads that
 //!   generate realistic MVM shapes,
 //! * [`network`] — ordered multi-layer networks built from those
-//!   generators (consumed by the chip layer in `acim-chip`),
+//!   generators,
 //! * [`mix`] — multi-tenant [`WorkloadMix`]es: named networks with
 //!   arrival weights and per-tenant quantization, co-scheduled on one
 //!   chip,
-//! * [`mapping`] — tiling of an arbitrary MVM onto the (H, W, L, B_ADC)
-//!   macro, cycle/energy accounting and accuracy measurement,
 //! * [`requirements`] — per-application requirement profiles used by the
 //!   user-distillation step of the design-space explorer.
 //!
 //! # Example
 //!
 //! ```
-//! use acim_workloads::{cnn::CnnLayer, mapping::MacroMapper};
-//! use acim_arch::AcimSpec;
+//! use acim_workloads::{cnn::CnnLayer, Network};
 //!
 //! # fn main() -> Result<(), acim_workloads::WorkloadError> {
-//! let layer = CnnLayer::small(7);
-//! let workload = layer.to_workload(3)?;
-//! let spec = AcimSpec::from_dimensions(64, 16, 4, 3)?;
-//! let report = MacroMapper::new(&spec)?.run(&workload, 5)?;
-//! assert!(report.relative_error >= 0.0);
+//! // One layer lowered to a concrete binary MVM: 16 outputs, each a
+//! // 72-long dot product.
+//! let workload = CnnLayer::small(3).to_workload(3)?;
+//! assert_eq!((workload.rows(), workload.cols()), (16, 72));
+//! assert_eq!(workload.ideal_binary_outputs().len(), 16);
+//!
+//! // A network is an ordered list of such layers, each of which reports
+//! // its shape without lowering.
+//! let stem = &Network::edge_cnn(1).layers[0];
+//! let lowered = stem.to_workload(5)?;
+//! assert_eq!(stem.shape(), (lowered.rows(), lowered.cols()));
 //! # Ok(())
 //! # }
 //! ```
@@ -44,7 +48,6 @@
 
 pub mod cnn;
 pub mod error;
-pub mod mapping;
 pub mod mix;
 pub mod network;
 pub mod quantize;
@@ -55,7 +58,6 @@ pub mod transformer;
 
 pub use cnn::CnnLayer;
 pub use error::WorkloadError;
-pub use mapping::{run_output_tile, MacroMapper, MappingReport};
 pub use mix::{Tenant, TenantQuant, WorkloadMix};
 pub use network::{LayerKind, Network, NetworkLayer};
 pub use quantize::{binarize_activations, binarize_weights, BinaryMvm};

@@ -1,8 +1,8 @@
 //! Whole-network workloads: ordered layer graphs built from the
 //! single-MVM workload generators of this crate.
 //!
-//! [`crate::mapping`] maps **one** matrix-vector product onto **one**
-//! macro.  Real applications are sequences of such MVMs — a CNN's
+//! Each generator yields **one** matrix-vector product.  Real
+//! applications are sequences of such MVMs — a CNN's
 //! stacked convolutions, a transformer block's Q/K/V projections, an SNN's
 //! synaptic layers — and their layers have very different shapes and
 //! accuracy appetites.  [`Network`] captures that: an ordered list of

@@ -2,12 +2,13 @@
 //! partitioning onto a macro grid, analytic evaluation, NSGA-II
 //! co-exploration, behavioural validation, and the easyacim flow stage.
 
-use acim_arch::{AcimSpec, TimingModel};
+use acim_arch::AcimSpec;
 use acim_chip::{
     simulate_mix, ChipEvaluator, ChipMetrics, ChipSimReport, ChipSpec, MacroGrid, Network,
     WorkloadMix,
 };
 use acim_dse::{ChipDseConfig, ChipExplorer};
+use acim_model::ModelParams;
 use easyacim::{chip_report, ChipFlowConfig, ChipStage, Stage};
 
 fn quick_dse(network: Network) -> ChipDseConfig {
@@ -29,10 +30,10 @@ fn evaluate_one(chip: &ChipSpec, network: &Network) -> ChipMetrics {
     metrics.tenants.remove(0).metrics
 }
 
-/// Behavioural report of one network (the mix of one) at default timing.
+/// Behavioural report of one network (the mix of one) at default parameters.
 fn simulate_one(chip: &ChipSpec, network: &Network, seed: u64) -> ChipSimReport {
     let mix = WorkloadMix::from(network.clone());
-    let mut report = simulate_mix(chip, &mix, &TimingModel::s28_default(), seed).unwrap();
+    let mut report = simulate_mix(chip, &mix, &ModelParams::s28_default(), seed).unwrap();
     report.tenants.remove(0).report
 }
 
