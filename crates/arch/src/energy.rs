@@ -56,10 +56,10 @@ impl EnergyModelParams {
     ///
     /// # Errors
     ///
-    /// Returns [`ArchError::InvalidParameter`] when `vdd` is not positive or
-    /// `adc_bits` is zero.
+    /// Returns [`ArchError::InvalidParameter`] when `vdd` is not positive
+    /// (or NaN) or `adc_bits` is zero.
     pub fn adc_energy(&self, adc_bits: u32) -> Result<Femtojoule, ArchError> {
-        if self.vdd <= 0.0 {
+        if self.vdd.is_nan() || self.vdd <= 0.0 {
             return Err(ArchError::InvalidParameter {
                 name: "vdd".into(),
                 reason: "supply voltage must be positive".into(),
@@ -85,17 +85,6 @@ impl EnergyModelParams {
         let adc = self.adc_energy(spec.adc_bits())?;
         let shared = spec.capacitors_per_column() as f64;
         Ok(self.e_compute + self.e_control + adc / shared)
-    }
-
-    /// Energy efficiency in TOPS/W for a specification (2 ops per MAC).
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModelParams::adc_energy`].
-    pub fn tops_per_watt(&self, spec: &AcimSpec) -> Result<f64, ArchError> {
-        let per_mac_fj = self.energy_per_mac(spec)?.value();
-        // 2 ops per MAC; 1 fJ per op ↔ 1000 TOPS/W.
-        Ok(2.0 / per_mac_fj * 1000.0)
     }
 }
 
@@ -159,6 +148,10 @@ mod tests {
         let e8 = p.adc_energy(8).unwrap().value();
         assert!(e6 > e3);
         assert!(e8 > 4.0 * e6, "4^B term should dominate at high precision");
+        // The 4^B term grows 16x between B=4 and B=6; with the linear term
+        // the total grows by more than 4x but less than 16x.
+        let ratio = e6 / p.adc_energy(4).unwrap().value();
+        assert!(ratio > 4.0 && ratio < 16.0, "ratio = {ratio}");
     }
 
     #[test]
@@ -173,23 +166,33 @@ mod tests {
     #[test]
     fn efficiency_spans_the_papers_range() {
         let p = EnergyModelParams::s28_default();
+        // 2 ops per MAC; 1 fJ per op ↔ 1000 TOPS/W.
+        let tops_per_watt = |spec| 2000.0 / p.energy_per_mac(&spec).unwrap().value();
         // Low-precision, heavily amortised design → very efficient.
         let efficient = AcimSpec::from_dimensions(512, 32, 2, 2).unwrap();
         // High-precision design with the minimum column sharing → inefficient.
         let costly = AcimSpec::from_dimensions(512, 32, 2, 8).unwrap();
-        let best = p.tops_per_watt(&efficient).unwrap();
-        let worst = p.tops_per_watt(&costly).unwrap();
+        let best = tops_per_watt(efficient);
+        let worst = tops_per_watt(costly);
         assert!(best > 500.0, "best efficiency {best} TOPS/W");
         assert!(worst < 100.0, "worst efficiency {worst} TOPS/W");
         assert!(best < 1200.0, "efficiency implausibly high: {best}");
         assert!(worst > 10.0, "efficiency implausibly low: {worst}");
+        // Figure 10 reports 50–750 TOPS/W across the design space.
+        let top = tops_per_watt(AcimSpec::from_dimensions(1024, 16, 2, 2).unwrap());
+        assert!(top > 600.0, "best = {top:.0} TOPS/W");
+        assert!(worst < 80.0, "worst = {worst:.0} TOPS/W");
     }
 
     #[test]
     fn invalid_parameters_rejected() {
-        let mut p = EnergyModelParams::s28_default();
-        p.vdd = 0.0;
-        assert!(p.adc_energy(3).is_err());
+        for vdd in [0.0, -0.9, f64::NAN] {
+            let p = EnergyModelParams {
+                vdd,
+                ..EnergyModelParams::s28_default()
+            };
+            assert!(p.adc_energy(3).is_err(), "vdd = {vdd}");
+        }
         let p = EnergyModelParams::s28_default();
         assert!(p.adc_energy(0).is_err());
     }

@@ -101,11 +101,11 @@ impl TimingModel {
     /// # Errors
     ///
     /// Returns [`ArchError::InvalidParameter`] when any timing parameter is
-    /// non-positive.
+    /// non-positive or NaN.
     pub fn throughput_ops(&self, spec: &AcimSpec) -> Result<f64, ArchError> {
-        if self.t_compute.value() <= 0.0
-            || self.tau.value() <= 0.0
-            || self.t_conv_per_bit.value() <= 0.0
+        if !(self.t_compute.value() > 0.0
+            && self.tau.value() > 0.0
+            && self.t_conv_per_bit.value() > 0.0)
         {
             return Err(ArchError::InvalidParameter {
                 name: "timing".into(),
@@ -170,12 +170,16 @@ mod tests {
 
     #[test]
     fn figure8b_throughput_is_about_0_81_tops() {
+        let t = TimingModel::s28_default();
         let spec = AcimSpec::from_dimensions(128, 128, 8, 3).unwrap();
-        let tops = TimingModel::s28_default().throughput_tops(&spec).unwrap();
+        let tops = t.throughput_tops(&spec).unwrap();
         assert!(
             (tops - 0.813).abs() < 0.05,
             "expected ≈0.813 TOPS, got {tops}"
         );
+        // Figure 8(c) has the same throughput as (b): same H/L·W product.
+        let c = AcimSpec::from_dimensions(64, 256, 8, 3).unwrap();
+        assert!((t.throughput_tops(&c).unwrap() - tops).abs() < 1e-9);
     }
 
     #[test]
@@ -191,15 +195,20 @@ mod tests {
     fn higher_adc_precision_slows_the_cycle() {
         let t = TimingModel::s28_default();
         assert!(t.cycle_time(8).value() > t.cycle_time(3).value());
+        // The B = 3 cycle is about 5 ns with the default timing.
+        let ns = t.cycle_time(3).value() / 1000.0;
+        assert!((ns - 5.0).abs() < 0.3, "cycle time {ns:.2} ns");
     }
 
     #[test]
     fn invalid_timing_rejected() {
-        let bad = TimingModel {
-            t_compute: Picosecond::new(0.0),
-            ..TimingModel::s28_default()
-        };
         let spec = AcimSpec::from_dimensions(128, 128, 2, 3).unwrap();
-        assert!(bad.throughput_ops(&spec).is_err());
+        for value in [0.0, -1.0, f64::NAN] {
+            let bad = TimingModel {
+                t_compute: Picosecond::new(value),
+                ..TimingModel::s28_default()
+            };
+            assert!(bad.throughput_ops(&spec).is_err(), "t_compute = {value}");
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! Criterion bench of the performance-estimation model (Equations 2–11).
 //!
-//! The estimation model is evaluated tens of thousands of times per
-//! exploration run, so its per-call cost is what makes the "agile" DSE
-//! agile; this bench tracks it for the scalar facade, the hoisted
-//! invariants kernel and the detailed SNR model.
+//! Every explorer scores a macro through `acim_model::evaluate`, so its
+//! per-call cost bounds what a genome-cache miss costs; this bench tracks
+//! it and the detailed SNR model.
 //!
 //! Every sample times a block of [`EVALS_PER_SAMPLE`] evaluations and
 //! reports the mean per-evaluation duration, so the ~20 ns `Instant`
@@ -14,7 +13,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use acim_arch::AcimSpec;
-use acim_model::{evaluate, snr_detailed_db, ModelInvariants, ModelParams};
+use acim_model::{evaluate, snr_detailed_db, ModelParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Evaluations timed per sample; reported medians are per-evaluation.
@@ -29,17 +28,6 @@ fn model_eval(c: &mut Criterion) {
             let start = Instant::now();
             for _ in 0..EVALS_PER_SAMPLE {
                 black_box(evaluate(black_box(&spec), &params).expect("evaluates"));
-            }
-            start.elapsed() / EVALS_PER_SAMPLE
-        })
-    });
-
-    let invariants = ModelInvariants::new(&params).expect("valid params");
-    c.bench_function("model_eval/invariants_eval", |b| {
-        b.iter_custom(|_| {
-            let start = Instant::now();
-            for _ in 0..EVALS_PER_SAMPLE {
-                black_box(invariants.evaluate_spec(black_box(&spec)));
             }
             start.elapsed() / EVALS_PER_SAMPLE
         })

@@ -511,6 +511,12 @@ garbage line without fields\n\
                 env!("CARGO_MANIFEST_DIR"),
                 "/benches/macro_sim_baseline.json"
             ),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/benches/nsga2_baseline.json"),
+            concat!(env!("CARGO_MANIFEST_DIR"), "/benches/router_baseline.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/benches/layout_runtime_baseline.json"
+            ),
         ] {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("baseline {path} must exist: {e}"));

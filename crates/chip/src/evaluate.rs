@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use acim_arch::AcimSpec;
-use acim_model::{ModelInvariants, ModelParams, SpecKey};
+use acim_model::{ModelParams, SpecKey};
 use acim_moga::CacheStats;
 use acim_workloads::{Network, WorkloadMix};
 
@@ -355,9 +355,6 @@ struct MemberCost {
 pub struct ChipEvaluator {
     params: ModelParams,
     cost: ChipCostParams,
-    // Per-ModelParams quantities of the macro estimation model, hoisted
-    // once at construction; macro derivations are pure arithmetic.
-    invariants: ModelInvariants,
     // Clones share the client's counters, so one request's attribution
     // survives the batch fan-out.
     macro_client: MacroCacheClient,
@@ -370,12 +367,11 @@ impl ChipEvaluator {
     ///
     /// Returns [`ChipError`] when either parameter set is invalid.
     pub fn new(params: ModelParams, cost: ChipCostParams) -> Result<Self, ChipError> {
-        let invariants = ModelInvariants::new(&params)?;
+        params.validate()?;
         cost.validate()?;
         Ok(Self {
             params,
             cost,
-            invariants,
             macro_client: MacroCacheClient::detached(),
         })
     }
@@ -431,12 +427,9 @@ impl ChipEvaluator {
     /// the duplicate work is harmless), but attribution stays
     /// deterministic — see [`MacroCacheClient::get_or_derive`].
     fn macro_metrics(&self, key: SpecKey, spec: &AcimSpec) -> Result<MacroMetrics, ChipError> {
-        self.macro_client.get_or_derive(key, || {
-            Ok(MacroMetrics {
-                design: self.invariants.evaluate_spec(spec),
-                cycle_ns: self.invariants.cycle_time_ns(spec.adc_bits()),
-            })
-        })
+        Ok(self
+            .macro_client
+            .get_or_derive(key, || MacroMetrics::derive(spec, &self.params))?)
     }
 
     /// Derives the per-grid-position macro metrics of one chip, folding

@@ -20,7 +20,8 @@
 //! pairing a hit returns bit-identical values to a recomputation, so
 //! explorations with and without the cache produce identical frontiers.
 
-use acim_model::{DesignMetrics, SpecKey};
+use acim_arch::AcimSpec;
+use acim_model::{evaluate, DesignMetrics, ModelError, ModelParams, SpecKey};
 use acim_moga::{CacheCounters, CacheStats, SharedCache, TryInsert};
 
 /// Everything the chip evaluator needs per macro, cached as one value:
@@ -29,8 +30,24 @@ use acim_moga::{CacheCounters, CacheStats, SharedCache, TryInsert};
 pub struct MacroMetrics {
     /// The estimation-model metrics (SNR, throughput, energy, area).
     pub design: DesignMetrics,
-    /// The macro's cycle time in ns (`acim_model::throughput`).
+    /// The macro's conversion-cycle time in ns (Equation 7's denominator).
     pub cycle_ns: f64,
+}
+
+impl MacroMetrics {
+    /// Derives one macro's metrics through [`acim_model::evaluate`] — the
+    /// one derivation behind every cache entry, whichever consumer
+    /// inserts it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] when `params` fails validation.
+    pub fn derive(spec: &AcimSpec, params: &ModelParams) -> Result<Self, ModelError> {
+        Ok(Self {
+            design: evaluate(spec, params)?,
+            cycle_ns: params.timing.cycle_time(spec.adc_bits()).value() / 1000.0,
+        })
+    }
 }
 
 /// The shared macro-metric store: a [`SharedCache`] from quantized
@@ -137,18 +154,13 @@ impl MacroCacheClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acim_arch::AcimSpec;
-    use acim_model::{evaluate, throughput::cycle_time_ns, ModelParams};
 
     fn metrics_of(h: usize, w: usize, l: usize, b: u32) -> (SpecKey, MacroMetrics) {
         let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
         let params = ModelParams::s28_default();
         (
             SpecKey::of(&spec),
-            MacroMetrics {
-                design: evaluate(&spec, &params).unwrap(),
-                cycle_ns: cycle_time_ns(&spec, &params),
-            },
+            MacroMetrics::derive(&spec, &params).unwrap(),
         )
     }
 

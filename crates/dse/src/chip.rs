@@ -273,8 +273,8 @@ impl ChipDesignProblem {
             .map_err(|e| DseError::InvalidConfig(format!("workload mix: {e}")))?;
         let evaluator = ChipEvaluator::new(config.params, config.cost)
             .map_err(|e| DseError::InvalidConfig(e.to_string()))?;
-        // The Monte-Carlo corners are hoisted here, once per problem —
-        // genome evaluations only run the hoisted kernel over them.
+        // The Monte-Carlo corners are drawn and validated here, once per
+        // problem; genome evaluations only score macros under them.
         let robustness = config
             .robustness
             .map(|rc| RobustnessSweep::new(rc, &config.params))
@@ -344,7 +344,7 @@ impl ChipDesignProblem {
         self.objective
     }
 
-    /// The hoisted device-variation sweep, when robustness is enabled.
+    /// The device-variation sweep, when robustness is enabled.
     pub fn robustness(&self) -> Option<&RobustnessSweep> {
         self.robustness.as_ref()
     }
@@ -1241,6 +1241,77 @@ mod tests {
         assert_eq!(a.engine.generation_seconds.len(), 10);
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.objective_vector(), y.objective_vector());
+        }
+    }
+
+    #[test]
+    fn invalid_model_parameters_are_named_errors_in_every_constructor() {
+        use crate::explorer::{DesignSpaceExplorer, DseConfig};
+        use acim_tech::{Femtojoule, Picosecond};
+
+        fn set(p: &mut ModelParams, field: &str, v: f64) {
+            match field {
+                "t_compute" => p.timing.t_compute = Picosecond::new(v),
+                "tau" => p.timing.tau = Picosecond::new(v),
+                "t_conv_per_bit" => p.timing.t_conv_per_bit = Picosecond::new(v),
+                "vdd" => p.energy.vdd = v,
+                "e_compute" => p.energy.e_compute = Femtojoule::new(v),
+                "e_control" => p.energy.e_control = Femtojoule::new(v),
+                "k1" => p.energy.k1 = Femtojoule::new(v),
+                "k2" => p.energy.k2 = Femtojoule::new(v),
+                _ => unreachable!("no setter for {field}"),
+            }
+        }
+        // (field, whether 0 is out of range).
+        let fields = [
+            ("t_compute", true),
+            ("tau", true),
+            ("t_conv_per_bit", true),
+            ("vdd", true),
+            ("e_compute", false),
+            ("e_control", false),
+            ("k1", false),
+            ("k2", false),
+        ];
+        for (name, positive) in fields {
+            let bad: &[f64] = if positive {
+                &[f64::NAN, -1.0, 0.0]
+            } else {
+                &[f64::NAN, -1.0]
+            };
+            for &value in bad {
+                let mut params = ModelParams::s28_default();
+                set(&mut params, name, value);
+                let errors = [
+                    DesignSpaceExplorer::new(DseConfig {
+                        params,
+                        ..DseConfig::default()
+                    })
+                    .err()
+                    .map(|e| e.to_string()),
+                    ChipExplorer::new(ChipDseConfig {
+                        params,
+                        ..quick_config()
+                    })
+                    .err()
+                    .map(|e| e.to_string()),
+                    ChipEvaluator::new(params, ChipCostParams::s28_default())
+                        .err()
+                        .map(|e| e.to_string()),
+                ];
+                for error in errors {
+                    let error = error.unwrap_or_else(|| panic!("{name} = {value} accepted"));
+                    assert!(
+                        error.contains(&format!("`{name}`")),
+                        "{name} = {value}: {error}"
+                    );
+                }
+            }
+            if !positive {
+                let mut params = ModelParams::s28_default();
+                set(&mut params, name, 0.0);
+                assert!(params.validate().is_ok(), "{name} = 0 must be accepted");
+            }
         }
     }
 }

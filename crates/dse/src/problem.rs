@@ -2,7 +2,7 @@
 
 use acim_arch::AcimSpec;
 use acim_chip::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
-use acim_model::{DesignMetrics, ModelInvariants, ModelParams, SpecKey};
+use acim_model::{DesignMetrics, ModelError, ModelParams, SpecKey};
 use acim_moga::{CacheStats, Evaluation, Problem};
 
 use crate::encoding::DesignEncoding;
@@ -13,8 +13,9 @@ use crate::solution::DesignPoint;
 /// The four-objective, constrained ACIM parameter-selection problem of
 /// Equation 12, evaluated with the analytic estimation model.
 ///
-/// With [`AcimDesignProblem::with_macro_cache`] the per-spec metric
-/// derivation is routed through the shared macro-metric reuse layer
+/// Every spec is scored by [`MacroMetrics::derive`], that is by
+/// [`acim_model::evaluate`].  With [`AcimDesignProblem::with_macro_cache`]
+/// the derivation is routed through the shared macro-metric reuse layer
 /// (`acim_chip::MacroMetricsCache`), so macro explorations, chip
 /// explorations and decode passes over the same [`ModelParams`] share one
 /// store of per-macro `DesignMetrics` — with the same bit-identical
@@ -22,15 +23,12 @@ use crate::solution::DesignPoint;
 ///
 /// A batch is scored through the trait's serial map over
 /// [`Problem::evaluate`] on the calling thread: one evaluation is a decode
-/// plus the ~10 ns hoisted kernel, far below what a helper thread costs to
-/// spawn.
+/// plus a ~100 ns closed-form evaluation, far below what a helper thread
+/// costs to spawn.
 #[derive(Debug, Clone)]
 pub struct AcimDesignProblem {
     encoding: DesignEncoding,
     params: ModelParams,
-    // Every per-ModelParams quantity of Equations 7-11, hoisted once at
-    // construction so the per-genome path is pure arithmetic.
-    invariants: ModelInvariants,
     // Clones share the client's counters, so per-request attribution
     // survives cloning the problem.
     macro_client: MacroCacheClient,
@@ -41,20 +39,20 @@ impl AcimDesignProblem {
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::InvalidConfig`] when the encoding cannot be built
-    /// or the model parameters are invalid.
+    /// Returns [`DseError::InvalidConfig`] when the encoding cannot be built,
+    /// and [`DseError::Model`] when the model parameters fail
+    /// [`ModelParams::validate`].
     pub fn new(
         array_size: usize,
         min_height: usize,
         max_height: usize,
         params: ModelParams,
     ) -> Result<Self, DseError> {
-        let invariants = ModelInvariants::new(&params)?;
+        params.validate()?;
         let encoding = DesignEncoding::new(array_size, min_height, max_height)?;
         Ok(Self {
             encoding,
             params,
-            invariants,
             macro_client: MacroCacheClient::detached(),
         })
     }
@@ -75,22 +73,11 @@ impl AcimDesignProblem {
     }
 
     /// Derives one spec's metrics, consulting the shared macro-metric
-    /// cache when one is installed.  Both routes go through the hoisted
-    /// [`ModelInvariants`] kernel, which is bit-identical to the scalar
-    /// facade ([`acim_model::evaluate`]).
-    fn spec_metrics(&self, spec: &AcimSpec) -> Result<DesignMetrics, acim_model::ModelError> {
-        if self.macro_client.cache().is_none() {
-            return Ok(self.invariants.evaluate_spec(spec));
-        }
+    /// cache when one is installed (a detached client just derives).
+    fn spec_metrics(&self, spec: &AcimSpec) -> Result<DesignMetrics, ModelError> {
         self.macro_client
             .get_or_derive(SpecKey::of(spec), || {
-                Ok(MacroMetrics {
-                    design: self.invariants.evaluate_spec(spec),
-                    // The chip evaluator reads the cycle time from the
-                    // same entry, so populate it here too: a macro
-                    // session warms the chip sessions that follow it.
-                    cycle_ns: self.invariants.cycle_time_ns(spec.adc_bits()),
-                })
+                MacroMetrics::derive(spec, &self.params)
             })
             .map(|metrics| metrics.design)
     }

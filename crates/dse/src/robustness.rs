@@ -6,18 +6,18 @@
 //! terms.  A chip that clears its accuracy target only at the nominal
 //! corner is not a robust design point.  This module draws `N` seeded
 //! perturbations of the [`ModelParams`] SNR corner, scores every
-//! candidate chip's distinct macros through the hoisted kernel
-//! ([`ModelInvariants::evaluate_spec`]) under each corner, and turns the
+//! candidate chip's distinct macros with the simplified SNR model
+//! ([`snr_simplified_db`], Equation 11) under each corner, and turns the
 //! fraction of corners where the chip's worst macro still clears an SNR
 //! floor — its **yield** — into an NSGA-II constraint violation.
 //!
-//! The sweep is deliberately cheap: the `N` perturbed invariants are
-//! hoisted once per problem (not per genome), each chip contributes only
-//! its *distinct* macro shapes to the batch, and the whole sweep is pure
+//! The sweep is deliberately cheap: the `N` perturbed corners are drawn
+//! and validated once per problem (not per genome), each chip contributes
+//! only its *distinct* macro shapes, and the whole sweep is pure
 //! arithmetic — deterministic per seed, thread-safe by `&self`.
 
 use acim_chip::ChipSpec;
-use acim_model::{ModelInvariants, ModelParams};
+use acim_model::{snr_simplified_db, ModelParams};
 use acim_tech::Femtofarad;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,12 +57,12 @@ impl Default for RobustnessConfig {
     }
 }
 
-/// The hoisted sweep: `samples` perturbed [`ModelInvariants`], built once
-/// per problem and shared (immutably) by every genome evaluation.
+/// The drawn sweep: `samples` perturbed, validated [`ModelParams`], built
+/// once per problem and shared (immutably) by every genome evaluation.
 #[derive(Debug, Clone)]
 pub struct RobustnessSweep {
     config: RobustnessConfig,
-    corners: Vec<ModelInvariants>,
+    corners: Vec<ModelParams>,
 }
 
 impl RobustnessSweep {
@@ -108,10 +108,10 @@ impl RobustnessSweep {
             let co_u: f64 = rng.gen_range(-1.0..1.0);
             corner.snr.k3 = params.snr.k3 * (1.0 + config.sigma * k3_u);
             corner.snr.c_o = Femtofarad::new(params.snr.c_o.value() * (1.0 + config.sigma * co_u));
-            corners.push(
-                ModelInvariants::new(&corner)
-                    .map_err(|e| DseError::InvalidConfig(format!("robustness corner: {e}")))?,
-            );
+            corner
+                .validate()
+                .map_err(|e| DseError::InvalidConfig(format!("robustness corner: {e}")))?;
+            corners.push(corner);
         }
         Ok(Self { config, corners })
     }
@@ -127,9 +127,11 @@ impl RobustnessSweep {
         let distinct = chip.grid.distinct_specs();
         let mut passes = 0usize;
         for corner in &self.corners {
+            // Every corner was validated at construction, so the model
+            // cannot fail here; a failure would count as a failing die.
             let worst = distinct
                 .iter()
-                .map(|spec| corner.evaluate_spec(spec).snr_db)
+                .map(|spec| snr_simplified_db(spec, corner).unwrap_or(f64::NEG_INFINITY))
                 .fold(f64::INFINITY, f64::min);
             if worst >= self.config.min_snr_db {
                 passes += 1;
@@ -215,9 +217,8 @@ mod tests {
         let params = ModelParams::s28_default();
         // Pick a floor between the 2-bit and 5-bit nominal SNRs so the
         // sweep separates them.
-        let nominal = ModelInvariants::new(&params).unwrap();
-        let low = nominal.evaluate_spec(chip(2).grid.spec(0)).snr_db;
-        let high = nominal.evaluate_spec(chip(5).grid.spec(0)).snr_db;
+        let low = snr_simplified_db(chip(2).grid.spec(0), &params).unwrap();
+        let high = snr_simplified_db(chip(5).grid.spec(0), &params).unwrap();
         assert!(high > low);
         let sweep = RobustnessSweep::new(
             RobustnessConfig {

@@ -10,10 +10,9 @@
 //! ```
 
 use acim_arch::AcimSpec;
-use acim_tech::SquareF;
 
 use crate::error::ModelError;
-use crate::params::ModelParams;
+use crate::params::{AreaParams, ModelParams};
 
 /// Average area per bit in F² (Equation 10).
 ///
@@ -23,22 +22,18 @@ use crate::params::ModelParams;
 /// validation.
 pub fn area_f2_per_bit(spec: &AcimSpec, params: &ModelParams) -> Result<f64, ModelError> {
     params.validate()?;
-    let a = &params.area;
+    Ok(area_per_bit(spec, &params.area))
+}
+
+/// Equation 10 on areas the caller has already validated.
+pub(crate) fn area_per_bit(spec: &AcimSpec, area: &AreaParams) -> f64 {
     let l = spec.local_array() as f64;
     let h = spec.height() as f64;
     let b = f64::from(spec.adc_bits());
-    Ok(a.a_sram.value() + a.a_lc.value() / l + a.a_comp.value() / h + b * a.a_dff.value() / h)
-}
-
-/// Total macro area in F² (per-bit area times the array size).
-///
-/// # Errors
-///
-/// See [`area_f2_per_bit`].
-pub fn total_area_f2(spec: &AcimSpec, params: &ModelParams) -> Result<SquareF, ModelError> {
-    Ok(SquareF::new(
-        area_f2_per_bit(spec, params)? * spec.array_size() as f64,
-    ))
+    area.a_sram.value()
+        + area.a_lc.value() / l
+        + area.a_comp.value() / h
+        + b * area.a_dff.value() / h
 }
 
 #[cfg(test)]
@@ -88,14 +83,6 @@ mod tests {
             (b5 - b3 - 2.0 * params.area.a_dff.value() / 128.0).abs() < 1e-9,
             "difference should be exactly 2·A_DFF/H"
         );
-    }
-
-    #[test]
-    fn total_area_scales_with_array_size() {
-        let params = ModelParams::s28_default();
-        let small = total_area_f2(&spec(128, 32, 8, 3), &params).unwrap();
-        let large = total_area_f2(&spec(128, 128, 8, 3), &params).unwrap();
-        assert!((large.value() / small.value() - 4.0).abs() < 1e-9);
     }
 
     #[test]

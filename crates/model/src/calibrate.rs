@@ -103,12 +103,26 @@ pub fn apply_snr_offset(params: &mut ModelParams, offset_db: f64) {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InsufficientData`] when fewer than two distinct
+/// Returns [`ModelError::InvalidParameter`] when `vdd` is not positive and
+/// finite or a sample energy is not finite, and
+/// [`ModelError::InsufficientData`] when fewer than two distinct
 /// precisions are provided (the system would be singular).
 pub fn calibrate_adc_energy(
     samples: &[(u32, f64)],
     vdd: f64,
 ) -> Result<CalibrationReport, ModelError> {
+    if !(vdd > 0.0 && vdd.is_finite()) {
+        return Err(ModelError::InvalidParameter {
+            name: "vdd".into(),
+            reason: format!("must be positive and finite, got {vdd}"),
+        });
+    }
+    if let Some(&(bits, energy)) = samples.iter().find(|(_, e)| !e.is_finite()) {
+        return Err(ModelError::InvalidParameter {
+            name: "samples".into(),
+            reason: format!("energy at B_ADC = {bits} must be finite, got {energy}"),
+        });
+    }
     let distinct: std::collections::BTreeSet<u32> = samples.iter().map(|(b, _)| *b).collect();
     if distinct.len() < 2 {
         return Err(ModelError::InsufficientData(
@@ -183,6 +197,27 @@ mod tests {
         let samples = vec![(4, 100.0), (4, 101.0)];
         assert!(calibrate_adc_energy(&samples, 0.9).is_err());
         assert!(calibrate_adc_energy(&[], 0.9).is_err());
+    }
+
+    #[test]
+    fn adc_energy_fit_rejects_non_finite_inputs() {
+        let samples = vec![(2, 130.0), (4, 160.0), (6, 750.0)];
+        for vdd in [0.0, -0.9, f64::NAN, f64::INFINITY] {
+            let err = calibrate_adc_energy(&samples, vdd).unwrap_err();
+            assert!(
+                matches!(&err, ModelError::InvalidParameter { name, .. } if name == "vdd"),
+                "vdd = {vdd}: {err}"
+            );
+        }
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut samples = samples.clone();
+            samples[1].1 = bad;
+            let err = calibrate_adc_energy(&samples, 0.9).unwrap_err();
+            assert!(
+                matches!(&err, ModelError::InvalidParameter { name, .. } if name == "samples"),
+                "energy = {bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,22 +3,21 @@
 //! The analytic ACIM performance-estimation model of EasyACIM
 //! (Section 3.2.1, Equations 2–11 of the paper).
 //!
-//! The design-space explorer needs to evaluate tens of thousands of
-//! candidate (H, W, L, B_ADC) specifications, far too many for behavioural
+//! The design-space explorer needs to evaluate thousands of candidate
+//! (H, W, L, B_ADC) specifications, far too many for behavioural
 //! simulation.  The paper therefore drives NSGA-II with closed-form
 //! estimates of the four competing objectives:
 //!
 //! * **SNR** — Equations 2–6 in full, or the simplified Equation 11 used by
 //!   the optimiser ([`snr`]),
-//! * **throughput** — Equation 7 ([`throughput`]),
-//! * **energy** — Equations 8–9 ([`energy`]),
+//! * **throughput** — Equation 7 ([`acim_arch::TimingModel`]),
+//! * **energy** — Equations 8–9 ([`acim_arch::EnergyModelParams`]),
 //! * **area** — Equation 10 ([`area`]).
 //!
-//! [`objectives::evaluate`] bundles all four into a [`DesignMetrics`] value
-//! and an objective vector in the `[−f_SNR, −f_T, f_E, f_A]` form of
-//! Equation 12; it is the readable reference.  The explorers' hot path is
-//! [`ModelInvariants::evaluate_spec`] ([`kernel`]), which hoists every
-//! parameter-only quantity once and stays bit-identical to the reference.
+//! [`objectives::evaluate`] is the one way the workspace scores a macro: it
+//! validates the parameters once, derives the Equation 8 energy once, and
+//! returns every metric as a [`DesignMetrics`] value with an objective
+//! vector in the `[−f_SNR, −f_T, f_E, f_A]` form of Equation 12.
 //! [`calibrate`] fits the model's empirical constants against the
 //! behavioural simulator in `acim-arch`, which plays the role of the
 //! paper's post-layout simulation.
@@ -44,23 +43,17 @@
 
 pub mod area;
 pub mod calibrate;
-pub mod energy;
 pub mod error;
-pub mod kernel;
 pub mod key;
 pub mod math;
 pub mod objectives;
 pub mod params;
 pub mod snr;
-pub mod throughput;
 
 pub use area::area_f2_per_bit;
 pub use calibrate::{calibrate_adc_energy, calibrate_snr_offset, CalibrationReport};
-pub use energy::{energy_per_mac_fj, tops_per_watt};
 pub use error::ModelError;
-pub use kernel::ModelInvariants;
 pub use key::SpecKey;
 pub use objectives::{evaluate, DesignMetrics};
 pub use params::{AreaParams, DataDistribution, ModelParams, SnrParams};
 pub use snr::{snr_detailed_db, snr_simplified_db, SnrBreakdown};
-pub use throughput::throughput_tops;

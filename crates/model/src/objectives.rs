@@ -10,9 +10,10 @@
 
 use acim_arch::AcimSpec;
 
+use crate::area::area_per_bit;
 use crate::error::ModelError;
-use crate::math::log10_int;
 use crate::params::ModelParams;
+use crate::snr::simplified_snr_db;
 
 /// All estimated figures of merit for one design specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,51 +61,29 @@ impl DesignMetrics {
     }
 }
 
-/// Evaluates all four objectives for a specification.
+/// Evaluates all four objectives for a specification — the one way the
+/// workspace scores a macro.
 ///
-/// Each metric is the exact expression of its dedicated module
-/// ([`crate::snr::snr_simplified_db`], [`crate::throughput`],
-/// [`crate::energy`], [`crate::area`]) — but validation runs **once** and
-/// the Equation 8 energy is computed **once** (the facade functions would
-/// re-validate the parameter set per metric and derive `energy_per_mac`
-/// twice, for the energy and efficiency objectives).  The results are
-/// bit-identical to calling the facades independently.
+/// Validation runs **once**, then each metric comes from the one body of
+/// its equation: Equation 11 ([`crate::snr::snr_simplified_db`]'s),
+/// Equation 7 ([`acim_arch::TimingModel::throughput_tops`]), Equations 8–9
+/// ([`acim_arch::EnergyModelParams::energy_per_mac`], derived once for
+/// both the energy and the efficiency) and Equation 10
+/// ([`crate::area::area_f2_per_bit`]'s).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] when the parameter set is invalid.
 pub fn evaluate(spec: &AcimSpec, params: &ModelParams) -> Result<DesignMetrics, ModelError> {
     params.validate()?;
-
-    // Equation 11 (snr_simplified_db minus the re-validation).
-    let b = f64::from(spec.adc_bits());
-    let snr_db = 6.0 * b
-        - 10.0 * log10_int(spec.dot_product_length())
-        - 10.0 * (params.snr.k3 / params.snr.c_o.value()).log10()
-        + params.snr.k4;
-
-    // Equation 7 (validates the timing parameters).
-    let throughput_tops = params.timing.throughput_tops(spec)?;
-
-    // Equations 8–9, computed once (validates vdd and B_ADC); the
-    // efficiency is derived from the same value exactly as
-    // `EnergyModelParams::tops_per_watt` does.
-    let energy_per_mac_fj = params.energy.energy_per_mac(spec)?.value();
-    let tops_per_watt = 2.0 / energy_per_mac_fj * 1000.0;
-
-    // Equation 10 (area_f2_per_bit minus the re-validation).
-    let a = &params.area;
-    let l = spec.local_array() as f64;
-    let h = spec.height() as f64;
-    let area_f2_per_bit =
-        a.a_sram.value() + a.a_lc.value() / l + a.a_comp.value() / h + b * a.a_dff.value() / h;
-
+    let per_mac_fj = params.energy.energy_per_mac(spec)?.value();
     Ok(DesignMetrics {
-        snr_db,
-        throughput_tops,
-        energy_per_mac_fj,
-        tops_per_watt,
-        area_f2_per_bit,
+        snr_db: simplified_snr_db(spec, &params.snr),
+        throughput_tops: params.timing.throughput_tops(spec)?,
+        energy_per_mac_fj: per_mac_fj,
+        // 2 ops per MAC; 1 fJ per op ↔ 1000 TOPS/W.
+        tops_per_watt: 2.0 / per_mac_fj * 1000.0,
+        area_f2_per_bit: area_per_bit(spec, &params.area),
     })
 }
 

@@ -200,50 +200,96 @@ impl ModelParams {
         }
     }
 
-    /// Validates the parameter set.
+    /// Validates the parameter set, naming the first offending field.
+    ///
+    /// Every value must be finite.  The areas, `k3`, `C_o`, κ, the
+    /// temperature, the timing constants of Equation 7, `V_DD` and the data
+    /// statistics must be positive; the energy terms of Equations 8–9
+    /// (`E_compute`, `E_control`, `k1`, `k2`) must be non-negative.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidParameter`] when any physical parameter
-    /// is non-positive.
+    /// Returns [`ModelError::InvalidParameter`] for the first value out of
+    /// range.
     pub fn validate(&self) -> Result<(), ModelError> {
-        // Fast path: one fused pass over the eight positivity/finiteness
-        // checks.  Validation runs on every scalar evaluation, so the
-        // common all-valid case must not pay for error attribution; the
-        // named-diagnostic loop below only runs once something failed.
-        fn ok(value: f64) -> bool {
-            value > 0.0 && value.is_finite()
-        }
-        if ok(self.area.a_sram.value())
-            && ok(self.area.a_lc.value())
-            && ok(self.area.a_comp.value())
-            && ok(self.area.a_dff.value())
-            && ok(self.snr.k3)
-            && ok(self.snr.c_o.value())
-            && ok(self.kappa)
-            && ok(self.temperature_k)
-        {
+        use Bound::{Any, NonNegative, Positive};
+        let checks = [
+            ("a_sram", self.area.a_sram.value(), Positive),
+            ("a_lc", self.area.a_lc.value(), Positive),
+            ("a_comp", self.area.a_comp.value(), Positive),
+            ("a_dff", self.area.a_dff.value(), Positive),
+            ("k3", self.snr.k3, Positive),
+            ("k4", self.snr.k4, Any),
+            ("c_o", self.snr.c_o.value(), Positive),
+            ("t_compute", self.timing.t_compute.value(), Positive),
+            ("tau", self.timing.tau.value(), Positive),
+            (
+                "t_conv_per_bit",
+                self.timing.t_conv_per_bit.value(),
+                Positive,
+            ),
+            ("vdd", self.energy.vdd, Positive),
+            ("e_compute", self.energy.e_compute.value(), NonNegative),
+            ("e_control", self.energy.e_control.value(), NonNegative),
+            ("k1", self.energy.k1.value(), NonNegative),
+            ("k2", self.energy.k2.value(), NonNegative),
+            ("x_max", self.data.x_max, Positive),
+            ("w_max", self.data.w_max, Positive),
+            ("sigma_x", self.data.sigma_x, Positive),
+            ("sigma_w", self.data.sigma_w, Positive),
+            ("kappa", self.kappa, Positive),
+            ("temperature", self.temperature_k, Positive),
+        ];
+        // `evaluate` validates on every call, so the all-valid path is two
+        // branch-free passes (bounds, then finiteness); fused per-field
+        // checks cost about twice as much.  The offending field is only
+        // looked up once something failed.
+        let bounded = checks
+            .iter()
+            .fold(true, |ok, &(_, v, bound)| ok & bound.holds(v));
+        let finite = checks
+            .iter()
+            .fold(true, |ok, &(_, v, _)| ok & v.is_finite());
+        if bounded && finite {
             return Ok(());
         }
-        let checks: [(&str, f64); 8] = [
-            ("a_sram", self.area.a_sram.value()),
-            ("a_lc", self.area.a_lc.value()),
-            ("a_comp", self.area.a_comp.value()),
-            ("a_dff", self.area.a_dff.value()),
-            ("k3", self.snr.k3),
-            ("c_o", self.snr.c_o.value()),
-            ("kappa", self.kappa),
-            ("temperature", self.temperature_k),
-        ];
-        for (name, value) in checks {
-            if value <= 0.0 || !value.is_finite() {
-                return Err(ModelError::InvalidParameter {
-                    name: name.to_string(),
-                    reason: format!("must be positive and finite, got {value}"),
-                });
-            }
+        match checks
+            .into_iter()
+            .find(|&(_, v, bound)| !(bound.holds(v) && v.is_finite()))
+        {
+            Some((name, value, bound)) => Err(ModelError::InvalidParameter {
+                name: name.to_string(),
+                reason: format!("must be {}, got {value}", bound.requirement()),
+            }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// The range [`ModelParams::validate`] requires of one finite value.
+#[derive(Clone, Copy)]
+enum Bound {
+    Positive,
+    NonNegative,
+    Any,
+}
+
+impl Bound {
+    /// Whether `value` lies within the bound (finiteness is separate).
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::Positive => value > 0.0,
+            Bound::NonNegative => value >= 0.0,
+            Bound::Any => true,
+        }
+    }
+
+    fn requirement(self) -> &'static str {
+        match self {
+            Bound::Positive => "positive and finite",
+            Bound::NonNegative => "non-negative and finite",
+            Bound::Any => "finite",
+        }
     }
 }
 

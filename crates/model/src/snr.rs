@@ -17,8 +17,8 @@ use acim_arch::AcimSpec;
 use acim_tech::BOLTZMANN_J_PER_K;
 
 use crate::error::ModelError;
-use crate::math::{db, from_db, log10_int};
-use crate::params::ModelParams;
+use crate::math::{db, from_db};
+use crate::params::{ModelParams, SnrParams};
 
 /// Intermediate quantities of the detailed SNR model, all in dB except the
 /// raw variances.
@@ -106,12 +106,15 @@ pub fn snr_detailed_db(spec: &AcimSpec, params: &ModelParams) -> Result<SnrBreak
 /// validation.
 pub fn snr_simplified_db(spec: &AcimSpec, params: &ModelParams) -> Result<f64, ModelError> {
     params.validate()?;
-    let log10_n = log10_int(spec.dot_product_length());
-    let b = f64::from(spec.adc_bits());
-    Ok(
-        6.0 * b - 10.0 * log10_n - 10.0 * (params.snr.k3 / params.snr.c_o.value()).log10()
-            + params.snr.k4,
-    )
+    Ok(simplified_snr_db(spec, &params.snr))
+}
+
+/// Equation 11 on constants the caller has already validated.
+pub(crate) fn simplified_snr_db(spec: &AcimSpec, snr: &SnrParams) -> f64 {
+    6.0 * f64::from(spec.adc_bits())
+        - db(spec.dot_product_length() as f64)
+        - db(snr.k3 / snr.c_o.value())
+        + snr.k4
 }
 
 #[cfg(test)]

@@ -63,6 +63,47 @@ fn nsga2_recovers_most_of_the_exact_front() {
 }
 
 #[test]
+fn paper_budget_recovers_exactly_the_exhaustive_front() {
+    // At the paper's budget (population 200 × 100 generations) the 16 kb
+    // frontier is the exhaustive Pareto front: every exact point is found
+    // and no returned point lies off it.
+    let params = ModelParams::s28_default();
+    let space = enumerate_design_space(16 * 1024, 16, 1024, &params).expect("enumerates");
+    let exact = exact_pareto_front(&space);
+    for seed in [11, 22, 33] {
+        let explorer = DesignSpaceExplorer::new(DseConfig {
+            array_size: 16 * 1024,
+            population_size: 200,
+            generations: 100,
+            seed,
+            ..DseConfig::default()
+        })
+        .expect("explorer builds");
+        let found = explorer.explore().expect("explores");
+        let missing: Vec<String> = exact
+            .iter()
+            .filter(|e| !found.iter().any(|p| p.spec == e.spec))
+            .map(|e| e.spec.to_string())
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "seed {seed}: {} of {} exact Pareto points not found: {missing:?}",
+            missing.len(),
+            exact.len()
+        );
+        let off_front: Vec<String> = found
+            .iter()
+            .filter(|p| !exact.iter().any(|e| e.spec == p.spec))
+            .map(|p| p.spec.to_string())
+            .collect();
+        assert!(
+            off_front.is_empty(),
+            "seed {seed}: returned points off the exact front: {off_front:?}"
+        );
+    }
+}
+
+#[test]
 fn nsga2_with_a_small_budget_stays_competitive_with_random_search() {
     let params = ModelParams::s28_default();
     let (hv_exact, _) = exhaustive_hypervolume(&params);

@@ -144,8 +144,8 @@ fn batched_nsga2_matches_forced_serial_path_on_the_chip_problem() {
 
 #[test]
 fn seeded_macro_front_is_identical_with_and_without_a_metric_cache() {
-    // A detached macro problem derives every spec's metrics through the
-    // hoisted kernel; an attached macro-metric cache derives each spec
+    // A detached macro problem derives every spec's metrics on each
+    // call; an attached macro-metric cache derives each spec
     // once and serves repeats from the shared store.  A seeded exploration
     // must produce a bit-identical Pareto front either way — the cache is
     // only allowed to save work, never to change a result.

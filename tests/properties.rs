@@ -7,42 +7,11 @@ use acim_arch::adc::{CdacBank, SarAdc};
 use acim_arch::{AcimSpec, TimingModel};
 use acim_cell::{half_perimeter_wire_length, Point, Rect};
 use acim_dse::DesignEncoding;
-use acim_model::{
-    area_f2_per_bit, evaluate, snr_simplified_db, tops_per_watt, ModelInvariants, ModelParams,
-};
+use acim_model::{area_f2_per_bit, evaluate, snr_simplified_db, ModelParams};
 use acim_moga::{dominates, hypervolume_2d, ParetoArchive};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Strategy for a randomly perturbed but valid [`ModelParams`]: every
-/// physical constant of the s28 set scaled by a factor in `[0.5, 2)`, so
-/// the kernel bit-identity property is exercised far from the calibrated
-/// defaults.
-fn perturbed_model_params() -> impl Strategy<Value = ModelParams> {
-    let factor = || 0.5..2.0f64;
-    (factor(), factor(), factor(), factor(), factor(), factor()).prop_map(
-        |(snr_f, c_o_f, area_f, timing_f, energy_f, vdd_f)| {
-            let mut p = ModelParams::s28_default();
-            p.snr.k3 *= snr_f;
-            p.snr.k4 *= snr_f;
-            p.snr.c_o = p.snr.c_o * c_o_f;
-            p.area.a_sram = p.area.a_sram * area_f;
-            p.area.a_lc = p.area.a_lc * area_f;
-            p.area.a_comp = p.area.a_comp * area_f;
-            p.area.a_dff = p.area.a_dff * area_f;
-            p.timing.t_compute = p.timing.t_compute * timing_f;
-            p.timing.tau = p.timing.tau * timing_f;
-            p.timing.t_conv_per_bit = p.timing.t_conv_per_bit * timing_f;
-            p.energy.e_compute = p.energy.e_compute * energy_f;
-            p.energy.e_control = p.energy.e_control * energy_f;
-            p.energy.k1 = p.energy.k1 * energy_f;
-            p.energy.k2 = p.energy.k2 * energy_f;
-            p.energy.vdd *= vdd_f;
-            p
-        },
-    )
-}
 
 /// Strategy for a valid (H, W, L, B) tuple of a power-of-two array.
 fn valid_spec() -> impl Strategy<Value = AcimSpec> {
@@ -146,53 +115,13 @@ proptest! {
     fn model_outputs_are_finite_and_positive(spec in valid_spec()) {
         let params = ModelParams::s28_default();
         let area = area_f2_per_bit(&spec, &params).unwrap();
-        let eff = tops_per_watt(&spec, &params).unwrap();
+        let eff = evaluate(&spec, &params).unwrap().tops_per_watt;
         let snr = snr_simplified_db(&spec, &params).unwrap();
         prop_assert!(area.is_finite() && area > 1500.0 && area < 50_000.0);
         prop_assert!(eff.is_finite() && eff > 1.0 && eff < 2_000.0);
         // The extreme corner (B_ADC = 1 with a 512-long dot product) sits just
         // below -10 dB, so the sanity band is slightly wider than that.
         prop_assert!(snr.is_finite() && snr > -15.0 && snr < 80.0);
-    }
-
-    #[test]
-    fn kernel_paths_are_bit_identical_to_scalar_over_the_design_grid(
-        params in perturbed_model_params()
-    ) {
-        // Every valid power-of-two (H, W, L, B_ADC) point of the discrete
-        // design grid, evaluated two ways: the scalar facade and the
-        // hoisted-invariants kernel the explorers run.  All five metrics
-        // must agree to the bit on every point — the kernel is only
-        // allowed to be faster, never different.
-        let invariants = ModelInvariants::new(&params).unwrap();
-        let mut specs = Vec::new();
-        for log_h in 4u32..=10 {
-            for log_w in 2u32..=8 {
-                for log_l in 1u32..=5 {
-                    for bits in 1u32..=8 {
-                        if let Ok(spec) = AcimSpec::from_dimensions(
-                            1 << log_h, 1 << log_w, 1 << log_l, bits)
-                        {
-                            specs.push(spec);
-                        }
-                    }
-                }
-            }
-        }
-        prop_assert!(specs.len() > 100, "grid must not degenerate");
-        for spec in &specs {
-            let scalar = evaluate(spec, &params).unwrap();
-            let hoisted = invariants.evaluate_spec(spec);
-            for (s, h) in [
-                (scalar.snr_db, hoisted.snr_db),
-                (scalar.throughput_tops, hoisted.throughput_tops),
-                (scalar.energy_per_mac_fj, hoisted.energy_per_mac_fj),
-                (scalar.tops_per_watt, hoisted.tops_per_watt),
-                (scalar.area_f2_per_bit, hoisted.area_f2_per_bit),
-            ] {
-                prop_assert_eq!(s.to_bits(), h.to_bits(), "invariants diverged on {}", spec);
-            }
-        }
     }
 
     #[test]
