@@ -7,6 +7,8 @@ use acim_moga::{
     fast_non_dominated_sort, random_search, Evaluation, Individual, Nsga2, Nsga2Config, Problem,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 /// ZDT1 benchmark problem used widely in the MOGA literature.
@@ -26,6 +28,34 @@ impl Problem for Zdt1 {
         let g = 1.0 + 9.0 * genes[1..].iter().sum::<f64>() / (genes.len() - 1) as f64;
         Evaluation::unconstrained(vec![f1, g * (1.0 - (f1 / g).sqrt())])
     }
+}
+
+/// A seeded 400-individual, 4-objective population over `distinct` rows
+/// drawn uniformly from `[0, 1)^4`, every sixteenth of them infeasible
+/// with the same violation.  The first `distinct` individuals hold one
+/// row each and the rest repeat rows drawn at random — the shape of a
+/// paper-budget combined population, which holds about 130 distinct rows.
+fn population_400(distinct: usize) -> Vec<Individual> {
+    let mut rng = StdRng::seed_from_u64(0x400);
+    let rows: Vec<(Vec<f64>, f64)> = (0..distinct)
+        .map(|r| {
+            let objectives = (0..4).map(|_| rng.gen::<f64>()).collect();
+            (objectives, if r % 16 == 0 { 1.0 } else { 0.0 })
+        })
+        .collect();
+    (0..400)
+        .map(|i| {
+            let (objectives, violation) = if i < distinct {
+                &rows[i]
+            } else {
+                &rows[rng.gen_range(0..distinct)]
+            };
+            Individual::new(
+                vec![i as f64],
+                Evaluation::new(objectives.clone(), *violation),
+            )
+        })
+        .collect()
 }
 
 fn nsga2_bench(c: &mut Criterion) {
@@ -71,6 +101,18 @@ fn nsga2_bench(c: &mut Criterion) {
             black_box(fast_non_dominated_sort(&mut pop).len())
         });
     });
+    for (name, distinct) in [
+        ("fast_non_dominated_sort_400_duplicates", 130),
+        ("fast_non_dominated_sort_400_distinct", 400),
+    ] {
+        let population = population_400(distinct);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut pop = population.clone();
+                black_box(fast_non_dominated_sort(&mut pop).len())
+            });
+        });
+    }
     group.finish();
 }
 

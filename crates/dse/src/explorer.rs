@@ -14,6 +14,7 @@
 //! one exploration loop (cache wrapper, NSGA-II observer, Pareto archive,
 //! cancellation) and one result type, [`Frontier`].
 
+use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use acim_chip::MacroMetricsCache;
@@ -203,6 +204,35 @@ pub(crate) trait Explorable: Problem + Clone + Sync {
     fn macro_cache_stats(&self) -> CacheStats;
 }
 
+/// The Pareto archive of one run, offered each objective vector once.
+///
+/// A repeat offer of a bit-identical vector is skipped, together with its
+/// genome and objective clones, because [`ParetoArchive::insert`] would
+/// reject it anyway: an entry leaves the archive only when a dominating
+/// one arrives, so every vector offered before stays weakly dominated by
+/// some entry.  That argument needs transitive dominance, which holds for
+/// the explorers' objectives: they are finite, since `ModelParams` is
+/// validated and infeasible rows score `[f64::MAX; 4]`.
+#[derive(Default)]
+struct RunArchive {
+    archive: ParetoArchive<Vec<f64>>,
+    /// Bit patterns of every objective vector offered so far.
+    offered: HashSet<Vec<u64>>,
+}
+
+impl RunArchive {
+    /// Offers `(objectives, genes)` to the archive unless the same
+    /// objective bits were offered before.
+    fn offer(&mut self, objectives: &[f64], genes: &[f64]) {
+        if self
+            .offered
+            .insert(objectives.iter().map(|o| o.to_bits()).collect())
+        {
+            self.archive.insert(objectives, genes.to_vec());
+        }
+    }
+}
+
 /// The exploration loop both explorers run: NSGA-II over `problem`
 /// behind a memoizing cache, with a Pareto archive of every feasible
 /// `(objectives, genome)` seen — warm-start seeds first, then each
@@ -242,14 +272,14 @@ pub(crate) fn explore_problem<P: Explorable>(
     // across cores.
     let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
         .with_shared_store(options.cache.clone().unwrap_or_default());
-    let mut archive: ParetoArchive<Vec<f64>> = ParetoArchive::new();
+    let mut archive = RunArchive::default();
     // Warm-start seeds are archived up front (feasible ones only), so the
     // warm frontier dominates-or-equals the one it was seeded from.
     if !options.warm_start.is_empty() {
         let evals = cached.evaluate_batch(&options.warm_start);
         for (genome, eval) in options.warm_start.iter().zip(evals) {
             if eval.is_feasible() {
-                archive.insert(eval.objectives, genome.clone());
+                archive.offer(&eval.objectives, genome);
             }
         }
     }
@@ -265,7 +295,7 @@ pub(crate) fn explore_problem<P: Explorable>(
         .run_with_observer(|generation, population| {
             for individual in population {
                 if individual.is_feasible() {
-                    archive.insert(individual.objectives.clone(), individual.genes.clone());
+                    archive.offer(&individual.objectives, &individual.genes);
                 }
             }
             progress(generation);
@@ -295,11 +325,12 @@ pub(crate) fn explore_problem<P: Explorable>(
     }
     for individual in &result.population {
         if individual.is_feasible() {
-            archive.insert(individual.objectives.clone(), individual.genes.clone());
+            archive.offer(&individual.objectives, &individual.genes);
         }
     }
 
     let points: Vec<P::Point> = archive
+        .archive
         .into_entries()
         .into_iter()
         .filter_map(|e| problem.decode_point(&e.payload))

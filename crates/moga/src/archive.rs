@@ -37,6 +37,12 @@ impl<T> ParetoArchive<T> {
     ///
     /// Duplicates (identical objective vectors) are rejected to keep the
     /// archive minimal.
+    ///
+    /// Re-offering a vector offered before returns `false` and changes
+    /// nothing, for vectors without NaN: an entry leaves the archive only
+    /// when a candidate dominates it, so by transitivity every vector
+    /// offered before is still dominated or equalled by some entry.
+    /// Callers may therefore skip repeat offers.
     pub fn insert(&mut self, objectives: impl Into<Vec<f64>>, payload: T) -> bool {
         let objectives = objectives.into();
         for entry in &self.entries {

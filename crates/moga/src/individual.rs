@@ -15,7 +15,9 @@ pub struct Individual {
     /// Aggregate constraint violation (`0.0` = feasible).
     pub constraint_violation: f64,
     /// Non-domination rank (`0` = first/best front).  Assigned by
-    /// [`crate::dominance::fast_non_dominated_sort`].
+    /// [`crate::dominance::fast_non_dominated_sort`], or carried over from
+    /// the combined population by [`crate::Nsga2`]'s environmental
+    /// selection, which assigns the rank a re-sort of the survivors would.
     pub rank: usize,
     /// Crowding distance within the individual's front.  Assigned by
     /// [`crate::crowding::assign_crowding_distance`].

@@ -34,7 +34,7 @@
 //!    parallel map parallelises the whole search (the EasyACIM chip design
 //!    problem runs one work-stealing `rayon` task per genome, so one
 //!    expensive chip cannot stall the rest of its cohort, while the macro
-//!    problem's ~10 ns evaluations stay on the serial map).  Batch
+//!    problem's ~100 ns evaluations stay on the serial map).  Batch
 //!    implementations must preserve input order and be bit-identical to
 //!    the serial map, which keeps seeded runs reproducible: variation
 //!    never interleaves with evaluation, so the RNG stream — and therefore

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use crate::cached::CacheStats;
 use crate::crowding::assign_crowding_distance;
-use crate::dominance::fast_non_dominated_sort;
+use crate::dominance::{fast_non_dominated_sort, sort_fronts};
 use crate::individual::Individual;
 use crate::operators::{polynomial_mutation, random_genome, sbx_crossover};
 use crate::problem::Problem;
@@ -359,35 +359,7 @@ impl<P: Problem> Nsga2<P> {
             // Environmental selection over parents ∪ offspring.
             let mut combined = population;
             combined.append(&mut offspring);
-            let fronts = fast_non_dominated_sort(&mut combined);
-            let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
-            for front in &fronts {
-                assign_crowding_distance(&mut combined, front);
-                if next.len() + front.len() <= pop_size {
-                    for &i in front {
-                        next.push(combined[i].clone());
-                    }
-                } else {
-                    let mut sorted: Vec<usize> = front.clone();
-                    sorted.sort_by(|&a, &b| {
-                        combined[b]
-                            .crowding_distance
-                            .partial_cmp(&combined[a].crowding_distance)
-                            .expect("crowding distance is never NaN")
-                    });
-                    for &i in sorted.iter().take(pop_size - next.len()) {
-                        next.push(combined[i].clone());
-                    }
-                    break;
-                }
-            }
-            population = next;
-            // Re-rank the trimmed population so observers and the final
-            // result see consistent rank/crowding values.
-            let fronts = fast_non_dominated_sort(&mut population);
-            for front in &fronts {
-                assign_crowding_distance(&mut population, front);
-            }
+            population = environmental_selection(combined, pop_size);
             generation_seconds.push(generation_start.elapsed().as_secs_f64());
             executed_generations = generation + 1;
             if observer(generation, &population).is_break() {
@@ -406,6 +378,88 @@ impl<P: Problem> Nsga2<P> {
             },
         }
     }
+}
+
+/// NSGA-II environmental selection: the best `pop_size` individuals of
+/// `combined` by rank, then crowding distance, with the ranks and
+/// crowding distances a re-sort of the survivors would assign.
+///
+/// Survivors keep their ranks: every dominator of a survivor lies in an
+/// earlier front, and earlier fronts survive whole, so a re-sort of the
+/// survivors sees the same dominators.  Whole fronts keep the crowding
+/// distances computed over `combined`, since a re-sort lists them in the
+/// same member order.  Only the cut front is re-crowded, over its
+/// survivors, in the order a re-sort lists them: by the position of each
+/// survivor's last dominator in the previous front, then by its position
+/// in the survivor list, which is crowding-descending.
+fn environmental_selection(mut combined: Vec<Individual>, pop_size: usize) -> Vec<Individual> {
+    let sorted = sort_fronts(&mut combined);
+    let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
+    for front in &sorted.fronts {
+        let room = pop_size - next.len();
+        if room == 0 {
+            break;
+        }
+        assign_crowding_distance(&mut combined, front);
+        if front.len() <= room {
+            next.extend(front.iter().map(|&i| combined[i].clone()));
+            continue;
+        }
+        let mut survivors: Vec<usize> = front.clone();
+        survivors.sort_by(|&a, &b| {
+            combined[b]
+                .crowding_distance
+                .partial_cmp(&combined[a].crowding_distance)
+                .expect("crowding distance is never NaN")
+        });
+        survivors.truncate(room);
+        let start = next.len();
+        next.extend(survivors.iter().map(|&i| combined[i].clone()));
+        let mut cut: Vec<usize> = (start..next.len()).collect();
+        cut.sort_by_key(|&p| sorted.last_dominator[survivors[p - start]]);
+        assign_crowding_distance(&mut next, &cut);
+        break;
+    }
+    next
+}
+
+/// The sort, truncate and re-sort selection [`environmental_selection`]
+/// replaces, kept as its oracle.
+#[cfg(test)]
+fn environmental_selection_reference(
+    mut combined: Vec<Individual>,
+    pop_size: usize,
+) -> Vec<Individual> {
+    use crate::dominance::fast_non_dominated_sort_reference;
+    let fronts = fast_non_dominated_sort_reference(&mut combined);
+    let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
+    for front in &fronts {
+        assign_crowding_distance(&mut combined, front);
+        if next.len() + front.len() <= pop_size {
+            for &i in front {
+                next.push(combined[i].clone());
+            }
+        } else {
+            let mut sorted: Vec<usize> = front.clone();
+            sorted.sort_by(|&a, &b| {
+                combined[b]
+                    .crowding_distance
+                    .partial_cmp(&combined[a].crowding_distance)
+                    .expect("crowding distance is never NaN")
+            });
+            for &i in sorted.iter().take(pop_size - next.len()) {
+                next.push(combined[i].clone());
+            }
+            break;
+        }
+    }
+    // Re-rank the trimmed population so observers and the final result
+    // see consistent rank/crowding values.
+    let fronts = fast_non_dominated_sort_reference(&mut next);
+    for front in &fronts {
+        assign_crowding_distance(&mut next, front);
+    }
+    next
 }
 
 #[cfg(test)]
@@ -450,12 +504,146 @@ mod tests {
         }
     }
 
+    /// Coarse-grid problem: objectives and violations snap to a 0.25
+    /// grid, so fronts hold many ties and duplicate rows, and the corner
+    /// `x1 + x2 < 0.5` is infeasible with tied violations.
+    struct CoarseGrid;
+
+    impl Problem for CoarseGrid {
+        fn num_variables(&self) -> usize {
+            3
+        }
+        fn num_objectives(&self) -> usize {
+            3
+        }
+        fn evaluate(&self, genes: &[f64]) -> Evaluation {
+            let snap = |x: f64| (x * 4.0).round() / 4.0;
+            let objectives = vec![
+                snap(genes[0]),
+                snap(1.0 - genes[0] * genes[1]),
+                snap(genes[2] + (1.0 - genes[1]) / 2.0),
+            ];
+            let violation = ((0.5 - genes[1] - genes[2]).max(0.0) * 4.0).ceil() / 4.0;
+            Evaluation::new(objectives, violation)
+        }
+    }
+
     fn small_config() -> Nsga2Config {
         Nsga2Config {
             population_size: 40,
             generations: 40,
             ..Default::default()
         }
+    }
+
+    /// Every bit of a population, one row per individual in order: genes,
+    /// objective and violation bits, rank and crowding bits.
+    fn population_bits(population: &[Individual]) -> Vec<Vec<u64>> {
+        population
+            .iter()
+            .map(|ind| {
+                ind.genes
+                    .iter()
+                    .chain(ind.objectives.iter())
+                    .chain([&ind.constraint_violation])
+                    .map(|value| value.to_bits())
+                    .chain([ind.rank as u64, ind.crowding_distance.to_bits()])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a (64 bit) over [`population_bits`].
+    fn population_digest(population: &[Individual]) -> u64 {
+        population_bits(population)
+            .iter()
+            .flatten()
+            .flat_map(|word| word.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn carried_selection_matches_sort_truncate_and_resort() {
+        use crate::dominance::{fast_non_dominated_sort_reference, grid_population};
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5e1e);
+        let (mut front0_cuts, mut later_cuts, mut exact_fills) = (0, 0, 0);
+        for _ in 0..300 {
+            let n = rng.gen_range(4..=400usize);
+            let m = rng.gen_range(1..=4usize);
+            let combined = grid_population(&mut rng, n, m);
+            let sizes: Vec<usize> = fast_non_dominated_sort_reference(&mut combined.clone())
+                .iter()
+                .map(Vec::len)
+                .collect();
+            let k = rng.gen_range(0..sizes.len());
+            let filled: usize = sizes[..k].iter().sum();
+            let mut pop_sizes = vec![filled + sizes[k]];
+            if sizes[k] > 1 {
+                pop_sizes.push(filled + rng.gen_range(1..sizes[k]));
+            }
+            for pop_size in pop_sizes {
+                match (pop_size - filled == sizes[k], k) {
+                    (true, _) => exact_fills += 1,
+                    (false, 0) => front0_cuts += 1,
+                    (false, _) => later_cuts += 1,
+                }
+                assert_eq!(
+                    population_bits(&environmental_selection(combined.clone(), pop_size)),
+                    population_bits(&environmental_selection_reference(
+                        combined.clone(),
+                        pop_size
+                    )),
+                    "n {n}, m {m}, pop_size {pop_size}, fronts {sizes:?}"
+                );
+            }
+        }
+        assert!(front0_cuts >= 20 && later_cuts >= 100 && exact_fills >= 100);
+    }
+
+    #[test]
+    fn final_populations_are_pinned() {
+        fn digest(problem: impl Problem, seed: u64) -> u64 {
+            population_digest(
+                &Nsga2::new(problem, small_config())
+                    .with_seed(seed)
+                    .run()
+                    .population,
+            )
+        }
+        let got = [
+            [digest(Zdt1, 1), digest(Zdt1, 2), digest(Zdt1, 3)],
+            [
+                digest(ConstrainedSum, 1),
+                digest(ConstrainedSum, 2),
+                digest(ConstrainedSum, 3),
+            ],
+            [
+                digest(CoarseGrid, 1),
+                digest(CoarseGrid, 2),
+                digest(CoarseGrid, 3),
+            ],
+        ];
+        let expected = [
+            [
+                0xa722_b0c0_2b49_d596,
+                0xe09f_715c_c084_8e85,
+                0xb80a_0161_b9b3_f293,
+            ],
+            [
+                0xa563_845b_0e1b_1a92,
+                0xd986_c92d_61eb_a158,
+                0x00ee_fa67_9ebc_47c7,
+            ],
+            [
+                0x5211_9249_e5c8_cbc6,
+                0x7696_65ea_3e67_bd4b,
+                0xb68e_ad7d_01d5_2a40,
+            ],
+        ];
+        assert_eq!(got, expected, "{got:#018x?}");
     }
 
     #[test]

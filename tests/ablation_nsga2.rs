@@ -1,19 +1,20 @@
 //! Ablation: how good is the MOGA-based explorer compared to ground truth
 //! and to a random-sampling baseline?
 //!
-//! The 16 kb design space is small (≈140 valid points, most of them mutually
-//! non-dominated in the 4-objective space), so exhaustive enumeration is the
-//! exact reference.  The measurements recorded in `EXPERIMENTS.md` show the
-//! NSGA-II explorer reaching ≈99 % of the exhaustive hypervolume and
-//! recovering ≈75 % of the exact Pareto points; random sampling with the
-//! same budget is also competitive *for a single small array size*, which is
-//! an honest caveat of the paper's algorithm choice — NSGA-II's advantage is
-//! budget efficiency, not reachability, at this problem size.
+//! The 16 kb design space is small (≈140 valid points, 131 of them on the
+//! exact Pareto front of the 4-objective space), so exhaustive enumeration
+//! is the exact reference.  At the paper's budget (population 200 × 100
+//! generations) NSGA-II returns exactly the exhaustive front; at the
+//! quickstart budget (40 × 25) it recovers 63–80 of the 131 exact points,
+//! pinned per seed below.  Random sampling with the same budget is also
+//! competitive *for a single small array size*, which is an honest caveat
+//! of the paper's algorithm choice — NSGA-II's advantage is budget
+//! efficiency, not reachability, at this problem size.
 
 use acim_dse::enumerate::exact_pareto_front;
 use acim_dse::{enumerate_design_space, AcimDesignProblem, DesignSpaceExplorer, DseConfig};
 use acim_model::ModelParams;
-use acim_moga::{hypervolume_monte_carlo, random_search, Evaluation, Problem};
+use acim_moga::{dominates, hypervolume_monte_carlo, random_search, Evaluation, Problem};
 
 /// Reference point for hypervolume in the `[−SNR, −TOPS, E, A]` space:
 /// comfortably worse than any feasible 16 kb design.
@@ -99,6 +100,45 @@ fn paper_budget_recovers_exactly_the_exhaustive_front() {
         assert!(
             off_front.is_empty(),
             "seed {seed}: returned points off the exact front: {off_front:?}"
+        );
+    }
+}
+
+#[test]
+fn quickstart_budget_recall_is_pinned() {
+    // At the quickstart budget (population 40 × 25 generations) the 16 kb
+    // frontier holds part of the exhaustive front.  Per seed: exact Pareto
+    // points found, and returned points some enumerated design dominates.
+    let params = ModelParams::s28_default();
+    let space = enumerate_design_space(16 * 1024, 16, 1024, &params).expect("enumerates");
+    let exact = exact_pareto_front(&space);
+    assert_eq!(exact.len(), 131);
+    for (seed, found_exact, dominated) in [(11, 80, 0), (22, 63, 1), (33, 68, 1)] {
+        let explorer = DesignSpaceExplorer::new(DseConfig {
+            array_size: 16 * 1024,
+            population_size: 40,
+            generations: 25,
+            seed,
+            ..DseConfig::default()
+        })
+        .expect("explorer builds");
+        let found = explorer.explore().expect("explores");
+        let recovered = exact
+            .iter()
+            .filter(|e| found.iter().any(|p| p.spec == e.spec))
+            .count();
+        let off_front = found
+            .iter()
+            .filter(|p| {
+                space
+                    .iter()
+                    .any(|d| dominates(&d.objective_vector(), &p.objective_vector()))
+            })
+            .count();
+        assert_eq!(
+            (recovered, off_front),
+            (found_exact, dominated),
+            "seed {seed}: (exact points found, returned points dominated)"
         );
     }
 }

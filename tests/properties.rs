@@ -66,6 +66,34 @@ proptest! {
     }
 
     #[test]
+    fn re_offering_an_earlier_vector_leaves_the_archive_unchanged(
+        offers in prop::collection::vec(prop::collection::vec(0u8..4, 3), 1..40),
+        picks in prop::collection::vec(0usize..1000, 40),
+    ) {
+        // A coarse grid, so the sequence holds repeats, ties and dominated
+        // offers.
+        let points: Vec<Vec<f64>> = offers
+            .iter()
+            .map(|p| p.iter().map(|&x| f64::from(x)).collect())
+            .collect();
+        let mut archive = ParetoArchive::new();
+        for (i, p) in points.iter().enumerate() {
+            archive.insert(p.clone(), i);
+            // Re-offer one earlier vector after every offer…
+            let before: Vec<_> = archive.iter().cloned().collect();
+            let earlier = &points[picks[i] % (i + 1)];
+            prop_assert!(!archive.insert(earlier.clone(), usize::MAX));
+            prop_assert_eq!(archive.iter().cloned().collect::<Vec<_>>(), before);
+        }
+        // …and every vector once the sequence is done.
+        let before: Vec<_> = archive.iter().cloned().collect();
+        for p in &points {
+            prop_assert!(!archive.insert(p.clone(), usize::MAX));
+        }
+        prop_assert_eq!(archive.iter().cloned().collect::<Vec<_>>(), before);
+    }
+
+    #[test]
     fn hypervolume_is_monotone_in_added_points(
         mut front in prop::collection::vec((0.1..5.0f64, 0.1..5.0f64), 1..12),
         extra in (0.1..5.0f64, 0.1..5.0f64),
