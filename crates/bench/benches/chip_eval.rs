@@ -7,7 +7,6 @@ use acim_chip::{ChipEvaluator, ChipSpec, MacroGrid, Network, WorkloadMix};
 use acim_dse::{ChipDesignProblem, ChipDseConfig};
 use acim_moga::Problem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rayon::prelude::*;
 use std::hint::black_box;
 
 fn chip_eval(c: &mut Criterion) {
@@ -35,8 +34,9 @@ fn chip_eval(c: &mut Criterion) {
         });
     }
 
-    // Batch evaluation: one pool task per chip, each costing its rounds
-    // serially — the population fan-out `ChipDesignProblem` uses.
+    // Batch evaluation: a serial loop over the chips on the calling
+    // thread, each costing its rounds serially — what `ChipDesignProblem`
+    // runs for every NSGA-II generation.
     let chips: Vec<ChipSpec> = (1..=8)
         .map(|n| {
             ChipSpec::new(MacroGrid::uniform(1, n, spec).expect("valid grid"), 64)
@@ -46,8 +46,7 @@ fn chip_eval(c: &mut Criterion) {
     group.bench_function("evaluate_batch_8_chips", |b| {
         b.iter(|| {
             let results: Vec<_> = black_box(&chips)
-                .par_iter()
-                .with_max_len(1)
+                .iter()
                 .map(|chip| evaluator.evaluate_mix(chip, &mix))
                 .collect();
             black_box(results.len())

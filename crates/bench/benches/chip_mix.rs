@@ -10,7 +10,7 @@
 //! saving, which is exactly the regime a multi-tenant service lives in.
 //!
 //! `chip_mix/{mix,sequential}` both walk the same 64 mixed-macro 2x2
-//! chips serially at a pinned `RAYON_NUM_THREADS=1`.  Because the pair
+//! chips serially on the calling thread.  Because the pair
 //! is gated as a within-run *ratio*, the two sides must see the same
 //! machine state: each sample is measured as one **adjacent-in-time
 //! pair** (a mix sweep and a sequential sweep back to back, order
@@ -49,10 +49,6 @@ fn sequential_sweep(evaluator: &ChipEvaluator, chips: &[ChipSpec], singles: &[Wo
 }
 
 fn chip_mix(c: &mut Criterion) {
-    // Pin the width before the first rayon call so the comparison is
-    // reproducible across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "1");
-
     // The paper's Figure 1 deployment: always-on SNN sensing, bulk CNN
     // recognition, occasional transformer block.
     let mix = WorkloadMix::new("edge-trio")

@@ -1,8 +1,10 @@
 //! Criterion bench backing the Table 2 design-time claim: the agile
 //! design-space exploration of a user-defined array size completes in
-//! seconds to minutes, not weeks.
+//! seconds to minutes, not weeks.  Beside the macro explorations, one
+//! chip exploration at the exploration service's budget.
 
-use acim_dse::{DesignSpaceExplorer, DseConfig};
+use acim_chip::Network;
+use acim_dse::{ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -35,6 +37,19 @@ fn dse_runtime(c: &mut Criterion) {
             },
         );
     }
+    // One chip exploration at the service's request budget (pop 40 x 24,
+    // edge_cnn(3)): every generation's cache misses are scored on the
+    // calling thread.
+    let mut config = ChipDseConfig::for_mix(Network::edge_cnn(3));
+    config.population_size = 40;
+    config.generations = 24;
+    let explorer = ChipExplorer::new(config).expect("valid config");
+    group.bench_function(BenchmarkId::new("chip_explore", "edge_cnn3"), |b| {
+        b.iter(|| {
+            let frontier = explorer.explore().expect("exploration succeeds");
+            black_box(frontier.len())
+        });
+    });
     group.finish();
 }
 

@@ -46,10 +46,6 @@ fn hetero_config() -> ChipDseConfig {
 }
 
 fn macro_reuse(c: &mut Criterion) {
-    // Pin the width before the first rayon call so the comparison is
-    // reproducible across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "1");
-
     let explorer = ChipExplorer::new(hetero_config()).unwrap();
 
     // Correctness gate before the clocks start: reuse-on and reuse-off

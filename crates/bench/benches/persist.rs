@@ -28,10 +28,6 @@ fn chip_config() -> ChipFlowConfig {
 }
 
 fn restored_vs_cold(c: &mut Criterion) {
-    // Pin the width before the first rayon call so the comparison is
-    // reproducible across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "2");
-
     let mut group = c.benchmark_group("persist");
     group.sample_size(10);
 

@@ -26,10 +26,6 @@ fn chip_config() -> ChipFlowConfig {
 }
 
 fn service_warm_vs_cold(c: &mut Criterion) {
-    // Pin the width before the first rayon call so the comparison is
-    // reproducible across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "2");
-
     let mut group = c.benchmark_group("service_warm_vs_cold");
     group.sample_size(10);
 

@@ -2,26 +2,25 @@
 //! oversubscription.
 //!
 //! The redesigned `ExplorationService` runs jobs on a **fixed worker
-//! set** (one per pool thread) behind a bounded priority queue, instead
-//! of spawning one OS thread per request.  Under a 10x-oversubscribed
-//! burst the old thread-per-request herd runs every job concurrently on
-//! the same rayon pool: every job thrashes against every other, so the
-//! *median* request takes almost as long as the whole burst.  The
-//! scheduler admits the same burst but runs `workers` jobs at a time:
-//! tail latency (p99, the last job out) stays at the herd's level —
-//! the machine does the same total work — while the median falls
-//! towards half of it, because early-dequeued jobs finish on an
-//! uncontended pool and leave.
+//! set** behind a bounded priority queue, instead of spawning one OS
+//! thread per request.  Under a 10x-oversubscribed burst the old
+//! thread-per-request herd runs every job concurrently on the same
+//! cores: every job thrashes against every other, so the *median*
+//! request takes almost as long as the whole burst.  The scheduler
+//! admits the same burst but runs `workers` jobs at a time: tail latency
+//! (p99, the last job out) stays at the herd's level — the machine does
+//! the same total work — while the median falls towards half of it,
+//! because early-dequeued jobs finish on uncontended cores and leave.
 //!
 //! Both sides are the *same* service code path; only the admission
 //! policy differs.  The herd is emulated faithfully by a service with
 //! one worker per request (`workers = burst`), which admits every
 //! submission straight onto its own dedicated thread — exactly the
-//! pre-redesign dispatch.  Each side's burst is `10 x
-//! rayon::current_num_threads()` identical quick chip requests over a
-//! pre-warmed shared cache (the steady state a serving front-end
-//! reaches), so per-request work is a deterministic cache replay and
-//! the measured gap is pure scheduling.
+//! pre-redesign dispatch.  The scheduler has a constant single worker,
+//! so each side's burst is the same 10 identical quick chip requests on
+//! every runner, over a pre-warmed shared cache (the steady state a
+//! serving front-end reaches), so per-request work is a deterministic
+//! cache replay and the measured gap is pure scheduling.
 //!
 //! Per-sample, one full burst runs and the reported duration is the
 //! requested percentile of the burst's per-request latencies
@@ -92,10 +91,9 @@ fn percentile(latencies: &mut [Duration], pct: f64) -> Duration {
 }
 
 fn service_sched(c: &mut Criterion) {
-    // Pin the pool width before the first rayon call so the burst size
-    // and the scheduler's worker set are reproducible across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "1");
-    let workers = rayon::current_num_threads();
+    // A constant worker set, so the burst size is the same on every
+    // runner.
+    let workers = 1;
     let burst = workers * 10;
 
     let sched = warm_service(workers, burst);

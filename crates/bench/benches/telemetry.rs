@@ -49,10 +49,6 @@ fn quick_chip_config() -> ChipFlowConfig {
 }
 
 fn telemetry(c: &mut Criterion) {
-    // Pin the pool width before the first rayon call so both sides
-    // schedule identically across runners.
-    std::env::set_var(rayon::NUM_THREADS_ENV, "1");
-
     let instrumented = ExplorationService::new();
     assert!(instrumented.telemetry_handle().is_enabled());
     let uninstrumented =

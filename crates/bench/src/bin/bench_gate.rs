@@ -7,19 +7,19 @@
 //!
 //! ```bash
 //! ACIM_BENCH_QUICK=1 ACIM_BENCH_JSON=target/bench-fresh.jsonl \
-//!     cargo bench -p acim-bench --bench nsga2_batch --bench chip_eval --bench steal
+//!     cargo bench -p acim-bench --bench nsga2_batch --bench chip_eval --bench model_eval
 //! cargo run -p acim-bench --bin bench_gate -- \
 //!     --fresh target/bench-fresh.jsonl \
 //!     --baseline crates/bench/benches/nsga2_batch_baseline.json \
 //!     --baseline crates/bench/benches/chip_eval_baseline.json \
-//!     --baseline crates/bench/benches/steal_baseline.json
+//!     --baseline crates/bench/benches/model_eval_baseline.json
 //! ```
 //!
 //! The tolerance is a slowdown multiplier (`--tolerance 3.0`, or the
 //! `ACIM_BENCH_TOLERANCE` env var): generous, because absolute
 //! nanoseconds differ between the machine that recorded a baseline and
-//! the CI runner — the gate exists to catch step changes (a serialized
-//! parallel path, a quadratic loop), not single-digit noise.
+//! the CI runner — the gate exists to catch step changes (a quadratic
+//! loop, a bench that stopped running), not single-digit noise.
 
 use acim_bench::gate::{
     check_ratio, compare, parse_baseline, parse_fresh, parse_ratio_spec, render_report, Baseline,

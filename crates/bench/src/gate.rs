@@ -7,9 +7,8 @@
 //! benchmark regressed past tolerance *or went missing* (a bench that
 //! silently stopped running is as bad as one that got slower).  Absolute
 //! nanoseconds differ across machines, so the tolerance is deliberately
-//! generous — the gate catches step-change regressions (an accidentally
-//! serialized parallel path, a quadratic loop), not single-digit
-//! percentages.
+//! generous — the gate catches step-change regressions (a quadratic
+//! loop, a cache that stopped hitting), not single-digit percentages.
 //!
 //! The parsers below cover exactly the two formats this workspace emits —
 //! flat `{"id":..,"median_ns":..}` lines and baseline files with a flat
@@ -483,7 +482,6 @@ garbage line without fields\n\
                 env!("CARGO_MANIFEST_DIR"),
                 "/benches/model_eval_baseline.json"
             ),
-            concat!(env!("CARGO_MANIFEST_DIR"), "/benches/steal_baseline.json"),
             concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/benches/telemetry_baseline.json"

@@ -26,11 +26,10 @@
 //! [`MacroMetricsCache`] across chips), no matter how many tenants schedule
 //! onto them.
 //!
-//! Rounds are costed serially: a chip has only a handful of them, and the
-//! DSE already fans whole chips out across the pool
-//! (`acim_dse::ChipDesignProblem`'s batch evaluation), which scales better
-//! than splitting one chip's rounds.  Every per-round quantity is a pure
-//! function of `(chip, mix, params)`, so results are deterministic.
+//! Rounds are costed serially on the calling thread: a chip has only a
+//! handful of them, and a whole chip costs a few µs, less than handing
+//! work to another thread.  Every per-round quantity is a pure function of
+//! `(chip, mix, params)`, so results are deterministic.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -356,7 +355,7 @@ pub struct ChipEvaluator {
     params: ModelParams,
     cost: ChipCostParams,
     // Clones share the client's counters, so one request's attribution
-    // survives the batch fan-out.
+    // covers every clone it hands out.
     macro_client: MacroCacheClient,
 }
 
@@ -736,7 +735,6 @@ impl ChipEvaluator {
 mod tests {
     use super::*;
     use acim_arch::AcimSpec;
-    use rayon::prelude::*;
 
     fn spec(h: usize, w: usize, l: usize, b: u32) -> AcimSpec {
         AcimSpec::from_dimensions(h, w, l, b).unwrap()
@@ -807,23 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluation_matches_individual_runs() {
-        // The population fan-out of the DSE: one pool task per chip, each
-        // costing its rounds serially, deterministic in input order.
-        let chips = [chip(1, 1, 32), chip(1, 2, 32), chip(2, 2, 32)];
-        let mix = WorkloadMix::from(Network::transformer_block());
-        let evaluator = ChipEvaluator::s28_default();
-        let batch: Vec<MixMetrics> = chips
-            .par_iter()
-            .with_max_len(1)
-            .map(|chip| evaluator.evaluate_mix(chip, &mix).unwrap())
-            .collect();
-        for (chip, result) in chips.iter().zip(batch) {
-            assert_eq!(result, evaluator.evaluate_mix(chip, &mix).unwrap());
-        }
-    }
-
-    #[test]
     fn accuracy_proxy_tracks_macro_snr() {
         let net = Network::transformer_block();
         let low_b =
@@ -867,15 +848,14 @@ mod tests {
         let evaluator = ChipEvaluator::s28_default().with_macro_cache(cache.clone());
         let chips = [chip(1, 1, 32), chip(2, 2, 32), chip(1, 2, 32)];
         let batch: Vec<Result<MixMetrics, ChipError>> = chips
-            .par_iter()
-            .with_max_len(1)
+            .iter()
             .map(|chip| evaluator.clone().evaluate_mix(chip, &mix))
             .collect();
         assert!(batch.iter().all(Result::is_ok));
-        // A fan-out may clone the evaluator into pool workers; the
-        // clones share the original's counters, so the request-level
-        // evaluator sees the whole batch: one distinct macro shape across
-        // all three chips -> 1 miss + 2 hits.
+        // Each chip is scored by a clone of the evaluator; the clones
+        // share the original's counters, so the request-level evaluator
+        // sees the whole batch: one distinct macro shape across all three
+        // chips -> 1 miss + 2 hits.
         let stats = evaluator.macro_cache_stats();
         assert_eq!(stats.total(), 3);
         assert_eq!(stats.misses, 1);

@@ -67,8 +67,8 @@ pub type MacroMetricsCache = SharedCache<SpecKey, MacroMetrics>;
 /// consumer's hit/miss/eviction counters.
 ///
 /// The counters are a telemetry-backed [`CacheCounters`] triple, shared
-/// across clones, so an evaluator cloned into pool workers still
-/// attributes the whole batch to the request that spawned it — while two
+/// across clones, so every clone of an evaluator still attributes its
+/// lookups to the request that made it — while two
 /// different requests (two clients) on one shared cache each report
 /// their own reuse.  Both macro-metric consumers in the
 /// workspace (`ChipEvaluator` and the macro-space `AcimDesignProblem`)

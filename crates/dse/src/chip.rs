@@ -12,11 +12,10 @@
 //! ([`MixObjective`]) and an optional Monte-Carlo device-variation yield
 //! constraint ([`RobustnessConfig`]).
 //!
-//! Parallelism lives at the population level: [`ChipDesignProblem`]'s
-//! [`Problem::evaluate_batch`] fans a whole NSGA-II generation out over
-//! the cores, one task per chip, while each chip's rounds are costed
-//! serially (order-preserving, so exploration remains bit-reproducible
-//! per seed).
+//! A chip evaluation costs microseconds, so [`ChipDesignProblem`] scores
+//! every NSGA-II generation on the calling thread through the
+//! [`Problem::evaluate_batch`] default, a serial map over
+//! [`Problem::evaluate`], and exploration is bit-reproducible per seed.
 //!
 //! With [`ChipDseConfig::heterogeneous`] the genome additionally carries
 //! **per-tile macro genes**, letting NSGA-II mix macro shapes across the
@@ -31,7 +30,6 @@ use acim_chip::{
 };
 use acim_model::ModelParams;
 use acim_moga::{CacheStats, Evaluation, Problem};
-use rayon::prelude::*;
 
 use crate::encoding::{gene_from_index, index_from_gene, DesignEncoding};
 use crate::error::DseError;
@@ -534,25 +532,6 @@ impl Problem for ChipDesignProblem {
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         self.evaluate_genome(genes)
-    }
-
-    /// Population-parallel batch evaluation: one work-stealing task **per
-    /// genome** (`with_max_len(1)`), so a single deep heterogeneous chip
-    /// cannot stall a chunk of uniform ones — stealing rebalances the
-    /// skew that heterogeneous grids and variable layer counts produce.
-    /// Each chip's rounds are costed serially inside its task: a chip has
-    /// only a handful of rounds, and fanning them out as well would spawn
-    /// scoped helpers per chip and oversubscribe the cores.  The tasks
-    /// borrow the caller's genome slice in place on the scoped executor,
-    /// so the batch path clones neither the problem nor the genomes.
-    /// Order-preserving and bit-identical to the serial map, so seeded
-    /// chip explorations stay deterministic.
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        genomes
-            .par_iter()
-            .with_max_len(1)
-            .map(|genes| self.evaluate_genome(genes))
-            .collect()
     }
 
     fn name(&self) -> &str {

@@ -21,7 +21,7 @@ use acim_chip::MacroMetricsCache;
 use acim_model::ModelParams;
 use acim_moga::{
     CacheStats, CacheStore, CachedProblem, CancelToken, EvalStats, Nsga2, Nsga2Config,
-    ParetoArchive, PoolStats, Problem,
+    ParetoArchive, Problem,
 };
 
 use crate::error::DseError;
@@ -268,8 +268,8 @@ pub(crate) fn explore_problem<P: Explorable>(
     };
     let problem = &problem;
     // Keyed by decode buckets, the cache answers re-sampled designs for
-    // free while its batch path fans each generation's unique misses out
-    // across cores.
+    // free and forwards each generation's unique misses to the problem as
+    // one batch.
     let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
         .with_shared_store(options.cache.clone().unwrap_or_default());
     let mut archive = RunArchive::default();
@@ -289,7 +289,6 @@ pub(crate) fn explore_problem<P: Explorable>(
         initial_population: options.warm_start.clone(),
         ..Default::default()
     };
-    let pool_before = rayon::pool_metrics();
     let result = Nsga2::new(&cached, nsga_config)
         .with_seed(budget.seed)
         .run_with_observer(|generation, population| {
@@ -340,15 +339,9 @@ pub(crate) fn explore_problem<P: Explorable>(
             array_size: budget.array_size,
         });
     }
-    let pool = rayon::pool_metrics().delta_since(&pool_before);
     let mut engine = result.engine;
     engine.cache = cached.stats();
     engine.macro_cache = problem.macro_cache_stats();
-    engine.pool = PoolStats {
-        tasks_executed: pool.tasks_executed(),
-        steals: pool.steals(),
-        tasks_per_worker: pool.tasks_per_slot,
-    };
     Ok(Frontier { points, engine })
 }
 

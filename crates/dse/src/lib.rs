@@ -63,9 +63,7 @@ pub mod robustness;
 pub mod solution;
 pub mod sweep;
 
-pub use acim_moga::{
-    CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats, PoolStats,
-};
+pub use acim_moga::{CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats};
 pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer};
 pub use distill::UserRequirements;
 pub use encoding::DesignEncoding;

@@ -115,7 +115,7 @@ pub mod prelude {
     pub use acim_model::{evaluate, DesignMetrics, ModelParams};
     pub use acim_moga::{
         CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats, Nsga2,
-        Nsga2Config, PoolStats, Problem,
+        Nsga2Config, Problem,
     };
     pub use acim_netlist::{write_spice, NetlistGenerator};
     pub use acim_tech::Technology;

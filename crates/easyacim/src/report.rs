@@ -156,8 +156,8 @@ fn macro_cache_line(engine: &acim_moga::EvalStats, tenants: Option<&[TenantMetri
 }
 
 /// The always-rendered `telemetry:` report line: generation-latency
-/// quantiles (p50/p90/p99 over the run's per-generation wall-clock),
-/// cache hit rate and pool steal rate.  Every value is guaranteed finite
+/// quantiles (p50/p90/p99 over the run's per-generation wall-clock) and
+/// the cache hit rate.  Every value is guaranteed finite
 /// — a `--quick` full-cache-hit replay whose generations all land below
 /// the timer resolution renders zeros, never `NaN`/`inf`
 /// (`tests/service.rs` asserts this).
@@ -169,12 +169,11 @@ fn telemetry_line(engine: &acim_moga::EvalStats) -> String {
     let snapshot = histogram.snapshot();
     format!(
         "telemetry: generation p50 {:.1} ms / p90 {:.1} ms / p99 {:.1} ms, \
-         cache hit rate {:.1}%, pool steal rate {:.1}%\n",
+         cache hit rate {:.1}%\n",
         snapshot.quantile(0.50) * 1e3,
         snapshot.quantile(0.90) * 1e3,
         snapshot.quantile(0.99) * 1e3,
         engine.cache.hit_rate() * 100.0,
-        engine.pool.steal_rate() * 100.0,
     )
 }
 
@@ -231,14 +230,13 @@ pub fn telemetry_section(snapshot: &TelemetrySnapshot) -> String {
 pub fn chip_report(result: &ChipFlowResult) -> String {
     let mut out = format!(
         "chip composition: {} frontier chips ({} evaluations in {:.2} s)\n\
-         evaluation engine: {:.0} evals/s, cache {}, {:.1} ms mean per generation, {}\n{}{}{}",
+         evaluation engine: {:.0} evals/s, cache {}, {:.1} ms mean per generation\n{}{}{}",
         result.front.len(),
         result.engine.evaluations,
         result.exploration_time.as_secs_f64(),
         result.engine.evaluations_per_second(),
         result.engine.cache,
         result.engine.mean_generation_seconds() * 1e3,
-        result.engine.pool,
         macro_cache_line(
             &result.engine,
             result.best_throughput().map(|p| p.tenants.as_slice()),
@@ -300,7 +298,7 @@ pub fn chip_report(result: &ChipFlowResult) -> String {
 pub fn flow_summary(result: &FlowResult) -> String {
     let mut out = format!(
         "EasyACIM flow: {} frontier points, {} after distillation, {} layouts generated\n\
-         exploration: {} evaluations in {:.2} s ({:.0} evals/s, cache {}, {}); \
+         exploration: {} evaluations in {:.2} s ({:.0} evals/s, cache {}); \
          total runtime {:.2} s\n{}{}",
         result.frontier.len(),
         result.distilled.len(),
@@ -309,7 +307,6 @@ pub fn flow_summary(result: &FlowResult) -> String {
         result.exploration_time.as_secs_f64(),
         result.engine.evaluations_per_second(),
         result.engine.cache,
-        result.engine.pool,
         result.total_time.as_secs_f64(),
         macro_cache_line(&result.engine, None),
         telemetry_line(&result.engine),

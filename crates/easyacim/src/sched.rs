@@ -3,10 +3,10 @@
 //! [`Scheduler`] replaces the service's original thread-per-request model:
 //! instead of spawning one unbounded OS thread per submission, requests
 //! enter a **bounded admission queue** and a **fixed-size worker set**
-//! (sized off the shared evaluation pool's width) drains it in priority
-//! order.  A burst of requests therefore queues instead of spawning a
-//! thread herd — the number of concurrently executing jobs can never
-//! exceed the worker count, and a full queue rejects new work with
+//! (by default one worker per core, see `ServiceConfig::workers`) drains
+//! it in priority order.  A burst of requests therefore queues instead of
+//! spawning a thread herd — the number of concurrently executing jobs can
+//! never exceed the worker count, and a full queue rejects new work with
 //! backpressure ([`AdmitError::QueueFull`]) rather than accepting
 //! unbounded load.
 //!

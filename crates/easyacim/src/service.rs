@@ -3,9 +3,9 @@
 //! [`ExplorationService`] is the long-lived front door of the flow: it
 //! accepts many concurrent [`ExplorationRequest`]s (full macro flows or
 //! chip-composition runs) through a **bounded, deadline-aware admission
-//! scheduler** — a fixed worker set sized off the shared evaluation
-//! pool's width drains a priority-ordered queue, so a burst of requests
-//! queues instead of spawning a thread herd, and a full queue rejects new
+//! scheduler** — a fixed worker set, one per core by default, drains a
+//! priority-ordered queue, so a burst of requests queues instead of
+//! spawning a thread herd, and a full queue rejects new
 //! work with backpressure ([`SubmitError::QueueFull`]) instead of
 //! accepting unbounded load.  The service owns one shared, concurrent
 //! evaluation cache **per design space** — so the second request over a
@@ -80,8 +80,7 @@ use acim_model::ModelParams;
 use acim_moga::{CancelToken, EvalStats};
 use acim_persist::{PersistError, Snapshot};
 use acim_telemetry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, SpanId, SpanText, Telemetry,
-    TelemetrySnapshot,
+    Counter, Gauge, Histogram, Registry, SpanId, SpanText, Telemetry, TelemetrySnapshot,
 };
 
 use crate::chip::{ChipFlowConfig, ChipFlowResult};
@@ -594,8 +593,6 @@ struct ServiceInstruments {
     cached_evaluations: Gauge,
     cached_macro_metrics: Gauge,
     cache_evictions: Gauge,
-    pool_tasks: Counter,
-    pool_steals: Counter,
     snapshot_seconds: Histogram,
     restore_seconds: Histogram,
     restored_archives: Counter,
@@ -656,16 +653,6 @@ impl ServiceInstruments {
                 "service_cache_evictions",
                 "Entries evicted across every cache the service owns \
                  (equals ExplorationService::total_evictions).",
-                &[],
-            ),
-            pool_tasks: registry.counter(
-                "pool_tasks_total",
-                "Leaf tasks executed on the shared worker pool (process-wide).",
-                &[],
-            ),
-            pool_steals: registry.counter(
-                "pool_steals_total",
-                "Ranges claimed by work-stealing on the shared pool (process-wide).",
                 &[],
             ),
             snapshot_seconds: registry.histogram(
@@ -1018,9 +1005,11 @@ pub struct ServiceConfig {
     /// (distinct macro shapes).  `None` = unbounded.
     pub macro_metric_capacity: Option<usize>,
     /// Worker threads of the admission scheduler (the hard bound on
-    /// concurrently executing jobs).  `None` = the width of the shared
-    /// evaluation pool (`rayon::current_num_threads()`) — one request per
-    /// pool lane, so the pool stays busy without oversubscribing it.
+    /// concurrently executing jobs).  `None` = the machine's available
+    /// parallelism (`std::thread::available_parallelism()`, 1 when it
+    /// cannot be read): each request runs on its worker thread alone, so
+    /// one request per core keeps every core busy without
+    /// oversubscribing them.
     pub workers: Option<usize>,
     /// Capacity of the bounded admission queue; submissions beyond it are
     /// rejected with [`SubmitError::QueueFull`].  `None` =
@@ -1131,7 +1120,7 @@ impl ExplorationService {
         let instruments = ServiceInstruments::new(&telemetry);
         let workers = config
             .workers
-            .unwrap_or_else(rayon::current_num_threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
             .max(1);
         let queue_capacity = config.queue_capacity.unwrap_or(16.max(4 * workers));
         let scheduler = Scheduler::new(workers, queue_capacity, "easyacim");
@@ -1469,9 +1458,7 @@ impl ExplorationService {
     /// Snapshot of everything the service observes: request counters and
     /// latency histograms per kind, queue/active job gauges, per-space
     /// cache counters and hit rates, per-generation spans and
-    /// `generation_seconds`/`stage_seconds` histograms, plus the
-    /// process-global worker-pool counters (tasks, steals, queue-wait
-    /// histogram) bridged from [`rayon::pool_metrics`].
+    /// `generation_seconds`/`stage_seconds` histograms.
     ///
     /// Collector-style gauges are refreshed on the way out, so
     /// `service_cache_evictions` always equals
@@ -1492,28 +1479,7 @@ impl ExplorationService {
         self.instruments
             .cache_evictions
             .set(self.total_evictions() as f64);
-        let pool = rayon::pool_metrics();
-        self.instruments
-            .pool_tasks
-            .record_absolute(pool.tasks_executed());
-        self.instruments.pool_steals.record_absolute(pool.steals());
-        let mut snapshot = self.telemetry.snapshot();
-        let bounds: Vec<f64> = rayon::QUEUE_WAIT_BOUNDS_NS
-            .iter()
-            .map(|&ns| ns as f64 * 1e-9)
-            .collect();
-        snapshot.push_histogram(
-            "pool_queue_wait_seconds",
-            "Delay between submitting a job to the shared pool and its first claimed range.",
-            &[],
-            HistogramSnapshot::from_parts(
-                bounds,
-                pool.queue_wait_bucket_counts,
-                pool.queue_wait_sum_ns as f64 * 1e-9,
-                pool.queue_wait_count,
-            ),
-        );
-        snapshot
+        self.telemetry.snapshot()
     }
 
     /// Clones the pre-registered per-kind request instruments and opens
@@ -2330,7 +2296,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_snapshot_exposes_request_cache_and_pool_series() {
+    fn telemetry_snapshot_exposes_request_and_cache_series() {
         let service = ExplorationService::new();
         let response = service
             .run(ExplorationRequest::chip_space(quick_chip_config()))
@@ -2373,10 +2339,6 @@ mod tests {
             .histogram("stage_seconds", &[("stage", "chip")])
             .is_some());
 
-        assert!(snapshot.counter("pool_tasks_total", &[]).is_some());
-        assert!(snapshot.counter("pool_steals_total", &[]).is_some());
-        assert!(snapshot.histogram("pool_queue_wait_seconds", &[]).is_some());
-
         // Span tree: request → chip stage → generations.
         let spans = &snapshot.spans;
         let root = spans
@@ -2395,7 +2357,7 @@ mod tests {
         // Both encoders render the snapshot.
         let text = acim_telemetry::prometheus_text(&snapshot);
         assert!(text.contains("service_requests_total{kind=\"chip\"} 1"));
-        assert!(text.contains("pool_queue_wait_seconds_bucket"));
+        assert!(text.contains("service_request_seconds_bucket"));
         let json = acim_telemetry::json_text(&snapshot);
         assert!(json.contains("\"service_request_seconds\""));
     }

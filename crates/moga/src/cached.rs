@@ -11,8 +11,8 @@
 //!
 //! The batch path is duplicate-aware: genomes that repeat *within* one
 //! batch are also evaluated only once, and only the unique misses are
-//! forwarded to the inner problem's [`Problem::evaluate_batch`] — so a
-//! parallel inner batch spends its threads exclusively on new designs.
+//! forwarded to the inner problem's [`Problem::evaluate_batch`], in
+//! first-occurrence order.
 //!
 //! Caching is transparent to seeded runs: a hit returns a clone of exactly
 //! the evaluation the serial path would have recomputed, so Pareto fronts

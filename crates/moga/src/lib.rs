@@ -30,11 +30,9 @@
 //!    offspring first and scores the whole cohort through one
 //!    [`Problem::evaluate_batch`] call ([`random_search()`] does the same in
 //!    chunks).  The default implementation is the serial map, so a plain
-//!    [`Problem`] keeps working; a problem that overrides the batch with a
-//!    parallel map parallelises the whole search (the EasyACIM chip design
-//!    problem runs one work-stealing `rayon` task per genome, so one
-//!    expensive chip cannot stall the rest of its cohort, while the macro
-//!    problem's ~100 ns evaluations stay on the serial map).  Batch
+//!    [`Problem`] keeps working.  Every EasyACIM problem (macro and chip)
+//!    uses that serial map on the calling thread: one evaluation costs
+//!    ~100 ns to a few µs, less than handing it to another thread.  Batch
 //!    implementations must preserve input order and be bit-identical to
 //!    the serial map, which keeps seeded runs reproducible: variation
 //!    never interleaves with evaluation, so the RNG stream — and therefore
@@ -98,7 +96,7 @@ pub use crowding::assign_crowding_distance;
 pub use dominance::{constrained_dominates, dominates, fast_non_dominated_sort};
 pub use hypervolume::{hypervolume_2d, hypervolume_monte_carlo};
 pub use individual::Individual;
-pub use nsga2::{EvalStats, Nsga2, Nsga2Config, Nsga2Result, PoolStats};
+pub use nsga2::{EvalStats, Nsga2, Nsga2Config, Nsga2Result};
 pub use operators::{polynomial_mutation, sbx_crossover};
 pub use problem::{Evaluation, ObjVec, Problem};
 pub use random_search::random_search;

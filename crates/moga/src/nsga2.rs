@@ -2,10 +2,9 @@
 //!
 //! Evaluation is **population-batched**: every generation's offspring are
 //! collected first and scored through one [`Problem::evaluate_batch`] call,
-//! so problems with a parallel batch implementation (like the EasyACIM chip
-//! problem) parallelise across the whole population instead of inside a
-//! single evaluation.  Variation (selection, crossover, mutation) never
-//! consumes randomness during evaluation, so the batched loop generates
+//! so a memoizing wrapper sees the whole cohort at once (see
+//! [`crate::CachedProblem`]).  Variation (selection, crossover, mutation)
+//! never consumes randomness during evaluation, so the batched loop generates
 //! exactly the genomes the historical one-at-a-time loop did — seeded runs
 //! produce bit-identical Pareto fronts either way.
 
@@ -61,46 +60,6 @@ impl Default for Nsga2Config {
     }
 }
 
-/// Work-stealing pool activity attributed to one optimiser run: how many
-/// leaf tasks the pool executed, how many were claimed by stealing, and
-/// how the tasks spread across helper slots.  Filled in by callers that
-/// can observe the pool (the `acim-dse` explorers diff
-/// `rayon::pool_metrics()` snapshots around the run); stays at the zero
-/// default for problems that never touch a pool.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Leaf tasks executed during the run, summed over helper slots.
-    pub tasks_executed: u64,
-    /// Tasks claimed by stealing from another helper's deque.
-    pub steals: u64,
-    /// Per-slot task counts (slot 0 is the submitting thread).
-    pub tasks_per_worker: Vec<u64>,
-}
-
-impl PoolStats {
-    /// Fraction of tasks that were claimed by stealing, in `[0, 1]`
-    /// (`0.0` when no tasks ran).
-    pub fn steal_rate(&self) -> f64 {
-        if self.tasks_executed == 0 {
-            0.0
-        } else {
-            self.steals as f64 / self.tasks_executed as f64
-        }
-    }
-}
-
-impl std::fmt::Display for PoolStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} pool tasks ({} stolen) across {} workers",
-            self.tasks_executed,
-            self.steals,
-            self.tasks_per_worker.len(),
-        )
-    }
-}
-
 /// Aggregated evaluation-engine statistics of one optimiser run: how many
 /// evaluations were requested, how the cache fared, and where the
 /// wall-clock went.  Downstream result types (frontier sets, flow results)
@@ -124,10 +83,6 @@ pub struct EvalStats {
     /// Wall-clock seconds per generation (variation + evaluation +
     /// environmental selection), one entry per generation.
     pub generation_seconds: Vec<f64>,
-    /// Work-stealing pool activity attributed to the run
-    /// ([`PoolStats::default`] when the problem never used a pool or the
-    /// caller could not observe one).
-    pub pool: PoolStats,
 }
 
 impl EvalStats {
@@ -810,21 +765,6 @@ mod tests {
             ..small_config()
         };
         let _ = Nsga2::new(Zdt1, config);
-    }
-
-    #[test]
-    fn pool_stats_render_and_rate() {
-        let stats = PoolStats {
-            tasks_executed: 8,
-            steals: 2,
-            tasks_per_worker: vec![5, 3],
-        };
-        assert!((stats.steal_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(PoolStats::default().steal_rate(), 0.0);
-        let line = stats.to_string();
-        assert!(line.contains("8 pool tasks"));
-        assert!(line.contains("2 stolen"));
-        assert!(line.contains("2 workers"));
     }
 
     #[test]

@@ -239,8 +239,9 @@ pub trait Problem {
 }
 
 // The blanket impls must forward `evaluate_batch` explicitly: falling back
-// to the trait default would silently serialise a problem whose batch
-// evaluation is parallel (the optimisers usually hold `&P`, not `P`).
+// to the trait default would silently bypass an overriding batch path, such
+// as `CachedProblem`'s cohort dedupe (the optimisers usually hold `&P`, not
+// `P`).
 impl<P: Problem + ?Sized> Problem for &P {
     fn num_variables(&self) -> usize {
         (**self).num_variables()

@@ -148,20 +148,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Builds a snapshot directly from bucket data, sanitising the pieces
-    /// so foreign sources (e.g. the pool's queue-wait buckets) can be
-    /// bridged without trusting their arithmetic.
-    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, sum: f64, count: u64) -> Self {
-        let mut counts = counts;
-        counts.resize(bounds.len() + 1, 0);
-        Self {
-            bounds,
-            counts,
-            sum: if sum.is_finite() { sum.max(0.0) } else { 0.0 },
-            count,
-        }
-    }
-
     /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) by linear
     /// interpolation within the bucket containing the target rank.
     ///
@@ -321,15 +307,10 @@ mod tests {
         assert_eq!(delta.counts, vec![1, 1, 0]);
         assert!((delta.sum - 1.6).abs() < 1e-9);
         // Foreign bounds: diff degrades to self, never panics.
-        let foreign = HistogramSnapshot::from_parts(vec![9.0], vec![7, 7], 100.0, 14);
-        let delta = hist.snapshot().delta_since(&foreign);
+        let other = Histogram::new(&[9.0]);
+        other.observe(1.0);
+        other.observe(100.0);
+        let delta = hist.snapshot().delta_since(&other.snapshot());
         assert_eq!(delta.count, 3);
-    }
-
-    #[test]
-    fn from_parts_sanitises_foreign_data() {
-        let snap = HistogramSnapshot::from_parts(vec![1.0, 2.0], vec![1], f64::NAN, 1);
-        assert_eq!(snap.counts.len(), 3);
-        assert_eq!(snap.sum, 0.0);
     }
 }

@@ -21,9 +21,8 @@
 //! and the workspace's tests prove instrumented runs produce bit-identical
 //! Pareto frontiers either way.
 //!
-//! Like the vendored rayon shim, this crate is std-only, `forbid(unsafe)`,
-//! and intentionally small — it is a measurement substrate, not a
-//! framework.
+//! This crate is std-only, `forbid(unsafe)`, and intentionally small —
+//! it is a measurement substrate, not a framework.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

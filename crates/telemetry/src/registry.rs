@@ -40,14 +40,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Raises the counter to `value` if it is currently lower (monotone
-    /// max). This is the bridge for mirroring a foreign monotone source —
-    /// e.g. the pool's process-global task counter — into the registry
-    /// without double counting across repeated snapshots.
-    pub fn record_absolute(&self, value: u64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
 }
 
 /// A gauge holding one `f64` (stored as bits in an atomic). Clones share
@@ -129,7 +121,7 @@ fn canonical_labels(labels: &[(&str, &str)]) -> Labels {
 
 /// Restricts a metric or label name to the Prometheus charset
 /// `[a-zA-Z_][a-zA-Z0-9_]*`, replacing anything else with `_`.
-pub(crate) fn sanitise_name(name: &str) -> String {
+fn sanitise_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c == '_' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit());
@@ -300,10 +292,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.record_absolute(3); // lower: no effect
-        assert_eq!(c.get(), 5);
-        c.record_absolute(9);
-        assert_eq!(c.get(), 9);
 
         let g = Gauge::new();
         g.set(2.5);

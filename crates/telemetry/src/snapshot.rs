@@ -92,31 +92,6 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Appends a pre-built histogram sample — the bridge for foreign
-    /// bucket sources (e.g. the pool's queue-wait buckets) that are not
-    /// registry-backed. Keeps the sample list sorted.
-    pub fn push_histogram(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        histogram: HistogramSnapshot,
-    ) {
-        let mut labels: Labels = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        self.samples.push(MetricSample {
-            name: crate::registry::sanitise_name(name),
-            help: help.to_string(),
-            labels,
-            value: MetricValue::Histogram(histogram),
-        });
-        self.samples
-            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-    }
-
     /// The difference `self - earlier`, attributing activity to the window
     /// between the two snapshots:
     ///
@@ -244,19 +219,5 @@ mod tests {
         let later = snap(&registry, &spans);
         let delta = later.diff(&earlier);
         assert_eq!(delta.counter("new_total", &[]), Some(7));
-    }
-
-    #[test]
-    fn push_histogram_keeps_samples_sorted() {
-        let (registry, spans) = sample_snapshot();
-        let mut snapshot = snap(&registry, &spans);
-        snapshot.push_histogram(
-            "aaa_first",
-            "bridged",
-            &[],
-            HistogramSnapshot::from_parts(vec![1.0], vec![1, 0], 0.5, 1),
-        );
-        assert_eq!(snapshot.samples[0].name, "aaa_first");
-        assert!(snapshot.histogram("aaa_first", &[]).is_some());
     }
 }

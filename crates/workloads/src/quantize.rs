@@ -52,12 +52,15 @@ impl BinaryMvm {
 }
 
 /// Binarises a weight matrix around its per-row median (1 when above).
+///
+/// Values sort by [`f64::total_cmp`], so a NaN never panics;
+/// [`binarize_mvm`] rejects NaN operands before they get here.
 pub fn binarize_weights(weights: &Matrix) -> Vec<Vec<bool>> {
     (0..weights.rows())
         .map(|r| {
             let mut row: Vec<f64> = (0..weights.cols()).map(|c| weights.get(r, c)).collect();
             let mut sorted = row.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("weights must not be NaN"));
+            sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
             row.drain(..).map(|v| v > median).collect()
         })
@@ -65,12 +68,14 @@ pub fn binarize_weights(weights: &Matrix) -> Vec<Vec<bool>> {
 }
 
 /// Binarises an activation vector around its median (1 when above).
+///
+/// Values sort by [`f64::total_cmp`], as in [`binarize_weights`].
 pub fn binarize_activations(activations: &[f64]) -> Vec<bool> {
     if activations.is_empty() {
         return Vec::new();
     }
     let mut sorted = activations.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("activations must not be NaN"));
+    sorted.sort_by(f64::total_cmp);
     let median = sorted[sorted.len() / 2];
     activations.iter().map(|&v| v > median).collect()
 }
@@ -80,7 +85,9 @@ pub fn binarize_activations(activations: &[f64]) -> Vec<bool> {
 /// # Errors
 ///
 /// Returns [`WorkloadError::ShapeMismatch`] when the activation length does
-/// not match the weight matrix.
+/// not match the weight matrix, and [`WorkloadError::InvalidParameter`]
+/// naming `weights` or `activations` when an operand holds a NaN, which
+/// has no place around a median.
 pub fn binarize_mvm(
     label: &str,
     weights: &Matrix,
@@ -92,6 +99,18 @@ pub fn binarize_mvm(
             left: (weights.rows(), weights.cols()),
             right: (activations.len(), 1),
         });
+    }
+    let nan = |name: &str, at: String| WorkloadError::InvalidParameter {
+        name: name.into(),
+        reason: format!("NaN at {at}"),
+    };
+    for r in 0..weights.rows() {
+        if let Some(c) = (0..weights.cols()).find(|&c| weights.get(r, c).is_nan()) {
+            return Err(nan("weights", format!("row {r}, column {c}")));
+        }
+    }
+    if let Some(i) = activations.iter().position(|v| v.is_nan()) {
+        return Err(nan("activations", format!("index {i}")));
     }
     let reference = weights.matvec(activations)?;
     Ok(BinaryMvm {
@@ -118,6 +137,12 @@ mod tests {
         assert!(bits[1] && bits[4], "largest values must binarise to 1");
         assert!(!bits[0], "smallest value must binarise to 0");
         assert!(binarize_activations(&[]).is_empty());
+        // total_cmp orders -0.0 before +0.0, but both compare equal under
+        // `>`, so signed zeros binarise as under the partial order.
+        let bits = binarize_activations(&[-0.0, 0.0, 0.0, -0.0, 1.0]);
+        assert_eq!(bits, vec![false, false, false, false, true]);
+        let bits = binarize_activations(&[0.0, -0.0, -1.0]);
+        assert_eq!(bits, vec![false, false, false]);
     }
 
     #[test]
@@ -153,5 +178,29 @@ mod tests {
     fn shape_mismatch_is_reported() {
         let w = Matrix::zeros(2, 4).unwrap();
         assert!(binarize_mvm("bad", &w, &[1.0, 2.0]).is_err());
+    }
+
+    #[test]
+    fn nan_operands_are_typed_errors() {
+        let mut w = Matrix::from_fn(2, 3, |r, c| (r + c) as f64).unwrap();
+        let x = [0.5, f64::NAN, 1.5];
+        match binarize_mvm("nan", &w, &x) {
+            Err(WorkloadError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, "activations");
+                assert!(reason.contains("index 1"), "{reason}");
+            }
+            other => panic!("expected an activations error, got {other:?}"),
+        }
+        w.set(1, 2, f64::NAN);
+        match binarize_mvm("nan", &w, &[0.5, 1.0, 1.5]) {
+            Err(WorkloadError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, "weights");
+                assert!(reason.contains("row 1, column 2"), "{reason}");
+            }
+            other => panic!("expected a weights error, got {other:?}"),
+        }
+        // The binarisers themselves never panic on a NaN.
+        assert_eq!(binarize_activations(&x).len(), 3);
+        assert_eq!(binarize_weights(&w)[1].len(), 3);
     }
 }

@@ -4,8 +4,8 @@
 //! The single-macro flow answers "what is the best macro?"; this example
 //! answers the architect's next question: "how many of them, behind how
 //! much buffer, serve my *network* best?"  It runs the chip-level NSGA-II
-//! exploration twice to demonstrate seed-determinism (objective evaluation
-//! is population-parallel under rayon yet bit-reproducible), prints the
+//! exploration twice to demonstrate seed-determinism (with cache hits
+//! answering re-sampled designs, the front is bit-reproducible), prints the
 //! chip Pareto front together with the evaluation-engine stats
 //! (evaluations/s, cache hit rate, wall-clock per generation), repeats the
 //! search with **heterogeneous grids** (per-tile macro genes, so NSGA-II
@@ -22,18 +22,10 @@ use easyacim::prelude::*;
 use easyacim::{chip_frontier_table, chip_report};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // `--quick` shrinks the budget so CI can exercise the full parallel
+    // `--quick` shrinks the budget so CI can exercise the full evaluation
     // path (batch evaluation, caching, heterogeneous genomes) in seconds.
     let quick = std::env::args().any(|arg| arg == "--quick");
     let (population_size, generations) = if quick { (16, 6) } else { (48, 30) };
-
-    // Surface the effective parallelism so smoke logs prove the parallel
-    // path was exercised (CI pins it via RAYON_NUM_THREADS).
-    println!(
-        "rayon worker threads: {} (override with {})",
-        rayon::current_num_threads(),
-        rayon::NUM_THREADS_ENV,
-    );
 
     let network = Network::edge_cnn(3);
     println!("target network: {network}");
@@ -65,8 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Determinism: the same seed reproduces the same front even though
-    // each generation fans its objective evaluations out across worker
-    // threads and re-sampled designs are answered from the cache.
+    // re-sampled designs are answered from the cache.
     let replay = ChipExplorer::new(dse.clone())?.explore()?;
     let identical = frontier.len() == replay.len()
         && frontier

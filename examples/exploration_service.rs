@@ -58,12 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restore_path = path_arg("--restore");
     let (population_size, generations) = if quick { (16, 6) } else { (40, 24) };
 
-    println!(
-        "rayon worker threads: {} (override with {})",
-        rayon::current_num_threads(),
-        rayon::NUM_THREADS_ENV,
-    );
-
     // One macro-flow request…
     let mut flow = FlowConfig::new(4 * 1024);
     flow.dse.population_size = population_size;
@@ -200,21 +194,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ExplorationResponse::Macro(response) => {
                 let result = &response.result;
                 println!(
-                    "job {id} (macro flow): {} frontier points, {} layouts, cache {}, {}",
+                    "job {id} (macro flow): {} frontier points, {} layouts, cache {}",
                     result.frontier.len(),
                     result.designs.len(),
                     result.engine.cache,
-                    result.engine.pool,
                 );
             }
             ExplorationResponse::Chip(response) => {
                 let result = &response.result;
                 println!(
-                    "job {id} (chip): {} frontier chips, {} evaluations, cache {}, {}",
+                    "job {id} (chip): {} frontier chips, {} evaluations, cache {}",
                     result.front.len(),
                     result.engine.evaluations,
                     result.engine.cache,
-                    result.engine.pool,
                 );
                 chip_archive = Some(response.session);
             }
@@ -305,7 +297,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Everything the service observed, in Prometheus text exposition
         // (scrapeable verbatim) — request counters and latency
         // histograms, queue/active gauges, per-space cache hit rates,
-        // per-generation histograms and the worker-pool bridge.
+        // and per-generation histograms.
         println!("--- telemetry (prometheus text exposition) ---");
         print!("{}", easyacim::prometheus_text(&service.telemetry()));
     }
