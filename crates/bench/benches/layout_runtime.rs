@@ -1,7 +1,8 @@
 //! Criterion bench backing the Table 2 / Section 4 claim that layout
 //! generation for one Pareto-frontier solution finishes in minutes: measures
 //! the column-template build (placement + intra-column routing) and the full
-//! macro assembly for a small and a 16 kb specification.
+//! macro assembly for a small and a 16 kb specification, plus the assembly
+//! of the widest 16 kb macro (1024 placements of one column).
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
@@ -26,8 +27,12 @@ fn layout_runtime(c: &mut Criterion) {
             "16kb_128x128_l8_b3",
             AcimSpec::from_dimensions(128, 128, 8, 3).expect("valid"),
         ),
+        (
+            "16kb_16x1024_l2_b3",
+            AcimSpec::from_dimensions(16, 1024, 2, 3).expect("valid"),
+        ),
     ];
-    for (name, spec) in &specs {
+    for (name, spec) in &specs[..2] {
         group.bench_with_input(
             BenchmarkId::new("column_template", name),
             spec,
@@ -38,6 +43,8 @@ fn layout_runtime(c: &mut Criterion) {
                 });
             },
         );
+    }
+    for (name, spec) in &specs {
         group.bench_with_input(BenchmarkId::new("full_macro", name), spec, |b, spec| {
             let flow = LayoutFlow::new(&tech, &library);
             b.iter(|| {

@@ -16,6 +16,8 @@
 //! maze router inside the peripheral region only — the local arrays are
 //! never opened, exactly as the paper's template strategy prescribes.
 
+use std::sync::Arc;
+
 use acim_arch::AcimSpec;
 use acim_cell::{CellKind, CellLibrary, Orientation, Point, Rect};
 use acim_tech::Technology;
@@ -28,8 +30,9 @@ use crate::router::{MazeRouter, RouteRequest};
 /// The generated column template plus the metadata the macro assembly needs.
 #[derive(Debug, Clone)]
 pub struct ColumnTemplate {
-    /// The column layout block.
-    pub layout: Layout,
+    /// The column layout block, shared by every placement of it in the
+    /// macro.
+    pub layout: Arc<Layout>,
     /// Height of the peripheral region at the bottom of the column (SAR
     /// logic, flip-flops, switch, comparator), in nanometres.
     pub periphery_height: f64,
@@ -321,7 +324,7 @@ impl ColumnTemplate {
         }
 
         Ok(Self {
-            layout,
+            layout: Arc::new(layout),
             periphery_height,
             rwl_pin_y,
         })

@@ -1,6 +1,20 @@
-//! The layout database: placed instances, wires, vias and exported pins.
+//! The layout database: placed instances, wires, vias, exported pins and
+//! placements of shared blocks.
+//!
+//! A [`Layout`] holds its own shapes plus placements of other layouts
+//! ([`Layout::place`]), each shared through an [`Arc`] and placed at an
+//! offset under a name prefix; the macro places its one column template
+//! `W` times.  Writers, checks and metrics read the layout through its
+//! *flat view* ([`Layout::flat_instances`], [`Layout::flat_wires`],
+//! [`Layout::flat_vias`]): every placement's objects, in placement order,
+//! then the layout's own, each named with its placement's prefix and
+//! translated by its offset.
+
+use std::sync::Arc;
 
 use acim_cell::{Orientation, Point, Rect};
+
+use crate::error::LayoutError;
 
 /// A placed leaf-cell (or block) instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,9 +78,104 @@ pub struct LayoutPin {
     pub rect: Rect,
 }
 
-/// A layout block: boundary, placed instances, routed wires/vias and
-/// exported pins.  Used both for intermediate blocks (the column template)
-/// and the final macro.
+/// A shared block placed into a layout.  In the layout's flat view every
+/// instance, wire and via of `block` is translated by `offset` and named
+/// with `prefix` in front.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Placement {
+    /// The placed block, which holds no placements of its own: the flat
+    /// view is one level deep.
+    pub(crate) block: Arc<Layout>,
+    /// Where the block's origin lands, in nanometres.
+    pub(crate) offset: Point,
+    /// Prefix of every flat name, e.g. `"COL_3/"`.
+    pub(crate) prefix: String,
+}
+
+/// An object of a layout's flat view: the object as its block holds it,
+/// plus the placement that puts it into the layout.
+#[derive(Debug, Clone)]
+pub struct Flat<'a, T> {
+    /// The object in the frame of the block that holds it.
+    pub local: &'a T,
+    /// Name prefix of the placement; empty for the layout's own objects.
+    pub prefix: &'a str,
+    /// Offset of the placement; `None` for the layout's own objects, which
+    /// are not translated.
+    offset: Option<Point>,
+}
+
+impl<T> Flat<'_, T> {
+    fn point(&self, point: Point) -> Point {
+        match self.offset {
+            Some(offset) => point.translated(offset.x, offset.y),
+            None => point,
+        }
+    }
+
+    fn name(&self, name: &str) -> String {
+        format!("{}{name}", self.prefix)
+    }
+}
+
+impl Flat<'_, PlacedInstance> {
+    /// Placement origin in the layout's frame.
+    pub fn origin(&self) -> Point {
+        self.point(self.local.origin)
+    }
+
+    /// The instance as a flattened layout holds it.
+    pub(crate) fn resolved(&self) -> PlacedInstance {
+        PlacedInstance {
+            name: self.name(&self.local.name),
+            cell: self.local.cell.clone(),
+            origin: self.origin(),
+            orientation: self.local.orientation,
+            width: self.local.width,
+            height: self.local.height,
+        }
+    }
+}
+
+impl Flat<'_, Wire> {
+    /// Wire geometry in the layout's frame.
+    pub fn rect(&self) -> Rect {
+        match self.offset {
+            Some(offset) => self.local.rect.translated(offset.x, offset.y),
+            None => self.local.rect,
+        }
+    }
+
+    /// The wire as a flattened layout holds it.
+    pub(crate) fn resolved(&self) -> Wire {
+        Wire {
+            net: self.name(&self.local.net),
+            layer: self.local.layer.clone(),
+            rect: self.rect(),
+        }
+    }
+}
+
+impl Flat<'_, Via> {
+    /// Via centre in the layout's frame.
+    pub fn at(&self) -> Point {
+        self.point(self.local.at)
+    }
+
+    /// The via as a flattened layout holds it.
+    pub(crate) fn resolved(&self) -> Via {
+        Via {
+            net: self.name(&self.local.net),
+            from_layer: self.local.from_layer.clone(),
+            to_layer: self.local.to_layer.clone(),
+            at: self.at(),
+        }
+    }
+}
+
+/// A layout block: boundary, placed instances, routed wires/vias, exported
+/// pins and placements of shared blocks.  Used both for intermediate blocks
+/// (the column template) and the final macro.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Layout {
     /// Block name.
@@ -79,8 +188,11 @@ pub struct Layout {
     pub wires: Vec<Wire>,
     /// Vias.
     pub vias: Vec<Via>,
-    /// Exported pins.
+    /// Exported pins.  Placed blocks' pins are not part of the flat view.
     pub pins: Vec<LayoutPin>,
+    /// Shared blocks placed by [`Self::place`], whose objects come first
+    /// in the flat view.
+    pub(crate) placements: Vec<Placement>,
 }
 
 impl Layout {
@@ -103,61 +215,122 @@ impl Layout {
         self.boundary.height()
     }
 
-    /// Total routed wire length in nanometres (sum of the long dimension of
-    /// every wire segment).
+    /// Total routed wire length in nanometres: the sum of the long
+    /// dimension of every wire segment of the flat view, in flat order.
     pub fn total_wirelength(&self) -> f64 {
-        self.wires
-            .iter()
-            .map(|w| w.rect.width().max(w.rect.height()))
+        self.flat_wires()
+            .map(|w| {
+                let rect = w.rect();
+                rect.width().max(rect.height())
+            })
             .sum()
     }
 
-    /// Merges another layout into this one, translating it by (dx, dy) and
-    /// prefixing its instance names with `prefix`.
-    pub fn merge_translated(&mut self, other: &Layout, dx: f64, dy: f64, prefix: &str) {
-        for instance in &other.instances {
-            self.instances.push(PlacedInstance {
-                name: format!("{prefix}{}", instance.name),
-                cell: instance.cell.clone(),
-                origin: instance.origin.translated(dx, dy),
-                orientation: instance.orientation,
-                width: instance.width,
-                height: instance.height,
+    /// Places `block` with its origin at `offset`, prefixing the names of
+    /// its instances, wires and vias with `prefix` in the flat view.  The
+    /// boundary grows to cover the translated block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LayoutError::InvalidParameter`] when `block` holds
+    /// placements of its own: the flat view is one level deep.
+    pub fn place(
+        &mut self,
+        block: Arc<Layout>,
+        offset: Point,
+        prefix: impl Into<String>,
+    ) -> Result<(), LayoutError> {
+        if !block.placements.is_empty() {
+            return Err(LayoutError::InvalidParameter {
+                name: "block".into(),
+                reason: format!("{} holds placements of its own", block.name),
             });
         }
-        for wire in &other.wires {
-            self.wires.push(Wire {
-                net: format!("{prefix}{}", wire.net),
-                layer: wire.layer.clone(),
-                rect: wire.rect.translated(dx, dy),
-            });
+        self.boundary = self
+            .boundary
+            .union(&block.boundary.translated(offset.x, offset.y));
+        self.placements.push(Placement {
+            block,
+            offset,
+            prefix: prefix.into(),
+        });
+        Ok(())
+    }
+
+    /// Instances of the flat view: every placement's, in placement order,
+    /// then the layout's own.
+    pub fn flat_instances(&self) -> impl Iterator<Item = Flat<'_, PlacedInstance>> {
+        self.flat(|layout| &layout.instances)
+    }
+
+    /// Wires of the flat view, in the order of [`Self::flat_instances`].
+    pub fn flat_wires(&self) -> impl Iterator<Item = Flat<'_, Wire>> {
+        self.flat(|layout| &layout.wires)
+    }
+
+    /// Vias of the flat view, in the order of [`Self::flat_instances`].
+    pub fn flat_vias(&self) -> impl Iterator<Item = Flat<'_, Via>> {
+        self.flat(|layout| &layout.vias)
+    }
+
+    /// Number of instances in the flat view.
+    pub fn instance_count(&self) -> usize {
+        self.flat_len(|layout| &layout.instances)
+    }
+
+    /// Number of wires in the flat view.
+    pub fn wire_count(&self) -> usize {
+        self.flat_len(|layout| &layout.wires)
+    }
+
+    /// Number of vias in the flat view.
+    pub fn via_count(&self) -> usize {
+        self.flat_len(|layout| &layout.vias)
+    }
+
+    /// The flat view as a layout of its own, holding no placements.
+    pub(crate) fn flattened(&self) -> Layout {
+        Layout {
+            name: self.name.clone(),
+            boundary: self.boundary,
+            instances: self.flat_instances().map(|i| i.resolved()).collect(),
+            wires: self.flat_wires().map(|w| w.resolved()).collect(),
+            vias: self.flat_vias().map(|v| v.resolved()).collect(),
+            pins: self.pins.clone(),
+            placements: Vec::new(),
         }
-        for via in &other.vias {
-            self.vias.push(Via {
-                net: format!("{prefix}{}", via.net),
-                from_layer: via.from_layer.clone(),
-                to_layer: via.to_layer.clone(),
-                at: via.at.translated(dx, dy),
-            });
-        }
-        self.boundary = self.boundary.union(&other.boundary.translated(dx, dy));
+    }
+
+    fn flat<'a, T: 'a>(
+        &'a self,
+        objects: fn(&Layout) -> &[T],
+    ) -> impl Iterator<Item = Flat<'a, T>> {
+        let placed = self.placements.iter().flat_map(move |placement| {
+            objects(&placement.block).iter().map(move |local| Flat {
+                local,
+                prefix: &placement.prefix,
+                offset: Some(placement.offset),
+            })
+        });
+        let own = objects(self).iter().map(|local| Flat {
+            local,
+            prefix: "",
+            offset: None,
+        });
+        placed.chain(own)
+    }
+
+    fn flat_len<T>(&self, objects: fn(&Layout) -> &[T]) -> usize {
+        self.placements
+            .iter()
+            .map(|placement| objects(&placement.block).len())
+            .sum::<usize>()
+            + objects(self).len()
     }
 
     /// Finds an exported pin by net name.
     pub fn pin(&self, net: &str) -> Option<&LayoutPin> {
         self.pins.iter().find(|p| p.net == net)
-    }
-
-    /// Bounding box of everything actually drawn (instances and wires),
-    /// which can be smaller than the declared boundary.
-    pub fn drawn_bounding_box(&self) -> Option<Rect> {
-        let mut boxes = self
-            .instances
-            .iter()
-            .map(PlacedInstance::boundary)
-            .chain(self.wires.iter().map(|w| w.rect));
-        let first = boxes.next()?;
-        Some(boxes.fold(first, |acc, r| acc.union(&r)))
     }
 }
 
@@ -200,36 +373,92 @@ mod tests {
         assert_eq!(layout.total_wirelength(), 3000.0);
     }
 
-    #[test]
-    fn merge_translates_and_prefixes() {
+    /// A two-instance, one-wire, one-via block.
+    fn column() -> Arc<Layout> {
         let mut column = Layout::new("COLUMN", 2000.0, 5000.0);
         column.instances.push(instance("XSRAM_0", 0.0, 0.0));
+        column.instances.push(instance("XSRAM_1", 0.0, 632.0));
         column.wires.push(Wire {
             net: "RBL".into(),
             layer: "M2".into(),
             rect: Rect::new(1900.0, 0.0, 1950.0, 5000.0),
         });
-
-        let mut top = Layout::new("TOP", 4000.0, 5000.0);
-        top.merge_translated(&column, 2000.0, 0.0, "COL_1/");
-        assert_eq!(top.instances.len(), 1);
-        assert_eq!(top.instances[0].name, "COL_1/XSRAM_0");
-        assert_eq!(top.instances[0].origin, Point::new(2000.0, 0.0));
-        assert_eq!(top.wires[0].net, "COL_1/RBL");
-        assert_eq!(top.wires[0].rect.min.x, 3900.0);
-        // Boundary grows to cover the merged content.
-        assert!(top.boundary.max.x >= 4000.0);
+        column.vias.push(Via {
+            net: "COM".into(),
+            from_layer: "M2".into(),
+            to_layer: "M3".into(),
+            at: Point::new(300.0, 400.0),
+        });
+        Arc::new(column)
     }
 
     #[test]
-    fn drawn_bounding_box_covers_content() {
-        let mut layout = Layout::new("test", 100_000.0, 100_000.0);
-        assert!(layout.drawn_bounding_box().is_none());
-        layout.instances.push(instance("X0", 0.0, 0.0));
-        layout.instances.push(instance("X1", 0.0, 632.0));
-        let bbox = layout.drawn_bounding_box().unwrap();
-        assert_eq!(bbox.max.y, 1264.0);
-        assert_eq!(bbox.max.x, 2000.0);
+    fn flat_view_orders_prefixes_and_translates() {
+        let column = column();
+        let mut top = Layout::new("TOP", 1000.0, 1000.0);
+        top.place(Arc::clone(&column), Point::new(100.0, 50.0), "COL_0/")
+            .unwrap();
+        top.place(Arc::clone(&column), Point::new(2100.0, 50.0), "COL_1/")
+            .unwrap();
+        top.instances.push(instance("XIBUF_0", 0.0, 0.0));
+        top.wires.push(Wire {
+            net: "RWL_0".into(),
+            layer: "M3".into(),
+            rect: Rect::new(0.0, 10.0, 4100.0, 66.0),
+        });
+
+        // Placed objects first, in placement order, then the layout's own.
+        let names: Vec<String> = top.flat_instances().map(|i| i.resolved().name).collect();
+        assert_eq!(
+            names,
+            [
+                "COL_0/XSRAM_0",
+                "COL_0/XSRAM_1",
+                "COL_1/XSRAM_0",
+                "COL_1/XSRAM_1",
+                "XIBUF_0"
+            ]
+        );
+        let origins: Vec<Point> = top.flat_instances().map(|i| i.origin()).collect();
+        assert_eq!(origins[1], Point::new(100.0, 682.0));
+        assert_eq!(origins[2], Point::new(2100.0, 50.0));
+        assert_eq!(origins[4], Point::new(0.0, 0.0));
+        let wires: Vec<Wire> = top.flat_wires().map(|w| w.resolved()).collect();
+        assert_eq!(wires.len(), 3);
+        assert_eq!(wires[1].net, "COL_1/RBL");
+        assert_eq!(wires[1].rect, Rect::new(4000.0, 50.0, 4050.0, 5050.0));
+        assert_eq!(wires[2].net, "RWL_0");
+        let vias: Vec<Via> = top.flat_vias().map(|v| v.resolved()).collect();
+        assert_eq!(vias[0].net, "COL_0/COM");
+        assert_eq!(vias[1].at, Point::new(2400.0, 450.0));
+        assert_eq!(vias[1].to_layer, "M3");
+
+        // Counts, wire length and the flattened copy agree with the view.
+        assert_eq!(
+            (top.instance_count(), top.wire_count(), top.via_count()),
+            (5, 3, 2)
+        );
+        assert_eq!(top.total_wirelength(), 5000.0 + 5000.0 + 4100.0);
+        let flat = top.flattened();
+        assert!(flat.placements.is_empty());
+        assert_eq!(flat.instances.len(), 5);
+        assert_eq!(flat.wires, wires);
+        assert_eq!(flat.vias, vias);
+        assert_eq!(flat.total_wirelength(), top.total_wirelength());
+        // The boundary grew to cover both placed columns.
+        assert_eq!(top.boundary, Rect::new(0.0, 0.0, 4100.0, 5050.0));
+        assert_eq!(flat.boundary, top.boundary);
+    }
+
+    #[test]
+    fn placed_blocks_may_not_hold_placements() {
+        let mut nested = Layout::new("NESTED", 100.0, 100.0);
+        nested.place(column(), Point::new(0.0, 0.0), "C/").unwrap();
+        let mut top = Layout::new("TOP", 100.0, 100.0);
+        assert!(top
+            .place(Arc::new(nested), Point::new(0.0, 0.0), "N/")
+            .is_err());
+        assert!(top.placements.is_empty());
     }
 
     #[test]

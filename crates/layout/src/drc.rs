@@ -71,8 +71,17 @@ impl DrcReport {
     }
 }
 
-/// Runs the checks on a layout.
+/// Runs the checks on a layout's flat view.
 pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
+    // The checks compare shapes pairwise across placements, so they run on
+    // the flattened copy of a layout that places blocks.
+    let flat;
+    let layout = if layout.placements.is_empty() {
+        layout
+    } else {
+        flat = layout.flattened();
+        &flat
+    };
     let mut report = DrcReport {
         checked_objects: layout.instances.len() + layout.wires.len(),
         ..Default::default()

@@ -5,8 +5,12 @@
 //! the shared word-lines and control nets are dropped on pre-defined
 //! horizontal tracks, a power grid is added on the top metals, and the
 //! column outputs are stitched down to the output buffers.  The result is a
-//! flat [`Layout`] plus the [`LayoutMetrics`] reported by the Figure 8
-//! reproduction.
+//! [`Layout`] that places the one shared column layout `W` times and holds
+//! the top-level shapes itself, plus the [`LayoutMetrics`] reported by the
+//! Figure 8 reproduction.  Its flat view (see [`crate::db`]) lists the same
+//! objects, names and coordinates as copying every column would.
+
+use std::sync::Arc;
 
 use acim_arch::AcimSpec;
 use acim_cell::{CellKind, CellLibrary, Orientation, Point, Rect};
@@ -76,10 +80,14 @@ impl<'a> LayoutFlow<'a> {
             total_height,
         );
 
-        // --- Core: abutted column instances ---------------------------------
+        // --- Core: abutted placements of the column template ----------------
         for col in 0..spec.width() {
             let dx = core_origin.x + col as f64 * column_width;
-            layout.merge_translated(&column.layout, dx, core_origin.y, &format!("COL_{col}/"));
+            layout.place(
+                Arc::clone(&column.layout),
+                Point::new(dx, core_origin.y),
+                format!("COL_{col}/"),
+            )?;
         }
 
         // --- Input buffers (one per read word-line) -------------------------
@@ -155,12 +163,20 @@ impl<'a> LayoutFlow<'a> {
             .layer_rule("M4")
             .map(|r| r.min_width.value())
             .unwrap_or(56.0);
+        let dout: Vec<Option<Point>> = (0..bits)
+            .map(|bit| {
+                column
+                    .layout
+                    .pin(&format!("DOUT_{bit}"))
+                    .map(|pin| pin.rect.center())
+            })
+            .collect();
         for col in 0..spec.width() {
             let base_x = core_origin.x + col as f64 * column_width;
-            for bit in 0..bits {
-                if let Some(pin) = column.layout.pin(&format!("DOUT_{bit}")) {
-                    let x = base_x + pin.rect.center().x;
-                    let y_top = core_origin.y + pin.rect.center().y;
+            for (bit, centre) in dout.iter().enumerate() {
+                if let Some(centre) = centre {
+                    let x = base_x + centre.x;
+                    let y_top = core_origin.y + centre.y;
                     let y_bottom = bit as f64 * buffer.height_nm() + buffer.height_nm() / 2.0;
                     layout.wires.push(Wire {
                         net: format!("OUT_{col}_{bit}"),
@@ -225,8 +241,8 @@ impl<'a> LayoutFlow<'a> {
             core_region,
             layout.boundary,
             layout.total_wirelength(),
-            layout.vias.len(),
-            layout.instances.len(),
+            layout.via_count(),
+            layout.instance_count(),
         );
         Ok(MacroLayout {
             layout,
@@ -253,8 +269,15 @@ mod tests {
         // 8 columns × (32 SRAM + 8 LC + 6 periphery) + 32 input buffers +
         // 8·3 output buffers.
         let per_column = 32 + 8 + 3 + 1 + 1 + 1;
-        assert_eq!(m.layout.instances.len(), 8 * per_column + 32 + 24);
-        assert_eq!(m.metrics.instance_count, m.layout.instances.len());
+        assert_eq!(m.layout.instance_count(), 8 * per_column + 32 + 24);
+        assert_eq!(m.metrics.instance_count, m.layout.instance_count());
+        // One shared column template, placed once per column.
+        assert_eq!(m.layout.placements.len(), 8);
+        assert!(m
+            .layout
+            .placements
+            .iter()
+            .all(|p| Arc::ptr_eq(&p.block, &m.column.layout)));
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //!   technology's GDS layer numbers),
 //! * a DEF-like file (`COMPONENTS` / `SPECIALNETS` sections) that follows
 //!   the usual LEF/DEF structure closely enough to be diffed and inspected.
+//!
+//! Both write the layout's flat view (see [`crate::db`]), so a macro that
+//! places its column template `W` times emits every column's shapes under
+//! their prefixed names.
 
 use std::fmt::Write as _;
 
@@ -26,41 +30,44 @@ pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
     out.push_str("BOUNDARY_BOX ");
     push_rect(&mut out, &layout.boundary, " ");
     out.push('\n');
-    for instance in &layout.instances {
+    for instance in layout.flat_instances() {
+        let local = instance.local;
         push_strs(
             &mut out,
-            &["SREF ", &instance.cell, " ", &instance.name, " "],
+            &["SREF ", &local.cell, " ", instance.prefix, &local.name, " "],
         );
-        push_point(&mut out, instance.origin);
-        let _ = writeln!(out, " {:?}", instance.orientation);
+        push_point(&mut out, instance.origin());
+        let _ = writeln!(out, " {:?}", local.orientation);
     }
     // Each wire layer's GDS numbers, resolved once per layer name into the
     // record prefix they give.
     let mut prefixes: Vec<(&str, String)> = Vec::new();
-    for wire in &layout.wires {
-        let at = match prefixes.iter().position(|(layer, _)| *layer == wire.layer) {
+    for wire in layout.flat_wires() {
+        let layer = wire.local.layer.as_str();
+        let at = match prefixes.iter().position(|(seen, _)| *seen == layer) {
             Some(at) => at,
             None => {
                 let (gds_layer, datatype) = tech
                     .layers()
-                    .by_name(&wire.layer)
+                    .by_name(layer)
                     .map(|l| (l.gds_layer(), l.gds_datatype()))
                     .unwrap_or((0, 0));
-                prefixes.push((&wire.layer, format!("RECT {gds_layer} {datatype} ")));
+                prefixes.push((layer, format!("RECT {gds_layer} {datatype} ")));
                 prefixes.len() - 1
             }
         };
         out.push_str(&prefixes[at].1);
-        push_rect(&mut out, &wire.rect, " ");
-        push_strs(&mut out, &[" NET ", &wire.net, "\n"]);
+        push_rect(&mut out, &wire.rect(), " ");
+        push_strs(&mut out, &[" NET ", wire.prefix, &wire.local.net, "\n"]);
     }
-    for via in &layout.vias {
+    for via in layout.flat_vias() {
+        let local = via.local;
         push_strs(
             &mut out,
-            &["VIA ", &via.from_layer, " ", &via.to_layer, " "],
+            &["VIA ", &local.from_layer, " ", &local.to_layer, " "],
         );
-        push_point(&mut out, via.at);
-        push_strs(&mut out, &[" NET ", &via.net, "\n"]);
+        push_point(&mut out, via.at());
+        push_strs(&mut out, &[" NET ", via.prefix, &local.net, "\n"]);
     }
     let _ = writeln!(out, "ENDSTR");
     let _ = writeln!(out, "ENDLIB");
@@ -76,14 +83,22 @@ pub fn write_def(layout: &Layout) -> String {
     out.push_str("DIEAREA ");
     push_def_rect(&mut out, &layout.boundary);
 
-    let _ = writeln!(out, "COMPONENTS {} ;", layout.instances.len());
-    for instance in &layout.instances {
+    let _ = writeln!(out, "COMPONENTS {} ;", layout.instance_count());
+    for instance in layout.flat_instances() {
+        let local = instance.local;
         push_strs(
             &mut out,
-            &["- ", &instance.name, " ", &instance.cell, " + PLACED ( "],
+            &[
+                "- ",
+                instance.prefix,
+                &local.name,
+                " ",
+                &local.cell,
+                " + PLACED ( ",
+            ],
         );
-        push_point(&mut out, instance.origin);
-        let _ = writeln!(out, " ) {:?} ;", instance.orientation);
+        push_point(&mut out, instance.origin());
+        let _ = writeln!(out, " ) {:?} ;", local.orientation);
     }
     let _ = writeln!(out, "END COMPONENTS");
 
@@ -105,10 +120,21 @@ pub fn write_def(layout: &Layout) -> String {
     }
     let _ = writeln!(out, "END PINS");
 
-    let _ = writeln!(out, "SPECIALNETS {} ;", layout.wires.len());
-    for wire in &layout.wires {
-        push_strs(&mut out, &["- ", &wire.net, " + ROUTED ", &wire.layer, " "]);
-        push_def_rect(&mut out, &wire.rect);
+    let _ = writeln!(out, "SPECIALNETS {} ;", layout.wire_count());
+    for wire in layout.flat_wires() {
+        let local = wire.local;
+        push_strs(
+            &mut out,
+            &[
+                "- ",
+                wire.prefix,
+                &local.net,
+                " + ROUTED ",
+                &local.layer,
+                " ",
+            ],
+        );
+        push_def_rect(&mut out, &wire.rect());
     }
     let _ = writeln!(out, "END SPECIALNETS");
     let _ = writeln!(out, "END DESIGN");
@@ -146,15 +172,31 @@ fn push_point(out: &mut String, point: Point) {
 
 /// Appends `value` exactly as `format!("{value:.0}")` would.  Integral
 /// values in `i64` range, which nanometre coordinates are, print as that
-/// integer.  Everything else goes through `{:.0}` itself: fractions (which
-/// it rounds half to even), `-0.0` (which it prints as `-0`) and
+/// integer, written digit by digit: the formatting machinery costs more
+/// per coordinate.  Everything else goes through `{:.0}` itself: fractions
+/// (which it rounds half to even), `-0.0` (which it prints as `-0`) and
 /// non-finite values.
 fn push_coord(out: &mut String, value: f64) {
     /// 2^63: the first magnitude `i64` cannot hold.
     const LIMIT: f64 = 9_223_372_036_854_775_808.0;
     let negative_zero = value == 0.0 && value.is_sign_negative();
     if value.fract() == 0.0 && (-LIMIT..LIMIT).contains(&value) && !negative_zero {
-        let _ = write!(out, "{}", value as i64);
+        let value = value as i64;
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = value.unsigned_abs();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if value < 0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{value:.0}");
     }

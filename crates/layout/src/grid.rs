@@ -182,7 +182,13 @@ impl RoutingGrid {
     /// Returns `true` when the node can be used by `net` (free or already
     /// owned by the same net).
     pub fn usable_by(&self, node: GridNode, net: u32) -> bool {
-        match self.cell(node) {
+        self.usable_at(self.index(node), net)
+    }
+
+    /// [`Self::usable_by`] for the node at flat `index`: nodes are numbered
+    /// layer by layer, each layer row by row, each row column by column.
+    pub(crate) fn usable_at(&self, index: usize, net: u32) -> bool {
+        match self.cells[index] {
             GridCell::Free => true,
             GridCell::Net(owner) => owner == net,
             GridCell::Obstacle => false,

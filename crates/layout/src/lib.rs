@@ -14,14 +14,17 @@
 //!    block; the read bit-line and the power rails use pre-defined routing
 //!    tracks, the remaining intra-column nets are routed by the grid-based
 //!    maze router ([`router`]).
-//! 2. **Macro assembly** ([`flow`]) — `W` copies of the column template are
-//!    abutted, the input/output buffer peripheries are placed, the shared
-//!    word-lines and control nets are routed on pre-defined horizontal
-//!    tracks, and the power grid is dropped on the top metals.
+//! 2. **Macro assembly** ([`flow`]) — the one column template is placed `W`
+//!    times, abutted, as a shared block ([`Layout::place`]); the
+//!    input/output buffer peripheries are placed, the shared word-lines and
+//!    control nets are routed on pre-defined horizontal tracks, and the
+//!    power grid is dropped on the top metals.
 //! 3. **Checks and output** — a lightweight DRC ([`drc`]) verifies spacing
 //!    and overlap rules, and the result can be written as text GDS/DEF
 //!    ([`gds`]); [`metrics`] extracts the dimensions and F²/bit density the
-//!    paper reports in Figure 8.
+//!    paper reports in Figure 8.  All three read the layout's flat view
+//!    ([`db`]), which names and places every column's objects as a copy
+//!    of each column would.
 //!
 //! The 3-D grid maze router is exposed on its own, so the `router` bench
 //! can exercise it in isolation (e.g. routing with and without pre-defined
@@ -59,7 +62,7 @@ pub mod metrics;
 pub mod router;
 
 pub use column::ColumnTemplate;
-pub use db::{Layout, LayoutPin, PlacedInstance, Via, Wire};
+pub use db::{Flat, Layout, LayoutPin, PlacedInstance, Via, Wire};
 pub use drc::{check_layout, DrcReport, DrcViolation};
 pub use error::LayoutError;
 pub use flow::{LayoutFlow, MacroLayout};

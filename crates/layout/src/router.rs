@@ -5,11 +5,13 @@
 //! cost more, and layer changes (vias) cost more still, which steers routes
 //! onto alternating horizontal/vertical layers the way real detailed
 //! routers do.  Multi-terminal nets are routed by sequentially connecting
-//! each terminal to the tree built so far; failed nets are retried after
-//! rip-up of their own previous segments (simple rip-up and re-route).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! each terminal to the tree built so far.  A net that cannot be routed is
+//! an error: the search is deterministic, so retrying it on the same grid
+//! would fail the same way.
+//!
+//! Because every step costs 1, 4 or 8, the search keeps its frontier in a
+//! bucket queue (Dial, "Algorithm 360", CACM 12(11), 1969) instead of a
+//! binary heap.
 
 use acim_cell::{Point, Rect};
 
@@ -37,14 +39,20 @@ pub struct RouterStats {
     pub segments: usize,
     /// Total vias inserted.
     pub vias: usize,
-    /// Nets that needed a rip-up retry.
-    pub retried_nets: usize,
 }
 
 /// Cost of a move against the layer's preferred direction.
 const NON_PREFERRED_COST: u32 = 4;
 /// Cost of a layer change.
 const VIA_COST: u32 = 8;
+/// Buckets in the search queue: one more than the largest step cost, so
+/// the pending costs, which span at most `VIA_COST + 1` consecutive values,
+/// each have a bucket of their own.
+const BUCKETS: usize = VIA_COST as usize + 1;
+
+/// A path search from a net's tree to one target node; see
+/// [`MazeRouter::search`].
+type Search = fn(&MazeRouter, &[GridNode], GridNode, u32) -> Option<Vec<GridNode>>;
 
 /// The maze router, owning a routing grid plus layer metadata.
 #[derive(Debug, Clone)]
@@ -139,46 +147,23 @@ impl MazeRouter {
     ///
     /// # Errors
     ///
-    /// Returns [`LayoutError::Unroutable`] when no path exists even after a
-    /// rip-up retry of this net's own segments.
+    /// Returns [`LayoutError::Unroutable`] when some terminal cannot be
+    /// reached from the net's tree.  The nodes of the paths found before
+    /// the failure stay claimed by the net.
     pub fn route(&mut self, request: &RouteRequest) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
+        self.route_with(request, Self::search)
+    }
+
+    /// [`Self::route`] with the path search `search`.
+    fn route_with(
+        &mut self,
+        request: &RouteRequest,
+        search: Search,
+    ) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
         if request.terminals.len() < 2 {
             // A single-terminal net needs no wiring.
             return Ok((Vec::new(), Vec::new()));
         }
-        match self.route_attempt(request) {
-            Ok(result) => {
-                self.stats.routed_nets += 1;
-                Ok(result)
-            }
-            Err(_) => {
-                // Rip up this net's own claims and retry once.
-                self.rip_up(request.net_id);
-                self.stats.retried_nets += 1;
-                let result = self.route_attempt(request)?;
-                self.stats.routed_nets += 1;
-                Ok(result)
-            }
-        }
-    }
-
-    fn rip_up(&mut self, net_id: u32) {
-        for layer in 0..self.grid.layers() {
-            for row in 0..self.grid.rows() {
-                for col in 0..self.grid.cols() {
-                    let node = GridNode { layer, col, row };
-                    if self.grid.cell(node) == GridCell::Net(net_id) {
-                        self.grid.set_cell(node, GridCell::Free);
-                    }
-                }
-            }
-        }
-    }
-
-    fn route_attempt(
-        &mut self,
-        request: &RouteRequest,
-    ) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
         let mut tree: Vec<GridNode> = Vec::new();
         // Each terminal produces its own contiguous path from the existing
         // tree; geometry is emitted per path so no phantom segment is drawn
@@ -194,7 +179,7 @@ impl MazeRouter {
 
         for terminal in terminals {
             let target = self.terminal_node(terminal);
-            let path = self.search(&tree, target, request.net_id).ok_or_else(|| {
+            let path = search(self, &tree, target, request.net_id).ok_or_else(|| {
                 LayoutError::Unroutable {
                     net: request.net.clone(),
                     context: "maze routing".into(),
@@ -214,6 +199,7 @@ impl MazeRouter {
             wires.extend(w);
             vias.extend(v);
         }
+        self.stats.routed_nets += 1;
         Ok((wires, vias))
     }
 
@@ -228,135 +214,98 @@ impl MazeRouter {
     }
 
     /// Dijkstra from the existing tree to `target`.
+    ///
+    /// The frontier is a bucket queue: every step costs 1, 4 or 8, so the
+    /// costs pending at any time span at most [`BUCKETS`] consecutive
+    /// values, and bucket `cost % BUCKETS` holds exactly the nodes pending
+    /// at `cost`.  No push lands in the bucket being drained, and each
+    /// bucket is sorted by node index before it is drained, so nodes are
+    /// settled in (cost, index) order, as from a binary heap of
+    /// (cost, index) pairs, and the search returns the same paths.
     fn search(&self, tree: &[GridNode], target: GridNode, net_id: u32) -> Option<Vec<GridNode>> {
         let cols = self.grid.cols();
         let rows = self.grid.rows();
         let layers = self.grid.layers();
-        let size = cols * rows * layers;
+        let plane = rows * cols;
+        let size = plane * layers;
         let index = |n: GridNode| -> usize { (n.layer * rows + n.row) * cols + n.col };
 
         let mut dist = vec![u32::MAX; size];
         let mut previous = vec![u32::MAX; size];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-
+        let mut buckets: [Vec<u32>; BUCKETS] = Default::default();
         for &node in tree {
             let i = index(node);
             dist[i] = 0;
-            heap.push(Reverse((0, i as u32)));
+            buckets[0].push(i as u32);
         }
+        let mut pending = tree.len();
         let target_index = index(target);
         if !self.grid.usable_by(target, net_id) {
             return None;
         }
 
-        while let Some(Reverse((cost, current))) = heap.pop() {
-            let current = current as usize;
-            if cost > dist[current] {
-                continue;
-            }
-            if current == target_index {
-                break;
-            }
-            let layer = current / (rows * cols);
-            let rem = current % (rows * cols);
-            let row = rem / cols;
-            let col = rem % cols;
-
-            let mut neighbours: Vec<(GridNode, u32)> = Vec::with_capacity(6);
-            let preferred_horizontal = self.horizontal[layer];
-            if col + 1 < cols {
-                let step = if preferred_horizontal {
-                    1
-                } else {
-                    NON_PREFERRED_COST
-                };
-                neighbours.push((
-                    GridNode {
-                        layer,
-                        col: col + 1,
-                        row,
-                    },
-                    step,
-                ));
-            }
-            if col > 0 {
-                let step = if preferred_horizontal {
-                    1
-                } else {
-                    NON_PREFERRED_COST
-                };
-                neighbours.push((
-                    GridNode {
-                        layer,
-                        col: col - 1,
-                        row,
-                    },
-                    step,
-                ));
-            }
-            if row + 1 < rows {
-                let step = if preferred_horizontal {
-                    NON_PREFERRED_COST
-                } else {
-                    1
-                };
-                neighbours.push((
-                    GridNode {
-                        layer,
-                        col,
-                        row: row + 1,
-                    },
-                    step,
-                ));
-            }
-            if row > 0 {
-                let step = if preferred_horizontal {
-                    NON_PREFERRED_COST
-                } else {
-                    1
-                };
-                neighbours.push((
-                    GridNode {
-                        layer,
-                        col,
-                        row: row - 1,
-                    },
-                    step,
-                ));
-            }
-            if layer + 1 < layers {
-                neighbours.push((
-                    GridNode {
-                        layer: layer + 1,
-                        col,
-                        row,
-                    },
-                    VIA_COST,
-                ));
-            }
-            if layer > 0 {
-                neighbours.push((
-                    GridNode {
-                        layer: layer - 1,
-                        col,
-                        row,
-                    },
-                    VIA_COST,
-                ));
-            }
-
-            for (next, step) in neighbours {
-                if !self.grid.usable_by(next, net_id) {
+        let mut cost = 0u32;
+        'search: while pending > 0 {
+            let slot = cost as usize % BUCKETS;
+            let mut bucket = std::mem::take(&mut buckets[slot]);
+            bucket.sort_unstable();
+            pending -= bucket.len();
+            for &current in &bucket {
+                let current = current as usize;
+                if cost > dist[current] {
                     continue;
                 }
-                let next_index = index(next);
-                let next_cost = cost.saturating_add(step);
-                if next_cost < dist[next_index] {
-                    dist[next_index] = next_cost;
-                    previous[next_index] = current as u32;
-                    heap.push(Reverse((next_cost, next_index as u32)));
+                if current == target_index {
+                    break 'search;
+                }
+                let layer = current / plane;
+                let row = current % plane / cols;
+                let col = current % cols;
+                let (step_x, step_y) = if self.horizontal[layer] {
+                    (1, NON_PREFERRED_COST)
+                } else {
+                    (NON_PREFERRED_COST, 1)
+                };
+                let mut neighbours = [(0usize, 0u32); 6];
+                let mut count = 0;
+                let mut add = |next: usize, step: u32| {
+                    neighbours[count] = (next, step);
+                    count += 1;
+                };
+                if col + 1 < cols {
+                    add(current + 1, step_x);
+                }
+                if col > 0 {
+                    add(current - 1, step_x);
+                }
+                if row + 1 < rows {
+                    add(current + cols, step_y);
+                }
+                if row > 0 {
+                    add(current - cols, step_y);
+                }
+                if layer + 1 < layers {
+                    add(current + plane, VIA_COST);
+                }
+                if layer > 0 {
+                    add(current - plane, VIA_COST);
+                }
+                for &(next, step) in &neighbours[..count] {
+                    if !self.grid.usable_at(next, net_id) {
+                        continue;
+                    }
+                    let next_cost = cost.saturating_add(step);
+                    if next_cost < dist[next] {
+                        dist[next] = next_cost;
+                        previous[next] = current as u32;
+                        buckets[next_cost as usize % BUCKETS].push(next as u32);
+                        pending += 1;
+                    }
                 }
             }
+            bucket.clear();
+            buckets[slot] = bucket;
+            cost += 1;
         }
 
         if dist[target_index] == u32::MAX {
@@ -367,12 +316,10 @@ impl MazeRouter {
         let mut path = Vec::new();
         let mut current = target_index;
         loop {
-            let layer = current / (rows * cols);
-            let rem = current % (rows * cols);
             path.push(GridNode {
-                layer,
-                col: rem % cols,
-                row: rem / cols,
+                layer: current / plane,
+                col: current % cols,
+                row: current % plane / cols,
             });
             if previous[current] == u32::MAX {
                 break;
@@ -427,6 +374,186 @@ impl MazeRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The oracle [`MazeRouter::search`] must match: Dijkstra over a
+    /// binary heap of (cost, index) pairs.
+    fn reference_search(
+        router: &MazeRouter,
+        tree: &[GridNode],
+        target: GridNode,
+        net_id: u32,
+    ) -> Option<Vec<GridNode>> {
+        let cols = router.grid.cols();
+        let rows = router.grid.rows();
+        let layers = router.grid.layers();
+        let size = cols * rows * layers;
+        let index = |n: GridNode| -> usize { (n.layer * rows + n.row) * cols + n.col };
+
+        let mut dist = vec![u32::MAX; size];
+        let mut previous = vec![u32::MAX; size];
+        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+
+        for &node in tree {
+            let i = index(node);
+            dist[i] = 0;
+            heap.push(Reverse((0, i as u32)));
+        }
+        let target_index = index(target);
+        if !router.grid.usable_by(target, net_id) {
+            return None;
+        }
+
+        while let Some(Reverse((cost, current))) = heap.pop() {
+            let current = current as usize;
+            if cost > dist[current] {
+                continue;
+            }
+            if current == target_index {
+                break;
+            }
+            let layer = current / (rows * cols);
+            let rem = current % (rows * cols);
+            let row = rem / cols;
+            let col = rem % cols;
+
+            let mut neighbours: Vec<(GridNode, u32)> = Vec::with_capacity(6);
+            let horizontal = router.horizontal[layer];
+            let (step_x, step_y) = if horizontal {
+                (1, NON_PREFERRED_COST)
+            } else {
+                (NON_PREFERRED_COST, 1)
+            };
+            let node = |layer, col, row| GridNode { layer, col, row };
+            if col + 1 < cols {
+                neighbours.push((node(layer, col + 1, row), step_x));
+            }
+            if col > 0 {
+                neighbours.push((node(layer, col - 1, row), step_x));
+            }
+            if row + 1 < rows {
+                neighbours.push((node(layer, col, row + 1), step_y));
+            }
+            if row > 0 {
+                neighbours.push((node(layer, col, row - 1), step_y));
+            }
+            if layer + 1 < layers {
+                neighbours.push((node(layer + 1, col, row), VIA_COST));
+            }
+            if layer > 0 {
+                neighbours.push((node(layer - 1, col, row), VIA_COST));
+            }
+
+            for (next, step) in neighbours {
+                if !router.grid.usable_by(next, net_id) {
+                    continue;
+                }
+                let next_index = index(next);
+                let next_cost = cost.saturating_add(step);
+                if next_cost < dist[next_index] {
+                    dist[next_index] = next_cost;
+                    previous[next_index] = current as u32;
+                    heap.push(Reverse((next_cost, next_index as u32)));
+                }
+            }
+        }
+
+        if dist[target_index] == u32::MAX {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut current = target_index;
+        loop {
+            let layer = current / (rows * cols);
+            let rem = current % (rows * cols);
+            path.push(GridNode {
+                layer,
+                col: rem % cols,
+                row: rem / cols,
+            });
+            if previous[current] == u32::MAX {
+                break;
+            }
+            current = previous[current] as usize;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Every node's occupancy, in index order.
+    fn occupancy(router: &MazeRouter) -> Vec<GridCell> {
+        let grid = router.grid();
+        let mut cells = Vec::new();
+        for layer in 0..grid.layers() {
+            for row in 0..grid.rows() {
+                for col in 0..grid.cols() {
+                    cells.push(grid.cell(GridNode { layer, col, row }));
+                }
+            }
+        }
+        cells
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bucket_queue_routes_exactly_as_the_binary_heap(
+            (steps_x, steps_y, layers) in (1u32..=24, 1u32..=24, 1usize..=3),
+            obstacles in prop::collection::vec(
+                (0usize..3, 0.0..1.0f64, 0.0..1.0f64, 0.0..0.3f64, 0.0..0.3f64),
+                0..16,
+            ),
+            nets in prop::collection::vec(
+                prop::collection::vec((0usize..3, 0.0..1.0f64, 0.0..1.0f64), 2..7),
+                1..7,
+            ),
+        ) {
+            let (width, height) = (f64::from(steps_x) * 100.0, f64::from(steps_y) * 100.0);
+            let grid = RoutingGrid::new(Rect::new(0.0, 0.0, width, height), 100.0, layers).unwrap();
+            let mut bucket = MazeRouter::new(
+                grid,
+                ["M2", "M3", "M4"][..layers].iter().map(|&l| l.to_string()).collect(),
+                [false, true, false][..layers].to_vec(),
+                vec![50.0; layers],
+            )
+            .unwrap();
+            // Obstacles on every layer: `layer % layers` folds the sampled
+            // layer into the grid.
+            for &(layer, x, y, w, h) in &obstacles {
+                let (x, y) = (x * width, y * height);
+                bucket.grid_mut().block_rect(
+                    layer % layers,
+                    &Rect::new(x, y, x + w * width, y + h * height),
+                );
+            }
+            let mut heap = bucket.clone();
+            let requests: Vec<RouteRequest> = nets
+                .iter()
+                .enumerate()
+                .map(|(i, terminals)| RouteRequest {
+                    net: format!("N{i}"),
+                    net_id: i as u32 + 1,
+                    terminals: terminals
+                        .iter()
+                        .map(|&(layer, x, y)| (layer, Point::new(x * width, y * height)))
+                        .collect(),
+                })
+                .collect();
+            bucket.reserve_terminals(&requests);
+            heap.reserve_terminals(&requests);
+            // Route every net in sequence, on past unroutable ones.
+            for request in &requests {
+                let fast = bucket.route(request);
+                let reference = heap.route_with(request, reference_search);
+                prop_assert_eq!(fast, reference, "net {}", request.net);
+            }
+            prop_assert_eq!(bucket.stats(), heap.stats());
+            prop_assert_eq!(occupancy(&bucket), occupancy(&heap));
+        }
+    }
 
     fn router(width: f64, height: f64) -> MazeRouter {
         let grid = RoutingGrid::new(Rect::new(0.0, 0.0, width, height), 100.0, 3).unwrap();

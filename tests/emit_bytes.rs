@@ -8,10 +8,14 @@
 //! 512-column shape-bound macro.  Any change to an emitted byte, however
 //! small, fails here; regenerate the constants only for a change meant to
 //! alter the emitted files.
+//!
+//! Beside the byte pins, the same macros' [`LayoutMetrics`] are pinned:
+//! the wire length and the core and total dimensions as `f64` bits, and
+//! the via and instance counts.
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
-use acim_layout::{write_def, write_gds_text, LayoutFlow};
+use acim_layout::{write_def, write_gds_text, LayoutFlow, LayoutMetrics};
 use acim_netlist::{write_spice, NetlistGenerator};
 use acim_tech::Technology;
 
@@ -53,6 +57,50 @@ fn check(dims: (usize, usize, usize, u32), expected: [(usize, u64); 3]) {
             got.1
         );
     }
+}
+
+/// The pinned part of a macro's [`LayoutMetrics`]: `f64` fields as bits.
+#[derive(Debug, PartialEq, Eq)]
+struct MetricPins {
+    wirelength_um: u64,
+    via_count: usize,
+    instance_count: usize,
+    core_width_um: u64,
+    core_height_um: u64,
+    total_width_um: u64,
+    total_height_um: u64,
+}
+
+impl From<&LayoutMetrics> for MetricPins {
+    fn from(m: &LayoutMetrics) -> Self {
+        Self {
+            wirelength_um: m.wirelength_um.to_bits(),
+            via_count: m.via_count,
+            instance_count: m.instance_count,
+            core_width_um: m.core_width_um.to_bits(),
+            core_height_um: m.core_height_um.to_bits(),
+            total_width_um: m.total_width_um.to_bits(),
+            total_height_um: m.total_height_um.to_bits(),
+        }
+    }
+}
+
+/// Lays out the `(H, W, L, B_ADC)` macro and checks its metrics against
+/// `expected`.
+fn check_metrics(dims: (usize, usize, usize, u32), expected: MetricPins) {
+    let (h, w, l, bits) = dims;
+    let tech = Technology::s28();
+    let library = CellLibrary::s28_default(&tech);
+    let spec = AcimSpec::from_dimensions(h, w, l, bits).expect("valid spec");
+    let metrics = LayoutFlow::new(&tech, &library)
+        .generate(&spec)
+        .expect("layout generates")
+        .metrics;
+    assert_eq!(
+        MetricPins::from(&metrics),
+        expected,
+        "{h}x{w} L{l} B{bits}: {metrics:?}"
+    );
 }
 
 #[test]
@@ -100,6 +148,70 @@ fn shape_bound_32x512_l2_b3() {
             (15258788, 0x61ba_756a_fdb0_4596),
             (12971429, 0x3004_1b0a_f375_4575),
         ],
+    );
+}
+
+#[test]
+fn small_tile_64x16_l4_b3_metrics() {
+    check_metrics(
+        (64, 16, 4, 3),
+        MetricPins {
+            wirelength_um: 0x40c2_de37_8034_6db2, // 9660.433599999964
+            via_count: 240,
+            instance_count: 1488,
+            core_width_um: 0x4040_0000_0000_0000,   // 32.0
+            core_height_um: 0x4057_42d0_e560_4189,  // 93.044
+            total_width_um: 0x4041_0000_0000_0000,  // 34.0
+            total_height_um: 0x4057_b604_1893_74bc, // 94.844
+        },
+    );
+}
+
+#[test]
+fn tall_4bit_256x16_l4_b4_metrics() {
+    check_metrics(
+        (256, 16, 4, 4),
+        MetricPins {
+            wirelength_um: 0x40dd_d557_58e2_1958, // 30549.364799999952
+            via_count: 272,
+            instance_count: 5552,
+            core_width_um: 0x4040_0000_0000_0000,   // 32.0
+            core_height_um: 0x4073_6570_a3d7_0a3d,  // 310.34
+            total_width_um: 0x4041_0000_0000_0000,  // 34.0
+            total_height_um: 0x4073_8bd7_0a3d_70a4, // 312.74
+        },
+    );
+}
+
+#[test]
+fn net_bound_1024x4_l2_b8_metrics() {
+    check_metrics(
+        (1024, 4, 2, 8),
+        MetricPins {
+            wirelength_um: 0x40e2_d6e1_de69_ad50, // 38583.058400000096
+            via_count: 100,
+            instance_count: 7244,
+            core_width_um: 0x4020_0000_0000_0000,   // 8.0
+            core_height_um: 0x409a_599d_b22d_0e56,  // 1686.404
+            total_width_um: 0x4024_0000_0000_0000,  // 10.0
+            total_height_um: 0x409a_6cd0_e560_4189, // 1691.204
+        },
+    );
+}
+
+#[test]
+fn shape_bound_32x512_l2_b3_metrics() {
+    check_metrics(
+        (32, 512, 2, 3),
+        MetricPins {
+            wirelength_um: 0x410c_6378_fc50_45a2, // 232559.1231999817
+            via_count: 7680,
+            instance_count: 29216,
+            core_width_um: 0x4090_0000_0000_0000,   // 1024.0
+            core_height_um: 0x4052_347a_e147_ae14,  // 72.82
+            total_width_um: 0x4090_0800_0000_0000,  // 1026.0
+            total_height_um: 0x4052_a7ae_147a_e148, // 74.62
+        },
     );
 }
 

@@ -34,9 +34,8 @@ fn flow_produces_consistent_netlist_and_layout() {
     let sram_instances = design
         .layout
         .layout
-        .instances
-        .iter()
-        .filter(|i| i.cell == "SRAM8T")
+        .flat_instances()
+        .filter(|i| i.local.cell == "SRAM8T")
         .count();
     assert_eq!(sram_instances, spec.array_size());
 

@@ -46,9 +46,8 @@ proptest! {
         let count = |cell: &str| {
             macro_layout
                 .layout
-                .instances
-                .iter()
-                .filter(|i| i.cell == cell)
+                .flat_instances()
+                .filter(|i| i.local.cell == cell)
                 .count()
         };
         prop_assert_eq!(count("SRAM8T"), stats.sram_cells);
