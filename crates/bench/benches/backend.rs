@@ -3,21 +3,25 @@
 //!
 //! * `generate` — `NetlistGenerator::generate`, including the
 //!   `Design::validate` it ends with;
+//! * `stats` — `design_stats` of that design;
 //! * `spice` — `write_spice` of that design;
 //! * `def`, `gds` — `write_def` and `write_gds_text` of the macro layout.
 //!
-//! Two macros load these steps differently.  1024×16 L2 B8 is net-count
-//! bound: every column instance connects about 2,000 ports, so a
-//! per-connection scan of the module's nets or ports turns quadratic.
-//! 32×512 L2 B3 is shape bound: its DEF and GDS text run to about 15 MB,
-//! so per-coordinate formatting cost dominates.  The layouts are built once
-//! outside the timed loops; `LayoutFlow::generate` has its own bench
+//! Two macros load these steps differently.  1024×16 L2 B8 is
+//! connection-count bound: every column instance holds about 2,000 nets,
+//! each one index into the top module's net table, which the generator
+//! fills, validation range-checks and the SPICE writer resolves to a name.
+//! 32×512 L2 B3 is name and shape bound: its top module formats about
+//! 6,300 net and instance names, and its DEF and GDS text run to about
+//! 15 MB, so per-coordinate formatting cost dominates those writers.  The
+//! netlist and layouts are built once outside the timed loops of the
+//! other steps; `LayoutFlow::generate` has its own bench
 //! (`layout_runtime`).
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
 use acim_layout::{write_def, write_gds_text, LayoutFlow};
-use acim_netlist::{write_spice, NetlistGenerator};
+use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -42,6 +46,9 @@ fn backend(c: &mut Criterion) {
                 let design = generator.generate(&spec).expect("netlist generates");
                 black_box(design.module_count())
             })
+        });
+        group.bench_function(BenchmarkId::new("stats", name), |b| {
+            b.iter(|| black_box(design_stats(&design, &library).expect("stats").transistors))
         });
         group.bench_function(BenchmarkId::new("spice", name), |b| {
             b.iter(|| black_box(write_spice(&design, &library).expect("SPICE writes").len()))

@@ -11,21 +11,48 @@ use acim_cell::CellError;
 pub enum NetlistError {
     /// A module with the same name already exists in the design.
     DuplicateModule(String),
-    /// A referenced module or leaf cell does not exist.
+    /// [`Design::set_top`](crate::Design::set_top) named a module the
+    /// design does not have.
+    UnknownModule(String),
+    /// An instance refers to a leaf cell missing from the library, or to a
+    /// module not added before the instance's parent.
     UnknownReference {
-        /// Name of the missing module/cell.
-        name: String,
-        /// Where it was referenced from.
-        referenced_from: String,
-    },
-    /// An instance connection does not match the target's port list.
-    PortMismatch {
         /// Instance name.
         instance: String,
-        /// Target module/cell name.
+        /// Name of the missing cell or module (`module #k` for an id the
+        /// design does not have).
         target: String,
-        /// Details of the mismatch.
-        details: String,
+    },
+    /// An instance's net count differs from its target's port count.
+    ArityMismatch {
+        /// Instance name.
+        instance: String,
+        /// Target module or cell name.
+        target: String,
+        /// The target's port count.
+        expected: usize,
+        /// The instance's net count.
+        actual: usize,
+    },
+    /// An instance connects a net id beyond its parent's net table.
+    NetOutOfRange {
+        /// Instance name.
+        instance: String,
+        /// Target module or cell name.
+        target: String,
+        /// The offending net index.
+        net: usize,
+        /// Size of the parent's net table.
+        nets: usize,
+    },
+    /// A template wires a port the library's leaf cell does not have.
+    UnknownPort {
+        /// Instance name.
+        instance: String,
+        /// Leaf cell name.
+        target: String,
+        /// The missing port.
+        port: String,
     },
     /// An error bubbled up from the cell library.
     Cell(CellError),
@@ -37,20 +64,37 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::DuplicateModule(name) => write!(f, "duplicate module `{name}`"),
-            NetlistError::UnknownReference {
-                name,
-                referenced_from,
-            } => write!(
+            NetlistError::UnknownModule(name) => write!(f, "unknown module `{name}`"),
+            NetlistError::UnknownReference { instance, target } => write!(
                 f,
-                "unknown module or cell `{name}` referenced from `{referenced_from}`"
+                "instance `{instance}` refers to `{target}`, which is neither a library cell \
+                 nor a module added before its parent"
             ),
-            NetlistError::PortMismatch {
+            NetlistError::ArityMismatch {
                 instance,
                 target,
-                details,
+                expected,
+                actual,
             } => write!(
                 f,
-                "instance `{instance}` of `{target}` has mismatched connections: {details}"
+                "instance `{instance}` of `{target}` connects {actual} nets to {expected} ports"
+            ),
+            NetlistError::NetOutOfRange {
+                instance,
+                target,
+                net,
+                nets,
+            } => write!(
+                f,
+                "instance `{instance}` of `{target}` connects net {net} of a {nets}-net table"
+            ),
+            NetlistError::UnknownPort {
+                instance,
+                target,
+                port,
+            } => write!(
+                f,
+                "instance `{instance}` wires port `{port}`, which leaf cell `{target}` lacks"
             ),
             NetlistError::Cell(err) => write!(f, "cell library error: {err}"),
             NetlistError::Arch(err) => write!(f, "architecture error: {err}"),
@@ -91,10 +135,20 @@ mod tests {
         let e: NetlistError = ArchError::invalid_spec("c", "d").into();
         assert!(e.to_string().contains("architecture error"));
         let e = NetlistError::UnknownReference {
-            name: "FOO".into(),
-            referenced_from: "TOP".into(),
+            instance: "XFOO".into(),
+            target: "FOO".into(),
         };
-        assert!(e.to_string().contains("FOO") && e.to_string().contains("TOP"));
+        assert!(e.to_string().contains("XFOO") && e.to_string().contains("`FOO`"));
+        let e = NetlistError::ArityMismatch {
+            instance: "X1".into(),
+            target: "T".into(),
+            expected: 1,
+            actual: 3,
+        };
+        assert_eq!(
+            e.to_string(),
+            "instance `X1` of `T` connects 3 nets to 1 ports"
+        );
     }
 
     #[test]

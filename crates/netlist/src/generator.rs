@@ -11,12 +11,16 @@
 //! * `ACIM_TOP` — `W` columns plus the CIM input buffers (one per read
 //!   word-line) and the output buffers (one per column output bit).
 
+use std::iter;
+
 use acim_arch::AcimSpec;
 use acim_cell::{CellKind, CellLibrary};
 
 use crate::design::Design;
 use crate::error::NetlistError;
-use crate::module::{Instance, InstanceRef, Module, PortDirection};
+use crate::module::{Instance, InstanceRef, Module, ModuleId, NetId, PortDirection};
+
+use PortDirection::{Inout, Input, Output};
 
 /// Module names produced by the generator.
 pub mod names {
@@ -26,6 +30,83 @@ pub mod names {
     pub const COLUMN: &str = "COLUMN";
     /// The top-level macro module.
     pub const TOP: &str = "ACIM_TOP";
+}
+
+/// `LOCAL_ARRAY`'s ports after its `RWL_i`/`WL_i` pairs.
+const LOCAL_ARRAY_PORTS: [(&str, PortDirection); 10] = [
+    ("BL", Inout),
+    ("BLB", Inout),
+    ("RBL", Inout),
+    ("PCH", Input),
+    ("RST", Input),
+    ("P", Input),
+    ("N", Input),
+    ("VCM", Inout),
+    ("VDD", Inout),
+    ("VSS", Inout),
+];
+
+/// `COLUMN`'s ports after its `RWL_row`/`WL_row` pairs and `DOUT_bit`s.
+const COLUMN_PORTS: [(&str, PortDirection); 9] = [
+    ("BL", Inout),
+    ("BLB", Inout),
+    ("PCH", Input),
+    ("RST", Input),
+    ("CLK", Input),
+    ("START", Input),
+    ("VCM", Inout),
+    ("VDD", Inout),
+    ("VSS", Inout),
+];
+
+/// `ACIM_TOP`'s ports after its `IN_row`/`WL_row` pairs and per-column
+/// `OUT_col_bit`s, `BL_col` and `BLB_col`.
+const TOP_PORTS: [(&str, PortDirection); 7] = [
+    ("PCH", Input),
+    ("RST", Input),
+    ("CLK", Input),
+    ("START", Input),
+    ("VCM", Inout),
+    ("VDD", Inout),
+    ("VSS", Inout),
+];
+
+/// The `N` nets starting at `base`, in order.
+fn consecutive<const N: usize>(base: usize) -> [NetId; N] {
+    std::array::from_fn(|k| NetId::new(base + k))
+}
+
+/// The `indexed` ports, then the fixed `tail`.
+fn port_list<'t>(
+    indexed: impl Iterator<Item = (String, PortDirection)> + 't,
+    tail: &'t [(&str, PortDirection)],
+) -> impl Iterator<Item = (String, PortDirection)> + 't {
+    indexed.chain(
+        tail.iter()
+            .map(|&(port, direction)| (port.to_string(), direction)),
+    )
+}
+
+/// Where the ports a template wires sit in a leaf cell's port list,
+/// looked up once per module so each instance is wired by position.
+struct Pins<const N: usize> {
+    kind: CellKind,
+    /// The cell's port count.
+    count: usize,
+    /// `slots[k]` is the position of the template's `k`-th port.
+    slots: [usize; N],
+}
+
+impl<const N: usize> Pins<N> {
+    /// An instance with `nets[k]` on the template's `k`-th port and any
+    /// other port of the cell open.
+    fn instance(&self, name: String, nets: [NetId; N]) -> Instance {
+        let mut wired = vec![NetId::OPEN; self.count];
+        for (&slot, net) in self.slots.iter().zip(nets) {
+            wired[slot] = net;
+        }
+        Instance::new(name, InstanceRef::LeafCell(self.kind), wired)
+    }
 }
 
 /// Template-based netlist generator bound to a cell library.
@@ -45,7 +126,8 @@ impl<'a> NetlistGenerator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError`] when a required leaf cell is missing from
-    /// the library or the generated design fails validation.
+    /// the library, lacks a port the templates wire, or the generated
+    /// design fails validation.
     pub fn generate(&self, spec: &AcimSpec) -> Result<Design, NetlistError> {
         // Fail early if any required cell is missing.
         for kind in CellKind::all() {
@@ -59,297 +141,317 @@ impl<'a> NetlistGenerator<'a> {
             spec.local_array(),
             spec.adc_bits()
         ));
-        design.add_module(self.local_array_module(spec))?;
-        design.add_module(self.column_module(spec))?;
-        design.add_module(self.top_module(spec))?;
+        let local_array = design.add_module(self.local_array_module(spec)?)?;
+        let column = design.add_module(self.column_module(spec, local_array)?)?;
+        design.add_module(self.top_module(spec, column)?)?;
         design.set_top(names::TOP)?;
         design.validate(self.library)?;
         Ok(design)
     }
 
+    /// Positions of `ports` in `kind`'s port list; `instance` names the
+    /// first instance wired with them, for the error.
+    fn pins<const N: usize>(
+        &self,
+        kind: CellKind,
+        instance: &str,
+        ports: [&str; N],
+    ) -> Result<Pins<N>, NetlistError> {
+        let cell_ports = &self.library.require(kind)?.netlist().ports;
+        let mut slots = [0; N];
+        for (slot, port) in slots.iter_mut().zip(ports) {
+            *slot = cell_ports.iter().position(|p| p == port).ok_or_else(|| {
+                NetlistError::UnknownPort {
+                    instance: instance.to_string(),
+                    target: kind.cell_name().to_string(),
+                    port: port.to_string(),
+                }
+            })?;
+        }
+        Ok(Pins {
+            kind,
+            count: cell_ports.len(),
+            slots,
+        })
+    }
+
     /// `LOCAL_ARRAY`: `L` SRAM cells plus the shared compute cell.
-    fn local_array_module(&self, spec: &AcimSpec) -> Module {
+    ///
+    /// Ports: `RWL_i`, `WL_i` for each `i < L` (nets `2i`, `2i + 1`), then
+    /// [`LOCAL_ARRAY_PORTS`].
+    fn local_array_module(&self, spec: &AcimSpec) -> Result<Module, NetlistError> {
         let l = spec.local_array();
-        let mut m = Module::new(names::LOCAL_ARRAY);
-        for i in 0..l {
-            m.add_port(format!("RWL_{i}"), PortDirection::Input);
-            m.add_port(format!("WL_{i}"), PortDirection::Input);
-        }
-        for port in [
-            "BL", "BLB", "RBL", "PCH", "RST", "P", "N", "VCM", "VDD", "VSS",
-        ] {
-            let direction = match port {
-                "PCH" | "RST" | "P" | "N" => PortDirection::Input,
-                _ => PortDirection::Inout,
-            };
-            m.add_port(port, direction);
-        }
+        let mut m = Module::with_ports(
+            names::LOCAL_ARRAY,
+            port_list(
+                (0..l).flat_map(|i| [(format!("RWL_{i}"), Input), (format!("WL_{i}"), Input)]),
+                &LOCAL_ARRAY_PORTS,
+            ),
+        );
+        let [bl, blb, rbl, pch, rst, p, n, vcm, vdd, vss] = consecutive(2 * l);
         // The local compute node shared by the read ports of the L cells and
         // the top plate of the compute capacitor.
-        m.add_net("LBL");
+        let lbl = m.add_net("LBL");
+        let sram = self.pins(
+            CellKind::Sram8T,
+            "XSRAM_0",
+            ["WL", "RWL", "BL", "BLB", "RBL", "VDD", "VSS"],
+        )?;
         for i in 0..l {
-            m.add_instance(Instance::new(
-                format!("XSRAM_{i}"),
-                InstanceRef::LeafCell(CellKind::Sram8T.cell_name().into()),
-                [
-                    ("WL".to_string(), format!("WL_{i}")),
-                    ("RWL".to_string(), format!("RWL_{i}")),
-                    ("BL".to_string(), "BL".to_string()),
-                    ("BLB".to_string(), "BLB".to_string()),
-                    ("RBL".to_string(), "LBL".to_string()),
-                    ("VDD".to_string(), "VDD".to_string()),
-                    ("VSS".to_string(), "VSS".to_string()),
-                ],
-            ));
+            let [rwl, wl] = consecutive(2 * i);
+            m.add_instance(sram.instance(format!("XSRAM_{i}"), [wl, rwl, bl, blb, lbl, vdd, vss]));
         }
-        m.add_instance(Instance::new(
+        let compute = self.pins(
+            CellKind::ComputeCell,
             "XLC",
-            InstanceRef::LeafCell(CellKind::ComputeCell.cell_name().into()),
-            [
-                ("MOUT".to_string(), "LBL".to_string()),
-                ("RBL".to_string(), "RBL".to_string()),
-                ("PCH".to_string(), "PCH".to_string()),
-                ("RST".to_string(), "RST".to_string()),
-                ("P".to_string(), "P".to_string()),
-                ("N".to_string(), "N".to_string()),
-                ("VCM".to_string(), "VCM".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ],
-        ));
-        m
+            ["MOUT", "RBL", "PCH", "RST", "P", "N", "VCM", "VDD", "VSS"],
+        )?;
+        m.add_instance(
+            compute.instance("XLC".to_string(), [lbl, rbl, pch, rst, p, n, vcm, vdd, vss]),
+        );
+        Ok(m)
     }
 
     /// `COLUMN`: `H / L` local arrays, CDAC isolation switch, comparator,
     /// SAR logic and `B_ADC` flip-flops.
-    fn column_module(&self, spec: &AcimSpec) -> Module {
+    ///
+    /// Ports: `RWL_row`, `WL_row` for each row (nets `2 row`, `2 row + 1`),
+    /// `DOUT_bit` (net `2H + bit`), then [`COLUMN_PORTS`].
+    fn column_module(
+        &self,
+        spec: &AcimSpec,
+        local_array: ModuleId,
+    ) -> Result<Module, NetlistError> {
+        let h = spec.height();
         let l = spec.local_array();
         let n_local = spec.capacitors_per_column();
         let bits = spec.adc_bits() as usize;
-        let mut m = Module::new(names::COLUMN);
+        let mut m = Module::with_ports(
+            names::COLUMN,
+            port_list(
+                (0..h)
+                    .flat_map(|row| [(format!("RWL_{row}"), Input), (format!("WL_{row}"), Input)])
+                    .chain((0..bits).map(|bit| (format!("DOUT_{bit}"), Output))),
+                &COLUMN_PORTS,
+            ),
+        );
+        let dout = |bit: usize| NetId::new(2 * h + bit);
+        let [bl, blb, pch, rst, clk, start, vcm, vdd, vss] = consecutive(2 * h + bits);
 
-        for row in 0..spec.height() {
-            m.add_port(format!("RWL_{row}"), PortDirection::Input);
-            m.add_port(format!("WL_{row}"), PortDirection::Input);
-        }
-        for bit in 0..bits {
-            m.add_port(format!("DOUT_{bit}"), PortDirection::Output);
-        }
-        for port in [
-            "BL", "BLB", "PCH", "RST", "CLK", "START", "VCM", "VDD", "VSS",
-        ] {
-            let direction = match port {
-                "BL" | "BLB" | "VCM" | "VDD" | "VSS" => PortDirection::Inout,
-                _ => PortDirection::Input,
-            };
-            m.add_port(port, direction);
-        }
         // The column read bit-line every compute cell redistributes onto.
-        m.add_net("RBL");
+        let rbl = m.add_net("RBL");
+        let rbl_spare = m.add_net("RBL_SPARE");
+        let com = m.add_net("COM");
+        let comb = m.add_net("COMB");
+        let sar_done = m.add_net("SAR_DONE");
+        // SAR group controls `P_g`, `N_g` for the `B_ADC + 1` groups.
+        let group_sizes = spec.sar_group_sizes();
+        let p_0 = NetId::new(m.nets().len());
+        for group in 0..group_sizes.len() {
+            m.add_net(format!("P_{group}"));
+            m.add_net(format!("N_{group}"));
+        }
+        let p = |group: usize| p_0.offset(2 * group);
+        let n = |group: usize| p_0.offset(2 * group + 1);
 
         // Assign local arrays to SAR groups: group k gets
         // `sar_group_sizes()[k]` consecutive local arrays; any spare local
         // arrays beyond 2^B reuse the last group's controls (they are
         // isolated by the CMOS switch during conversion).
-        let group_sizes = spec.sar_group_sizes();
-        let mut group_of_local = Vec::with_capacity(n_local);
-        for (group, &size) in group_sizes.iter().enumerate() {
-            for _ in 0..size {
-                group_of_local.push(group);
-            }
-        }
-        while group_of_local.len() < n_local {
-            group_of_local.push(group_sizes.len() - 1);
-        }
-
-        for (j, &group) in group_of_local.iter().enumerate().take(n_local) {
-            let mut connections = vec![
-                ("BL".to_string(), "BL".to_string()),
-                ("BLB".to_string(), "BLB".to_string()),
-                ("RBL".to_string(), "RBL".to_string()),
-                ("PCH".to_string(), "PCH".to_string()),
-                ("RST".to_string(), "RST".to_string()),
-                ("P".to_string(), format!("P_{group}")),
-                ("N".to_string(), format!("N_{group}")),
-                ("VCM".to_string(), "VCM".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ];
-            for i in 0..l {
-                let row = j * l + i;
-                connections.push((format!("RWL_{i}"), format!("RWL_{row}")));
-                connections.push((format!("WL_{i}"), format!("WL_{row}")));
-            }
+        let last = group_sizes.len() - 1;
+        let group_of_local = group_sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(group, &size)| iter::repeat_n(group, size))
+            .chain(iter::repeat(last));
+        for (j, group) in group_of_local.take(n_local).enumerate() {
+            // LOCAL_ARRAY's port order: its rows' RWL/WL pairs, then
+            // LOCAL_ARRAY_PORTS.
+            let rows = (0..2 * l).map(|k| NetId::new(2 * j * l + k));
+            let shared = [bl, blb, rbl, pch, rst, p(group), n(group), vcm, vdd, vss];
             m.add_instance(Instance::new(
                 format!("XLA_{j}"),
-                InstanceRef::Module(names::LOCAL_ARRAY.into()),
-                connections,
+                InstanceRef::Module(local_array),
+                rows.chain(shared).collect::<Vec<_>>(),
             ));
         }
 
         // CMOS switch separating the spare (non-CDAC) capacitance from the
         // RBL during conversion (Section 3.1).
-        m.add_instance(Instance::new(
+        let switch = self.pins(
+            CellKind::CmosSwitch,
             "XSW",
-            InstanceRef::LeafCell(CellKind::CmosSwitch.cell_name().into()),
-            [
-                ("A".to_string(), "RBL".to_string()),
-                ("B".to_string(), "RBL_SPARE".to_string()),
-                ("EN".to_string(), "RST".to_string()),
-                ("ENB".to_string(), "PCH".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ],
-        ));
+            ["A", "B", "EN", "ENB", "VDD", "VSS"],
+        )?;
+        m.add_instance(switch.instance("XSW".to_string(), [rbl, rbl_spare, rst, pch, vdd, vss]));
 
         // Comparator / sense amplifier.
-        m.add_instance(Instance::new(
+        let comparator = self.pins(
+            CellKind::Comparator,
             "XCOMP",
-            InstanceRef::LeafCell(CellKind::Comparator.cell_name().into()),
-            [
-                ("INP".to_string(), "RBL".to_string()),
-                ("INN".to_string(), "VCM".to_string()),
-                ("CLK".to_string(), "CLK".to_string()),
-                ("COM".to_string(), "COM".to_string()),
-                ("COMB".to_string(), "COMB".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ],
-        ));
+            ["INP", "INN", "CLK", "COM", "COMB", "VDD", "VSS"],
+        )?;
+        m.add_instance(
+            comparator.instance("XCOMP".to_string(), [rbl, vcm, clk, com, comb, vdd, vss]),
+        );
 
         // SAR sequencing logic.
-        m.add_instance(Instance::new(
+        let sar = self.pins(
+            CellKind::SarLogic,
             "XSARCTRL",
-            InstanceRef::LeafCell(CellKind::SarLogic.cell_name().into()),
-            [
-                ("CLK".to_string(), "CLK".to_string()),
-                ("COM".to_string(), "COM".to_string()),
-                ("COMB".to_string(), "COMB".to_string()),
-                ("START".to_string(), "START".to_string()),
-                ("DONE".to_string(), "SAR_DONE".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ],
+            ["CLK", "COM", "COMB", "START", "DONE", "VDD", "VSS"],
+        )?;
+        m.add_instance(sar.instance(
+            "XSARCTRL".to_string(),
+            [clk, com, comb, start, sar_done, vdd, vss],
         ));
 
-        // One DFF per output bit; Q drives the data output and the P/N
-        // group-control signal of the matching SAR group.
+        // One DFF per output bit; Q drives the data output and QB the
+        // negative group control of the matching SAR group.
+        let dff = self.pins(
+            CellKind::SarDff,
+            "XDFF_0",
+            ["D", "CLK", "Q", "QB", "VDD", "VSS"],
+        )?;
         for bit in 0..bits {
-            m.add_instance(Instance::new(
+            m.add_instance(dff.instance(
                 format!("XDFF_{bit}"),
-                InstanceRef::LeafCell(CellKind::SarDff.cell_name().into()),
-                [
-                    ("D".to_string(), "COM".to_string()),
-                    ("CLK".to_string(), "CLK".to_string()),
-                    ("Q".to_string(), format!("DOUT_{bit}")),
-                    ("QB".to_string(), format!("N_{}", bit + 1)),
-                    ("VDD".to_string(), "VDD".to_string()),
-                    ("VSS".to_string(), "VSS".to_string()),
-                ],
+                [com, clk, dout(bit), n(bit + 1), vdd, vss],
             ));
-            // The positive group control is the DFF output itself.
-            m.add_net(format!("P_{}", bit + 1));
         }
-        // Group 0 (the LSB dummy group) is tied to the reset phase controls.
-        m.add_net("P_0");
-        m.add_net("N_0");
-        m
+        Ok(m)
     }
 
     /// `ACIM_TOP`: `W` columns plus input and output buffers.
-    fn top_module(&self, spec: &AcimSpec) -> Module {
+    ///
+    /// Ports: `IN_row`, `WL_row` for each row (nets `2 row`, `2 row + 1`),
+    /// then per column `OUT_col_bit` for each bit, `BL_col` and `BLB_col`
+    /// (a block of `B_ADC + 2` nets from `2H`), then [`TOP_PORTS`].
+    /// Internal nets: `RWL_row` for each row, then `D_col_bit`.
+    fn top_module(&self, spec: &AcimSpec, column: ModuleId) -> Result<Module, NetlistError> {
+        let h = spec.height();
+        let w = spec.width();
         let bits = spec.adc_bits() as usize;
-        let mut m = Module::new(names::TOP);
-        for row in 0..spec.height() {
-            m.add_port(format!("IN_{row}"), PortDirection::Input);
-            m.add_port(format!("WL_{row}"), PortDirection::Input);
+        let stride = bits + 2;
+        let mut m = Module::with_ports(
+            names::TOP,
+            port_list(
+                (0..h)
+                    .flat_map(|row| [(format!("IN_{row}"), Input), (format!("WL_{row}"), Input)])
+                    .chain((0..w).flat_map(|col| {
+                        (0..bits)
+                            .map(move |bit| (format!("OUT_{col}_{bit}"), Output))
+                            .chain([(format!("BL_{col}"), Inout), (format!("BLB_{col}"), Inout)])
+                    })),
+                &TOP_PORTS,
+            ),
+        );
+        let input = |row: usize| NetId::new(2 * row);
+        let wl = |row: usize| NetId::new(2 * row + 1);
+        let out = |col: usize, bit: usize| NetId::new(2 * h + col * stride + bit);
+        let bl = |col: usize| out(col, bits);
+        let blb = |col: usize| out(col, bits + 1);
+        let [pch, rst, clk, start, vcm, vdd, vss] = consecutive(2 * h + w * stride);
+
+        let rwl_0 = NetId::new(m.nets().len());
+        for row in 0..h {
+            m.add_net(format!("RWL_{row}"));
         }
-        for col in 0..spec.width() {
+        let rwl = |row: usize| rwl_0.offset(row);
+        let d_0 = NetId::new(m.nets().len());
+        for col in 0..w {
             for bit in 0..bits {
-                m.add_port(format!("OUT_{col}_{bit}"), PortDirection::Output);
+                m.add_net(format!("D_{col}_{bit}"));
             }
-            m.add_port(format!("BL_{col}"), PortDirection::Inout);
-            m.add_port(format!("BLB_{col}"), PortDirection::Inout);
         }
-        for port in ["PCH", "RST", "CLK", "START", "VCM", "VDD", "VSS"] {
-            let direction = match port {
-                "VCM" | "VDD" | "VSS" => PortDirection::Inout,
-                _ => PortDirection::Input,
-            };
-            m.add_port(port, direction);
-        }
+        let d = |col: usize, bit: usize| d_0.offset(col * bits + bit);
 
         // CIM input buffers: one per read word-line, driving the buffered
         // RWL distributed to every column.
-        for row in 0..spec.height() {
-            m.add_instance(Instance::new(
-                format!("XIBUF_{row}"),
-                InstanceRef::LeafCell(CellKind::Buffer.cell_name().into()),
-                [
-                    ("A".to_string(), format!("IN_{row}")),
-                    ("Y".to_string(), format!("RWL_{row}")),
-                    ("VDD".to_string(), "VDD".to_string()),
-                    ("VSS".to_string(), "VSS".to_string()),
-                ],
-            ));
+        let buffer = self.pins(CellKind::Buffer, "XIBUF_0", ["A", "Y", "VDD", "VSS"])?;
+        for row in 0..h {
+            m.add_instance(
+                buffer.instance(format!("XIBUF_{row}"), [input(row), rwl(row), vdd, vss]),
+            );
         }
 
-        // Columns.
-        for col in 0..spec.width() {
-            let mut connections = vec![
-                ("BL".to_string(), format!("BL_{col}")),
-                ("BLB".to_string(), format!("BLB_{col}")),
-                ("PCH".to_string(), "PCH".to_string()),
-                ("RST".to_string(), "RST".to_string()),
-                ("CLK".to_string(), "CLK".to_string()),
-                ("START".to_string(), "START".to_string()),
-                ("VCM".to_string(), "VCM".to_string()),
-                ("VDD".to_string(), "VDD".to_string()),
-                ("VSS".to_string(), "VSS".to_string()),
-            ];
-            for row in 0..spec.height() {
-                connections.push((format!("RWL_{row}"), format!("RWL_{row}")));
-                connections.push((format!("WL_{row}"), format!("WL_{row}")));
-            }
-            for bit in 0..bits {
-                connections.push((format!("DOUT_{bit}"), format!("D_{col}_{bit}")));
-            }
+        // Columns, wired in COLUMN's port order: the RWL/WL pairs, the
+        // DOUT bits, then COLUMN_PORTS.
+        for col in 0..w {
+            let rows = (0..h).flat_map(|row| [rwl(row), wl(row)]);
+            let douts = (0..bits).map(|bit| d(col, bit));
+            let shared = [bl(col), blb(col), pch, rst, clk, start, vcm, vdd, vss];
+            let mut nets = Vec::with_capacity(2 * h + bits + shared.len());
+            nets.extend(rows.chain(douts).chain(shared));
             m.add_instance(Instance::new(
                 format!("XCOL_{col}"),
-                InstanceRef::Module(names::COLUMN.into()),
-                connections,
+                InstanceRef::Module(column),
+                nets,
             ));
         }
 
         // CIM output buffers: one per column output bit.
-        for col in 0..spec.width() {
+        for col in 0..w {
             for bit in 0..bits {
-                m.add_instance(Instance::new(
+                m.add_instance(buffer.instance(
                     format!("XOBUF_{col}_{bit}"),
-                    InstanceRef::LeafCell(CellKind::Buffer.cell_name().into()),
-                    [
-                        ("A".to_string(), format!("D_{col}_{bit}")),
-                        ("Y".to_string(), format!("OUT_{col}_{bit}")),
-                        ("VDD".to_string(), "VDD".to_string()),
-                        ("VSS".to_string(), "VSS".to_string()),
-                    ],
+                    [d(col, bit), out(col, bit), vdd, vss],
                 ));
             }
         }
-        m
+        Ok(m)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::leaf_counts;
     use acim_tech::Technology;
 
+    fn library() -> CellLibrary {
+        CellLibrary::s28_default(&Technology::s28())
+    }
+
     fn generate(h: usize, w: usize, l: usize, b: u32) -> Design {
-        let tech = Technology::s28();
-        let library = CellLibrary::s28_default(&tech);
         let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
-        NetlistGenerator::new(&library).generate(&spec).unwrap()
+        NetlistGenerator::new(&library()).generate(&spec).unwrap()
+    }
+
+    /// The net `instance` of `module` connects to its target's `port`,
+    /// looked up through the target's port list.
+    fn net_of<'d>(design: &'d Design, module: &str, instance: &str, port: &str) -> &'d str {
+        let library = library();
+        let parent = design.module(module).unwrap();
+        let instance = parent
+            .instances()
+            .iter()
+            .find(|i| i.name == instance)
+            .unwrap();
+        let position = match instance.reference {
+            InstanceRef::LeafCell(kind) => library
+                .cell(kind)
+                .unwrap()
+                .netlist()
+                .ports
+                .iter()
+                .position(|p| p == port),
+            InstanceRef::Module(id) => design.modules()[id.index()]
+                .port_names()
+                .iter()
+                .position(|p| p == port),
+        }
+        .unwrap();
+        parent.net_name(instance.nets[position]).unwrap()
+    }
+
+    /// Instances of `module` whose reference is `reference`.
+    fn count_instances_of(module: &Module, reference: InstanceRef) -> usize {
+        module
+            .instances()
+            .iter()
+            .filter(|i| i.reference == reference)
+            .count()
     }
 
     #[test]
@@ -365,34 +467,28 @@ mod tests {
     fn leaf_instance_counts_match_the_architecture() {
         let (h, w, l, b) = (64usize, 16usize, 4usize, 3u32);
         let design = generate(h, w, l, b);
+        let counts = leaf_counts(&design, &library()).unwrap();
+        let count = |kind: CellKind| counts[kind as usize];
         // One SRAM cell per bit.
-        assert_eq!(design.count_leaf_instances("SRAM8T"), h * w);
+        assert_eq!(count(CellKind::Sram8T), h * w);
         // One compute cell per local array.
-        assert_eq!(design.count_leaf_instances("LC_CELL"), (h / l) * w);
+        assert_eq!(count(CellKind::ComputeCell), (h / l) * w);
         // One comparator, switch and SAR controller per column.
-        assert_eq!(design.count_leaf_instances("COMP_SA"), w);
-        assert_eq!(design.count_leaf_instances("CSW"), w);
-        assert_eq!(design.count_leaf_instances("SAR_CTRL"), w);
+        assert_eq!(count(CellKind::Comparator), w);
+        assert_eq!(count(CellKind::CmosSwitch), w);
+        assert_eq!(count(CellKind::SarLogic), w);
         // B_ADC flip-flops per column.
-        assert_eq!(design.count_leaf_instances("SAR_DFF"), w * b as usize);
+        assert_eq!(count(CellKind::SarDff), w * b as usize);
         // H input buffers + W·B output buffers.
-        assert_eq!(design.count_leaf_instances("BUF"), h + w * b as usize);
+        assert_eq!(count(CellKind::Buffer), h + w * b as usize);
     }
 
     #[test]
     fn column_module_wires_sar_groups_binary() {
         let design = generate(128, 16, 8, 3);
-        let column = design.module(names::COLUMN).unwrap();
         // 16 local arrays; group sizes 1,1,2,4 fill 8, the remaining 8 spare
         // local arrays reuse the last group.
-        let p_of = |j: usize| {
-            column
-                .instance(&format!("XLA_{j}"))
-                .unwrap()
-                .net_for("P")
-                .unwrap()
-                .to_string()
-        };
+        let p_of = |j: usize| net_of(&design, names::COLUMN, &format!("XLA_{j}"), "P");
         assert_eq!(p_of(0), "P_0");
         assert_eq!(p_of(1), "P_1");
         assert_eq!(p_of(2), "P_2");
@@ -401,22 +497,34 @@ mod tests {
         assert_eq!(p_of(7), "P_3");
         assert_eq!(p_of(8), "P_3", "spare local arrays reuse the last group");
         assert_eq!(p_of(15), "P_3");
+        assert_eq!(net_of(&design, names::COLUMN, "XLA_5", "N"), "N_3");
+        assert_eq!(net_of(&design, names::COLUMN, "XLA_3", "RWL_1"), "RWL_25");
+        assert_eq!(net_of(&design, names::COLUMN, "XDFF_2", "QB"), "N_3");
+        assert_eq!(net_of(&design, names::COLUMN, "XDFF_2", "Q"), "DOUT_2");
     }
 
     #[test]
     fn local_array_has_l_sram_cells_and_one_compute_cell() {
         let design = generate(64, 16, 4, 3);
         let la = design.module(names::LOCAL_ARRAY).unwrap();
-        assert_eq!(la.count_instances_of("SRAM8T"), 4);
-        assert_eq!(la.count_instances_of("LC_CELL"), 1);
+        assert_eq!(
+            count_instances_of(la, InstanceRef::LeafCell(CellKind::Sram8T)),
+            4
+        );
+        assert_eq!(
+            count_instances_of(la, InstanceRef::LeafCell(CellKind::ComputeCell)),
+            1
+        );
         // All SRAM read ports share the local bit-line.
         for i in 0..4 {
+            let sram = format!("XSRAM_{i}");
+            assert_eq!(net_of(&design, names::LOCAL_ARRAY, &sram, "RBL"), "LBL");
             assert_eq!(
-                la.instance(&format!("XSRAM_{i}")).unwrap().net_for("RBL"),
-                Some("LBL")
+                net_of(&design, names::LOCAL_ARRAY, &sram, "RWL"),
+                format!("RWL_{i}")
             );
         }
-        assert_eq!(la.instance("XLC").unwrap().net_for("MOUT"), Some("LBL"));
+        assert_eq!(net_of(&design, names::LOCAL_ARRAY, "XLC", "MOUT"), "LBL");
     }
 
     #[test]
@@ -424,16 +532,49 @@ mod tests {
         let design = generate(64, 16, 4, 3);
         let top = design.top().unwrap();
         let ports = top.port_names();
-        assert!(ports.contains(&"IN_0"));
-        assert!(ports.contains(&"IN_63"));
-        assert!(ports.contains(&"OUT_15_2"));
-        assert!(ports.contains(&"CLK"));
-        assert_eq!(top.count_instances_of(names::COLUMN), 16);
+        for port in ["IN_0", "IN_63", "OUT_15_2", "CLK"] {
+            assert!(ports.iter().any(|p| p == port), "missing port {port}");
+        }
+        let column = design.module_id(names::COLUMN).unwrap();
+        assert_eq!(count_instances_of(top, InstanceRef::Module(column)), 16);
+        assert_eq!(net_of(&design, names::TOP, "XCOL_7", "DOUT_1"), "D_7_1");
+        assert_eq!(net_of(&design, names::TOP, "XCOL_7", "BLB"), "BLB_7");
+        assert_eq!(net_of(&design, names::TOP, "XCOL_7", "RWL_63"), "RWL_63");
+        assert_eq!(net_of(&design, names::TOP, "XCOL_7", "WL_63"), "WL_63");
+        assert_eq!(net_of(&design, names::TOP, "XOBUF_15_2", "Y"), "OUT_15_2");
+        assert_eq!(net_of(&design, names::TOP, "XIBUF_63", "A"), "IN_63");
     }
 
     #[test]
     fn design_name_encodes_the_spec() {
         let design = generate(128, 128, 8, 3);
         assert_eq!(design.name(), "acim_128x128_l8_b3");
+    }
+
+    #[test]
+    fn a_cell_without_a_wired_port_is_a_typed_error() {
+        // A buffer without its output port Y: the first input buffer cannot
+        // be wired.
+        let mut library = library();
+        let layout = library.cell(CellKind::Buffer).unwrap().layout().clone();
+        let ports = ["A", "VDD", "VSS"].map(String::from).to_vec();
+        library.insert(
+            acim_cell::LeafCell::new(
+                CellKind::Buffer,
+                acim_cell::CellNetlist::new(ports),
+                layout,
+                Vec::new(),
+            )
+            .unwrap(),
+        );
+        let spec = AcimSpec::from_dimensions(64, 16, 4, 3).unwrap();
+        assert_eq!(
+            NetlistGenerator::new(&library).generate(&spec).unwrap_err(),
+            NetlistError::UnknownPort {
+                instance: "XIBUF_0".into(),
+                target: "BUF".into(),
+                port: "Y".into(),
+            }
+        );
     }
 }

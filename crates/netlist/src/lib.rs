@@ -4,10 +4,16 @@
 //! netlist generator of EasyACIM (the "Template-based ACIM Netlist
 //! Generator" block of Figure 4).
 //!
-//! A [`design::Design`] is a set of [`module::Module`]s.  A module has
-//! ports, nets and instances; an instance refers either to a leaf cell of
-//! the customized cell library (`acim-cell`) or to another module, forming
-//! the hierarchy the template-based placer and router walks bottom-up.
+//! A [`design::Design`] is a set of [`module::Module`]s.  A module owns one
+//! net table, its ports first and then its internal nets, and a
+//! [`module::NetId`] indexes it.  An instance refers either to a leaf cell
+//! of the customized cell library (`acim-cell`, by [`acim_cell::CellKind`])
+//! or to a module added before its parent (by [`module::ModuleId`]), and
+//! holds one net per port of that target, in the target's port order.
+//! Net names are formatted once, into the net tables; validation, the
+//! statistics and the SPICE writer walk indices, and only the writer reads
+//! names.  The hierarchy is the one the template-based placer and router
+//! walks bottom-up.
 //!
 //! [`generator::NetlistGenerator`] expands a validated
 //! [`acim_arch::AcimSpec`] into the full macro netlist:
@@ -53,6 +59,6 @@ pub mod stats;
 pub use design::Design;
 pub use error::NetlistError;
 pub use generator::NetlistGenerator;
-pub use module::{Instance, InstanceRef, Module, PortDirection};
+pub use module::{Instance, InstanceRef, Module, ModuleId, NetId, PortDirection};
 pub use spice::write_spice;
 pub use stats::{design_stats, DesignStats};

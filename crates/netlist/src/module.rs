@@ -1,7 +1,15 @@
-//! Modules, ports, nets and instances.
+//! Modules, nets and instances, connected by position.
+//!
+//! A [`Module`] owns one net table: its ports first, in declaration order,
+//! then its internal nets.  A [`NetId`] indexes that table.  An
+//! [`Instance`] holds one `NetId` per port of its target, in the target's
+//! port order (a module's ports, or a leaf cell's `netlist().ports`), so
+//! a connection is a position, not a name.  Net names are formatted once,
+//! into the table, and only the writers read them.
 
-use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+
+use acim_cell::CellKind;
 
 /// Direction of a module port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,35 +33,88 @@ impl fmt::Display for PortDirection {
     }
 }
 
-/// What an instance refers to: a leaf cell from the customized cell library
-/// or another module of the design.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum InstanceRef {
-    /// A leaf cell, by its canonical cell name (e.g. `"SRAM8T"`).
-    LeafCell(String),
-    /// Another module of the same design.
-    Module(String),
-}
+/// A net of a module: an index into the module's net table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NetId(u32);
 
-impl InstanceRef {
-    /// The referenced name.
-    pub fn name(&self) -> &str {
-        match self {
-            InstanceRef::LeafCell(name) | InstanceRef::Module(name) => name,
+impl NetId {
+    /// The explicit open connection: a port left unconnected.  The SPICE
+    /// writer names it `UNCONNECTED_{instance}_{port}`.
+    pub const OPEN: NetId = NetId(u32::MAX);
+
+    /// The net at `index` of a net table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` does not fit below `u32::MAX`; a net table that
+    /// large would hold billions of names.
+    pub fn new(index: usize) -> Self {
+        match u32::try_from(index) {
+            Ok(index) if index != u32::MAX => Self(index),
+            _ => panic!("net index {index} exceeds the u32 net table"),
         }
+    }
+
+    /// The index into the net table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Whether this is [`NetId::OPEN`].
+    pub fn is_open(self) -> bool {
+        self == Self::OPEN
+    }
+
+    /// The net `by` places after this one in the same table.
+    pub(crate) fn offset(self, by: usize) -> Self {
+        Self::new(self.index() + by)
     }
 }
 
-/// A placed-in-hierarchy instance: a name, what it instantiates and its
-/// port→net connections.
+/// A module of a [`Design`](crate::Design): its position in the order the
+/// modules were added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ModuleId(pub(crate) u32);
+
+impl ModuleId {
+    /// The module at `index` of a design's module list.
+    pub(crate) fn new(index: usize) -> Self {
+        Self(u32::try_from(index).expect("a design holds fewer than 2^32 modules"))
+    }
+
+    /// The position in [`Design::modules`](crate::Design::modules).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for ModuleId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "module #{}", self.0)
+    }
+}
+
+/// What an instance refers to: a leaf cell of the customized cell library
+/// or another module of the design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum InstanceRef {
+    /// A leaf cell, by kind.
+    LeafCell(CellKind),
+    /// A module added to the design before the instance's parent.
+    Module(ModuleId),
+}
+
+/// A placed-in-hierarchy instance: a name, what it instantiates and one
+/// net per port of its target, in the target's port order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Instance name, unique within its parent module.
     pub name: String,
     /// What the instance refers to.
     pub reference: InstanceRef,
-    /// Port-to-net map (port name of the target → net name in the parent).
-    pub connections: BTreeMap<String, String>,
+    /// The parent's net on each port of the target, in the target's port
+    /// order; [`NetId::OPEN`] leaves a port unconnected.
+    pub nets: Vec<NetId>,
 }
 
 impl Instance {
@@ -61,53 +122,48 @@ impl Instance {
     pub fn new(
         name: impl Into<String>,
         reference: InstanceRef,
-        connections: impl IntoIterator<Item = (String, String)>,
+        nets: impl Into<Vec<NetId>>,
     ) -> Self {
         Self {
             name: name.into(),
             reference,
-            connections: connections.into_iter().collect(),
+            nets: nets.into(),
         }
-    }
-
-    /// The net connected to `port`, if any.
-    pub fn net_for(&self, port: &str) -> Option<&str> {
-        self.connections.get(port).map(String::as_str)
     }
 }
 
-/// A hierarchical module: ports, nets and instances.
-#[derive(Clone, PartialEq, Default)]
+/// A hierarchical module: a net table whose first entries are the ports,
+/// and instances wired into it by position.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     name: String,
-    ports: Vec<(String, PortDirection)>,
-    /// Nets in declaration order.
+    /// Net names: the ports in declaration order, then the internal nets.
     nets: Vec<String>,
-    /// The names in `nets`, so deduplication is a hash lookup rather than
-    /// a scan.
-    net_index: HashSet<String>,
+    /// One direction per port, so its length is the port count.
+    directions: Vec<PortDirection>,
     instances: Vec<Instance>,
 }
 
-// By hand so the output keeps the declaration-ordered fields only: the
-// index repeats `nets` in hash order.
-impl fmt::Debug for Module {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Module")
-            .field("name", &self.name)
-            .field("ports", &self.ports)
-            .field("nets", &self.nets)
-            .field("instances", &self.instances)
-            .finish()
-    }
-}
-
 impl Module {
-    /// Creates an empty module.
+    /// Creates a module without ports.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_ports(name, std::iter::empty::<(String, PortDirection)>())
+    }
+
+    /// Creates a module with `ports`, in order; port `k` is net `k`.
+    pub fn with_ports<S: Into<String>>(
+        name: impl Into<String>,
+        ports: impl IntoIterator<Item = (S, PortDirection)>,
+    ) -> Self {
+        let (nets, directions) = ports
+            .into_iter()
+            .map(|(port, direction)| (port.into(), direction))
+            .unzip();
         Self {
             name: name.into(),
-            ..Self::default()
+            nets,
+            directions,
+            instances: Vec::new(),
         }
     }
 
@@ -116,75 +172,51 @@ impl Module {
         &self.name
     }
 
-    /// Declares a port (also declares the corresponding net).
-    pub fn add_port(&mut self, name: impl Into<String>, direction: PortDirection) {
-        let name = name.into();
-        self.add_net(name.clone());
-        self.ports.push((name, direction));
+    /// Declares an internal net and returns its id.
+    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
+        self.nets.push(name.into());
+        NetId::new(self.nets.len() - 1)
     }
 
-    /// Declares an internal net (idempotent).
-    pub fn add_net(&mut self, name: impl Into<String>) {
-        let name = name.into();
-        if !self.net_index.contains(&name) {
-            self.net_index.insert(name.clone());
-            self.nets.push(name);
-        }
-    }
-
-    /// Adds an instance.
+    /// Adds an instance.  [`Design::validate`](crate::Design::validate)
+    /// checks its nets against its target.
     pub fn add_instance(&mut self, instance: Instance) {
-        // Any net referenced by a connection becomes a net of this module;
-        // only a net not yet declared is copied.
-        for net in instance.connections.values() {
-            if !self.net_index.contains(net) {
-                self.add_net(net.as_str());
-            }
-        }
         self.instances.push(instance);
     }
 
-    /// Ports in declaration order.
-    pub fn ports(&self) -> &[(String, PortDirection)] {
-        &self.ports
+    /// Number of ports.
+    pub fn port_count(&self) -> usize {
+        self.directions.len()
     }
 
-    /// Port names in declaration order.
-    pub fn port_names(&self) -> Vec<&str> {
-        self.ports.iter().map(|(n, _)| n.as_str()).collect()
+    /// Port names in declaration order: the head of [`nets`](Self::nets).
+    pub fn port_names(&self) -> &[String] {
+        &self.nets[..self.port_count()]
     }
 
-    /// All nets (ports first, then internal nets, in declaration order).
+    /// Ports with their directions, in declaration order.
+    pub fn ports(&self) -> impl Iterator<Item = (&str, PortDirection)> {
+        self.port_names()
+            .iter()
+            .map(String::as_str)
+            .zip(self.directions.iter().copied())
+    }
+
+    /// The net table: ports first, then internal nets, in declaration
+    /// order.  A [`NetId`] indexes it.
     pub fn nets(&self) -> &[String] {
         &self.nets
+    }
+
+    /// The name of `net`, or `None` for [`NetId::OPEN`] or an id beyond
+    /// the table.
+    pub fn net_name(&self, net: NetId) -> Option<&str> {
+        self.nets.get(net.index()).map(String::as_str)
     }
 
     /// Instances in declaration order.
     pub fn instances(&self) -> &[Instance] {
         &self.instances
-    }
-
-    /// Looks an instance up by name.
-    pub fn instance(&self, name: &str) -> Option<&Instance> {
-        self.instances.iter().find(|i| i.name == name)
-    }
-
-    /// Returns the nets that are not ports.
-    pub fn internal_nets(&self) -> Vec<&str> {
-        let ports: HashSet<&str> = self.ports.iter().map(|(p, _)| p.as_str()).collect();
-        self.nets
-            .iter()
-            .map(String::as_str)
-            .filter(|n| !ports.contains(n))
-            .collect()
-    }
-
-    /// Counts instances whose reference matches `name`.
-    pub fn count_instances_of(&self, name: &str) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.reference.name() == name)
-            .count()
     }
 }
 
@@ -193,89 +225,74 @@ mod tests {
     use super::*;
 
     fn sample_module() -> Module {
-        let mut m = Module::new("COLUMN");
-        m.add_port("RBL", PortDirection::Inout);
-        m.add_port("CLK", PortDirection::Input);
-        m.add_port("DOUT", PortDirection::Output);
-        m.add_net("COM");
+        let mut m = Module::with_ports(
+            "COLUMN",
+            [
+                ("RBL", PortDirection::Inout),
+                ("CLK", PortDirection::Input),
+                ("DOUT", PortDirection::Output),
+            ],
+        );
+        let com = m.add_net("COM");
         m.add_instance(Instance::new(
             "XCOMP",
-            InstanceRef::LeafCell("COMP_SA".into()),
+            InstanceRef::LeafCell(CellKind::Comparator),
+            // INP, INN, CLK, COM, COMB, VDD, VSS.
             [
-                ("INP".to_string(), "RBL".to_string()),
-                ("CLK".to_string(), "CLK".to_string()),
-                ("COM".to_string(), "COM".to_string()),
+                NetId::new(0),
+                NetId::OPEN,
+                NetId::new(1),
+                com,
+                NetId::OPEN,
+                NetId::OPEN,
+                NetId::OPEN,
             ],
         ));
         m
     }
 
     #[test]
-    fn ports_are_also_nets() {
+    fn ports_head_the_net_table() {
         let m = sample_module();
-        assert_eq!(m.ports().len(), 3);
-        assert!(m.nets().contains(&"RBL".to_string()));
-        assert!(m.nets().contains(&"COM".to_string()));
-        assert_eq!(m.internal_nets(), vec!["COM"]);
-        assert_eq!(m.port_names(), vec!["RBL", "CLK", "DOUT"]);
-    }
-
-    #[test]
-    fn add_net_is_idempotent() {
-        let mut m = Module::new("X");
-        m.add_net("A");
-        m.add_net("A");
-        assert_eq!(m.nets().len(), 1);
-
-        // A port re-declared as a net keeps its one entry, in the position
-        // it was first declared, among nets added before and after it.
-        let mut m = Module::new("Y");
-        m.add_net("N0");
-        m.add_port("A", PortDirection::Input);
-        m.add_net("N1");
-        m.add_net("A");
-        m.add_net("N0");
-        m.add_net("N2");
-        m.add_instance(Instance::new(
-            "XB",
-            InstanceRef::LeafCell("BUF".into()),
+        assert_eq!(m.port_count(), 3);
+        assert_eq!(m.nets(), ["RBL", "CLK", "DOUT", "COM"]);
+        assert_eq!(m.port_names(), ["RBL", "CLK", "DOUT"]);
+        assert_eq!(
+            m.ports().collect::<Vec<_>>(),
             [
-                ("A".to_string(), "A".to_string()),
-                ("Y".to_string(), "N3".to_string()),
-            ],
-        ));
-        assert_eq!(m.nets(), ["N0", "A", "N1", "N2", "N3"]);
-        assert_eq!(m.internal_nets(), vec!["N0", "N1", "N2", "N3"]);
+                ("RBL", PortDirection::Inout),
+                ("CLK", PortDirection::Input),
+                ("DOUT", PortDirection::Output),
+            ]
+        );
     }
 
     #[test]
-    fn instance_lookup_and_counting() {
+    fn add_net_returns_the_next_index() {
+        let mut m = Module::with_ports("Y", [("A", PortDirection::Input)]);
+        assert_eq!(m.add_net("N0"), NetId::new(1));
+        assert_eq!(m.add_net("N1"), NetId::new(2));
+        assert_eq!(m.nets(), ["A", "N0", "N1"]);
+        assert_eq!(Module::new("EMPTY").port_count(), 0);
+    }
+
+    #[test]
+    fn net_names_resolve_by_index() {
         let m = sample_module();
-        assert!(m.instance("XCOMP").is_some());
-        assert!(m.instance("MISSING").is_none());
-        assert_eq!(m.count_instances_of("COMP_SA"), 1);
-        assert_eq!(m.count_instances_of("SRAM8T"), 0);
-        assert_eq!(m.instance("XCOMP").unwrap().net_for("INP"), Some("RBL"));
-        assert_eq!(m.instance("XCOMP").unwrap().net_for("NOPE"), None);
+        let nets = &m.instances()[0].nets;
+        assert_eq!(m.net_name(nets[0]), Some("RBL"));
+        assert_eq!(m.net_name(nets[3]), Some("COM"));
+        assert_eq!(m.net_name(NetId::OPEN), None);
+        assert_eq!(m.net_name(NetId::new(4)), None);
     }
 
     #[test]
-    fn instance_connections_create_nets() {
-        // A net referenced only by an instance connection is still declared
-        // in the parent module.
-        let mut m2 = Module::new("Y");
-        m2.add_instance(Instance::new(
-            "XB",
-            InstanceRef::Module("BUF".into()),
-            [("A".to_string(), "NEWNET".to_string())],
-        ));
-        assert!(m2.nets().contains(&"NEWNET".to_string()));
-    }
-
-    #[test]
-    fn reference_kinds() {
-        assert_eq!(InstanceRef::LeafCell("SRAM8T".into()).name(), "SRAM8T");
-        assert_eq!(InstanceRef::Module("COLUMN".into()).name(), "COLUMN");
+    fn net_ids_and_references() {
+        assert!(NetId::OPEN.is_open());
+        assert!(!NetId::new(0).is_open());
+        assert_eq!(NetId::new(3).offset(4), NetId::new(7));
+        assert_eq!(NetId::new(7).index(), 7);
+        assert_eq!(ModuleId(2).to_string(), "module #2");
         assert_eq!(PortDirection::Inout.to_string(), "inout");
     }
 }

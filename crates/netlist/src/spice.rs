@@ -5,26 +5,28 @@
 //! definitions — the exchange format the paper's customized cell library
 //! uses for its component netlists.
 
-use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use acim_cell::{CellLibrary, DeviceKind};
+use acim_cell::{CellKind, CellLibrary, DeviceKind};
 
-use crate::design::Design;
+use crate::design::{leaf_cells, Design, CELL_KINDS};
 use crate::error::NetlistError;
-use crate::module::InstanceRef;
+use crate::module::{Instance, InstanceRef};
 
 /// Writes a design as a SPICE deck.
 ///
 /// Leaf-cell subcircuits are emitted first (transistor level), then the
-/// hierarchical modules bottom-up (instance level), and finally a top-level
-/// instantiation comment.
+/// hierarchical modules (instance level), and finally a top-level
+/// instantiation comment.  An instance's nets already follow its target's
+/// port order, so each connection is written by position.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::UnknownReference`] when an instance references a
-/// leaf cell that is not in the library.
+/// Returns the first error [`Design::validate`] would, for a design built
+/// by hand: an instance whose target is missing from the library or the
+/// design, whose arity is wrong, or whose net is beyond its parent's table.
 pub fn write_spice(design: &Design, library: &CellLibrary) -> Result<String, NetlistError> {
+    let cells = leaf_cells(library);
     let mut out = String::new();
     let _ = writeln!(out, "* SPICE netlist for design `{}`", design.name());
     let _ = writeln!(
@@ -33,102 +35,83 @@ pub fn write_spice(design: &Design, library: &CellLibrary) -> Result<String, Net
     );
     let _ = writeln!(out);
 
-    // Leaf cells used anywhere in the design.
-    let mut used_cells: Vec<String> = Vec::new();
-    for module in design.modules() {
-        for instance in module.instances() {
-            if let InstanceRef::LeafCell(name) = &instance.reference {
-                if !used_cells.contains(name) {
-                    used_cells.push(name.clone());
-                }
-            }
+    // The first instance of each leaf-cell kind used anywhere in the design.
+    let mut users: [Option<&Instance>; CELL_KINDS] = [None; CELL_KINDS];
+    for instance in design.modules().iter().flat_map(|m| m.instances()) {
+        if let InstanceRef::LeafCell(kind) = instance.reference {
+            users[kind as usize].get_or_insert(instance);
         }
     }
-    used_cells.sort();
-
-    for cell_name in &used_cells {
-        let cell =
-            library
-                .cell_by_name(cell_name)
-                .ok_or_else(|| NetlistError::UnknownReference {
-                    name: cell_name.clone(),
-                    referenced_from: "spice writer".to_string(),
-                })?;
+    // Leaf subcircuits in name order.
+    let mut kinds = CellKind::all();
+    kinds.sort_by_key(|kind| kind.cell_name());
+    for kind in kinds {
+        let Some(user) = users[kind as usize] else {
+            continue;
+        };
+        let cell = cells[kind as usize].ok_or_else(|| NetlistError::UnknownReference {
+            instance: user.name.clone(),
+            target: kind.cell_name().to_string(),
+        })?;
         let netlist = cell.netlist();
-        let _ = writeln!(out, ".SUBCKT {} {}", cell.name(), netlist.ports.join(" "));
+        let _ = writeln!(out, ".SUBCKT {} {}", cell.name(), Joined(&netlist.ports));
         for device in &netlist.devices {
-            match device.kind {
-                DeviceKind::Nmos => {
-                    let _ = writeln!(
-                        out,
-                        "M{} {} nch W={:.3}u L=0.03u",
-                        device.name,
-                        device.terminals.join(" "),
-                        0.09 * device.size
-                    );
-                }
-                DeviceKind::Pmos => {
-                    let _ = writeln!(
-                        out,
-                        "M{} {} pch W={:.3}u L=0.03u",
-                        device.name,
-                        device.terminals.join(" "),
-                        0.12 * device.size
-                    );
-                }
+            let terminals = Joined(&device.terminals);
+            let _ = match device.kind {
+                DeviceKind::Nmos => writeln!(
+                    out,
+                    "M{} {terminals} nch W={:.3}u L=0.03u",
+                    device.name,
+                    0.09 * device.size
+                ),
+                DeviceKind::Pmos => writeln!(
+                    out,
+                    "M{} {terminals} pch W={:.3}u L=0.03u",
+                    device.name,
+                    0.12 * device.size
+                ),
                 DeviceKind::Capacitor => {
-                    let _ = writeln!(
-                        out,
-                        "C{} {} {:.3}f",
-                        device.name,
-                        device.terminals.join(" "),
-                        device.size
-                    );
+                    writeln!(out, "C{} {terminals} {:.3}f", device.name, device.size)
                 }
-            }
+            };
         }
         let _ = writeln!(out, ".ENDS {}", cell.name());
         let _ = writeln!(out);
     }
 
-    // Hierarchical modules.  BTreeMap iteration is alphabetical, which puts
-    // COLUMN and LOCAL_ARRAY before the top module in the generated designs;
-    // SPICE does not require definition-before-use, so ordering is cosmetic.
-    for module in design.modules() {
-        let _ = write!(out, ".SUBCKT {} ", module.name());
-        push_joined(
-            &mut out,
-            module.ports().iter().map(|(port, _)| port.as_str()),
+    // Hierarchical modules in name order: `ACIM_TOP`, `COLUMN`, then
+    // `LOCAL_ARRAY` in the generated designs, an order the byte digests of
+    // `tests/emit_bytes.rs` pin.  SPICE does not require definition before
+    // use.
+    let mut order: Vec<usize> = (0..design.module_count()).collect();
+    order.sort_by_key(|&index| design.modules()[index].name());
+    for parent in order {
+        let module = &design.modules()[parent];
+        let _ = writeln!(
+            out,
+            ".SUBCKT {} {}",
+            module.name(),
+            Joined(module.port_names())
         );
-        out.push('\n');
         for instance in module.instances() {
-            let unknown = |name: &String| NetlistError::UnknownReference {
-                name: name.clone(),
-                referenced_from: module.name().to_string(),
-            };
-            let net = |port: &str| {
-                instance.net_for(port).map_or_else(
-                    // Unconnected ports are tied to an explicit open net.
-                    || Cow::Owned(format!("UNCONNECTED_{}_{port}", instance.name)),
-                    Cow::Borrowed,
-                )
-            };
+            let callee = design.callee(&cells, parent, instance)?;
             out.push('X');
             out.push_str(&instance.name);
             out.push(' ');
-            // Connections must be emitted in the target's port order.
-            match &instance.reference {
-                InstanceRef::LeafCell(name) => {
-                    let cell = library.cell_by_name(name).ok_or_else(|| unknown(name))?;
-                    push_joined(&mut out, cell.netlist().ports.iter().map(|p| net(p)));
+            for (position, (&net, port)) in instance.nets.iter().zip(callee.ports).enumerate() {
+                if position > 0 {
+                    out.push(' ');
                 }
-                InstanceRef::Module(name) => {
-                    let target = design.module(name).ok_or_else(|| unknown(name))?;
-                    push_joined(&mut out, target.ports().iter().map(|(p, _)| net(p)));
+                match module.net_name(net) {
+                    Some(name) => out.push_str(name),
+                    // An open port is tied to an explicit unconnected net.
+                    None => {
+                        let _ = write!(out, "UNCONNECTED_{}_{port}", instance.name);
+                    }
                 }
             }
             out.push(' ');
-            out.push_str(instance.reference.name());
+            out.push_str(callee.name);
             out.push('\n');
         }
         let _ = writeln!(out, ".ENDS {}", module.name());
@@ -142,13 +125,19 @@ pub fn write_spice(design: &Design, library: &CellLibrary) -> Result<String, Net
     Ok(out)
 }
 
-/// Appends `items` to `out`, separated by single spaces.
-fn push_joined<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = S>) {
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
+/// Displays names separated by single spaces, without joining them into
+/// a new string.
+struct Joined<'a>(&'a [String]);
+
+impl fmt::Display for Joined<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, item) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_char(' ')?;
+            }
+            f.write_str(item)?;
         }
-        out.push_str(item.as_ref());
+        Ok(())
     }
 }
 
@@ -156,7 +145,7 @@ fn push_joined<S: AsRef<str>>(out: &mut String, items: impl IntoIterator<Item = 
 mod tests {
     use super::*;
     use crate::generator::NetlistGenerator;
-    use crate::module::{Instance, Module, PortDirection};
+    use crate::module::{Module, NetId, PortDirection};
     use acim_arch::AcimSpec;
     use acim_tech::Technology;
 
@@ -215,23 +204,52 @@ mod tests {
     fn open_ports_and_empty_port_lists_keep_their_spacing() {
         let library = CellLibrary::s28_default(&Technology::s28());
         let mut design = Design::new("edge");
-        let mut sub = Module::new("SUB");
-        sub.add_port("A", PortDirection::Input);
-        sub.add_port("B", PortDirection::Output);
-        design.add_module(sub).unwrap();
-        design.add_module(Module::new("EMPTY")).unwrap();
+        let sub = design
+            .add_module(Module::with_ports(
+                "SUB",
+                [("A", PortDirection::Input), ("B", PortDirection::Output)],
+            ))
+            .unwrap();
+        let empty = design.add_module(Module::new("EMPTY")).unwrap();
         let mut top = Module::new("TOP");
+        let n = top.add_net("n");
         top.add_instance(Instance::new(
             "U",
-            InstanceRef::Module("SUB".into()),
-            [("A".to_string(), "n".to_string())],
+            InstanceRef::Module(sub),
+            [n, NetId::OPEN],
         ));
-        top.add_instance(Instance::new("E", InstanceRef::Module("EMPTY".into()), []));
+        top.add_instance(Instance::new("E", InstanceRef::Module(empty), []));
         design.add_module(top).unwrap();
         let deck = write_spice(&design, &library).unwrap();
         assert!(deck.contains("\n.SUBCKT EMPTY \n.ENDS EMPTY\n"), "{deck}");
         assert!(deck.contains("\nXU n UNCONNECTED_U_B SUB\n"), "{deck}");
         assert!(deck.contains("\nXE  EMPTY\n"), "{deck}");
+    }
+
+    #[test]
+    fn modules_and_leaf_cells_are_written_in_name_order() {
+        let (design, library) = small_design();
+        let deck = write_spice(&design, &library).unwrap();
+        let subckts: Vec<&str> = deck
+            .lines()
+            .filter_map(|line| line.strip_prefix(".SUBCKT "))
+            .map(|rest| rest.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(
+            subckts,
+            [
+                "BUF",
+                "COMP_SA",
+                "CSW",
+                "LC_CELL",
+                "SAR_CTRL",
+                "SAR_DFF",
+                "SRAM8T",
+                "ACIM_TOP",
+                "COLUMN",
+                "LOCAL_ARRAY"
+            ]
+        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! the Table 2 reproduction (design-complexity context) and by tests that
 //! check the generator scales correctly with (H, W, L, B_ADC).
 
-use acim_cell::CellLibrary;
+use acim_cell::{CellKind, CellLibrary};
 
-use crate::design::Design;
+use crate::design::{leaf_cells, Design, CELL_KINDS};
 use crate::error::NetlistError;
+use crate::module::InstanceRef;
 
 /// Aggregate statistics of a hierarchical design, fully elaborated from the
 /// top module.
@@ -31,62 +32,69 @@ pub struct DesignStats {
     pub capacitors: usize,
 }
 
-/// Computes the statistics of a design against a cell library.
+/// Computes the statistics of a design against a cell library.  A design
+/// without a top module has all-zero statistics.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::UnknownReference`] when the design references a
-/// leaf cell missing from the library.
+/// Returns the first error [`Design::validate`] would report in the top
+/// module or a module added before it: an instance whose target is
+/// missing, whose arity differs from its target's port count or whose net
+/// is beyond its parent's table.
 pub fn design_stats(design: &Design, library: &CellLibrary) -> Result<DesignStats, NetlistError> {
-    let mut stats = DesignStats::default();
-    let count = |cell_name: &str| -> Result<usize, NetlistError> {
-        let instances = design.count_leaf_instances(cell_name);
-        if instances > 0 && library.cell_by_name(cell_name).is_none() {
-            return Err(NetlistError::UnknownReference {
-                name: cell_name.to_string(),
-                referenced_from: "design_stats".to_string(),
-            });
-        }
-        Ok(instances)
+    let counts = leaf_counts(design, library)?;
+    let count = |kind: CellKind| counts[kind as usize];
+    let mut stats = DesignStats {
+        sram_cells: count(CellKind::Sram8T),
+        compute_cells: count(CellKind::ComputeCell),
+        comparators: count(CellKind::Comparator),
+        sar_dffs: count(CellKind::SarDff),
+        buffers: count(CellKind::Buffer),
+        total_leaf_instances: counts.iter().sum(),
+        ..DesignStats::default()
     };
-    stats.sram_cells = count("SRAM8T")?;
-    stats.compute_cells = count("LC_CELL")?;
-    stats.comparators = count("COMP_SA")?;
-    stats.sar_dffs = count("SAR_DFF")?;
-    stats.buffers = count("BUF")?;
-    let switches = count("CSW")?;
-    let sar_ctrl = count("SAR_CTRL")?;
-    stats.total_leaf_instances = stats.sram_cells
-        + stats.compute_cells
-        + stats.comparators
-        + stats.sar_dffs
-        + stats.buffers
-        + switches
-        + sar_ctrl;
-
-    // Elaborated transistor/capacitor counts from the leaf netlists.
-    for (name, instances) in [
-        ("SRAM8T", stats.sram_cells),
-        ("LC_CELL", stats.compute_cells),
-        ("COMP_SA", stats.comparators),
-        ("SAR_DFF", stats.sar_dffs),
-        ("BUF", stats.buffers),
-        ("CSW", switches),
-        ("SAR_CTRL", sar_ctrl),
-    ] {
-        if instances == 0 {
-            continue;
+    // Elaborated transistor/capacitor counts from the leaf netlists; every
+    // counted kind is in the library, or `leaf_counts` failed.
+    for (kind, cell) in CellKind::all().into_iter().zip(leaf_cells(library)) {
+        if let Some(cell) = cell {
+            stats.transistors += count(kind) * cell.netlist().transistor_count();
+            stats.capacitors += count(kind) * cell.netlist().capacitor_count();
         }
-        let cell = library
-            .cell_by_name(name)
-            .ok_or_else(|| NetlistError::UnknownReference {
-                name: name.to_string(),
-                referenced_from: "design_stats".to_string(),
-            })?;
-        stats.transistors += instances * cell.netlist().transistor_count();
-        stats.capacitors += instances * cell.netlist().capacitor_count();
     }
     Ok(stats)
+}
+
+/// Leaf-cell instances per `CellKind as usize` in the hierarchy under the
+/// top module, all zero without one.
+///
+/// Each module's counts are its own leaves plus its callee modules'
+/// counts.  A callee is always added before its caller, so one pass in
+/// that order counts each module once.
+pub(crate) fn leaf_counts(
+    design: &Design,
+    library: &CellLibrary,
+) -> Result<[usize; CELL_KINDS], NetlistError> {
+    let Some(top) = design.top_id() else {
+        return Ok([0; CELL_KINDS]);
+    };
+    let cells = leaf_cells(library);
+    let mut per_module: Vec<[usize; CELL_KINDS]> = Vec::with_capacity(top.index() + 1);
+    for (parent, module) in design.modules()[..=top.index()].iter().enumerate() {
+        let mut counts = [0; CELL_KINDS];
+        for instance in module.instances() {
+            design.callee(&cells, parent, instance)?;
+            match instance.reference {
+                InstanceRef::LeafCell(kind) => counts[kind as usize] += 1,
+                InstanceRef::Module(id) => {
+                    for (total, callee) in counts.iter_mut().zip(per_module[id.index()]) {
+                        *total += callee;
+                    }
+                }
+            }
+        }
+        per_module.push(counts);
+    }
+    Ok(per_module[top.index()])
 }
 
 #[cfg(test)]

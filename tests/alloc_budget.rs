@@ -1,13 +1,15 @@
-//! Heap-allocation budgets for the layout back half.
+//! Heap-allocation budgets for the back half: netlist and layout.
 //!
-//! A counting global allocator wraps [`System`].  The one test below lays
-//! out two pinned macros and counts the allocations (`alloc`,
-//! `alloc_zeroed` and `realloc` calls) each step makes: the column
-//! template, the macro assembly and the two writers.  Each count must stay
-//! under its ceiling, which is the count recorded when the budget was set
-//! plus about 10 % headroom for changes in std.  Allocation counts repeat
-//! exactly from run to run, unlike wall-clock time, so a step that starts
-//! allocating per shape or per grid node again fails here.
+//! A counting global allocator wraps [`System`].  The one test below
+//! netlists three pinned macros and lays out two, and counts the
+//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls) each step
+//! makes: the netlist generator, its statistics and the SPICE writer; the
+//! column template, the macro assembly and the DEF and GDS writers.  Each
+//! count must stay under its ceiling, which is the count recorded when the
+//! budget was set plus about 10 % headroom for changes in std.  Allocation
+//! counts repeat exactly from run to run, unlike wall-clock time, so a step
+//! that starts allocating per connection, per shape or per grid node again
+//! fails here.
 //!
 //! Everything runs in one test function, so no other test thread allocates
 //! while a step is being counted.  Run with `--nocapture` to print the
@@ -19,6 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
 use acim_layout::{write_def, write_gds_text, ColumnTemplate, LayoutFlow};
+use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
 
 /// Forwards to [`System`], counting every call that hands out memory.
@@ -66,8 +69,38 @@ fn counted<T>(step: impl FnOnce() -> T) -> (T, usize) {
     (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// A pinned macro and the allocations its four steps made when the budget
-/// was recorded.  Each step may make 10 % more, rounded up.
+/// A pinned macro and the allocations its three netlist steps made when
+/// the budget was recorded.  Each step may make 10 % more, rounded up.
+struct NetlistBudget {
+    dims: (usize, usize, usize, u32),
+    generate: usize,
+    stats: usize,
+    spice: usize,
+}
+
+const NETLIST_BUDGETS: [NetlistBudget; 3] = [
+    NetlistBudget {
+        dims: (64, 16, 4, 3),
+        generate: 838,
+        stats: 1,
+        spice: 12,
+    },
+    NetlistBudget {
+        dims: (1024, 16, 2, 8),
+        generate: 8_966,
+        stats: 1,
+        spice: 16,
+    },
+    NetlistBudget {
+        dims: (16, 1024, 2, 3),
+        generate: 19_419,
+        stats: 1,
+        spice: 17,
+    },
+];
+
+/// A pinned macro and the allocations its four layout steps made when the
+/// budget was recorded.  Each step may make 10 % more, rounded up.
 struct Budget {
     dims: (usize, usize, usize, u32),
     column: usize,
@@ -93,12 +126,49 @@ const BUDGETS: [Budget; 2] = [
     },
 ];
 
+/// Checks `count` against the ceiling of `recorded` and notes an overrun.
+fn check(over: &mut Vec<String>, what: String, count: usize, recorded: usize) {
+    let ceiling = recorded + recorded.div_ceil(10);
+    eprintln!("{what}: {count} allocations (recorded {recorded}, ceiling {ceiling})");
+    if count > ceiling {
+        over.push(format!("{what}: {count} > {ceiling}"));
+    }
+}
+
 #[test]
-fn layout_steps_stay_within_their_allocation_budgets() {
+fn back_half_steps_stay_within_their_allocation_budgets() {
     let tech = Technology::s28();
     let library = CellLibrary::s28_default(&tech);
+    let generator = NetlistGenerator::new(&library);
     let flow = LayoutFlow::new(&tech, &library);
     let mut over = Vec::new();
+    for budget in &NETLIST_BUDGETS {
+        let (h, w, l, bits) = budget.dims;
+        let spec = AcimSpec::from_dimensions(h, w, l, bits).expect("valid spec");
+        let (design, generate_count) =
+            counted(|| generator.generate(&spec).expect("netlist generates"));
+        let (stats, stats_count) = counted(|| design_stats(&design, &library).expect("stats"));
+        let (spice, spice_count) =
+            counted(|| write_spice(&design, &library).expect("SPICE writes"));
+        assert_eq!(stats.sram_cells, h * w);
+        assert!(!spice.is_empty());
+        for (step, count, recorded) in [
+            (
+                "NetlistGenerator::generate",
+                generate_count,
+                budget.generate,
+            ),
+            ("design_stats", stats_count, budget.stats),
+            ("write_spice", spice_count, budget.spice),
+        ] {
+            check(
+                &mut over,
+                format!("{h}x{w} L{l} B{bits} {step}"),
+                count,
+                recorded,
+            );
+        }
+    }
     for budget in &BUDGETS {
         let (h, w, l, bits) = budget.dims;
         let spec = AcimSpec::from_dimensions(h, w, l, bits).expect("valid spec");
@@ -116,11 +186,12 @@ fn layout_steps_stay_within_their_allocation_budgets() {
             ("write_def", def_count, budget.def),
             ("write_gds_text", gds_count, budget.gds),
         ] {
-            let ceiling = recorded + recorded.div_ceil(10);
-            eprintln!("{h}x{w} L{l} B{bits} {step}: {count} allocations (recorded {recorded}, ceiling {ceiling})");
-            if count > ceiling {
-                over.push(format!("{h}x{w} L{l} B{bits} {step}: {count} > {ceiling}"));
-            }
+            check(
+                &mut over,
+                format!("{h}x{w} L{l} B{bits} {step}"),
+                count,
+                recorded,
+            );
         }
     }
     assert!(over.is_empty(), "over budget: {over:#?}");

@@ -11,12 +11,14 @@
 //!
 //! Beside the byte pins, the same macros' [`LayoutMetrics`] are pinned:
 //! the wire length and the core and total dimensions as `f64` bits, and
-//! the via and instance counts.
+//! the via and instance counts.  Their netlists' [`DesignStats`] are
+//! pinned field by field, recorded while instances still held their
+//! connections in string maps.
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
 use acim_layout::{write_def, write_gds_text, LayoutFlow, LayoutMetrics};
-use acim_netlist::{write_spice, NetlistGenerator};
+use acim_netlist::{design_stats, write_spice, DesignStats, NetlistGenerator};
 use acim_tech::Technology;
 
 /// FNV-1a, 64 bit.
@@ -211,6 +213,87 @@ fn shape_bound_32x512_l2_b3_metrics() {
             core_height_um: 0x4052_347a_e147_ae14,  // 72.82
             total_width_um: 0x4090_0800_0000_0000,  // 1026.0
             total_height_um: 0x4052_a7ae_147a_e148, // 74.62
+        },
+    );
+}
+
+/// Netlists the `(H, W, L, B_ADC)` macro and checks every field of its
+/// [`DesignStats`] against `expected`.
+fn check_stats(dims: (usize, usize, usize, u32), expected: DesignStats) {
+    let (h, w, l, bits) = dims;
+    let library = CellLibrary::s28_default(&Technology::s28());
+    let spec = AcimSpec::from_dimensions(h, w, l, bits).expect("valid spec");
+    let design = NetlistGenerator::new(&library)
+        .generate(&spec)
+        .expect("netlist generates");
+    let stats = design_stats(&design, &library).expect("stats");
+    assert_eq!(stats, expected, "{h}x{w} L{l} B{bits}");
+}
+
+#[test]
+fn small_tile_64x16_l4_b3_stats() {
+    check_stats(
+        (64, 16, 4, 3),
+        DesignStats {
+            sram_cells: 1024,
+            compute_cells: 256,
+            comparators: 16,
+            sar_dffs: 48,
+            buffers: 112,
+            total_leaf_instances: 1488,
+            transistors: 10608,
+            capacitors: 256,
+        },
+    );
+}
+
+#[test]
+fn tall_4bit_256x16_l4_b4_stats() {
+    check_stats(
+        (256, 16, 4, 4),
+        DesignStats {
+            sram_cells: 4096,
+            compute_cells: 1024,
+            comparators: 16,
+            sar_dffs: 64,
+            buffers: 320,
+            total_leaf_instances: 5552,
+            transistors: 40000,
+            capacitors: 1024,
+        },
+    );
+}
+
+#[test]
+fn net_bound_1024x4_l2_b8_stats() {
+    check_stats(
+        (1024, 4, 2, 8),
+        DesignStats {
+            sram_cells: 4096,
+            compute_cells: 2048,
+            comparators: 4,
+            sar_dffs: 32,
+            buffers: 1056,
+            total_leaf_instances: 7244,
+            transistors: 47584,
+            capacitors: 2048,
+        },
+    );
+}
+
+#[test]
+fn shape_bound_32x512_l2_b3_stats() {
+    check_stats(
+        (32, 512, 2, 3),
+        DesignStats {
+            sram_cells: 16384,
+            compute_cells: 8192,
+            comparators: 512,
+            sar_dffs: 1536,
+            buffers: 1568,
+            total_leaf_instances: 29216,
+            transistors: 200320,
+            capacitors: 8192,
         },
     );
 }
