@@ -289,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn an_unknown_cell_is_rejected() {
+    fn validation_catches_unknown_cell_and_bad_port() {
         let mut library = CellLibrary::new();
         library.insert(self::library().cell(CellKind::Buffer).unwrap().clone());
         let mut design = Design::new("test");
@@ -302,6 +302,26 @@ mod tests {
             NetlistError::UnknownReference {
                 instance: "X0".into(),
                 target: "SRAM8T".into(),
+            },
+        );
+
+        // A net for a port the cell does not have is one net too many.
+        let mut design = Design::new("test2");
+        let mut m = module_with_nets("M", &["n"]);
+        m.add_instance(Instance::new(
+            "X0",
+            InstanceRef::LeafCell(CellKind::Sram8T),
+            vec![NetId::new(0); 8],
+        ));
+        design.add_module(m).unwrap();
+        assert_rejected(
+            design,
+            &self::library(),
+            NetlistError::ArityMismatch {
+                instance: "X0".into(),
+                target: "SRAM8T".into(),
+                expected: 7,
+                actual: 8,
             },
         );
     }
@@ -386,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_mismatch_in_walk_order_is_reported() {
+    fn validation_reports_the_first_mismatch_in_walk_order() {
         // Modules in the order added (for SPICE, in name order), instances
         // in order: the second instance of `T` in `A` is the first bad one,
         // although module `B`, added later, also has one.

@@ -223,6 +223,9 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::Design;
+    use acim_cell::CellLibrary;
+    use acim_tech::Technology;
 
     fn sample_module() -> Module {
         let mut m = Module::with_ports(
@@ -251,11 +254,46 @@ mod tests {
         m
     }
 
+    /// The instance called `name`.  Only tests look instances up by name.
+    fn instance<'m>(module: &'m Module, name: &str) -> Option<&'m Instance> {
+        module.instances().iter().find(|i| i.name == name)
+    }
+
+    /// The number of instances of the leaf cell called `cell`.
+    fn count_instances_of(module: &Module, cell: &str) -> usize {
+        module
+            .instances()
+            .iter()
+            .filter(
+                |i| matches!(i.reference, InstanceRef::LeafCell(kind) if kind.cell_name() == cell),
+            )
+            .count()
+    }
+
+    /// The net on `port` of a leaf-cell instance of `module`, resolved
+    /// through the cell's port list; `None` for an open or unknown port.
+    fn net_for<'m>(
+        module: &'m Module,
+        instance: &Instance,
+        library: &CellLibrary,
+        port: &str,
+    ) -> Option<&'m str> {
+        let InstanceRef::LeafCell(kind) = instance.reference else {
+            return None;
+        };
+        let ports = &library.cell(kind)?.netlist().ports;
+        let position = ports.iter().position(|p| p == port)?;
+        module.net_name(instance.nets[position])
+    }
+
     #[test]
-    fn ports_head_the_net_table() {
+    fn ports_are_also_nets() {
         let m = sample_module();
         assert_eq!(m.port_count(), 3);
+        assert!(m.nets().contains(&"RBL".to_string()));
+        assert!(m.nets().contains(&"COM".to_string()));
         assert_eq!(m.nets(), ["RBL", "CLK", "DOUT", "COM"]);
+        assert_eq!(&m.nets()[m.port_count()..], ["COM"]);
         assert_eq!(m.port_names(), ["RBL", "CLK", "DOUT"]);
         assert_eq!(
             m.ports().collect::<Vec<_>>(),
@@ -277,22 +315,44 @@ mod tests {
     }
 
     #[test]
-    fn net_names_resolve_by_index() {
+    fn instance_lookup_and_counting() {
+        let library = CellLibrary::s28_default(&Technology::s28());
         let m = sample_module();
-        let nets = &m.instances()[0].nets;
-        assert_eq!(m.net_name(nets[0]), Some("RBL"));
-        assert_eq!(m.net_name(nets[3]), Some("COM"));
+        assert!(instance(&m, "XCOMP").is_some());
+        assert!(instance(&m, "MISSING").is_none());
+        assert_eq!(count_instances_of(&m, "COMP_SA"), 1);
+        assert_eq!(count_instances_of(&m, "SRAM8T"), 0);
+        let xcomp = instance(&m, "XCOMP").unwrap();
+        assert_eq!(net_for(&m, xcomp, &library, "INP"), Some("RBL"));
+        assert_eq!(net_for(&m, xcomp, &library, "COM"), Some("COM"));
+        assert_eq!(net_for(&m, xcomp, &library, "INN"), None);
+        assert_eq!(net_for(&m, xcomp, &library, "NOPE"), None);
         assert_eq!(m.net_name(NetId::OPEN), None);
         assert_eq!(m.net_name(NetId::new(4)), None);
     }
 
     #[test]
-    fn net_ids_and_references() {
+    fn reference_kinds() {
+        // A leaf reference names its cell by kind; a module reference is
+        // the module's position in its design.
+        let mut design = Design::new("test");
+        design.add_module(Module::new("LOCAL_ARRAY")).unwrap();
+        let column = design.add_module(Module::new("COLUMN")).unwrap();
+        let name = |reference| match reference {
+            InstanceRef::LeafCell(kind) => kind.cell_name(),
+            InstanceRef::Module(id) => design.modules()[id.index()].name(),
+        };
+        assert_eq!(name(InstanceRef::LeafCell(CellKind::Sram8T)), "SRAM8T");
+        assert_eq!(name(InstanceRef::Module(column)), "COLUMN");
+        assert_eq!(column.to_string(), "module #1");
+        assert_eq!(PortDirection::Inout.to_string(), "inout");
+    }
+
+    #[test]
+    fn net_ids_index_the_table() {
         assert!(NetId::OPEN.is_open());
         assert!(!NetId::new(0).is_open());
         assert_eq!(NetId::new(3).offset(4), NetId::new(7));
         assert_eq!(NetId::new(7).index(), 7);
-        assert_eq!(ModuleId(2).to_string(), "module #2");
-        assert_eq!(PortDirection::Inout.to_string(), "inout");
     }
 }

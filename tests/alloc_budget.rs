@@ -135,8 +135,10 @@ fn check(over: &mut Vec<String>, what: String, count: usize, recorded: usize) {
     }
 }
 
+/// Counts the netlist steps, then the layout steps.  The name predates the
+/// netlist rows, which join this function so that one thread counts all.
 #[test]
-fn back_half_steps_stay_within_their_allocation_budgets() {
+fn layout_steps_stay_within_their_allocation_budgets() {
     let tech = Technology::s28();
     let library = CellLibrary::s28_default(&tech);
     let generator = NetlistGenerator::new(&library);
