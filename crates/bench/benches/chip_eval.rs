@@ -34,16 +34,16 @@ fn chip_eval(c: &mut Criterion) {
         });
     }
 
-    // Batch evaluation: a serial loop over the chips on the calling
-    // thread, each costing its rounds serially — what `ChipDesignProblem`
-    // runs for every NSGA-II generation.
+    // Eight chips scored one after another on the calling thread, each
+    // costing its rounds serially — what `ChipDesignProblem` runs for
+    // every NSGA-II generation.
     let chips: Vec<ChipSpec> = (1..=8)
         .map(|n| {
             ChipSpec::new(MacroGrid::uniform(1, n, spec).expect("valid grid"), 64)
                 .expect("valid chip")
         })
         .collect();
-    group.bench_function("evaluate_batch_8_chips", |b| {
+    group.bench_function("evaluate_8_chips", |b| {
         b.iter(|| {
             let results: Vec<_> = black_box(&chips)
                 .iter()

@@ -36,13 +36,13 @@ use std::fmt;
 
 use acim_arch::AcimSpec;
 use acim_model::{ModelParams, SpecKey};
-use acim_moga::CacheStats;
+use acim_moga::{CacheClient, CacheStats};
 use acim_workloads::{Network, WorkloadMix};
 
 use crate::error::ChipError;
 use crate::grid::MacroGrid;
 use crate::interconnect::ChipCostParams;
-use crate::metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
+use crate::metrics_cache::{MacroMetrics, MacroMetricsCache};
 use crate::partition::{partition_mix, LayerPartition, MixPartition, RoundPartition};
 
 /// A complete chip specification: the macro grid plus the sizing of the
@@ -356,7 +356,7 @@ pub struct ChipEvaluator {
     cost: ChipCostParams,
     // Clones share the client's counters, so one request's attribution
     // covers every clone it hands out.
-    macro_client: MacroCacheClient,
+    macro_client: CacheClient<SpecKey, MacroMetrics>,
 }
 
 impl ChipEvaluator {
@@ -371,7 +371,7 @@ impl ChipEvaluator {
         Ok(Self {
             params,
             cost,
-            macro_client: MacroCacheClient::detached(),
+            macro_client: CacheClient::detached(),
         })
     }
 
@@ -401,7 +401,7 @@ impl ChipEvaluator {
     /// service-shared cache every request reports its own reuse.
     #[must_use]
     pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.macro_client = MacroCacheClient::attached(cache);
+        self.macro_client = CacheClient::attached(cache);
         self
     }
 
@@ -421,14 +421,11 @@ impl ChipEvaluator {
     }
 
     /// Derives one macro's metrics, consulting the shared cache when one
-    /// is installed.  Racing workers may both derive the same macro (the
-    /// derivation runs outside the cache lock and is a pure function, so
-    /// the duplicate work is harmless), but attribution stays
-    /// deterministic — see [`MacroCacheClient::get_or_derive`].
+    /// is installed (see [`CacheClient::get_or_compute`]).
     fn macro_metrics(&self, key: SpecKey, spec: &AcimSpec) -> Result<MacroMetrics, ChipError> {
         Ok(self
             .macro_client
-            .get_or_derive(key, || MacroMetrics::derive(spec, &self.params))?)
+            .get_or_compute(key, || MacroMetrics::derive(spec, &self.params))?)
     }
 
     /// Derives the per-grid-position macro metrics of one chip, folding

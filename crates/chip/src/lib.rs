@@ -67,7 +67,7 @@ pub use evaluate::{
 };
 pub use grid::MacroGrid;
 pub use interconnect::{AccumulatorParams, BufferParams, ChipCostParams, InterconnectParams};
-pub use metrics_cache::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
+pub use metrics_cache::{MacroMetrics, MacroMetricsCache};
 pub use partition::{
     partition_mix, LayerPartition, MixPartition, Partition, RoundPartition, TileAssignment,
 };

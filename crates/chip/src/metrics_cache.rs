@@ -22,7 +22,7 @@
 
 use acim_arch::AcimSpec;
 use acim_model::{evaluate, DesignMetrics, ModelError, ModelParams, SpecKey};
-use acim_moga::{CacheCounters, CacheStats, SharedCache, TryInsert};
+use acim_moga::SharedCache;
 
 /// Everything the chip evaluator needs per macro, cached as one value:
 /// the closed-form design metrics and the macro cycle time.
@@ -57,99 +57,12 @@ impl MacroMetrics {
 /// service keeps one cache per model-parameter signature and hands clones
 /// to every request's evaluator, so concurrent chip requests — and mixed
 /// macro + chip sessions over the same parameters — reuse each other's
-/// per-macro work.  Hit/miss attribution lives with the evaluator that
-/// consults the cache (see `ChipEvaluator::macro_cache_stats`), not here,
-/// mirroring the per-wrapper counters of `CachedProblem`.
-pub type MacroMetricsCache = SharedCache<SpecKey, MacroMetrics>;
-
-/// One consumer's attributed view of a [`MacroMetricsCache`]: the cache
-/// handle (optional — a detached client just derives) plus this
-/// consumer's hit/miss/eviction counters.
-///
-/// The counters are a telemetry-backed [`CacheCounters`] triple, shared
-/// across clones, so every clone of an evaluator still attributes its
-/// lookups to the request that made it — while two
-/// different requests (two clients) on one shared cache each report
-/// their own reuse.  Both macro-metric consumers in the
-/// workspace (`ChipEvaluator` and the macro-space `AcimDesignProblem`)
-/// embed this client, so the lookup/attribution semantics cannot drift
+/// per-macro work.  Both consumers (`ChipEvaluator` and the macro-space
+/// `AcimDesignProblem`) look up through an [`acim_moga::CacheClient`],
+/// the same first-wins get-or-compute and per-request hit/miss
+/// attribution as `CachedProblem`'s, so the two cache layers cannot drift
 /// apart.
-#[derive(Debug, Clone, Default)]
-pub struct MacroCacheClient {
-    cache: Option<MacroMetricsCache>,
-    counters: CacheCounters,
-}
-
-impl MacroCacheClient {
-    /// A client with no cache: every derivation is computed, nothing is
-    /// counted.
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
-    /// A client over a shared cache, with fresh counters.
-    pub fn attached(cache: MacroMetricsCache) -> Self {
-        Self {
-            cache: Some(cache),
-            ..Self::default()
-        }
-    }
-
-    /// The attached cache, when reuse is enabled.
-    pub fn cache(&self) -> Option<&MacroMetricsCache> {
-        self.cache.as_ref()
-    }
-
-    /// Snapshot of this client's (and its clones') attribution.
-    pub fn stats(&self) -> CacheStats {
-        self.counters.stats()
-    }
-
-    /// Returns the cached metrics for `key`, deriving and inserting on a
-    /// miss.  Detached clients just run `derive`.
-    ///
-    /// `derive` runs **outside** the cache lock, so a cold burst of
-    /// parallel workers is never serialized by the mutex — each lock
-    /// round-trip is just a hash operation.  Two workers racing on one
-    /// key may both derive (harmless: the metrics are pure functions of
-    /// the key, and [`SharedCache::try_insert`] keeps exactly one
-    /// copy), but attribution stays deterministic: the insert is
-    /// first-wins, so the loser counts its lookup as a hit — per request,
-    /// `misses` always equals the entries the request actually inserted
-    /// and `hits + misses` equals its lookups, on any core count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `derive`'s error; nothing is inserted or counted then.
-    pub fn get_or_derive<E>(
-        &self,
-        key: SpecKey,
-        derive: impl FnOnce() -> Result<MacroMetrics, E>,
-    ) -> Result<MacroMetrics, E> {
-        let Some(cache) = &self.cache else {
-            return derive();
-        };
-        if let Some(metrics) = cache.get(&key) {
-            self.counters.hits.inc();
-            return Ok(metrics);
-        }
-        let metrics = derive()?;
-        match cache.try_insert(key, metrics) {
-            TryInsert::Inserted { evicted } => {
-                self.counters.misses.inc();
-                if evicted {
-                    self.counters.evictions.inc();
-                }
-            }
-            // Raced with another worker that derived the same macro
-            // first: by the time we finished, the cache knew the answer.
-            TryInsert::AlreadyPresent => {
-                self.counters.hits.inc();
-            }
-        }
-        Ok(metrics)
-    }
-}
+pub type MacroMetricsCache = SharedCache<SpecKey, MacroMetrics>;
 
 #[cfg(test)]
 mod tests {
@@ -204,9 +117,11 @@ mod tests {
         let (key, metrics) = metrics_of(128, 32, 4, 3);
         cache.insert(key, metrics);
         let poisoner = cache.clone();
+        // The import panics mid-merge, while it holds the cache lock.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = poisoner.lock();
-            panic!("tenant panicked while holding the cache lock");
+            poisoner.import_entries(std::iter::from_fn(|| -> Option<(SpecKey, MacroMetrics)> {
+                panic!("tenant panicked while holding the cache lock")
+            }));
         }));
         assert!(result.is_err());
         assert_eq!(cache.get(&key), Some(metrics));

@@ -564,7 +564,6 @@ mod tests {
         BinaryMvm {
             weights: vec![vec![true; cols]; rows],
             activations: vec![true; cols],
-            reference: vec![cols as f64; rows],
             label: format!("ones_{rows}x{cols}"),
         }
     }

@@ -12,10 +12,9 @@
 //! ([`MixObjective`]) and an optional Monte-Carlo device-variation yield
 //! constraint ([`RobustnessConfig`]).
 //!
-//! A chip evaluation costs microseconds, so [`ChipDesignProblem`] scores
-//! every NSGA-II generation on the calling thread through the
-//! [`Problem::evaluate_batch`] default, a serial map over
-//! [`Problem::evaluate`], and exploration is bit-reproducible per seed.
+//! A chip evaluation costs microseconds, so the optimisers score each
+//! [`ChipDesignProblem`] genome through [`Problem::evaluate`] on the
+//! calling thread, and exploration is bit-reproducible per seed.
 //!
 //! With [`ChipDseConfig::heterogeneous`] the genome additionally carries
 //! **per-tile macro genes**, letting NSGA-II mix macro shapes across the
@@ -928,26 +927,6 @@ mod tests {
         let eval = Problem::evaluate(&problem, &poisoned);
         assert!(!eval.is_feasible());
         assert!(problem.decode_point(&poisoned).is_none());
-    }
-
-    #[test]
-    fn batch_evaluation_matches_serial_in_order() {
-        for config in [quick_config(), hetero_config()] {
-            let problem = ChipDesignProblem::new(&config).unwrap();
-            let n = problem.num_variables();
-            let genomes: Vec<Vec<f64>> = (0..24)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| ((i * 31 + j * 17) % 100) as f64 / 99.0)
-                        .collect()
-                })
-                .collect();
-            let batch = problem.evaluate_batch(&genomes);
-            assert_eq!(batch.len(), genomes.len());
-            for (genes, eval) in genomes.iter().zip(&batch) {
-                assert_eq!(eval, &problem.evaluate(genes));
-            }
-        }
     }
 
     #[test]

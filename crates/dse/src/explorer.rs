@@ -187,7 +187,7 @@ impl Budget {
 
 /// What [`explore_problem`] needs from a design problem on top of
 /// [`Problem`].
-pub(crate) trait Explorable: Problem + Clone + Sync {
+pub(crate) trait Explorable: Problem + Clone {
     /// The decoded design of a genome.
     type Point;
 
@@ -268,19 +268,16 @@ pub(crate) fn explore_problem<P: Explorable>(
     };
     let problem = &problem;
     // Keyed by decode buckets, the cache answers re-sampled designs for
-    // free and forwards each generation's unique misses to the problem as
-    // one batch.
+    // free and forwards only the misses to the problem.
     let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
         .with_shared_store(options.cache.clone().unwrap_or_default());
     let mut archive = RunArchive::default();
     // Warm-start seeds are archived up front (feasible ones only), so the
     // warm frontier dominates-or-equals the one it was seeded from.
-    if !options.warm_start.is_empty() {
-        let evals = cached.evaluate_batch(&options.warm_start);
-        for (genome, eval) in options.warm_start.iter().zip(evals) {
-            if eval.is_feasible() {
-                archive.offer(&eval.objectives, genome);
-            }
+    for genome in &options.warm_start {
+        let eval = cached.evaluate(genome);
+        if eval.is_feasible() {
+            archive.offer(&eval.objectives, genome);
         }
     }
     let nsga_config = Nsga2Config {

@@ -1,9 +1,9 @@
 //! The ACIM design problem as an [`acim_moga::Problem`].
 
 use acim_arch::AcimSpec;
-use acim_chip::{MacroCacheClient, MacroMetrics, MacroMetricsCache};
+use acim_chip::{MacroMetrics, MacroMetricsCache};
 use acim_model::{DesignMetrics, ModelError, ModelParams, SpecKey};
-use acim_moga::{CacheStats, Evaluation, Problem};
+use acim_moga::{CacheClient, CacheStats, Evaluation, Problem};
 
 use crate::encoding::DesignEncoding;
 use crate::error::DseError;
@@ -21,17 +21,16 @@ use crate::solution::DesignPoint;
 /// store of per-macro `DesignMetrics` — with the same bit-identical
 /// results, since the metrics are pure functions of `(spec, params)`.
 ///
-/// A batch is scored through the trait's serial map over
-/// [`Problem::evaluate`] on the calling thread: one evaluation is a decode
-/// plus a ~100 ns closed-form evaluation, far below what a helper thread
-/// costs to spawn.
+/// The optimisers score each genome through [`Problem::evaluate`] on the
+/// calling thread: one evaluation is a decode plus a ~100 ns closed-form
+/// evaluation, far below what a helper thread costs to spawn.
 #[derive(Debug, Clone)]
 pub struct AcimDesignProblem {
     encoding: DesignEncoding,
     params: ModelParams,
     // Clones share the client's counters, so per-request attribution
     // survives cloning the problem.
-    macro_client: MacroCacheClient,
+    macro_client: CacheClient<SpecKey, MacroMetrics>,
 }
 
 impl AcimDesignProblem {
@@ -53,7 +52,7 @@ impl AcimDesignProblem {
         Ok(Self {
             encoding,
             params,
-            macro_client: MacroCacheClient::detached(),
+            macro_client: CacheClient::detached(),
         })
     }
 
@@ -61,7 +60,7 @@ impl AcimDesignProblem {
     /// [`ModelParams`]) and resets the hit/miss attribution.
     #[must_use]
     pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.macro_client = MacroCacheClient::attached(cache);
+        self.macro_client = CacheClient::attached(cache);
         self
     }
 
@@ -76,7 +75,7 @@ impl AcimDesignProblem {
     /// cache when one is installed (a detached client just derives).
     fn spec_metrics(&self, spec: &AcimSpec) -> Result<DesignMetrics, ModelError> {
         self.macro_client
-            .get_or_derive(SpecKey::of(spec), || {
+            .get_or_compute(SpecKey::of(spec), || {
                 MacroMetrics::derive(spec, &self.params)
             })
             .map(|metrics| metrics.design)
@@ -209,22 +208,6 @@ mod tests {
         let eval = p.evaluate(&genes);
         assert!(!eval.is_feasible());
         assert!(p.decode_point(&genes).is_none());
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial_in_order() {
-        let p = problem();
-        let genomes: Vec<Vec<f64>> = (0..32)
-            .map(|i| {
-                let x = f64::from(i) / 31.0;
-                vec![x, (x * 7.3) % 1.0, (x * 3.1) % 1.0]
-            })
-            .collect();
-        let batch = p.evaluate_batch(&genomes);
-        assert_eq!(batch.len(), genomes.len());
-        for (genes, eval) in genomes.iter().zip(&batch) {
-            assert_eq!(eval, &p.evaluate(genes));
-        }
     }
 
     #[test]

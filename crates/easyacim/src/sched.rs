@@ -203,9 +203,25 @@ impl<T> JobSlot<T> {
 /// it.  The split keeps expensive job construction (telemetry spans,
 /// explorer clones) out of the rejection path: a rejected request builds
 /// nothing.
-#[derive(Debug)]
-pub(crate) struct Ticket {
+///
+/// A ticket dropped without being enqueued (its job failed to build, say
+/// by panicking) returns its slot, so the queue depth falls back and a
+/// shutdown waiting for outstanding reservations still finishes.
+pub(crate) struct Ticket<'s, T> {
     seq: u64,
+    shared: &'s Shared<T>,
+}
+
+impl<T> Drop for Ticket<'_, T> {
+    fn drop(&mut self) {
+        {
+            let mut state = self.shared.lock_state();
+            state.queued -= 1;
+            state.reservations -= 1;
+        }
+        // A shutting-down worker may be waiting for this reservation.
+        self.shared.work_ready.notify_all();
+    }
 }
 
 struct QueuedJob<T> {
@@ -258,6 +274,12 @@ struct Shared<T> {
     work_ready: Condvar,
 }
 
+impl<T> Shared<T> {
+    fn lock_state(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The bounded, priority-ordered admission scheduler (see the module
 /// docs).  Dropping it shuts down: remaining queued jobs run to
 /// completion, then the workers exit and are joined.
@@ -308,13 +330,6 @@ impl<T: Send + 'static> Scheduler<T> {
 // shutdown only move already-`Send` jobs around, and `Drop` must compile
 // without the `Send` bound.
 impl<T> Scheduler<T> {
-    fn lock_state(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The fixed worker-set size.
     pub(crate) fn worker_count(&self) -> usize {
         self.worker_count
@@ -327,7 +342,7 @@ impl<T> Scheduler<T> {
 
     /// Jobs admitted but not yet claimed by a worker.
     pub(crate) fn queue_depth(&self) -> usize {
-        self.lock_state().queued
+        self.shared.lock_state().queued
     }
 
     /// Atomically claims one unit of queue capacity and the next
@@ -337,8 +352,8 @@ impl<T> Scheduler<T> {
     ///
     /// [`AdmitError::QueueFull`] at capacity, [`AdmitError::ShuttingDown`]
     /// after [`Scheduler::shutdown`] started.
-    pub(crate) fn reserve(&self) -> Result<Ticket, AdmitError> {
-        let mut state = self.lock_state();
+    pub(crate) fn reserve(&self) -> Result<Ticket<'_, T>, AdmitError> {
+        let mut state = self.shared.lock_state();
         if state.shutting_down {
             return Err(AdmitError::ShuttingDown);
         }
@@ -351,7 +366,10 @@ impl<T> Scheduler<T> {
         state.reservations += 1;
         let seq = state.next_seq;
         state.next_seq += 1;
-        Ok(Ticket { seq })
+        Ok(Ticket {
+            seq,
+            shared: &self.shared,
+        })
     }
 
     /// Lands a reserved job in the queue.  Infallible by design: the
@@ -360,12 +378,15 @@ impl<T> Scheduler<T> {
     /// so the job still runs.
     pub(crate) fn enqueue(
         &self,
-        ticket: Ticket,
+        ticket: Ticket<'_, T>,
         priority: Priority,
         slot: Arc<JobSlot<T>>,
         work: Box<dyn FnOnce() -> T + Send>,
     ) {
-        let mut state = self.lock_state();
+        // The queued job takes over the ticket's slot, so the ticket must
+        // not return it on drop.
+        let ticket = std::mem::ManuallyDrop::new(ticket);
+        let mut state = self.shared.lock_state();
         state.reservations -= 1;
         state.heap.push(QueuedJob {
             priority,
@@ -385,7 +406,7 @@ impl<T> Scheduler<T> {
     /// drain finishes.
     pub(crate) fn shutdown(&self) {
         {
-            let mut state = self.lock_state();
+            let mut state = self.shared.lock_state();
             state.shutting_down = true;
         }
         self.shared.work_ready.notify_all();
@@ -411,7 +432,7 @@ impl<T> Drop for Scheduler<T> {
 fn worker_loop<T: Send + 'static>(shared: Arc<Shared<T>>) {
     loop {
         let job = {
-            let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = shared.lock_state();
             loop {
                 if let Some(job) = state.heap.pop() {
                     state.queued -= 1;
@@ -477,6 +498,20 @@ mod tests {
             assert_eq!(slot.take_blocking(), i * i);
         }
         assert_eq!(scheduler.queue_depth(), 0);
+    }
+
+    #[test]
+    fn dropped_ticket_returns_its_slot() {
+        // A job that fails to build drops its ticket unused: the slot
+        // comes back, and shutdown does not wait for it forever.
+        let scheduler: Scheduler<usize> = Scheduler::new(1, 1, "test");
+        let ticket = scheduler.reserve().unwrap();
+        assert_eq!(scheduler.queue_depth(), 1);
+        drop(ticket);
+        assert_eq!(scheduler.queue_depth(), 0);
+        let slot = submit(&scheduler, Priority::Normal, || 7).unwrap();
+        assert_eq!(slot.take_blocking(), 7);
+        scheduler.shutdown();
     }
 
     #[test]

@@ -999,10 +999,11 @@ fn check_session(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Capacity bound of each per-design-space evaluation cache
-    /// (genome-level entries).  `None` = unbounded.
+    /// (genome-level entries, clamped to at least 1).  `None` = unbounded.
     pub cache_capacity: Option<usize>,
     /// Capacity bound of each per-parameter-set macro-metric cache
-    /// (distinct macro shapes).  `None` = unbounded.
+    /// (distinct macro shapes, clamped to at least 1).  `None` =
+    /// unbounded.
     pub macro_metric_capacity: Option<usize>,
     /// Worker threads of the admission scheduler (the hard bound on
     /// concurrently executing jobs).  `None` = the machine's available
@@ -1193,7 +1194,7 @@ impl ExplorationService {
         self.lock_caches()
             .entry(space.to_string())
             .or_insert_with(|| match self.config.cache_capacity {
-                Some(capacity) => CacheStore::bounded(capacity),
+                Some(capacity) => CacheStore::bounded(capacity.max(1)),
                 None => CacheStore::new(),
             })
             .clone()
@@ -1212,7 +1213,7 @@ impl ExplorationService {
         self.lock_macro_caches()
             .entry(signature.to_string())
             .or_insert_with(|| match self.config.macro_metric_capacity {
-                Some(capacity) => MacroMetricsCache::bounded(capacity),
+                Some(capacity) => MacroMetricsCache::bounded(capacity.max(1)),
                 None => MacroMetricsCache::new(),
             })
             .clone()
@@ -1502,7 +1503,6 @@ impl ExplorationService {
         if let Some(label) = &admission.label {
             root.attr("label", label.clone());
         }
-        self.instruments.queue.inc();
         RequestInstruments {
             root,
             latency: kind.latency.clone(),
@@ -1588,7 +1588,9 @@ impl ExplorationService {
 
     /// Reserves one admission-queue slot, mapping a refusal to
     /// [`SubmitError`] and counting it in `service_rejected_total`.
-    fn reserve_admission(&self) -> Result<Ticket, SubmitError> {
+    fn reserve_admission(
+        &self,
+    ) -> Result<Ticket<'_, Result<ExplorationResponse, FlowError>>, SubmitError> {
         self.scheduler.reserve().map_err(|err| match err {
             AdmitError::QueueFull { depth } => {
                 self.instruments.rejected_full.inc();
@@ -1726,6 +1728,9 @@ impl ExplorationService {
             result
         });
         let slot = JobSlot::new();
+        // Counted only once the job is built: a job that fails to build
+        // never reaches a worker to take it off the gauge.
+        self.instruments.queue.inc();
         self.scheduler
             .enqueue(ticket, admission.priority, slot.clone(), work);
         Ok(JobHandle {
@@ -2482,6 +2487,29 @@ mod tests {
             snapshot.gauge("service_cache_evictions", &[]),
             Some(evictions as f64)
         );
+    }
+
+    #[test]
+    fn zero_cache_capacities_clamp_to_one() {
+        // A zero bound used to panic while the job was being built, after
+        // admission had reserved its queue slot: the slot leaked and the
+        // service's drop waited for it forever.
+        let service = ExplorationService::with_config(ServiceConfig::bounded(0, 0));
+        let mut config = FlowConfig::new(4 * 1024);
+        config.dse.population_size = 8;
+        config.dse.generations = 2;
+        config.max_layouts = 1;
+        service
+            .run(ExplorationRequest::macro_space(config))
+            .unwrap();
+        assert_eq!(service.cached_evaluations(), 1);
+        assert_eq!(service.cached_macro_metrics(), 1);
+        assert_eq!(service.queue_depth(), 0);
+        assert_eq!(
+            service.telemetry().gauge("service_queue_jobs", &[]),
+            Some(0.0)
+        );
+        drop(service);
     }
 
     #[test]

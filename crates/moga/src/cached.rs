@@ -9,11 +9,6 @@
 //! designs are never re-evaluated, and counts hits/misses so run reports
 //! can show how much evaluation work the cache absorbed.
 //!
-//! The batch path is duplicate-aware: genomes that repeat *within* one
-//! batch are also evaluated only once, and only the unique misses are
-//! forwarded to the inner problem's [`Problem::evaluate_batch`], in
-//! first-occurrence order.
-//!
 //! Caching is transparent to seeded runs: a hit returns a clone of exactly
 //! the evaluation the serial path would have recomputed, so Pareto fronts
 //! are bit-identical with and without the wrapper (provided the key
@@ -28,21 +23,33 @@
 //! [`CachedProblem::with_shared_store`]: entries written by one request are
 //! hits for the next, while the hit/miss counters stay **per wrapper**, so
 //! each request still reports its own [`CacheStats`].
+//!
+//! # One lookup, first-wins attribution
+//!
+//! Every cache layer of the workspace (this wrapper, and the chip
+//! evaluator's macro-metric cache downstream) looks up through one
+//! [`CacheClient::get_or_compute`].  A hit counts a hit.  A miss computes
+//! outside the cache lock, then inserts only if the key is still absent,
+//! counting a miss (plus an eviction when the insert pushed an entry out of
+//! a bounded store).  When another request inserted the key first, the
+//! lookup counts as a hit and the stored entry is kept.  So per request,
+//! `misses` equals the entries the request inserted and `hits + misses`
+//! equals its lookups.
 
-use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::Hash;
 
 use acim_telemetry::Counter;
 
+use crate::clock::TryInsert;
 use crate::problem::{Evaluation, Problem};
 use crate::shared_cache::SharedCache;
 
-/// Hit/miss/eviction counters of a [`CachedProblem`] (or any other cache
-/// reporting through the same shape, like the chip evaluator's
-/// macro-metric cache).
+/// Hit/miss/eviction counters of a [`CacheClient`]: a [`CachedProblem`]'s
+/// or the chip evaluator's macro-metric cache's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Evaluations answered from the cache (including duplicates within a
-    /// single batch).
+    /// Evaluations answered from the cache.
     pub hits: usize,
     /// Evaluations that had to be computed by the inner problem.
     pub misses: usize,
@@ -82,32 +89,20 @@ impl CacheStats {
     }
 }
 
-/// The hit/miss/eviction counter triple every cache layer in this
-/// workspace records into — [`CachedProblem`] here, the chip evaluator's
-/// `MacroCacheClient` downstream.
-///
-/// The counters are lock-free telemetry [`Counter`]s, read out in the
-/// [`CacheStats`] shape by [`CacheCounters::stats`].  Clones share the
-/// underlying values.
+/// The hit/miss/eviction counters of one [`CacheClient`]: lock-free
+/// telemetry [`Counter`]s, read out by [`CacheCounters::stats`].  Clones
+/// share the underlying values.
 #[derive(Debug, Clone, Default)]
-pub struct CacheCounters {
-    /// Requests answered from the cache.
-    pub hits: Counter,
-    /// Requests that had to be computed.
-    pub misses: Counter,
-    /// Entries this owner's inserts pushed out of a bounded store.
-    pub evictions: Counter,
+struct CacheCounters {
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl CacheCounters {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot in the legacy [`CacheStats`] shape. Values are clamped
-    /// into `usize` (a non-issue on 64-bit targets).
-    pub fn stats(&self) -> CacheStats {
+    /// Snapshot in the [`CacheStats`] shape. Values are clamped into
+    /// `usize` (a non-issue on 64-bit targets).
+    fn stats(&self) -> CacheStats {
         let clamp = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
         CacheStats {
             hits: clamp(self.hits.get()),
@@ -133,6 +128,94 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
+/// One consumer's attributed view of a [`SharedCache`]: the cache handle
+/// (optional: a detached client just computes) plus this consumer's
+/// hit/miss/eviction counters.
+///
+/// Clones share the counters, so every clone of a problem or evaluator
+/// attributes its lookups to the request that made it, while two clients
+/// on one shared cache each report their own reuse.
+#[derive(Clone)]
+pub struct CacheClient<K, V> {
+    cache: Option<SharedCache<K, V>>,
+    counters: CacheCounters,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> CacheClient<K, V> {
+    /// A client with no cache: every lookup computes, nothing is counted.
+    pub fn detached() -> Self {
+        Self {
+            cache: None,
+            counters: CacheCounters::default(),
+        }
+    }
+
+    /// A client over a shared cache, with fresh counters.
+    pub fn attached(cache: SharedCache<K, V>) -> Self {
+        Self {
+            cache: Some(cache),
+            counters: CacheCounters::default(),
+        }
+    }
+
+    /// The attached cache, if any.
+    pub fn cache(&self) -> Option<&SharedCache<K, V>> {
+        self.cache.as_ref()
+    }
+
+    /// Snapshot of this client's (and its clones') attribution.
+    pub fn stats(&self) -> CacheStats {
+        self.counters.stats()
+    }
+
+    /// Returns the cached value of `key`, computing and inserting it on a
+    /// miss; a detached client just runs `compute`.
+    ///
+    /// `compute` runs outside the cache lock, so a slow computation never
+    /// blocks the other requests on the cache.  Two requests racing on one
+    /// key may both compute, which is harmless (values are pure functions
+    /// of their keys), and the insert is first-wins: the later request
+    /// keeps the stored entry and counts its lookup as a hit (see the
+    /// [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s error; nothing is inserted or counted then.
+    pub fn get_or_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        if let Some(value) = cache.get(&key) {
+            self.counters.hits.inc();
+            return Ok(value);
+        }
+        let value = compute()?;
+        match cache.try_insert(key, value.clone()) {
+            TryInsert::Inserted { evicted } => {
+                self.counters.misses.inc();
+                if evicted {
+                    self.counters.evictions.inc();
+                }
+            }
+            TryInsert::AlreadyPresent => self.counters.hits.inc(),
+        }
+        Ok(value)
+    }
+}
+
+impl<K: Eq + Hash + Clone, V> std::fmt::Debug for CacheClient<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CacheClient")
+            .field("cache", &self.cache)
+            .field("stats", &self.counters.stats())
+            .finish()
+    }
+}
+
 /// The shared evaluation store: a [`SharedCache`] from genome keys to
 /// [`Evaluation`]s.
 ///
@@ -148,12 +231,11 @@ impl std::fmt::Display for CacheStats {
 /// process.  Eviction never changes results: entries are pure functions
 /// of their keys, so an evicted entry is a future miss, not a different
 /// answer.  Every lock recovers a poisoned mutex (see
-/// [`SharedCache::lock`]), so one panicking tenant cannot take the others
-/// down.
+/// [`SharedCache`]), so one panicking tenant cannot take the others down.
 pub type CacheStore = SharedCache<Vec<i64>, Evaluation>;
 
 /// A genome → cache-key function borrowing for `'k`.
-type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + Send + Sync + 'k;
+type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + 'k;
 
 /// A [`Problem`] wrapper that memoizes evaluations by genome key.
 ///
@@ -187,15 +269,14 @@ type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + Send + Sync + 'k;
 pub struct CachedProblem<'k, P> {
     inner: P,
     key_fn: Box<KeyFn<'k>>,
-    store: CacheStore,
-    counters: CacheCounters,
+    client: CacheClient<Vec<i64>, Evaluation>,
 }
 
 impl<P: std::fmt::Debug> std::fmt::Debug for CachedProblem<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CachedProblem")
             .field("inner", &self.inner)
-            .field("stats", &self.counters.stats())
+            .field("stats", &self.client.stats())
             .finish_non_exhaustive()
     }
 }
@@ -211,13 +292,12 @@ impl<'k, P: Problem> CachedProblem<'k, P> {
     /// in the same (H, L, B, …) design hits one cache entry.
     pub fn with_key_fn<F>(inner: P, key_fn: F) -> Self
     where
-        F: Fn(&[f64]) -> Vec<i64> + Send + Sync + 'k,
+        F: Fn(&[f64]) -> Vec<i64> + 'k,
     {
         Self {
             inner,
             key_fn: Box::new(key_fn),
-            store: CacheStore::new(),
-            counters: CacheCounters::new(),
+            client: CacheClient::attached(CacheStore::new()),
         }
     }
 
@@ -232,14 +312,16 @@ impl<'k, P: Problem> CachedProblem<'k, P> {
     /// store trusts its keys.
     #[must_use]
     pub fn with_shared_store(mut self, store: CacheStore) -> Self {
-        self.store = store;
+        self.client.cache = Some(store);
         self
     }
 
     /// The wrapper's store handle (clone it to share entries with another
     /// wrapper or to inspect the cache after the wrapper is dropped).
     pub fn store(&self) -> &CacheStore {
-        &self.store
+        self.client
+            .cache()
+            .expect("a CachedProblem's client is always attached")
     }
 
     /// The wrapped problem.
@@ -250,7 +332,7 @@ impl<'k, P: Problem> CachedProblem<'k, P> {
     /// Number of distinct designs currently cached (shared-store wrappers
     /// count entries written by every wrapper on the store).
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.store().len()
     }
 
     /// Returns `true` when nothing has been cached yet.
@@ -260,7 +342,7 @@ impl<'k, P: Problem> CachedProblem<'k, P> {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.counters.stats()
+        self.client.stats()
     }
 }
 
@@ -275,88 +357,10 @@ impl<P: Problem> Problem for CachedProblem<'_, P> {
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         let key = (self.key_fn)(genes);
-        if let Some(eval) = self.store.get(&key) {
-            self.counters.hits.inc();
-            return eval;
-        }
-        let eval = self.inner.evaluate(genes);
-        self.counters.misses.inc();
-        if self.store.insert(key, eval.clone()) {
-            self.counters.evictions.inc();
-        }
+        let Ok(eval) = self
+            .client
+            .get_or_compute(key, || Ok::<_, Infallible>(self.inner.evaluate(genes)));
         eval
-    }
-
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        // Resolve every genome against the cache (and against earlier
-        // duplicates in this very batch) first, so the inner problem only
-        // sees the unique misses.  Attribution contract (asserted below):
-        // every slot of the batch counts exactly once — as a hit when the
-        // store or an earlier duplicate in this batch already knows the
-        // design, as a miss otherwise — so per-request counters on a
-        // shared store sum to exactly the evaluations the request issued.
-        let keys: Vec<Vec<i64>> = genomes.iter().map(|g| (self.key_fn)(g)).collect();
-        let mut results: Vec<Option<Evaluation>> = vec![None; genomes.len()];
-        let mut miss_genomes: Vec<Vec<f64>> = Vec::new();
-        let mut miss_keys: Vec<Vec<i64>> = Vec::new();
-        // Which unique miss (by position in `miss_genomes`) fills slot i.
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut batch_hits = 0usize;
-        {
-            let mut cache = self.store.lock();
-            let mut batch_local: HashMap<&[i64], usize> = HashMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(eval) = cache.get(key.as_slice()) {
-                    results[i] = Some(eval.clone());
-                    batch_hits += 1;
-                } else if let Some(&slot) = batch_local.get(key.as_slice()) {
-                    // Duplicate within the batch: evaluated once below,
-                    // counted as one miss (the first occurrence) plus one
-                    // hit per repeat.
-                    pending.push((i, slot));
-                    batch_hits += 1;
-                } else {
-                    let slot = miss_genomes.len();
-                    batch_local.insert(key.as_slice(), slot);
-                    miss_genomes.push(genomes[i].clone());
-                    miss_keys.push(key.clone());
-                    pending.push((i, slot));
-                }
-            }
-        }
-        debug_assert_eq!(
-            batch_hits + miss_genomes.len(),
-            genomes.len(),
-            "every batch slot must be attributed exactly once"
-        );
-        self.counters.hits.add(batch_hits as u64);
-        self.counters.misses.add(miss_genomes.len() as u64);
-
-        let fresh = self.inner.evaluate_batch(&miss_genomes);
-        assert_eq!(
-            fresh.len(),
-            miss_genomes.len(),
-            "inner evaluate_batch must return one evaluation per genome"
-        );
-        {
-            let mut cache = self.store.lock();
-            let mut evicted = 0usize;
-            for (key, eval) in miss_keys.into_iter().zip(&fresh) {
-                if cache.insert(key, eval.clone()) {
-                    evicted += 1;
-                }
-            }
-            if evicted > 0 {
-                self.counters.evictions.add(evicted as u64);
-            }
-        }
-        for (i, slot) in pending {
-            results[i] = Some(fresh[slot].clone());
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch slot is filled"))
-            .collect()
     }
 
     fn name(&self) -> &str {
@@ -373,14 +377,12 @@ mod tests {
     #[derive(Debug)]
     struct Counting {
         calls: AtomicUsize,
-        batch_calls: AtomicUsize,
     }
 
     impl Counting {
         fn new() -> Self {
             Self {
                 calls: AtomicUsize::new(0),
-                batch_calls: AtomicUsize::new(0),
             }
         }
     }
@@ -396,20 +398,27 @@ mod tests {
             self.calls.fetch_add(1, Ordering::Relaxed);
             Evaluation::unconstrained(vec![genes[0] + 2.0 * genes[1]])
         }
-        fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-            self.batch_calls.fetch_add(1, Ordering::Relaxed);
-            genomes.iter().map(|g| self.evaluate(g)).collect()
-        }
         fn name(&self) -> &str {
             "counting"
         }
     }
 
+    /// The exact-bits key of a genome.
+    fn bits_key(genes: &[f64]) -> Vec<i64> {
+        genes.iter().map(|g| g.to_bits() as i64).collect()
+    }
+
     /// Wraps `inner` keyed by the exact genome bits.
-    fn cached(inner: Counting) -> CachedProblem<'static, Counting> {
-        CachedProblem::with_key_fn(inner, |genes| {
-            genes.iter().map(|g| g.to_bits() as i64).collect()
-        })
+    fn cached<P: Problem>(inner: P) -> CachedProblem<'static, P> {
+        CachedProblem::with_key_fn(inner, bits_key)
+    }
+
+    /// Scores a cohort one genome at a time, in order, as the optimisers do.
+    fn evaluate_all<P: Problem>(problem: &P, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
+        genomes
+            .iter()
+            .map(|genes| problem.evaluate(genes))
+            .collect()
     }
 
     #[test]
@@ -431,18 +440,18 @@ mod tests {
         let genomes = vec![
             vec![0.1, 0.1],
             vec![0.2, 0.2],
-            vec![0.1, 0.1], // intra-batch duplicate
+            vec![0.1, 0.1], // duplicate within the cohort
             vec![0.3, 0.3],
         ];
-        let batch = cached.evaluate_batch(&genomes);
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch[0], batch[2]);
+        let evals = evaluate_all(&cached, &genomes);
+        assert_eq!(evals.len(), 4);
+        assert_eq!(evals[0], evals[2]);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 3);
         assert_eq!(cached.stats(), CacheStats::hits_misses(1, 3));
 
-        // A second batch re-using previous designs evaluates only new ones.
-        let batch2 = cached.evaluate_batch(&[vec![0.2, 0.2], vec![0.4, 0.4]]);
-        assert_eq!(batch2[0], batch[1]);
+        // A second cohort re-using previous designs evaluates only new ones.
+        let evals2 = evaluate_all(&cached, &[vec![0.2, 0.2], vec![0.4, 0.4]]);
+        assert_eq!(evals2[0], evals[1]);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 4);
         assert_eq!(cached.stats(), CacheStats::hits_misses(2, 4));
     }
@@ -453,8 +462,8 @@ mod tests {
         let genomes: Vec<Vec<f64>> = (0..10)
             .map(|i| vec![f64::from(i) / 10.0, f64::from(i % 3) / 3.0])
             .collect();
-        let batch = cached.evaluate_batch(&genomes);
-        for (genes, eval) in genomes.iter().zip(&batch) {
+        let evals = evaluate_all(&cached, &genomes);
+        for (genes, eval) in genomes.iter().zip(&evals) {
             assert_eq!(eval, &Counting::new().evaluate(genes));
         }
     }
@@ -491,21 +500,59 @@ mod tests {
     fn shared_store_amortises_across_wrappers_with_per_wrapper_stats() {
         let store = CacheStore::new();
         let first = cached(Counting::new()).with_shared_store(store.clone());
-        let _ = first.evaluate_batch(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
+        let _ = evaluate_all(&first, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(first.stats(), CacheStats::hits_misses(0, 2));
         assert_eq!(store.len(), 2);
 
         // A second wrapper (a new "request") over the same store: answers
         // come from the shared entries, attributed to this wrapper.
         let second = cached(Counting::new()).with_shared_store(store.clone());
-        let batch = second.evaluate_batch(&[vec![0.2, 0.2], vec![0.3, 0.3]]);
-        assert_eq!(batch.len(), 2);
+        let evals = evaluate_all(&second, &[vec![0.2, 0.2], vec![0.3, 0.3]]);
+        assert_eq!(evals.len(), 2);
         assert_eq!(second.stats(), CacheStats::hits_misses(1, 1));
         assert_eq!(second.inner().calls.load(Ordering::Relaxed), 1);
         assert_eq!(store.len(), 3);
         // The first wrapper's counters are untouched.
         assert_eq!(first.stats(), CacheStats::hits_misses(0, 2));
         assert!(first.store().shares_entries_with(second.store()));
+    }
+
+    /// Stands in for a concurrent request that finishes first: while this
+    /// request computes a genome, it writes its own entry for the same
+    /// key into the shared store.
+    struct RacedBy {
+        store: CacheStore,
+    }
+
+    impl Problem for RacedBy {
+        fn num_variables(&self) -> usize {
+            1
+        }
+        fn num_objectives(&self) -> usize {
+            1
+        }
+        fn evaluate(&self, genes: &[f64]) -> Evaluation {
+            self.store
+                .insert(bits_key(genes), Evaluation::unconstrained(vec![-1.0]));
+            Evaluation::unconstrained(vec![genes[0]])
+        }
+    }
+
+    #[test]
+    fn first_insert_wins_and_the_late_lookup_counts_as_a_hit() {
+        let store = CacheStore::new();
+        let cached = cached(RacedBy {
+            store: store.clone(),
+        })
+        .with_shared_store(store.clone());
+        let _ = cached.evaluate(&[0.5]);
+        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 0));
+        assert_eq!(
+            store.get(&bits_key(&[0.5])),
+            Some(Evaluation::unconstrained(vec![-1.0])),
+            "the first insert is kept"
+        );
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -530,13 +577,15 @@ mod tests {
     #[test]
     fn poisoned_store_recovers_and_stays_usable() {
         // A tenant panicking while holding the store lock used to poison
-        // the mutex and crash every other tenant's next access.
+        // the mutex and crash every other tenant's next access.  Here the
+        // tenant's snapshot import panics mid-merge, under the lock.
         let store = CacheStore::new();
         store.insert(vec![1], Evaluation::unconstrained(vec![1.0]));
         let poisoner = store.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = poisoner.lock();
-            panic!("tenant panicked mid-evaluation");
+            poisoner.import_entries(std::iter::from_fn(|| -> Option<(Vec<i64>, Evaluation)> {
+                panic!("tenant panicked mid-import")
+            }));
         }));
         assert!(result.is_err(), "the poisoning panic must propagate");
 
@@ -549,8 +598,8 @@ mod tests {
         store.insert(vec![3], Evaluation::unconstrained(vec![3.0]));
         assert_eq!(store.len(), 2);
         let cached = cached(Counting::new()).with_shared_store(store.clone());
-        let batch = cached.evaluate_batch(&[vec![0.1, 0.1], vec![0.2, 0.2]]);
-        assert_eq!(batch.len(), 2);
+        let evals = evaluate_all(&cached, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
+        assert_eq!(evals.len(), 2);
         assert_eq!(cached.stats(), CacheStats::hits_misses(0, 2));
     }
 
@@ -612,7 +661,7 @@ mod tests {
             vec![0.5, 0.5],
             vec![0.7, 0.7],
         ];
-        let evals = request_a.evaluate_batch(&cohort);
+        let evals = evaluate_all(&request_a, &cohort);
         assert_eq!(evals[0], evals[1]);
         assert_eq!(evals[0], evals[2]);
         assert_eq!(request_a.stats(), CacheStats::hits_misses(2, 2));
@@ -624,7 +673,7 @@ mod tests {
         // A second request over the shared store sees the duplicate as a
         // plain cross-request hit.
         let request_b = cached(Counting::new()).with_shared_store(store.clone());
-        let evals_b = request_b.evaluate_batch(&[vec![0.5, 0.5], vec![0.5, 0.5]]);
+        let evals_b = evaluate_all(&request_b, &[vec![0.5, 0.5], vec![0.5, 0.5]]);
         assert_eq!(evals_b[0], evals[0]);
         assert_eq!(request_b.stats(), CacheStats::hits_misses(2, 0));
         assert_eq!(request_b.inner().calls.load(Ordering::Relaxed), 0);

@@ -109,11 +109,6 @@ impl<K: Eq + Hash + Clone, V> ClockMap<K, V> {
         }
     }
 
-    /// Returns `true` when the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The capacity bound, `None` for unbounded maps.
     pub fn capacity(&self) -> Option<usize> {
         match &self.inner {
@@ -268,7 +263,7 @@ mod tests {
     #[test]
     fn unbounded_map_behaves_like_a_hash_map() {
         let mut map: ClockMap<u32, u32> = ClockMap::unbounded();
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
         assert_eq!(map.capacity(), None);
         for i in 0..1000 {
             assert!(!map.insert(i, i * 2));
@@ -278,7 +273,7 @@ mod tests {
         assert_eq!(map.get(&500), Some(&1000));
         assert_eq!(map.get(&1000), None);
         map.clear();
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
     }
 
     #[test]
@@ -330,7 +325,7 @@ mod tests {
         map.insert(3, 3);
         assert_eq!(map.evictions(), 1);
         map.clear();
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
         assert_eq!(map.evictions(), 0);
         map.insert(7, 7);
         assert_eq!(map.get(&7), Some(&7));

@@ -21,28 +21,26 @@
 //! * [`random_search()`] — a random-sampling baseline for comparison,
 //! * [`cached::CachedProblem`] — a memoizing problem wrapper.
 //!
-//! # Batch evaluation & caching
+//! # Evaluation & caching
 //!
 //! Objective evaluation is the cost centre of every real design-space
-//! exploration, so the engine funnels it through two cooperating layers:
+//! exploration.  The engine scores it through one call and memoizes it
+//! through one lookup:
 //!
-//! 1. **Population batching** — [`Nsga2`] collects each generation's
-//!    offspring first and scores the whole cohort through one
-//!    [`Problem::evaluate_batch`] call ([`random_search()`] does the same in
-//!    chunks).  The default implementation is the serial map, so a plain
-//!    [`Problem`] keeps working.  Every EasyACIM problem (macro and chip)
-//!    uses that serial map on the calling thread: one evaluation costs
-//!    ~100 ns to a few µs, less than handing it to another thread.  Batch
-//!    implementations must preserve input order and be bit-identical to
-//!    the serial map, which keeps seeded runs reproducible: variation
-//!    never interleaves with evaluation, so the RNG stream — and therefore
-//!    the Pareto front — is exactly what the historical
-//!    one-genome-at-a-time loop produced.
-//! 2. **Memoization** — [`CachedProblem`] wraps any problem with a cache
+//! 1. **One call** — [`Problem::evaluate`] scores one genome, and the
+//!    optimisers call it for every genome on the calling thread: one
+//!    EasyACIM evaluation (macro or chip) costs ~100 ns to a few µs, less
+//!    than handing it to another thread.  [`Nsga2`] still collects each
+//!    generation's offspring before scoring them, so variation never
+//!    interleaves with evaluation and the RNG stream — and therefore the
+//!    Pareto front — depends only on the seed.
+//! 2. **One lookup** — [`CachedProblem`] wraps any problem with a cache
 //!    keyed by a caller-supplied genome key, so duplicate designs (which
-//!    bucketed encodings re-sample constantly) are never re-evaluated.  Its batch
-//!    path forwards only the *unique misses* to the inner problem, and its
-//!    [`CacheStats`] hit/miss counters surface in run reports.
+//!    bucketed encodings re-sample constantly) are never re-evaluated.  It
+//!    looks up through [`CacheClient::get_or_compute`], the same
+//!    first-wins get-or-compute the chip evaluator's macro-metric cache
+//!    uses, and its [`CacheStats`] hit/miss counters surface in run
+//!    reports.
 //!
 //! Every run reports its evaluation counters and wall-clock breakdown in
 //! one [`EvalStats`] value ([`Nsga2Result::engine`]), which downstream
@@ -76,7 +74,7 @@
 pub mod archive;
 pub mod cached;
 pub mod cancel;
-pub mod clock;
+mod clock;
 pub mod crowding;
 pub mod dominance;
 pub mod hypervolume;
@@ -89,9 +87,8 @@ pub mod selection;
 pub mod shared_cache;
 
 pub use archive::ParetoArchive;
-pub use cached::{CacheCounters, CacheStats, CacheStore, CachedProblem};
+pub use cached::{CacheClient, CacheStats, CacheStore, CachedProblem};
 pub use cancel::{CancelReason, CancelToken};
-pub use clock::{ClockMap, TryInsert};
 pub use crowding::assign_crowding_distance;
 pub use dominance::{constrained_dominates, dominates, fast_non_dominated_sort};
 pub use hypervolume::{hypervolume_2d, hypervolume_monte_carlo};

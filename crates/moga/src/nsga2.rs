@@ -1,12 +1,11 @@
 //! The NSGA-II main loop.
 //!
-//! Evaluation is **population-batched**: every generation's offspring are
-//! collected first and scored through one [`Problem::evaluate_batch`] call,
-//! so a memoizing wrapper sees the whole cohort at once (see
-//! [`crate::CachedProblem`]).  Variation (selection, crossover, mutation)
-//! never consumes randomness during evaluation, so the batched loop generates
-//! exactly the genomes the historical one-at-a-time loop did — seeded runs
-//! produce bit-identical Pareto fronts either way.
+//! Every generation's offspring are collected first, then each is scored
+//! through [`Problem::evaluate`].  Variation (selection, crossover,
+//! mutation) never consumes randomness during evaluation, so the genomes
+//! a seed generates do not depend on how (or whether, behind a
+//! [`crate::CachedProblem`]) they are evaluated, and seeded runs produce
+//! bit-identical Pareto fronts.
 
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -78,7 +77,8 @@ pub struct EvalStats {
     /// evaluation cache (see `acim_chip::MacroMetricsCache`).  Stays at
     /// the zero default for problems without a macro-metric cache.
     pub macro_cache: CacheStats,
-    /// Wall-clock seconds spent inside [`Problem::evaluate_batch`].
+    /// Wall-clock seconds spent scoring genomes through
+    /// [`Problem::evaluate`].
     pub eval_seconds: f64,
     /// Wall-clock seconds per generation (variation + evaluation +
     /// environmental selection), one entry per generation.
@@ -240,26 +240,23 @@ impl<P: Problem> Nsga2<P> {
         let mut eval_seconds = 0.0f64;
         let mut generation_seconds = Vec::with_capacity(self.config.generations);
 
-        // Evaluates a whole cohort of genomes through one batch call,
-        // tracking the evaluation count and wall-clock spent.
+        // Scores a whole cohort of genomes, tracking the evaluation count
+        // and wall-clock spent.
         let evaluate_cohort = |genomes: Vec<Vec<f64>>,
                                evaluations: &mut usize,
                                eval_seconds: &mut f64|
          -> Vec<Individual> {
             let eval_start = Instant::now();
-            let evals = self.problem.evaluate_batch(&genomes);
-            *eval_seconds += eval_start.elapsed().as_secs_f64();
-            assert_eq!(
-                evals.len(),
-                genomes.len(),
-                "evaluate_batch must return one evaluation per genome"
-            );
             *evaluations += genomes.len();
-            genomes
+            let cohort = genomes
                 .into_iter()
-                .zip(evals)
-                .map(|(genes, eval)| Individual::new(genes, eval))
-                .collect()
+                .map(|genes| {
+                    let eval = self.problem.evaluate(&genes);
+                    Individual::new(genes, eval)
+                })
+                .collect();
+            *eval_seconds += eval_start.elapsed().as_secs_f64();
+            cohort
         };
 
         // Initial population: seeded genomes first (the warm-start path),
@@ -307,7 +304,7 @@ impl<P: Problem> Nsga2<P> {
                     offspring_genomes.push(child);
                 }
             }
-            // …then score it through one batch call.
+            // …then score it.
             let mut offspring =
                 evaluate_cohort(offspring_genomes, &mut evaluations, &mut eval_seconds);
 
@@ -781,40 +778,6 @@ mod tests {
     fn final_population_has_exact_size() {
         let result = Nsga2::new(Zdt1, small_config()).with_seed(13).run();
         assert_eq!(result.population.len(), 40);
-    }
-
-    /// Records the size of every batch the optimiser requests.
-    struct BatchProbe {
-        batch_sizes: std::sync::Mutex<Vec<usize>>,
-    }
-
-    impl Problem for BatchProbe {
-        fn num_variables(&self) -> usize {
-            2
-        }
-        fn num_objectives(&self) -> usize {
-            2
-        }
-        fn evaluate(&self, genes: &[f64]) -> Evaluation {
-            Evaluation::unconstrained(vec![genes[0], genes[1]])
-        }
-        fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-            self.batch_sizes.lock().unwrap().push(genomes.len());
-            genomes.iter().map(|g| self.evaluate(g)).collect()
-        }
-    }
-
-    #[test]
-    fn every_generation_is_one_population_sized_batch() {
-        let probe = BatchProbe {
-            batch_sizes: std::sync::Mutex::new(Vec::new()),
-        };
-        let config = small_config();
-        let _ = Nsga2::new(&probe, config.clone()).with_seed(21).run();
-        let sizes = probe.batch_sizes.lock().unwrap();
-        // One batch for the initial population + one per generation.
-        assert_eq!(sizes.len(), config.generations + 1);
-        assert!(sizes.iter().all(|&s| s == config.population_size));
     }
 
     #[test]

@@ -213,24 +213,10 @@ pub trait Problem {
     fn num_objectives(&self) -> usize;
 
     /// Evaluates a genome.  `genes.len() == self.num_variables()`.
+    ///
+    /// The optimisers ([`crate::Nsga2`], [`crate::random_search()`]) score
+    /// every genome through this one call, on the calling thread.
     fn evaluate(&self, genes: &[f64]) -> Evaluation;
-
-    /// Evaluates a whole batch of genomes, returning one [`Evaluation`] per
-    /// genome **in input order**.
-    ///
-    /// The optimisers ([`crate::Nsga2`], [`crate::random_search()`]) funnel
-    /// every generation through this method, so a problem that overrides it
-    /// with a parallel implementation speeds up the whole search without the
-    /// optimiser knowing.  Implementations must be order-preserving and
-    /// bit-identical to mapping [`Problem::evaluate`] over the slice —
-    /// seeded runs stay reproducible regardless of how the batch is
-    /// scheduled.
-    ///
-    /// The default is the serial map, so existing problems keep working
-    /// unchanged.
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        genomes.iter().map(|genes| self.evaluate(genes)).collect()
-    }
 
     /// Optional human-readable problem name (used in benchmark reports).
     fn name(&self) -> &str {
@@ -238,10 +224,6 @@ pub trait Problem {
     }
 }
 
-// The blanket impls must forward `evaluate_batch` explicitly: falling back
-// to the trait default would silently bypass an overriding batch path, such
-// as `CachedProblem`'s cohort dedupe (the optimisers usually hold `&P`, not
-// `P`).
 impl<P: Problem + ?Sized> Problem for &P {
     fn num_variables(&self) -> usize {
         (**self).num_variables()
@@ -251,9 +233,6 @@ impl<P: Problem + ?Sized> Problem for &P {
     }
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         (**self).evaluate(genes)
-    }
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        (**self).evaluate_batch(genomes)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -270,9 +249,6 @@ impl<P: Problem + ?Sized> Problem for Box<P> {
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         (**self).evaluate(genes)
     }
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        (**self).evaluate_batch(genomes)
-    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -287,9 +263,6 @@ impl<P: Problem + ?Sized> Problem for std::sync::Arc<P> {
     }
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
         (**self).evaluate(genes)
-    }
-    fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-        (**self).evaluate_batch(genomes)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -349,57 +322,5 @@ mod tests {
             sphere.evaluate(&[0.5, 0.5]).objectives[0],
             0.5f64 * 0.5 + 0.5 * 0.5
         );
-    }
-
-    #[test]
-    fn default_batch_is_the_serial_map_in_order() {
-        let genomes = vec![vec![0.0, 0.0], vec![0.5, 0.5], vec![1.0, 0.0]];
-        let batch = Sphere.evaluate_batch(&genomes);
-        assert_eq!(batch.len(), 3);
-        for (genes, eval) in genomes.iter().zip(&batch) {
-            assert_eq!(eval, &Sphere.evaluate(genes));
-        }
-    }
-
-    /// A problem whose batch evaluation is observably different from the
-    /// serial map (it tags objectives with the batch size) — used to prove
-    /// the blanket impls forward `evaluate_batch` instead of silently
-    /// falling back to the serial default.
-    struct BatchTagged;
-
-    impl Problem for BatchTagged {
-        fn num_variables(&self) -> usize {
-            1
-        }
-        fn num_objectives(&self) -> usize {
-            1
-        }
-        fn evaluate(&self, _genes: &[f64]) -> Evaluation {
-            Evaluation::unconstrained(vec![1.0])
-        }
-        fn evaluate_batch(&self, genomes: &[Vec<f64>]) -> Vec<Evaluation> {
-            genomes
-                .iter()
-                .map(|_| Evaluation::unconstrained(vec![genomes.len() as f64]))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn blanket_impls_forward_evaluate_batch() {
-        let genomes = vec![vec![0.1], vec![0.2], vec![0.3]];
-        // UFCS pins the blanket `&P` impl (plain method syntax would
-        // auto-deref to the inherent impl and prove nothing).
-        let by_ref = <&BatchTagged as Problem>::evaluate_batch(&&BatchTagged, &genomes);
-        let by_double_ref = <&&BatchTagged as Problem>::evaluate_batch(&&&BatchTagged, &genomes);
-        let boxed: Box<dyn Problem> = Box::new(BatchTagged);
-        let by_box = boxed.evaluate_batch(&genomes);
-        let by_arc = std::sync::Arc::new(BatchTagged).evaluate_batch(&genomes);
-        for batch in [by_ref, by_double_ref, by_box, by_arc] {
-            assert!(
-                batch.iter().all(|e| e.objectives == vec![3.0]),
-                "wrapper fell back to the serial default"
-            );
-        }
     }
 }

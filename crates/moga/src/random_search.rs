@@ -15,39 +15,20 @@ use crate::problem::Problem;
 /// Evaluates `budget` uniform random genomes and returns the feasible,
 /// non-dominated subset as an archive of individuals.
 ///
-/// The whole budget is sampled first and scored through
-/// [`Problem::evaluate_batch`] in population-sized chunks, so problems with
-/// a parallel batch path parallelise the baseline too.  Sampling never
-/// interleaves with evaluation, so results are bit-identical to the
-/// historical one-at-a-time loop and deterministic for a fixed `seed`.
+/// Genomes are drawn and scored one at a time.  Evaluation never reads the
+/// RNG, so the sample stream, and with it the archive, is deterministic for
+/// a fixed `seed`.
 pub fn random_search<P: Problem>(
     problem: &P,
     budget: usize,
     seed: u64,
 ) -> ParetoArchive<Individual> {
-    /// Chunk size of one batch call: large enough to amortise thread
-    /// fan-out, small enough to keep peak memory bounded for huge budgets.
-    const BATCH: usize = 1024;
-
     let mut rng = StdRng::seed_from_u64(seed);
     let mut archive = ParetoArchive::new();
-    let mut remaining = budget;
-    while remaining > 0 {
-        let chunk = remaining.min(BATCH);
-        remaining -= chunk;
-        let genomes: Vec<Vec<f64>> = (0..chunk)
-            .map(|_| random_genome(&mut rng, problem.num_variables()))
-            .collect();
-        let evals = problem.evaluate_batch(&genomes);
-        assert_eq!(
-            evals.len(),
-            genomes.len(),
-            "evaluate_batch must return one evaluation per genome"
-        );
-        for (genes, eval) in genomes.into_iter().zip(evals) {
-            if !eval.is_feasible() {
-                continue;
-            }
+    for _ in 0..budget {
+        let genes = random_genome(&mut rng, problem.num_variables());
+        let eval = problem.evaluate(&genes);
+        if eval.is_feasible() {
             let objectives = eval.objectives.clone();
             archive.insert(objectives, Individual::new(genes, eval));
         }

@@ -11,9 +11,9 @@
 //! # Poison tolerance
 //!
 //! Every lock acquisition recovers the guard from a poisoned mutex: the
-//! underlying [`ClockMap`] is consistent at every await-free step, so a
+//! underlying `ClockMap` is consistent at every await-free step, so a
 //! tenant that panicked while holding the guard costs its own request,
-//! never the shared store (see [`SharedCache::lock`]).
+//! never the shared store.
 //!
 //! # Eviction never changes results
 //!
@@ -28,14 +28,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::clock::{ClockMap, TryInsert};
 
-/// A thread-safe, cheaply cloneable handle to one shared [`ClockMap`].
+/// A thread-safe, cheaply cloneable handle to one shared CLOCK-bounded map.
 ///
 /// Clones share the underlying entries (`Arc` semantics): a long-lived
 /// service keeps one cache per design-space or parameter signature and
 /// hands clones to every request, so concurrent requests reuse each
 /// other's work.  Hit/miss attribution deliberately lives with the
-/// consumer (see `CacheCounters`), not here — two requests sharing one
-/// cache each report their own reuse.
+/// consumer (see [`crate::CacheClient`]), not here — two requests sharing
+/// one cache each report their own reuse.
 pub struct SharedCache<K, V> {
     entries: Arc<Mutex<ClockMap<K, V>>>,
 }
@@ -117,9 +117,10 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
     }
 
     /// Inserts only when the key is absent (an existing entry is kept and
-    /// marked recently used) — the primitive for racy-get / first-wins
-    /// callers that derive values outside the lock.
-    pub fn try_insert(&self, key: K, value: V) -> TryInsert {
+    /// marked recently used) — the first-wins insert of
+    /// [`crate::CacheClient::get_or_compute`], which computes values
+    /// outside the lock.
+    pub(crate) fn try_insert(&self, key: K, value: V) -> TryInsert {
         self.lock().try_insert(key, value)
     }
 
@@ -171,10 +172,8 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
     /// A tenant that panicked while holding the guard left the map in a
     /// consistent state, and crashing every other request on a shared
     /// store would turn one bad job into a service outage — so the poison
-    /// flag carries no information worth propagating.  Exposed so batch
-    /// consumers (like `CachedProblem::evaluate_batch`) can resolve a
-    /// whole cohort under one lock round-trip instead of one per genome.
-    pub fn lock(&self) -> MutexGuard<'_, ClockMap<K, V>> {
+    /// flag carries no information worth propagating.
+    fn lock(&self) -> MutexGuard<'_, ClockMap<K, V>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

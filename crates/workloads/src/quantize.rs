@@ -3,9 +3,7 @@
 //! The paper's evaluation uses 1-bit × 1-bit computation; multi-bit layers
 //! are executed as bit-serial passes.  This module binarises real-valued
 //! activations and weights around their medians, producing the
-//! [`BinaryMvm`] form the macro mapper consumes, and records the
-//! quantisation scales so outputs can be de-quantised for accuracy
-//! measurement.
+//! [`BinaryMvm`] form the behavioural macro simulator consumes.
 
 use crate::error::WorkloadError;
 use crate::tensor::Matrix;
@@ -18,9 +16,6 @@ pub struct BinaryMvm {
     pub weights: Vec<Vec<bool>>,
     /// Binary activation vector of length `cols`.
     pub activations: Vec<bool>,
-    /// The real-valued reference output (pre-quantisation), used to measure
-    /// the end-to-end error introduced by quantisation plus the macro.
-    pub reference: Vec<f64>,
     /// Name of the originating workload.
     pub label: String,
 }
@@ -112,11 +107,9 @@ pub fn binarize_mvm(
     if let Some(i) = activations.iter().position(|v| v.is_nan()) {
         return Err(nan("activations", format!("index {i}")));
     }
-    let reference = weights.matvec(activations)?;
     Ok(BinaryMvm {
         weights: binarize_weights(weights),
         activations: binarize_activations(activations),
-        reference,
         label: label.to_string(),
     })
 }
@@ -161,7 +154,6 @@ mod tests {
         let mvm = binarize_mvm("test", &w, &x).unwrap();
         assert_eq!(mvm.rows(), 3);
         assert_eq!(mvm.cols(), 8);
-        assert_eq!(mvm.reference.len(), 3);
         let outputs = mvm.ideal_binary_outputs();
         assert_eq!(outputs.len(), 3);
         for (row, out) in outputs.iter().enumerate() {

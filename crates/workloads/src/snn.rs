@@ -62,12 +62,9 @@ impl SnnLayer {
         let spikes: Vec<bool> = (0..self.inputs)
             .map(|i| pseudo_random(seed ^ 0x517E, i) < rate)
             .collect();
-        let activations: Vec<f64> = spikes.iter().map(|&s| f64::from(u8::from(s))).collect();
-        let reference = weights.matvec(&activations)?;
         Ok(BinaryMvm {
             weights: binarize_weights(&weights),
             activations: spikes,
-            reference,
             label: format!("snn_{}x{}_rate{:.2}", self.neurons, self.inputs, rate),
         })
     }

@@ -85,29 +85,6 @@ impl Matrix {
         );
         self.data[row * self.cols + col] = value;
     }
-
-    /// Matrix–vector product `self · x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::ShapeMismatch`] when `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, WorkloadError> {
-        if x.len() != self.cols {
-            return Err(WorkloadError::ShapeMismatch {
-                operation: "matvec".into(),
-                left: (self.rows, self.cols),
-                right: (x.len(), 1),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self.get(r, c) * x[c]).sum())
-            .collect())
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -129,15 +106,6 @@ mod tests {
     fn from_fn_fills_elements() {
         let m = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64).unwrap();
         assert_eq!(m.get(2, 2), 8.0);
-        assert!((m.norm() - (0..9).map(|v| (v * v) as f64).sum::<f64>().sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matvec_matches_manual_computation() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r + c) as f64).unwrap();
-        let y = m.matvec(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![0.0 + 2.0 + 6.0, 1.0 + 4.0 + 9.0]);
-        assert!(m.matvec(&[1.0, 2.0]).is_err());
     }
 
     #[test]

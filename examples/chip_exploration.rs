@@ -23,7 +23,7 @@ use easyacim::{chip_frontier_table, chip_report};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `--quick` shrinks the budget so CI can exercise the full evaluation
-    // path (batch evaluation, caching, heterogeneous genomes) in seconds.
+    // path (evaluation, caching, heterogeneous genomes) in seconds.
     let quick = std::env::args().any(|arg| arg == "--quick");
     let (population_size, generations) = if quick { (16, 6) } else { (48, 30) };
 

@@ -1,9 +1,8 @@
-//! Cross-crate tests of the batch evaluation engine: property tests that
-//! batch evaluation is order-preserving and bit-identical to serial
-//! evaluation for the macro and chip problems, equivalence of the batched
-//! NSGA-II loop with a forced-serial evaluation path, and determinism of
-//! seeded explorations under population-parallel (chip) and cached
-//! evaluation.
+//! Cross-crate tests of the evaluation engine: a property test that
+//! cached evaluation is bit-identical to uncached evaluation on the macro
+//! problem, bit-identical seeded NSGA-II fronts with and without the
+//! genome and macro-metric caches, and determinism of seeded macro and
+//! chip explorations.
 
 use acim_dse::{AcimDesignProblem, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig};
 use acim_model::ModelParams;
@@ -27,63 +26,8 @@ fn chip_config(heterogeneous: bool) -> ChipDseConfig {
     }
 }
 
-/// Forces the serial evaluation path: forwards `evaluate` only, so the
-/// trait-default (serial map) batch implementation is used.  Any batch
-/// override — the chip problem's parallel one today, or a future macro
-/// one — must reproduce it bit-for-bit.
-struct ForcedSerial<P>(P);
-
-impl<P: Problem> Problem for ForcedSerial<P> {
-    fn num_variables(&self) -> usize {
-        self.0.num_variables()
-    }
-    fn num_objectives(&self) -> usize {
-        self.0.num_objectives()
-    }
-    fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        self.0.evaluate(genes)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn macro_batch_is_order_preserving_and_bit_identical(
-        genomes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 3), 1..40)
-    ) {
-        let problem = macro_problem();
-        let batch = problem.evaluate_batch(&genomes);
-        prop_assert_eq!(batch.len(), genomes.len());
-        for (genes, eval) in genomes.iter().zip(&batch) {
-            prop_assert_eq!(eval, &problem.evaluate(genes));
-        }
-    }
-
-    #[test]
-    fn uniform_chip_batch_is_order_preserving_and_bit_identical(
-        genomes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 6), 1..24)
-    ) {
-        let problem = acim_dse::ChipDesignProblem::new(&chip_config(false)).unwrap();
-        let batch = problem.evaluate_batch(&genomes);
-        prop_assert_eq!(batch.len(), genomes.len());
-        for (genes, eval) in genomes.iter().zip(&batch) {
-            prop_assert_eq!(eval, &problem.evaluate(genes));
-        }
-    }
-
-    #[test]
-    fn heterogeneous_chip_batch_is_order_preserving_and_bit_identical(
-        genomes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 15), 1..16)
-    ) {
-        let problem = acim_dse::ChipDesignProblem::new(&chip_config(true)).unwrap();
-        prop_assert_eq!(problem.num_variables(), 15);
-        let batch = problem.evaluate_batch(&genomes);
-        prop_assert_eq!(batch.len(), genomes.len());
-        for (genes, eval) in genomes.iter().zip(&batch) {
-            prop_assert_eq!(eval, &problem.evaluate(genes));
-        }
-    }
 
     #[test]
     fn cached_batch_is_bit_identical_to_uncached(
@@ -91,54 +35,15 @@ proptest! {
     ) {
         let problem = macro_problem();
         let cached = CachedProblem::with_key_fn(problem.clone(), |genes| problem.cache_key(genes));
+        let evaluate_all = |p: &dyn Problem| -> Vec<Evaluation> {
+            genomes.iter().map(|genes| p.evaluate(genes)).collect()
+        };
         // Evaluate the list twice: the second pass is all cache hits and
         // must still be bit-identical.
-        let uncached = problem.evaluate_batch(&genomes);
-        prop_assert_eq!(&cached.evaluate_batch(&genomes), &uncached);
-        prop_assert_eq!(&cached.evaluate_batch(&genomes), &uncached);
+        let uncached = evaluate_all(&problem);
+        prop_assert_eq!(&evaluate_all(&cached), &uncached);
+        prop_assert_eq!(&evaluate_all(&cached), &uncached);
         prop_assert!(cached.stats().hits >= genomes.len());
-    }
-}
-
-#[test]
-fn batched_nsga2_matches_forced_serial_path_on_the_macro_problem() {
-    let config = Nsga2Config {
-        population_size: 24,
-        generations: 12,
-        ..Default::default()
-    };
-    for seed in [7u64, 99, 0xACE5] {
-        let batched = Nsga2::new(macro_problem(), config.clone())
-            .with_seed(seed)
-            .run();
-        let serial = Nsga2::new(ForcedSerial(macro_problem()), config.clone())
-            .with_seed(seed)
-            .run();
-        assert_eq!(batched.evaluations(), serial.evaluations());
-        assert_eq!(batched.pareto_objectives(), serial.pareto_objectives());
-        for (a, b) in batched.population.iter().zip(&serial.population) {
-            assert_eq!(a.genes, b.genes);
-            assert_eq!(a.objectives, b.objectives);
-        }
-    }
-}
-
-#[test]
-fn batched_nsga2_matches_forced_serial_path_on_the_chip_problem() {
-    let config = Nsga2Config {
-        population_size: 16,
-        generations: 6,
-        ..Default::default()
-    };
-    let problem = acim_dse::ChipDesignProblem::new(&chip_config(false)).unwrap();
-    let parallel = Nsga2::new(&problem, config.clone()).with_seed(41).run();
-    let serial = Nsga2::new(ForcedSerial(&problem), config)
-        .with_seed(41)
-        .run();
-    assert_eq!(parallel.pareto_objectives(), serial.pareto_objectives());
-    for (a, b) in parallel.population.iter().zip(&serial.population) {
-        assert_eq!(a.genes, b.genes);
-        assert_eq!(a.objectives, b.objectives);
     }
 }
 

@@ -379,12 +379,15 @@ fn panicking_tenant_leaves_the_service_usable() {
     let first = handle.join().unwrap().into_chip().unwrap();
 
     // A hostile tenant grabs the shared store of that space and panics
-    // while holding its lock.
+    // while holding its lock (mid-way through a snapshot import).
     let store = service.cache_store(&space).expect("space has a store");
     let poisoner = store.clone();
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let _guard = poisoner.lock();
-        panic!("tenant died holding the store lock");
+        poisoner.import_entries(std::iter::from_fn(
+            || -> Option<(Vec<i64>, acim_moga::Evaluation)> {
+                panic!("tenant died holding the store lock")
+            },
+        ));
     }));
     assert!(panicked.is_err());
 
