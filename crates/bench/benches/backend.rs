@@ -13,10 +13,14 @@
 //! fills, validation range-checks and the SPICE writer resolves to a name.
 //! 32×512 L2 B3 is name and shape bound: its top module formats about
 //! 6,300 net and instance names, and its DEF and GDS text run to about
-//! 15 MB, so per-coordinate formatting cost dominates those writers.  The
-//! netlist and layouts are built once outside the timed loops of the
-//! other steps; `LayoutFlow::generate` has its own bench
-//! (`layout_runtime`).
+//! 15 MB and 950,000 coordinates each.  Both writers append every line to
+//! one buffer reserved from the layout's counts.  On a 2-vCPU container,
+//! formatting the coordinates took about half of their time, copying
+//! names about a sixth, and the first touch of the buffer's fresh pages
+//! most of the rest: a copy of the finished DEF into fresh memory took
+//! about 14 ms, into memory already touched 3 ms.  The netlist and
+//! layouts are built once outside the timed loops of the other steps;
+//! `LayoutFlow::generate` has its own bench (`layout_runtime`).
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;

@@ -148,6 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `service_active_jobs` gauge must never exceed the worker count —
     // that is the scheduler's whole admission-control contract.
     let mut max_active: f64 = 0.0;
+    let mut last_status = String::new();
     loop {
         let all_done = handles.iter().all(easyacim::JobHandle::is_finished);
         let snapshot = service.telemetry();
@@ -159,19 +160,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 service.worker_count()
             );
         }
-        let status: Vec<String> = handles
+        let status = handles
             .iter()
             .map(|handle| format!("job {} {}", handle.id(), handle.progress()))
-            .collect();
-        println!("progress: {}", status.join("  "));
+            .collect::<Vec<_>>()
+            .join("  ");
+        if status != last_status {
+            println!("progress: {status}");
+            last_status = status;
+        }
         if all_done {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(if quick {
-            25
+        // Quick requests can all finish within a few milliseconds, before
+        // a coarser sample would see one running, so a quick run polls as
+        // often as the scheduler lets it.
+        if quick {
+            std::thread::yield_now();
         } else {
-            250
-        }));
+            std::thread::sleep(std::time::Duration::from_millis(250));
+        }
     }
     if oversubscribe {
         assert!(
