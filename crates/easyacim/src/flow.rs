@@ -19,14 +19,14 @@ use std::time::{Duration, Instant};
 use acim_cell::CellLibrary;
 use acim_dse::{DesignPoint, ExploreOptions};
 use acim_layout::MacroLayout;
-use acim_moga::EvalStats;
+use acim_moga::{CancelToken, EvalStats};
 use acim_netlist::{Design, DesignStats};
 
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::stage::{
-    DistillStage, ExploreStage, Instrumented, LayoutStage, NetlistStage, ProgressObserver, Stage,
-    TraceContext,
+    cancel_error, DistillStage, ExploreStage, Instrumented, LayoutStage, NetlistStage,
+    ProgressObserver, Stage, StageProgress, TraceContext,
 };
 
 /// One fully generated design: the distilled Pareto point, its hierarchical
@@ -74,14 +74,16 @@ pub struct FlowResult {
 pub struct FlowOptions {
     /// Cache / warm-start / cancellation injection for the exploration.
     /// Its [`ExploreOptions::cancel`] token is the run's only one: the
-    /// exploration polls it at generation boundaries, the netlist and
-    /// layout stages before every design.
+    /// exploration polls it at generation boundaries, the controller
+    /// before every design's netlist.
     pub exploration: ExploreOptions,
     /// Observer receiving one event per unit of stage progress.
     pub observer: Option<ProgressObserver>,
     /// Telemetry context: when present, every stage is wrapped in an
     /// [`Instrumented`] adapter recording per-stage spans (parented under
-    /// the context's parent span) and `stage_seconds` histograms.
+    /// the context's parent span) and `stage_seconds` histograms — once
+    /// per request for exploration and distillation, once per design for
+    /// netlist and layout.
     pub trace: Option<TraceContext>,
 }
 
@@ -139,48 +141,71 @@ impl TopFlowController {
 
     /// Runs the full flow with caller-injected [`FlowOptions`].
     ///
-    /// The stages are the typed pipeline of [`crate::stage`]:
-    /// explore → distill → netlist → layout.
+    /// The stages are the typed pipeline of [`crate::stage`]: explore →
+    /// distill once, then netlist → layout for each of the first
+    /// `max_layouts` distilled designs (`0` = all), in distilled order.
+    /// Before each design the cancel token is polled; after each stage of
+    /// a design the observer gets a `netlist` or `layout` tick.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError`] when any stage fails.
+    /// Returns [`FlowError`] when any stage fails, or the cancellation
+    /// error counting the designs finished before the token tripped.
     pub fn run_with(&self, options: &FlowOptions) -> Result<FlowResult, FlowError> {
         let start = Instant::now();
         let mut explore =
             ExploreStage::new(self.config.dse.clone()).with_options(options.exploration.clone());
-        let mut netlist = NetlistStage::new(
-            &self.library,
-            self.config.emit_files,
-            self.config.max_layouts,
-        );
-        let mut layout = LayoutStage::new(&self.config.technology, &self.library);
         if let Some(observer) = &options.observer {
             explore = explore.with_observer(observer.clone());
-            netlist = netlist.with_observer(observer.clone());
-            layout = layout.with_observer(observer.clone());
-        }
-        if let Some(cancel) = &options.exploration.cancel {
-            netlist = netlist.with_cancel(cancel.clone());
-            layout = layout.with_cancel(cancel.clone());
         }
         let trace = &options.trace;
-        let laid_out = Instrumented::new(explore, trace.clone())
+        let distilled = Instrumented::new(explore, trace.clone())
             .then(Instrumented::new(
                 DistillStage::new(self.config.requirements),
                 trace.clone(),
             ))
-            .then(Instrumented::new(netlist, trace.clone()))
-            .then(Instrumented::new(layout, trace.clone()))
             .run(())?;
 
+        let netlist = Instrumented::new(
+            NetlistStage::new(&self.library, self.config.emit_files),
+            trace.clone(),
+        );
+        let layout = Instrumented::new(
+            LayoutStage::new(&self.config.technology, &self.library),
+            trace.clone(),
+        );
+        let total = match self.config.max_layouts {
+            0 => distilled.distilled.len(),
+            limit => limit.min(distilled.distilled.len()),
+        };
+        let tick = |stage, completed| {
+            if let Some(observer) = &options.observer {
+                observer(StageProgress {
+                    stage,
+                    completed,
+                    total,
+                });
+            }
+        };
+        let cancel = options.exploration.cancel.as_ref();
+        let mut designs = Vec::with_capacity(total);
+        for (index, point) in distilled.distilled.iter().take(total).enumerate() {
+            if let Some(reason) = cancel.and_then(CancelToken::status) {
+                return Err(cancel_error(reason, index, total));
+            }
+            let netlisted = netlist.run(*point)?;
+            tick("netlist", index + 1);
+            designs.push(layout.run(netlisted)?);
+            tick("layout", index + 1);
+        }
+
         Ok(FlowResult {
-            frontier: laid_out.frontier,
-            distilled: laid_out.distilled,
-            designs: laid_out.designs,
-            exploration_time: laid_out.exploration_time,
+            frontier: distilled.frontier,
+            distilled: distilled.distilled,
+            designs,
+            exploration_time: distilled.exploration_time,
             total_time: start.elapsed(),
-            engine: laid_out.engine,
+            engine: distilled.engine,
         })
     }
 }
@@ -274,6 +299,102 @@ mod tests {
                 total: 2
             })
         ));
+    }
+
+    type Tick = (&'static str, usize, usize);
+
+    /// Runs a `max_layouts = 2` flow that records every progress event as
+    /// `(stage, completed, total)` and trips its token on the first event
+    /// of stage `trip_on`.
+    fn observed_run(trip_on: &'static str) -> (Vec<Tick>, Result<FlowResult, FlowError>) {
+        use std::sync::{Arc, Mutex};
+
+        let cancel = CancelToken::new();
+        let trip = cancel.clone();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let seen = events.clone();
+        let observer: ProgressObserver = Arc::new(move |e: StageProgress| {
+            seen.lock().unwrap().push((e.stage, e.completed, e.total));
+            if e.stage == trip_on {
+                trip.cancel();
+            }
+        });
+        let options = FlowOptions {
+            exploration: ExploreOptions {
+                cancel: Some(cancel),
+                ..ExploreOptions::default()
+            },
+            observer: Some(observer),
+            ..FlowOptions::default()
+        };
+        let controller = TopFlowController::new(quick_config(4 * 1024)).unwrap();
+        let result = controller.run_with(&options);
+        let events = events.lock().unwrap().clone();
+        (events, result)
+    }
+
+    #[test]
+    fn each_design_is_laid_out_before_the_next_is_netlisted() {
+        let (events, result) = observed_run("none");
+        assert_eq!(result.unwrap().designs.len(), 2);
+        let generations = quick_config(4 * 1024).dse.generations;
+        let explore: Vec<Tick> = (1..=generations)
+            .map(|g| ("explore", g, generations))
+            .collect();
+        assert_eq!(events[..generations], explore[..]);
+        assert_eq!(
+            events[generations..],
+            [
+                ("netlist", 1, 2),
+                ("layout", 1, 2),
+                ("netlist", 2, 2),
+                ("layout", 2, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cancel_after_the_first_layout_stops_before_the_second_netlist() {
+        let (events, result) = observed_run("layout");
+        assert!(matches!(
+            result,
+            Err(FlowError::Cancelled {
+                completed: 1,
+                total: 2
+            })
+        ));
+        let generations = quick_config(4 * 1024).dse.generations;
+        assert_eq!(events[generations..], [("netlist", 1, 2), ("layout", 1, 2)]);
+    }
+
+    #[test]
+    fn designs_match_the_direct_generators_in_distilled_order() {
+        use acim_layout::LayoutFlow;
+        use acim_netlist::{write_spice, NetlistGenerator};
+
+        for max_layouts in [2, 0] {
+            let mut config = quick_config(4 * 1024);
+            config.max_layouts = max_layouts;
+            config.emit_files = true;
+            let controller = TopFlowController::new(config).unwrap();
+            let result = controller.run().unwrap();
+            let expected = match max_layouts {
+                0 => result.distilled.len(),
+                limit => limit,
+            };
+            assert_eq!(result.designs.len(), expected);
+
+            let library = controller.library();
+            let generator = NetlistGenerator::new(library);
+            let layout = LayoutFlow::new(&controller.config().technology, library);
+            for (design, point) in result.designs.iter().zip(&result.distilled) {
+                assert_eq!(design.point, *point);
+                let spice = write_spice(&generator.generate(&point.spec).unwrap(), library);
+                assert_eq!(design.spice, Some(spice.unwrap()));
+                let metrics = layout.generate(&point.spec).unwrap().metrics;
+                assert_eq!(design.layout.metrics, metrics);
+            }
+        }
     }
 
     #[test]

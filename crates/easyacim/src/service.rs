@@ -598,7 +598,7 @@ struct ServiceInstruments {
     restored_archives: Counter,
     restored_evaluations: Counter,
     restored_macro_metrics: Counter,
-    stages: Arc<crate::stage::StageHistograms>,
+    trace: TraceContext,
 }
 
 impl ServiceInstruments {
@@ -682,7 +682,7 @@ impl ServiceInstruments {
                 "Macro-metric entries merged by snapshot restores.",
                 &[],
             ),
-            stages: Arc::new(crate::stage::StageHistograms::resolve(telemetry)),
+            trace: TraceContext::under(telemetry.clone(), None),
         }
     }
 }
@@ -1542,11 +1542,9 @@ impl ExplorationService {
     /// telemetry is disabled (stages then run as pure pass-throughs).
     fn trace_context(&self, parent: Option<SpanId>) -> Option<TraceContext> {
         self.telemetry.is_enabled().then(|| {
-            TraceContext::with_stages(
-                self.telemetry.clone(),
-                parent,
-                self.instruments.stages.clone(),
-            )
+            let mut trace = self.instruments.trace.clone();
+            trace.parent = parent;
+            trace
         })
     }
 
@@ -2420,6 +2418,55 @@ mod tests {
                 .attributes
                 .iter()
                 .any(|(k, v)| k.as_ref() == "stage" && v.as_ref() == "explore"));
+        }
+    }
+
+    #[test]
+    fn macro_requests_record_netlist_and_layout_spans_per_design() {
+        let mut config = FlowConfig::new(4 * 1024);
+        config.dse.population_size = 24;
+        config.dse.generations = 6;
+        config.max_layouts = 2;
+        let generations = config.dse.generations;
+        let service = ExplorationService::new();
+        let response = service
+            .run(ExplorationRequest::macro_space(config))
+            .unwrap()
+            .into_macro()
+            .unwrap();
+        assert_eq!(response.result.designs.len(), 2);
+
+        // The request's children are exactly the stage spans a traced
+        // benchmark maps to layers, plus the generation ticks.
+        let snapshot = service.telemetry();
+        let root = snapshot
+            .spans
+            .iter()
+            .find(|s| s.name == "request")
+            .expect("root request span");
+        let mut children: Vec<&str> = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(root.id))
+            .map(|s| s.name.as_ref())
+            .collect();
+        children.sort_unstable();
+        let mut expected = vec!["generation"; generations];
+        expected.extend([
+            "distill", "explore", "layout", "layout", "netlist", "netlist",
+        ]);
+        expected.sort_unstable();
+        assert_eq!(children, expected);
+        for (stage, runs) in [
+            ("explore", 1),
+            ("distill", 1),
+            ("netlist", 2),
+            ("layout", 2),
+        ] {
+            let histogram = snapshot
+                .histogram("stage_seconds", &[("stage", stage)])
+                .expect("stage histogram");
+            assert_eq!(histogram.count, runs, "stage_seconds{{stage={stage}}}");
         }
     }
 

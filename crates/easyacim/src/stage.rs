@@ -5,21 +5,25 @@
 //! with typed inputs and outputs, plus the chip exploration —
 //!
 //! ```text
-//! ExploreStage   ()         -> Explored     (NSGA-II Pareto frontier)
-//! DistillStage   Explored   -> Distilled    (user requirements applied)
-//! NetlistStage   Distilled  -> Netlisted    (hierarchical netlists)
-//! LayoutStage    Netlisted  -> LaidOut      (template-based P&R)
-//! ChipStage      ()         -> ChipFlowResult (multi-macro composition)
+//! ExploreStage   ()              -> Explored        (NSGA-II Pareto frontier)
+//! DistillStage   Explored        -> Distilled       (user requirements applied)
+//! NetlistStage   DesignPoint     -> NetlistedDesign (one hierarchical netlist)
+//! LayoutStage    NetlistedDesign -> GeneratedDesign (one template-based P&R)
+//! ChipStage      ()              -> ChipFlowResult  (multi-macro composition)
 //! ```
 //!
 //! — chained with [`Stage::then`], which only compiles when the output
-//! type of one stage is the input type of the next.  `ChipStage` runs on
+//! type of one stage is the input type of the next.  Exploration and
+//! distillation run once per request; the netlist and layout stages run
+//! once per distilled design, in the one loop of
+//! [`crate::flow::TopFlowController::run_with`] that bounds the designs,
+//! polls the cancel token and ticks their progress.  `ChipStage` runs on
 //! its own: it explores a chip design space, not the macro flow's.  The
 //! controller in [`crate::flow`] and the multi-tenant service in
 //! [`crate::service`] both assemble their pipelines from these pieces;
-//! the stages accept [`ExploreOptions`] (shared cache, warm-start seeds)
-//! and an optional [`ProgressObserver`], which is how one long-lived
-//! service thread observes many concurrent explorations.
+//! the exploring stages accept [`ExploreOptions`] (shared cache,
+//! warm-start seeds) and an optional [`ProgressObserver`], which is how
+//! one long-lived service thread observes many concurrent explorations.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +35,7 @@ use acim_dse::{
     UserRequirements,
 };
 use acim_layout::LayoutFlow;
-use acim_moga::{CancelReason, CancelToken, EvalStats};
+use acim_moga::{CancelReason, EvalStats};
 use acim_netlist::{design_stats, write_spice, Design, DesignStats, NetlistGenerator};
 use acim_tech::Technology;
 use acim_telemetry::{Histogram, SpanId, Telemetry};
@@ -57,8 +61,8 @@ pub struct StageProgress {
 /// stages (the service's job handles are built on this).
 pub type ProgressObserver = Arc<dyn Fn(StageProgress) + Send + Sync>;
 
-/// Maps a tripped [`CancelToken`] to the matching [`FlowError`] variant,
-/// tagging it with the interrupted stage's partial progress.
+/// Maps a tripped [`acim_moga::CancelToken`] to the matching [`FlowError`]
+/// variant, tagging it with the interrupted stage's partial progress.
 pub(crate) fn cancel_error(reason: CancelReason, completed: usize, total: usize) -> FlowError {
     match reason {
         CancelReason::Cancelled => FlowError::Cancelled { completed, total },
@@ -130,6 +134,10 @@ where
 /// record into, plus the span id stage spans are parented under
 /// (typically a request's root span, so per-request span trees read
 /// `request → stage → generation`).
+///
+/// Build it once per bundle and clone it per request, setting
+/// [`TraceContext::parent`]: clones share the resolved stage histograms
+/// instead of walking the registry again.
 #[derive(Debug, Clone)]
 pub struct TraceContext {
     /// The telemetry bundle (metric registry + span recorder).
@@ -143,18 +151,6 @@ impl TraceContext {
     /// A context parenting stage spans under `parent`.
     pub fn under(telemetry: Telemetry, parent: Option<SpanId>) -> Self {
         let stages = Arc::new(StageHistograms::resolve(&telemetry));
-        Self::with_stages(telemetry, parent, stages)
-    }
-
-    /// A context reusing already-resolved stage histograms — long-lived
-    /// callers (the service) resolve them once and share the handle
-    /// across every request's context instead of walking the registry
-    /// per request.
-    pub fn with_stages(
-        telemetry: Telemetry,
-        parent: Option<SpanId>,
-        stages: Arc<StageHistograms>,
-    ) -> Self {
         Self {
             telemetry,
             parent,
@@ -167,13 +163,13 @@ impl TraceContext {
 /// pipeline stages, so an instrumented stage run costs an atomic
 /// observation instead of a locked registry walk.
 #[derive(Debug)]
-pub struct StageHistograms {
+struct StageHistograms {
     entries: [(&'static str, Histogram); 5],
 }
 
 impl StageHistograms {
     /// Registers (or re-fetches) the histogram of every known stage.
-    pub fn resolve(telemetry: &Telemetry) -> Self {
+    fn resolve(telemetry: &Telemetry) -> Self {
         let histogram = |stage: &'static str| {
             let handle = telemetry.registry().histogram(
                 "stage_seconds",
@@ -297,37 +293,6 @@ pub struct NetlistedDesign {
     pub netlist_time: Duration,
 }
 
-/// Output of [`NetlistStage`]: distillation results plus one netlist per
-/// selected design.
-#[derive(Debug, Clone)]
-pub struct Netlisted {
-    /// The full Pareto frontier found by the explorer.
-    pub frontier: Vec<DesignPoint>,
-    /// The frontier points surviving the user requirements.
-    pub distilled: Vec<DesignPoint>,
-    /// Evaluation-engine statistics of the exploration.
-    pub engine: EvalStats,
-    /// Wall-clock time of the exploration.
-    pub exploration_time: Duration,
-    /// The netlisted designs (bounded by the stage's layout limit).
-    pub netlists: Vec<NetlistedDesign>,
-}
-
-/// Output of [`LayoutStage`] — everything the macro flow produces.
-#[derive(Debug, Clone)]
-pub struct LaidOut {
-    /// The full Pareto frontier found by the explorer.
-    pub frontier: Vec<DesignPoint>,
-    /// The frontier points surviving the user requirements.
-    pub distilled: Vec<DesignPoint>,
-    /// Evaluation-engine statistics of the exploration.
-    pub engine: EvalStats,
-    /// Wall-clock time of the exploration.
-    pub exploration_time: Duration,
-    /// Fully generated designs (netlist + layout each).
-    pub designs: Vec<GeneratedDesign>,
-}
-
 /// The MOGA design-space exploration stage (`() -> Explored`).
 #[derive(Clone)]
 pub struct ExploreStage {
@@ -438,43 +403,21 @@ impl Stage for DistillStage {
     }
 }
 
-/// The template-based netlist-generation stage (`Distilled -> Netlisted`).
-///
-/// Generates a netlist for up to `limit` distilled designs (`0` = all) —
-/// the same bound the layout stage honours, since netlists exist to be
-/// laid out.
+/// The template-based netlist-generation stage (`DesignPoint ->
+/// NetlistedDesign`): one design's hierarchical netlist, its statistics
+/// and, when asked, its SPICE text.
 pub struct NetlistStage<'a> {
     library: &'a CellLibrary,
     emit_spice: bool,
-    limit: usize,
-    observer: Option<ProgressObserver>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> NetlistStage<'a> {
     /// Creates the stage over a cell library.
-    pub fn new(library: &'a CellLibrary, emit_spice: bool, limit: usize) -> Self {
+    pub fn new(library: &'a CellLibrary, emit_spice: bool) -> Self {
         Self {
             library,
             emit_spice,
-            limit,
-            observer: None,
-            cancel: None,
         }
-    }
-
-    /// Attaches a progress observer (one event per netlisted design).
-    #[must_use]
-    pub fn with_observer(mut self, observer: ProgressObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a cancellation token, polled before every design.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 }
 
@@ -482,70 +425,42 @@ impl std::fmt::Debug for NetlistStage<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetlistStage")
             .field("emit_spice", &self.emit_spice)
-            .field("limit", &self.limit)
             .finish_non_exhaustive()
     }
 }
 
 impl Stage for NetlistStage<'_> {
-    type Input = Distilled;
-    type Output = Netlisted;
+    type Input = DesignPoint;
+    type Output = NetlistedDesign;
 
     fn name(&self) -> &'static str {
         "netlist"
     }
 
-    fn run(&self, input: Distilled) -> Result<Netlisted, FlowError> {
-        let limit = if self.limit == 0 {
-            input.distilled.len()
+    fn run(&self, point: DesignPoint) -> Result<NetlistedDesign, FlowError> {
+        let start = Instant::now();
+        let netlist = NetlistGenerator::new(self.library).generate(&point.spec)?;
+        let stats = design_stats(&netlist, self.library)?;
+        let spice = if self.emit_spice {
+            Some(write_spice(&netlist, self.library)?)
         } else {
-            self.limit.min(input.distilled.len())
+            None
         };
-        let generator = NetlistGenerator::new(self.library);
-        let mut netlists = Vec::with_capacity(limit);
-        for (index, point) in input.distilled.iter().take(limit).enumerate() {
-            if let Some(reason) = self.cancel.as_ref().and_then(CancelToken::status) {
-                return Err(cancel_error(reason, index, limit));
-            }
-            let start = Instant::now();
-            let netlist = generator.generate(&point.spec)?;
-            let stats = design_stats(&netlist, self.library)?;
-            let spice = if self.emit_spice {
-                Some(write_spice(&netlist, self.library)?)
-            } else {
-                None
-            };
-            netlists.push(NetlistedDesign {
-                point: *point,
-                netlist,
-                stats,
-                spice,
-                netlist_time: start.elapsed(),
-            });
-            if let Some(observer) = &self.observer {
-                observer(StageProgress {
-                    stage: "netlist",
-                    completed: index + 1,
-                    total: limit,
-                });
-            }
-        }
-        Ok(Netlisted {
-            frontier: input.frontier,
-            distilled: input.distilled,
-            engine: input.engine,
-            exploration_time: input.exploration_time,
-            netlists,
+        Ok(NetlistedDesign {
+            point,
+            netlist,
+            stats,
+            spice,
+            netlist_time: start.elapsed(),
         })
     }
 }
 
-/// The template-based place-and-route stage (`Netlisted -> LaidOut`).
+/// The template-based place-and-route stage (`NetlistedDesign ->
+/// GeneratedDesign`): lays out one netlisted design.
 pub struct LayoutStage<'a> {
     technology: &'a Technology,
     library: &'a CellLibrary,
-    observer: Option<ProgressObserver>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'a> LayoutStage<'a> {
@@ -554,23 +469,7 @@ impl<'a> LayoutStage<'a> {
         Self {
             technology,
             library,
-            observer: None,
-            cancel: None,
         }
-    }
-
-    /// Attaches a progress observer (one event per laid-out design).
-    #[must_use]
-    pub fn with_observer(mut self, observer: ProgressObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a cancellation token, polled before every design.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
     }
 }
 
@@ -581,45 +480,24 @@ impl std::fmt::Debug for LayoutStage<'_> {
 }
 
 impl Stage for LayoutStage<'_> {
-    type Input = Netlisted;
-    type Output = LaidOut;
+    type Input = NetlistedDesign;
+    type Output = GeneratedDesign;
 
     fn name(&self) -> &'static str {
         "layout"
     }
 
-    fn run(&self, input: Netlisted) -> Result<LaidOut, FlowError> {
-        let flow = LayoutFlow::new(self.technology, self.library);
-        let total = input.netlists.len();
-        let mut designs = Vec::with_capacity(total);
-        for (index, netlisted) in input.netlists.into_iter().enumerate() {
-            if let Some(reason) = self.cancel.as_ref().and_then(CancelToken::status) {
-                return Err(cancel_error(reason, index, total));
-            }
-            let start = Instant::now();
-            let layout = flow.generate(&netlisted.point.spec)?;
-            designs.push(GeneratedDesign {
-                point: netlisted.point,
-                netlist: netlisted.netlist,
-                netlist_stats: netlisted.stats,
-                layout,
-                spice: netlisted.spice,
-                generation_time: netlisted.netlist_time + start.elapsed(),
-            });
-            if let Some(observer) = &self.observer {
-                observer(StageProgress {
-                    stage: "layout",
-                    completed: index + 1,
-                    total,
-                });
-            }
-        }
-        Ok(LaidOut {
-            frontier: input.frontier,
-            distilled: input.distilled,
-            engine: input.engine,
-            exploration_time: input.exploration_time,
-            designs,
+    fn run(&self, netlisted: NetlistedDesign) -> Result<GeneratedDesign, FlowError> {
+        let start = Instant::now();
+        let layout =
+            LayoutFlow::new(self.technology, self.library).generate(&netlisted.point.spec)?;
+        Ok(GeneratedDesign {
+            point: netlisted.point,
+            netlist: netlisted.netlist,
+            netlist_stats: netlisted.stats,
+            layout,
+            spice: netlisted.spice,
+            generation_time: netlisted.netlist_time + start.elapsed(),
         })
     }
 }
@@ -776,16 +654,19 @@ mod tests {
     }
 
     #[test]
-    fn netlist_and_layout_stages_honour_the_limit() {
+    fn netlist_then_layout_stages_generate_one_design() {
         let technology = Technology::s28();
         let library = CellLibrary::s28_default(&technology);
-        let pipeline = ExploreStage::new(quick_dse())
+        let distilled = ExploreStage::new(quick_dse())
             .then(DistillStage::new(UserRequirements::none()))
-            .then(NetlistStage::new(&library, false, 1))
-            .then(LayoutStage::new(&technology, &library));
-        let laid = pipeline.run(()).unwrap();
-        assert_eq!(laid.designs.len(), 1);
-        let design = &laid.designs[0];
+            .run(())
+            .unwrap();
+        let point = distilled.distilled[0];
+        let design = NetlistStage::new(&library, false)
+            .then(LayoutStage::new(&technology, &library))
+            .run(point)
+            .unwrap();
+        assert_eq!(design.point, point);
         assert_eq!(
             design.netlist_stats.sram_cells,
             design.point.spec.array_size()
@@ -842,7 +723,7 @@ mod tests {
             DistillStage::new(UserRequirements::none()).name(),
             "distill"
         );
-        assert_eq!(NetlistStage::new(&library, false, 1).name(), "netlist");
+        assert_eq!(NetlistStage::new(&library, false).name(), "netlist");
         assert_eq!(LayoutStage::new(&technology, &library).name(), "layout");
     }
 }
