@@ -18,27 +18,19 @@ use crate::spec::AcimSpec;
 /// groups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CdacBank {
-    /// Nominal unit capacitance (fF) of one compute capacitor.
-    unit_cap_ff: f64,
     /// Per-group capacitance in fF, including sampled mismatch.
     group_caps_ff: Vec<f64>,
-    /// Nominal per-group sizes in unit capacitors.
-    group_units: Vec<usize>,
 }
 
 impl CdacBank {
     /// Builds an ideal (mismatch-free) CDAC for a specification.
     pub fn ideal(spec: &AcimSpec, unit_cap_ff: f64) -> Self {
-        let group_units = spec.sar_group_sizes();
-        let group_caps_ff = group_units
+        let group_caps_ff = spec
+            .sar_group_sizes()
             .iter()
             .map(|&u| unit_cap_ff * u as f64)
             .collect();
-        Self {
-            unit_cap_ff,
-            group_caps_ff,
-            group_units,
-        }
+        Self { group_caps_ff }
     }
 
     /// Builds a CDAC whose unit capacitors carry Gaussian mismatch
@@ -49,8 +41,8 @@ impl CdacBank {
         kappa: f64,
         rng: &mut R,
     ) -> Self {
-        let group_units = spec.sar_group_sizes();
-        let group_caps_ff = group_units
+        let group_caps_ff = spec
+            .sar_group_sizes()
             .iter()
             .map(|&u| {
                 // Each group is u unit caps in parallel; mismatch adds in
@@ -60,11 +52,7 @@ impl CdacBank {
                 (nominal + gaussian(rng) * sigma).max(unit_cap_ff * 0.01)
             })
             .collect();
-        Self {
-            unit_cap_ff,
-            group_caps_ff,
-            group_units,
-        }
+        Self { group_caps_ff }
     }
 
     /// Number of SAR groups (B_ADC + 1, including the LSB dummy group).
@@ -72,19 +60,9 @@ impl CdacBank {
         self.group_caps_ff.len()
     }
 
-    /// Nominal group sizes in unit capacitors.
-    pub fn group_units(&self) -> &[usize] {
-        &self.group_units
-    }
-
     /// Total CDAC capacitance in fF (with mismatch).
     pub fn total_cap_ff(&self) -> f64 {
         self.group_caps_ff.iter().sum()
-    }
-
-    /// Nominal total capacitance in fF.
-    pub fn nominal_total_cap_ff(&self) -> f64 {
-        self.unit_cap_ff * self.group_units.iter().sum::<usize>() as f64
     }
 
     /// The voltage step (as a fraction of full scale) contributed by
@@ -148,11 +126,6 @@ impl SarAdc {
         self.bits
     }
 
-    /// The underlying CDAC.
-    pub fn cdac(&self) -> &CdacBank {
-        &self.cdac
-    }
-
     /// Converts a normalised analog value `v ∈ [0, 1]` to a `bits`-bit code
     /// using successive approximation with the (possibly mismatched) CDAC
     /// group weights and per-decision comparator noise drawn from `rng`.
@@ -186,13 +159,6 @@ impl SarAdc {
         code
     }
 
-    /// Ideal quantisation of a normalised value to `bits` bits (mid-tread,
-    /// used as the reference when measuring quantisation-limited SNR).
-    pub fn ideal_convert(&self, v: f64) -> u32 {
-        let levels = (1u32 << self.bits) - 1;
-        (v.clamp(0.0, 1.0) * f64::from(levels)).round() as u32
-    }
-
     /// Full-scale code (`2^bits − 1`).
     pub fn full_scale(&self) -> u32 {
         (1u32 << self.bits) - 1
@@ -218,10 +184,9 @@ mod tests {
     fn cdac_group_structure_matches_spec() {
         let s = spec();
         let cdac = CdacBank::ideal(&s, 1.2);
-        assert_eq!(cdac.group_units(), s.sar_group_sizes().as_slice());
         assert_eq!(cdac.num_groups(), 5);
         assert!((cdac.total_cap_ff() - 1.2 * 16.0).abs() < 1e-9);
-        assert_eq!(cdac.total_cap_ff(), cdac.nominal_total_cap_ff());
+        assert_eq!(cdac.total_cap_ff(), 1.2 * 16.0);
     }
 
     #[test]
@@ -229,9 +194,9 @@ mod tests {
         let s = spec();
         let mut rng = StdRng::seed_from_u64(3);
         let cdac = CdacBank::with_mismatch(&s, 1.2, 0.02, &mut rng);
-        assert_ne!(cdac.total_cap_ff(), cdac.nominal_total_cap_ff());
-        let rel_err =
-            (cdac.total_cap_ff() - cdac.nominal_total_cap_ff()).abs() / cdac.nominal_total_cap_ff();
+        let nominal = 1.2 * 16.0;
+        assert_ne!(cdac.total_cap_ff(), nominal);
+        let rel_err = (cdac.total_cap_ff() - nominal).abs() / nominal;
         assert!(rel_err < 0.2, "mismatch too large: {rel_err}");
         for i in 0..cdac.num_groups() {
             assert!(cdac.group_weight(i) > 0.0);
@@ -260,7 +225,8 @@ mod tests {
         for step in 0..200 {
             let v = f64::from(step) / 199.0;
             let sar = adc.convert(v, &mut rng) as i64;
-            let ideal = adc.ideal_convert(v) as i64;
+            // The ideal mid-tread quantiser.
+            let ideal = (v * f64::from(adc.full_scale())).round() as i64;
             assert!(
                 (sar - ideal).abs() <= 1,
                 "v={v}: sar {sar} vs ideal {ideal}"

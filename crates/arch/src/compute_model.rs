@@ -27,31 +27,6 @@ pub enum ComputeModelKind {
     ChargeRedistribution,
 }
 
-impl ComputeModelKind {
-    /// All three compute models, in the order of Figure 2.
-    pub fn all() -> [ComputeModelKind; 3] {
-        [
-            ComputeModelKind::ChargeSumming,
-            ComputeModelKind::CurrentSumming,
-            ComputeModelKind::ChargeRedistribution,
-        ]
-    }
-
-    /// Returns `true` for the charge-domain models (QS, QR).
-    pub fn is_charge_domain(self) -> bool {
-        !matches!(self, ComputeModelKind::CurrentSumming)
-    }
-
-    /// Short name used in reports ("QS", "IS", "QR").
-    pub fn short_name(self) -> &'static str {
-        match self {
-            ComputeModelKind::ChargeSumming => "QS",
-            ComputeModelKind::CurrentSumming => "IS",
-            ComputeModelKind::ChargeRedistribution => "QR",
-        }
-    }
-}
-
 /// Operating-condition knobs for the PVT-sensitivity study.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PvtCondition {
@@ -226,7 +201,11 @@ mod tests {
     #[test]
     fn ideal_models_agree_with_ideal_accumulation() {
         let products = vec![true, false, true, false, false, true, true, false];
-        for kind in ComputeModelKind::all() {
+        for kind in [
+            ComputeModelKind::ChargeSumming,
+            ComputeModelKind::CurrentSumming,
+            ComputeModelKind::ChargeRedistribution,
+        ] {
             let model = ComputeModel::ideal(kind, products.len());
             let out = model.accumulate(&products, PvtCondition::nominal());
             assert!(
@@ -265,15 +244,6 @@ mod tests {
         let out = model.accumulate(&products, PvtCondition::nominal());
         assert!((out - 0.5).abs() < 0.05, "mismatch shifted output to {out}");
         assert_ne!(out, 0.5, "2% mismatch should move the output slightly");
-    }
-
-    #[test]
-    fn short_names_and_charge_domain_predicate() {
-        assert_eq!(ComputeModelKind::ChargeRedistribution.short_name(), "QR");
-        assert_eq!(ComputeModelKind::CurrentSumming.short_name(), "IS");
-        assert_eq!(ComputeModelKind::ChargeSumming.short_name(), "QS");
-        assert!(ComputeModelKind::ChargeRedistribution.is_charge_domain());
-        assert!(!ComputeModelKind::CurrentSumming.is_charge_domain());
     }
 
     #[test]

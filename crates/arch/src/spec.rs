@@ -176,12 +176,6 @@ impl AcimSpec {
         self.capacitors_per_column() * self.width
     }
 
-    /// Number of cycles needed to consume all `H` rows (`L` cycles, one per
-    /// row offset inside the local arrays).
-    pub fn cycles_per_full_matrix(&self) -> usize {
-        self.local_array
-    }
-
     /// CDAC SAR-group sizes in unit capacitors, following the paper's
     /// 1 : 1 : 2 : 4 : … : 2^(B−1) ratio.  The sum is `2^B_ADC`, which is
     /// guaranteed to fit in the available `H / L` capacitors.
@@ -347,6 +341,5 @@ mod tests {
         assert_eq!(spec.width(), 128);
         assert_eq!(spec.local_array(), 4);
         assert_eq!(spec.adc_bits(), 5);
-        assert_eq!(spec.cycles_per_full_matrix(), 4);
     }
 }

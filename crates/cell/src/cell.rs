@@ -151,11 +151,6 @@ impl LeafCell {
     pub fn height_nm(&self) -> f64 {
         self.layout.height()
     }
-
-    /// Cell area in µm².
-    pub fn area_um2(&self) -> f64 {
-        self.layout.boundary.area() / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +206,6 @@ mod tests {
         assert_eq!(cell.width_nm(), 500.0);
         assert!(cell.pin("A").is_some());
         assert!(cell.pin("MISSING").is_none());
-        assert!((cell.area_um2() - 0.3).abs() < 1e-9);
     }
 
     #[test]

@@ -20,11 +20,6 @@ impl Point {
         Self { x, y }
     }
 
-    /// Manhattan distance to another point.
-    pub fn manhattan_distance(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Translates the point by (dx, dy).
     pub fn translated(&self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -173,35 +168,6 @@ pub enum Orientation {
     R180,
 }
 
-impl Orientation {
-    /// Applies the orientation to a rectangle defined in a cell's local
-    /// frame of the given size, returning its footprint in the same frame
-    /// (the origin stays at the lower-left of the cell bounding box).
-    pub fn apply(&self, rect: &Rect, cell_width: f64, cell_height: f64) -> Rect {
-        match self {
-            Orientation::R0 => *rect,
-            Orientation::MX => Rect::new(
-                rect.min.x,
-                cell_height - rect.max.y,
-                rect.max.x,
-                cell_height - rect.min.y,
-            ),
-            Orientation::MY => Rect::new(
-                cell_width - rect.max.x,
-                rect.min.y,
-                cell_width - rect.min.x,
-                rect.max.y,
-            ),
-            Orientation::R180 => Rect::new(
-                cell_width - rect.max.x,
-                cell_height - rect.max.y,
-                cell_width - rect.min.x,
-                cell_height - rect.min.y,
-            ),
-        }
-    }
-}
-
 /// Half-perimeter wire length of a set of points — the standard placement
 /// cost metric (Section 2.3 of the paper).
 pub fn half_perimeter_wire_length(points: &[Point]) -> f64 {
@@ -266,26 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn orientations_preserve_size() {
-        let r = Rect::new(1.0, 2.0, 3.0, 5.0);
-        for o in [
-            Orientation::R0,
-            Orientation::MX,
-            Orientation::MY,
-            Orientation::R180,
-        ] {
-            let t = o.apply(&r, 10.0, 10.0);
-            assert!((t.width() - r.width()).abs() < 1e-12);
-            assert!((t.height() - r.height()).abs() < 1e-12);
-            assert!(Rect::new(0.0, 0.0, 10.0, 10.0).contains_rect(&t));
-        }
-        // MX flips vertically.
-        let mx = Orientation::MX.apply(&r, 10.0, 10.0);
-        assert_eq!(mx.min.y, 5.0);
-        assert_eq!(mx.max.y, 8.0);
-    }
-
-    #[test]
     fn hpwl_matches_bounding_box() {
         let points = vec![
             Point::new(0.0, 0.0),
@@ -295,13 +241,5 @@ mod tests {
         assert_eq!(half_perimeter_wire_length(&points), 10.0 + 20.0);
         assert_eq!(half_perimeter_wire_length(&[Point::new(1.0, 1.0)]), 0.0);
         assert_eq!(half_perimeter_wire_length(&[]), 0.0);
-    }
-
-    #[test]
-    fn manhattan_distance() {
-        assert_eq!(
-            Point::new(1.0, 2.0).manhattan_distance(&Point::new(4.0, -2.0)),
-            7.0
-        );
     }
 }

@@ -65,11 +65,6 @@ impl CellLibrary {
             .ok_or_else(|| CellError::UnknownCell(kind.cell_name().to_string()))
     }
 
-    /// Looks a cell up by its canonical name.
-    pub fn cell_by_name(&self, name: &str) -> Option<&LeafCell> {
-        self.cells.values().find(|c| c.name() == name)
-    }
-
     /// Number of registered cells.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -302,8 +297,6 @@ mod tests {
             assert!(lib.cell(kind).is_some(), "missing {kind}");
             assert!(lib.require(kind).is_ok());
         }
-        assert!(lib.cell_by_name("SRAM8T").is_some());
-        assert!(lib.cell_by_name("NOPE").is_none());
     }
 
     #[test]

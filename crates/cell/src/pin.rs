@@ -19,13 +19,6 @@ pub enum PinDirection {
     Ground,
 }
 
-impl PinDirection {
-    /// Returns `true` for supply pins (power or ground).
-    pub fn is_supply(self) -> bool {
-        matches!(self, PinDirection::Power | PinDirection::Ground)
-    }
-}
-
 impl fmt::Display for PinDirection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {
@@ -104,13 +97,6 @@ mod tests {
         assert_eq!(pin.direction(), PinDirection::Inout);
         assert_eq!(pin.layer(), "M2");
         assert!(pin.shape().contains_point(&Point::new(25.0, 50.0)));
-    }
-
-    #[test]
-    fn supply_predicate() {
-        assert!(PinDirection::Power.is_supply());
-        assert!(PinDirection::Ground.is_supply());
-        assert!(!PinDirection::Input.is_supply());
     }
 
     #[test]

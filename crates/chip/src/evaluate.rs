@@ -386,11 +386,6 @@ impl ChipEvaluator {
         &self.params
     }
 
-    /// The chip cost parameters in use.
-    pub fn cost(&self) -> &ChipCostParams {
-        &self.cost
-    }
-
     /// Installs a shared macro-metric cache and resets this evaluator's
     /// hit/miss attribution.
     ///
@@ -403,11 +398,6 @@ impl ChipEvaluator {
     pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
         self.macro_client = CacheClient::attached(cache);
         self
-    }
-
-    /// The installed macro-metric cache, when reuse is enabled.
-    pub fn macro_cache(&self) -> Option<&MacroMetricsCache> {
-        self.macro_client.cache()
     }
 
     /// Hit/miss/eviction attribution of this evaluator (and its clones)
@@ -835,7 +825,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // The plain evaluator reports no attribution.
         assert_eq!(plain.macro_cache_stats(), acim_moga::CacheStats::default());
-        assert!(reusing.macro_cache().is_some());
     }
 
     #[test]

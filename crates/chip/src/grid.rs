@@ -100,25 +100,6 @@ impl MacroGrid {
         r + c
     }
 
-    /// Mean Manhattan hop distance from the buffer across all macros — the
-    /// expected NoC distance of uniformly spread traffic.
-    pub fn mean_hops(&self) -> f64 {
-        let total: usize = (0..self.num_macros())
-            .map(|i| self.hops_from_buffer(i))
-            .sum();
-        total as f64 / self.num_macros() as f64
-    }
-
-    /// Total bit-cell capacity of the grid (sum of macro array sizes).
-    pub fn total_cells(&self) -> usize {
-        self.specs.iter().map(AcimSpec::array_size).sum()
-    }
-
-    /// Peak 1-bit MACs per conversion cycle across the whole grid.
-    pub fn peak_macs_per_cycle(&self) -> usize {
-        self.specs.iter().map(AcimSpec::macs_per_cycle).sum()
-    }
-
     /// Returns `true` when every macro has the same specification.
     pub fn is_uniform(&self) -> bool {
         self.specs.windows(2).all(|w| w[0] == w[1])
@@ -161,8 +142,6 @@ mod tests {
         assert_eq!(grid.rows(), 2);
         assert_eq!(grid.cols(), 3);
         assert_eq!(grid.num_macros(), 6);
-        assert_eq!(grid.total_cells(), 6 * 128 * 128);
-        assert_eq!(grid.peak_macs_per_cycle(), 6 * 16 * 128);
         assert!(grid.is_uniform());
         assert!(grid.to_string().contains("2x3"));
     }
@@ -201,7 +180,5 @@ mod tests {
         assert_eq!(grid.coordinate(4), (1, 1));
         assert_eq!(grid.hops_from_buffer(0), 0);
         assert_eq!(grid.hops_from_buffer(5), 3);
-        // Hops: 0,1,2,1,2,3 → mean 1.5.
-        assert!((grid.mean_hops() - 1.5).abs() < 1e-12);
     }
 }

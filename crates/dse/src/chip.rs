@@ -315,16 +315,6 @@ impl ChipDesignProblem {
         self.evaluator.macro_cache_stats()
     }
 
-    /// Returns `true` when the genome carries per-tile macro genes.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.heterogeneous
-    }
-
-    /// Grid positions representable in the genome (1 for uniform grids).
-    pub fn max_tiles(&self) -> usize {
-        self.max_tiles
-    }
-
     /// The macro genome encoding in use.
     pub fn encoding(&self) -> &DesignEncoding {
         &self.encoding
@@ -334,11 +324,6 @@ impl ChipDesignProblem {
     /// explorations).
     pub fn mix(&self) -> &WorkloadMix {
         &self.mix
-    }
-
-    /// The objective aggregation mode for multi-tenant mixes.
-    pub fn objective(&self) -> MixObjective {
-        self.objective
     }
 
     /// The device-variation sweep, when robustness is enabled.
@@ -845,13 +830,10 @@ mod tests {
     #[test]
     fn heterogeneous_genome_carries_per_tile_genes() {
         let problem = ChipDesignProblem::new(&hetero_config()).unwrap();
-        assert!(problem.is_heterogeneous());
         // max grid is 2x2 -> 4 tiles -> 6 + 3*3 genes.
-        assert_eq!(problem.max_tiles(), 4);
         assert_eq!(problem.num_variables(), 15);
         // The uniform problem is untouched.
         let uniform = ChipDesignProblem::new(&quick_config()).unwrap();
-        assert!(!uniform.is_heterogeneous());
         assert_eq!(uniform.num_variables(), 6);
     }
 

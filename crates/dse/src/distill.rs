@@ -30,33 +30,6 @@ impl UserRequirements {
         Self::default()
     }
 
-    /// A high-accuracy profile (e.g. transformer / LLM inference): demands
-    /// SNR and throughput, tolerates area and energy.
-    pub fn high_accuracy() -> Self {
-        Self {
-            min_snr_db: Some(25.0),
-            min_throughput_tops: Some(0.3),
-            ..Self::default()
-        }
-    }
-
-    /// An energy-first edge profile (e.g. always-on CNN keyword spotting).
-    pub fn low_power() -> Self {
-        Self {
-            min_tops_per_watt: Some(300.0),
-            max_area_f2_per_bit: Some(3500.0),
-            ..Self::default()
-        }
-    }
-
-    /// A throughput-first profile (e.g. high-frame-rate vision).
-    pub fn high_throughput() -> Self {
-        Self {
-            min_throughput_tops: Some(1.5),
-            ..Self::default()
-        }
-    }
-
     /// Returns `true` when a design point satisfies every requirement.
     pub fn accepts(&self, point: &DesignPoint) -> bool {
         let m = &point.metrics;
@@ -126,7 +99,13 @@ mod tests {
     #[test]
     fn high_accuracy_prefers_high_snr_points() {
         let frontier = sample_frontier();
-        let kept = UserRequirements::high_accuracy().distill(&frontier);
+        // A high-accuracy profile (e.g. transformer / LLM inference).
+        let requirements = UserRequirements {
+            min_snr_db: Some(25.0),
+            min_throughput_tops: Some(0.3),
+            ..UserRequirements::default()
+        };
+        let kept = requirements.distill(&frontier);
         assert!(!kept.is_empty());
         for p in &kept {
             assert!(p.metrics.snr_db >= 25.0);
@@ -139,7 +118,13 @@ mod tests {
     #[test]
     fn low_power_prefers_efficient_points() {
         let frontier = sample_frontier();
-        let kept = UserRequirements::low_power().distill(&frontier);
+        // An energy-first edge profile (e.g. always-on keyword spotting).
+        let requirements = UserRequirements {
+            min_tops_per_watt: Some(300.0),
+            max_area_f2_per_bit: Some(3500.0),
+            ..UserRequirements::default()
+        };
+        let kept = requirements.distill(&frontier);
         for p in &kept {
             assert!(p.metrics.tops_per_watt >= 300.0);
             assert!(p.metrics.area_f2_per_bit <= 3500.0);
@@ -151,7 +136,12 @@ mod tests {
     #[test]
     fn high_throughput_keeps_only_fast_designs() {
         let frontier = sample_frontier();
-        let kept = UserRequirements::high_throughput().distill(&frontier);
+        // A throughput-first profile (e.g. high-frame-rate vision).
+        let requirements = UserRequirements {
+            min_throughput_tops: Some(1.5),
+            ..UserRequirements::default()
+        };
+        let kept = requirements.distill(&frontier);
         assert!(!kept.is_empty());
         for p in &kept {
             assert!(p.metrics.throughput_tops >= 1.5);

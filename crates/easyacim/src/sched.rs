@@ -84,11 +84,6 @@ impl Deadline {
     pub fn instant(self) -> Instant {
         self.0
     }
-
-    /// Returns `true` once the deadline has passed.
-    pub fn has_passed(self) -> bool {
-        Instant::now() >= self.0
-    }
 }
 
 /// Why the scheduler refused to admit a request.
@@ -137,7 +132,7 @@ impl<T> JobSlot<T> {
     }
 
     /// Returns `true` once the job has finished (successfully or by
-    /// panicking); the take methods will not block after this.
+    /// panicking); `take_blocking` will not block after this.
     pub(crate) fn is_finished(&self) -> bool {
         !matches!(*self.lock(), SlotState::Pending)
     }
@@ -166,33 +161,6 @@ impl<T> JobSlot<T> {
                 .done
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Takes the result if the job already finished (`None` while it is
-    /// still pending or queued), re-raising a panic from the job.
-    pub(crate) fn try_take(&self) -> Option<T> {
-        Self::take_filled(&mut self.lock())
-    }
-
-    /// Blocks up to `timeout` for the result, re-raising a panic from the
-    /// job.
-    pub(crate) fn take_timeout(&self, timeout: Duration) -> Option<T> {
-        let give_up = Instant::now() + timeout;
-        let mut state = self.lock();
-        loop {
-            if let Some(value) = Self::take_filled(&mut state) {
-                return Some(value);
-            }
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            state = self
-                .done
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
         }
     }
 }
@@ -526,6 +494,7 @@ mod tests {
         let queued_a = submit(&scheduler, Priority::Normal, || 1).unwrap();
         let queued_b = submit(&scheduler, Priority::Normal, || 2).unwrap();
         assert_eq!(scheduler.queue_depth(), 2);
+        assert!(!pinned.is_finished());
         match submit(&scheduler, Priority::High, || 3) {
             Err(AdmitError::QueueFull { depth }) => assert_eq!(depth, 2),
             Err(other) => panic!("expected QueueFull, got {other:?}"),
@@ -615,35 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn try_take_and_take_timeout() {
-        let scheduler: Scheduler<usize> = Scheduler::new(1, 8, "test");
-        let (release, blocker) = gate();
-        let pinned = submit(&scheduler, Priority::Normal, blocker).unwrap();
-        assert!(!pinned.is_finished());
-        assert_eq!(pinned.try_take(), None);
-        assert_eq!(pinned.take_timeout(Duration::from_millis(5)), None);
-        release.send(()).unwrap();
-        assert_eq!(pinned.take_blocking(), 0);
-
-        let done = submit(&scheduler, Priority::Normal, || 3).unwrap();
-        while !done.is_finished() {
-            thread::yield_now();
-        }
-        assert_eq!(done.try_take(), Some(3));
-        let timed = submit(&scheduler, Priority::Normal, || 4).unwrap();
-        assert_eq!(timed.take_timeout(Duration::from_secs(5)), Some(4));
-    }
-
-    #[test]
     fn deadline_and_priority_values_behave() {
         assert!(Priority::Low < Priority::Normal);
         assert!(Priority::Normal < Priority::High);
         assert_eq!(Priority::default(), Priority::Normal);
         assert_eq!(Priority::High.to_string(), "high");
-        let passed = Deadline::at(Instant::now() - Duration::from_millis(1));
-        assert!(passed.has_passed());
+        let passed = Instant::now() - Duration::from_millis(1);
+        assert_eq!(Deadline::at(passed).instant(), passed);
         let future = Deadline::within(Duration::from_secs(3600));
-        assert!(!future.has_passed());
         assert!(future.instant() > Instant::now());
     }
 

@@ -748,7 +748,7 @@ impl JobHandle {
     }
 
     /// Returns `true` once the job has finished (successfully, with an
-    /// error, or by panicking); the join methods will not block after
+    /// error, or by panicking); [`JobHandle::join`] will not block after
     /// this.
     pub fn is_finished(&self) -> bool {
         self.slot.is_finished()
@@ -767,35 +767,6 @@ impl JobHandle {
     /// Re-raises a panic from the job.
     pub fn join(self) -> Result<ExplorationResponse, FlowError> {
         self.slot.take_blocking()
-    }
-
-    /// Returns the job's result if it already finished, or the handle
-    /// back (`Err`) while it is still queued or running.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the job.
-    pub fn try_join(self) -> Result<Result<ExplorationResponse, FlowError>, Self> {
-        match self.slot.try_take() {
-            Some(result) => Ok(result),
-            None => Err(self),
-        }
-    }
-
-    /// Waits up to `timeout` for the job's result, returning the handle
-    /// back (`Err`) on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from the job.
-    pub fn join_timeout(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<ExplorationResponse, FlowError>, Self> {
-        match self.slot.take_timeout(timeout) {
-            Some(result) => Ok(result),
-            None => Err(self),
-        }
     }
 }
 
@@ -1194,7 +1165,7 @@ impl ExplorationService {
         self.lock_caches()
             .entry(space.to_string())
             .or_insert_with(|| match self.config.cache_capacity {
-                Some(capacity) => CacheStore::bounded(capacity.max(1)),
+                Some(capacity) => CacheStore::bounded(capacity),
                 None => CacheStore::new(),
             })
             .clone()
@@ -1213,7 +1184,7 @@ impl ExplorationService {
         self.lock_macro_caches()
             .entry(signature.to_string())
             .or_insert_with(|| match self.config.macro_metric_capacity {
-                Some(capacity) => MacroMetricsCache::bounded(capacity.max(1)),
+                Some(capacity) => MacroMetricsCache::bounded(capacity),
                 None => MacroMetricsCache::new(),
             })
             .clone()
@@ -1465,8 +1436,7 @@ impl ExplorationService {
     /// `service_cache_evictions` always equals
     /// [`ExplorationService::total_evictions`] at snapshot time.  Encode
     /// the result with [`acim_telemetry::prometheus_text`] or
-    /// [`acim_telemetry::json_text`]; diff two snapshots with
-    /// [`TelemetrySnapshot::diff`].  Empty when telemetry is disabled.
+    /// [`acim_telemetry::json_text`].  Empty when telemetry is disabled.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         if !self.telemetry.is_enabled() {
             return self.telemetry.snapshot();
@@ -2250,30 +2220,6 @@ mod tests {
             snapshot.counter("service_rejected_total", &[("reason", "shutting_down")]),
             Some(1)
         );
-    }
-
-    #[test]
-    fn try_join_and_join_timeout_hand_the_handle_back() {
-        let service = ExplorationService::new();
-        let mut handle =
-            submit_running(&service, ExplorationRequest::chip_space(long_chip_config()));
-        handle = handle.try_join().expect_err("job still running");
-        handle = handle
-            .join_timeout(Duration::from_millis(5))
-            .expect_err("job outlives the timeout");
-        handle.cancel();
-        let result = handle
-            .join_timeout(Duration::from_secs(60))
-            .expect("cancelled job finishes within a generation");
-        assert!(matches!(result, Err(FlowError::Cancelled { .. })));
-
-        let finished = service
-            .submit(ExplorationRequest::chip_space(quick_chip_config()))
-            .unwrap();
-        while !finished.is_finished() {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        finished.try_join().expect("finished job").unwrap();
     }
 
     #[test]

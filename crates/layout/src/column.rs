@@ -205,8 +205,10 @@ impl ColumnTemplate {
             .unwrap_or(56.0);
         let inset = m3_width;
         let region = Rect::new(inset, inset, width - inset, periphery_height - inset);
-        // The pitch must leave at least the minimum spacing between wires of
-        // different nets on adjacent tracks of the widest routing layer.
+        // The column router's own track pitch; the technology has no
+        // routing-grid pitch.  It must leave at least the minimum spacing
+        // between wires of different nets on adjacent tracks of the widest
+        // routing layer (M3/M4: 56 nm wide, 56 nm apart).
         let pitch = 120.0;
         let mut grid = RoutingGrid::new(region, pitch, 3)?;
         // Keep the pre-defined tracks (plus a spacing halo) clear of the maze

@@ -112,28 +112,12 @@ impl<T> Flat<'_, T> {
             None => point,
         }
     }
-
-    fn name(&self, name: &str) -> String {
-        format!("{}{name}", self.prefix)
-    }
 }
 
 impl Flat<'_, PlacedInstance> {
     /// Placement origin in the layout's frame.
     pub fn origin(&self) -> Point {
         self.point(self.local.origin)
-    }
-
-    /// The instance as a flattened layout holds it.
-    pub(crate) fn resolved(&self) -> PlacedInstance {
-        PlacedInstance {
-            name: self.name(&self.local.name),
-            cell: self.local.cell.clone(),
-            origin: self.origin(),
-            orientation: self.local.orientation,
-            width: self.local.width,
-            height: self.local.height,
-        }
     }
 }
 
@@ -145,31 +129,12 @@ impl Flat<'_, Wire> {
             None => self.local.rect,
         }
     }
-
-    /// The wire as a flattened layout holds it.
-    pub(crate) fn resolved(&self) -> Wire {
-        Wire {
-            net: self.name(&self.local.net),
-            layer: self.local.layer.clone(),
-            rect: self.rect(),
-        }
-    }
 }
 
 impl Flat<'_, Via> {
     /// Via centre in the layout's frame.
     pub fn at(&self) -> Point {
         self.point(self.local.at)
-    }
-
-    /// The via as a flattened layout holds it.
-    pub(crate) fn resolved(&self) -> Via {
-        Via {
-            net: self.name(&self.local.net),
-            from_layer: self.local.from_layer.clone(),
-            to_layer: self.local.to_layer.clone(),
-            at: self.at(),
-        }
     }
 }
 
@@ -288,19 +253,6 @@ impl Layout {
         self.flat_len(|layout| &layout.vias)
     }
 
-    /// The flat view as a layout of its own, holding no placements.
-    pub(crate) fn flattened(&self) -> Layout {
-        Layout {
-            name: self.name.clone(),
-            boundary: self.boundary,
-            instances: self.flat_instances().map(|i| i.resolved()).collect(),
-            wires: self.flat_wires().map(|w| w.resolved()).collect(),
-            vias: self.flat_vias().map(|v| v.resolved()).collect(),
-            pins: self.pins.clone(),
-            placements: Vec::new(),
-        }
-    }
-
     fn flat<'a, T: 'a>(
         &'a self,
         objects: fn(&Layout) -> &[T],
@@ -408,7 +360,10 @@ mod tests {
         });
 
         // Placed objects first, in placement order, then the layout's own.
-        let names: Vec<String> = top.flat_instances().map(|i| i.resolved().name).collect();
+        let names: Vec<String> = top
+            .flat_instances()
+            .map(|i| format!("{}{}", i.prefix, i.local.name))
+            .collect();
         assert_eq!(
             names,
             [
@@ -423,31 +378,40 @@ mod tests {
         assert_eq!(origins[1], Point::new(100.0, 682.0));
         assert_eq!(origins[2], Point::new(2100.0, 50.0));
         assert_eq!(origins[4], Point::new(0.0, 0.0));
-        let wires: Vec<Wire> = top.flat_wires().map(|w| w.resolved()).collect();
+        let wires: Vec<(String, Rect)> = top
+            .flat_wires()
+            .map(|w| (format!("{}{}", w.prefix, w.local.net), w.rect()))
+            .collect();
         assert_eq!(wires.len(), 3);
-        assert_eq!(wires[1].net, "COL_1/RBL");
-        assert_eq!(wires[1].rect, Rect::new(4000.0, 50.0, 4050.0, 5050.0));
-        assert_eq!(wires[2].net, "RWL_0");
-        let vias: Vec<Via> = top.flat_vias().map(|v| v.resolved()).collect();
-        assert_eq!(vias[0].net, "COL_0/COM");
-        assert_eq!(vias[1].at, Point::new(2400.0, 450.0));
-        assert_eq!(vias[1].to_layer, "M3");
+        assert_eq!(
+            wires[1],
+            ("COL_1/RBL".into(), Rect::new(4000.0, 50.0, 4050.0, 5050.0))
+        );
+        assert_eq!(wires[2].0, "RWL_0");
+        let vias: Vec<(String, Point, &str)> = top
+            .flat_vias()
+            .map(|v| {
+                (
+                    format!("{}{}", v.prefix, v.local.net),
+                    v.at(),
+                    v.local.to_layer.as_str(),
+                )
+            })
+            .collect();
+        assert_eq!(vias[0].0, "COL_0/COM");
+        assert_eq!(
+            vias[1],
+            ("COL_1/COM".into(), Point::new(2400.0, 450.0), "M3")
+        );
 
-        // Counts, wire length and the flattened copy agree with the view.
+        // Counts and wire length agree with the view.
         assert_eq!(
             (top.instance_count(), top.wire_count(), top.via_count()),
             (5, 3, 2)
         );
         assert_eq!(top.total_wirelength(), 5000.0 + 5000.0 + 4100.0);
-        let flat = top.flattened();
-        assert!(flat.placements.is_empty());
-        assert_eq!(flat.instances.len(), 5);
-        assert_eq!(flat.wires, wires);
-        assert_eq!(flat.vias, vias);
-        assert_eq!(flat.total_wirelength(), top.total_wirelength());
         // The boundary grew to cover both placed columns.
         assert_eq!(top.boundary, Rect::new(0.0, 0.0, 4100.0, 5050.0));
-        assert_eq!(flat.boundary, top.boundary);
     }
 
     #[test]

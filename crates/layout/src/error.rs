@@ -5,7 +5,6 @@ use std::fmt;
 
 use acim_arch::ArchError;
 use acim_cell::CellError;
-use acim_netlist::NetlistError;
 
 /// Errors produced by placement, routing or layout assembly.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +25,6 @@ pub enum LayoutError {
     },
     /// An error bubbled up from the cell library.
     Cell(CellError),
-    /// An error bubbled up from the netlist crate.
-    Netlist(NetlistError),
     /// An error bubbled up from the architecture crate.
     Arch(ArchError),
 }
@@ -42,7 +39,6 @@ impl fmt::Display for LayoutError {
                 write!(f, "invalid layout parameter `{name}`: {reason}")
             }
             LayoutError::Cell(err) => write!(f, "cell library error: {err}"),
-            LayoutError::Netlist(err) => write!(f, "netlist error: {err}"),
             LayoutError::Arch(err) => write!(f, "architecture error: {err}"),
         }
     }
@@ -52,7 +48,6 @@ impl Error for LayoutError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             LayoutError::Cell(err) => Some(err),
-            LayoutError::Netlist(err) => Some(err),
             LayoutError::Arch(err) => Some(err),
             _ => None,
         }
@@ -62,12 +57,6 @@ impl Error for LayoutError {
 impl From<CellError> for LayoutError {
     fn from(err: CellError) -> Self {
         LayoutError::Cell(err)
-    }
-}
-
-impl From<NetlistError> for LayoutError {
-    fn from(err: NetlistError) -> Self {
-        LayoutError::Netlist(err)
     }
 }
 

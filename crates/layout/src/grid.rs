@@ -111,11 +111,6 @@ impl RoutingGrid {
         self.layers
     }
 
-    /// Grid pitch in nanometres.
-    pub fn pitch(&self) -> f64 {
-        self.pitch
-    }
-
     fn index(&self, node: GridNode) -> usize {
         (node.layer * self.rows + node.row) * self.cols + node.col
     }
@@ -165,20 +160,6 @@ impl RoutingGrid {
         }
     }
 
-    /// Marks every node covered by `rect` on `layer` as owned by `net`.
-    pub fn claim_rect(&mut self, layer: usize, rect: &Rect, net: u32) {
-        if layer >= self.layers {
-            return;
-        }
-        let (c0, r0) = self.snap(rect.min);
-        let (c1, r1) = self.snap(rect.max);
-        for row in r0..=r1 {
-            for col in c0..=c1 {
-                self.set_cell(GridNode { layer, col, row }, GridCell::Net(net));
-            }
-        }
-    }
-
     /// Returns `true` when the node can be used by `net` (free or already
     /// owned by the same net).
     pub fn usable_by(&self, node: GridNode, net: u32) -> bool {
@@ -193,16 +174,6 @@ impl RoutingGrid {
             GridCell::Net(owner) => owner == net,
             GridCell::Obstacle => false,
         }
-    }
-
-    /// Fraction of nodes that are not free (used by congestion reports).
-    pub fn occupancy_ratio(&self) -> f64 {
-        let used = self
-            .cells
-            .iter()
-            .filter(|c| !matches!(c, GridCell::Free))
-            .count();
-        used as f64 / self.cells.len() as f64
     }
 }
 
@@ -220,8 +191,7 @@ mod tests {
         assert_eq!(g.cols(), 11);
         assert_eq!(g.rows(), 6);
         assert_eq!(g.layers(), 3);
-        assert_eq!(g.pitch(), 100.0);
-        assert_eq!(g.occupancy_ratio(), 0.0);
+        assert_eq!(g.pitch, 100.0);
     }
 
     #[test]
@@ -265,12 +235,12 @@ mod tests {
             GridCell::Free
         );
 
-        g.claim_rect(1, &Rect::new(400.0, 200.0, 600.0, 200.0), 7);
         let node = GridNode {
             layer: 1,
             col: 5,
             row: 2,
         };
+        g.set_cell(node, GridCell::Net(7));
         assert_eq!(g.cell(node), GridCell::Net(7));
         assert!(g.usable_by(node, 7));
         assert!(!g.usable_by(node, 8));
@@ -282,13 +252,12 @@ mod tests {
             },
             7
         ));
-        assert!(g.occupancy_ratio() > 0.0);
     }
 
     #[test]
     fn out_of_range_layers_are_ignored_by_blocking() {
         let mut g = grid();
         g.block_rect(9, &Rect::new(0.0, 0.0, 100.0, 100.0));
-        assert_eq!(g.occupancy_ratio(), 0.0);
+        assert!(g.cells.iter().all(|c| *c == GridCell::Free));
     }
 }

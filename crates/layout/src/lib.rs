@@ -49,6 +49,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub mod column;

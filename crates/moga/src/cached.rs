@@ -61,16 +61,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Counters with `hits` and `misses` and no evictions — the common
-    /// literal for unbounded caches (and for tests).
-    pub fn hits_misses(hits: usize, misses: usize) -> Self {
-        Self {
-            hits,
-            misses,
-            evictions: 0,
-        }
-    }
-
     /// Total evaluation requests seen by the cache.
     pub fn total(&self) -> usize {
         self.hits + self.misses
@@ -373,6 +363,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Counters with `hits` and `misses` and no evictions.
+    fn hits_misses(hits: usize, misses: usize) -> CacheStats {
+        CacheStats {
+            hits,
+            misses,
+            evictions: 0,
+        }
+    }
+
     /// Counts how many times the inner problem actually evaluates.
     #[derive(Debug)]
     struct Counting {
@@ -430,7 +429,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 2);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 2));
+        assert_eq!(cached.stats(), hits_misses(1, 2));
         assert_eq!(cached.len(), 2);
     }
 
@@ -447,13 +446,13 @@ mod tests {
         assert_eq!(evals.len(), 4);
         assert_eq!(evals[0], evals[2]);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 3);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 3));
+        assert_eq!(cached.stats(), hits_misses(1, 3));
 
         // A second cohort re-using previous designs evaluates only new ones.
         let evals2 = evaluate_all(&cached, &[vec![0.2, 0.2], vec![0.4, 0.4]]);
         assert_eq!(evals2[0], evals[1]);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 4);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(2, 4));
+        assert_eq!(cached.stats(), hits_misses(2, 4));
     }
 
     #[test]
@@ -470,7 +469,7 @@ mod tests {
 
     #[test]
     fn hit_rate_reads_naturally() {
-        let stats = CacheStats::hits_misses(3, 1);
+        let stats = hits_misses(3, 1);
         assert_eq!(stats.total(), 4);
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         assert!(stats.to_string().contains("75.0% hit rate"));
@@ -492,7 +491,7 @@ mod tests {
         let c = cached.evaluate(&[0.60, 0.30]); // different bucket
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 2));
+        assert_eq!(cached.stats(), hits_misses(1, 2));
         assert!(format!("{cached:?}").contains("CachedProblem"));
     }
 
@@ -501,7 +500,7 @@ mod tests {
         let store = CacheStore::new();
         let first = cached(Counting::new()).with_shared_store(store.clone());
         let _ = evaluate_all(&first, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
-        assert_eq!(first.stats(), CacheStats::hits_misses(0, 2));
+        assert_eq!(first.stats(), hits_misses(0, 2));
         assert_eq!(store.len(), 2);
 
         // A second wrapper (a new "request") over the same store: answers
@@ -509,11 +508,11 @@ mod tests {
         let second = cached(Counting::new()).with_shared_store(store.clone());
         let evals = evaluate_all(&second, &[vec![0.2, 0.2], vec![0.3, 0.3]]);
         assert_eq!(evals.len(), 2);
-        assert_eq!(second.stats(), CacheStats::hits_misses(1, 1));
+        assert_eq!(second.stats(), hits_misses(1, 1));
         assert_eq!(second.inner().calls.load(Ordering::Relaxed), 1);
         assert_eq!(store.len(), 3);
         // The first wrapper's counters are untouched.
-        assert_eq!(first.stats(), CacheStats::hits_misses(0, 2));
+        assert_eq!(first.stats(), hits_misses(0, 2));
         assert!(first.store().shares_entries_with(second.store()));
     }
 
@@ -546,7 +545,7 @@ mod tests {
         })
         .with_shared_store(store.clone());
         let _ = cached.evaluate(&[0.5]);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(1, 0));
+        assert_eq!(cached.stats(), hits_misses(1, 0));
         assert_eq!(
             store.get(&bits_key(&[0.5])),
             Some(Evaluation::unconstrained(vec![-1.0])),
@@ -600,7 +599,7 @@ mod tests {
         let cached = cached(Counting::new()).with_shared_store(store.clone());
         let evals = evaluate_all(&cached, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(evals.len(), 2);
-        assert_eq!(cached.stats(), CacheStats::hits_misses(0, 2));
+        assert_eq!(cached.stats(), hits_misses(0, 2));
     }
 
     #[test]
@@ -664,7 +663,7 @@ mod tests {
         let evals = evaluate_all(&request_a, &cohort);
         assert_eq!(evals[0], evals[1]);
         assert_eq!(evals[0], evals[2]);
-        assert_eq!(request_a.stats(), CacheStats::hits_misses(2, 2));
+        assert_eq!(request_a.stats(), hits_misses(2, 2));
         assert_eq!(request_a.inner().calls.load(Ordering::Relaxed), 2);
         // Per-request totals sum to the evaluations the request issued —
         // the invariant the service's per-request attribution relies on.
@@ -675,7 +674,7 @@ mod tests {
         let request_b = cached(Counting::new()).with_shared_store(store.clone());
         let evals_b = evaluate_all(&request_b, &[vec![0.5, 0.5], vec![0.5, 0.5]]);
         assert_eq!(evals_b[0], evals[0]);
-        assert_eq!(request_b.stats(), CacheStats::hits_misses(2, 0));
+        assert_eq!(request_b.stats(), hits_misses(2, 0));
         assert_eq!(request_b.inner().calls.load(Ordering::Relaxed), 0);
     }
 

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a [`CancelToken`] asked the work to stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,11 +72,6 @@ impl CancelToken {
         }
     }
 
-    /// Creates a token whose deadline is `budget` from now.
-    pub fn with_budget(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
-    }
-
     /// Requests cancellation.  Idempotent; takes effect at the next poll.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
@@ -108,6 +103,7 @@ impl CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fresh_token_is_quiet() {
@@ -131,7 +127,7 @@ mod tests {
     fn deadline_trips_after_expiry() {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(token.status(), Some(CancelReason::DeadlineExceeded));
-        let far = CancelToken::with_budget(Duration::from_secs(3600));
+        let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert_eq!(far.status(), None);
         assert!(far.deadline().is_some());
     }

@@ -82,14 +82,12 @@ impl<K: Eq + Hash + Clone, V> ClockMap<K, V> {
         }
     }
 
-    /// A map holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero — a cache that can hold nothing is a
-    /// configuration error, not a degenerate mode worth supporting.
+    /// A map holding at most `capacity` entries.  A capacity of zero is
+    /// clamped to one: a cache that can hold nothing is not a mode worth
+    /// supporting, and every bounded store built from a caller's setting
+    /// goes through here.
     pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be at least 1");
+        let capacity = capacity.max(1);
         Self {
             inner: Inner::Bounded(BoundedClock {
                 capacity,
@@ -332,9 +330,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_is_rejected() {
-        let _ = ClockMap::<u32, u32>::bounded(0);
+    fn zero_capacity_clamps_to_one() {
+        let mut map: ClockMap<u32, u32> = ClockMap::bounded(0);
+        assert_eq!(map.capacity(), Some(1));
+        map.insert(1, 1);
+        map.insert(2, 2);
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.get(&2), Some(&2));
+        assert_eq!(map.evictions(), 1);
     }
 
     #[test]

@@ -64,12 +64,8 @@ impl<K: Eq + Hash + Clone, V> SharedCache<K, V> {
         }
     }
 
-    /// Creates an empty cache holding at most `capacity` entries, evicting
-    /// CLOCK-style beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
+    /// Creates an empty cache holding at most `capacity` entries (at least
+    /// one), evicting CLOCK-style beyond that.
     pub fn bounded(capacity: usize) -> Self {
         Self {
             entries: Arc::new(Mutex::new(ClockMap::bounded(capacity))),

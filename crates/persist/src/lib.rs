@@ -50,6 +50,7 @@
 //! back-compat decoding for older versions; a writer only ever emits the
 //! current one.
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 mod container;
 mod crc;

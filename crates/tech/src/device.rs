@@ -1,77 +1,20 @@
 //! Device and passive-element statistics.
 //!
-//! The performance-estimation model (Eq. 5 of the paper) and the behavioural
-//! macro simulator need three pieces of device-level information that a PDK
-//! would normally supply from measured data:
+//! The behavioural macro simulator needs two pieces of device-level
+//! information that a PDK would normally supply from measured data:
 //!
 //! * the unit metal-fringe (MOM) capacitance and its mismatch coefficient κ
 //!   (`σ_C = κ·√C`, after Tripathi & Murmann, TCAS-I 2014),
-//! * the comparator input-referred noise and offset statistics,
-//! * simple square-law transistor parameters used by the netlist templates
-//!   to size devices.
+//! * the comparator input-referred noise and offset statistics.
 //!
-//! The synthetic values below are representative of a 28 nm-class process and
-//! are the calibration anchors listed in `DESIGN.md`.
+//! The cell library also sizes the compute cell's capacitor from the unit
+//! capacitance.  The synthetic values, set by [`Technology::s28`], are
+//! representative of a 28 nm-class process.
+//!
+//! [`Technology::s28`]: crate::Technology::s28
 
-use crate::units::{Femtofarad, Nanometer, Volt};
+use crate::units::Femtofarad;
 use crate::BOLTZMANN_J_PER_K;
-
-/// Simple transistor model used by netlist templates for device sizing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransistorModel {
-    /// Minimum drawn gate length.
-    pub min_length: Nanometer,
-    /// Minimum drawn gate width.
-    pub min_width: Nanometer,
-    /// Threshold voltage magnitude.
-    pub vth: Volt,
-    /// Gate capacitance per µm of width, in fF/µm.
-    pub gate_cap_per_um: f64,
-    /// On-resistance of a minimum-size device, in kΩ.
-    pub ron_min_kohm: f64,
-}
-
-impl TransistorModel {
-    /// NMOS model of the synthetic S28 technology.
-    pub fn s28_nmos() -> Self {
-        Self {
-            min_length: Nanometer::new(30.0),
-            min_width: Nanometer::new(90.0),
-            vth: Volt::new(0.35),
-            gate_cap_per_um: 1.1,
-            ron_min_kohm: 6.5,
-        }
-    }
-
-    /// PMOS model of the synthetic S28 technology.
-    pub fn s28_pmos() -> Self {
-        Self {
-            min_length: Nanometer::new(30.0),
-            min_width: Nanometer::new(120.0),
-            vth: Volt::new(0.33),
-            gate_cap_per_um: 1.15,
-            ron_min_kohm: 9.0,
-        }
-    }
-
-    /// Gate capacitance in fF of a device `width_multiple` times the minimum
-    /// width.
-    pub fn gate_cap(&self, width_multiple: f64) -> Femtofarad {
-        let width_um = self.min_width.value() / 1000.0 * width_multiple;
-        Femtofarad::new(width_um * self.gate_cap_per_um)
-    }
-
-    /// On-resistance in kΩ of a device `width_multiple` times the minimum
-    /// width (inverse scaling with width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_multiple` is not strictly positive.
-    pub fn ron_kohm(&self, width_multiple: f64) -> f64 {
-        assert!(width_multiple > 0.0, "width multiple must be positive");
-        self.ron_min_kohm / width_multiple
-    }
-}
 
 /// Metal-fringe (MOM) compute-capacitor model with mismatch statistics.
 ///
@@ -83,36 +26,26 @@ pub struct CapacitorModel {
     pub unit_cap: Femtofarad,
     /// Mismatch coefficient κ in `σ_C = κ·√C`, with C in fF and σ_C in fF.
     pub kappa: f64,
-    /// Area of one unit capacitor in µm².
-    pub unit_area_um2: f64,
-    /// Parasitic bottom-plate capacitance as a fraction of the unit cap.
-    pub bottom_plate_parasitic: f64,
 }
 
 impl CapacitorModel {
-    /// MOM capacitor model of the synthetic S28 technology.
-    pub fn s28_mom() -> Self {
-        Self {
-            unit_cap: Femtofarad::new(1.2),
-            kappa: 0.01,
-            unit_area_um2: 0.55,
-            bottom_plate_parasitic: 0.05,
-        }
-    }
-
     /// Standard deviation of a capacitor made of `units` parallel unit caps,
     /// in fF: `σ = κ·√(units·C_F)`.
     ///
     /// # Panics
     ///
     /// Panics if `units` is zero.
-    pub fn sigma(&self, units: u32) -> Femtofarad {
+    fn sigma(&self, units: u32) -> Femtofarad {
         assert!(units > 0, "capacitor must contain at least one unit");
         let total = self.unit_cap.value() * f64::from(units);
         Femtofarad::new(self.kappa * total.sqrt())
     }
 
     /// Relative mismatch `σ_C / C` of a capacitor made of `units` unit caps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` is zero.
     pub fn relative_sigma(&self, units: u32) -> f64 {
         let total = self.unit_cap.value() * f64::from(units);
         self.sigma(units).value() / total
@@ -133,57 +66,15 @@ pub struct ComparatorModel {
     pub noise_sigma_v: f64,
     /// Input-referred offset standard deviation across instances, in volts.
     pub offset_sigma_v: f64,
-    /// Regeneration (decision) time constant, in picoseconds.
-    pub regeneration_tau_ps: f64,
-}
-
-impl ComparatorModel {
-    /// Comparator model of the synthetic S28 technology.
-    pub fn s28() -> Self {
-        Self {
-            noise_sigma_v: 0.35e-3,
-            offset_sigma_v: 2.0e-3,
-            regeneration_tau_ps: 18.0,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn nmos_and_pmos_have_sane_defaults() {
-        let n = TransistorModel::s28_nmos();
-        let p = TransistorModel::s28_pmos();
-        assert!(n.min_length.value() >= 28.0);
-        assert!(p.min_width.value() > n.min_width.value());
-        assert!(n.vth.value() > 0.2 && n.vth.value() < 0.5);
-    }
-
-    #[test]
-    fn gate_cap_scales_with_width() {
-        let n = TransistorModel::s28_nmos();
-        let c1 = n.gate_cap(1.0);
-        let c4 = n.gate_cap(4.0);
-        assert!((c4.value() / c1.value() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ron_scales_inversely_with_width() {
-        let n = TransistorModel::s28_nmos();
-        assert!((n.ron_kohm(2.0) - n.ron_min_kohm / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "width multiple must be positive")]
-    fn ron_rejects_zero_width() {
-        TransistorModel::s28_nmos().ron_kohm(0.0);
-    }
+    use crate::Technology;
 
     #[test]
     fn capacitor_mismatch_improves_with_size() {
-        let cap = CapacitorModel::s28_mom();
+        let cap = *Technology::s28().capacitor();
         // σ/C ∝ 1/√C: quadrupling the capacitor halves relative mismatch.
         let r1 = cap.relative_sigma(1);
         let r4 = cap.relative_sigma(4);
@@ -192,7 +83,7 @@ mod tests {
 
     #[test]
     fn absolute_mismatch_grows_with_sqrt_size() {
-        let cap = CapacitorModel::s28_mom();
+        let cap = *Technology::s28().capacitor();
         let s1 = cap.sigma(1).value();
         let s4 = cap.sigma(4).value();
         assert!((s4 / s1 - 2.0).abs() < 1e-9);
@@ -201,12 +92,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn sigma_rejects_zero_units() {
-        CapacitorModel::s28_mom().sigma(0);
+        Technology::s28().capacitor().sigma(0);
     }
 
     #[test]
     fn thermal_noise_matches_ktc_formula() {
-        let cap = CapacitorModel::s28_mom();
+        let cap = *Technology::s28().capacitor();
         // kT/C at 300 K on 1.2 fF: sqrt(1.38e-23*300/1.2e-15) ≈ 1.86 mV.
         let sigma = cap.thermal_noise_sigma_v(1, 300.0);
         assert!((sigma - 1.857e-3).abs() < 0.05e-3, "sigma = {sigma}");
@@ -216,8 +107,7 @@ mod tests {
 
     #[test]
     fn comparator_noise_below_offset() {
-        let cmp = ComparatorModel::s28();
+        let cmp = *Technology::s28().comparator();
         assert!(cmp.noise_sigma_v < cmp.offset_sigma_v);
-        assert!(cmp.regeneration_tau_ps > 0.0);
     }
 }

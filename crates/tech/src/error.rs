@@ -3,33 +3,17 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building or querying a technology description.
+/// Errors produced while querying a technology description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TechError {
-    /// A layer with the same name was already registered.
-    DuplicateLayer(String),
     /// No design rule was registered for the requested layer.
     MissingRule(String),
-    /// No layer with the requested name exists in the layer map.
-    UnknownLayer(String),
-    /// A technology parameter was outside its valid range.
-    InvalidParameter {
-        /// Name of the offending parameter.
-        name: String,
-        /// Human-readable description of the constraint that was violated.
-        reason: String,
-    },
 }
 
 impl fmt::Display for TechError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TechError::DuplicateLayer(name) => write!(f, "duplicate layer `{name}`"),
             TechError::MissingRule(name) => write!(f, "no design rule registered for `{name}`"),
-            TechError::UnknownLayer(name) => write!(f, "unknown layer `{name}`"),
-            TechError::InvalidParameter { name, reason } => {
-                write!(f, "invalid technology parameter `{name}`: {reason}")
-            }
         }
     }
 }
@@ -42,15 +26,8 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = TechError::DuplicateLayer("M1".into());
-        assert_eq!(e.to_string(), "duplicate layer `M1`");
         let e = TechError::MissingRule("VIA2".into());
         assert!(e.to_string().contains("VIA2"));
-        let e = TechError::InvalidParameter {
-            name: "feature_size".into(),
-            reason: "must be positive".into(),
-        };
-        assert!(e.to_string().contains("feature_size"));
     }
 
     #[test]

@@ -1,142 +1,19 @@
-//! Layer definitions and layer map.
+//! The layer map.
 //!
-//! The synthetic technology exposes a conventional planar metal stack
-//! (front-end layers plus M1–M6 and the via layers between them), which is
-//! what the template-based placer and router consume.  The [`LayerMap`]
-//! mirrors the "layer map" technology file mentioned in the paper's inputs:
-//! it assigns GDS layer/datatype numbers to every mask layer.
+//! The [`LayerMap`] mirrors the "layer map" technology file among the
+//! paper's inputs (Figure 4): it assigns GDS layer/datatype numbers to
+//! every mask layer, which is what the GDS writer reads.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use crate::error::TechError;
-use crate::units::Nanometer;
-
-/// The physical role of a mask layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LayerKind {
-    /// Active diffusion (OD).
-    Diffusion,
-    /// Polysilicon gate layer.
-    Poly,
-    /// Contact between front-end layers and metal 1.
-    Contact,
-    /// A routing metal layer; the payload is the metal index (1-based).
-    Metal(u8),
-    /// A via layer connecting `Metal(n)` and `Metal(n + 1)`; the payload is
-    /// the index of the lower metal layer.
-    Via(u8),
-    /// N-well marker layer.
-    NWell,
-    /// P-implant / N-implant marker layers and other non-routing markers.
-    Marker,
-}
-
-impl LayerKind {
-    /// Returns `true` for layers the router may place wires on.
-    pub fn is_routing(self) -> bool {
-        matches!(self, LayerKind::Metal(_))
-    }
-
-    /// Returns `true` for cut (via/contact) layers.
-    pub fn is_cut(self) -> bool {
-        matches!(self, LayerKind::Via(_) | LayerKind::Contact)
-    }
-
-    /// Returns the metal index for metal layers.
-    pub fn metal_index(self) -> Option<u8> {
-        match self {
-            LayerKind::Metal(i) => Some(i),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for LayerKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LayerKind::Diffusion => write!(f, "OD"),
-            LayerKind::Poly => write!(f, "PO"),
-            LayerKind::Contact => write!(f, "CO"),
-            LayerKind::Metal(i) => write!(f, "M{i}"),
-            LayerKind::Via(i) => write!(f, "VIA{i}"),
-            LayerKind::NWell => write!(f, "NW"),
-            LayerKind::Marker => write!(f, "MARKER"),
-        }
-    }
-}
-
-/// The purpose of a shape drawn on a layer, mirroring GDS datatypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum LayerPurpose {
-    /// Ordinary drawn geometry.
-    #[default]
-    Drawing,
-    /// Pin geometry (connection points exported by a cell).
-    Pin,
-    /// Text label.
-    Label,
-    /// Blockage / obstruction geometry.
-    Blockage,
-}
-
-/// Preferred routing direction of a metal layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RoutingDirection {
-    /// Wires preferentially run left-right.
-    Horizontal,
-    /// Wires preferentially run bottom-top.
-    Vertical,
-    /// No preferred direction (e.g. thick top metals used for power).
-    Any,
-}
-
-/// A single mask layer of the technology.
-#[derive(Debug, Clone, PartialEq)]
+/// The GDS numbers of one mask layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layer {
-    name: String,
-    kind: LayerKind,
-    gds_layer: u16,
-    gds_datatype: u16,
-    /// Default wire width used by the router.
-    default_width: Nanometer,
-    /// Routing pitch (track-to-track distance).
-    pitch: Nanometer,
-    direction: RoutingDirection,
+    pub(crate) gds_layer: u16,
+    pub(crate) gds_datatype: u16,
 }
 
 impl Layer {
-    /// Creates a new layer description.
-    pub fn new(
-        name: impl Into<String>,
-        kind: LayerKind,
-        gds_layer: u16,
-        gds_datatype: u16,
-        default_width: Nanometer,
-        pitch: Nanometer,
-        direction: RoutingDirection,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            kind,
-            gds_layer,
-            gds_datatype,
-            default_width,
-            pitch,
-            direction,
-        }
-    }
-
-    /// Layer name, e.g. `"M2"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Physical role of the layer.
-    pub fn kind(&self) -> LayerKind {
-        self.kind
-    }
-
     /// GDS layer number from the layer map.
     pub fn gds_layer(&self) -> u16 {
         self.gds_layer
@@ -146,274 +23,48 @@ impl Layer {
     pub fn gds_datatype(&self) -> u16 {
         self.gds_datatype
     }
-
-    /// Default (minimum) wire width.
-    pub fn default_width(&self) -> Nanometer {
-        self.default_width
-    }
-
-    /// Routing pitch.
-    pub fn pitch(&self) -> Nanometer {
-        self.pitch
-    }
-
-    /// Preferred routing direction.
-    pub fn direction(&self) -> RoutingDirection {
-        self.direction
-    }
 }
 
-/// The complete set of layers of a technology, with name- and kind-based
-/// lookup.  Acts as the "layer map" technology-file input of the EasyACIM
-/// flow.
-#[derive(Debug, Clone, Default)]
+/// The mask layers of a technology by name.  Acts as the "layer map"
+/// technology-file input of the EasyACIM flow.
+#[derive(Debug, Clone)]
 pub struct LayerMap {
-    layers: Vec<Layer>,
-    by_name: BTreeMap<String, usize>,
+    pub(crate) layers: BTreeMap<&'static str, Layer>,
 }
 
 impl LayerMap {
-    /// Creates an empty layer map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a layer to the map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::DuplicateLayer`] when a layer with the same name
-    /// already exists.
-    pub fn add(&mut self, layer: Layer) -> Result<(), TechError> {
-        if self.by_name.contains_key(layer.name()) {
-            return Err(TechError::DuplicateLayer(layer.name().to_string()));
-        }
-        self.by_name
-            .insert(layer.name().to_string(), self.layers.len());
-        self.layers.push(layer);
-        Ok(())
-    }
-
     /// Looks a layer up by name.
     pub fn by_name(&self, name: &str) -> Option<&Layer> {
-        self.by_name.get(name).map(|&i| &self.layers[i])
-    }
-
-    /// Looks a layer up by kind (first match).
-    pub fn by_kind(&self, kind: LayerKind) -> Option<&Layer> {
-        self.layers.iter().find(|l| l.kind() == kind)
-    }
-
-    /// Returns the metal layer with 1-based index `index`.
-    pub fn metal(&self, index: u8) -> Option<&Layer> {
-        self.by_kind(LayerKind::Metal(index))
-    }
-
-    /// Returns the via layer between metal `index` and metal `index + 1`.
-    pub fn via(&self, index: u8) -> Option<&Layer> {
-        self.by_kind(LayerKind::Via(index))
-    }
-
-    /// Number of routing metal layers.
-    pub fn metal_count(&self) -> usize {
-        self.layers.iter().filter(|l| l.kind().is_routing()).count()
-    }
-
-    /// Total number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Returns `true` when the map holds no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Iterates over all layers in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Layer> {
-        self.layers.iter()
-    }
-
-    /// Builds the default layer map of the synthetic S28 technology:
-    /// OD/PO/CO front-end, six routing metals and the five via layers
-    /// between them, plus well/marker layers.
-    pub fn s28() -> Self {
-        let mut map = Self::new();
-        let nm = Nanometer::new;
-        let mut push = |layer: Layer| {
-            map.add(layer).expect("s28 layer map has unique names");
-        };
-        push(Layer::new(
-            "OD",
-            LayerKind::Diffusion,
-            6,
-            0,
-            nm(90.0),
-            nm(180.0),
-            RoutingDirection::Any,
-        ));
-        push(Layer::new(
-            "PO",
-            LayerKind::Poly,
-            17,
-            0,
-            nm(30.0),
-            nm(117.0),
-            RoutingDirection::Vertical,
-        ));
-        push(Layer::new(
-            "CO",
-            LayerKind::Contact,
-            30,
-            0,
-            nm(40.0),
-            nm(110.0),
-            RoutingDirection::Any,
-        ));
-        push(Layer::new(
-            "NW",
-            LayerKind::NWell,
-            3,
-            0,
-            nm(200.0),
-            nm(400.0),
-            RoutingDirection::Any,
-        ));
-        // Routing metals: M1/M2 thin, pitch grows with the index as in a
-        // typical 28 nm stack; M5/M6 are semi-global layers used for power.
-        let metal_specs: [(u8, f64, f64, RoutingDirection); 6] = [
-            (1, 50.0, 100.0, RoutingDirection::Horizontal),
-            (2, 50.0, 100.0, RoutingDirection::Vertical),
-            (3, 56.0, 112.0, RoutingDirection::Horizontal),
-            (4, 56.0, 112.0, RoutingDirection::Vertical),
-            (5, 90.0, 180.0, RoutingDirection::Horizontal),
-            (6, 400.0, 800.0, RoutingDirection::Vertical),
-        ];
-        for (idx, width, pitch, dir) in metal_specs {
-            push(Layer::new(
-                format!("M{idx}"),
-                LayerKind::Metal(idx),
-                30 + u16::from(idx),
-                0,
-                nm(width),
-                nm(pitch),
-                dir,
-            ));
-            if idx < 6 {
-                push(Layer::new(
-                    format!("VIA{idx}"),
-                    LayerKind::Via(idx),
-                    50 + u16::from(idx),
-                    0,
-                    nm(width.min(56.0)),
-                    nm(pitch),
-                    RoutingDirection::Any,
-                ));
-            }
-        }
-        push(Layer::new(
-            "MARKER",
-            LayerKind::Marker,
-            100,
-            0,
-            nm(10.0),
-            nm(10.0),
-            RoutingDirection::Any,
-        ));
-        map
+        self.layers.get(name)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Technology;
 
     #[test]
     fn s28_map_has_six_metals_and_five_vias() {
-        let map = LayerMap::s28();
-        assert_eq!(map.metal_count(), 6);
-        for i in 1..=6u8 {
-            assert!(map.metal(i).is_some(), "missing M{i}");
+        let tech = Technology::s28();
+        let map = tech.layers();
+        for i in 1..=6 {
+            assert!(map.by_name(&format!("M{i}")).is_some(), "missing M{i}");
         }
-        for i in 1..=5u8 {
-            assert!(map.via(i).is_some(), "missing VIA{i}");
+        for i in 1..=5 {
+            assert!(map.by_name(&format!("VIA{i}")).is_some(), "missing VIA{i}");
         }
-        assert!(map.via(6).is_none());
-    }
-
-    #[test]
-    fn lookup_by_name_and_kind_agree() {
-        let map = LayerMap::s28();
-        let by_name = map.by_name("M3").expect("M3 exists");
-        let by_kind = map.by_kind(LayerKind::Metal(3)).expect("M3 exists");
-        assert_eq!(by_name.gds_layer(), by_kind.gds_layer());
-        assert_eq!(by_name.name(), "M3");
-    }
-
-    #[test]
-    fn duplicate_layer_rejected() {
-        let mut map = LayerMap::new();
-        let layer = Layer::new(
-            "M1",
-            LayerKind::Metal(1),
-            31,
-            0,
-            Nanometer::new(50.0),
-            Nanometer::new(100.0),
-            RoutingDirection::Horizontal,
-        );
-        map.add(layer.clone()).expect("first insert succeeds");
-        let err = map.add(layer).expect_err("duplicate must fail");
-        assert!(matches!(err, TechError::DuplicateLayer(name) if name == "M1"));
-    }
-
-    #[test]
-    fn layer_kind_predicates() {
-        assert!(LayerKind::Metal(2).is_routing());
-        assert!(!LayerKind::Via(2).is_routing());
-        assert!(LayerKind::Via(2).is_cut());
-        assert!(LayerKind::Contact.is_cut());
-        assert_eq!(LayerKind::Metal(4).metal_index(), Some(4));
-        assert_eq!(LayerKind::Poly.metal_index(), None);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(LayerKind::Metal(2).to_string(), "M2");
-        assert_eq!(LayerKind::Via(3).to_string(), "VIA3");
-        assert_eq!(LayerKind::Diffusion.to_string(), "OD");
-    }
-
-    #[test]
-    fn preferred_directions_alternate() {
-        let map = LayerMap::s28();
-        assert_eq!(
-            map.metal(1).unwrap().direction(),
-            RoutingDirection::Horizontal
-        );
-        assert_eq!(
-            map.metal(2).unwrap().direction(),
-            RoutingDirection::Vertical
-        );
-        assert_eq!(
-            map.metal(3).unwrap().direction(),
-            RoutingDirection::Horizontal
-        );
-        assert_eq!(
-            map.metal(4).unwrap().direction(),
-            RoutingDirection::Vertical
-        );
+        assert!(map.by_name("M7").is_none());
+        assert!(map.by_name("VIA6").is_none());
     }
 
     #[test]
     fn gds_numbers_are_unique_per_layer() {
-        let map = LayerMap::s28();
+        let tech = Technology::s28();
         let mut seen = std::collections::BTreeSet::new();
-        for layer in map.iter() {
+        for (name, layer) in &tech.layers().layers {
             assert!(
                 seen.insert((layer.gds_layer(), layer.gds_datatype())),
-                "duplicate GDS number for {}",
-                layer.name()
+                "duplicate GDS number for {name}"
             );
         }
     }

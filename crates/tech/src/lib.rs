@@ -4,16 +4,18 @@
 //!
 //! The original EasyACIM paper is implemented on the proprietary TSMC28 PDK.
 //! This crate replaces that gated dependency with a self-contained,
-//! 28 nm-class synthetic technology ("S28") that provides everything the rest
-//! of the flow actually consumes:
+//! 28 nm-class synthetic technology ("S28") that holds exactly what the
+//! rest of the flow reads:
 //!
-//! * a metal stack and layer map ([`layers`]),
-//! * design rules used by the placer, router and DRC checker ([`rules`]),
-//! * physical unit newtypes with checked conversions ([`units`]),
-//! * device and capacitor statistics (unit MOM capacitance, mismatch
-//!   coefficient κ, thermal-noise constants) used by the performance
-//!   estimation model and the behavioural simulator ([`device`]),
-//! * the [`Technology`] aggregate that bundles all of the above.
+//! * the GDS layer/datatype numbers of every mask layer ([`layers`]),
+//! * each layer's minimum width and spacing ([`rules`]),
+//! * the feature size, supply voltage and temperature,
+//! * the unit MOM capacitance, its mismatch coefficient κ and the
+//!   comparator noise and offset used by the behavioural simulator
+//!   ([`device`]),
+//! * physical unit newtypes ([`units`]),
+//!
+//! bundled by the [`Technology`] aggregate.
 //!
 //! # Example
 //!
@@ -22,10 +24,11 @@
 //!
 //! let tech = Technology::s28();
 //! assert_eq!(tech.feature_size_nm(), 28.0);
-//! assert!(tech.layers().metal_count() >= 6);
+//! assert_eq!(tech.layers().by_name("M2").map(|l| l.gds_layer()), Some(32));
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub mod device;
@@ -35,22 +38,12 @@ pub mod rules;
 pub mod technology;
 pub mod units;
 
-pub use device::{CapacitorModel, ComparatorModel, TransistorModel};
+pub use device::{CapacitorModel, ComparatorModel};
 pub use error::TechError;
-pub use layers::{Layer, LayerKind, LayerMap, LayerPurpose};
-pub use rules::{DesignRules, RuleSet, ViaRule};
+pub use layers::{Layer, LayerMap};
+pub use rules::{DesignRules, RuleSet};
 pub use technology::Technology;
-pub use units::{
-    Celsius, DbValue, Femtofarad, Femtojoule, Kelvin, Micron, MicronSq, Nanometer, Picosecond,
-    SquareF, Volt,
-};
+pub use units::{Femtofarad, Femtojoule, Kelvin, Nanometer, Picosecond, SquareF, Volt};
 
 /// Boltzmann constant in J/K, used by thermal (kT/C) noise computations.
 pub const BOLTZMANN_J_PER_K: f64 = 1.380_649e-23;
-
-/// Default supply voltage of the synthetic 28 nm-class technology, in volts.
-pub const DEFAULT_VDD: f64 = 0.9;
-
-/// Default common-mode voltage (V_CM) used by the charge-redistribution
-/// compute model, in volts.
-pub const DEFAULT_VCM: f64 = 0.45;

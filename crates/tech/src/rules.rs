@@ -1,19 +1,13 @@
 //! Design rules.
 //!
-//! A deliberately small but realistic subset of the rules a real DRC deck
-//! would contain — exactly the set consumed by the grid-based placer, the
-//! router and the lightweight DRC checker in `acim-layout`:
-//!
-//! * minimum width per layer,
-//! * minimum spacing per layer,
-//! * via cut size and metal enclosure,
-//! * placement site/row grid,
-//! * minimum macro-boundary margin.
+//! A deliberately small rule deck: the minimum width and the minimum
+//! same-layer spacing of every mask layer.  The lightweight DRC checker in
+//! `acim-layout` checks both; the cell library and the layout flow size
+//! their rails, tracks and stripes at the minimum width.
 
 use std::collections::BTreeMap;
 
 use crate::error::TechError;
-use crate::layers::{LayerKind, LayerMap};
 use crate::units::Nanometer;
 
 /// Width/spacing rule pair for a single layer.
@@ -25,80 +19,13 @@ pub struct RuleSet {
     pub min_spacing: Nanometer,
 }
 
-impl RuleSet {
-    /// Creates a width/spacing rule pair.
-    pub fn new(min_width: Nanometer, min_spacing: Nanometer) -> Self {
-        Self {
-            min_width,
-            min_spacing,
-        }
-    }
-
-    /// Minimum pitch implied by this rule set (width + spacing).
-    pub fn min_pitch(&self) -> Nanometer {
-        self.min_width + self.min_spacing
-    }
-}
-
-/// Rules for a via layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViaRule {
-    /// Square cut size.
-    pub cut_size: Nanometer,
-    /// Cut-to-cut spacing.
-    pub cut_spacing: Nanometer,
-    /// Required metal enclosure of the cut on both adjacent metals.
-    pub enclosure: Nanometer,
-}
-
-impl ViaRule {
-    /// Creates a via rule.
-    pub fn new(cut_size: Nanometer, cut_spacing: Nanometer, enclosure: Nanometer) -> Self {
-        Self {
-            cut_size,
-            cut_spacing,
-            enclosure,
-        }
-    }
-
-    /// The footprint (edge length) of a single-cut via landing pad.
-    pub fn pad_size(&self) -> Nanometer {
-        self.cut_size + self.enclosure * 2.0
-    }
-}
-
 /// The design-rule portion of the technology files.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DesignRules {
-    layer_rules: BTreeMap<String, RuleSet>,
-    via_rules: BTreeMap<u8, ViaRule>,
-    /// Horizontal placement site width.
-    site_width: Nanometer,
-    /// Standard placement row height.
-    row_height: Nanometer,
-    /// Margin kept free around a hierarchical block boundary.
-    block_margin: Nanometer,
-    /// Uniform routing-grid pitch used by the 3-D grid router.
-    routing_grid_pitch: Nanometer,
+    pub(crate) layer_rules: BTreeMap<&'static str, RuleSet>,
 }
 
 impl DesignRules {
-    /// Creates an empty rule deck.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers width/spacing rules for a layer name.
-    pub fn set_layer_rule(&mut self, layer: impl Into<String>, rule: RuleSet) {
-        self.layer_rules.insert(layer.into(), rule);
-    }
-
-    /// Registers the rule for via layer `index` (between metal `index` and
-    /// `index + 1`).
-    pub fn set_via_rule(&mut self, index: u8, rule: ViaRule) {
-        self.via_rules.insert(index, rule);
-    }
-
     /// Looks up the width/spacing rule for a layer name.
     ///
     /// # Errors
@@ -111,157 +38,44 @@ impl DesignRules {
             .copied()
             .ok_or_else(|| TechError::MissingRule(layer.to_string()))
     }
-
-    /// Looks up the via rule for via layer `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::MissingRule`] when the via layer has no rule.
-    pub fn via_rule(&self, index: u8) -> Result<ViaRule, TechError> {
-        self.via_rules
-            .get(&index)
-            .copied()
-            .ok_or_else(|| TechError::MissingRule(format!("VIA{index}")))
-    }
-
-    /// Horizontal placement site width.
-    pub fn site_width(&self) -> Nanometer {
-        self.site_width
-    }
-
-    /// Standard-row height.
-    pub fn row_height(&self) -> Nanometer {
-        self.row_height
-    }
-
-    /// Margin kept free around hierarchical block boundaries.
-    pub fn block_margin(&self) -> Nanometer {
-        self.block_margin
-    }
-
-    /// Pitch of the uniform 3-D routing grid.
-    pub fn routing_grid_pitch(&self) -> Nanometer {
-        self.routing_grid_pitch
-    }
-
-    /// Sets the placement grid parameters.
-    pub fn set_placement_grid(&mut self, site_width: Nanometer, row_height: Nanometer) {
-        self.site_width = site_width;
-        self.row_height = row_height;
-    }
-
-    /// Sets the hierarchical block margin.
-    pub fn set_block_margin(&mut self, margin: Nanometer) {
-        self.block_margin = margin;
-    }
-
-    /// Sets the uniform routing-grid pitch.
-    pub fn set_routing_grid_pitch(&mut self, pitch: Nanometer) {
-        self.routing_grid_pitch = pitch;
-    }
-
-    /// Returns the number of layers with registered rules.
-    pub fn rule_count(&self) -> usize {
-        self.layer_rules.len()
-    }
-
-    /// Builds the default rule deck of the synthetic S28 technology,
-    /// consistent with the [`LayerMap`] produced by `LayerMap::s28()`.
-    pub fn s28(layers: &LayerMap) -> Self {
-        let nm = Nanometer::new;
-        let mut rules = Self::new();
-        for layer in layers.iter() {
-            let rule = match layer.kind() {
-                LayerKind::Diffusion => RuleSet::new(nm(90.0), nm(90.0)),
-                LayerKind::Poly => RuleSet::new(nm(30.0), nm(87.0)),
-                LayerKind::Contact => RuleSet::new(nm(40.0), nm(70.0)),
-                LayerKind::NWell => RuleSet::new(nm(200.0), nm(250.0)),
-                LayerKind::Marker => RuleSet::new(nm(10.0), nm(10.0)),
-                LayerKind::Metal(i) => {
-                    let w = layer.default_width();
-                    // Spacing equals width for thin metals, 1.25× for the
-                    // thick top metal.
-                    let s = if i >= 6 { w * 1.25 } else { w };
-                    RuleSet::new(w, s)
-                }
-                LayerKind::Via(_) => RuleSet::new(layer.default_width(), layer.default_width()),
-            };
-            rules.set_layer_rule(layer.name(), rule);
-            if let LayerKind::Via(i) = layer.kind() {
-                rules.set_via_rule(
-                    i,
-                    ViaRule::new(layer.default_width(), layer.default_width(), nm(15.0)),
-                );
-            }
-        }
-        rules.set_placement_grid(nm(100.0), nm(600.0));
-        rules.set_block_margin(nm(200.0));
-        rules.set_routing_grid_pitch(nm(100.0));
-        rules
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::layers::LayerMap;
-
-    fn s28_rules() -> DesignRules {
-        DesignRules::s28(&LayerMap::s28())
-    }
+    use crate::{TechError, Technology};
 
     #[test]
     fn every_s28_layer_has_a_rule() {
-        let layers = LayerMap::s28();
-        let rules = DesignRules::s28(&layers);
-        for layer in layers.iter() {
-            assert!(
-                rules.layer_rule(layer.name()).is_ok(),
-                "missing rule for {}",
-                layer.name()
-            );
-        }
-        assert_eq!(rules.rule_count(), layers.len());
+        let tech = Technology::s28();
+        let layers: Vec<_> = tech.layers().layers.keys().collect();
+        let rules: Vec<_> = tech.rules().layer_rules.keys().collect();
+        assert_eq!(layers, rules);
     }
 
     #[test]
     fn missing_rule_is_an_error() {
-        let rules = s28_rules();
-        let err = rules.layer_rule("M9").expect_err("M9 does not exist");
+        let err = Technology::s28()
+            .rules()
+            .layer_rule("M9")
+            .expect_err("M9 does not exist");
         assert!(matches!(err, TechError::MissingRule(name) if name == "M9"));
     }
 
     #[test]
     fn via_rules_exist_for_all_cut_layers() {
-        let rules = s28_rules();
-        for i in 1..=5u8 {
-            let rule = rules.via_rule(i).expect("via rule exists");
-            assert!(rule.pad_size().value() > rule.cut_size.value());
+        let tech = Technology::s28();
+        for i in 1..=5 {
+            assert!(tech.rules().layer_rule(&format!("VIA{i}")).is_ok());
         }
-        assert!(rules.via_rule(6).is_err());
-    }
-
-    #[test]
-    fn min_pitch_is_width_plus_spacing() {
-        let rule = RuleSet::new(Nanometer::new(50.0), Nanometer::new(60.0));
-        assert_eq!(rule.min_pitch().value(), 110.0);
-    }
-
-    #[test]
-    fn placement_grid_is_positive() {
-        let rules = s28_rules();
-        assert!(rules.site_width().value() > 0.0);
-        assert!(rules.row_height().value() > 0.0);
-        assert!(rules.block_margin().value() > 0.0);
-        assert!(rules.routing_grid_pitch().value() > 0.0);
+        assert!(tech.rules().layer_rule("VIA6").is_err());
     }
 
     #[test]
     fn thick_top_metal_has_wider_spacing_than_width() {
-        let rules = s28_rules();
-        let m6 = rules.layer_rule("M6").unwrap();
+        let tech = Technology::s28();
+        let m6 = tech.rules().layer_rule("M6").unwrap();
         assert!(m6.min_spacing.value() > m6.min_width.value());
-        let m2 = rules.layer_rule("M2").unwrap();
+        let m2 = tech.rules().layer_rule("M2").unwrap();
         assert_eq!(m2.min_spacing.value(), m2.min_width.value());
     }
 }

@@ -1,12 +1,37 @@
 //! The [`Technology`] aggregate: everything the EasyACIM flow needs to know
 //! about the target process.
 
-use crate::device::{CapacitorModel, ComparatorModel, TransistorModel};
-use crate::error::TechError;
-use crate::layers::LayerMap;
-use crate::rules::DesignRules;
-use crate::units::{micron_sq_to_square_f, Kelvin, MicronSq, SquareF, Volt};
-use crate::{DEFAULT_VCM, DEFAULT_VDD};
+use crate::device::{CapacitorModel, ComparatorModel};
+use crate::layers::{Layer, LayerMap};
+use crate::rules::{DesignRules, RuleSet};
+use crate::units::{Femtofarad, Kelvin, Nanometer, Volt};
+
+/// The S28 mask layers: name, GDS layer number (every datatype is 0),
+/// minimum width and minimum spacing in nanometres.  The OD/PO/CO front
+/// end and the N-well come first, then the six routing metals, whose width
+/// grows with the index as in a typical 28 nm stack (M5/M6 are
+/// semi-global layers used for power), each followed by the via up to the
+/// next metal; a via is as wide as the thinner of its metal and 56 nm.
+/// Spacing equals width on the metals and vias but for the thick top metal
+/// M6, which spaces at 1.25× its width.
+const S28_LAYERS: [(&str, u16, f64, f64); 16] = [
+    ("OD", 6, 90.0, 90.0),
+    ("PO", 17, 30.0, 87.0),
+    ("CO", 30, 40.0, 70.0),
+    ("NW", 3, 200.0, 250.0),
+    ("M1", 31, 50.0, 50.0),
+    ("VIA1", 51, 50.0, 50.0),
+    ("M2", 32, 50.0, 50.0),
+    ("VIA2", 52, 50.0, 50.0),
+    ("M3", 33, 56.0, 56.0),
+    ("VIA3", 53, 56.0, 56.0),
+    ("M4", 34, 56.0, 56.0),
+    ("VIA4", 54, 56.0, 56.0),
+    ("M5", 35, 90.0, 90.0),
+    ("VIA5", 55, 56.0, 56.0),
+    ("M6", 36, 400.0, 500.0),
+    ("MARKER", 100, 10.0, 10.0),
+];
 
 /// A complete technology description ("technology files" input of Figure 4).
 ///
@@ -16,20 +41,16 @@ use crate::{DEFAULT_VCM, DEFAULT_VDD};
 /// use acim_tech::Technology;
 ///
 /// let tech = Technology::s28();
-/// let f2 = tech.normalize_area(acim_tech::MicronSq::new(1.0));
-/// assert!(f2.value() > 1000.0);
+/// let m2 = tech.rules().layer_rule("M2").expect("M2 has a rule");
+/// assert_eq!(m2.min_width.value(), 50.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Technology {
-    name: String,
     feature_size_nm: f64,
     vdd: Volt,
-    vcm: Volt,
     temperature: Kelvin,
     layers: LayerMap,
     rules: DesignRules,
-    nmos: TransistorModel,
-    pmos: TransistorModel,
     capacitor: CapacitorModel,
     comparator: ComparatorModel,
 }
@@ -38,47 +59,39 @@ impl Technology {
     /// Builds the synthetic 28 nm-class technology used throughout the
     /// reproduction (substitute for the paper's TSMC28 PDK).
     pub fn s28() -> Self {
-        let layers = LayerMap::s28();
-        let rules = DesignRules::s28(&layers);
+        let layers = S28_LAYERS.iter().map(|&(name, gds_layer, _, _)| {
+            let layer = Layer {
+                gds_layer,
+                gds_datatype: 0,
+            };
+            (name, layer)
+        });
+        let rules = S28_LAYERS.iter().map(|&(name, _, width, spacing)| {
+            let rule = RuleSet {
+                min_width: Nanometer::new(width),
+                min_spacing: Nanometer::new(spacing),
+            };
+            (name, rule)
+        });
         Self {
-            name: "S28".to_string(),
             feature_size_nm: 28.0,
-            vdd: Volt::new(DEFAULT_VDD),
-            vcm: Volt::new(DEFAULT_VCM),
+            vdd: Volt::new(0.9),
             temperature: Kelvin::new(300.0),
-            layers,
-            rules,
-            nmos: TransistorModel::s28_nmos(),
-            pmos: TransistorModel::s28_pmos(),
-            capacitor: CapacitorModel::s28_mom(),
-            comparator: ComparatorModel::s28(),
+            layers: LayerMap {
+                layers: layers.collect(),
+            },
+            rules: DesignRules {
+                layer_rules: rules.collect(),
+            },
+            capacitor: CapacitorModel {
+                unit_cap: Femtofarad::new(1.2),
+                kappa: 0.01,
+            },
+            comparator: ComparatorModel {
+                noise_sigma_v: 0.35e-3,
+                offset_sigma_v: 2.0e-3,
+            },
         }
-    }
-
-    /// Builds a scaled variant of the synthetic technology with a different
-    /// feature size (used by ablation studies).  All geometric rules are the
-    /// S28 rules scaled linearly; device statistics are kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] when `feature_size_nm` is not
-    /// strictly positive.
-    pub fn scaled(feature_size_nm: f64) -> Result<Self, TechError> {
-        if feature_size_nm <= 0.0 || !feature_size_nm.is_finite() {
-            return Err(TechError::InvalidParameter {
-                name: "feature_size".into(),
-                reason: "must be a positive finite number of nanometres".into(),
-            });
-        }
-        let mut tech = Self::s28();
-        tech.name = format!("S{}", feature_size_nm.round() as u32);
-        tech.feature_size_nm = feature_size_nm;
-        Ok(tech)
-    }
-
-    /// Technology name, e.g. `"S28"`.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Minimum feature size F in nanometres.
@@ -89,11 +102,6 @@ impl Technology {
     /// Nominal supply voltage.
     pub fn vdd(&self) -> Volt {
         self.vdd
-    }
-
-    /// Common-mode voltage used by the charge-redistribution compute model.
-    pub fn vcm(&self) -> Volt {
-        self.vcm
     }
 
     /// Nominal operating temperature.
@@ -111,16 +119,6 @@ impl Technology {
         &self.rules
     }
 
-    /// NMOS transistor model.
-    pub fn nmos(&self) -> &TransistorModel {
-        &self.nmos
-    }
-
-    /// PMOS transistor model.
-    pub fn pmos(&self) -> &TransistorModel {
-        &self.pmos
-    }
-
     /// Compute/CDAC capacitor model.
     pub fn capacitor(&self) -> &CapacitorModel {
         &self.capacitor
@@ -129,46 +127,6 @@ impl Technology {
     /// Dynamic-comparator model.
     pub fn comparator(&self) -> &ComparatorModel {
         &self.comparator
-    }
-
-    /// Overrides the supply voltage (used by low-voltage sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] when the voltage is not in the
-    /// physically sensible range (0.4 V, 1.5 V].
-    pub fn with_vdd(mut self, vdd: Volt) -> Result<Self, TechError> {
-        if vdd.value() <= 0.4 || vdd.value() > 1.5 {
-            return Err(TechError::InvalidParameter {
-                name: "vdd".into(),
-                reason: format!("{} is outside (0.4 V, 1.5 V]", vdd),
-            });
-        }
-        self.vcm = Volt::new(vdd.value() / 2.0);
-        self.vdd = vdd;
-        Ok(self)
-    }
-
-    /// Overrides the operating temperature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::InvalidParameter`] when the temperature is not
-    /// strictly positive Kelvin.
-    pub fn with_temperature(mut self, temperature: Kelvin) -> Result<Self, TechError> {
-        if temperature.value() <= 0.0 {
-            return Err(TechError::InvalidParameter {
-                name: "temperature".into(),
-                reason: "must be positive Kelvin".into(),
-            });
-        }
-        self.temperature = temperature;
-        Ok(self)
-    }
-
-    /// Normalises a physical area to F² using this technology's feature size.
-    pub fn normalize_area(&self, area: MicronSq) -> SquareF {
-        micron_sq_to_square_f(area, self.feature_size_nm)
     }
 }
 
@@ -179,56 +137,58 @@ mod tests {
     #[test]
     fn s28_defaults() {
         let tech = Technology::s28();
-        assert_eq!(tech.name(), "S28");
         assert_eq!(tech.feature_size_nm(), 28.0);
         assert!((tech.vdd().value() - 0.9).abs() < 1e-12);
-        assert!((tech.vcm().value() - 0.45).abs() < 1e-12);
         assert!((tech.temperature().value() - 300.0).abs() < 1e-12);
-        assert_eq!(tech.layers().metal_count(), 6);
-        assert!(tech.rules().rule_count() > 10);
     }
 
+    /// Every value the flow reads from the technology, at the values the
+    /// S28 technology has always had: each layer's GDS numbers and width
+    /// and spacing rules, the feature size, VDD, temperature and the
+    /// capacitor and comparator statistics.
     #[test]
-    fn scaled_technology_changes_normalisation() {
-        let t28 = Technology::s28();
-        let t16 = Technology::scaled(16.0).expect("valid feature size");
-        let area = MicronSq::new(2.0);
-        assert!(t16.normalize_area(area).value() > t28.normalize_area(area).value());
-        assert_eq!(t16.name(), "S16");
-    }
-
-    #[test]
-    fn scaled_rejects_nonpositive_feature_size() {
-        assert!(Technology::scaled(0.0).is_err());
-        assert!(Technology::scaled(-5.0).is_err());
-        assert!(Technology::scaled(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn with_vdd_validates_and_recentres_vcm() {
-        let tech = Technology::s28()
-            .with_vdd(Volt::new(0.8))
-            .expect("valid vdd");
-        assert!((tech.vdd().value() - 0.8).abs() < 1e-12);
-        assert!((tech.vcm().value() - 0.4).abs() < 1e-12);
-        assert!(Technology::s28().with_vdd(Volt::new(0.2)).is_err());
-        assert!(Technology::s28().with_vdd(Volt::new(2.0)).is_err());
-    }
-
-    #[test]
-    fn with_temperature_validates() {
-        assert!(Technology::s28()
-            .with_temperature(Kelvin::new(350.0))
-            .is_ok());
-        assert!(Technology::s28()
-            .with_temperature(Kelvin::new(0.0))
-            .is_err());
-    }
-
-    #[test]
-    fn one_square_micron_in_f2_at_28nm() {
+    fn s28_values_are_pinned() {
+        // Name, GDS layer, minimum width and minimum spacing in nm; every
+        // layer's GDS datatype is 0.
+        const LAYERS: [(&str, u16, f64, f64); 16] = [
+            ("OD", 6, 90.0, 90.0),
+            ("PO", 17, 30.0, 87.0),
+            ("CO", 30, 40.0, 70.0),
+            ("NW", 3, 200.0, 250.0),
+            ("M1", 31, 50.0, 50.0),
+            ("VIA1", 51, 50.0, 50.0),
+            ("M2", 32, 50.0, 50.0),
+            ("VIA2", 52, 50.0, 50.0),
+            ("M3", 33, 56.0, 56.0),
+            ("VIA3", 53, 56.0, 56.0),
+            ("M4", 34, 56.0, 56.0),
+            ("VIA4", 54, 56.0, 56.0),
+            ("M5", 35, 90.0, 90.0),
+            ("VIA5", 55, 56.0, 56.0),
+            ("M6", 36, 400.0, 500.0),
+            ("MARKER", 100, 10.0, 10.0),
+        ];
         let tech = Technology::s28();
-        let f2 = tech.normalize_area(MicronSq::new(1.0));
-        assert!((f2.value() - 1275.51).abs() < 0.1);
+        for (name, gds_layer, width, spacing) in LAYERS {
+            let layer = tech.layers().by_name(name).unwrap();
+            let rule = tech.rules().layer_rule(name).unwrap();
+            assert_eq!(
+                (
+                    layer.gds_layer(),
+                    layer.gds_datatype(),
+                    rule.min_width.value(),
+                    rule.min_spacing.value()
+                ),
+                (gds_layer, 0, width, spacing),
+                "{name}"
+            );
+        }
+        assert_eq!(tech.feature_size_nm(), 28.0);
+        assert_eq!(tech.vdd().value(), 0.9);
+        assert_eq!(tech.temperature().value(), 300.0);
+        assert_eq!(tech.capacitor().unit_cap.value(), 1.2);
+        assert_eq!(tech.capacitor().kappa, 0.01);
+        assert_eq!(tech.comparator().noise_sigma_v, 0.35e-3);
+        assert_eq!(tech.comparator().offset_sigma_v, 2.0e-3);
     }
 }

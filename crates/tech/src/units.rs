@@ -1,16 +1,17 @@
 //! Physical unit newtypes.
 //!
-//! The flow moves between several unit systems: layout geometry is expressed
-//! in nanometres and microns, capacitance in femtofarads, time in picoseconds,
-//! energy in femtojoules, and normalised area in F² (squared feature size,
-//! the unit used by the paper's "F²/bit" area metric).  Newtypes keep these
+//! The flow moves between several unit systems: layout rules are expressed
+//! in nanometres, capacitance in femtofarads, time in picoseconds, energy
+//! in femtojoules, and normalised area in F² (squared feature size, the
+//! unit used by the paper's "F²/bit" area metric).  Newtypes keep these
 //! from being mixed up (C-NEWTYPE).
 
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul};
 
-/// Declares a simple `f64`-backed unit newtype with arithmetic and display.
+/// Declares a simple `f64`-backed unit newtype with display and the
+/// arithmetic the flow uses: sums of like quantities and scaling by a
+/// plain number.
 macro_rules! unit_newtype {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
@@ -26,26 +27,6 @@ macro_rules! unit_newtype {
             /// Returns the raw `f64` value.
             pub const fn value(self) -> f64 {
                 self.0
-            }
-
-            /// Returns the absolute value.
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Returns the smaller of `self` and `other`.
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Returns the larger of `self` and `other`.
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
-            }
-
-            /// Returns `true` when the value is finite (not NaN or infinite).
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
             }
         }
 
@@ -68,26 +49,6 @@ macro_rules! unit_newtype {
             }
         }
 
-        impl Sub for $name {
-            type Output = Self;
-            fn sub(self, rhs: Self) -> Self {
-                Self(self.0 - rhs.0)
-            }
-        }
-
-        impl SubAssign for $name {
-            fn sub_assign(&mut self, rhs: Self) {
-                self.0 -= rhs.0;
-            }
-        }
-
-        impl Neg for $name {
-            type Output = Self;
-            fn neg(self) -> Self {
-                Self(-self.0)
-            }
-        }
-
         impl Mul<f64> for $name {
             type Output = Self;
             fn mul(self, rhs: f64) -> Self {
@@ -101,25 +62,6 @@ macro_rules! unit_newtype {
                 Self(self.0 / rhs)
             }
         }
-
-        impl Div for $name {
-            type Output = f64;
-            fn div(self, rhs: Self) -> f64 {
-                self.0 / rhs.0
-            }
-        }
-
-        impl Sum for $name {
-            fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-                Self(iter.map(|v| v.0).sum())
-            }
-        }
-
-        impl From<f64> for $name {
-            fn from(value: f64) -> Self {
-                Self(value)
-            }
-        }
     };
 }
 
@@ -129,19 +71,6 @@ unit_newtype!(
     /// derived quantities (pitches divided by two, etc.) stay exact enough.
     Nanometer,
     "nm"
-);
-
-unit_newtype!(
-    /// A length in microns (µm), used for reporting layout dimensions as the
-    /// paper does in Figure 8.
-    Micron,
-    "um"
-);
-
-unit_newtype!(
-    /// An area in square microns.
-    MicronSq,
-    "um^2"
 );
 
 unit_newtype!(
@@ -176,89 +105,10 @@ unit_newtype!(
 );
 
 unit_newtype!(
-    /// A ratio expressed in decibels.
-    DbValue,
-    "dB"
-);
-
-unit_newtype!(
     /// A temperature in Kelvin.
     Kelvin,
     "K"
 );
-
-unit_newtype!(
-    /// A temperature in degrees Celsius.
-    Celsius,
-    "degC"
-);
-
-impl Nanometer {
-    /// Converts to microns.
-    pub fn to_microns(self) -> Micron {
-        Micron(self.0 / 1000.0)
-    }
-}
-
-impl Micron {
-    /// Converts to nanometres.
-    pub fn to_nanometers(self) -> Nanometer {
-        Nanometer(self.0 * 1000.0)
-    }
-}
-
-impl Mul for Micron {
-    type Output = MicronSq;
-    fn mul(self, rhs: Micron) -> MicronSq {
-        MicronSq(self.0 * rhs.0)
-    }
-}
-
-impl Celsius {
-    /// Converts to Kelvin.
-    pub fn to_kelvin(self) -> Kelvin {
-        Kelvin(self.0 + 273.15)
-    }
-}
-
-impl Kelvin {
-    /// Converts to degrees Celsius.
-    pub fn to_celsius(self) -> Celsius {
-        Celsius(self.0 - 273.15)
-    }
-}
-
-impl DbValue {
-    /// Builds a dB value from a linear power ratio (`10·log10(ratio)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is not strictly positive.
-    pub fn from_power_ratio(ratio: f64) -> Self {
-        assert!(ratio > 0.0, "power ratio must be positive, got {ratio}");
-        DbValue(10.0 * ratio.log10())
-    }
-
-    /// Converts back to a linear power ratio.
-    pub fn to_power_ratio(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-}
-
-/// Converts an area in µm² into F² given the feature size in nanometres.
-///
-/// This is the normalisation used throughout the paper's evaluation
-/// (e.g. "4504 F²/bit" in Figure 8).
-pub fn micron_sq_to_square_f(area: MicronSq, feature_nm: f64) -> SquareF {
-    let f_um = feature_nm / 1000.0;
-    SquareF(area.value() / (f_um * f_um))
-}
-
-/// Converts a normalised F² area back into µm² given the feature size.
-pub fn square_f_to_micron_sq(area: SquareF, feature_nm: f64) -> MicronSq {
-    let f_um = feature_nm / 1000.0;
-    MicronSq(area.value() * f_um * f_um)
-}
 
 #[cfg(test)]
 mod tests {
@@ -269,68 +119,13 @@ mod tests {
         let a = Nanometer::new(100.0);
         let b = Nanometer::new(28.0);
         assert_eq!((a + b).value(), 128.0);
-        assert_eq!((a - b).value(), 72.0);
         assert_eq!((a * 2.0).value(), 200.0);
         assert_eq!((a / 2.0).value(), 50.0);
-        assert!((a / b - 100.0 / 28.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nanometer_micron_roundtrip() {
-        let nm = Nanometer::new(2800.0);
-        let um = nm.to_microns();
-        assert!((um.value() - 2.8).abs() < 1e-12);
-        assert!((um.to_nanometers().value() - 2800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn micron_product_is_area() {
-        let area = Micron::new(2.0) * Micron::new(3.0);
-        assert_eq!(area.value(), 6.0);
-    }
-
-    #[test]
-    fn db_roundtrip() {
-        let db = DbValue::from_power_ratio(100.0);
-        assert!((db.value() - 20.0).abs() < 1e-12);
-        assert!((db.to_power_ratio() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "power ratio must be positive")]
-    fn db_from_nonpositive_ratio_panics() {
-        let _ = DbValue::from_power_ratio(0.0);
-    }
-
-    #[test]
-    fn temperature_conversions() {
-        let c = Celsius::new(27.0);
-        let k = c.to_kelvin();
-        assert!((k.value() - 300.15).abs() < 1e-9);
-        assert!((k.to_celsius().value() - 27.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn f_squared_normalisation_roundtrip() {
-        // 1 µm² at F = 28 nm is (1000/28)² ≈ 1275.5 F².
-        let area = MicronSq::new(1.0);
-        let f2 = micron_sq_to_square_f(area, 28.0);
-        assert!((f2.value() - 1275.510204).abs() < 1e-3);
-        let back = square_f_to_micron_sq(f2, 28.0);
-        assert!((back.value() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn sum_and_ordering() {
-        let total: Femtojoule = vec![Femtojoule::new(1.0), Femtojoule::new(2.5)]
-            .into_iter()
-            .sum();
-        assert_eq!(total.value(), 3.5);
         assert!(Femtojoule::new(1.0) < Femtojoule::new(2.0));
-        assert_eq!(
-            Femtojoule::new(1.0).max(Femtojoule::new(2.0)),
-            Femtojoule::new(2.0)
-        );
     }
 
     #[test]

@@ -189,39 +189,6 @@ impl HistogramSnapshot {
             0.0
         }
     }
-
-    /// The per-bucket difference `self - earlier` (saturating), for
-    /// attributing observations to a phase. Bounds are taken from `self`;
-    /// an `earlier` snapshot with different bounds diffs as all-zero.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let comparable = earlier.bounds == self.bounds;
-        let counts = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let then = if comparable {
-                    earlier.counts.get(i).copied().unwrap_or(0)
-                } else {
-                    0
-                };
-                c.saturating_sub(then)
-            })
-            .collect();
-        let sum = if comparable {
-            (self.sum - earlier.sum).max(0.0)
-        } else {
-            self.sum
-        };
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts,
-            sum: if sum.is_finite() { sum } else { 0.0 },
-            count: self
-                .count
-                .saturating_sub(if comparable { earlier.count } else { 0 }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,24 +260,5 @@ mod tests {
         assert_eq!(snap.count, 3);
         assert_eq!(snap.counts[0], 3);
         assert_eq!(snap.sum, 0.0);
-    }
-
-    #[test]
-    fn delta_since_attributes_a_phase() {
-        let hist = Histogram::new(&[1.0, 2.0]);
-        hist.observe(0.5);
-        let before = hist.snapshot();
-        hist.observe(1.5);
-        hist.observe(0.1);
-        let delta = hist.snapshot().delta_since(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.counts, vec![1, 1, 0]);
-        assert!((delta.sum - 1.6).abs() < 1e-9);
-        // Foreign bounds: diff degrades to self, never panics.
-        let other = Histogram::new(&[9.0]);
-        other.observe(1.0);
-        other.observe(100.0);
-        let delta = hist.snapshot().delta_since(&other.snapshot());
-        assert_eq!(delta.count, 3);
     }
 }

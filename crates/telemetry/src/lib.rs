@@ -12,9 +12,9 @@
 //!    with start/stop timestamps, parent links and `key=value`
 //!    attributes, recorded into a bounded ring buffer so memory stays
 //!    flat under sustained service load.
-//! 3. **Exposition** ([`expose::prometheus_text`], [`expose::json_text`],
-//!    [`TelemetrySnapshot::diff`]): point-in-time snapshots rendered as
-//!    Prometheus text or JSON, with a diff API for per-phase attribution.
+//! 3. **Exposition** ([`expose::prometheus_text`], [`expose::json_text`]):
+//!    point-in-time [`TelemetrySnapshot`]s rendered as Prometheus text or
+//!    JSON.
 //!
 //! The [`Telemetry`] bundle ties the pillars together and carries an
 //! enabled flag: a disabled bundle vends inert spans and empty snapshots,
@@ -25,6 +25,7 @@
 //! it is a measurement substrate, not a framework.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 #![warn(missing_docs)]
 
 pub mod expose;

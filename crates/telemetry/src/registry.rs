@@ -196,21 +196,6 @@ impl Registry {
         RegistryInner::find_or_insert(&mut self.lock().counters, name, labels, help, Counter::new)
     }
 
-    /// Registers (or re-fetches) a counter backed by an *existing* handle,
-    /// so a component that already owns a `Counter` can expose it. If the
-    /// series exists the registered handle wins and is returned.
-    pub fn register_counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        counter: Counter,
-    ) -> Counter {
-        let name = sanitise_name(name);
-        let labels = canonical_labels(labels);
-        RegistryInner::find_or_insert(&mut self.lock().counters, name, labels, help, || counter)
-    }
-
     /// Registers (or re-fetches) a gauge under `name` + `labels`.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         let name = sanitise_name(name);
@@ -323,20 +308,6 @@ mod tests {
         let b = registry.gauge("g", "", &[("b", "2"), ("a", "1")]);
         a.set(7.0);
         assert_eq!(b.get(), 7.0);
-    }
-
-    #[test]
-    fn register_counter_adopts_an_existing_handle() {
-        let registry = Registry::new();
-        let owned = Counter::new();
-        owned.add(10);
-        let adopted = registry.register_counter("pre_owned_total", "", &[], owned.clone());
-        owned.inc();
-        assert_eq!(adopted.get(), 11);
-        // A second registration under the same identity keeps the first.
-        let fresh = Counter::new();
-        let resolved = registry.register_counter("pre_owned_total", "", &[], fresh);
-        assert_eq!(resolved.get(), 11);
     }
 
     #[test]

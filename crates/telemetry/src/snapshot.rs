@@ -1,16 +1,13 @@
-//! Point-in-time telemetry snapshots and the diff API.
+//! Point-in-time telemetry snapshots.
 //!
 //! A [`TelemetrySnapshot`] is plain data: every registered metric series
 //! (copied out of the registry) plus the recorded span ring. Snapshots
 //! are what cross API boundaries — `ExplorationService::telemetry()`
 //! returns one — and what the encoders in [`crate::expose`] render.
-//! [`TelemetrySnapshot::diff`] subtracts an earlier snapshot to attribute
-//! counters, histogram buckets and spans to a phase, which is how a
-//! caller gets per-request numbers out of cumulative process metrics.
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::Labels;
-use crate::span::{SpanId, SpanRecord};
+use crate::span::SpanRecord;
 
 /// The value of one metric series at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +34,7 @@ pub struct MetricSample {
 }
 
 /// A point-in-time copy of a [`crate::Telemetry`] bundle: all metric
-/// series plus the span ring. Plain data — safe to hold, diff, and encode
+/// series plus the span ring. Plain data — safe to hold and encode
 /// long after the source has moved on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -91,56 +88,6 @@ impl TelemetrySnapshot {
             _ => None,
         }
     }
-
-    /// The difference `self - earlier`, attributing activity to the window
-    /// between the two snapshots:
-    ///
-    /// - counters subtract (saturating);
-    /// - histograms subtract bucket-wise via
-    ///   [`HistogramSnapshot::delta_since`];
-    /// - gauges keep *this* snapshot's value (an instantaneous reading has
-    ///   no meaningful difference);
-    /// - series absent from `earlier` are kept as-is;
-    /// - spans are those recorded after `earlier` was taken (ids are
-    ///   monotonic per recorder, so "after" means a larger id).
-    pub fn diff(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let samples = self
-            .samples
-            .iter()
-            .map(|sample| {
-                let before = earlier
-                    .samples
-                    .iter()
-                    .find(|s| s.name == sample.name && s.labels == sample.labels);
-                let value = match (&sample.value, before.map(|s| &s.value)) {
-                    (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                        MetricValue::Counter(now.saturating_sub(*then))
-                    }
-                    (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                        MetricValue::Histogram(now.delta_since(then))
-                    }
-                    (value, _) => value.clone(),
-                };
-                MetricSample {
-                    name: sample.name.clone(),
-                    help: sample.help.clone(),
-                    labels: sample.labels.clone(),
-                    value,
-                }
-            })
-            .collect();
-        let cutoff: SpanId = earlier.spans.iter().map(|s| s.id).max().unwrap_or(0);
-        TelemetrySnapshot {
-            samples,
-            spans: self
-                .spans
-                .iter()
-                .filter(|s| s.id > cutoff)
-                .cloned()
-                .collect(),
-            spans_dropped: self.spans_dropped.saturating_sub(earlier.spans_dropped),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,43 +128,5 @@ mod tests {
         assert_eq!(snapshot.histogram("lat_seconds", &[]).unwrap().count, 1);
         assert_eq!(snapshot.counter("missing", &[]), None);
         assert_eq!(snapshot.counter("active", &[]), None); // wrong type
-    }
-
-    #[test]
-    fn diff_subtracts_counters_and_histograms_keeps_gauges() {
-        let (registry, spans) = sample_snapshot();
-        let counter = registry.counter("req_total", "requests", &[("kind", "macro")]);
-        let gauge = registry.gauge("active", "", &[]);
-        let hist = registry.histogram_with_bounds("lat_seconds", "", &[], &[1.0, 2.0]);
-        counter.add(2);
-        gauge.set(5.0);
-        hist.observe(0.5);
-        drop(spans.span("before"));
-        let earlier = snap(&registry, &spans);
-
-        counter.add(3);
-        gauge.set(1.0);
-        hist.observe(1.5);
-        drop(spans.span("after"));
-        let later = snap(&registry, &spans);
-
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.counter("req_total", &[("kind", "macro")]), Some(3));
-        assert_eq!(delta.gauge("active", &[]), Some(1.0));
-        let h = delta.histogram("lat_seconds", &[]).unwrap();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.counts, vec![0, 1, 0]);
-        assert_eq!(delta.spans.len(), 1);
-        assert_eq!(delta.spans[0].name, "after");
-    }
-
-    #[test]
-    fn diff_keeps_series_missing_from_earlier() {
-        let (registry, spans) = sample_snapshot();
-        let earlier = snap(&registry, &spans);
-        registry.counter("new_total", "", &[]).add(7);
-        let later = snap(&registry, &spans);
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.counter("new_total", &[]), Some(7));
     }
 }

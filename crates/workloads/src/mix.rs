@@ -166,11 +166,6 @@ impl WorkloadMix {
         self.tenants.len() == 1
     }
 
-    /// Sum of tenant weights.
-    pub fn total_weight(&self) -> f64 {
-        self.tenants.iter().map(|t| t.weight).sum()
-    }
-
     /// Number of scheduling rounds: the depth of the deepest tenant.
     /// Round `r` co-schedules layer `r` of every tenant that has one.
     pub fn rounds(&self) -> usize {
@@ -281,7 +276,7 @@ mod tests {
         let mix = WorkloadMix::edge_mix();
         assert_eq!(mix.len(), 3);
         assert_eq!(mix.rounds(), 3);
-        assert_eq!(mix.total_weight(), 7.0);
+        assert_eq!(mix.tenants().iter().map(|t| t.weight).sum::<f64>(), 7.0);
         assert_eq!(
             mix.total_macs(),
             mix.tenants()

@@ -182,21 +182,6 @@ impl Network {
     pub fn total_macs(&self) -> usize {
         self.layers.iter().map(NetworkLayer::weight_bits).sum()
     }
-
-    /// Total 1-bit weight footprint of the network in bits.
-    pub fn total_weight_bits(&self) -> usize {
-        self.total_macs()
-    }
-
-    /// The largest single-layer weight footprint in bits — the working set
-    /// the global buffer has to sustain.
-    pub fn max_layer_weight_bits(&self) -> usize {
-        self.layers
-            .iter()
-            .map(NetworkLayer::weight_bits)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl fmt::Display for Network {
@@ -233,7 +218,6 @@ mod tests {
         for layer in &net.layers {
             assert_eq!(layer.shape(), (32, 128));
         }
-        assert_eq!(net.max_layer_weight_bits(), 32 * 128);
     }
 
     #[test]
@@ -263,6 +247,5 @@ mod tests {
     fn empty_network_reports_zero_footprint() {
         let net = Network::new("empty", vec![]);
         assert!(net.is_empty());
-        assert_eq!(net.max_layer_weight_bits(), 0);
     }
 }

@@ -8,12 +8,6 @@
 //! (the conversion itself lives in the caller to avoid a dependency cycle;
 //! this type only holds the numbers).
 
-use crate::cnn::CnnLayer;
-use crate::error::WorkloadError;
-use crate::quantize::BinaryMvm;
-use crate::snn::SnnLayer;
-use crate::transformer::{AttentionProjection, ProjectionKind};
-
 /// An application family and its requirements on the ACIM macro.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ApplicationProfile {
@@ -26,15 +20,6 @@ pub enum ApplicationProfile {
 }
 
 impl ApplicationProfile {
-    /// All profiles.
-    pub fn all() -> [ApplicationProfile; 3] {
-        [
-            ApplicationProfile::Transformer,
-            ApplicationProfile::Cnn,
-            ApplicationProfile::Snn,
-        ]
-    }
-
     /// Minimum acceptable SNR in dB.
     pub fn min_snr_db(&self) -> f64 {
         match self {
@@ -71,21 +56,6 @@ impl ApplicationProfile {
         }
     }
 
-    /// A representative workload of the profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload-construction errors.
-    pub fn representative_workload(&self, seed: u64) -> Result<BinaryMvm, WorkloadError> {
-        match self {
-            ApplicationProfile::Transformer => {
-                AttentionProjection::edge(ProjectionKind::Query).to_workload(seed)
-            }
-            ApplicationProfile::Cnn => CnnLayer::mobile().to_workload(seed),
-            ApplicationProfile::Snn => SnnLayer::small().to_workload(0.25, seed),
-        }
-    }
-
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -115,10 +85,11 @@ mod tests {
 
     #[test]
     fn representative_workloads_exist_for_every_profile() {
-        for profile in ApplicationProfile::all() {
-            let workload = profile.representative_workload(11).unwrap();
-            assert!(workload.rows() > 0);
-            assert!(workload.cols() > 0);
+        for profile in [
+            ApplicationProfile::Transformer,
+            ApplicationProfile::Cnn,
+            ApplicationProfile::Snn,
+        ] {
             assert!(!profile.name().is_empty());
         }
     }

@@ -68,24 +68,6 @@ impl SnnLayer {
             label: format!("snn_{}x{}_rate{:.2}", self.neurons, self.inputs, rate),
         })
     }
-
-    /// Runs `steps` timesteps of leaky integration over the binary dot
-    /// products and returns the emitted spike counts per neuron — a tiny
-    /// end-to-end SNN simulation used by the application-mapping example.
-    pub fn integrate(&self, dot_products: &[Vec<u32>]) -> Vec<u32> {
-        let mut potentials = vec![0.0f64; self.neurons];
-        let mut spikes = vec![0u32; self.neurons];
-        for step in dot_products {
-            for (neuron, potential) in potentials.iter_mut().enumerate() {
-                *potential = *potential * self.leak + f64::from(*step.get(neuron).unwrap_or(&0));
-                if *potential >= self.threshold {
-                    spikes[neuron] += 1;
-                    *potential = 0.0;
-                }
-            }
-        }
-        spikes
-    }
 }
 
 #[cfg(test)]
@@ -113,40 +95,5 @@ mod tests {
             ..SnnLayer::small()
         };
         assert!(bad.to_workload(0.5, 1).is_err());
-    }
-
-    #[test]
-    fn integration_fires_with_strong_input_and_not_without() {
-        let layer = SnnLayer {
-            inputs: 16,
-            neurons: 4,
-            threshold: 10.0,
-            leak: 1.0,
-        };
-        let strong = vec![vec![6u32; 4]; 5];
-        let weak = vec![vec![0u32; 4]; 5];
-        let strong_spikes = layer.integrate(&strong);
-        let weak_spikes = layer.integrate(&weak);
-        assert!(strong_spikes.iter().all(|&s| s >= 2));
-        assert!(weak_spikes.iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn leak_reduces_firing() {
-        let integrator = SnnLayer {
-            inputs: 16,
-            neurons: 2,
-            threshold: 12.0,
-            leak: 1.0,
-        };
-        let leaky = SnnLayer {
-            leak: 0.2,
-            ..integrator
-        };
-        let input = vec![vec![3u32; 2]; 12];
-        assert!(
-            integrator.integrate(&input).iter().sum::<u32>()
-                > leaky.integrate(&input).iter().sum::<u32>()
-        );
     }
 }

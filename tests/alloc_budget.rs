@@ -1,17 +1,20 @@
 //! Heap-allocation budgets for the back half: netlist and layout.
 //!
 //! A counting global allocator wraps [`System`].  The one test below
-//! netlists three pinned macros and lays out two, and counts the
-//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls) each step
+//! netlists three pinned macros, lays out two and checks one, and counts
+//! the allocations (`alloc`, `alloc_zeroed` and `realloc` calls) each step
 //! makes: the netlist generator, its statistics and the SPICE writer; the
-//! column template, the macro assembly and the DEF and GDS writers.  Each
-//! count must stay under its ceiling, which is the count recorded when the
-//! budget was set plus about 10 % headroom for changes in std.  Allocation
-//! counts repeat exactly from run to run, unlike wall-clock time, so a step
-//! that starts allocating per connection, per shape or per grid node again
-//! fails here.  The DEF and GDS writers reserve their output once, from the
-//! layout's counts, so a writer whose buffer grows as it writes (20 to 29
-//! allocations on these macros) fails here too.
+//! column template, the macro assembly and the DEF and GDS writers; the
+//! DRC run.  Each count must stay under its ceiling, which is the count
+//! recorded when the budget was set plus about 10 % headroom for changes
+//! in std.  Allocation counts repeat exactly from run to run, unlike
+//! wall-clock time, so a step that starts allocating per connection, per
+//! shape or per grid node again fails here.  The DEF and GDS writers
+//! reserve their output once, from the layout's counts, so a writer whose
+//! buffer grows as it writes (20 to 29 allocations on these macros) fails
+//! here too.  DRC formats flat names only for the violations it reports,
+//! so a DRC run that copies the flat view again (28,117 allocations on its
+//! macro) fails here as well.
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -23,7 +26,7 @@ use std::cell::Cell;
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
-use acim_layout::{write_def, write_gds_text, ColumnTemplate, LayoutFlow};
+use acim_layout::{check_layout, write_def, write_gds_text, ColumnTemplate, LayoutFlow};
 use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
 
@@ -139,6 +142,11 @@ const BUDGETS: [Budget; 2] = [
     },
 ];
 
+/// The macro whose DRC run is counted, and the allocations
+/// [`check_layout`] made on it when the budget was recorded: mostly the
+/// names of its 48 violations.  It may make 10 % more, rounded up.
+const DRC_BUDGET: ((usize, usize, usize, u32), usize) = ((64, 16, 4, 3), 188);
+
 /// Checks `count` against the ceiling of `recorded` and notes an overrun.
 fn check(over: &mut Vec<String>, what: String, count: usize, recorded: usize) {
     let ceiling = recorded + recorded.div_ceil(10);
@@ -148,8 +156,9 @@ fn check(over: &mut Vec<String>, what: String, count: usize, recorded: usize) {
     }
 }
 
-/// Counts the netlist steps, then the layout steps.  The name predates the
-/// netlist rows, which join this function so that one thread counts all.
+/// Counts the netlist steps, then the layout steps, then DRC.  The name
+/// predates the netlist and DRC rows, which join this function so that one
+/// thread counts all.
 #[test]
 fn layout_steps_stay_within_their_allocation_budgets() {
     let tech = Technology::s28();
@@ -209,5 +218,16 @@ fn layout_steps_stay_within_their_allocation_budgets() {
             );
         }
     }
+    let (h, w, l, bits) = DRC_BUDGET.0;
+    let spec = AcimSpec::from_dimensions(h, w, l, bits).expect("valid spec");
+    let macro_layout = flow.generate(&spec).expect("layout generates");
+    let (report, drc_count) = counted(|| check_layout(&macro_layout.layout, &tech));
+    assert_eq!(report.violations.len(), 48);
+    check(
+        &mut over,
+        format!("{h}x{w} L{l} B{bits} check_layout"),
+        drc_count,
+        DRC_BUDGET.1,
+    );
     assert!(over.is_empty(), "over budget: {over:#?}");
 }
