@@ -1,10 +1,12 @@
 //! Criterion bench of the NSGA-II engine in isolation (Section 3.2.2) and
-//! of its building blocks (fast non-dominated sort), plus the random-search
-//! baseline with the same evaluation budget — the runtime side of the
-//! optimiser-quality ablation reported in `tests/ablation_nsga2.rs`.
+//! of its building blocks (fast non-dominated sort, crowding), plus the
+//! random-search baseline with the same evaluation budget — the runtime
+//! side of the optimiser-quality ablation reported in
+//! `tests/ablation_nsga2.rs`.
 
 use acim_moga::{
-    fast_non_dominated_sort, random_search, Evaluation, Individual, Nsga2, Nsga2Config, Problem,
+    assign_crowding_distance, fast_non_dominated_sort, random_search, Evaluation, Individual,
+    Nsga2, Nsga2Config, Problem,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -110,6 +112,21 @@ fn nsga2_bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut pop = population.clone();
                 black_box(fast_non_dominated_sort(&mut pop).len())
+            });
+        });
+    }
+    // Crowding of all 400 members as one front: the paper-budget shape
+    // (about 130 distinct rows) and 400 distinct rows.
+    for (name, distinct) in [
+        ("crowding_400_duplicates", 130),
+        ("crowding_400_distinct", 400),
+    ] {
+        let mut population = population_400(distinct);
+        let front: Vec<usize> = (0..population.len()).collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                assign_crowding_distance(&mut population, &front);
+                black_box(population[0].crowding_distance)
             });
         });
     }

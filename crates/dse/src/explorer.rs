@@ -218,16 +218,18 @@ struct RunArchive {
     archive: ParetoArchive<Vec<f64>>,
     /// Bit patterns of every objective vector offered so far.
     offered: HashSet<Vec<u64>>,
+    /// The bits of the vector being offered, reused from offer to offer.
+    bits: Vec<u64>,
 }
 
 impl RunArchive {
     /// Offers `(objectives, genes)` to the archive unless the same
-    /// objective bits were offered before.
+    /// objective bits were offered before.  Only a first offer allocates.
     fn offer(&mut self, objectives: &[f64], genes: &[f64]) {
-        if self
-            .offered
-            .insert(objectives.iter().map(|o| o.to_bits()).collect())
-        {
+        self.bits.clear();
+        self.bits.extend(objectives.iter().map(|o| o.to_bits()));
+        if !self.offered.contains(&self.bits[..]) {
+            self.offered.insert(self.bits.clone());
             self.archive.insert(objectives, genes.to_vec());
         }
     }

@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cached::CacheStats;
-use crate::crowding::assign_crowding_distance;
-use crate::dominance::{fast_non_dominated_sort, sort_fronts};
+use crate::crowding::Crowding;
+use crate::dominance::{order_key, sort_fronts, SortedFronts};
 use crate::individual::Individual;
 use crate::operators::{polynomial_mutation, random_genome, sbx_crossover};
 use crate::problem::Problem;
@@ -273,10 +273,8 @@ impl<P: Problem> Nsga2<P> {
             genomes.push(random_genome(&mut rng, n_var));
         }
         let mut population = evaluate_cohort(genomes, &mut evaluations, &mut eval_seconds);
-        let fronts = fast_non_dominated_sort(&mut population);
-        for front in &fronts {
-            assign_crowding_distance(&mut population, front);
-        }
+        let mut selection = Selection::default();
+        selection.rank(&mut population);
 
         let mut executed_generations = 0usize;
         for generation in 0..self.config.generations {
@@ -311,7 +309,7 @@ impl<P: Problem> Nsga2<P> {
             // Environmental selection over parents ∪ offspring.
             let mut combined = population;
             combined.append(&mut offspring);
-            population = environmental_selection(combined, pop_size);
+            population = selection.select(combined, pop_size);
             generation_seconds.push(generation_start.elapsed().as_secs_f64());
             executed_generations = generation + 1;
             if observer(generation, &population).is_break() {
@@ -332,56 +330,118 @@ impl<P: Problem> Nsga2<P> {
     }
 }
 
-/// NSGA-II environmental selection: the best `pop_size` individuals of
-/// `combined` by rank, then crowding distance, with the ranks and
-/// crowding distances a re-sort of the survivors would assign.
-///
-/// Survivors keep their ranks: every dominator of a survivor lies in an
-/// earlier front, and earlier fronts survive whole, so a re-sort of the
-/// survivors sees the same dominators.  Whole fronts keep the crowding
-/// distances computed over `combined`, since a re-sort lists them in the
-/// same member order.  Only the cut front is re-crowded, over its
-/// survivors, in the order a re-sort lists them: by the position of each
-/// survivor's last dominator in the previous front, then by its position
-/// in the survivor list, which is crowding-descending.
-fn environmental_selection(mut combined: Vec<Individual>, pop_size: usize) -> Vec<Individual> {
-    let sorted = sort_fronts(&mut combined);
-    let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
-    for front in &sorted.fronts {
-        let room = pop_size - next.len();
-        if room == 0 {
-            break;
-        }
-        assign_crowding_distance(&mut combined, front);
-        if front.len() <= room {
-            next.extend(front.iter().map(|&i| combined[i].clone()));
-            continue;
-        }
-        let mut survivors: Vec<usize> = front.clone();
-        survivors.sort_by(|&a, &b| {
-            combined[b]
-                .crowding_distance
-                .partial_cmp(&combined[a].crowding_distance)
-                .expect("crowding distance is never NaN")
-        });
-        survivors.truncate(room);
-        let start = next.len();
-        next.extend(survivors.iter().map(|&i| combined[i].clone()));
-        let mut cut: Vec<usize> = (start..next.len()).collect();
-        cut.sort_by_key(|&p| sorted.last_dominator[survivors[p - start]]);
-        assign_crowding_distance(&mut next, &cut);
-        break;
-    }
-    next
+/// The buffers of NSGA-II's environmental selection, kept from generation
+/// to generation of one run.
+#[derive(Debug, Default)]
+struct Selection {
+    sorted: SortedFronts,
+    crowding: Crowding,
+    /// The cut front's survivors as (crowding, position) keys, then as
+    /// (last dominator, survivor) keys in re-sort order.
+    survivors: Vec<u128>,
+    cut: Vec<u128>,
 }
 
-/// The sort, truncate and re-sort selection [`environmental_selection`]
-/// replaces, kept as its oracle.
+impl Selection {
+    /// Sorts `population` into fronts and crowds every front.
+    fn rank(&mut self, population: &mut [Individual]) {
+        sort_fronts(population, &mut self.sorted);
+        for k in 0..self.sorted.len() {
+            self.crowding.load_front(&self.sorted, k);
+            self.crowding
+                .assign(population, self.sorted.front(k).iter().copied());
+        }
+    }
+
+    /// NSGA-II environmental selection: the best `pop_size` individuals
+    /// of `combined` by rank, then crowding distance, with the ranks and
+    /// crowding distances a re-sort of the survivors would assign.
+    ///
+    /// Survivors keep their ranks: every dominator of a survivor lies in
+    /// an earlier front, and earlier fronts survive whole, so a re-sort of
+    /// the survivors sees the same dominators.  Whole fronts keep the
+    /// crowding distances computed over `combined`, since a re-sort lists
+    /// them in the same member order.  Only the cut front is re-crowded,
+    /// over its survivors' rows, in the order a re-sort lists them: by the
+    /// position of each survivor's last dominator in the previous front,
+    /// then by its position in the survivor list, which is
+    /// crowding-descending.
+    fn select(&mut self, mut combined: Vec<Individual>, pop_size: usize) -> Vec<Individual> {
+        let Self {
+            sorted,
+            crowding,
+            survivors,
+            cut,
+        } = self;
+        sort_fronts(&mut combined, sorted);
+        let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
+        for k in 0..sorted.len() {
+            let room = pop_size - next.len();
+            if room == 0 {
+                break;
+            }
+            let front = sorted.front(k);
+            crowding.load_front(sorted, k);
+            crowding.assign(&mut combined, front.iter().copied());
+            if front.len() <= room {
+                next.extend(front.iter().map(|&i| take(&mut combined, i)));
+                continue;
+            }
+            // Front positions by crowding, descending; ties keep their
+            // order in the front, as a stable sort would.
+            survivors.clear();
+            survivors.extend(
+                crowding
+                    .distance()
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &distance)| {
+                        assert!(!distance.is_nan(), "crowding distance is never NaN");
+                        u128::from(!order_key(distance)) << 64 | pos as u128
+                    }),
+            );
+            survivors.sort_unstable();
+            survivors.truncate(room);
+            let survivor = |s: usize| survivors[s] as u64 as usize;
+            let start = next.len();
+            next.extend((0..room).map(|s| take(&mut combined, front[survivor(s)])));
+            cut.clear();
+            cut.extend((0..room).map(|s| {
+                u128::from(sorted.last_dominator(front[survivor(s)]) as u64) << 64 | s as u128
+            }));
+            cut.sort_unstable();
+            crowding.reorder(cut.iter().map(|&s| survivor(s as u64 as usize)));
+            crowding.assign(&mut next, cut.iter().map(|&s| start + s as u64 as usize));
+            break;
+        }
+        next
+    }
+}
+
+/// Moves individual `i` out of `combined`, leaving its genome empty.
+fn take(combined: &mut [Individual], i: usize) -> Individual {
+    let genes = std::mem::take(&mut combined[i].genes);
+    Individual {
+        genes,
+        ..combined[i].clone()
+    }
+}
+
+/// [`Selection::select`] with buffers of its own.
+#[cfg(test)]
+fn environmental_selection(combined: Vec<Individual>, pop_size: usize) -> Vec<Individual> {
+    Selection::default().select(combined, pop_size)
+}
+
+/// The sort, truncate and re-sort selection [`Selection::select`]
+/// replaces, kept as its oracle, with the per-individual sort and
+/// crowding.
 #[cfg(test)]
 fn environmental_selection_reference(
     mut combined: Vec<Individual>,
     pop_size: usize,
 ) -> Vec<Individual> {
+    use crate::crowding::assign_crowding_distance_reference as assign_crowding_distance;
     use crate::dominance::fast_non_dominated_sort_reference;
     let fronts = fast_non_dominated_sort_reference(&mut combined);
     let mut next: Vec<Individual> = Vec::with_capacity(pop_size);
@@ -557,14 +617,18 @@ mod tests {
 
     #[test]
     fn final_populations_are_pinned() {
-        fn digest(problem: impl Problem, seed: u64) -> u64 {
-            population_digest(
-                &Nsga2::new(problem, small_config())
-                    .with_seed(seed)
-                    .run()
-                    .population,
-            )
+        fn digest_with(problem: impl Problem, config: Nsga2Config, seed: u64) -> u64 {
+            population_digest(&Nsga2::new(problem, config).with_seed(seed).run().population)
         }
+        fn digest(problem: impl Problem, seed: u64) -> u64 {
+            digest_with(problem, small_config(), seed)
+        }
+        // Population 200: combined populations of 400 with many duplicate
+        // rows, the shape of a paper-budget exploration.
+        let population_200 = || Nsga2Config {
+            population_size: 200,
+            ..small_config()
+        };
         let got = [
             [digest(Zdt1, 1), digest(Zdt1, 2), digest(Zdt1, 3)],
             [
@@ -576,6 +640,11 @@ mod tests {
                 digest(CoarseGrid, 1),
                 digest(CoarseGrid, 2),
                 digest(CoarseGrid, 3),
+            ],
+            [
+                digest_with(CoarseGrid, population_200(), 1),
+                digest_with(CoarseGrid, population_200(), 2),
+                digest_with(CoarseGrid, population_200(), 3),
             ],
         ];
         let expected = [
@@ -593,6 +662,11 @@ mod tests {
                 0x5211_9249_e5c8_cbc6,
                 0x7696_65ea_3e67_bd4b,
                 0xb68e_ad7d_01d5_2a40,
+            ],
+            [
+                0x531f_ad3f_c996_59ec,
+                0x95b4_ec5d_52fb_eca0,
+                0x5de3_7051_c26b_e35c,
             ],
         ];
         assert_eq!(got, expected, "{got:#018x?}");

@@ -1,11 +1,15 @@
-//! Heap-allocation budgets for the back half: netlist and layout.
+//! Heap-allocation budgets for the back half (netlist and layout) and for
+//! one NSGA-II run.
 //!
-//! A counting global allocator wraps [`System`].  The one test below
+//! A counting global allocator wraps [`System`].  The first test below
 //! netlists three pinned macros, lays out two and checks one, and counts
 //! the allocations (`alloc`, `alloc_zeroed` and `realloc` calls) each step
 //! makes: the netlist generator, its statistics and the SPICE writer; the
 //! column template, the macro assembly and the DEF and GDS writers; the
-//! DRC run.  Each count must stay under its ceiling, which is the count
+//! DRC run.  The second counts one seeded `Nsga2::run`, whose selection
+//! keeps its sort and crowding buffers for the whole run and moves its
+//! survivors, so a generation allocates little beyond its offspring's
+//! genomes.  Each count must stay under its ceiling, which is the count
 //! recorded when the budget was set plus about 10 % headroom for changes
 //! in std.  Allocation counts repeat exactly from run to run, unlike
 //! wall-clock time, so a step that starts allocating per connection, per
@@ -14,7 +18,9 @@
 //! buffer grows as it writes (20 to 29 allocations on these macros) fails
 //! here too.  DRC formats flat names only for the violations it reports,
 //! so a DRC run that copies the flat view again (28,117 allocations on its
-//! macro) fails here as well.
+//! macro) fails here as well.  So does an NSGA-II selection that sorts
+//! into fresh buffers or clones its survivors each generation (9,383
+//! allocations on the NSGA-II run).
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -27,6 +33,7 @@ use std::cell::Cell;
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
 use acim_layout::{check_layout, write_def, write_gds_text, ColumnTemplate, LayoutFlow};
+use acim_moga::{Evaluation, Nsga2, Nsga2Config, Problem};
 use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
 
@@ -228,6 +235,56 @@ fn layout_steps_stay_within_their_allocation_budgets() {
         format!("{h}x{w} L{l} B{bits} check_layout"),
         drc_count,
         DRC_BUDGET.1,
+    );
+    assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+/// A cheap three-objective problem whose objectives and violation snap to
+/// a 0.25 grid, so its combined populations hold many duplicate rows, as a
+/// paper-budget exploration's do.
+struct SnappedGrid;
+
+impl Problem for SnappedGrid {
+    fn num_variables(&self) -> usize {
+        3
+    }
+    fn num_objectives(&self) -> usize {
+        3
+    }
+    fn evaluate(&self, genes: &[f64]) -> Evaluation {
+        let snap = |x: f64| (x * 4.0).round() / 4.0;
+        let objectives = [
+            snap(genes[0]),
+            snap(1.0 - genes[0] * genes[1]),
+            snap(genes[2] + (1.0 - genes[1]) / 2.0),
+        ];
+        let violation = ((0.5 - genes[1] - genes[2]).max(0.0) * 4.0).ceil() / 4.0;
+        Evaluation::new(objectives, violation)
+    }
+}
+
+/// The allocations one seeded NSGA-II run (population 200 × 20
+/// generations) made when the budget was recorded: per generation, the
+/// offspring genomes and the survivors' clones.  Selection keeps its
+/// buffers for the whole run, so a sort or crowding pass that allocates
+/// per generation again fails here.  It may make 10 % more, rounded up.
+const NSGA2_BUDGET: usize = 4_411;
+
+#[test]
+fn nsga2_run_stays_within_its_allocation_budget() {
+    let config = Nsga2Config {
+        population_size: 200,
+        generations: 20,
+        ..Nsga2Config::default()
+    };
+    let (result, count) = counted(|| Nsga2::new(SnappedGrid, config).with_seed(7).run());
+    assert_eq!(result.population.len(), 200);
+    let mut over = Vec::new();
+    check(
+        &mut over,
+        "Nsga2::run 200x20".to_string(),
+        count,
+        NSGA2_BUDGET,
     );
     assert!(over.is_empty(), "over budget: {over:#?}");
 }
