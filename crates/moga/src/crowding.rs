@@ -164,6 +164,7 @@ impl Crowding {
         } = self;
         let objectives = *objectives;
         let positions = row_of.len();
+        assert!(u32::try_from(positions).is_ok(), "fewer than 2³² members");
         distance.clear();
         if positions <= 2 {
             distance.resize(positions, f64::INFINITY);
@@ -280,7 +281,7 @@ impl Crowding {
     }
 }
 
-/// Adds `term` to the distance at `pos` unless it is already infinite.
+/// Adds `term` to the distance at `pos` unless that is no longer finite.
 fn add(distance: &mut [f64], pos: u32, term: f64) {
     let d = &mut distance[pos as usize];
     if d.is_finite() {

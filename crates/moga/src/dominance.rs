@@ -927,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn presorted_sort_matches_the_distinct_row_oracle_on_perturbed_grids() {
+    fn bitset_sort_matches_the_distinct_row_oracle_on_perturbed_grids() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x28_50);
         // One set of buffers for every sort, as a run keeps them.
