@@ -13,7 +13,7 @@ fn build_router(block_tracks: bool) -> MazeRouter {
         RoutingGrid::new(Rect::new(0.0, 0.0, 20_000.0, 20_000.0), 100.0, 3).expect("grid builds");
     let mut router = MazeRouter::new(
         grid,
-        vec!["M2".into(), "M3".into(), "M4".into()],
+        vec!["M2", "M3", "M4"],
         vec![false, true, false],
         vec![50.0, 56.0, 56.0],
     )

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::CellError;
-use crate::layout_template::LayoutTemplate;
+use crate::geom::Rect;
 use crate::netlist_template::CellNetlist;
 use crate::pin::Pin;
 
@@ -61,35 +61,34 @@ impl fmt::Display for CellKind {
     }
 }
 
-/// A manually designed leaf cell: netlist, layout template and pins.
+/// A manually designed leaf cell as the placer and router see it: a sized
+/// box reached through its pins, plus the netlist it instantiates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafCell {
     kind: CellKind,
     netlist: CellNetlist,
-    layout: LayoutTemplate,
+    width_nm: f64,
+    height_nm: f64,
     pins: Vec<Pin>,
 }
 
 impl LeafCell {
-    /// Assembles a leaf cell, validating that every pin name exists in the
-    /// netlist ports and every pin shape lies inside the layout boundary.
+    /// Assembles a `width_nm` × `height_nm` leaf cell, validating that
+    /// every pin name exists in the netlist ports and every pin shape lies
+    /// inside the cell boundary.
     ///
     /// # Errors
     ///
     /// Returns [`CellError`] when a pin references an unknown port or falls
-    /// outside the cell boundary, or when the layout template has shapes
-    /// outside its boundary.
+    /// outside the cell boundary.
     pub fn new(
         kind: CellKind,
         netlist: CellNetlist,
-        layout: LayoutTemplate,
+        width_nm: f64,
+        height_nm: f64,
         pins: Vec<Pin>,
     ) -> Result<Self, CellError> {
-        if !layout.shapes_within_boundary() {
-            return Err(CellError::ShapeOutsideBoundary {
-                cell: kind.cell_name().to_string(),
-            });
-        }
+        let boundary = Rect::new(0.0, 0.0, width_nm, height_nm);
         for pin in &pins {
             if !netlist.ports.iter().any(|p| p == pin.name()) {
                 return Err(CellError::UnknownPinPort {
@@ -97,7 +96,7 @@ impl LeafCell {
                     pin: pin.name().to_string(),
                 });
             }
-            if !layout.boundary.contains_rect(&pin.shape()) {
+            if !boundary.contains_rect(&pin.shape()) {
                 return Err(CellError::PinOutsideBoundary {
                     cell: kind.cell_name().to_string(),
                     pin: pin.name().to_string(),
@@ -107,7 +106,8 @@ impl LeafCell {
         Ok(Self {
             kind,
             netlist,
-            layout,
+            width_nm,
+            height_nm,
             pins,
         })
     }
@@ -118,18 +118,13 @@ impl LeafCell {
     }
 
     /// Canonical cell name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'static str {
         self.kind.cell_name()
     }
 
     /// Transistor-level netlist template.
     pub fn netlist(&self) -> &CellNetlist {
         &self.netlist
-    }
-
-    /// Layout template.
-    pub fn layout(&self) -> &LayoutTemplate {
-        &self.layout
     }
 
     /// Pins.
@@ -144,25 +139,20 @@ impl LeafCell {
 
     /// Cell width in nanometres.
     pub fn width_nm(&self) -> f64 {
-        self.layout.width()
+        self.width_nm
     }
 
     /// Cell height in nanometres.
     pub fn height_nm(&self) -> f64 {
-        self.layout.height()
+        self.height_nm
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::Rect;
     use crate::netlist_template::buffer_netlist;
     use crate::pin::PinDirection;
-
-    fn buffer_layout() -> LayoutTemplate {
-        LayoutTemplate::standard(500.0, 600.0, 50.0)
-    }
 
     fn buffer_pins() -> Vec<Pin> {
         vec![
@@ -198,7 +188,8 @@ mod tests {
         let cell = LeafCell::new(
             CellKind::Buffer,
             buffer_netlist(),
-            buffer_layout(),
+            500.0,
+            600.0,
             buffer_pins(),
         )
         .unwrap();
@@ -218,7 +209,7 @@ mod tests {
             Rect::new(0.0, 0.0, 10.0, 10.0),
         ));
         let err =
-            LeafCell::new(CellKind::Buffer, buffer_netlist(), buffer_layout(), pins).unwrap_err();
+            LeafCell::new(CellKind::Buffer, buffer_netlist(), 500.0, 600.0, pins).unwrap_err();
         assert!(matches!(err, CellError::UnknownPinPort { pin, .. } if pin == "NOT_A_PORT"));
     }
 
@@ -232,7 +223,7 @@ mod tests {
             Rect::new(490.0, 0.0, 700.0, 50.0),
         ));
         let err =
-            LeafCell::new(CellKind::Buffer, buffer_netlist(), buffer_layout(), pins).unwrap_err();
+            LeafCell::new(CellKind::Buffer, buffer_netlist(), 500.0, 600.0, pins).unwrap_err();
         assert!(matches!(err, CellError::PinOutsideBoundary { .. }));
     }
 

@@ -20,11 +20,6 @@ pub enum CellError {
         /// Offending pin name.
         pin: String,
     },
-    /// A layout-template shape falls outside the cell boundary.
-    ShapeOutsideBoundary {
-        /// Cell name.
-        cell: String,
-    },
     /// The requested cell does not exist in the library.
     UnknownCell(String),
 }
@@ -40,9 +35,6 @@ impl fmt::Display for CellError {
                     f,
                     "pin `{pin}` of cell `{cell}` lies outside the cell boundary"
                 )
-            }
-            CellError::ShapeOutsideBoundary { cell } => {
-                write!(f, "cell `{cell}` has layout shapes outside its boundary")
             }
             CellError::UnknownCell(name) => write!(f, "unknown cell `{name}`"),
         }

@@ -11,14 +11,15 @@
 //! template-based placer and router treats as an opaque "Std" block.
 //!
 //! In this reproduction the cells are synthetic but complete: every leaf
-//! cell carries
+//! cell is a sized box reached through its pins, as the placer and router
+//! see it.  It carries
 //!
 //! * a transistor-level netlist template ([`netlist_template`]),
-//! * a rectilinear layout template (boundary, per-layer shapes, pin shapes
-//!   — [`layout_template`]),
-//! * pin definitions ([`pin`]),
-//! * physical dimensions calibrated so that the assembled macro reproduces
-//!   the paper's Figure 8 area/dimension anchors (see `DESIGN.md`).
+//! * its width and height, calibrated so that the assembled macro
+//!   reproduces the paper's Figure 8 area/dimension anchors (see
+//!   `DESIGN.md`),
+//! * pin definitions, each an access shape inside the box on a metal layer
+//!   ([`pin`]).
 //!
 //! # Example
 //!
@@ -39,7 +40,6 @@
 pub mod cell;
 pub mod error;
 pub mod geom;
-pub mod layout_template;
 pub mod library;
 pub mod netlist_template;
 pub mod pin;
@@ -47,7 +47,6 @@ pub mod pin;
 pub use cell::{CellKind, LeafCell};
 pub use error::CellError;
 pub use geom::{half_perimeter_wire_length, Orientation, Point, Rect};
-pub use layout_template::{LayoutShape, LayoutTemplate, RoutingTrack};
 pub use library::CellLibrary;
 pub use netlist_template::{CellNetlist, Device, DeviceKind};
 pub use pin::{Pin, PinDirection};

@@ -22,7 +22,6 @@ use acim_tech::Technology;
 use crate::cell::{CellKind, LeafCell};
 use crate::error::CellError;
 use crate::geom::Rect;
-use crate::layout_template::LayoutTemplate;
 use crate::netlist_template::{
     buffer_netlist, cmos_switch_netlist, comparator_netlist, compute_cell_netlist, dff_netlist,
     sar_logic_netlist, sram_8t_netlist, CellNetlist,
@@ -80,19 +79,21 @@ impl CellLibrary {
         self.cells.values()
     }
 
-    /// Builds the default S28 library with all seven leaf cells.
+    /// Builds the default S28 library with all seven leaf cells.  The
+    /// supply pins are M1 rails of the technology's minimum M1 width.
     ///
     /// # Panics
     ///
-    /// Panics only if the built-in templates are internally inconsistent,
-    /// which would be a bug in this crate.
+    /// Panics when the technology has no M1 rule, or if the built-in cells
+    /// are internally inconsistent, which would be a bug in this crate.
     pub fn s28_default(tech: &Technology) -> Self {
         let mut library = Self::new();
         let rail = tech
             .rules()
             .layer_rule("M1")
-            .map(|r| r.min_width.value())
-            .unwrap_or(50.0);
+            .expect("the technology has an M1 rule")
+            .min_width
+            .value();
         let cap_ff = tech.capacitor().unit_cap.value();
 
         library.insert(build_sram_cell(rail).expect("SRAM template is consistent"));
@@ -154,14 +155,13 @@ fn build_cell(
     rail: f64,
     signal_pins: &[(&str, PinDirection, f64, bool)],
 ) -> Result<LeafCell, CellError> {
-    let mut template = LayoutTemplate::standard(width_nm, height_nm, rail);
     let mut pins = supply_pins(width_nm, height_nm, rail);
     for &(name, direction, fraction, left) in signal_pins {
-        let pin = edge_pin(name, direction, "M2", width_nm, height_nm, fraction, left);
-        template.add_shape("M2", pin.shape());
-        pins.push(pin);
+        pins.push(edge_pin(
+            name, direction, "M2", width_nm, height_nm, fraction, left,
+        ));
     }
-    LeafCell::new(kind, netlist, template, pins)
+    LeafCell::new(kind, netlist, width_nm, height_nm, pins)
 }
 
 fn build_sram_cell(rail: f64) -> Result<LeafCell, CellError> {
@@ -335,7 +335,11 @@ mod tests {
         for cell in lib.iter() {
             assert!(cell.pin("VDD").is_some(), "{} lacks VDD", cell.name());
             assert!(cell.pin("VSS").is_some(), "{} lacks VSS", cell.name());
-            assert!(cell.layout().shapes_within_boundary());
+            let boundary = Rect::new(0.0, 0.0, cell.width_nm(), cell.height_nm());
+            assert!(cell
+                .pins()
+                .iter()
+                .all(|p| boundary.contains_rect(&p.shape())));
             assert!(cell.netlist().transistor_count() >= 2);
         }
     }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use acim_arch::AcimSpec;
-use acim_cell::{CellKind, CellLibrary, Orientation, Point, Rect};
+use acim_cell::{CellKind, CellLibrary, LeafCell, Orientation, Point, Rect};
 use acim_tech::Technology;
 
 use crate::db::{Layout, LayoutPin, PlacedInstance, Wire};
@@ -45,8 +45,9 @@ impl ColumnTemplate {
     ///
     /// # Errors
     ///
-    /// Returns [`LayoutError`] when a leaf cell is missing or an
-    /// intra-column net cannot be routed.
+    /// Returns [`LayoutError`] when a leaf cell, a pin the column connects
+    /// to or a metal's rule is missing, or an intra-column net cannot be
+    /// routed.
     pub fn build(
         spec: &AcimSpec,
         tech: &Technology,
@@ -66,10 +67,10 @@ impl ColumnTemplate {
         // --- Deterministic stacking ---------------------------------------
         let mut instances = Vec::new();
         let mut cursor = 0.0f64;
-        let place = |name: String, cell_name: &str, w: f64, h: f64, y: &mut f64| {
+        let place = |name: String, cell: &'static str, w: f64, h: f64, y: &mut f64| {
             let inst = PlacedInstance {
                 name,
-                cell: cell_name.to_string(),
+                cell,
                 origin: Point::new(0.0, *y),
                 orientation: Orientation::R0,
                 width: w,
@@ -155,41 +156,33 @@ impl ColumnTemplate {
         // Read bit-line: vertical M2 track near the right edge spanning from
         // the switch up to the topmost compute cell, plus the comparator
         // input stub.
-        let m2_width = tech
-            .rules()
-            .layer_rule("M2")
-            .map(|r| r.min_width.value())
-            .unwrap_or(50.0);
+        let m2_width = tech.rules().layer_rule("M2")?.min_width.value();
         // Keep the pre-defined tracks clear of the pin columns at both cell
         // edges (pins occupy roughly the outer 150 nm on each side).
         let rbl_x = width * 0.75;
         let rbl_top = compute_cell_tops.last().copied().unwrap_or(height);
         layout.wires.push(Wire {
             net: "RBL".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(rbl_x, switch_origin, rbl_x + m2_width, rbl_top),
         });
         // Analog reference VCM: vertical M2 track near the left edge.
         let vcm_x = width * 0.2;
         layout.wires.push(Wire {
             net: "VCM".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(vcm_x, 0.0, vcm_x + m2_width, rbl_top),
         });
         // Power: vertical M4 stripes.
-        let m4_width = tech
-            .rules()
-            .layer_rule("M4")
-            .map(|r| r.min_width.value())
-            .unwrap_or(56.0);
+        let m4_width = tech.rules().layer_rule("M4")?.min_width.value();
         layout.wires.push(Wire {
             net: "VDD".into(),
-            layer: "M4".into(),
+            layer: "M4",
             rect: Rect::new(width * 0.35, 0.0, width * 0.35 + m4_width * 2.0, height),
         });
         layout.wires.push(Wire {
             net: "VSS".into(),
-            layer: "M4".into(),
+            layer: "M4",
             rect: Rect::new(width * 0.6, 0.0, width * 0.6 + m4_width * 2.0, height),
         });
 
@@ -198,11 +191,7 @@ impl ColumnTemplate {
         // distribution inside the peripheral region on M2/M3/M4.
         // Inset the routing region by half a wire width plus margin so that
         // boundary-node wires stay strictly inside the column block.
-        let m3_width = tech
-            .rules()
-            .layer_rule("M3")
-            .map(|r| r.min_width.value())
-            .unwrap_or(56.0);
+        let m3_width = tech.rules().layer_rule("M3")?.min_width.value();
         let inset = m3_width;
         let region = Rect::new(inset, inset, width - inset, periphery_height - inset);
         // The column router's own track pitch; the technology has no
@@ -225,28 +214,18 @@ impl ColumnTemplate {
         );
         let mut router = MazeRouter::new(
             grid,
-            vec!["M2".into(), "M3".into(), "M4".into()],
+            vec!["M2", "M3", "M4"],
             vec![false, true, false],
             vec![m2_width, m3_width, m3_width],
         )?;
 
-        let pin_at = |cell: &acim_cell::LeafCell, pin: &str, origin_y: f64| -> Point {
-            let shape = cell
-                .pin(pin)
-                .map(|p| p.shape())
-                .unwrap_or_else(|| Rect::new(0.0, 0.0, 100.0, 100.0));
-            let center = shape.center();
-            Point::new(center.x, center.y + origin_y)
-        };
-
         let mut requests = Vec::new();
         // COM: comparator output to every DFF data input and the SAR logic.
-        let mut com_terminals = vec![(0usize, pin_at(comparator, "COM", comparator_origin))];
-        for (bit, &y) in dff_origins.iter().enumerate() {
-            let _ = bit;
-            com_terminals.push((0usize, pin_at(dff, "D", y)));
+        let mut com_terminals = vec![(0usize, pin_at(comparator, "COM", comparator_origin)?)];
+        for &y in &dff_origins {
+            com_terminals.push((0usize, pin_at(dff, "D", y)?));
         }
-        com_terminals.push((0usize, pin_at(sar_logic, "COM", 0.0)));
+        com_terminals.push((0usize, pin_at(sar_logic, "COM", 0.0)?));
         requests.push(RouteRequest {
             net: "COM".into(),
             net_id: 1,
@@ -257,8 +236,8 @@ impl ColumnTemplate {
             net: "COMB".into(),
             net_id: 2,
             terminals: vec![
-                (0usize, pin_at(comparator, "COMB", comparator_origin)),
-                (0usize, pin_at(sar_logic, "COMB", 0.0)),
+                (0usize, pin_at(comparator, "COMB", comparator_origin)?),
+                (0usize, pin_at(sar_logic, "COMB", 0.0)?),
             ],
         });
         // CLK: bottom-edge pin to the comparator, every DFF and the SAR
@@ -266,11 +245,11 @@ impl ColumnTemplate {
         let clk_entry = Point::new(width * 0.5, 0.0);
         let mut clk_terminals = vec![
             (1usize, clk_entry),
-            (0usize, pin_at(comparator, "CLK", comparator_origin)),
-            (0usize, pin_at(sar_logic, "CLK", 0.0)),
+            (0usize, pin_at(comparator, "CLK", comparator_origin)?),
+            (0usize, pin_at(sar_logic, "CLK", 0.0)?),
         ];
         for &y in &dff_origins {
-            clk_terminals.push((0usize, pin_at(dff, "CLK", y)));
+            clk_terminals.push((0usize, pin_at(dff, "CLK", y)?));
         }
         requests.push(RouteRequest {
             net: "CLK".into(),
@@ -282,8 +261,8 @@ impl ColumnTemplate {
             net: "SW_EN".into(),
             net_id: 4,
             terminals: vec![
-                (0usize, pin_at(sar_logic, "DONE", 0.0)),
-                (0usize, pin_at(switch, "EN", switch_origin)),
+                (0usize, pin_at(sar_logic, "DONE", 0.0)?),
+                (0usize, pin_at(switch, "EN", switch_origin)?),
             ],
         });
 
@@ -298,29 +277,29 @@ impl ColumnTemplate {
         for (row, &y) in rwl_pin_y.iter().enumerate() {
             layout.pins.push(LayoutPin {
                 net: format!("RWL_{row}"),
-                layer: "M3".into(),
+                layer: "M3",
                 rect: Rect::new(0.0, y - 30.0, 120.0, y + 30.0),
             });
         }
         for (bit, &y) in dff_origins.iter().enumerate() {
-            let q = pin_at(dff, "Q", y);
+            let q = pin_at(dff, "Q", y)?;
             layout.pins.push(LayoutPin {
                 net: format!("DOUT_{bit}"),
-                layer: "M2".into(),
+                layer: "M2",
                 rect: Rect::new(q.x - 60.0, q.y - 30.0, q.x + 60.0, q.y + 30.0),
             });
         }
         for (net, x_frac) in [("CLK", 0.5), ("PCH", 0.3), ("RST", 0.4), ("START", 0.6)] {
             layout.pins.push(LayoutPin {
                 net: net.to_string(),
-                layer: "M3".into(),
+                layer: "M3",
                 rect: Rect::new(width * x_frac - 60.0, 0.0, width * x_frac + 60.0, 60.0),
             });
         }
         for (net, x) in [("VDD", width * 0.35), ("VSS", width * 0.6)] {
             layout.pins.push(LayoutPin {
                 net: net.to_string(),
-                layer: "M4".into(),
+                layer: "M4",
                 rect: Rect::new(x, 0.0, x + m4_width * 2.0, 120.0),
             });
         }
@@ -331,6 +310,21 @@ impl ColumnTemplate {
             rwl_pin_y,
         })
     }
+}
+
+/// The centre of `cell`'s pin `pin`, for the cell placed at `origin_y` in
+/// the column.
+///
+/// # Errors
+///
+/// Returns [`LayoutError::MissingPin`] when the cell has no such pin.
+fn pin_at(cell: &LeafCell, pin: &str, origin_y: f64) -> Result<Point, LayoutError> {
+    let shape = cell.pin(pin).ok_or_else(|| LayoutError::MissingPin {
+        cell: cell.name().to_string(),
+        pin: pin.to_string(),
+    })?;
+    let center = shape.shape().center();
+    Ok(Point::new(center.x, center.y + origin_y))
 }
 
 #[cfg(test)]
@@ -418,5 +412,36 @@ mod tests {
                 assert!(inst.origin.y < t.periphery_height);
             }
         }
+    }
+
+    #[test]
+    fn a_missing_pin_is_a_typed_error() {
+        // A comparator without its COM output: the COM net has no source.
+        let tech = Technology::s28();
+        let mut library = CellLibrary::s28_default(&tech);
+        let comparator = library.require(CellKind::Comparator).unwrap();
+        let pins = comparator
+            .pins()
+            .iter()
+            .filter(|pin| pin.name() != "COM")
+            .cloned()
+            .collect();
+        let comparator = LeafCell::new(
+            CellKind::Comparator,
+            comparator.netlist().clone(),
+            comparator.width_nm(),
+            comparator.height_nm(),
+            pins,
+        )
+        .unwrap();
+        library.insert(comparator);
+        let spec = AcimSpec::from_dimensions(32, 8, 4, 3).unwrap();
+        assert_eq!(
+            ColumnTemplate::build(&spec, &tech, &library).unwrap_err(),
+            LayoutError::MissingPin {
+                cell: "COMP_SA".into(),
+                pin: "COM".into(),
+            }
+        );
     }
 }

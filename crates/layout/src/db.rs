@@ -22,7 +22,7 @@ pub struct PlacedInstance {
     /// Instance name (hierarchical, e.g. `"COL_3/XLA_0/XSRAM_2"`).
     pub name: String,
     /// Name of the placed cell or block template.
-    pub cell: String,
+    pub cell: &'static str,
     /// Lower-left placement origin in nanometres.
     pub origin: Point,
     /// Placement orientation.
@@ -48,7 +48,7 @@ pub struct Wire {
     /// Net name.
     pub net: String,
     /// Metal layer name.
-    pub layer: String,
+    pub layer: &'static str,
     /// Wire geometry in nanometres.
     pub rect: Rect,
 }
@@ -59,9 +59,9 @@ pub struct Via {
     /// Net name.
     pub net: String,
     /// Lower metal layer name.
-    pub from_layer: String,
+    pub from_layer: &'static str,
     /// Upper metal layer name.
-    pub to_layer: String,
+    pub to_layer: &'static str,
     /// Via centre.
     pub at: Point,
 }
@@ -73,7 +73,7 @@ pub struct LayoutPin {
     /// Net / pin name.
     pub net: String,
     /// Metal layer of the access shape.
-    pub layer: String,
+    pub layer: &'static str,
     /// Access shape.
     pub rect: Rect,
 }
@@ -293,7 +293,7 @@ mod tests {
     fn instance(name: &str, x: f64, y: f64) -> PlacedInstance {
         PlacedInstance {
             name: name.into(),
-            cell: "SRAM8T".into(),
+            cell: "SRAM8T",
             origin: Point::new(x, y),
             orientation: Orientation::R0,
             width: 2000.0,
@@ -314,12 +314,12 @@ mod tests {
         let mut layout = Layout::new("test", 10_000.0, 10_000.0);
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
             net: "B".into(),
-            layer: "M3".into(),
+            layer: "M3",
             rect: Rect::new(0.0, 0.0, 2000.0, 56.0),
         });
         assert_eq!(layout.total_wirelength(), 3000.0);
@@ -332,13 +332,13 @@ mod tests {
         column.instances.push(instance("XSRAM_1", 0.0, 632.0));
         column.wires.push(Wire {
             net: "RBL".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(1900.0, 0.0, 1950.0, 5000.0),
         });
         column.vias.push(Via {
             net: "COM".into(),
-            from_layer: "M2".into(),
-            to_layer: "M3".into(),
+            from_layer: "M2",
+            to_layer: "M3",
             at: Point::new(300.0, 400.0),
         });
         Arc::new(column)
@@ -355,7 +355,7 @@ mod tests {
         top.instances.push(instance("XIBUF_0", 0.0, 0.0));
         top.wires.push(Wire {
             net: "RWL_0".into(),
-            layer: "M3".into(),
+            layer: "M3",
             rect: Rect::new(0.0, 10.0, 4100.0, 66.0),
         });
 
@@ -394,7 +394,7 @@ mod tests {
                 (
                     format!("{}{}", v.prefix, v.local.net),
                     v.at(),
-                    v.local.to_layer.as_str(),
+                    v.local.to_layer,
                 )
             })
             .collect();
@@ -430,7 +430,7 @@ mod tests {
         let mut layout = Layout::new("test", 1000.0, 1000.0);
         layout.pins.push(LayoutPin {
             net: "CLK".into(),
-            layer: "M3".into(),
+            layer: "M3",
             rect: Rect::new(0.0, 0.0, 100.0, 100.0),
         });
         assert!(layout.pin("CLK").is_some());

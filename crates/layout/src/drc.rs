@@ -30,7 +30,7 @@ pub enum DrcViolation {
     /// minimum spacing.
     SpacingViolation {
         /// Layer name.
-        layer: String,
+        layer: &'static str,
         /// First net.
         net_a: String,
         /// Second net.
@@ -43,7 +43,7 @@ pub enum DrcViolation {
     /// A wire is narrower than the layer's minimum width.
     WidthViolation {
         /// Layer name.
-        layer: String,
+        layer: &'static str,
         /// Net name.
         net: String,
         /// Measured width in nanometres.
@@ -112,13 +112,13 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
     // Wire width, spacing and containment, grouped per layer.  Each wire
     // keeps its rectangle and a hash of its flat net name beside it, so
     // the pairwise loop compares names only when the hashes agree.
-    let mut by_layer: BTreeMap<&str, Vec<_>> = BTreeMap::new();
+    let mut by_layer: BTreeMap<&'static str, Vec<_>> = BTreeMap::new();
     for wire in layout.flat_wires() {
         let hash = flat_net(&wire).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
         });
         by_layer
-            .entry(wire.local.layer.as_str())
+            .entry(wire.local.layer)
             .or_default()
             .push((wire.rect(), hash, wire));
     }
@@ -130,7 +130,7 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
             let width = rect.width().min(rect.height());
             if width + 1e-9 < rule.min_width.value() {
                 report.violations.push(DrcViolation::WidthViolation {
-                    layer: layer.to_string(),
+                    layer,
                     net: format!("{}{}", wire.prefix, wire.local.net),
                     width,
                     required: rule.min_width.value(),
@@ -150,7 +150,7 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
                 let spacing = rect_a.spacing_to(rect_b);
                 if rect_a.overlaps(rect_b) || spacing + 1e-9 < rule.min_spacing.value() {
                     report.violations.push(DrcViolation::SpacingViolation {
-                        layer: layer.to_string(),
+                        layer,
                         net_a: format!("{}{}", a.prefix, a.local.net),
                         net_b: format!("{}{}", b.prefix, b.local.net),
                         spacing,
@@ -186,12 +186,12 @@ mod tests {
         let mut layout = Layout::new("clean", 10_000.0, 10_000.0);
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 5000.0),
         });
         layout.wires.push(Wire {
             net: "B".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(500.0, 0.0, 550.0, 5000.0),
         });
         let report = check_layout(&layout, &tech());
@@ -205,7 +205,7 @@ mod tests {
         for (name, x) in [("X0", 0.0), ("X1", 500.0)] {
             layout.instances.push(PlacedInstance {
                 name: name.into(),
-                cell: "SRAM8T".into(),
+                cell: "SRAM8T",
                 origin: Point::new(x, 0.0),
                 orientation: Orientation::R0,
                 width: 2000.0,
@@ -225,18 +225,18 @@ mod tests {
         // Two different nets 10 nm apart on M2 (minimum spacing is 50 nm).
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
             net: "B".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(60.0, 0.0, 110.0, 1000.0),
         });
         // A 20 nm-wide wire on M3 (minimum width 56 nm).
         layout.wires.push(Wire {
             net: "C".into(),
-            layer: "M3".into(),
+            layer: "M3",
             rect: Rect::new(0.0, 2000.0, 1000.0, 2020.0),
         });
         let report = check_layout(&layout, &tech());
@@ -255,12 +255,12 @@ mod tests {
         let mut layout = Layout::new("ok", 10_000.0, 10_000.0);
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 950.0, 1000.0, 1000.0),
         });
         assert!(check_layout(&layout, &tech()).is_clean());
@@ -274,7 +274,7 @@ mod tests {
         let mut block = Layout::new("BLOCK", 100.0, 1000.0);
         block.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         let block = std::sync::Arc::new(block);
@@ -284,7 +284,7 @@ mod tests {
         top.place(block, Point::new(60.0, 0.0), "COL_1/").unwrap();
         top.wires.push(Wire {
             net: "COL_0/A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 500.0),
         });
         let report = check_layout(&top, &tech());
@@ -307,7 +307,7 @@ mod tests {
         let mut layout = Layout::new("bad", 1000.0, 1000.0);
         layout.wires.push(Wire {
             net: "A".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(900.0, 0.0, 1500.0, 60.0),
         });
         let report = check_layout(&layout, &tech());

@@ -5,6 +5,7 @@ use std::fmt;
 
 use acim_arch::ArchError;
 use acim_cell::CellError;
+use acim_tech::TechError;
 
 /// Errors produced by placement, routing or layout assembly.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +24,20 @@ pub enum LayoutError {
         /// Why it was rejected.
         reason: String,
     },
+    /// A cell or block lacks a pin the flow connects to.
+    MissingPin {
+        /// Cell or block name.
+        cell: String,
+        /// Name of the missing pin.
+        pin: String,
+    },
     /// An error bubbled up from the cell library.
     Cell(CellError),
     /// An error bubbled up from the architecture crate.
     Arch(ArchError),
+    /// An error bubbled up from the technology, such as a missing layer
+    /// rule.
+    Tech(TechError),
 }
 
 impl fmt::Display for LayoutError {
@@ -38,8 +49,12 @@ impl fmt::Display for LayoutError {
             LayoutError::InvalidParameter { name, reason } => {
                 write!(f, "invalid layout parameter `{name}`: {reason}")
             }
+            LayoutError::MissingPin { cell, pin } => {
+                write!(f, "cell `{cell}` has no pin `{pin}`")
+            }
             LayoutError::Cell(err) => write!(f, "cell library error: {err}"),
             LayoutError::Arch(err) => write!(f, "architecture error: {err}"),
+            LayoutError::Tech(err) => write!(f, "technology error: {err}"),
         }
     }
 }
@@ -49,6 +64,7 @@ impl Error for LayoutError {
         match self {
             LayoutError::Cell(err) => Some(err),
             LayoutError::Arch(err) => Some(err),
+            LayoutError::Tech(err) => Some(err),
             _ => None,
         }
     }
@@ -63,6 +79,12 @@ impl From<CellError> for LayoutError {
 impl From<ArchError> for LayoutError {
     fn from(err: ArchError) -> Self {
         LayoutError::Arch(err)
+    }
+}
+
+impl From<TechError> for LayoutError {
+    fn from(err: TechError) -> Self {
+        LayoutError::Tech(err)
     }
 }
 
@@ -81,6 +103,14 @@ mod tests {
         assert!(e.to_string().contains("cell library error"));
         let e: LayoutError = ArchError::invalid_spec("a", "b").into();
         assert!(e.to_string().contains("architecture error"));
+        let e: LayoutError = TechError::MissingRule("M9".into()).into();
+        assert!(e.to_string().contains("technology error"));
+        assert!(e.source().is_some());
+        let e = LayoutError::MissingPin {
+            cell: "COMP_SA".into(),
+            pin: "COM".into(),
+        };
+        assert_eq!(e.to_string(), "cell `COMP_SA` has no pin `COM`");
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl<'a> LayoutFlow<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`LayoutError`] when a leaf cell is missing or any net cannot
-    /// be routed.
+    /// Returns [`LayoutError`] when a leaf cell, a pin the macro connects to
+    /// or a metal's rule is missing, or any net cannot be routed.
     pub fn generate(&self, spec: &AcimSpec) -> Result<MacroLayout, LayoutError> {
         let column = ColumnTemplate::build(spec, self.tech, self.library)?;
         let buffer = self.library.require(CellKind::Buffer)?;
@@ -95,7 +95,7 @@ impl<'a> LayoutFlow<'a> {
             let y = core_origin.y + column.rwl_pin_y[row] - buffer.height_nm() / 2.0;
             layout.instances.push(PlacedInstance {
                 name: format!("XIBUF_{row}"),
-                cell: buffer.name().to_string(),
+                cell: buffer.name(),
                 origin: Point::new(0.0, y.max(0.0)),
                 orientation: Orientation::R0,
                 width: buffer.width_nm(),
@@ -108,7 +108,7 @@ impl<'a> LayoutFlow<'a> {
             for bit in 0..bits {
                 layout.instances.push(PlacedInstance {
                     name: format!("XOBUF_{col}_{bit}"),
-                    cell: buffer.name().to_string(),
+                    cell: buffer.name(),
                     origin: Point::new(
                         core_origin.x + col as f64 * column_width,
                         bit as f64 * buffer.height_nm(),
@@ -121,18 +121,13 @@ impl<'a> LayoutFlow<'a> {
         }
 
         // --- Pre-defined horizontal tracks -----------------------------------
-        let m3_width = self
-            .tech
-            .rules()
-            .layer_rule("M3")
-            .map(|r| r.min_width.value())
-            .unwrap_or(56.0);
+        let m3_width = self.tech.rules().layer_rule("M3")?.min_width.value();
         // Read word-lines: from the input buffer output across the full core.
         for row in 0..spec.height() {
             let y = core_origin.y + column.rwl_pin_y[row];
             layout.wires.push(Wire {
                 net: format!("RWL_{row}"),
-                layer: "M3".into(),
+                layer: "M3",
                 rect: Rect::new(
                     left_strip * 0.5,
                     y - m3_width / 2.0,
@@ -142,72 +137,59 @@ impl<'a> LayoutFlow<'a> {
             });
         }
         // Control nets distributed along the bottom of the core on M5.
-        let m5_width = self
-            .tech
-            .rules()
-            .layer_rule("M5")
-            .map(|r| r.min_width.value())
-            .unwrap_or(90.0);
+        let m5_width = self.tech.rules().layer_rule("M5")?.min_width.value();
         for (i, net) in ["CLK", "PCH", "RST", "START"].iter().enumerate() {
             let y = core_origin.y + (i as f64 + 1.0) * 4.0 * m5_width;
             layout.wires.push(Wire {
                 net: (*net).to_string(),
-                layer: "M5".into(),
+                layer: "M5",
                 rect: Rect::new(0.0, y - m5_width / 2.0, total_width, y + m5_width / 2.0),
             });
         }
         // Column outputs stitched down to the output buffers on M4.
-        let m4_width = self
-            .tech
-            .rules()
-            .layer_rule("M4")
-            .map(|r| r.min_width.value())
-            .unwrap_or(56.0);
-        let dout: Vec<Option<Point>> = (0..bits)
+        let m4_width = self.tech.rules().layer_rule("M4")?.min_width.value();
+        let dout = (0..bits)
             .map(|bit| {
-                column
-                    .layout
-                    .pin(&format!("DOUT_{bit}"))
-                    .map(|pin| pin.rect.center())
+                let pin = format!("DOUT_{bit}");
+                match column.layout.pin(&pin) {
+                    Some(found) => Ok(found.rect.center()),
+                    None => Err(LayoutError::MissingPin {
+                        cell: column.layout.name.clone(),
+                        pin,
+                    }),
+                }
             })
-            .collect();
+            .collect::<Result<Vec<Point>, _>>()?;
         for col in 0..spec.width() {
             let base_x = core_origin.x + col as f64 * column_width;
             for (bit, centre) in dout.iter().enumerate() {
-                if let Some(centre) = centre {
-                    let x = base_x + centre.x;
-                    let y_top = core_origin.y + centre.y;
-                    let y_bottom = bit as f64 * buffer.height_nm() + buffer.height_nm() / 2.0;
-                    layout.wires.push(Wire {
-                        net: format!("OUT_{col}_{bit}"),
-                        layer: "M4".into(),
-                        rect: Rect::new(x - m4_width / 2.0, y_bottom, x + m4_width / 2.0, y_top),
-                    });
-                }
+                let x = base_x + centre.x;
+                let y_top = core_origin.y + centre.y;
+                let y_bottom = bit as f64 * buffer.height_nm() + buffer.height_nm() / 2.0;
+                layout.wires.push(Wire {
+                    net: format!("OUT_{col}_{bit}"),
+                    layer: "M4",
+                    rect: Rect::new(x - m4_width / 2.0, y_bottom, x + m4_width / 2.0, y_top),
+                });
             }
         }
         // Power grid: vertical M6 stripes every eight columns plus top and
         // bottom M5 rails.
-        let m6_width = self
-            .tech
-            .rules()
-            .layer_rule("M6")
-            .map(|r| r.min_width.value())
-            .unwrap_or(400.0);
+        let m6_width = self.tech.rules().layer_rule("M6")?.min_width.value();
         let stripe_step = 8usize;
         for (index, col) in (0..spec.width()).step_by(stripe_step).enumerate() {
             let x = core_origin.x + col as f64 * column_width + column_width / 2.0;
             let net = if index % 2 == 0 { "VDD" } else { "VSS" };
             layout.wires.push(Wire {
                 net: net.to_string(),
-                layer: "M6".into(),
+                layer: "M6",
                 rect: Rect::new(x - m6_width / 2.0, 0.0, x + m6_width / 2.0, total_height),
             });
         }
         for (net, y) in [("VSS", 0.0), ("VDD", total_height - 2.0 * m5_width)] {
             layout.wires.push(Wire {
                 net: net.to_string(),
-                layer: "M5".into(),
+                layer: "M5",
                 rect: Rect::new(0.0, y, total_width, y + 2.0 * m5_width),
             });
         }
@@ -217,14 +199,14 @@ impl<'a> LayoutFlow<'a> {
             let y = core_origin.y + column.rwl_pin_y[row];
             layout.pins.push(LayoutPin {
                 net: format!("IN_{row}"),
-                layer: "M3".into(),
+                layer: "M3",
                 rect: Rect::new(0.0, y - 60.0, 120.0, y + 60.0),
             });
         }
         for net in ["CLK", "PCH", "RST", "START", "VDD", "VSS"] {
             layout.pins.push(LayoutPin {
                 net: net.to_string(),
-                layer: "M5".into(),
+                layer: "M5",
                 rect: Rect::new(0.0, 0.0, 200.0, 200.0),
             });
         }
@@ -370,5 +352,42 @@ mod tests {
             .wires
             .iter()
             .any(|w| w.layer == "M5" && w.net == "VSS"));
+    }
+
+    /// Every layer a pinned macro names, on a flat wire or via or on the
+    /// macro's or its column's pins, is in the technology's layer map and
+    /// rule table: the GDS writer never falls back to layer 0, and DRC
+    /// checks every wire.
+    #[test]
+    fn every_named_layer_is_in_the_layer_map_and_the_rule_table() {
+        let tech = Technology::s28();
+        let library = CellLibrary::s28_default(&tech);
+        let flow = LayoutFlow::new(&tech, &library);
+        for (h, w, l, b) in [
+            (64, 16, 4, 3),
+            (256, 16, 4, 4),
+            (1024, 4, 2, 8),
+            (32, 512, 2, 3),
+        ] {
+            let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
+            let m = flow.generate(&spec).unwrap();
+            let wires = m.layout.flat_wires().map(|w| w.local.layer);
+            let vias = m
+                .layout
+                .flat_vias()
+                .flat_map(|v| [v.local.from_layer, v.local.to_layer]);
+            let pins = m.layout.pins.iter().chain(&m.column.layout.pins);
+            let layers: std::collections::BTreeSet<&str> =
+                wires.chain(vias).chain(pins.map(|p| p.layer)).collect();
+            assert_eq!(
+                layers.iter().copied().collect::<Vec<_>>(),
+                ["M2", "M3", "M4", "M5", "M6"],
+                "{h}x{w} L{l} B{b}"
+            );
+            for layer in layers {
+                assert!(tech.layers().by_name(layer).is_some(), "{layer}");
+                assert!(tech.rules().layer_rule(layer).is_ok(), "{layer}");
+            }
+        }
     }
 }

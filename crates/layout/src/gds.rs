@@ -53,7 +53,7 @@ pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
     // record prefix they give.
     let mut prefixes: Vec<(&str, String)> = Vec::new();
     for wire in layout.flat_wires() {
-        let layer = wire.local.layer.as_str();
+        let layer = wire.local.layer;
         let at = match prefixes.iter().position(|(seen, _)| *seen == layer) {
             Some(at) => at,
             None => {
@@ -335,7 +335,7 @@ mod tests {
         let mut layout = Layout::new("SAMPLE", 4000.0, 4000.0);
         layout.instances.push(PlacedInstance {
             name: "X0".into(),
-            cell: "SRAM8T".into(),
+            cell: "SRAM8T",
             origin: Point::new(0.0, 0.0),
             orientation: Orientation::R0,
             width: 2000.0,
@@ -343,12 +343,12 @@ mod tests {
         });
         layout.wires.push(Wire {
             net: "RBL".into(),
-            layer: "M2".into(),
+            layer: "M2",
             rect: Rect::new(100.0, 0.0, 150.0, 4000.0),
         });
         layout.pins.push(LayoutPin {
             net: "CLK".into(),
-            layer: "M3".into(),
+            layer: "M3",
             rect: Rect::new(0.0, 0.0, 100.0, 100.0),
         });
         layout
@@ -382,7 +382,7 @@ mod tests {
         for i in 0..5 {
             layout.instances.push(PlacedInstance {
                 name: format!("X{}", i + 1),
-                cell: "BUF".into(),
+                cell: "BUF",
                 origin: Point::new(0.0, 632.0 * (i + 1) as f64),
                 orientation: Orientation::R0,
                 width: 2000.0,
@@ -467,7 +467,7 @@ mod tests {
         for wire in layout.flat_wires() {
             let (gds_layer, datatype) = tech
                 .layers()
-                .by_name(&wire.local.layer)
+                .by_name(wire.local.layer)
                 .map_or((0, 0), |l| (l.gds_layer(), l.gds_datatype()));
             out.push_str(&format!(
                 "RECT {gds_layer} {datatype} {} NET {}{}\n",
@@ -539,7 +539,7 @@ mod tests {
         )
             .prop_map(|(name, cell, x, y, orientation)| PlacedInstance {
                 name: NAMES[name].into(),
-                cell: CELLS[cell].into(),
+                cell: CELLS[cell],
                 origin: Point::new(x, y),
                 orientation: ORIENTATIONS[orientation],
                 width: 2000.0,
@@ -547,7 +547,7 @@ mod tests {
             });
         let wire = (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(|(net, layer, rect)| Wire {
             net: NAMES[net].into(),
-            layer: LAYERS[layer].into(),
+            layer: LAYERS[layer],
             rect,
         });
         let via = (
@@ -558,14 +558,14 @@ mod tests {
         )
             .prop_map(|(net, layer, x, y)| Via {
                 net: NAMES[net].into(),
-                from_layer: LAYERS[layer].into(),
-                to_layer: LAYERS[layer + 1].into(),
+                from_layer: LAYERS[layer],
+                to_layer: LAYERS[layer + 1],
                 at: Point::new(x, y),
             });
         let pin =
             (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(|(net, layer, rect)| LayoutPin {
                 net: NAMES[net].into(),
-                layer: LAYERS[layer].into(),
+                layer: LAYERS[layer],
                 rect,
             });
         (

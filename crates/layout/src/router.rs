@@ -59,7 +59,7 @@ type Search = fn(&MazeRouter, &[GridNode], GridNode, u32) -> Option<Vec<GridNode
 pub struct MazeRouter {
     grid: RoutingGrid,
     /// Physical layer names, indexed by routing-layer index.
-    layer_names: Vec<String>,
+    layer_names: Vec<&'static str>,
     /// `true` when the layer's preferred direction is horizontal.
     horizontal: Vec<bool>,
     /// Drawn wire width per routing layer, in nanometres.
@@ -80,7 +80,7 @@ impl MazeRouter {
     /// do not match the grid's layer count or a width is not positive.
     pub fn new(
         grid: RoutingGrid,
-        layer_names: Vec<String>,
+        layer_names: Vec<&'static str>,
         horizontal: Vec<bool>,
         wire_widths: Vec<f64>,
     ) -> Result<Self, LayoutError> {
@@ -352,7 +352,7 @@ impl MazeRouter {
                 );
                 wires.push(Wire {
                     net: net.to_string(),
-                    layer: self.layer_names[a.layer].clone(),
+                    layer: self.layer_names[a.layer],
                     rect,
                 });
                 self.stats.segments += 1;
@@ -360,8 +360,8 @@ impl MazeRouter {
                 let (low, high) = if a.layer < b.layer { (a, b) } else { (b, a) };
                 vias.push(Via {
                     net: net.to_string(),
-                    from_layer: self.layer_names[low.layer].clone(),
-                    to_layer: self.layer_names[high.layer].clone(),
+                    from_layer: self.layer_names[low.layer],
+                    to_layer: self.layer_names[high.layer],
                     at: pa,
                 });
                 self.stats.vias += 1;
@@ -515,7 +515,7 @@ mod tests {
             let grid = RoutingGrid::new(Rect::new(0.0, 0.0, width, height), 100.0, layers).unwrap();
             let mut bucket = MazeRouter::new(
                 grid,
-                ["M2", "M3", "M4"][..layers].iter().map(|&l| l.to_string()).collect(),
+                ["M2", "M3", "M4"][..layers].to_vec(),
                 [false, true, false][..layers].to_vec(),
                 vec![50.0; layers],
             )
@@ -559,7 +559,7 @@ mod tests {
         let grid = RoutingGrid::new(Rect::new(0.0, 0.0, width, height), 100.0, 3).unwrap();
         MazeRouter::new(
             grid,
-            vec!["M2".into(), "M3".into(), "M4".into()],
+            vec!["M2", "M3", "M4"],
             vec![false, true, false],
             vec![50.0, 50.0, 50.0],
         )
@@ -697,17 +697,13 @@ mod tests {
         let grid = RoutingGrid::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, 2).unwrap();
         assert!(MazeRouter::new(
             grid.clone(),
-            vec!["M2".into()],
+            vec!["M2"],
             vec![false, true],
             vec![50.0, 50.0]
         )
         .is_err());
-        assert!(MazeRouter::new(
-            grid,
-            vec!["M2".into(), "M3".into()],
-            vec![false, true],
-            vec![50.0, 0.0]
-        )
-        .is_err());
+        assert!(
+            MazeRouter::new(grid, vec!["M2", "M3"], vec![false, true], vec![50.0, 0.0]).is_err()
+        );
     }
 }

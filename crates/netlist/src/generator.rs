@@ -556,13 +556,15 @@ mod tests {
         // A buffer without its output port Y: the first input buffer cannot
         // be wired.
         let mut library = library();
-        let layout = library.cell(CellKind::Buffer).unwrap().layout().clone();
+        let buffer = library.cell(CellKind::Buffer).unwrap();
+        let (width, height) = (buffer.width_nm(), buffer.height_nm());
         let ports = ["A", "VDD", "VSS"].map(String::from).to_vec();
         library.insert(
             acim_cell::LeafCell::new(
                 CellKind::Buffer,
                 acim_cell::CellNetlist::new(ports),
-                layout,
+                width,
+                height,
                 Vec::new(),
             )
             .unwrap(),
