@@ -12,10 +12,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Sorts timed per sample of the `fast_non_dominated_sort_400_*` rows.
-const SORTS_PER_SAMPLE: usize = 16;
+/// Turns per case in each interleaved pass of a CI-gated pair of rows.
+const TURNS: usize = 256;
 
 /// ZDT1 benchmark problem used widely in the MOGA literature.
 struct Zdt1 {
@@ -64,6 +64,34 @@ fn population_400(distinct: usize) -> Vec<Individual> {
         .collect()
 }
 
+/// Times `step` on the two `cases` in one interleaved pass and returns
+/// each case's median turn.
+///
+/// CI gates the ratio of each pair of 400-individual rows with
+/// `--max-ratio`, and a shared runner can change speed between two rows
+/// measured one after the other.  So the cases take turns, swapping which
+/// goes first each pair, and each turn clones its population before its
+/// timer starts: both medians come from the same time window, so a speed
+/// change hits both alike and drops out of their ratio.
+fn interleaved_medians(
+    cases: &[Vec<Individual>; 2],
+    step: impl Fn(&mut [Individual]),
+) -> [Duration; 2] {
+    let mut turns = [Vec::with_capacity(TURNS), Vec::with_capacity(TURNS)];
+    for pair in 0..TURNS {
+        for case in [pair % 2, 1 - pair % 2] {
+            let mut population = cases[case].clone();
+            let start = Instant::now();
+            step(&mut population);
+            turns[case].push(start.elapsed());
+        }
+    }
+    turns.map(|mut times| {
+        times.sort();
+        times[TURNS / 2]
+    })
+}
+
 fn nsga2_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("nsga2");
     group.sample_size(10);
@@ -107,39 +135,25 @@ fn nsga2_bench(c: &mut Criterion) {
             black_box(fast_non_dominated_sort(&mut pop).len())
         });
     });
-    // The sort alone: each sample clones a batch of populations before its
-    // timer starts, times the batch's sorts and reports the mean per sort,
-    // so neither the clone nor the drop of 400 individuals is timed.
-    for (name, distinct) in [
-        ("fast_non_dominated_sort_400_duplicates", 130),
-        ("fast_non_dominated_sort_400_distinct", 400),
+    // The paper-budget shape (about 130 distinct rows) against 400
+    // distinct rows: the sort, then the crowding of all 400 members as one
+    // front, each pair measured in its own interleaved pass.
+    let cases = [population_400(130), population_400(400)];
+    let all: Vec<usize> = (0..400).collect();
+    let sort = interleaved_medians(&cases, |population| {
+        black_box(fast_non_dominated_sort(population).len());
+    });
+    let crowding = interleaved_medians(&cases, |population| {
+        assign_crowding_distance(population, &all);
+        black_box(population[0].crowding_distance);
+    });
+    for (pair, medians) in [
+        ("fast_non_dominated_sort_400", sort),
+        ("crowding_400", crowding),
     ] {
-        let population = population_400(distinct);
-        group.bench_function(name, |b| {
-            b.iter_custom(|_| {
-                let mut batch = vec![population.clone(); SORTS_PER_SAMPLE];
-                let start = Instant::now();
-                for pop in &mut batch {
-                    black_box(fast_non_dominated_sort(pop).len());
-                }
-                start.elapsed() / SORTS_PER_SAMPLE as u32
-            });
-        });
-    }
-    // Crowding of all 400 members as one front: the paper-budget shape
-    // (about 130 distinct rows) and 400 distinct rows.
-    for (name, distinct) in [
-        ("crowding_400_duplicates", 130),
-        ("crowding_400_distinct", 400),
-    ] {
-        let mut population = population_400(distinct);
-        let front: Vec<usize> = (0..population.len()).collect();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                assign_crowding_distance(&mut population, &front);
-                black_box(population[0].crowding_distance)
-            });
-        });
+        for (case, median) in ["duplicates", "distinct"].into_iter().zip(medians) {
+            group.bench_function(format!("{pair}_{case}"), |b| b.iter_custom(|_| median));
+        }
     }
     group.finish();
 }

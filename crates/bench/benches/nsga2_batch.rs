@@ -9,7 +9,7 @@
 //! medians are recorded in `nsga2_batch_baseline.json` next to this file.
 
 use acim_chip::Network;
-use acim_dse::{ChipDesignProblem, ChipDseConfig};
+use acim_dse::{ChipDesignProblem, ChipDseConfig, Explorable};
 use acim_moga::{CachedProblem, Nsga2, Nsga2Config, Problem};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

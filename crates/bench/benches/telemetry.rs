@@ -1,8 +1,8 @@
 //! Telemetry overhead on the chip-evaluation flow.
 //!
 //! The telemetry layer promises to be *observably passive*: request
-//! spans, per-generation histograms, queue/cache gauges and the
-//! instrumented stage wrappers must never change results (asserted in
+//! spans, per-generation histograms, queue/cache gauges and the traced
+//! stage spans must never change results (asserted in
 //! `tests/service.rs`) and must cost almost nothing.  This pair times
 //! the same quick chip request on two `ExplorationService` instances —
 //! one recording telemetry, one carrying a disabled handle — over warm

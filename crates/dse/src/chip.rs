@@ -30,9 +30,9 @@ use acim_chip::{
 use acim_model::ModelParams;
 use acim_moga::{CacheStats, Evaluation, Problem};
 
-use crate::encoding::{gene_from_index, index_from_gene, DesignEncoding};
+use crate::encoding::{gene_from_index, index_from_gene, Candidate, DesignEncoding};
 use crate::error::DseError;
-use crate::explorer::{explore_problem, Budget, Explorable, ExploreOptions, Frontier};
+use crate::explorer::Explorable;
 use crate::robustness::{RobustnessConfig, RobustnessSweep};
 
 /// Configuration of one chip-level exploration run.
@@ -296,25 +296,6 @@ impl ChipDesignProblem {
         })
     }
 
-    /// Installs a shared macro-metric cache on the underlying evaluator
-    /// (see [`ChipEvaluator::with_macro_cache`]): per-macro
-    /// `DesignMetrics` are then reused across chips, requests and mixed
-    /// macro + chip sessions over the same model parameters, with
-    /// attribution readable via
-    /// [`ChipDesignProblem::macro_cache_stats`].
-    #[must_use]
-    pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.evaluator = self.evaluator.clone().with_macro_cache(cache);
-        self
-    }
-
-    /// Hit/miss/eviction attribution of this problem (and its clones)
-    /// against the installed macro-metric cache; all zeros when no cache
-    /// is installed.
-    pub fn macro_cache_stats(&self) -> CacheStats {
-        self.evaluator.macro_cache_stats()
-    }
-
     /// The macro genome encoding in use.
     pub fn encoding(&self) -> &DesignEncoding {
         &self.encoding
@@ -347,7 +328,7 @@ impl ChipDesignProblem {
     /// uniform chip.
     pub fn encode(
         &self,
-        candidate: &crate::encoding::Candidate,
+        candidate: &Candidate,
         rows: usize,
         cols: usize,
         buffer_kib: usize,
@@ -363,7 +344,7 @@ impl ChipDesignProblem {
     /// not fit the genome (`rows · cols > max_tiles` with mixed macros).
     pub fn encode_heterogeneous(
         &self,
-        tiles: &[crate::encoding::Candidate],
+        tiles: &[Candidate],
         rows: usize,
         cols: usize,
         buffer_kib: usize,
@@ -402,7 +383,7 @@ impl ChipDesignProblem {
     /// # Errors
     ///
     /// Returns the summed constraint violation of the infeasible tiles (as
-    /// in [`crate::encoding::Candidate::into_spec`]) wrapped in
+    /// in [`Candidate::into_spec`]) wrapped in
     /// `Err(Some)`, or `Err(None)` for chip-construction failures.
     fn decode_chip(&self, genes: &[f64]) -> Result<ChipSpec, Option<f64>> {
         let (rows, cols, buffer_kib) = self.decode_chip_genes(genes);
@@ -431,20 +412,6 @@ impl ChipDesignProblem {
             MacroGrid::uniform(rows, cols, specs[0]).map_err(|_| None)?
         };
         ChipSpec::new(grid, buffer_kib).map_err(|_| None)
-    }
-
-    /// The canonical cache key of a genome: the decoded grid shape,
-    /// buffer choice and the decode-bucket indices of every **used**
-    /// tile.  Surplus heterogeneous tile genes are excluded, so genomes
-    /// that differ only in inert genes share one cache entry.
-    pub fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        let (rows, cols, buffer_kib) = self.decode_chip_genes(genes);
-        let used_tiles = if self.heterogeneous { rows * cols } else { 1 };
-        let mut key = vec![rows as i64, cols as i64, buffer_kib as i64];
-        for tile in 0..used_tiles {
-            key.extend(self.encoding.bucket_indices(macro_genes(genes, tile)));
-        }
-        key
     }
 
     /// The full genome → objectives path.
@@ -476,18 +443,6 @@ impl ChipDesignProblem {
             Err(Some(violation)) => Evaluation::new([f64::MAX; 4], violation),
             Err(None) => Evaluation::new([f64::MAX; 4], 10.0),
         }
-    }
-
-    /// Decodes a genome into a full [`ChipDesignPoint`] when feasible.
-    pub fn decode_point(&self, genes: &[f64]) -> Option<ChipDesignPoint> {
-        let chip = self.decode_chip(genes).ok()?;
-        let mix_metrics = self.evaluator.evaluate_mix(&chip, &self.mix).ok()?;
-        let metrics = mix_metrics.combined();
-        Some(ChipDesignPoint {
-            chip,
-            metrics,
-            tenants: mix_metrics.tenants,
-        })
     }
 }
 
@@ -523,136 +478,64 @@ impl Problem for ChipDesignProblem {
     }
 }
 
-/// Delegates to the inherent methods of the same names.
+/// Chip points decode through the mix evaluator, whose macro-metric
+/// cache ([`ChipEvaluator::with_macro_cache`]) reuses per-macro
+/// `DesignMetrics` across chips, requests and mixed macro + chip sessions
+/// over the same model parameters.
 impl Explorable for ChipDesignProblem {
+    type Config = ChipDseConfig;
     type Point = ChipDesignPoint;
 
     fn decode_point(&self, genes: &[f64]) -> Option<ChipDesignPoint> {
-        Self::decode_point(self, genes)
-    }
-
-    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        Self::cache_key(self, genes)
-    }
-
-    fn with_macro_cache(self, cache: MacroMetricsCache) -> Self {
-        Self::with_macro_cache(self, cache)
-    }
-
-    fn macro_cache_stats(&self) -> CacheStats {
-        Self::macro_cache_stats(self)
-    }
-}
-
-/// The chip-level explorer: NSGA-II over [`ChipDesignProblem`] with an
-/// archive of every feasible non-dominated chip evaluated.
-#[derive(Debug, Clone)]
-pub struct ChipExplorer {
-    config: ChipDseConfig,
-    budget: Budget,
-    problem: ChipDesignProblem,
-}
-
-impl ChipExplorer {
-    /// Creates an explorer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::InvalidConfig`] when the configuration is
-    /// inconsistent.
-    pub fn new(config: ChipDseConfig) -> Result<Self, DseError> {
-        let budget = Budget::new(
-            config.population_size,
-            config.generations,
-            config.seed,
-            config.array_size,
-        )?;
-        let problem = ChipDesignProblem::new(&config)?;
-        Ok(Self {
-            config,
-            budget,
-            problem,
+        let chip = self.decode_chip(genes).ok()?;
+        let mix_metrics = self.evaluator.evaluate_mix(&chip, &self.mix).ok()?;
+        let metrics = mix_metrics.combined();
+        Some(ChipDesignPoint {
+            chip,
+            metrics,
+            tenants: mix_metrics.tenants,
         })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ChipDseConfig {
-        &self.config
+    /// Encodes the point's grid through
+    /// [`ChipDesignProblem::encode_heterogeneous`]; `None` when a macro or
+    /// the grid falls outside this problem's catalogue.
+    fn encode_point(&self, point: &ChipDesignPoint) -> Option<Vec<f64>> {
+        let grid = &point.chip.grid;
+        let tiles: Vec<Candidate> = (0..grid.num_macros())
+            .map(|i| Candidate::of(grid.spec(i)))
+            .collect();
+        self.encode_heterogeneous(&tiles, grid.rows(), grid.cols(), point.chip.buffer_kib)
     }
 
-    /// The underlying problem.
-    pub fn problem(&self) -> &ChipDesignProblem {
-        &self.problem
+    /// The decoded grid shape, buffer choice and the decode-bucket indices
+    /// of every **used** tile.  Surplus heterogeneous tile genes are
+    /// excluded, so genomes that differ only in inert genes share one
+    /// cache entry.
+    fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
+        let (rows, cols, buffer_kib) = self.decode_chip_genes(genes);
+        let used_tiles = if self.heterogeneous { rows * cols } else { 1 };
+        let mut key = vec![rows as i64, cols as i64, buffer_kib as i64];
+        for tile in 0..used_tiles {
+            key.extend(self.encoding.bucket_indices(macro_genes(genes, tile)));
+        }
+        key
     }
 
-    /// Runs a cold, self-contained exploration and returns the chip
-    /// Pareto set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::EmptyDesignSpace`] when no feasible chip was
-    /// ever found.
-    pub fn explore(&self) -> Result<Frontier<ChipDesignPoint>, DseError> {
-        self.explore_with(&ExploreOptions::default(), |_| {})
+    fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
+        self.evaluator = self.evaluator.clone().with_macro_cache(cache);
+        self
     }
 
-    /// Runs the exploration with caller-injected [`ExploreOptions`] (shared
-    /// cache, warm-start seeds), invoking `progress(generation)` after every
-    /// generation's environmental selection.  With default options this is
-    /// exactly [`ChipExplorer::explore`] — same RNG stream, bit-identical
-    /// front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DseError::EmptyDesignSpace`] when no feasible chip was
-    /// ever found, [`DseError::InvalidConfig`] when a warm-start genome
-    /// does not match the problem's genome length, or
-    /// [`DseError::Cancelled`] / [`DseError::DeadlineExceeded`] when the
-    /// injected cancel token tripped before the run finished.
-    pub fn explore_with<F>(
-        &self,
-        options: &ExploreOptions,
-        progress: F,
-    ) -> Result<Frontier<ChipDesignPoint>, DseError>
-    where
-        F: FnMut(usize),
-    {
-        explore_problem(&self.problem, self.budget, options, progress)
-    }
-
-    /// Re-encodes frontier points into warm-start genomes for a follow-up
-    /// run over the same design space (points whose macros or grid fall
-    /// outside this problem's catalogue are skipped).
-    pub fn session_genomes(&self, points: &[ChipDesignPoint]) -> Vec<Vec<f64>> {
-        points
-            .iter()
-            .filter_map(|point| {
-                let tiles: Vec<crate::encoding::Candidate> = (0..point.chip.grid.num_macros())
-                    .map(|i| {
-                        let spec = point.chip.grid.spec(i);
-                        crate::encoding::Candidate {
-                            height: spec.height(),
-                            width: spec.width(),
-                            local_array: spec.local_array(),
-                            adc_bits: spec.adc_bits(),
-                        }
-                    })
-                    .collect();
-                self.problem.encode_heterogeneous(
-                    &tiles,
-                    point.chip.grid.rows(),
-                    point.chip.grid.cols(),
-                    point.chip.buffer_kib,
-                )
-            })
-            .collect()
+    fn macro_cache_stats(&self) -> CacheStats {
+        self.evaluator.macro_cache_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::Candidate;
+    use crate::explorer::{ChipExplorer, DesignSpaceExplorer, DseConfig, ExploreOptions, Explorer};
     use acim_chip::Network;
     use acim_moga::dominates;
 
@@ -1038,19 +921,38 @@ mod tests {
         }
     }
 
+    /// Asserts that every frontier point of `explorer` re-encodes into a
+    /// genome that decodes back to the same point, and that the session
+    /// genomes are those encodings.
+    fn assert_frontier_round_trips<S>(explorer: &Explorer<S>)
+    where
+        S: Explorable,
+        S::Point: PartialEq + fmt::Debug,
+    {
+        let front = explorer.explore().unwrap();
+        let problem = explorer.problem();
+        let genomes: Vec<Vec<f64>> = front
+            .iter()
+            .map(|point| {
+                let genes = problem.encode_point(point).expect("frontier point encodes");
+                assert_eq!(problem.decode_point(&genes).as_ref(), Some(point));
+                genes
+            })
+            .collect();
+        assert_eq!(explorer.session_genomes(front.points()), genomes);
+    }
+
     #[test]
     fn heterogeneous_session_genomes_round_trip() {
-        let explorer = ChipExplorer::new(hetero_config()).unwrap();
-        let front = explorer.explore().unwrap();
-        let seeds = explorer.session_genomes(front.points());
-        assert_eq!(seeds.len(), front.len());
-        for (seed, point) in seeds.iter().zip(front.iter()) {
-            let decoded = explorer
-                .problem()
-                .decode_point(seed)
-                .expect("session genome decodes");
-            assert_eq!(decoded.objective_vector(), point.objective_vector());
-        }
+        assert_frontier_round_trips(&ChipExplorer::new(hetero_config()).unwrap());
+        assert_frontier_round_trips(
+            &DesignSpaceExplorer::new(DseConfig {
+                population_size: 32,
+                generations: 20,
+                ..Default::default()
+            })
+            .unwrap(),
+        );
     }
 
     fn mix_config() -> ChipDseConfig {
@@ -1186,7 +1088,6 @@ mod tests {
 
     #[test]
     fn invalid_model_parameters_are_named_errors_in_every_constructor() {
-        use crate::explorer::{DesignSpaceExplorer, DseConfig};
         use acim_tech::{Femtojoule, Picosecond};
 
         fn set(p: &mut ModelParams, field: &str, v: f64) {

@@ -33,6 +33,16 @@ pub struct Candidate {
 }
 
 impl Candidate {
+    /// The candidate a validated specification was built from.
+    pub fn of(spec: &AcimSpec) -> Self {
+        Self {
+            height: spec.height(),
+            width: spec.width(),
+            local_array: spec.local_array(),
+            adc_bits: spec.adc_bits(),
+        }
+    }
+
     /// Attempts to turn the candidate into a validated specification,
     /// returning the constraint-violation magnitude on failure.
     pub fn into_spec(self, array_size: usize) -> Result<AcimSpec, f64> {

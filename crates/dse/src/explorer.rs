@@ -1,20 +1,22 @@
 //! The MOGA-based design-space explorer (Figure 4, "MOGA-based Design Space
 //! Explorer (NSGA-II)").
 //!
-//! Long-lived callers (the `easyacim` `ExplorationService`) drive the
-//! explorer through [`DesignSpaceExplorer::explore_with`], which accepts
-//! [`ExploreOptions`] — a shared evaluation-cache store amortised across
-//! requests and a warm-start seed population from a previous run's
-//! archive — plus a per-generation progress callback.  The plain
-//! [`DesignSpaceExplorer::explore`] remains the cold single-run path and
-//! is bit-identical to what it produced before these injection points
-//! existed.
+//! One [`Explorer`] runs one exploration loop (cache wrapper, NSGA-II
+//! observer, Pareto archive, cancellation) over any [`Explorable`] design
+//! space and returns one result type, [`Frontier`]:
+//! [`DesignSpaceExplorer`] explores macros ([`AcimDesignProblem`]),
+//! [`ChipExplorer`] chips ([`ChipDesignProblem`]).
 //!
-//! The macro explorer here and the chip explorer of [`crate::chip`] share
-//! one exploration loop (cache wrapper, NSGA-II observer, Pareto archive,
-//! cancellation) and one result type, [`Frontier`].
+//! Long-lived callers (the `easyacim` `ExplorationService`) drive it
+//! through [`Explorer::explore_with`], which accepts [`ExploreOptions`] —
+//! a shared evaluation-cache store amortised across requests and a
+//! warm-start seed population from a previous run's archive — plus a
+//! per-generation progress callback.  The plain [`Explorer::explore`] is
+//! the cold single-run path, bit-identical to `explore_with` with default
+//! options.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::ops::ControlFlow;
 
 use acim_chip::MacroMetricsCache;
@@ -24,9 +26,9 @@ use acim_moga::{
     ParetoArchive, Problem,
 };
 
+use crate::chip::{ChipDesignProblem, ChipDseConfig};
 use crate::error::DseError;
 use crate::problem::AcimDesignProblem;
-use crate::solution::DesignPoint;
 
 /// Injection points a long-lived caller can thread into an exploration
 /// run.  The default (no cache handles, no warm-start genomes) reproduces
@@ -144,9 +146,9 @@ impl<T> Frontier<T> {
 }
 
 /// The NSGA-II budget of one run plus the array size its empty-space
-/// error names, validated once for both explorers.
+/// error names, validated once for both design spaces.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Budget {
+struct Budget {
     population_size: usize,
     generations: usize,
     seed: u64,
@@ -160,7 +162,7 @@ impl Budget {
     ///
     /// Returns [`DseError::InvalidConfig`] for an odd or too-small
     /// population, or zero generations.
-    pub(crate) fn new(
+    fn new(
         population_size: usize,
         generations: usize,
         seed: u64,
@@ -185,22 +187,39 @@ impl Budget {
     }
 }
 
-/// What [`explore_problem`] needs from a design problem on top of
-/// [`Problem`].
-pub(crate) trait Explorable: Problem + Clone {
+/// A design space an [`Explorer`] searches: a [`Problem`] over real-coded
+/// genomes that decode to design points and re-encode from them.
+///
+/// [`AcimDesignProblem`] (macros) and [`ChipDesignProblem`] (chips)
+/// implement it.
+pub trait Explorable: Problem + Clone {
+    /// The configuration an explorer over this space is built from.
+    type Config: Clone + fmt::Debug;
+
     /// The decoded design of a genome.
     type Point;
 
     /// Decodes a genome into its design when it is feasible.
     fn decode_point(&self, genes: &[f64]) -> Option<Self::Point>;
 
-    /// The decode-aligned cache key of a genome.
+    /// Encodes a design into gene space (bucket centres); `None` when a
+    /// value is not part of this space's catalogue.
+    fn encode_point(&self, point: &Self::Point) -> Option<Vec<f64>>;
+
+    /// The canonical cache key of a genome: its decode-bucket indices, so
+    /// every genome landing in the same design shares one key and a
+    /// memoizing wrapper ([`CachedProblem`]) never re-evaluates a
+    /// re-sampled design.
     fn cache_key(&self, genes: &[f64]) -> Vec<i64>;
 
-    /// Routes per-macro metric derivation through a shared cache.
+    /// Installs a shared macro-metric cache (paired with this space's
+    /// [`ModelParams`]) and resets the hit/miss attribution.
+    #[must_use]
     fn with_macro_cache(self, cache: MacroMetricsCache) -> Self;
 
-    /// This problem's attribution against its macro-metric cache.
+    /// Hit/miss/eviction attribution of this problem (and its clones)
+    /// against the installed macro-metric cache; all zeros when no cache
+    /// is installed.
     fn macro_cache_stats(&self) -> CacheStats;
 }
 
@@ -211,7 +230,7 @@ pub(crate) trait Explorable: Problem + Clone {
 /// reject it anyway: an entry leaves the archive only when a dominating
 /// one arrives, so every vector offered before stays weakly dominated by
 /// some entry.  That argument needs transitive dominance, which holds for
-/// the explorers' objectives: they are finite, since `ModelParams` is
+/// both spaces' objectives: they are finite, since `ModelParams` is
 /// validated and infeasible rows score `[f64::MAX; 4]`.
 #[derive(Default)]
 struct RunArchive {
@@ -235,126 +254,23 @@ impl RunArchive {
     }
 }
 
-/// The exploration loop both explorers run: NSGA-II over `problem`
-/// behind a memoizing cache, with a Pareto archive of every feasible
-/// `(objectives, genome)` seen — warm-start seeds first, then each
-/// generation, then the final population.  The archive keeps insertion
-/// order and the first genome of equal objectives; only its survivors
-/// are decoded, at the end.
-pub(crate) fn explore_problem<P: Explorable>(
-    problem: &P,
-    budget: Budget,
-    options: &ExploreOptions,
-    mut progress: impl FnMut(usize),
-) -> Result<Frontier<P::Point>, DseError> {
-    let n_var = problem.num_variables();
-    for genome in &options.warm_start {
-        if genome.len() != n_var {
-            return Err(DseError::InvalidConfig(format!(
-                "warm-start genome has {} genes, design space has {n_var}",
-                genome.len()
-            )));
-        }
-    }
-    // A token that tripped before any work ran: stop before the initial
-    // population is even evaluated.
-    if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
-        return Err(DseError::from_cancel(reason, 0, budget.generations));
-    }
-    // The macro-metric cache sits *below* the genome-level cache, so even
-    // a genome never seen before reuses the macro metrics earlier runs
-    // derived.
-    let problem = match &options.macro_cache {
-        Some(cache) => problem.clone().with_macro_cache(cache.clone()),
-        None => problem.clone(),
-    };
-    let problem = &problem;
-    // Keyed by decode buckets, the cache answers re-sampled designs for
-    // free and forwards only the misses to the problem.
-    let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
-        .with_shared_store(options.cache.clone().unwrap_or_default());
-    let mut archive = RunArchive::default();
-    // Warm-start seeds are archived up front (feasible ones only), so the
-    // warm frontier dominates-or-equals the one it was seeded from.
-    for genome in &options.warm_start {
-        let eval = cached.evaluate(genome);
-        if eval.is_feasible() {
-            archive.offer(&eval.objectives, genome);
-        }
-    }
-    let nsga_config = Nsga2Config {
-        population_size: budget.population_size,
-        generations: budget.generations,
-        initial_population: options.warm_start.clone(),
-        ..Default::default()
-    };
-    let result = Nsga2::new(&cached, nsga_config)
-        .with_seed(budget.seed)
-        .run_with_observer(|generation, population| {
-            for individual in population {
-                if individual.is_feasible() {
-                    archive.offer(&individual.objectives, &individual.genes);
-                }
-            }
-            progress(generation);
-            // Cooperative cancellation at the generation boundary: the
-            // completed generation is archived and its cache fills are
-            // already shared, so an interrupted run's side effects are a
-            // clean prefix of an uninterrupted one.
-            match options.cancel.as_ref().map(CancelToken::is_triggered) {
-                Some(true) => ControlFlow::Break(()),
-                _ => ControlFlow::Continue(()),
-            }
-        });
-    if result.generations < budget.generations {
-        let reason = options
-            .cancel
-            .as_ref()
-            .and_then(CancelToken::status)
-            // The loop only breaks early when the token tripped; a token
-            // cannot un-trip (cancel is sticky, deadlines only move
-            // further into the past).
-            .expect("early NSGA-II stop without a tripped cancel token");
-        return Err(DseError::from_cancel(
-            reason,
-            result.generations,
-            budget.generations,
-        ));
-    }
-    for individual in &result.population {
-        if individual.is_feasible() {
-            archive.offer(&individual.objectives, &individual.genes);
-        }
-    }
-
-    let points: Vec<P::Point> = archive
-        .archive
-        .into_entries()
-        .into_iter()
-        .filter_map(|e| problem.decode_point(&e.payload))
-        .collect();
-    if points.is_empty() {
-        return Err(DseError::EmptyDesignSpace {
-            array_size: budget.array_size,
-        });
-    }
-    let mut engine = result.engine;
-    engine.cache = cached.stats();
-    engine.macro_cache = problem.macro_cache_stats();
-    Ok(Frontier { points, engine })
-}
-
-/// The design-space explorer: NSGA-II over [`AcimDesignProblem`] with a
-/// global archive of every feasible non-dominated design evaluated.
+/// The design-space explorer: NSGA-II over one [`Explorable`] space with
+/// a global archive of every feasible non-dominated design evaluated.
 #[derive(Debug, Clone)]
-pub struct DesignSpaceExplorer {
-    config: DseConfig,
+pub struct Explorer<S: Explorable> {
+    config: S::Config,
     budget: Budget,
-    problem: AcimDesignProblem,
+    problem: S,
 }
+
+/// The macro explorer: NSGA-II over [`AcimDesignProblem`].
+pub type DesignSpaceExplorer = Explorer<AcimDesignProblem>;
+
+/// The chip-level explorer: NSGA-II over [`ChipDesignProblem`].
+pub type ChipExplorer = Explorer<ChipDesignProblem>;
 
 impl DesignSpaceExplorer {
-    /// Creates an explorer.
+    /// Creates a macro explorer.
     ///
     /// # Errors
     ///
@@ -379,15 +295,39 @@ impl DesignSpaceExplorer {
             problem,
         })
     }
+}
 
+impl ChipExplorer {
+    /// Creates a chip explorer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DseError::InvalidConfig`] when the configuration is
+    /// inconsistent.
+    pub fn new(config: ChipDseConfig) -> Result<Self, DseError> {
+        let budget = Budget::new(
+            config.population_size,
+            config.generations,
+            config.seed,
+            config.array_size,
+        )?;
+        let problem = ChipDesignProblem::new(&config)?;
+        Ok(Self {
+            config,
+            budget,
+            problem,
+        })
+    }
+}
+
+impl<S: Explorable> Explorer<S> {
     /// The configuration.
-    pub fn config(&self) -> &DseConfig {
+    pub fn config(&self) -> &S::Config {
         &self.config
     }
 
-    /// The underlying problem (exposes the genome encoding, used e.g. to
-    /// re-encode frontier points into warm-start genomes).
-    pub fn problem(&self) -> &AcimDesignProblem {
+    /// The underlying problem (exposes the genome encoding).
+    pub fn problem(&self) -> &S {
         &self.problem
     }
 
@@ -397,8 +337,8 @@ impl DesignSpaceExplorer {
     /// # Errors
     ///
     /// Returns [`DseError::EmptyDesignSpace`] when the optimiser never found
-    /// a feasible design (which indicates an over-constrained array size).
-    pub fn explore(&self) -> Result<Frontier<DesignPoint>, DseError> {
+    /// a feasible design (which indicates an over-constrained space).
+    pub fn explore(&self) -> Result<Frontier<S::Point>, DseError> {
         self.explore_with(&ExploreOptions::default(), |_| {})
     }
 
@@ -406,8 +346,13 @@ impl DesignSpaceExplorer {
     /// cache, warm-start seeds), invoking `progress(generation)` after every
     /// generation's environmental selection.
     ///
-    /// With default options this is exactly [`DesignSpaceExplorer::explore`]:
-    /// same RNG stream, bit-identical frontier.
+    /// NSGA-II runs over the problem behind a memoizing cache, with a
+    /// Pareto archive of every feasible `(objectives, genome)` seen —
+    /// warm-start seeds first, then each generation, then the final
+    /// population.  The archive keeps insertion order and the first genome
+    /// of equal objectives; only its survivors are decoded, at the end.
+    /// With default options this is exactly [`Explorer::explore`]: same
+    /// RNG stream, bit-identical frontier.
     ///
     /// # Errors
     ///
@@ -419,29 +364,115 @@ impl DesignSpaceExplorer {
     pub fn explore_with<F>(
         &self,
         options: &ExploreOptions,
-        progress: F,
-    ) -> Result<Frontier<DesignPoint>, DseError>
+        mut progress: F,
+    ) -> Result<Frontier<S::Point>, DseError>
     where
         F: FnMut(usize),
     {
-        explore_problem(&self.problem, self.budget, options, progress)
+        let budget = self.budget;
+        let n_var = self.problem.num_variables();
+        for genome in &options.warm_start {
+            if genome.len() != n_var {
+                return Err(DseError::InvalidConfig(format!(
+                    "warm-start genome has {} genes, design space has {n_var}",
+                    genome.len()
+                )));
+            }
+        }
+        // A token that tripped before any work ran: stop before the initial
+        // population is even evaluated.
+        if let Some(reason) = options.cancel.as_ref().and_then(CancelToken::status) {
+            return Err(DseError::from_cancel(reason, 0, budget.generations));
+        }
+        // The macro-metric cache sits *below* the genome-level cache, so
+        // even a genome never seen before reuses the macro metrics earlier
+        // runs derived.
+        let problem = match &options.macro_cache {
+            Some(cache) => self.problem.clone().with_macro_cache(cache.clone()),
+            None => self.problem.clone(),
+        };
+        let problem = &problem;
+        // Keyed by decode buckets, the cache answers re-sampled designs for
+        // free and forwards only the misses to the problem.
+        let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
+            .with_shared_store(options.cache.clone().unwrap_or_default());
+        let mut archive = RunArchive::default();
+        // Warm-start seeds are archived up front (feasible ones only), so
+        // the warm frontier dominates-or-equals the one it was seeded from.
+        for genome in &options.warm_start {
+            let eval = cached.evaluate(genome);
+            if eval.is_feasible() {
+                archive.offer(&eval.objectives, genome);
+            }
+        }
+        let nsga_config = Nsga2Config {
+            population_size: budget.population_size,
+            generations: budget.generations,
+            initial_population: options.warm_start.clone(),
+        };
+        let result = Nsga2::new(&cached, nsga_config)
+            .with_seed(budget.seed)
+            .run_with_observer(|generation, population| {
+                for individual in population {
+                    if individual.is_feasible() {
+                        archive.offer(&individual.objectives, &individual.genes);
+                    }
+                }
+                progress(generation);
+                // Cooperative cancellation at the generation boundary: the
+                // completed generation is archived and its cache fills are
+                // already shared, so an interrupted run's side effects are
+                // a clean prefix of an uninterrupted one.
+                match options.cancel.as_ref().map(CancelToken::is_triggered) {
+                    Some(true) => ControlFlow::Break(()),
+                    _ => ControlFlow::Continue(()),
+                }
+            });
+        if result.generations < budget.generations {
+            let reason = options
+                .cancel
+                .as_ref()
+                .and_then(CancelToken::status)
+                // The loop only breaks early when the token tripped; a
+                // token cannot un-trip (cancel is sticky, deadlines only
+                // move further into the past).
+                .expect("early NSGA-II stop without a tripped cancel token");
+            return Err(DseError::from_cancel(
+                reason,
+                result.generations,
+                budget.generations,
+            ));
+        }
+        for individual in &result.population {
+            if individual.is_feasible() {
+                archive.offer(&individual.objectives, &individual.genes);
+            }
+        }
+
+        let points: Vec<S::Point> = archive
+            .archive
+            .into_entries()
+            .into_iter()
+            .filter_map(|e| problem.decode_point(&e.payload))
+            .collect();
+        if points.is_empty() {
+            return Err(DseError::EmptyDesignSpace {
+                array_size: budget.array_size,
+            });
+        }
+        let mut engine = result.engine;
+        engine.cache = cached.stats();
+        engine.macro_cache = problem.macro_cache_stats();
+        Ok(Frontier { points, engine })
     }
 
     /// Re-encodes frontier points into warm-start genomes for a follow-up
-    /// run over the same design space (points outside this problem's
+    /// run over the same design space (points outside this space's
     /// catalogue are skipped).
-    pub fn session_genomes(&self, points: &[DesignPoint]) -> Vec<Vec<f64>> {
-        let encoding = self.problem.encoding();
+    pub fn session_genomes(&self, points: &[S::Point]) -> Vec<Vec<f64>> {
         points
             .iter()
-            .filter_map(|point| {
-                encoding.encode(&crate::encoding::Candidate {
-                    height: point.spec.height(),
-                    width: point.spec.width(),
-                    local_array: point.spec.local_array(),
-                    adc_bits: point.spec.adc_bits(),
-                })
-            })
+            .filter_map(|point| self.problem.encode_point(point))
             .collect()
     }
 }

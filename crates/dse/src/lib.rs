@@ -16,11 +16,12 @@
 //!   (H, W, L, B_ADC) tuple,
 //! * [`problem`] — the [`acim_moga::Problem`] implementation that evaluates
 //!   candidates with the analytic model of `acim-model`,
-//! * [`explorer`] — the one exploration loop (NSGA-II behind a memoizing
-//!   genome cache, with a Pareto archive of every feasible non-dominated
-//!   genome it ever evaluates) and its result type, [`Frontier`]; the
-//!   macro explorer returns a `Frontier<DesignPoint>`, the chip explorer a
-//!   `Frontier<ChipDesignPoint>`,
+//! * [`explorer`] — the one explorer, [`Explorer`], over any
+//!   [`Explorable`] design space (NSGA-II behind a memoizing genome cache,
+//!   with a Pareto archive of every feasible non-dominated genome it ever
+//!   evaluates) and its result type, [`Frontier`];
+//!   [`DesignSpaceExplorer`] returns a `Frontier<DesignPoint>`,
+//!   [`ChipExplorer`] a `Frontier<ChipDesignPoint>`,
 //! * [`enumerate`] — exhaustive enumeration of the (small) discrete space,
 //!   used as ground truth in the ablation benchmarks,
 //! * [`distill`] — the "user distillation" step of Figure 4: filtering the
@@ -65,12 +66,14 @@ pub mod solution;
 pub mod sweep;
 
 pub use acim_moga::{CacheStats, CacheStore, CachedProblem, CancelReason, CancelToken, EvalStats};
-pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig, ChipExplorer};
+pub use chip::{ChipDesignPoint, ChipDesignProblem, ChipDseConfig};
 pub use distill::UserRequirements;
 pub use encoding::DesignEncoding;
 pub use enumerate::enumerate_design_space;
 pub use error::DseError;
-pub use explorer::{DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier};
+pub use explorer::{
+    ChipExplorer, DesignSpaceExplorer, DseConfig, Explorable, ExploreOptions, Explorer, Frontier,
+};
 pub use problem::AcimDesignProblem;
 pub use robustness::{RobustnessConfig, RobustnessSweep};
 pub use solution::DesignPoint;

@@ -5,16 +5,16 @@ use acim_chip::{MacroMetrics, MacroMetricsCache};
 use acim_model::{DesignMetrics, ModelError, ModelParams, SpecKey};
 use acim_moga::{CacheClient, CacheStats, Evaluation, Problem};
 
-use crate::encoding::DesignEncoding;
+use crate::encoding::{Candidate, DesignEncoding};
 use crate::error::DseError;
-use crate::explorer::Explorable;
+use crate::explorer::{DseConfig, Explorable};
 use crate::solution::DesignPoint;
 
 /// The four-objective, constrained ACIM parameter-selection problem of
 /// Equation 12, evaluated with the analytic estimation model.
 ///
 /// Every spec is scored by [`MacroMetrics::derive`], that is by
-/// [`acim_model::evaluate`].  With [`AcimDesignProblem::with_macro_cache`]
+/// [`acim_model::evaluate`].  With [`Explorable::with_macro_cache`]
 /// the derivation is routed through the shared macro-metric reuse layer
 /// (`acim_chip::MacroMetricsCache`), so macro explorations, chip
 /// explorations and decode passes over the same [`ModelParams`] share one
@@ -56,21 +56,6 @@ impl AcimDesignProblem {
         })
     }
 
-    /// Installs a shared macro-metric cache (paired with this problem's
-    /// [`ModelParams`]) and resets the hit/miss attribution.
-    #[must_use]
-    pub fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
-        self.macro_client = CacheClient::attached(cache);
-        self
-    }
-
-    /// Hit/miss/eviction attribution of this problem (and its clones)
-    /// against the installed macro-metric cache; all zeros when no cache
-    /// is installed.
-    pub fn macro_cache_stats(&self) -> CacheStats {
-        self.macro_client.stats()
-    }
-
     /// Derives one spec's metrics, consulting the shared macro-metric
     /// cache when one is installed (a detached client just derives).
     fn spec_metrics(&self, spec: &AcimSpec) -> Result<DesignMetrics, ModelError> {
@@ -89,22 +74,6 @@ impl AcimDesignProblem {
     /// The model parameters in use.
     pub fn params(&self) -> &ModelParams {
         &self.params
-    }
-
-    /// The canonical cache key of a genome: its decode-bucket indices.
-    /// Every genome landing in the same (H, L, B_ADC) design shares one
-    /// key, so a memoizing wrapper ([`acim_moga::CachedProblem`]) never
-    /// re-evaluates a re-sampled design.
-    pub fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        self.encoding.bucket_indices(genes)
-    }
-
-    /// Decodes a genome into a full [`DesignPoint`] when it is feasible.
-    pub fn decode_point(&self, genes: &[f64]) -> Option<DesignPoint> {
-        let candidate = self.encoding.decode(genes);
-        let spec = candidate.into_spec(self.encoding.array_size()).ok()?;
-        let metrics = self.spec_metrics(&spec).ok()?;
-        Some(DesignPoint::new(spec, metrics))
     }
 }
 
@@ -135,24 +104,34 @@ impl Problem for AcimDesignProblem {
     }
 }
 
-/// Delegates to the inherent methods of the same names.
+/// Every genome landing in the same (H, L, B_ADC) design shares one
+/// cache key, its decode-bucket indices.
 impl Explorable for AcimDesignProblem {
+    type Config = DseConfig;
     type Point = DesignPoint;
 
     fn decode_point(&self, genes: &[f64]) -> Option<DesignPoint> {
-        Self::decode_point(self, genes)
+        let candidate = self.encoding.decode(genes);
+        let spec = candidate.into_spec(self.encoding.array_size()).ok()?;
+        let metrics = self.spec_metrics(&spec).ok()?;
+        Some(DesignPoint::new(spec, metrics))
+    }
+
+    fn encode_point(&self, point: &DesignPoint) -> Option<Vec<f64>> {
+        self.encoding.encode(&Candidate::of(&point.spec))
     }
 
     fn cache_key(&self, genes: &[f64]) -> Vec<i64> {
-        Self::cache_key(self, genes)
+        self.encoding.bucket_indices(genes)
     }
 
-    fn with_macro_cache(self, cache: MacroMetricsCache) -> Self {
-        Self::with_macro_cache(self, cache)
+    fn with_macro_cache(mut self, cache: MacroMetricsCache) -> Self {
+        self.macro_client = CacheClient::attached(cache);
+        self
     }
 
     fn macro_cache_stats(&self) -> CacheStats {
-        Self::macro_cache_stats(self)
+        self.macro_client.stats()
     }
 }
 

@@ -18,15 +18,15 @@ use std::time::{Duration, Instant};
 
 use acim_cell::CellLibrary;
 use acim_dse::{DesignPoint, ExploreOptions};
-use acim_layout::MacroLayout;
+use acim_layout::{LayoutFlow, MacroLayout};
 use acim_moga::{CancelToken, EvalStats};
-use acim_netlist::{Design, DesignStats};
+use acim_netlist::{design_stats, write_spice, Design, DesignStats, NetlistGenerator};
 
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::stage::{
-    cancel_error, DistillStage, ExploreStage, Instrumented, LayoutStage, NetlistStage,
-    ProgressObserver, Stage, StageProgress, TraceContext,
+    cancel_error, traced, DistillStage, ExploreStage, ProgressObserver, Stage, StageProgress,
+    TraceContext, TracedStage,
 };
 
 /// One fully generated design: the distilled Pareto point, its hierarchical
@@ -79,11 +79,10 @@ pub struct FlowOptions {
     pub exploration: ExploreOptions,
     /// Observer receiving one event per unit of stage progress.
     pub observer: Option<ProgressObserver>,
-    /// Telemetry context: when present, every stage is wrapped in an
-    /// [`Instrumented`] adapter recording per-stage spans (parented under
-    /// the context's parent span) and `stage_seconds` histograms — once
-    /// per request for exploration and distillation, once per design for
-    /// netlist and layout.
+    /// Telemetry context: when present, every step records one span
+    /// (parented under the context's parent span) and one
+    /// `stage_seconds` observation — once per request for exploration and
+    /// distillation, once per design for netlist and layout.
     pub trace: Option<TraceContext>,
 }
 
@@ -141,11 +140,12 @@ impl TopFlowController {
 
     /// Runs the full flow with caller-injected [`FlowOptions`].
     ///
-    /// The stages are the typed pipeline of [`crate::stage`]: explore →
-    /// distill once, then netlist → layout for each of the first
-    /// `max_layouts` distilled designs (`0` = all), in distilled order.
-    /// Before each design the cancel token is polled; after each stage of
-    /// a design the observer gets a `netlist` or `layout` tick.
+    /// Explore → distill run once, as the typed pipeline of
+    /// [`crate::stage`]; then each of the first `max_layouts` distilled
+    /// designs (`0` = all) gets its netlist (with statistics and, when
+    /// `emit_files` is set, SPICE text) and its layout, in distilled
+    /// order.  Before each design the cancel token is polled; after each
+    /// step of a design the observer gets a `netlist` or `layout` tick.
     ///
     /// # Errors
     ///
@@ -158,22 +158,14 @@ impl TopFlowController {
         if let Some(observer) = &options.observer {
             explore = explore.with_observer(observer.clone());
         }
-        let trace = &options.trace;
-        let distilled = Instrumented::new(explore, trace.clone())
-            .then(Instrumented::new(
-                DistillStage::new(self.config.requirements),
-                trace.clone(),
-            ))
-            .run(())?;
+        let trace = options.trace.as_ref();
+        let explored = traced(trace, TracedStage::Explore, || explore.run(()))?;
+        let distill = DistillStage::new(self.config.requirements);
+        let distilled = traced(trace, TracedStage::Distill, || distill.run(explored))?;
 
-        let netlist = Instrumented::new(
-            NetlistStage::new(&self.library, self.config.emit_files),
-            trace.clone(),
-        );
-        let layout = Instrumented::new(
-            LayoutStage::new(&self.config.technology, &self.library),
-            trace.clone(),
-        );
+        let library = &self.library;
+        let generator = NetlistGenerator::new(library);
+        let layout_flow = LayoutFlow::new(&self.config.technology, library);
         let total = match self.config.max_layouts {
             0 => distilled.distilled.len(),
             limit => limit.min(distilled.distilled.len()),
@@ -193,9 +185,31 @@ impl TopFlowController {
             if let Some(reason) = cancel.and_then(CancelToken::status) {
                 return Err(cancel_error(reason, index, total));
             }
-            let netlisted = netlist.run(*point)?;
+            let started = Instant::now();
+            let (netlist, netlist_stats, spice) = traced(trace, TracedStage::Netlist, || {
+                let netlist = generator.generate(&point.spec)?;
+                let stats = design_stats(&netlist, library)?;
+                let spice = if self.config.emit_files {
+                    Some(write_spice(&netlist, library)?)
+                } else {
+                    None
+                };
+                Ok((netlist, stats, spice))
+            })?;
+            let netlist_time = started.elapsed();
             tick("netlist", index + 1);
-            designs.push(layout.run(netlisted)?);
+            let started = Instant::now();
+            let layout = traced(trace, TracedStage::Layout, || {
+                Ok(layout_flow.generate(&point.spec)?)
+            })?;
+            designs.push(GeneratedDesign {
+                point: *point,
+                netlist,
+                netlist_stats,
+                layout,
+                spice,
+                generation_time: netlist_time + started.elapsed(),
+            });
             tick("layout", index + 1);
         }
 
@@ -240,6 +254,7 @@ mod tests {
             );
             assert!(design.layout.metrics.core_area_f2_per_bit > 1000.0);
             assert!(design.spice.is_none());
+            assert!(design.generation_time > Duration::ZERO);
         }
     }
 

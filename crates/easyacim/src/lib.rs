@@ -22,9 +22,9 @@
 //!   [`FlowResult`] with the frontier, the distilled set and one
 //!   [`GeneratedDesign`] (netlist + layout + metrics) per distilled
 //!   solution,
-//! * the flow itself is assembled from the **typed stages** of [`stage`]
-//!   (explore → distill → netlist → layout), chained with
-//!   [`stage::Stage::then`],
+//! * the flow explores and distills through the **typed stages** of
+//!   [`stage`], chained with [`stage::Stage::then`], then generates each
+//!   distilled design's netlist and layout in one loop,
 //! * [`ChipStage`] is this reproduction's extension beyond the paper: a
 //!   separate exploration composing chips from several macros against a
 //!   workload mix ([`ChipFlowConfig`]); every run and every service
@@ -82,7 +82,7 @@ pub use service::{
     ChipRequest, Deadline, ExplorationRequest, ExplorationResponse, ExplorationService, JobHandle,
     JobProgress, MacroRequest, Priority, ServiceConfig, ServiceError, SessionArchive, SubmitError,
 };
-pub use stage::{ChipStage, Instrumented, ProgressObserver, Stage, StageProgress, TraceContext};
+pub use stage::{ChipStage, ProgressObserver, Stage, StageProgress, TraceContext};
 
 // The cooperative-cancellation vocabulary of
 // [`acim_dse::ExploreOptions::cancel`], re-exported so downstream users
@@ -130,8 +130,8 @@ pub mod prelude {
     pub use crate::{
         ChipFlowConfig, ChipFlowResult, ChipRequest, ChipStage, Deadline, ExplorationRequest,
         ExplorationResponse, ExplorationService, FlowConfig, FlowOptions, FlowResult,
-        GeneratedDesign, Instrumented, JobHandle, JobProgress, MacroRequest, PersistError,
-        Priority, RestoreReport, ServiceConfig, ServiceError, SessionArchive, SnapshotReport,
-        Stage, SubmitError, TopFlowController, TraceContext,
+        GeneratedDesign, JobHandle, JobProgress, MacroRequest, PersistError, Priority,
+        RestoreReport, ServiceConfig, ServiceError, SessionArchive, SnapshotReport, Stage,
+        SubmitError, TopFlowController, TraceContext,
     };
 }

@@ -90,7 +90,8 @@ use crate::flow::{FlowOptions, FlowResult, TopFlowController};
 use crate::persistence::{self, RestoreReport, SnapshotReport};
 use crate::sched::{AdmitError, JobSlot, Scheduler, Ticket};
 use crate::stage::{
-    cancel_error, ChipStage, Instrumented, ProgressObserver, Stage, StageProgress, TraceContext,
+    cancel_error, traced, ChipStage, ProgressObserver, Stage, StageProgress, TraceContext,
+    TracedStage,
 };
 
 pub use crate::sched::{Deadline, Priority};
@@ -1771,7 +1772,7 @@ impl ExplorationService {
                 let stage = ChipStage::new(config)
                     .with_options(options)
                     .with_observer(job.observer);
-                let result = Instrumented::new(stage, job.trace).run(())?;
+                let result = traced(job.trace.as_ref(), TracedStage::Chip, || stage.run(()))?;
                 if let Some(outcome) = &tenant_outcome {
                     outcome.record(&result);
                 }

@@ -1,48 +1,43 @@
 //! Typed, composable flow stages.
 //!
 //! The paper's Figure-4 flow used to be a hard-coded sequence inside
-//! `TopFlowController::run`.  This module breaks it into four [`Stage`]s
-//! with typed inputs and outputs, plus the chip exploration —
+//! `TopFlowController::run`.  This module holds its exploring stages as
+//! [`Stage`]s with typed inputs and outputs —
 //!
 //! ```text
-//! ExploreStage   ()              -> Explored        (NSGA-II Pareto frontier)
-//! DistillStage   Explored        -> Distilled       (user requirements applied)
-//! NetlistStage   DesignPoint     -> NetlistedDesign (one hierarchical netlist)
-//! LayoutStage    NetlistedDesign -> GeneratedDesign (one template-based P&R)
-//! ChipStage      ()              -> ChipFlowResult  (multi-macro composition)
+//! ExploreStage   ()       -> Explored       (NSGA-II Pareto frontier)
+//! DistillStage   Explored -> Distilled      (user requirements applied)
+//! ChipStage      ()       -> ChipFlowResult (multi-macro composition)
 //! ```
 //!
 //! — chained with [`Stage::then`], which only compiles when the output
 //! type of one stage is the input type of the next.  Exploration and
-//! distillation run once per request; the netlist and layout stages run
-//! once per distilled design, in the one loop of
+//! distillation run once per request; each distilled design's netlist and
+//! layout are generated in the one loop of
 //! [`crate::flow::TopFlowController::run_with`] that bounds the designs,
 //! polls the cancel token and ticks their progress.  `ChipStage` runs on
 //! its own: it explores a chip design space, not the macro flow's.  The
-//! controller in [`crate::flow`] and the multi-tenant service in
-//! [`crate::service`] both assemble their pipelines from these pieces;
-//! the exploring stages accept [`ExploreOptions`] (shared cache,
-//! warm-start seeds) and an optional [`ProgressObserver`], which is how
-//! one long-lived service thread observes many concurrent explorations.
+//! exploring stages accept [`ExploreOptions`] (shared cache, warm-start
+//! seeds) and an optional [`ProgressObserver`], which is how one
+//! long-lived service thread observes many concurrent explorations.
+//!
+//! A [`TraceContext`] records each step the flow and the service run —
+//! explore, distill, each design's netlist and layout, a chip
+//! exploration — as one span and one `stage_seconds{stage}` observation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acim_cell::CellLibrary;
 use acim_chip::simulate_mix;
 use acim_dse::{
     ChipExplorer, DesignPoint, DesignSpaceExplorer, DseConfig, ExploreOptions, Frontier,
     UserRequirements,
 };
-use acim_layout::LayoutFlow;
 use acim_moga::{CancelReason, EvalStats};
-use acim_netlist::{design_stats, write_spice, Design, DesignStats, NetlistGenerator};
-use acim_tech::Technology;
 use acim_telemetry::{Histogram, SpanId, Telemetry};
 
 use crate::chip::{ChipFlowConfig, ChipFlowResult};
 use crate::error::FlowError;
-use crate::flow::GeneratedDesign;
 
 /// One progress tick from a running stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,27 +125,33 @@ where
     }
 }
 
-/// Telemetry context threaded through a pipeline assembly: the bundle to
-/// record into, plus the span id stage spans are parented under
-/// (typically a request's root span, so per-request span trees read
+/// Telemetry context threaded through a flow run: the bundle to record
+/// into, plus the span id step spans are parented under (typically a
+/// request's root span, so per-request span trees read
 /// `request → stage → generation`).
 ///
 /// Build it once per bundle and clone it per request, setting
-/// [`TraceContext::parent`]: clones share the resolved stage histograms
-/// instead of walking the registry again.
+/// [`TraceContext::parent`]: clones share the `stage_seconds` histograms
+/// resolved once in [`TraceContext::under`].
 #[derive(Debug, Clone)]
 pub struct TraceContext {
     /// The telemetry bundle (metric registry + span recorder).
     pub telemetry: Telemetry,
-    /// Parent span id for stage spans recorded under this context.
+    /// Parent span id for step spans recorded under this context.
     pub parent: Option<SpanId>,
-    stages: Arc<StageHistograms>,
+    stages: Arc<[Histogram; TracedStage::ALL.len()]>,
 }
 
 impl TraceContext {
-    /// A context parenting stage spans under `parent`.
+    /// A context parenting step spans under `parent`.
     pub fn under(telemetry: Telemetry, parent: Option<SpanId>) -> Self {
-        let stages = Arc::new(StageHistograms::resolve(&telemetry));
+        let stages = Arc::new(TracedStage::ALL.map(|stage| {
+            telemetry.registry().histogram(
+                "stage_seconds",
+                "Wall-clock duration of one flow-stage run",
+                &[("stage", stage.name())],
+            )
+        }));
         Self {
             telemetry,
             parent,
@@ -159,101 +160,56 @@ impl TraceContext {
     }
 }
 
-/// Pre-resolved `stage_seconds{stage}` histogram handles for the known
-/// pipeline stages, so an instrumented stage run costs an atomic
-/// observation instead of a locked registry walk.
-#[derive(Debug)]
-struct StageHistograms {
-    entries: [(&'static str, Histogram); 5],
+/// The steps a [`TraceContext`] records, one span name and one
+/// `stage_seconds{stage}` series each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TracedStage {
+    Explore,
+    Distill,
+    Netlist,
+    Layout,
+    Chip,
 }
 
-impl StageHistograms {
-    /// Registers (or re-fetches) the histogram of every known stage.
-    fn resolve(telemetry: &Telemetry) -> Self {
-        let histogram = |stage: &'static str| {
-            let handle = telemetry.registry().histogram(
-                "stage_seconds",
-                "Wall-clock duration of one flow-stage run",
-                &[("stage", stage)],
-            );
-            (stage, handle)
-        };
-        Self {
-            entries: [
-                histogram("explore"),
-                histogram("distill"),
-                histogram("netlist"),
-                histogram("layout"),
-                histogram("chip"),
-            ],
+impl TracedStage {
+    const ALL: [Self; 5] = [
+        Self::Explore,
+        Self::Distill,
+        Self::Netlist,
+        Self::Layout,
+        Self::Chip,
+    ];
+
+    /// The span name and `stage` label.
+    fn name(self) -> &'static str {
+        match self {
+            Self::Explore => "explore",
+            Self::Distill => "distill",
+            Self::Netlist => "netlist",
+            Self::Layout => "layout",
+            Self::Chip => "chip",
         }
     }
-
-    fn get(&self, stage: &str) -> Option<&Histogram> {
-        self.entries
-            .iter()
-            .find(|(name, _)| *name == stage)
-            .map(|(_, handle)| handle)
-    }
 }
 
-/// A [`Stage`] wrapper that records one tracing span and one
-/// `stage_seconds{stage=...}` duration-histogram observation per run.
-///
-/// With no context attached (`trace: None`) it is a pure pass-through, so
-/// pipeline assemblies can wrap unconditionally and let the option decide
-/// — telemetry stays observably passive either way.
-#[derive(Debug, Clone)]
-pub struct Instrumented<S> {
-    inner: S,
-    trace: Option<TraceContext>,
-}
-
-impl<S: Stage> Instrumented<S> {
-    /// Wraps `inner`, recording into `trace` when present.
-    pub fn new(inner: S, trace: Option<TraceContext>) -> Self {
-        Self { inner, trace }
-    }
-
-    /// The wrapped stage.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: Stage> Stage for Instrumented<S> {
-    type Input = S::Input;
-    type Output = S::Output;
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run(&self, input: Self::Input) -> Result<Self::Output, FlowError> {
-        let Some(trace) = &self.trace else {
-            return self.inner.run(input);
-        };
-        let mut span = trace
-            .telemetry
-            .span_with_parent(self.inner.name(), trace.parent);
-        let started = Instant::now();
-        let result = self.inner.run(input);
-        span.attr("ok", if result.is_ok() { "true" } else { "false" });
-        let elapsed = started.elapsed();
-        match trace.stages.get(self.inner.name()) {
-            Some(histogram) => histogram.observe_duration(elapsed),
-            None => trace
-                .telemetry
-                .registry()
-                .histogram(
-                    "stage_seconds",
-                    "Wall-clock duration of one flow-stage run",
-                    &[("stage", self.inner.name())],
-                )
-                .observe_duration(elapsed),
-        }
-        result
-    }
+/// Runs one flow step.  Under a context it records one span named after
+/// `stage`, parented under the context's parent and carrying an `ok`
+/// attribute, and one `stage_seconds{stage}` observation; without one it
+/// only runs the step, so telemetry stays observably passive either way.
+pub(crate) fn traced<T>(
+    trace: Option<&TraceContext>,
+    stage: TracedStage,
+    step: impl FnOnce() -> Result<T, FlowError>,
+) -> Result<T, FlowError> {
+    let Some(trace) = trace else {
+        return step();
+    };
+    let mut span = trace.telemetry.span_with_parent(stage.name(), trace.parent);
+    let started = Instant::now();
+    let result = step();
+    span.attr("ok", if result.is_ok() { "true" } else { "false" });
+    trace.stages[stage as usize].observe_duration(started.elapsed());
+    result
 }
 
 /// Output of [`ExploreStage`]: the raw Pareto frontier.
@@ -276,21 +232,6 @@ pub struct Distilled {
     pub engine: EvalStats,
     /// Wall-clock time of the exploration.
     pub exploration_time: Duration,
-}
-
-/// One netlisted design, produced by [`NetlistStage`].
-#[derive(Debug, Clone)]
-pub struct NetlistedDesign {
-    /// The design point (spec + estimated metrics).
-    pub point: DesignPoint,
-    /// The hierarchical netlist.
-    pub netlist: Design,
-    /// Netlist statistics (cell/transistor counts).
-    pub stats: DesignStats,
-    /// SPICE text, when the stage was asked to emit files.
-    pub spice: Option<String>,
-    /// Wall-clock time spent generating the netlist.
-    pub netlist_time: Duration,
 }
 
 /// The MOGA design-space exploration stage (`() -> Explored`).
@@ -399,105 +340,6 @@ impl Stage for DistillStage {
             distilled,
             engine,
             exploration_time,
-        })
-    }
-}
-
-/// The template-based netlist-generation stage (`DesignPoint ->
-/// NetlistedDesign`): one design's hierarchical netlist, its statistics
-/// and, when asked, its SPICE text.
-pub struct NetlistStage<'a> {
-    library: &'a CellLibrary,
-    emit_spice: bool,
-}
-
-impl<'a> NetlistStage<'a> {
-    /// Creates the stage over a cell library.
-    pub fn new(library: &'a CellLibrary, emit_spice: bool) -> Self {
-        Self {
-            library,
-            emit_spice,
-        }
-    }
-}
-
-impl std::fmt::Debug for NetlistStage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetlistStage")
-            .field("emit_spice", &self.emit_spice)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Stage for NetlistStage<'_> {
-    type Input = DesignPoint;
-    type Output = NetlistedDesign;
-
-    fn name(&self) -> &'static str {
-        "netlist"
-    }
-
-    fn run(&self, point: DesignPoint) -> Result<NetlistedDesign, FlowError> {
-        let start = Instant::now();
-        let netlist = NetlistGenerator::new(self.library).generate(&point.spec)?;
-        let stats = design_stats(&netlist, self.library)?;
-        let spice = if self.emit_spice {
-            Some(write_spice(&netlist, self.library)?)
-        } else {
-            None
-        };
-        Ok(NetlistedDesign {
-            point,
-            netlist,
-            stats,
-            spice,
-            netlist_time: start.elapsed(),
-        })
-    }
-}
-
-/// The template-based place-and-route stage (`NetlistedDesign ->
-/// GeneratedDesign`): lays out one netlisted design.
-pub struct LayoutStage<'a> {
-    technology: &'a Technology,
-    library: &'a CellLibrary,
-}
-
-impl<'a> LayoutStage<'a> {
-    /// Creates the stage over a technology and cell library.
-    pub fn new(technology: &'a Technology, library: &'a CellLibrary) -> Self {
-        Self {
-            technology,
-            library,
-        }
-    }
-}
-
-impl std::fmt::Debug for LayoutStage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LayoutStage").finish_non_exhaustive()
-    }
-}
-
-impl Stage for LayoutStage<'_> {
-    type Input = NetlistedDesign;
-    type Output = GeneratedDesign;
-
-    fn name(&self) -> &'static str {
-        "layout"
-    }
-
-    fn run(&self, netlisted: NetlistedDesign) -> Result<GeneratedDesign, FlowError> {
-        let start = Instant::now();
-        let layout =
-            LayoutFlow::new(self.technology, self.library).generate(&netlisted.point.spec)?;
-        Ok(GeneratedDesign {
-            point: netlisted.point,
-            netlist: netlisted.netlist,
-            netlist_stats: netlisted.stats,
-            layout,
-            spice: netlisted.spice,
-            generation_time: netlisted.netlist_time + start.elapsed(),
         })
     }
 }
@@ -654,76 +496,47 @@ mod tests {
     }
 
     #[test]
-    fn netlist_then_layout_stages_generate_one_design() {
-        let technology = Technology::s28();
-        let library = CellLibrary::s28_default(&technology);
-        let distilled = ExploreStage::new(quick_dse())
-            .then(DistillStage::new(UserRequirements::none()))
-            .run(())
-            .unwrap();
-        let point = distilled.distilled[0];
-        let design = NetlistStage::new(&library, false)
-            .then(LayoutStage::new(&technology, &library))
-            .run(point)
-            .unwrap();
-        assert_eq!(design.point, point);
-        assert_eq!(
-            design.netlist_stats.sram_cells,
-            design.point.spec.array_size()
-        );
-        assert!(design.spice.is_none());
-        assert!(design.generation_time > Duration::ZERO);
-    }
-
-    #[test]
-    fn instrumented_stage_records_span_and_histogram() {
+    fn traced_records_one_span_and_one_sample_per_step() {
         let telemetry = Telemetry::new();
         let root = telemetry.span("request");
         let trace = TraceContext::under(telemetry.clone(), root.as_parent());
-        let stage = Instrumented::new(
-            ExploreStage::new(quick_dse()).then(DistillStage::new(UserRequirements::none())),
-            Some(trace),
+        assert_eq!(
+            traced(Some(&trace), TracedStage::Netlist, || Ok(7)).unwrap(),
+            7
         );
-        assert_eq!(stage.name(), "pipeline");
-        let distilled = stage.run(()).unwrap();
-        assert!(!distilled.distilled.is_empty());
+        let failing = traced(Some(&trace), TracedStage::Layout, || {
+            Err::<(), _>(FlowError::EmptyDistilledSet)
+        });
+        assert!(matches!(failing, Err(FlowError::EmptyDistilledSet)));
+        // Without a context the step just runs.
+        assert_eq!(traced(None, TracedStage::Chip, || Ok(3)).unwrap(), 3);
         let root_id = root.id();
         drop(root);
-        let snapshot = telemetry.snapshot();
-        let hist = snapshot
-            .histogram("stage_seconds", &[("stage", "pipeline")])
-            .expect("stage histogram registered");
-        assert_eq!(hist.count, 1);
-        assert!(hist.quantile(0.5).is_finite());
-        let span = snapshot
-            .spans
-            .iter()
-            .find(|s| s.name == "pipeline")
-            .expect("stage span recorded");
-        assert_eq!(span.parent, Some(root_id));
-        assert!(span.attributes.contains(&("ok".into(), "true".into())));
-    }
 
-    #[test]
-    fn uninstrumented_wrapper_is_a_pure_pass_through() {
-        let stage = Instrumented::new(
-            ExploreStage::new(quick_dse()).then(DistillStage::new(UserRequirements::none())),
-            None,
-        );
-        assert!(stage.inner().name() == "pipeline");
-        assert!(!stage.run(()).unwrap().distilled.is_empty());
+        let snapshot = telemetry.snapshot();
+        for (stage, ok) in [("netlist", "true"), ("layout", "false")] {
+            let spans: Vec<_> = snapshot.spans.iter().filter(|s| s.name == stage).collect();
+            assert_eq!(spans.len(), 1, "{stage} spans");
+            assert_eq!(spans[0].parent, Some(root_id));
+            assert!(spans[0].attributes.contains(&("ok".into(), ok.into())));
+            let hist = snapshot
+                .histogram("stage_seconds", &[("stage", stage)])
+                .expect("stage histogram registered");
+            assert_eq!(hist.count, 1);
+        }
+        assert!(snapshot.spans.iter().all(|s| s.name != "chip"));
+        let chip = snapshot
+            .histogram("stage_seconds", &[("stage", "chip")])
+            .expect("every stage resolved up front");
+        assert_eq!(chip.count, 0);
     }
 
     #[test]
     fn stage_names_are_stable() {
-        let technology = Technology::s28();
-        let library = CellLibrary::s28_default(&technology);
         assert_eq!(ExploreStage::new(quick_dse()).name(), "explore");
         assert_eq!(
             DistillStage::new(UserRequirements::none()).name(),
             "distill"
         );
-        assert_eq!(NetlistStage::new(&library, false).name(), "netlist");
-        assert_eq!(LayoutStage::new(&technology, &library).name(), "layout");
     }
 }

@@ -21,21 +21,23 @@ use crate::operators::{polynomial_mutation, random_genome, sbx_crossover};
 use crate::problem::Problem;
 use crate::selection::binary_tournament;
 
-/// Configuration of an NSGA-II run.
+/// SBX crossover probability per gene pair.
+const CROSSOVER_PROBABILITY: f64 = 0.9;
+/// SBX distribution index.
+const CROSSOVER_ETA: f64 = 15.0;
+/// Polynomial-mutation distribution index.  Each gene mutates with
+/// probability `1 / num_variables`.
+const MUTATION_ETA: f64 = 20.0;
+
+/// Configuration of an NSGA-II run.  Variation uses SBX crossover
+/// (probability 0.9, η = 15) and polynomial mutation (probability
+/// `1 / num_variables`, η = 20).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Nsga2Config {
     /// Population size (must be even and ≥ 4).
     pub population_size: usize,
     /// Number of generations.
     pub generations: usize,
-    /// SBX crossover probability per gene.
-    pub crossover_probability: f64,
-    /// SBX distribution index.
-    pub crossover_eta: f64,
-    /// Per-gene mutation probability.  `None` means `1 / num_variables`.
-    pub mutation_probability: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub mutation_eta: f64,
     /// Genomes injected into the initial population (the **warm-start**
     /// path): up to `population_size` of them are used verbatim (genes
     /// clamped to `[0, 1]`), the remainder is filled with uniform random
@@ -50,10 +52,6 @@ impl Default for Nsga2Config {
         Self {
             population_size: 100,
             generations: 100,
-            crossover_probability: 0.9,
-            crossover_eta: 15.0,
-            mutation_probability: None,
-            mutation_eta: 20.0,
             initial_population: Vec::new(),
         }
     }
@@ -232,10 +230,7 @@ impl<P: Problem> Nsga2<P> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n_var = self.problem.num_variables();
         let pop_size = self.config.population_size;
-        let mutation_p = self
-            .config
-            .mutation_probability
-            .unwrap_or(1.0 / n_var as f64);
+        let mutation_p = 1.0 / n_var as f64;
         let mut evaluations = 0usize;
         let mut eval_seconds = 0.0f64;
         let mut generation_seconds = Vec::with_capacity(self.config.generations);
@@ -290,11 +285,11 @@ impl<P: Problem> Nsga2<P> {
                     &mut rng,
                     &population[parent_a].genes,
                     &population[parent_b].genes,
-                    self.config.crossover_eta,
-                    self.config.crossover_probability,
+                    CROSSOVER_ETA,
+                    CROSSOVER_PROBABILITY,
                 );
-                polynomial_mutation(&mut rng, &mut child_a, self.config.mutation_eta, mutation_p);
-                polynomial_mutation(&mut rng, &mut child_b, self.config.mutation_eta, mutation_p);
+                polynomial_mutation(&mut rng, &mut child_a, MUTATION_ETA, mutation_p);
+                polynomial_mutation(&mut rng, &mut child_b, MUTATION_ETA, mutation_p);
                 for child in [child_a, child_b] {
                     if offspring_genomes.len() >= pop_size {
                         break;
@@ -822,7 +817,6 @@ mod tests {
             population_size: 8,
             generations: 2,
             initial_population: seeds,
-            ..Default::default()
         };
         let result = Nsga2::new(Zdt1, config).with_seed(29).run();
         assert_eq!(result.population.len(), 8);

@@ -239,36 +239,6 @@ impl<P: Problem + ?Sized> Problem for &P {
     }
 }
 
-impl<P: Problem + ?Sized> Problem for Box<P> {
-    fn num_variables(&self) -> usize {
-        (**self).num_variables()
-    }
-    fn num_objectives(&self) -> usize {
-        (**self).num_objectives()
-    }
-    fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        (**self).evaluate(genes)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-impl<P: Problem + ?Sized> Problem for std::sync::Arc<P> {
-    fn num_variables(&self) -> usize {
-        (**self).num_variables()
-    }
-    fn num_objectives(&self) -> usize {
-        (**self).num_objectives()
-    }
-    fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        (**self).evaluate(genes)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

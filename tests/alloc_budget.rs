@@ -20,11 +20,12 @@
 //! 16x1024 L2 B3) fails here.  The DEF and GDS writers
 //! reserve their output once, from the layout's counts, so a writer whose
 //! buffer grows as it writes (20 to 29 allocations on these macros) fails
-//! here too.  DRC formats flat names only for the violations it reports,
-//! so a DRC run that copies the flat view again (28,117 allocations on its
-//! macro) fails here as well.  So does an NSGA-II selection that sorts
-//! into fresh buffers or clones its survivors each generation (9,383
-//! allocations on the NSGA-II run).
+//! here too.  DRC formats flat names only for the violations it reports
+//! and names their layers by `&'static str`, so a DRC run that copies the
+//! flat view again (28,117 allocations on its macro) or copies each
+//! violation's layer name again (188) fails here as well.  So does an
+//! NSGA-II selection that sorts into fresh buffers or clones its survivors
+//! each generation (9,383 allocations on the NSGA-II run).
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -156,7 +157,7 @@ const BUDGETS: [Budget; 2] = [
 /// The macro whose DRC run is counted, and the allocations
 /// [`check_layout`] made on it when the budget was recorded: mostly the
 /// names of its 48 violations.  It may make 10 % more, rounded up.
-const DRC_BUDGET: ((usize, usize, usize, u32), usize) = ((64, 16, 4, 3), 188);
+const DRC_BUDGET: ((usize, usize, usize, u32), usize) = ((64, 16, 4, 3), 140);
 
 /// Checks `count` against the ceiling of `recorded` and notes an overrun.
 fn check(over: &mut Vec<String>, what: String, count: usize, recorded: usize) {

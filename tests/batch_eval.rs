@@ -4,7 +4,9 @@
 //! genome and macro-metric caches, and determinism of seeded macro and
 //! chip explorations.
 
-use acim_dse::{AcimDesignProblem, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig};
+use acim_dse::{
+    AcimDesignProblem, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig, Explorable,
+};
 use acim_model::ModelParams;
 use acim_moga::{CachedProblem, Evaluation, Nsga2, Nsga2Config, Problem};
 use proptest::prelude::*;
