@@ -20,17 +20,29 @@ use crate::spec::AcimSpec;
 pub struct CdacBank {
     /// Per-group capacitance in fF, including sampled mismatch.
     group_caps_ff: Vec<f64>,
+    /// The sum of `group_caps_ff`, taken once when the bank is built: every
+    /// SAR decision divides by it.
+    total_cap_ff: f64,
 }
 
 impl CdacBank {
+    /// A bank of the given group capacitances.
+    fn from_groups(group_caps_ff: Vec<f64>) -> Self {
+        let total_cap_ff = group_caps_ff.iter().sum();
+        Self {
+            group_caps_ff,
+            total_cap_ff,
+        }
+    }
+
     /// Builds an ideal (mismatch-free) CDAC for a specification.
     pub fn ideal(spec: &AcimSpec, unit_cap_ff: f64) -> Self {
-        let group_caps_ff = spec
-            .sar_group_sizes()
-            .iter()
-            .map(|&u| unit_cap_ff * u as f64)
-            .collect();
-        Self { group_caps_ff }
+        Self::from_groups(
+            spec.sar_group_sizes()
+                .iter()
+                .map(|&u| unit_cap_ff * u as f64)
+                .collect(),
+        )
     }
 
     /// Builds a CDAC whose unit capacitors carry Gaussian mismatch
@@ -41,18 +53,18 @@ impl CdacBank {
         kappa: f64,
         rng: &mut R,
     ) -> Self {
-        let group_caps_ff = spec
-            .sar_group_sizes()
-            .iter()
-            .map(|&u| {
-                // Each group is u unit caps in parallel; mismatch adds in
-                // quadrature so the group sigma is κ·√(u·C).
-                let nominal = unit_cap_ff * u as f64;
-                let sigma = kappa * nominal.sqrt();
-                (nominal + gaussian(rng) * sigma).max(unit_cap_ff * 0.01)
-            })
-            .collect();
-        Self { group_caps_ff }
+        Self::from_groups(
+            spec.sar_group_sizes()
+                .iter()
+                .map(|&u| {
+                    // Each group is u unit caps in parallel; mismatch adds in
+                    // quadrature so the group sigma is κ·√(u·C).
+                    let nominal = unit_cap_ff * u as f64;
+                    let sigma = kappa * nominal.sqrt();
+                    (nominal + gaussian(rng) * sigma).max(unit_cap_ff * 0.01)
+                })
+                .collect(),
+        )
     }
 
     /// Number of SAR groups (B_ADC + 1, including the LSB dummy group).
@@ -62,14 +74,14 @@ impl CdacBank {
 
     /// Total CDAC capacitance in fF (with mismatch).
     pub fn total_cap_ff(&self) -> f64 {
-        self.group_caps_ff.iter().sum()
+        self.total_cap_ff
     }
 
     /// The voltage step (as a fraction of full scale) contributed by
     /// switching group `index`, given the actual (mismatched) capacitor
     /// values: `C_group / C_total`.
     pub fn group_weight(&self, index: usize) -> f64 {
-        self.group_caps_ff[index] / self.total_cap_ff()
+        self.group_caps_ff[index] / self.total_cap_ff
     }
 }
 

@@ -80,9 +80,10 @@ pub struct MacroStats {
 #[derive(Debug, Clone)]
 pub struct AcimMacro {
     spec: AcimSpec,
-    /// The `H · W` weight bits, column-major: bit `(row, col)` sits at
-    /// `col · H + row`, so each column's `H / L` local arrays of `L` cells
-    /// are consecutive.
+    /// The `H · W` weight bits, column by column and, within a column, row
+    /// offset by row offset: bit `(row, col)` of local array `row / L` sits
+    /// at `col · H + (row mod L) · H / L + row / L`.  So the `H / L` cells
+    /// one cycle selects in a column, one per local array, are consecutive.
     weights: Vec<bool>,
     /// One column's 1-bit products, rebuilt in place every cycle.
     products: Vec<bool>,
@@ -179,7 +180,19 @@ impl AcimMacro {
         &self.stats
     }
 
-    /// The index of weight bit `(row, col)` in the column-major buffer.
+    /// Where column `col`'s `H / L` cells at `row_offset` start in the
+    /// weight buffer.
+    fn selected(&self, col: usize, row_offset: usize) -> usize {
+        col * self.spec.height() + row_offset * self.spec.capacitors_per_column()
+    }
+
+    /// The index of weight bit `(row, col)` in the weight buffer, unchecked.
+    fn cell(&self, row: usize, col: usize) -> usize {
+        let local = self.spec.local_array();
+        self.selected(col, row % local) + row / local
+    }
+
+    /// The index of weight bit `(row, col)` in the weight buffer.
     fn weight_index(&self, row: usize, col: usize) -> Result<usize, ArchError> {
         let (height, width) = (self.spec.height(), self.spec.width());
         if row >= height {
@@ -196,7 +209,7 @@ impl AcimMacro {
                 actual: col,
             });
         }
-        Ok(col * height + row)
+        Ok(self.cell(row, col))
     }
 
     /// Programs one weight bit.  `row` is the global row index in `[0, H)`,
@@ -209,6 +222,41 @@ impl AcimMacro {
     pub fn program_bit(&mut self, row: usize, col: usize, value: bool) -> Result<(), ArchError> {
         let index = self.weight_index(row, col)?;
         self.weights[index] = value;
+        Ok(())
+    }
+
+    /// Programs the cells one cycle at `row_offset` selects in column
+    /// `col`: `bits[i]` goes to row offset `row_offset` of the column's
+    /// local array `i`, so `bits` holds one bit per local array (`H / L`).
+    /// The column's other cells keep their bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError::DimensionMismatch`] when `col` or `row_offset`
+    /// is out of range or `bits` is not `H / L` long.
+    pub fn program_column(
+        &mut self,
+        col: usize,
+        row_offset: usize,
+        bits: &[bool],
+    ) -> Result<(), ArchError> {
+        let width = self.spec.width();
+        let (local, n) = (self.spec.local_array(), self.spec.capacitors_per_column());
+        for (what, expected, actual, fits) in [
+            ("weight column", width, col, col < width),
+            ("row offset", local, row_offset, row_offset < local),
+            ("column bits", n, bits.len(), bits.len() == n),
+        ] {
+            if !fits {
+                return Err(ArchError::DimensionMismatch {
+                    what: what.into(),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        let start = self.selected(col, row_offset);
+        self.weights[start..start + n].copy_from_slice(bits);
         Ok(())
     }
 
@@ -225,9 +273,11 @@ impl AcimMacro {
     /// Programs the whole array from a closure `f(row, col) -> bit`, calling
     /// it column by column and, within a column, row by row.
     pub fn program_with<F: FnMut(usize, usize) -> bool>(&mut self, mut f: F) {
-        let height = self.spec.height();
-        for (index, bit) in self.weights.iter_mut().enumerate() {
-            *bit = f(index % height, index / height);
+        for col in 0..self.spec.width() {
+            for row in 0..self.spec.height() {
+                let index = self.cell(row, col);
+                self.weights[index] = f(row, col);
+            }
         }
     }
 
@@ -269,16 +319,27 @@ impl AcimMacro {
     ) -> Result<Vec<u32>, ArchError> {
         self.check_cycle(activations, row_offset)?;
         let n = self.spec.capacitors_per_column();
-        let (height, local) = (self.spec.height(), self.spec.local_array());
+
+        // Every column charges the same energies; Equation 9 is evaluated
+        // once per cycle, not once per column.
+        let macs = n as u64;
+        let compute_energy = self.energy_params.e_compute * macs as f64;
+        let control_energy = self.energy_params.e_control * macs as f64;
+        let adc_energy = self
+            .energy_params
+            .adc_energy(self.spec.adc_bits())
+            .unwrap_or(Femtojoule::new(0.0));
 
         let mut outputs = Vec::with_capacity(self.spec.width());
         let mut cycle_energy = EnergyBreakdown::new();
         for col in 0..self.spec.width() {
             // MAC state: every local array produces its 1-bit product.
-            let column = &self.weights[col * height..(col + 1) * height];
+            let start = self.selected(col, row_offset);
             self.products.clear();
-            self.products
-                .extend(column_products(column, local, activations, row_offset));
+            self.products.extend(column_products(
+                &self.weights[start..start + n],
+                activations,
+            ));
 
             // Charge redistribution: normalised analog accumulation.
             let mut v = self.compute[col].accumulate(&self.products, self.noise.pvt);
@@ -292,13 +353,9 @@ impl AcimMacro {
             outputs.push(code);
 
             // Energy accounting.
-            let macs = n as u64;
-            cycle_energy.compute += self.energy_params.e_compute * macs as f64;
-            cycle_energy.control += self.energy_params.e_control * macs as f64;
-            cycle_energy.adc += self
-                .energy_params
-                .adc_energy(self.spec.adc_bits())
-                .unwrap_or(Femtojoule::new(0.0));
+            cycle_energy.compute += compute_energy;
+            cycle_energy.control += control_energy;
+            cycle_energy.adc += adc_energy;
             cycle_energy.mac_count += macs;
         }
         self.stats.cycles += 1;
@@ -321,12 +378,11 @@ impl AcimMacro {
         row_offset: usize,
     ) -> Result<Vec<u32>, ArchError> {
         self.check_cycle(activations, row_offset)?;
-        let local = self.spec.local_array();
-        Ok(self
-            .weights
-            .chunks_exact(self.spec.height())
-            .map(|column| {
-                column_products(column, local, activations, row_offset)
+        let n = self.spec.capacitors_per_column();
+        Ok((0..self.spec.width())
+            .map(|col| {
+                let start = self.selected(col, row_offset);
+                column_products(&self.weights[start..start + n], activations)
                     .filter(|&p| p)
                     .count() as u32
             })
@@ -334,20 +390,15 @@ impl AcimMacro {
     }
 }
 
-/// The 1-bit products of one column in a cycle: the weight at `row_offset`
-/// of each local array of `local` cells, ANDed with that array's
-/// activation.  The other `L − 1` rows of each array are not selected and
-/// do not contribute.
+/// The 1-bit products of one column in a cycle: the `selected` weight of
+/// each local array (the cell at the cycle's row offset), ANDed with that
+/// array's activation.  The other `L − 1` rows of each array are not
+/// selected and do not contribute.
 fn column_products<'a>(
-    column: &'a [bool],
-    local: usize,
+    selected: &'a [bool],
     activations: &'a [bool],
-    row_offset: usize,
 ) -> impl Iterator<Item = bool> + 'a {
-    column
-        .chunks_exact(local)
-        .zip(activations)
-        .map(move |(array, &x)| array[row_offset] && x)
+    selected.iter().zip(activations).map(|(&w, &x)| w && x)
 }
 
 #[cfg(test)]
@@ -383,6 +434,50 @@ mod tests {
         assert_eq!(m.program_bit(0, 16, true), Err(column(16)));
         assert_eq!(m.read_bit(64, 0), Err(row(64)));
         assert_eq!(m.read_bit(0, 16), Err(column(16)));
+    }
+
+    #[test]
+    fn program_column_matches_per_bit_programming() {
+        // Start both macros from the same non-zero array so the test also
+        // sees that the cells outside the row offset keep their bits.
+        let mut by_column = build(NoiseConfig::noiseless());
+        by_column.program_with(|row, col| (row * 5 + col * 3) % 4 == 0);
+        let mut by_bit = by_column.clone();
+        let (local, n) = (
+            by_column.spec().local_array(),
+            by_column.spec().dot_product_length(),
+        );
+        for (col, offset) in [(0, 0), (7, 2), (15, 3), (7, 0)] {
+            let bits: Vec<bool> = (0..n).map(|i| (i * 7 + col + offset) % 3 == 1).collect();
+            by_column.program_column(col, offset, &bits).unwrap();
+            for (i, &bit) in bits.iter().enumerate() {
+                by_bit.program_bit(i * local + offset, col, bit).unwrap();
+            }
+        }
+        assert_eq!(by_column.weights, by_bit.weights);
+
+        let mismatch = |what: &str, expected, actual| ArchError::DimensionMismatch {
+            what: what.into(),
+            expected,
+            actual,
+        };
+        let bits = vec![true; n];
+        assert_eq!(
+            by_column.program_column(16, 0, &bits),
+            Err(mismatch("weight column", 16, 16))
+        );
+        assert_eq!(
+            by_column.program_column(0, 4, &bits),
+            Err(mismatch("row offset", 4, 4))
+        );
+        for len in [n - 1, n + 1] {
+            assert_eq!(
+                by_column.program_column(0, 0, &vec![true; len]),
+                Err(mismatch("column bits", n, len))
+            );
+        }
+        // A rejected call writes nothing.
+        assert_eq!(by_column.weights, by_bit.weights);
     }
 
     #[test]

@@ -50,6 +50,9 @@ fn macro_sim(c: &mut Criterion) {
 
     // The golden_validation fixture: edge_cnn(1) on a 2x2 grid of
     // 64x16 L4 B4 macros at the chip stage's default validation seed.
+    // Lowering now takes about a quarter of it; most of the rest is the
+    // seeded Gaussian draws (mismatch, thermal, comparator) that pin its
+    // bits.
     group.bench_function("simulate_mix_edge_cnn1_2x2", |b| {
         let spec = AcimSpec::from_dimensions(64, 16, 4, 4).expect("valid spec");
         let grid = MacroGrid::uniform(2, 2, spec).expect("valid grid");

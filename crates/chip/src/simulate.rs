@@ -133,7 +133,7 @@ struct MeasuredLayer {
 /// A chunk's weights sit at row offset 0 of each local array, zero-padded
 /// past the workload's edge, and every cycle selects offset 0.  No other
 /// row is ever written, so each chunk rewrites only those `W · H / L` cells
-/// of the macro.
+/// of the macro, one column slice at a time.
 fn run_output_tile(
     macro_sim: &mut AcimMacro,
     workload: &BinaryMvm,
@@ -146,16 +146,18 @@ fn run_output_tile(
     let chunks = workload.cols().div_ceil(chunk);
     let mut accumulated = vec![0.0f64; rows];
     let mut activations = vec![false; chunk];
+    let mut column_bits = vec![false; chunk];
     for chunk_index in 0..chunks {
         let col_base = chunk_index * chunk;
         let cols_in_chunk = (workload.cols() - col_base).min(chunk);
         for col in 0..spec.width() {
-            for local in 0..chunk {
-                let bit = col < rows
-                    && local < cols_in_chunk
-                    && workload.weights[row_base + col][col_base + local];
-                macro_sim.program_bit(local * spec.local_array(), col, bit)?;
+            column_bits.fill(false);
+            if col < rows {
+                column_bits[..cols_in_chunk].copy_from_slice(
+                    &workload.weights[row_base + col][col_base..col_base + cols_in_chunk],
+                );
             }
+            macro_sim.program_column(col, 0, &column_bits)?;
         }
         for (i, slot) in activations.iter_mut().enumerate() {
             *slot = i < cols_in_chunk && workload.activations[col_base + i];

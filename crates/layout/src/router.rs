@@ -330,12 +330,14 @@ impl MazeRouter {
         Some(path)
     }
 
-    /// Converts a set of path nodes into merged wire segments and vias.
+    /// Converts a set of path nodes into wires and vias: one wire per grid
+    /// step and one via per layer change.  Collinear steps are not merged,
+    /// so a straight run of `k` steps is `k` abutting wires.
     fn emit_geometry(&mut self, net: &str, nodes: &[GridNode]) -> (Vec<Wire>, Vec<Via>) {
         let mut wires = Vec::new();
         let mut vias = Vec::new();
-        // Consecutive nodes on the same layer become wire segments;
-        // consecutive nodes on different layers become vias.  Callers that
+        // Each pair of consecutive nodes on the same layer becomes one wire
+        // segment; each pair on different layers becomes a via.  Callers that
         // need all wires strictly inside a block should inset the routing
         // region by at least half a wire width when building the grid.
         for pair in nodes.windows(2) {

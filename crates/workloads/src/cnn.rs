@@ -8,7 +8,6 @@
 
 use crate::error::WorkloadError;
 use crate::quantize::{binarize_mvm, BinaryMvm};
-use crate::tensor::Matrix;
 
 /// A synthetic convolution layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +59,6 @@ impl CnnLayer {
             });
         }
         let cols = self.dot_length();
-        let weights = Matrix::from_fn(self.out_channels, cols, |r, c| {
-            pseudo_random(seed ^ 0xC0FFEE, r * cols + c) - 0.5
-        })?;
         let activations: Vec<f64> = (0..cols)
             .map(|i| pseudo_random(seed ^ 0xFEED, i).max(0.0)) // post-ReLU style
             .collect();
@@ -71,7 +67,8 @@ impl CnnLayer {
                 "cnn_{}x{}x{}",
                 self.out_channels, self.in_channels, self.kernel
             ),
-            &weights,
+            (self.out_channels, cols),
+            |r, c| pseudo_random(seed ^ 0xC0FFEE, r * cols + c) - 0.5,
             &activations,
         )
     }

@@ -10,8 +10,8 @@
 //! chip layer (`acim-chip`) tiles the workloads onto macro grids, both
 //! analytically and through the behavioural macro of `acim-arch`.
 //!
-//! * [`tensor`] — a minimal dense matrix type,
-//! * [`quantize`] — binarisation / bit-slicing of activations and weights,
+//! * [`quantize`] — binarisation of activations and of weights, lowered
+//!   one row at a time,
 //! * [`cnn`], [`transformer`], [`snn`] — synthetic layer workloads that
 //!   generate realistic MVM shapes,
 //! * [`network`] — ordered multi-layer networks built from those
@@ -54,7 +54,6 @@ pub mod network;
 pub mod quantize;
 pub mod requirements;
 pub mod snn;
-pub mod tensor;
 pub mod transformer;
 
 pub use cnn::CnnLayer;
@@ -64,5 +63,4 @@ pub use network::{LayerKind, Network, NetworkLayer};
 pub use quantize::{binarize_activations, binarize_weights, BinaryMvm};
 pub use requirements::ApplicationProfile;
 pub use snn::SnnLayer;
-pub use tensor::Matrix;
 pub use transformer::AttentionProjection;

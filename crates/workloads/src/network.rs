@@ -199,6 +199,9 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnn::pseudo_random;
+    use crate::quantize::binarize_sorted;
+    use proptest::prelude::*;
 
     #[test]
     fn edge_cnn_builds_stem_blocks_head() {
@@ -239,6 +242,75 @@ mod tests {
             for layer in &net.layers {
                 let mvm = layer.to_workload(7).unwrap();
                 assert_eq!((mvm.rows(), mvm.cols()), layer.shape(), "{}", layer.name);
+            }
+        }
+    }
+
+    /// The dense lowering that row-by-row selection replaced: the whole
+    /// real-valued weight matrix first, then the clone-and-full-sort
+    /// binariser on every row and on the activations.  Returns the weight
+    /// and activation bits.
+    fn lower_dense(kind: &LayerKind, seed: u64) -> (Vec<Vec<bool>>, Vec<bool>) {
+        let dense = |rows: usize, cols: usize, salt: u64| -> Vec<Vec<bool>> {
+            (0..rows)
+                .map(|r| {
+                    let row: Vec<f64> = (0..cols)
+                        .map(|c| pseudo_random(seed ^ salt, r * cols + c) - 0.5)
+                        .collect();
+                    binarize_sorted(&row)
+                })
+                .collect()
+        };
+        match kind {
+            LayerKind::Cnn(layer) => {
+                let cols = layer.dot_length();
+                let activations: Vec<f64> = (0..cols)
+                    .map(|i| pseudo_random(seed ^ 0xFEED, i).max(0.0))
+                    .collect();
+                (
+                    dense(layer.out_channels, cols, 0xC0FFEE),
+                    binarize_sorted(&activations),
+                )
+            }
+            LayerKind::Attention(proj) => {
+                let salt = match proj.kind {
+                    ProjectionKind::Query => 0x51,
+                    ProjectionKind::Key => 0x4B,
+                    ProjectionKind::Value => 0x56,
+                };
+                let activations: Vec<f64> = (0..proj.d_model)
+                    .map(|i| pseudo_random(seed ^ 0x70CE, i) - 0.5)
+                    .collect();
+                (
+                    dense(proj.head_dim(), proj.d_model, salt),
+                    binarize_sorted(&activations),
+                )
+            }
+            LayerKind::Snn { layer, rate } => {
+                let spikes = (0..layer.inputs)
+                    .map(|i| pseudo_random(seed ^ 0x517E, i) < *rate)
+                    .collect();
+                (dense(layer.neurons, layer.inputs, 0x5A5A), spikes)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn row_by_row_lowering_matches_the_dense_sorted_lowering(seed in 0u64..=u64::MAX) {
+            for net in [
+                Network::edge_cnn(3),
+                Network::transformer_block(),
+                Network::snn_pipeline(),
+            ] {
+                for layer in &net.layers {
+                    let mvm = layer.to_workload(seed).unwrap();
+                    let (weights, activations) = lower_dense(&layer.kind, seed);
+                    prop_assert_eq!(&mvm.weights, &weights, "{} {}", net.name, layer.name);
+                    prop_assert_eq!(&mvm.activations, &activations, "{} {}", net.name, layer.name);
+                }
             }
         }
     }

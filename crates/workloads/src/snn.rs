@@ -10,7 +10,6 @@
 use crate::cnn::pseudo_random;
 use crate::error::WorkloadError;
 use crate::quantize::{binarize_weights, BinaryMvm};
-use crate::tensor::Matrix;
 
 /// A synthetic leaky-integrate-and-fire SNN layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,14 +55,14 @@ impl SnnLayer {
                 reason: format!("{rate} is outside [0, 1]"),
             });
         }
-        let weights = Matrix::from_fn(self.neurons, self.inputs, |r, c| {
+        let weights = binarize_weights((self.neurons, self.inputs), |r, c| {
             pseudo_random(seed ^ 0x5A5A, r * self.inputs + c) - 0.5
         })?;
         let spikes: Vec<bool> = (0..self.inputs)
             .map(|i| pseudo_random(seed ^ 0x517E, i) < rate)
             .collect();
         Ok(BinaryMvm {
-            weights: binarize_weights(&weights),
+            weights,
             activations: spikes,
             label: format!("snn_{}x{}_rate{:.2}", self.neurons, self.inputs, rate),
         })

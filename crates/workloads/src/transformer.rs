@@ -9,7 +9,6 @@
 use crate::cnn::pseudo_random;
 use crate::error::WorkloadError;
 use crate::quantize::{binarize_mvm, BinaryMvm};
-use crate::tensor::Matrix;
 
 /// Which projection of the attention block is being exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +67,6 @@ impl AttentionProjection {
             ProjectionKind::Key => 0x4B,
             ProjectionKind::Value => 0x56,
         };
-        let weights = Matrix::from_fn(rows, cols, |r, c| {
-            pseudo_random(seed ^ kind_salt, r * cols + c) - 0.5
-        })?;
         // Token embeddings are roughly zero-mean.
         let activations: Vec<f64> = (0..cols)
             .map(|i| pseudo_random(seed ^ 0x70CE, i) - 0.5)
@@ -79,7 +75,12 @@ impl AttentionProjection {
             "attention_{:?}_{}d_{}h",
             self.kind, self.d_model, self.heads
         );
-        binarize_mvm(&label, &weights, &activations)
+        binarize_mvm(
+            &label,
+            (rows, cols),
+            |r, c| pseudo_random(seed ^ kind_salt, r * cols + c) - 0.5,
+            &activations,
+        )
     }
 }
 

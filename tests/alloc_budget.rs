@@ -1,5 +1,5 @@
-//! Heap-allocation budgets for the back half (netlist and layout) and for
-//! one NSGA-II run.
+//! Heap-allocation budgets for the back half (netlist and layout), for
+//! one NSGA-II run and for one behavioural chip validation.
 //!
 //! A counting global allocator wraps [`System`].  The first test below
 //! netlists three pinned macros, lays out two and checks one, and counts
@@ -25,7 +25,11 @@
 //! flat view again (28,117 allocations on its macro) or copies each
 //! violation's layer name again (188) fails here as well.  So does an
 //! NSGA-II selection that sorts into fresh buffers or clones its survivors
-//! each generation (9,383 allocations on the NSGA-II run).
+//! each generation (9,383 allocations on the NSGA-II run).  The third
+//! counts one `simulate_mix`, whose workload lowering keeps only each
+//! weight row's bits: a lowering that builds a real-valued matrix and
+//! clones and fully sorts every row to find its median (762 allocations
+//! on its fixture) fails here.
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -37,7 +41,9 @@ use std::cell::Cell;
 
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
+use acim_chip::{simulate_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
 use acim_layout::{check_layout, write_def, write_gds_text, ColumnTemplate, LayoutFlow};
+use acim_model::ModelParams;
 use acim_moga::{Evaluation, Nsga2, Nsga2Config, Problem};
 use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
@@ -290,6 +296,36 @@ fn nsga2_run_stays_within_its_allocation_budget() {
         "Nsga2::run 200x20".to_string(),
         count,
         NSGA2_BUDGET,
+    );
+    assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+/// The allocations one behavioural chip validation made when the budget
+/// was recorded: `simulate_mix` of the golden_validation fixture,
+/// `edge_cnn(1)` on a 2x2 grid of 64x16 L4 B4 macros at seed 0xC812 (three
+/// layers, six tile macros, 86 cycles).  Lowering reuses one row buffer
+/// and one selection buffer across a layer's rows and keeps only each
+/// row's bits, so a lowering that builds a real-valued matrix and clones
+/// and sorts every row again (762 allocations) fails here.  It may make
+/// 10 % more, rounded up.
+const SIMULATE_MIX_BUDGET: usize = 587;
+
+#[test]
+fn simulate_mix_stays_within_its_allocation_budget() {
+    let spec = AcimSpec::from_dimensions(64, 16, 4, 4).expect("valid spec");
+    let grid = MacroGrid::uniform(2, 2, spec).expect("valid grid");
+    let chip = ChipSpec::new(grid, 64).expect("valid chip");
+    let mix = WorkloadMix::from(Network::edge_cnn(1));
+    let params = ModelParams::s28_default();
+    let (report, count) =
+        counted(|| simulate_mix(&chip, &mix, &params, 0xC812).expect("simulation runs"));
+    assert_eq!(report.total_cycles, 86);
+    let mut over = Vec::new();
+    check(
+        &mut over,
+        "simulate_mix edge_cnn(1) 2x2".to_string(),
+        count,
+        SIMULATE_MIX_BUDGET,
     );
     assert!(over.is_empty(), "over budget: {over:#?}");
 }
