@@ -39,8 +39,7 @@ impl CdacBank {
     pub fn ideal(spec: &AcimSpec, unit_cap_ff: f64) -> Self {
         Self::from_groups(
             spec.sar_group_sizes()
-                .iter()
-                .map(|&u| unit_cap_ff * u as f64)
+                .map(|u| unit_cap_ff * u as f64)
                 .collect(),
         )
     }
@@ -55,8 +54,7 @@ impl CdacBank {
     ) -> Self {
         Self::from_groups(
             spec.sar_group_sizes()
-                .iter()
-                .map(|&u| {
+                .map(|u| {
                     // Each group is u unit caps in parallel; mismatch adds in
                     // quadrature so the group sigma is κ·√(u·C).
                     let nominal = unit_cap_ff * u as f64;

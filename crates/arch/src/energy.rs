@@ -40,8 +40,10 @@ pub struct EnergyModelParams {
 }
 
 impl EnergyModelParams {
-    /// Default parameters of the synthetic S28 technology (see `DESIGN.md`
-    /// for the calibration rationale).
+    /// Default parameters of the synthetic S28 technology, calibrated to
+    /// the paper's anchors: the Figure 10 efficiency span
+    /// (`energy::tests::efficiency_spans_the_papers_range`) at the Figure 8
+    /// throughput (`timing::tests::figure8a_throughput_is_about_3_28_tops`).
     pub fn s28_default() -> Self {
         Self {
             e_compute: Femtojoule::new(1.5),

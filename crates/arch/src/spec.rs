@@ -177,22 +177,11 @@ impl AcimSpec {
     }
 
     /// CDAC SAR-group sizes in unit capacitors, following the paper's
-    /// 1 : 1 : 2 : 4 : … : 2^(B−1) ratio.  The sum is `2^B_ADC`, which is
-    /// guaranteed to fit in the available `H / L` capacitors.
-    pub fn sar_group_sizes(&self) -> Vec<usize> {
-        let b = self.adc_bits as usize;
-        let mut sizes = Vec::with_capacity(b + 1);
-        sizes.push(1);
-        for k in 0..b.saturating_sub(1) {
-            sizes.push(1usize << k);
-        }
-        if b >= 1 {
-            sizes.push(1usize << (b - 1));
-        }
-        // The construction above yields [1, 1, 2, 4, ..., 2^(b-1)] with b+1
-        // entries whose sum is 2^b; the first "dummy" group keeps the ratio
-        // of the paper's CDAC (a 1× LSB group plus b binary-weighted groups).
-        sizes
+    /// 1 : 1 : 2 : 4 : … : 2^(B−1) ratio: `B_ADC + 1` groups, a 1× "dummy"
+    /// LSB group plus `B_ADC` binary-weighted ones.  The sum is `2^B_ADC`,
+    /// which is guaranteed to fit in the available `H / L` capacitors.
+    pub fn sar_group_sizes(&self) -> impl ExactSizeIterator<Item = usize> {
+        (0..self.adc_bits as usize + 1).map(|k| 1 << k.saturating_sub(1))
     }
 
     /// Number of spare compute capacitors per column not needed by the CDAC
@@ -294,7 +283,7 @@ mod tests {
     #[test]
     fn sar_group_sizes_follow_binary_ratio() {
         let spec = AcimSpec::from_dimensions(128, 128, 8, 4).unwrap();
-        let sizes = spec.sar_group_sizes();
+        let sizes: Vec<usize> = spec.sar_group_sizes().collect();
         assert_eq!(sizes, vec![1, 1, 2, 4, 8]);
         assert_eq!(sizes.iter().sum::<usize>(), 16);
         assert_eq!(sizes.iter().sum::<usize>(), 1 << spec.adc_bits());
@@ -303,7 +292,7 @@ mod tests {
     #[test]
     fn sar_group_sizes_one_bit() {
         let spec = AcimSpec::from_dimensions(64, 64, 32, 1).unwrap();
-        let sizes = spec.sar_group_sizes();
+        let sizes: Vec<usize> = spec.sar_group_sizes().collect();
         assert_eq!(sizes, vec![1, 1]);
         assert_eq!(sizes.iter().sum::<usize>(), 2);
     }

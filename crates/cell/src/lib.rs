@@ -16,8 +16,10 @@
 //!
 //! * a transistor-level netlist template ([`netlist_template`]),
 //! * its width and height, calibrated so that the assembled macro
-//!   reproduces the paper's Figure 8 area/dimension anchors (see
-//!   `DESIGN.md`),
+//!   reproduces the paper's Figure 8 area/dimension anchors (pinned by
+//!   `acim_model::area::tests::figure8_area_anchors`,
+//!   `acim_model::params::tests::area_defaults_match_design_doc_anchors`
+//!   and `acim_layout::flow::tests::figure8b_dimensions_reproduce_within_tolerance`),
 //! * pin definitions, each an access shape inside the box on a metal layer
 //!   ([`pin`]).
 //!

@@ -3,7 +3,9 @@
 //! [`CellLibrary::s28_default`] builds all seven leaf cells of the
 //! EasyACIM architecture with physical dimensions calibrated so that the
 //! hierarchically assembled macro reproduces the paper's Figure 8 area and
-//! dimension anchors (see `DESIGN.md`):
+//! dimension anchors (pinned by `acim_model::area::tests::figure8_area_anchors`,
+//! `acim_model::params::tests::area_defaults_match_design_doc_anchors` and
+//! `acim_layout::flow::tests::figure8b_dimensions_reproduce_within_tolerance`):
 //!
 //! | cell | width × height (µm) | amortised area (F²) |
 //! |---|---|---|

@@ -79,8 +79,8 @@ pub use report::{
     tenant_table,
 };
 pub use service::{
-    ChipRequest, Deadline, ExplorationRequest, ExplorationResponse, ExplorationService, JobHandle,
-    JobProgress, MacroRequest, Priority, ServiceConfig, ServiceError, SessionArchive, SubmitError,
+    Deadline, ExplorationRequest, ExplorationResponse, ExplorationService, JobHandle, JobProgress,
+    Priority, ServiceConfig, ServiceError, SessionArchive, SubmitError,
 };
 pub use stage::{ChipStage, ProgressObserver, Stage, StageProgress, TraceContext};
 
@@ -128,10 +128,10 @@ pub mod prelude {
     };
 
     pub use crate::{
-        ChipFlowConfig, ChipFlowResult, ChipRequest, ChipStage, Deadline, ExplorationRequest,
+        ChipFlowConfig, ChipFlowResult, ChipStage, Deadline, ExplorationRequest,
         ExplorationResponse, ExplorationService, FlowConfig, FlowOptions, FlowResult,
-        GeneratedDesign, JobHandle, JobProgress, MacroRequest, PersistError, Priority,
-        RestoreReport, ServiceConfig, ServiceError, SessionArchive, SnapshotReport, Stage,
-        SubmitError, TopFlowController, TraceContext,
+        GeneratedDesign, JobHandle, JobProgress, PersistError, Priority, RestoreReport,
+        ServiceConfig, ServiceError, SessionArchive, SnapshotReport, Stage, SubmitError,
+        TopFlowController, TraceContext,
     };
 }

@@ -136,56 +136,25 @@ impl SessionArchive {
 /// completion deadline, diagnostic label.  Attached through the
 /// [`ExplorationRequest`] builder methods.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Admission {
-    pub(crate) priority: Priority,
-    pub(crate) deadline: Option<Deadline>,
-    pub(crate) label: Option<String>,
+struct Admission {
+    priority: Priority,
+    deadline: Option<Deadline>,
+    label: Option<String>,
 }
 
-/// A full macro-flow request: exploration → distillation → netlist →
-/// layout.  Built through [`ExplorationRequest::macro_space`].
+/// The configuration of the one design space a request explores.
 #[derive(Debug, Clone)]
-pub struct MacroRequest {
-    /// The flow configuration.
-    pub config: FlowConfig,
-    /// Optional warm-start session over the same macro design space.
-    pub warm_start: Option<SessionArchive>,
-    pub(crate) admission: Admission,
+enum SpaceConfig {
+    /// A full macro flow: exploration → distillation → netlist → layout.
+    Macro(FlowConfig),
+    /// A chip-composition run: multi-macro co-exploration (and optional
+    /// behavioural validation) without the macro netlist/layout stages.
+    Chip(ChipFlowConfig),
 }
 
-impl MacroRequest {
-    pub(crate) fn new(config: FlowConfig) -> Self {
-        Self {
-            config,
-            warm_start: None,
-            admission: Admission::default(),
-        }
-    }
-}
-
-/// A chip-composition request: multi-macro co-exploration (and optional
-/// behavioural validation) without the macro netlist/layout stages.
-/// Built through [`ExplorationRequest::chip_space`].
-#[derive(Debug, Clone)]
-pub struct ChipRequest {
-    /// The chip-stage configuration.
-    pub config: ChipFlowConfig,
-    /// Optional warm-start session over the same chip design space.
-    pub warm_start: Option<SessionArchive>,
-    pub(crate) admission: Admission,
-}
-
-impl ChipRequest {
-    pub(crate) fn new(config: ChipFlowConfig) -> Self {
-        Self {
-            config,
-            warm_start: None,
-            admission: Admission::default(),
-        }
-    }
-}
-
-/// One unit of work submitted to the service, built with
+/// One unit of work submitted to the service: the configuration of the
+/// design space it explores, an optional warm-start session over that
+/// space and its scheduling attributes.  Built with
 /// [`ExplorationRequest::macro_space`] or
 /// [`ExplorationRequest::chip_space`] and refined with the chainable
 /// builder methods:
@@ -200,28 +169,29 @@ impl ChipRequest {
 ///     .deadline(Deadline::within(Duration::from_secs(60)))
 ///     .label("macro-4k-interactive");
 /// ```
-// A macro request (a whole `FlowConfig`) is naturally bigger than a chip
-// request; requests are moved once into a scheduler worker, so boxing the
-// large variant would buy nothing and cost every caller a dereference.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum ExplorationRequest {
-    /// A full macro flow ([`MacroRequest`]).
-    #[non_exhaustive]
-    Macro(MacroRequest),
-    /// A chip-composition run ([`ChipRequest`]).
-    #[non_exhaustive]
-    Chip(ChipRequest),
+pub struct ExplorationRequest {
+    config: SpaceConfig,
+    warm_start: Option<SessionArchive>,
+    admission: Admission,
 }
 
 impl ExplorationRequest {
+    fn new(config: SpaceConfig) -> Self {
+        Self {
+            config,
+            warm_start: None,
+            admission: Admission::default(),
+        }
+    }
+
     /// A cold request over a macro design space: the full flow of
     /// `config` (exploration → distillation → netlist → layout).  Every
     /// request explores one design space, so a macro plus a chip
     /// exploration is two requests; run side by side, they share one
     /// macro-metric cache.
     pub fn macro_space(config: FlowConfig) -> Self {
-        Self::Macro(MacroRequest::new(config))
+        Self::new(SpaceConfig::Macro(config))
     }
 
     /// A cold request over a chip design space: multi-macro
@@ -229,21 +199,14 @@ impl ExplorationRequest {
     /// [`ChipFlowConfig::for_mix`]) without the macro netlist/layout
     /// stages.
     pub fn chip_space(config: ChipFlowConfig) -> Self {
-        Self::Chip(ChipRequest::new(config))
-    }
-
-    fn admission_mut(&mut self) -> &mut Admission {
-        match self {
-            ExplorationRequest::Macro(request) => &mut request.admission,
-            ExplorationRequest::Chip(request) => &mut request.admission,
-        }
+        Self::new(SpaceConfig::Chip(config))
     }
 
     /// Sets the scheduling class (default [`Priority::Normal`]): the
     /// admission queue always dequeues higher priorities first.
     #[must_use]
     pub fn priority(mut self, priority: Priority) -> Self {
-        self.admission_mut().priority = priority;
+        self.admission.priority = priority;
         self
     }
 
@@ -253,7 +216,7 @@ impl ExplorationRequest {
     /// the deadline.
     #[must_use]
     pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.admission_mut().deadline = Some(deadline);
+        self.admission.deadline = Some(deadline);
         self
     }
 
@@ -261,10 +224,7 @@ impl ExplorationRequest {
     /// **same** design space.
     #[must_use]
     pub fn warm_start(mut self, session: SessionArchive) -> Self {
-        match &mut self {
-            ExplorationRequest::Macro(request) => request.warm_start = Some(session),
-            ExplorationRequest::Chip(request) => request.warm_start = Some(session),
-        }
+        self.warm_start = Some(session);
         self
     }
 
@@ -272,12 +232,12 @@ impl ExplorationRequest {
     /// request's root telemetry span.
     #[must_use]
     pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.admission_mut().label = Some(label.into());
+        self.admission.label = Some(label.into());
         self
     }
 }
 
-/// Response to a [`MacroRequest`].
+/// Response to a macro-space request.
 #[derive(Debug, Clone)]
 pub struct MacroResponse {
     /// The full flow result.
@@ -287,7 +247,7 @@ pub struct MacroResponse {
     pub session: SessionArchive,
 }
 
-/// Response to a [`ChipRequest`].
+/// Response to a chip-space request.
 #[derive(Debug, Clone)]
 pub struct ChipResponse {
     /// The chip-stage result.
@@ -385,7 +345,7 @@ impl std::fmt::Display for JobProgress {
 /// timed on.
 struct ProgressState {
     completed: AtomicUsize,
-    total: AtomicUsize,
+    total: usize,
     admitted: Instant,
     /// The previous generation tick, or the job's start, in nanoseconds
     /// since admission.  A plain atomic — a mutexed instant here would be
@@ -431,20 +391,61 @@ impl RequestInstruments {
     }
 }
 
-/// The cache counters of one design space, resolved once per space and
-/// cached on the service — worker threads receive clones, so recording a
-/// finished request touches only pre-resolved atomic handles.
-#[derive(Clone)]
+/// What the service keeps per design space: the shared evaluation cache,
+/// the latest session archive and the pre-resolved instruments.
+struct Space {
+    store: CacheStore,
+    /// The most recent frontier a request over the space finished with,
+    /// or the one a restore merged in.
+    archive: Option<SessionArchive>,
+    /// Resolved on the space's first request; `None` before it, and
+    /// always when telemetry is disabled.
+    instruments: Option<SpaceInstruments>,
+}
+
+/// The instruments of one design space, resolved on its first request so
+/// that recording a finished request touches only pre-resolved atomic
+/// handles: cache counters, plus a chip space's tenant series.
 struct SpaceInstruments {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
     hit_rate: Gauge,
+    /// One latency histogram per tenant of a chip space's workload mix;
+    /// empty for a macro space.
+    tenant_latency: Vec<(String, Histogram)>,
 }
 
 impl SpaceInstruments {
-    fn new(registry: &Registry, space: &str) -> Self {
+    fn new(registry: &Registry, space: &str, mix: Option<&WorkloadMix>) -> Self {
         let labels = [("space", space)];
+        let mut tenant_latency = Vec::new();
+        if let Some(mix) = mix {
+            // The tenant count is a static property of the space.  The
+            // registry keeps the series alive; no handle is retained.
+            registry
+                .gauge(
+                    "chip_tenants",
+                    "Tenant count of the workload mix a chip space co-schedules.",
+                    &labels,
+                )
+                .set(mix.len() as f64);
+            tenant_latency = mix
+                .tenants()
+                .iter()
+                .map(|tenant| {
+                    (
+                        tenant.name().to_string(),
+                        registry.histogram(
+                            "chip_tenant_latency_seconds",
+                            "Per-tenant inference latency of the best-throughput \
+                             frontier chip, observed once per finished request.",
+                            &[("space", space), ("tenant", tenant.name())],
+                        ),
+                    )
+                })
+                .collect();
+        }
         Self {
             hits: registry.counter(
                 "service_cache_hits_total",
@@ -466,13 +467,17 @@ impl SpaceInstruments {
                 "Lifetime hit rate of the shared per-space evaluation cache.",
                 &labels,
             ),
+            tenant_latency,
         }
     }
 
-    /// Folds one finished request's cache attribution into the
-    /// service-wide per-space telemetry: cumulative hit/miss/eviction
-    /// counters plus the lifetime hit-rate gauge of the space.
-    fn record(&self, stats: &EvalStats) {
+    /// Folds one finished request into the space's telemetry: cumulative
+    /// hit/miss/eviction counters and the lifetime hit-rate gauge, plus,
+    /// for a chip request, every tenant's latency on the best-throughput
+    /// frontier point — the chip a deployment of this space would
+    /// actually tape out.  An empty chip frontier records no latency.
+    fn record(&self, response: &ExplorationResponse) {
+        let stats = response.engine();
         self.hits.add(stats.cache.hits as u64);
         self.misses.add(stats.cache.misses as u64);
         self.evictions.add(stats.cache.evictions as u64);
@@ -483,58 +488,13 @@ impl SpaceInstruments {
             self.hits.get() as f64 / total as f64
         };
         self.hit_rate.set(rate);
-    }
-}
-
-/// The multi-tenant instruments of one chip design space: a tenant-count
-/// gauge plus one latency histogram per tenant, pre-resolved at
-/// submission so the worker only touches atomic handles.  Recorded from
-/// the best-throughput frontier point of each finished request — the
-/// chip a deployment of this space would actually tape out.
-#[derive(Clone)]
-struct TenantInstruments {
-    latency: Vec<(String, Histogram)>,
-}
-
-impl TenantInstruments {
-    fn new(registry: &Registry, space: &str, mix: &WorkloadMix) -> Self {
-        // The tenant count is a static property of the space: set at
-        // registration, re-set (idempotently) on every submission over
-        // the space.  The registry keeps the series alive; no handle is
-        // retained.
-        registry
-            .gauge(
-                "chip_tenants",
-                "Tenant count of the workload mix a chip space co-schedules.",
-                &[("space", space)],
-            )
-            .set(mix.len() as f64);
-        let latency = mix
-            .tenants()
-            .iter()
-            .map(|tenant| {
-                (
-                    tenant.name().to_string(),
-                    registry.histogram(
-                        "chip_tenant_latency_seconds",
-                        "Per-tenant inference latency of the best-throughput \
-                         frontier chip, observed once per finished request.",
-                        &[("space", space), ("tenant", tenant.name())],
-                    ),
-                )
-            })
-            .collect();
-        Self { latency }
-    }
-
-    /// Records every tenant's latency on the best-throughput frontier
-    /// point of a finished chip request.  An empty frontier (cancelled
-    /// run) records nothing.
-    fn record(&self, result: &ChipFlowResult) {
-        let Some(best) = result.best_throughput() else {
+        let ExplorationResponse::Chip(chip) = response else {
             return;
         };
-        for (name, histogram) in &self.latency {
+        let Some(best) = chip.result.best_throughput() else {
+            return;
+        };
+        for (name, histogram) in &self.tenant_latency {
             if let Some(tenant) = best.tenants.iter().find(|t| &t.name == name) {
                 histogram.observe(tenant.metrics.latency_ns * 1e-9);
             }
@@ -735,15 +695,15 @@ impl JobHandle {
     /// Snapshot of the job's progress (built on the per-generation
     /// observer of the underlying `run_with_observer` loop).
     ///
-    /// Consistency guarantee: both fields are read through one
-    /// `Acquire` load pair — `total` first, then `completed`, which the
-    /// observer publishes with `Release` — and `completed` is clamped to
-    /// `total`, so a snapshot never reports more work done than the job
-    /// has (even mid-tick).  Progress is monotone across snapshots, and a
-    /// snapshot taken after [`JobHandle::is_finished`] returns `true` (or
-    /// after [`JobHandle::join`]) reflects every generation the job ran.
+    /// Consistency guarantee: `total` is fixed at admission, and
+    /// `completed` is read with an `Acquire` load (the observer publishes
+    /// it with `Release`) and clamped to `total`, so a snapshot never
+    /// reports more work done than the job has (even mid-tick).  Progress
+    /// is monotone across snapshots, and a snapshot taken after
+    /// [`JobHandle::is_finished`] returns `true` (or after
+    /// [`JobHandle::join`]) reflects every generation the job ran.
     pub fn progress(&self) -> JobProgress {
-        let total = self.progress.total.load(Ordering::Acquire);
+        let total = self.progress.total;
         let completed = self.progress.completed.load(Ordering::Acquire).min(total);
         JobProgress { completed, total }
     }
@@ -895,26 +855,27 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Signature of a macro design space: a human-readable prefix plus a
-/// digest of every field that changes what an evaluation means.  Budget
+/// digest of every field that changes what an evaluation means, the
+/// model parameters entering as their `Debug` text `params`.  Budget
 /// fields (population, generations, seed) are deliberately excluded —
 /// runs with different budgets over one space share one cache.
-fn macro_space_signature(config: &DseConfig) -> String {
+fn macro_space_signature(config: &DseConfig, params: &str) -> String {
     format!(
         "macro/{}x[{}..{}]/#{:016x}",
         config.array_size,
         config.min_height,
         config.max_height,
-        fnv1a(&format!("{:?}", config.params))
+        fnv1a(params)
     )
 }
 
-/// Signature of one model-parameter set — the key of the **macro-metric**
-/// cache registry.  Macro metrics are pure functions of `(spec, params)`,
-/// so every design space sharing one `ModelParams` (macro spaces of any
-/// height range, chip spaces of any grid catalogue) shares one
-/// macro-metric cache under this signature.
-fn params_signature(params: &ModelParams) -> String {
-    format!("params/#{:016x}", fnv1a(&format!("{params:?}")))
+/// Signature of one model-parameter set, from its `Debug` text — the key
+/// of the **macro-metric** cache registry.  Macro metrics are pure
+/// functions of `(spec, params)`, so every design space sharing one
+/// `ModelParams` (macro spaces of any height range, chip spaces of any
+/// grid catalogue) shares one macro-metric cache under this signature.
+fn params_signature(params: &str) -> String {
+    format!("params/#{:016x}", fnv1a(params))
 }
 
 /// Signature of a chip design space (see [`macro_space_signature`]).
@@ -922,13 +883,12 @@ fn params_signature(params: &ModelParams) -> String {
 /// objective aggregation mode and the robustness sweep all define the
 /// space: two requests differing in any of them must not share genome
 /// caches or warm starts.
-fn chip_space_signature(config: &ChipDseConfig) -> String {
+fn chip_space_signature(config: &ChipDseConfig, params: &str) -> String {
     let defining = format!(
-        "{:?}/{:?}/{:?}/{:?}/{:?}/{:?}/{:?}",
+        "{:?}/{:?}/{:?}/{params}/{:?}/{:?}/{:?}",
         config.grid_rows,
         config.grid_cols,
         config.buffer_kib,
-        config.params,
         config.cost,
         config.objective,
         config.robustness,
@@ -944,17 +904,18 @@ fn chip_space_signature(config: &ChipDseConfig) -> String {
     )
 }
 
-/// Checks a warm-start session against the space a request explores.
+/// Checks a warm-start session against the space a request explores and
+/// hands over its genomes.
 fn check_session(
-    session: &Option<SessionArchive>,
+    session: Option<SessionArchive>,
     requested: &str,
 ) -> Result<Vec<Vec<f64>>, FlowError> {
     match session {
         None => Ok(Vec::new()),
-        Some(session) if session.space == requested => Ok(session.genomes.clone()),
+        Some(session) if session.space == requested => Ok(session.genomes),
         Some(session) => Err(FlowError::WarmStartMismatch {
             requested: requested.to_string(),
-            session: session.space.clone(),
+            session: session.space,
         }),
     }
 }
@@ -1043,14 +1004,15 @@ impl ServiceConfig {
     }
 }
 
-/// The multi-tenant exploration front-end: shared per-space evaluation
-/// caches, a shared per-parameter-set **macro-metric** cache underneath
-/// them, a bounded deadline-aware admission scheduler with a fixed worker
-/// set, warm-start sessions.
+/// The multi-tenant exploration front-end: one registry entry per design
+/// space (its shared evaluation cache, latest session archive and
+/// telemetry), a shared per-parameter-set **macro-metric** cache
+/// underneath them, a bounded deadline-aware admission scheduler with a
+/// fixed worker set.
 ///
 /// The service is cheap to construct; share one instance per process (or
-/// per tenant class) to maximise cache reuse.  Both cache registries
-/// recover poisoned locks (see [`CacheStore`]), and the scheduler's
+/// per tenant class) to maximise cache reuse.  Both registries recover
+/// poisoned locks (see [`CacheStore`]), and the scheduler's
 /// workers latch job panics into the joining [`JobHandle`]: a panicking
 /// request never takes the service — or any other tenant — down with it.
 ///
@@ -1059,12 +1021,13 @@ impl ServiceConfig {
 /// completion, then the workers are joined.
 pub struct ExplorationService {
     config: ServiceConfig,
-    caches: Arc<Mutex<HashMap<String, CacheStore>>>,
-    macro_caches: Arc<Mutex<HashMap<String, MacroMetricsCache>>>,
-    session_archives: Arc<Mutex<HashMap<String, SessionArchive>>>,
+    /// Every design space a request or a restore has touched, by
+    /// signature.  Shared with the workers, which record each finished
+    /// request into its space's entry.
+    spaces: Arc<Mutex<HashMap<String, Space>>>,
+    macro_caches: Mutex<HashMap<String, MacroMetricsCache>>,
     telemetry: Telemetry,
     instruments: ServiceInstruments,
-    space_instruments: Mutex<HashMap<String, SpaceInstruments>>,
     next_job: AtomicU64,
     scheduler: Scheduler<Result<ExplorationResponse, FlowError>>,
 }
@@ -1100,12 +1063,10 @@ impl ExplorationService {
         instruments.workers.set(scheduler.worker_count() as f64);
         Self {
             config,
-            caches: Arc::default(),
-            macro_caches: Arc::default(),
-            session_archives: Arc::default(),
+            spaces: Arc::default(),
+            macro_caches: Mutex::default(),
             telemetry,
             instruments,
-            space_instruments: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(0),
             scheduler,
         }
@@ -1142,10 +1103,10 @@ impl ExplorationService {
         self.scheduler.shutdown();
     }
 
-    fn lock_caches(&self) -> MutexGuard<'_, HashMap<String, CacheStore>> {
+    fn lock_spaces(&self) -> MutexGuard<'_, HashMap<String, Space>> {
         // Poison-tolerant (like the stores themselves): the registry is a
         // map of handles, always consistent between operations.
-        self.caches.lock().unwrap_or_else(PoisonError::into_inner)
+        self.spaces.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn lock_macro_caches(&self) -> MutexGuard<'_, HashMap<String, MacroMetricsCache>> {
@@ -1154,34 +1115,38 @@ impl ExplorationService {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_session_archives(&self) -> MutexGuard<'_, HashMap<String, SessionArchive>> {
-        self.session_archives
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The shared store of one design space, creating it (with the
-    /// configured bound) when a request over that space first arrives.
-    fn store_for(&self, space: &str) -> CacheStore {
-        self.lock_caches()
-            .entry(space.to_string())
-            .or_insert_with(|| match self.config.cache_capacity {
+    /// The entry of `space` in the locked registry, creating it (its
+    /// cache with the configured bound) when the space is new.
+    fn space_entry<'a>(
+        &self,
+        spaces: &'a mut HashMap<String, Space>,
+        space: &str,
+    ) -> &'a mut Space {
+        spaces.entry(space.to_string()).or_insert_with(|| Space {
+            store: match self.config.cache_capacity {
                 Some(capacity) => CacheStore::bounded(capacity),
                 None => CacheStore::new(),
-            })
-            .clone()
+            },
+            archive: None,
+            instruments: None,
+        })
     }
 
-    /// The shared macro-metric cache of one parameter set, creating it
-    /// (with the configured bound) on first use.
-    fn macro_store_for(&self, params: &ModelParams) -> MacroMetricsCache {
-        self.macro_store_for_signature(&params_signature(params))
+    /// The shared store of the space a request explores.  The space's
+    /// first request also resolves its instruments, including a chip
+    /// space's tenant series from its workload `mix`.
+    fn request_store(&self, space: &str, mix: Option<&WorkloadMix>) -> CacheStore {
+        let mut spaces = self.lock_spaces();
+        let entry = self.space_entry(&mut spaces, space);
+        if entry.instruments.is_none() && self.telemetry.is_enabled() {
+            entry.instruments = Some(SpaceInstruments::new(self.telemetry.registry(), space, mix));
+        }
+        entry.store.clone()
     }
 
-    /// [`ExplorationService::macro_store_for`] keyed directly by
-    /// signature — the restore path merges snapshot sections without ever
-    /// reconstructing the `ModelParams` they were recorded under.
-    fn macro_store_for_signature(&self, signature: &str) -> MacroMetricsCache {
+    /// The shared macro-metric cache of one parameter-set signature,
+    /// creating it (with the configured bound) on first use.
+    fn macro_store_for(&self, signature: &str) -> MacroMetricsCache {
         self.lock_macro_caches()
             .entry(signature.to_string())
             .or_insert_with(|| match self.config.macro_metric_capacity {
@@ -1193,7 +1158,7 @@ impl ExplorationService {
 
     /// Signatures of every design space the service holds a cache for.
     pub fn spaces(&self) -> Vec<String> {
-        let mut spaces: Vec<String> = self.lock_caches().keys().cloned().collect();
+        let mut spaces: Vec<String> = self.lock_spaces().keys().cloned().collect();
         spaces.sort();
         spaces
     }
@@ -1201,13 +1166,15 @@ impl ExplorationService {
     /// The shared cache store of a design space, when one exists (use a
     /// [`JobHandle::space`] or a [`SessionArchive::space`] as the key).
     pub fn cache_store(&self, space: &str) -> Option<CacheStore> {
-        self.lock_caches().get(space).cloned()
+        self.lock_spaces()
+            .get(space)
+            .map(|entry| entry.store.clone())
     }
 
     /// The shared macro-metric cache of a parameter set, when one exists.
     pub fn macro_metric_cache(&self, params: &ModelParams) -> Option<MacroMetricsCache> {
         self.lock_macro_caches()
-            .get(&params_signature(params))
+            .get(&params_signature(&format!("{params:?}")))
             .cloned()
     }
 
@@ -1221,9 +1188,12 @@ impl ExplorationService {
     /// for warm-starting a request without holding onto the original
     /// response.
     pub fn archives(&self) -> Vec<SessionArchive> {
-        let registry = self.lock_session_archives();
-        let mut archives: Vec<SessionArchive> = registry.values().cloned().collect();
-        drop(registry);
+        let spaces = self.lock_spaces();
+        let mut archives: Vec<SessionArchive> = spaces
+            .values()
+            .filter_map(|entry| entry.archive.clone())
+            .collect();
+        drop(spaces);
         archives.sort_by(|a, b| a.space().cmp(b.space()));
         archives
     }
@@ -1231,12 +1201,17 @@ impl ExplorationService {
     /// The most recent [`SessionArchive`] recorded over one design space
     /// (use a [`JobHandle::space`] or a snapshot report as the key).
     pub fn archive(&self, space: &str) -> Option<SessionArchive> {
-        self.lock_session_archives().get(space).cloned()
+        self.lock_spaces()
+            .get(space)
+            .and_then(|entry| entry.archive.clone())
     }
 
     /// Total distinct designs cached across every design space.
     pub fn cached_evaluations(&self) -> usize {
-        self.lock_caches().values().map(CacheStore::len).sum()
+        self.lock_spaces()
+            .values()
+            .map(|entry| entry.store.len())
+            .sum()
     }
 
     /// Total distinct macro shapes cached across every parameter set.
@@ -1250,7 +1225,11 @@ impl ExplorationService {
     /// Total entries evicted across every cache the service owns — the
     /// number a long-lived deployment graphs to size its bounds.
     pub fn total_evictions(&self) -> u64 {
-        let stores: u64 = self.lock_caches().values().map(CacheStore::evictions).sum();
+        let stores: u64 = self
+            .lock_spaces()
+            .values()
+            .map(|entry| entry.store.evictions())
+            .sum();
         let macros: u64 = self
             .lock_macro_caches()
             .values()
@@ -1364,28 +1343,29 @@ impl ExplorationService {
             ..RestoreReport::default()
         };
         {
-            let mut registry = self.lock_session_archives();
+            let mut spaces = self.lock_spaces();
             for record in &snapshot.archives {
-                if registry.contains_key(&record.space) {
+                let entry = self.space_entry(&mut spaces, &record.space);
+                if entry.archive.is_some() {
                     report.skipped_archives += 1;
                 } else {
-                    registry.insert(
-                        record.space.clone(),
-                        persistence::archive_from_record(record),
-                    );
+                    entry.archive = Some(persistence::archive_from_record(record));
                     report.archives += 1;
                 }
             }
         }
         for record in snapshot.eval_caches {
-            let store = self.store_for(&record.space);
+            let store = self
+                .space_entry(&mut self.lock_spaces(), &record.space)
+                .store
+                .clone();
             let (inserted, skipped) =
                 store.import_entries(record.entries.into_iter().map(persistence::eval_entry));
             report.evaluations += inserted;
             report.skipped_evaluations += skipped;
         }
         for record in snapshot.macro_caches {
-            let cache = self.macro_store_for_signature(&record.params);
+            let cache = self.macro_store_for(&record.params);
             let (inserted, skipped) =
                 cache.import_entries(record.entries.into_iter().map(persistence::macro_entry));
             report.macro_metrics += inserted;
@@ -1482,33 +1462,6 @@ impl ExplorationService {
         }
     }
 
-    /// The pre-resolved cache instruments of `space` (registering them on
-    /// first use), `None` when telemetry is disabled.
-    fn space_instruments_for(&self, space: &str) -> Option<SpaceInstruments> {
-        if !self.telemetry.is_enabled() {
-            return None;
-        }
-        let mut map = self
-            .space_instruments
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Some(
-            map.entry(space.to_string())
-                .or_insert_with(|| SpaceInstruments::new(self.telemetry.registry(), space))
-                .clone(),
-        )
-    }
-
-    /// The multi-tenant instruments of a chip space (tenant-count gauge,
-    /// per-tenant latency histograms), `None` when telemetry is disabled.
-    /// The registry de-duplicates series, so repeated requests over the
-    /// same space share one set of handles.
-    fn tenant_instruments_for(&self, space: &str, mix: &WorkloadMix) -> Option<TenantInstruments> {
-        self.telemetry
-            .is_enabled()
-            .then(|| TenantInstruments::new(self.telemetry.registry(), space, mix))
-    }
-
     /// The trace context instrumenting one request's stages, `None` when
     /// telemetry is disabled (stages then run as pure pass-throughs).
     fn trace_context(&self, parent: Option<SpanId>) -> Option<TraceContext> {
@@ -1536,9 +1489,75 @@ impl ExplorationService {
     /// [`ExplorationService::shutdown`] started.
     pub fn submit(&self, request: ExplorationRequest) -> Result<JobHandle, SubmitError> {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        match request {
-            ExplorationRequest::Macro(request) => self.submit_macro(id, request),
-            ExplorationRequest::Chip(request) => self.submit_chip(id, request),
+        let ExplorationRequest {
+            config,
+            warm_start,
+            admission,
+        } = request;
+        // Each arm validates its config, signs its space and checks the
+        // warm start before `admit`, so a bad request never touches the
+        // queue.  Building the session explorer validates the exploration
+        // config too, and the worker reuses it to re-encode the session.
+        match config {
+            SpaceConfig::Macro(config) => {
+                let controller = TopFlowController::new(config)?;
+                let dse = &controller.config().dse;
+                let params = format!("{:?}", dse.params);
+                let space = macro_space_signature(dse, &params);
+                let warm_start = check_session(warm_start, &space)?;
+                let session_explorer =
+                    DesignSpaceExplorer::new(dse.clone()).map_err(FlowError::from)?;
+                let total = dse.generations;
+                let kind = &self.instruments.macro_requests;
+                self.admit(kind, id, admission, space.clone(), total, |job| {
+                    let options = FlowOptions {
+                        exploration: ExploreOptions {
+                            cache: Some(self.request_store(&space, None)),
+                            macro_cache: Some(self.macro_store_for(&params_signature(&params))),
+                            warm_start,
+                            cancel: Some(job.cancel),
+                        },
+                        observer: Some(job.observer),
+                        trace: job.trace,
+                    };
+                    move || {
+                        let result = controller.run_with(&options)?;
+                        let genomes = session_explorer.session_genomes(&result.frontier);
+                        let session = SessionArchive::new(space, genomes);
+                        Ok(ExplorationResponse::Macro(MacroResponse {
+                            result,
+                            session,
+                        }))
+                    }
+                })
+            }
+            SpaceConfig::Chip(config) => {
+                let session_explorer =
+                    ChipExplorer::new(config.dse.clone()).map_err(FlowError::from)?;
+                let params = format!("{:?}", config.dse.params);
+                let space = chip_space_signature(&config.dse, &params);
+                let warm_start = check_session(warm_start, &space)?;
+                let total = config.dse.generations;
+                let kind = &self.instruments.chip_requests;
+                self.admit(kind, id, admission, space.clone(), total, |job| {
+                    let options = ExploreOptions {
+                        cache: Some(self.request_store(&space, Some(&config.dse.mix))),
+                        macro_cache: Some(self.macro_store_for(&params_signature(&params))),
+                        warm_start,
+                        cancel: Some(job.cancel),
+                    };
+                    move || {
+                        let stage = ChipStage::new(config)
+                            .with_options(options)
+                            .with_observer(job.observer);
+                        let result =
+                            traced(job.trace.as_ref(), TracedStage::Chip, || stage.run(()))?;
+                        let genomes = session_explorer.session_genomes(&result.front);
+                        let session = SessionArchive::new(space, genomes);
+                        Ok(ExplorationResponse::Chip(ChipResponse { result, session }))
+                    }
+                })
+            }
         }
     }
 
@@ -1594,7 +1613,7 @@ impl ExplorationService {
     ) -> (Arc<ProgressState>, ProgressObserver) {
         let progress = Arc::new(ProgressState {
             completed: AtomicUsize::new(0),
-            total: AtomicUsize::new(generations),
+            total: generations,
             admitted: Instant::now(),
             last_tick_ns: AtomicU64::new(0),
         });
@@ -1632,11 +1651,13 @@ impl ExplorationService {
     /// instruments, the progress of `total` exploration generations and
     /// the trace context, hands them to `build` for the job body, and
     /// enqueues that body behind the pre-run cancellation check and the
-    /// deadline-miss counter.  A finished body's cache attribution is
-    /// folded into the space's counters and its session archive recorded.
+    /// deadline-miss counter.  `build` resolves the space's store through
+    /// [`ExplorationService::request_store`], so the space's entry exists
+    /// when the job finishes: its response is recorded into the entry's
+    /// instruments, and its session becomes the entry's archive.
     ///
     /// Callers finish everything fallible first, so a rejected request
-    /// records no span and perturbs no gauge.
+    /// records no span, perturbs no gauge and creates no space entry.
     fn admit<Body>(
         &self,
         kind: &KindInstruments,
@@ -1664,8 +1685,7 @@ impl ExplorationService {
             observer,
             trace: self.trace_context(parent),
         });
-        let space_outcome = self.space_instruments_for(&space);
-        let archives = Arc::clone(&self.session_archives);
+        let spaces = Arc::clone(&self.spaces);
         let job_cancel = cancel.clone();
         let clock = progress.clone();
         let deadline_misses = self.instruments.deadline_misses.clone();
@@ -1679,16 +1699,20 @@ impl ExplorationService {
                     return Err(cancel_error(reason, 0, total));
                 }
                 let response = body()?;
-                if let Some(outcome) = &space_outcome {
-                    outcome.record(response.engine());
-                }
-                // Last writer wins per space: the registry holds each
-                // space's most recent frontier, which a snapshot captures.
                 let session = response.session();
-                archives
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(session.space().to_string(), session.clone());
+                let mut spaces = spaces.lock().unwrap_or_else(PoisonError::into_inner);
+                // Entries are never removed, so the one `build` created is
+                // still there.
+                if let Some(entry) = spaces.get_mut(session.space()) {
+                    if let Some(instruments) = &entry.instruments {
+                        instruments.record(&response);
+                    }
+                    // Last writer wins per space: the entry holds the
+                    // space's most recent frontier, which a snapshot
+                    // captures.
+                    entry.archive = Some(session.clone());
+                }
+                drop(spaces);
                 Ok(response)
             });
             if matches!(result, Err(FlowError::DeadlineExceeded { .. })) {
@@ -1710,76 +1734,6 @@ impl ExplorationService {
             cancel,
             progress,
             slot,
-        })
-    }
-
-    fn submit_macro(&self, id: u64, request: MacroRequest) -> Result<JobHandle, SubmitError> {
-        let controller = TopFlowController::new(request.config).map_err(SubmitError::Invalid)?;
-        let dse = &controller.config().dse;
-        let space = macro_space_signature(dse);
-        let warm_start =
-            check_session(&request.warm_start, &space).map_err(SubmitError::Invalid)?;
-        // Built eagerly (rejecting a bad exploration config before it
-        // touches the queue) and reused by the worker for session
-        // re-encoding.
-        let session_explorer = DesignSpaceExplorer::new(dse.clone()).map_err(FlowError::from)?;
-        let total = dse.generations;
-        let kind = &self.instruments.macro_requests;
-        self.admit(kind, id, request.admission, space.clone(), total, |job| {
-            let options = FlowOptions {
-                exploration: ExploreOptions {
-                    cache: Some(self.store_for(&space)),
-                    macro_cache: Some(self.macro_store_for(&controller.config().dse.params)),
-                    warm_start,
-                    cancel: Some(job.cancel),
-                },
-                observer: Some(job.observer),
-                trace: job.trace,
-            };
-            move || {
-                let result = controller.run_with(&options)?;
-                let session =
-                    SessionArchive::new(space, session_explorer.session_genomes(&result.frontier));
-                Ok(ExplorationResponse::Macro(MacroResponse {
-                    result,
-                    session,
-                }))
-            }
-        })
-    }
-
-    fn submit_chip(&self, id: u64, request: ChipRequest) -> Result<JobHandle, SubmitError> {
-        // Built eagerly (rejecting an inconsistent configuration before
-        // it touches the queue) and reused by the worker for session
-        // re-encoding.
-        let session_explorer =
-            ChipExplorer::new(request.config.dse.clone()).map_err(FlowError::from)?;
-        let config = request.config;
-        let space = chip_space_signature(&config.dse);
-        let warm_start =
-            check_session(&request.warm_start, &space).map_err(SubmitError::Invalid)?;
-        let total = config.dse.generations;
-        let kind = &self.instruments.chip_requests;
-        self.admit(kind, id, request.admission, space.clone(), total, |job| {
-            let options = ExploreOptions {
-                cache: Some(self.store_for(&space)),
-                macro_cache: Some(self.macro_store_for(&config.dse.params)),
-                warm_start,
-                cancel: Some(job.cancel),
-            };
-            let tenant_outcome = self.tenant_instruments_for(&space, &config.dse.mix);
-            move || {
-                let stage = ChipStage::new(config)
-                    .with_options(options)
-                    .with_observer(job.observer);
-                let result = traced(job.trace.as_ref(), TracedStage::Chip, || stage.run(()))?;
-                if let Some(outcome) = &tenant_outcome {
-                    outcome.record(&result);
-                }
-                let session =
-                    SessionArchive::new(space, session_explorer.session_genomes(&result.front));
-                Ok(ExplorationResponse::Chip(ChipResponse { result, session }))
-            }
         })
     }
 }
@@ -2310,6 +2264,110 @@ mod tests {
         assert!(text.contains("service_request_seconds_bucket"));
         let json = acim_telemetry::json_text(&snapshot);
         assert!(json.contains("\"service_request_seconds\""));
+    }
+
+    /// Pins the whole telemetry surface of one macro request and one
+    /// two-tenant chip request on a fresh service: every series as
+    /// `name type labels`, with each `space` value cut to its `macro/` or
+    /// `chip/` prefix so no parameter digest is pinned, and the span tree
+    /// as a multiset of (span, parent span) names.
+    #[test]
+    fn telemetry_surface_of_a_macro_and_a_mix_request_is_pinned() {
+        let mut flow = FlowConfig::new(4 * 1024);
+        flow.dse.population_size = 24;
+        flow.dse.generations = 6;
+        flow.max_layouts = 1;
+        let service = ExplorationService::new();
+        service.run(ExplorationRequest::macro_space(flow)).unwrap();
+        service.run(quick_mix_request()).unwrap();
+        let snapshot = service.telemetry();
+
+        let mut series: Vec<String> = snapshot
+            .samples
+            .iter()
+            .map(|sample| {
+                let kind = match sample.value {
+                    acim_telemetry::MetricValue::Counter(_) => "counter",
+                    acim_telemetry::MetricValue::Gauge(_) => "gauge",
+                    acim_telemetry::MetricValue::Histogram(_) => "histogram",
+                };
+                let labels: Vec<String> = sample
+                    .labels
+                    .iter()
+                    .map(|(key, value)| match value.split_once('/') {
+                        Some((prefix, _)) if key == "space" => format!("{key}={prefix}/"),
+                        _ => format!("{key}={value}"),
+                    })
+                    .collect();
+                format!("{} {kind} {}", sample.name, labels.join(","))
+            })
+            .collect();
+        series.sort();
+        let expected = [
+            "chip_tenant_latency_seconds histogram space=chip/,tenant=edge_cnn_d1",
+            "chip_tenant_latency_seconds histogram space=chip/,tenant=snn_pipeline",
+            "chip_tenants gauge space=chip/",
+            "generation_seconds histogram stage=chip",
+            "generation_seconds histogram stage=explore",
+            "service_active_jobs gauge ",
+            "service_cache_evictions gauge ",
+            "service_cache_evictions_total counter space=chip/",
+            "service_cache_evictions_total counter space=macro/",
+            "service_cache_hit_rate gauge space=chip/",
+            "service_cache_hit_rate gauge space=macro/",
+            "service_cache_hits_total counter space=chip/",
+            "service_cache_hits_total counter space=macro/",
+            "service_cache_misses_total counter space=chip/",
+            "service_cache_misses_total counter space=macro/",
+            "service_cached_evaluations gauge ",
+            "service_cached_macro_metrics gauge ",
+            "service_deadline_misses_total counter ",
+            "service_queue_jobs gauge ",
+            "service_rejected_total counter reason=queue_full",
+            "service_rejected_total counter reason=shutting_down",
+            "service_request_seconds histogram kind=chip",
+            "service_request_seconds histogram kind=macro",
+            "service_requests_total counter kind=chip",
+            "service_requests_total counter kind=macro",
+            "service_restore_seconds histogram ",
+            "service_restored_archives counter ",
+            "service_restored_evaluations counter ",
+            "service_restored_macro_metrics counter ",
+            "service_snapshot_seconds histogram ",
+            "service_worker_threads gauge ",
+            "stage_seconds histogram stage=chip",
+            "stage_seconds histogram stage=distill",
+            "stage_seconds histogram stage=explore",
+            "stage_seconds histogram stage=layout",
+            "stage_seconds histogram stage=netlist",
+        ];
+        assert_eq!(series, expected);
+
+        let name_of = |id: SpanId| {
+            snapshot
+                .spans
+                .iter()
+                .find(|span| span.id == id)
+                .map(|span| span.name.as_ref())
+        };
+        let mut tree: Vec<(&str, Option<&str>)> = snapshot
+            .spans
+            .iter()
+            .map(|span| (span.name.as_ref(), span.parent.and_then(name_of)))
+            .collect();
+        tree.sort_unstable();
+        let mut expected = vec![("generation", Some("request")); 6 + 5];
+        expected.extend([
+            ("chip", Some("request")),
+            ("distill", Some("request")),
+            ("explore", Some("request")),
+            ("layout", Some("request")),
+            ("netlist", Some("request")),
+            ("request", None),
+            ("request", None),
+        ]);
+        expected.sort_unstable();
+        assert_eq!(tree, expected);
     }
 
     #[test]

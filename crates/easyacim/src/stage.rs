@@ -77,9 +77,6 @@ pub trait Stage {
     /// What the stage produces.
     type Output;
 
-    /// Short stable name, used in progress events and reports.
-    fn name(&self) -> &'static str;
-
     /// Executes the stage.
     ///
     /// # Errors
@@ -115,10 +112,6 @@ where
 {
     type Input = A::Input;
     type Output = B::Output;
-
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
 
     fn run(&self, input: Self::Input) -> Result<Self::Output, FlowError> {
         self.second.run(self.first.run(input)?)
@@ -281,10 +274,6 @@ impl Stage for ExploreStage {
     type Input = ();
     type Output = Explored;
 
-    fn name(&self) -> &'static str {
-        "explore"
-    }
-
     fn run(&self, (): ()) -> Result<Explored, FlowError> {
         let start = Instant::now();
         let explorer = DesignSpaceExplorer::new(self.config.clone())?;
@@ -322,10 +311,6 @@ impl DistillStage {
 impl Stage for DistillStage {
     type Input = Explored;
     type Output = Distilled;
-
-    fn name(&self) -> &'static str {
-        "distill"
-    }
 
     fn run(&self, input: Explored) -> Result<Distilled, FlowError> {
         let exploration_time = input.exploration_time;
@@ -395,10 +380,6 @@ impl std::fmt::Debug for ChipStage {
 impl Stage for ChipStage {
     type Input = ();
     type Output = ChipFlowResult;
-
-    fn name(&self) -> &'static str {
-        "chip"
-    }
 
     fn run(&self, (): ()) -> Result<ChipFlowResult, FlowError> {
         let start = Instant::now();
@@ -474,7 +455,6 @@ mod tests {
         let pipeline = ExploreStage::new(quick_dse())
             .with_observer(observer)
             .then(DistillStage::new(UserRequirements::none()));
-        assert_eq!(pipeline.name(), "pipeline");
         let distilled = pipeline.run(()).unwrap();
         assert!(!distilled.frontier.is_empty());
         assert!(!distilled.distilled.is_empty());
@@ -529,14 +509,5 @@ mod tests {
             .histogram("stage_seconds", &[("stage", "chip")])
             .expect("every stage resolved up front");
         assert_eq!(chip.count, 0);
-    }
-
-    #[test]
-    fn stage_names_are_stable() {
-        assert_eq!(ExploreStage::new(quick_dse()).name(), "explore");
-        assert_eq!(
-            DistillStage::new(UserRequirements::none()).name(),
-            "distill"
-        );
     }
 }

@@ -12,8 +12,12 @@
 //!   ([`acim_arch::TimingModel`], [`acim_arch::EnergyModelParams`]),
 //!
 //! all bundled into [`ModelParams`].  The default values reproduce the
-//! calibration anchors listed in `DESIGN.md` (Figure 8 throughput and
-//! F²/bit numbers, the 50–750 TOPS/W efficiency span of Figure 10).
+//! paper's calibration anchors: the Figure 8 throughput
+//! (`acim_arch::timing::tests::figure8a_throughput_is_about_3_28_tops`),
+//! its F²/bit numbers (`area::tests::figure8_area_anchors`,
+//! `params::tests::area_defaults_match_design_doc_anchors`) and the
+//! 50–750 TOPS/W efficiency span of Figure 10
+//! (`acim_arch::energy::tests::efficiency_spans_the_papers_range`).
 
 use acim_arch::{EnergyModelParams, TimingModel};
 use acim_tech::{Femtofarad, SquareF};

@@ -254,15 +254,15 @@ impl<'a> NetlistGenerator<'a> {
         let p = |group: usize| p_0.offset(2 * group);
         let n = |group: usize| p_0.offset(2 * group + 1);
 
-        // Assign local arrays to SAR groups: group k gets
-        // `sar_group_sizes()[k]` consecutive local arrays; any spare local
-        // arrays beyond 2^B reuse the last group's controls (they are
-        // isolated by the CMOS switch during conversion).
+        // Assign local arrays to SAR groups: group k gets as many
+        // consecutive local arrays as the k-th of `sar_group_sizes()`;
+        // any spare local arrays beyond 2^B reuse the last group's
+        // controls (they are isolated by the CMOS switch during
+        // conversion).
         let last = group_sizes.len() - 1;
         let group_of_local = group_sizes
-            .iter()
             .enumerate()
-            .flat_map(|(group, &size)| iter::repeat_n(group, size))
+            .flat_map(|(group, size)| iter::repeat_n(group, size))
             .chain(iter::repeat(last));
         for (j, group) in group_of_local.take(n_local).enumerate() {
             // LOCAL_ARRAY's port order: its rows' RWL/WL pairs, then

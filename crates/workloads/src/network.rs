@@ -143,8 +143,6 @@ impl Network {
         let classifier = SnnLayer {
             inputs: sensing.neurons,
             neurons: 10,
-            threshold: 4.0,
-            leak: 0.8,
         };
         Self::new(
             "snn_pipeline",

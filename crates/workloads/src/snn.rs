@@ -1,27 +1,24 @@
 //! Spiking-neural-network workload (the SNN application of Figure 1).
 //!
-//! SNN inference multiplies a binary spike vector by a synaptic weight
-//! matrix and integrates the result into leaky membrane potentials; spikes
-//! are emitted when a potential crosses the threshold.  Because the inputs
-//! are already binary and the accumulation tolerates noise, SNNs sit at the
-//! low-SNR / high-efficiency end of the requirement spectrum — the opposite
-//! corner from transformers.
+//! The part of SNN inference a CIM macro computes is one timestep's
+//! synaptic input: a binary spike vector times a synaptic weight matrix.
+//! Membrane dynamics run outside the macro and are not modelled here.
+//! Because the inputs are already binary and the accumulation tolerates
+//! noise, SNNs sit at the low-SNR / high-efficiency end of the requirement
+//! spectrum — the opposite corner from transformers.
 
 use crate::cnn::pseudo_random;
 use crate::error::WorkloadError;
 use crate::quantize::{binarize_weights, BinaryMvm};
 
-/// A synthetic leaky-integrate-and-fire SNN layer.
+/// The synaptic layer of a synthetic SNN: its shape, with weights and
+/// spikes drawn from a seed by [`SnnLayer::to_workload`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnnLayer {
     /// Number of pre-synaptic neurons (inputs).
     pub inputs: usize,
     /// Number of post-synaptic neurons (outputs).
     pub neurons: usize,
-    /// Firing threshold of the membrane potential.
-    pub threshold: f64,
-    /// Leak factor per timestep (0 = no memory, 1 = perfect integrator).
-    pub leak: f64,
 }
 
 impl SnnLayer {
@@ -30,8 +27,6 @@ impl SnnLayer {
         Self {
             inputs: 64,
             neurons: 32,
-            threshold: 8.0,
-            leak: 0.9,
         }
     }
 

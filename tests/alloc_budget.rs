@@ -29,7 +29,9 @@
 //! counts one `simulate_mix`, whose workload lowering keeps only each
 //! weight row's bits: a lowering that builds a real-valued matrix and
 //! clones and fully sorts every row to find its median (762 allocations
-//! on its fixture) fails here.
+//! on its fixture, counted when it read 587) fails here, and so do CDAC
+//! banks that collect their SAR group sizes into a throwaway vector per
+//! column (587).
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -306,9 +308,11 @@ fn nsga2_run_stays_within_its_allocation_budget() {
 /// layers, six tile macros, 86 cycles).  Lowering reuses one row buffer
 /// and one selection buffer across a layer's rows and keeps only each
 /// row's bits, so a lowering that builds a real-valued matrix and clones
-/// and sorts every row again (762 allocations) fails here.  It may make
-/// 10 % more, rounded up.
-const SIMULATE_MIX_BUDGET: usize = 587;
+/// and sorts every row again (762 allocations, counted when this row
+/// read 587) fails here.  Each column's CDAC bank reads its SAR group
+/// sizes from an iterator, so a bank that collects them into a throwaway
+/// vector again (587) fails here too.  It may make 10 % more, rounded up.
+const SIMULATE_MIX_BUDGET: usize = 491;
 
 #[test]
 fn simulate_mix_stays_within_its_allocation_budget() {

@@ -114,7 +114,7 @@ proptest! {
         prop_assert!(spec.height() >= spec.local_array());
         prop_assert!(spec.capacitors_per_column() >= 1 << spec.adc_bits());
         prop_assert_eq!(
-            spec.sar_group_sizes().iter().sum::<usize>(),
+            spec.sar_group_sizes().sum::<usize>(),
             1usize << spec.adc_bits()
         );
         prop_assert_eq!(spec.spare_capacitors(),
