@@ -4,6 +4,7 @@
 //! side of the optimiser-quality ablation reported in
 //! `tests/ablation_nsga2.rs`.
 
+use acim_bench::interleaved_medians;
 use acim_moga::{
     assign_crowding_distance, fast_non_dominated_sort, random_search, Evaluation, Individual,
     Nsga2, Nsga2Config, Problem,
@@ -12,7 +13,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Turns per case in each interleaved pass of a CI-gated pair of rows.
 const TURNS: usize = 256;
@@ -64,34 +64,6 @@ fn population_400(distinct: usize) -> Vec<Individual> {
         .collect()
 }
 
-/// Times `step` on the two `cases` in one interleaved pass and returns
-/// each case's median turn.
-///
-/// CI gates the ratio of each pair of 400-individual rows with
-/// `--max-ratio`, and a shared runner can change speed between two rows
-/// measured one after the other.  So the cases take turns, swapping which
-/// goes first each pair, and each turn clones its population before its
-/// timer starts: both medians come from the same time window, so a speed
-/// change hits both alike and drops out of their ratio.
-fn interleaved_medians(
-    cases: &[Vec<Individual>; 2],
-    step: impl Fn(&mut [Individual]),
-) -> [Duration; 2] {
-    let mut turns = [Vec::with_capacity(TURNS), Vec::with_capacity(TURNS)];
-    for pair in 0..TURNS {
-        for case in [pair % 2, 1 - pair % 2] {
-            let mut population = cases[case].clone();
-            let start = Instant::now();
-            step(&mut population);
-            turns[case].push(start.elapsed());
-        }
-    }
-    turns.map(|mut times| {
-        times.sort();
-        times[TURNS / 2]
-    })
-}
-
 fn nsga2_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("nsga2");
     group.sample_size(10);
@@ -140,10 +112,10 @@ fn nsga2_bench(c: &mut Criterion) {
     // front, each pair measured in its own interleaved pass.
     let cases = [population_400(130), population_400(400)];
     let all: Vec<usize> = (0..400).collect();
-    let sort = interleaved_medians(&cases, |population| {
+    let sort = interleaved_medians(&cases, TURNS, |population| {
         black_box(fast_non_dominated_sort(population).len());
     });
-    let crowding = interleaved_medians(&cases, |population| {
+    let crowding = interleaved_medians(&cases, TURNS, |population| {
         assign_crowding_distance(population, &all);
         black_box(population[0].crowding_distance);
     });

@@ -19,10 +19,13 @@
 //! designs A/B/C the paper compares against in Figure 10, [`csv`] is a
 //! tiny CSV writer shared by the binaries, and [`gate`] backs the
 //! `bench_gate` binary CI uses to compare fresh quick-mode bench medians
-//! against the checked-in baseline JSONs.
+//! against the checked-in baseline JSONs.  [`interleaved_medians`] times
+//! the two rows of each pair that gate bounds by ratio.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::time::{Duration, Instant};
 
 pub mod csv;
 pub mod gate;
@@ -30,3 +33,37 @@ pub mod sota;
 
 pub use csv::CsvWriter;
 pub use sota::{sota_designs, SotaDesign};
+
+/// Times `step` on the two `cases` in one interleaved pass of `turns`
+/// turns per case and returns each case's median turn.
+///
+/// CI gates the ratio of a pair of rows with `--max-ratio`, and a shared
+/// runner can change speed between two rows measured one after the other.
+/// So the cases take turns, swapping which goes first each pair, and each
+/// turn clones its case before its timer starts: both medians come from
+/// the same time window, so a speed change hits both alike and drops out
+/// of their ratio.
+///
+/// # Panics
+///
+/// Panics when `turns` is 0.
+pub fn interleaved_medians<T: Clone>(
+    cases: &[T; 2],
+    turns: usize,
+    step: impl Fn(&mut T),
+) -> [Duration; 2] {
+    assert!(turns > 0, "an interleaved pass needs at least one turn");
+    let mut times = [Vec::with_capacity(turns), Vec::with_capacity(turns)];
+    for pair in 0..turns {
+        for case in [pair % 2, 1 - pair % 2] {
+            let mut input = cases[case].clone();
+            let start = Instant::now();
+            step(&mut input);
+            times[case].push(start.elapsed());
+        }
+    }
+    times.map(|mut times| {
+        times.sort();
+        times[turns / 2]
+    })
+}

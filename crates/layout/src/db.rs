@@ -4,11 +4,13 @@
 //! A [`Layout`] holds its own shapes plus placements of other layouts
 //! ([`Layout::place`]), each shared through an [`Arc`] and placed at an
 //! offset under a name prefix; the macro places its one column template
-//! `W` times.  Writers, checks and metrics read the layout through its
-//! *flat view* ([`Layout::flat_instances`], [`Layout::flat_wires`],
+//! `W` times.  Checks and metrics read the layout through its *flat view*
+//! ([`Layout::flat_instances`], [`Layout::flat_wires`],
 //! [`Layout::flat_vias`]): every placement's objects, in placement order,
 //! then the layout's own, each named with its placement's prefix and
-//! translated by its offset.
+//! translated by its offset.  The DEF and GDS writers ([`crate::gds`])
+//! walk the placements themselves, stamping each placed block's lines, and
+//! write the bytes the flat view lists.
 
 use std::sync::Arc;
 

@@ -8,9 +8,17 @@
 //! * a DEF-like file (`COMPONENTS` / `SPECIALNETS` sections) that follows
 //!   the usual LEF/DEF structure closely enough to be diffed and inspected.
 //!
-//! Both write the layout's flat view (see [`crate::db`]), so a macro that
-//! places its column template `W` times emits every column's shapes under
-//! their prefixed names.
+//! Both write the bytes of the layout's flat view (see [`crate::db`]), so a
+//! macro that places its column template `W` times emits every column's
+//! shapes under their prefixed names.  They walk the layout's placements
+//! rather than the flat view, though, and stamp each section's lines of a
+//! placed block.  Consecutive placements of one block at one y offset form
+//! a run, and their lines differ only in the name prefix and the x
+//! coordinates.  So the run's first placement is written in full, noting
+//! where its prefix and x fields sit, and each later one copies those bytes
+//! and overwrites only the fields.  A placement whose prefix or an x
+//! coordinate prints to another width is written in full and becomes the
+//! run's new template.  The layout's own objects are written untranslated.
 //!
 //! Both build their file the same way: every line is appended to one byte
 //! buffer, reserved once from the flat view's counts, which becomes the
@@ -18,12 +26,14 @@
 //! coordinate goes through one formatter and orientations are written by
 //! name.
 
+use std::collections::HashMap;
 use std::io::Write as _;
+use std::sync::Arc;
 
 use acim_cell::{Orientation, Point, Rect};
 use acim_tech::Technology;
 
-use crate::db::Layout;
+use crate::db::{Layout, PlacedInstance, Placement, Via, Wire};
 
 /// Writes a GDS-like text representation of the layout.
 pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
@@ -33,59 +43,45 @@ pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
     let _ = writeln!(out, "LIBNAME {}", layout.name);
     let _ = writeln!(out, "UNITS 0.001 1e-09");
     let _ = writeln!(out, "BGNSTR {}", layout.name);
-    out.extend_from_slice(b"BOUNDARY_BOX ");
-    push_rect(&mut out, &layout.boundary, b" ");
-    out.push(b'\n');
-    for instance in layout.flat_instances() {
-        let local = instance.local;
-        out.extend_from_slice(b"SREF ");
-        out.extend_from_slice(local.cell.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(instance.prefix.as_bytes());
-        out.extend_from_slice(local.name.as_bytes());
-        out.push(b' ');
-        push_point(&mut out, instance.origin());
-        out.push(b' ');
-        out.extend_from_slice(orientation(local.orientation));
-        out.push(b'\n');
-    }
+    out.text(&["BOUNDARY_BOX "]);
+    out.rect(&layout.boundary, " ");
+    out.text(&["\n"]);
+    section(&mut out, layout, instances, |e, instance| {
+        e.text(&["SREF ", instance.cell, " "]);
+        e.prefix();
+        e.text(&[&instance.name, " "]);
+        e.point(instance.origin);
+        e.text(&[" ", orientation(instance.orientation), "\n"]);
+    });
     // Each wire layer's GDS numbers, resolved once per layer name into the
     // record prefix they give.
     let mut prefixes: Vec<(&str, String)> = Vec::new();
-    for wire in layout.flat_wires() {
-        let layer = wire.local.layer;
-        let at = match prefixes.iter().position(|(seen, _)| *seen == layer) {
+    section(&mut out, layout, wires, |e, wire| {
+        let at = match prefixes.iter().position(|(seen, _)| *seen == wire.layer) {
             Some(at) => at,
             None => {
                 let (gds_layer, datatype) = tech
                     .layers()
-                    .by_name(layer)
+                    .by_name(wire.layer)
                     .map(|l| (l.gds_layer(), l.gds_datatype()))
                     .unwrap_or((0, 0));
-                prefixes.push((layer, format!("RECT {gds_layer} {datatype} ")));
+                prefixes.push((wire.layer, format!("RECT {gds_layer} {datatype} ")));
                 prefixes.len() - 1
             }
         };
-        out.extend_from_slice(prefixes[at].1.as_bytes());
-        push_rect(&mut out, &wire.rect(), b" ");
-        out.extend_from_slice(b" NET ");
-        out.extend_from_slice(wire.prefix.as_bytes());
-        out.extend_from_slice(wire.local.net.as_bytes());
-        out.push(b'\n');
-    }
-    for via in layout.flat_vias() {
-        let local = via.local;
-        out.extend_from_slice(b"VIA ");
-        out.extend_from_slice(local.from_layer.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(local.to_layer.as_bytes());
-        out.push(b' ');
-        push_point(&mut out, via.at());
-        out.extend_from_slice(b" NET ");
-        out.extend_from_slice(via.prefix.as_bytes());
-        out.extend_from_slice(local.net.as_bytes());
-        out.push(b'\n');
-    }
+        e.text(&[&prefixes[at].1]);
+        e.rect(&wire.rect, " ");
+        e.text(&[" NET "]);
+        e.prefix();
+        e.text(&[&wire.net, "\n"]);
+    });
+    section(&mut out, layout, vias, |e, via| {
+        e.text(&["VIA ", via.from_layer, " ", via.to_layer, " "]);
+        e.point(via.at);
+        e.text(&[" NET "]);
+        e.prefix();
+        e.text(&[&via.net, "\n"]);
+    });
     let _ = writeln!(out, "ENDSTR");
     let _ = writeln!(out, "ENDLIB");
     into_string(out)
@@ -97,52 +93,258 @@ pub fn write_def(layout: &Layout) -> String {
     let _ = writeln!(out, "VERSION 5.8 ;");
     let _ = writeln!(out, "DESIGN {} ;", layout.name);
     let _ = writeln!(out, "UNITS DISTANCE MICRONS 1000 ;");
-    out.extend_from_slice(b"DIEAREA ");
-    push_def_rect(&mut out, &layout.boundary);
+    out.text(&["DIEAREA "]);
+    out.def_rect(&layout.boundary);
 
     let _ = writeln!(out, "COMPONENTS {} ;", layout.instance_count());
-    for instance in layout.flat_instances() {
-        let local = instance.local;
-        out.extend_from_slice(b"- ");
-        out.extend_from_slice(instance.prefix.as_bytes());
-        out.extend_from_slice(local.name.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(local.cell.as_bytes());
-        out.extend_from_slice(b" + PLACED ( ");
-        push_point(&mut out, instance.origin());
-        out.extend_from_slice(b" ) ");
-        out.extend_from_slice(orientation(local.orientation));
-        out.extend_from_slice(b" ;\n");
-    }
+    section(&mut out, layout, instances, |e, instance| {
+        e.text(&["- "]);
+        e.prefix();
+        e.text(&[&instance.name, " ", instance.cell, " + PLACED ( "]);
+        e.point(instance.origin);
+        e.text(&[" ) ", orientation(instance.orientation), " ;\n"]);
+    });
     let _ = writeln!(out, "END COMPONENTS");
 
     let _ = writeln!(out, "PINS {} ;", layout.pins.len());
     for pin in &layout.pins {
-        out.extend_from_slice(b"- ");
-        out.extend_from_slice(pin.net.as_bytes());
-        out.extend_from_slice(b" + NET ");
-        out.extend_from_slice(pin.net.as_bytes());
-        out.extend_from_slice(b" + LAYER ");
-        out.extend_from_slice(pin.layer.as_bytes());
-        out.push(b' ');
-        push_def_rect(&mut out, &pin.rect);
+        out.text(&[
+            "- ",
+            &pin.net,
+            " + NET ",
+            &pin.net,
+            " + LAYER ",
+            pin.layer,
+            " ",
+        ]);
+        out.def_rect(&pin.rect);
     }
     let _ = writeln!(out, "END PINS");
 
     let _ = writeln!(out, "SPECIALNETS {} ;", layout.wire_count());
-    for wire in layout.flat_wires() {
-        let local = wire.local;
-        out.extend_from_slice(b"- ");
-        out.extend_from_slice(wire.prefix.as_bytes());
-        out.extend_from_slice(local.net.as_bytes());
-        out.extend_from_slice(b" + ROUTED ");
-        out.extend_from_slice(local.layer.as_bytes());
-        out.push(b' ');
-        push_def_rect(&mut out, &wire.rect());
-    }
+    section(&mut out, layout, wires, |e, wire| {
+        e.text(&["- "]);
+        e.prefix();
+        e.text(&[&wire.net, " + ROUTED ", wire.layer, " "]);
+        e.def_rect(&wire.rect);
+    });
     let _ = writeln!(out, "END SPECIALNETS");
     let _ = writeln!(out, "END DESIGN");
     into_string(out)
+}
+
+/// Where an object's line goes as `line` writes it: straight into the
+/// file for the layout's own objects, or into a placement's template.
+trait Emit {
+    /// Appends `parts` as they are.
+    fn text(&mut self, parts: &[&str]);
+    /// Appends the name prefix of the object's placement.
+    fn prefix(&mut self);
+    /// Appends `x y`, a point in the frame of the block holding the object.
+    fn point(&mut self, point: Point);
+
+    /// Appends the two corners of `rect` with `separator` between them.
+    fn rect(&mut self, rect: &Rect, separator: &str) {
+        self.point(rect.min);
+        self.text(&[separator]);
+        self.point(rect.max);
+    }
+
+    /// Appends `( x0 y0 ) ( x1 y1 ) ;` and a newline: a DEF rectangle
+    /// ending its statement.
+    fn def_rect(&mut self, rect: &Rect) {
+        self.text(&["( "]);
+        self.rect(rect, " ) ( ");
+        self.text(&[" ) ;\n"]);
+    }
+}
+
+/// The layout's own objects: no prefix, coordinates as they are.
+impl Emit for Vec<u8> {
+    fn text(&mut self, parts: &[&str]) {
+        for part in parts {
+            self.extend_from_slice(part.as_bytes());
+        }
+    }
+
+    fn prefix(&mut self) {}
+
+    fn point(&mut self, point: Point) {
+        push_coord(self, point.x);
+        self.push(b' ');
+        push_coord(self, point.y);
+    }
+}
+
+/// A layout's instances, wires and vias: the objects its sections list.
+fn instances(layout: &Layout) -> &[PlacedInstance] {
+    &layout.instances
+}
+
+fn wires(layout: &Layout) -> &[Wire] {
+    &layout.wires
+}
+
+fn vias(layout: &Layout) -> &[Via] {
+    &layout.vias
+}
+
+/// Appends one section's lines, those `line` writes for `objects` of each
+/// placement of `layout` and then of the layout itself: every placement's
+/// stamped from its run's template, the layout's own written as they are.
+fn section<T>(
+    out: &mut Vec<u8>,
+    layout: &Layout,
+    objects: fn(&Layout) -> &[T],
+    mut line: impl FnMut(&mut dyn Emit, &T),
+) {
+    let mut template = Template::default();
+    let mut run: Option<&Placement> = None;
+    for placement in &layout.placements {
+        let same_run = run.is_some_and(|first| {
+            Arc::ptr_eq(&first.block, &placement.block)
+                && first.offset.y.to_bits() == placement.offset.y.to_bits()
+        });
+        if !(same_run && template.stamp(out, placement)) {
+            template.render(out, placement, objects(&placement.block), &mut line);
+            run = Some(placement);
+        }
+    }
+    for object in objects(layout) {
+        line(out, object);
+    }
+}
+
+/// One placement's lines of a section, written in full: where they sit in
+/// the file, and where each of their prefix and x fields sits in them.
+#[derive(Default)]
+struct Template {
+    /// Start and end of the lines in the file.
+    start: usize,
+    end: usize,
+    /// Length of the placement's prefix.
+    prefix_len: usize,
+    /// Offset of each prefix field from `start`.
+    prefixes: Vec<usize>,
+    /// Each x field: its offset from `start`, and where the digits of its
+    /// local x sit in `digits`, and how many there are.
+    xs: Vec<(usize, usize, usize)>,
+    /// Index into `locals` of each distinct local x, keyed by its bits.
+    ids: HashMap<u64, usize>,
+    /// Each distinct local x, in order of first use, with where its digits
+    /// sit in `digits` and how many there are.
+    locals: Vec<(f64, usize, usize)>,
+    /// The number of digits of all `locals`.
+    digits_len: usize,
+    /// The translated `locals` of the placement being stamped, back to back.
+    digits: Vec<u8>,
+}
+
+impl Template {
+    /// Writes `placement`'s lines of `objects` in full and makes them the
+    /// template.
+    fn render<T>(
+        &mut self,
+        out: &mut Vec<u8>,
+        placement: &Placement,
+        objects: &[T],
+        line: &mut impl FnMut(&mut dyn Emit, &T),
+    ) {
+        self.start = out.len();
+        self.prefix_len = placement.prefix.len();
+        self.prefixes.clear();
+        self.xs.clear();
+        self.ids.clear();
+        self.locals.clear();
+        self.digits_len = 0;
+        // One prefix and at most two x fields a line: each buffer of a
+        // section is allocated once.
+        self.prefixes.reserve(objects.len());
+        self.xs.reserve(2 * objects.len());
+        self.ids.reserve(2 * objects.len());
+        self.locals.reserve(2 * objects.len());
+        let mut render = Render {
+            out,
+            template: self,
+            placement,
+        };
+        for object in objects {
+            line(&mut render, object);
+        }
+        self.end = out.len();
+        // Room for every local printed as the widest integral coordinate,
+        // 20 bytes, and one more: a stamp may print a wider coordinate
+        // before it finds a width changed.
+        self.digits.clear();
+        self.digits.reserve(20 * (self.locals.len() + 1));
+    }
+
+    /// Appends `placement`'s lines as a copy of the template with the
+    /// placement's prefix and x coordinates written over the fields, and
+    /// returns `true`.  Returns `false`, appending nothing, when the prefix
+    /// or a coordinate prints to another width than its field.
+    fn stamp(&mut self, out: &mut Vec<u8>, placement: &Placement) -> bool {
+        let prefix = placement.prefix.as_bytes();
+        if prefix.len() != self.prefix_len {
+            return false;
+        }
+        self.digits.clear();
+        for &(local, _, width) in &self.locals {
+            let before = self.digits.len();
+            push_coord(&mut self.digits, local + placement.offset.x);
+            if self.digits.len() - before != width {
+                return false;
+            }
+        }
+        let base = out.len();
+        out.extend_from_within(self.start..self.end);
+        let copy = &mut out[base..];
+        for &at in &self.prefixes {
+            copy[at..at + prefix.len()].copy_from_slice(prefix);
+        }
+        for &(at, digits, width) in &self.xs {
+            copy[at..at + width].copy_from_slice(&self.digits[digits..digits + width]);
+        }
+        true
+    }
+}
+
+/// A placement's lines being written in full: coordinates translated by
+/// its offset, prefix and x fields noted in its template.
+struct Render<'a> {
+    out: &'a mut Vec<u8>,
+    template: &'a mut Template,
+    placement: &'a Placement,
+}
+
+impl Emit for Render<'_> {
+    fn text(&mut self, parts: &[&str]) {
+        self.out.text(parts);
+    }
+
+    fn prefix(&mut self) {
+        let template = &mut *self.template;
+        template.prefixes.push(self.out.len() - template.start);
+        self.out.extend_from_slice(self.placement.prefix.as_bytes());
+    }
+
+    fn point(&mut self, point: Point) {
+        let (out, template, offset) = (&mut *self.out, &mut *self.template, self.placement.offset);
+        let at = out.len();
+        push_coord(out, point.x + offset.x);
+        let width = out.len() - at;
+        let next = template.locals.len();
+        let id = *template.ids.entry(point.x.to_bits()).or_insert(next);
+        if id == next {
+            template.locals.push((point.x, template.digits_len, width));
+            template.digits_len += width;
+        }
+        template
+            .xs
+            .push((at - template.start, template.locals[id].1, width));
+        out.push(b' ');
+        push_coord(out, point.y + offset.y);
+    }
 }
 
 /// Bytes reserved per line of a file.  The flow's DEF files run to 55-60
@@ -175,35 +377,13 @@ fn into_string(out: Vec<u8>) -> String {
 }
 
 /// The DEF and GDS name of `orientation`.
-fn orientation(orientation: Orientation) -> &'static [u8] {
+fn orientation(orientation: Orientation) -> &'static str {
     match orientation {
-        Orientation::R0 => b"R0",
-        Orientation::MX => b"MX",
-        Orientation::MY => b"MY",
-        Orientation::R180 => b"R180",
+        Orientation::R0 => "R0",
+        Orientation::MX => "MX",
+        Orientation::MY => "MY",
+        Orientation::R180 => "R180",
     }
-}
-
-/// Appends `( x0 y0 ) ( x1 y1 ) ;` and a newline: a DEF rectangle ending
-/// its statement.
-fn push_def_rect(out: &mut Vec<u8>, rect: &Rect) {
-    out.extend_from_slice(b"( ");
-    push_rect(out, rect, b" ) ( ");
-    out.extend_from_slice(b" ) ;\n");
-}
-
-/// Appends the two corners of `rect` with `separator` between them.
-fn push_rect(out: &mut Vec<u8>, rect: &Rect, separator: &[u8]) {
-    push_point(out, rect.min);
-    out.extend_from_slice(separator);
-    push_point(out, rect.max);
-}
-
-/// Appends `x y`.
-fn push_point(out: &mut Vec<u8>, point: Point) {
-    push_coord(out, point.x);
-    out.push(b' ');
-    push_coord(out, point.y);
 }
 
 /// Appends `value` exactly as `format!("{value:.0}")` would.  Integral
@@ -599,6 +779,103 @@ mod tests {
             }
             (layout.instances, layout.wires, layout.vias, layout.pins) = own;
             prop_assert_eq!(write_def(&layout), oracle_def(&layout));
+            prop_assert_eq!(write_gds_text(&layout, &tech), oracle_gds(&layout, &tech));
+        }
+    }
+
+    /// Where the x offsets of [`placements`] start: below 10^4, 10^5 and
+    /// 10^6, where translated coordinates gain a digit, and below zero,
+    /// where they change sign.
+    const STARTS: [f64; 4] = [-60_000.0, 9_000.0, 99_000.0, 999_000.0];
+
+    /// Up to 120 placements of two blocks, each a block index, an offset
+    /// and a prefix, in runs of one block at one y offset.  The x offsets
+    /// step by a pitch from one of [`STARTS`]; about one in five is instead
+    /// fractional, `-0.0`, 2^63 or more, or negated, or has a longer
+    /// prefix than its neighbours.  The other prefixes count placements,
+    /// so they cross `COL_9/` and `COL_99/`.
+    fn placements() -> impl Strategy<Value = Vec<(usize, Point, String)>> {
+        let run = (0..2usize, 1..=60usize, coordinate());
+        let kinds = prop::collection::vec((0u8..24, 0.0..1.0f64), 120);
+        (
+            prop::collection::vec(run, 1..8),
+            0..STARTS.len(),
+            16u64..2_000,
+            kinds,
+        )
+            .prop_map(|(runs, start, pitch, kinds)| {
+                let mut placed = Vec::new();
+                for (block, len, y) in runs {
+                    for _ in 0..len.min(120 - placed.len()) {
+                        let c = placed.len();
+                        let regular = STARTS[start] + (c as u64 * pitch) as f64;
+                        let x = match kinds[c] {
+                            (0, fraction) => regular + fraction,
+                            (1, _) => -0.0,
+                            (2, fraction) => 2f64.powi(63) * (1.0 + fraction),
+                            (3, _) => -regular,
+                            _ => regular,
+                        };
+                        let prefix = match kinds[c] {
+                            (4, _) => format!("SPARE_{c}/"),
+                            _ => format!("COL_{c}/"),
+                        };
+                        placed.push((block, Point::new(x, y), prefix));
+                    }
+                }
+                placed
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn stamped_runs_match_the_plain_oracle_byte_for_byte(
+            blocks in (objects(), objects()),
+            own in objects(),
+            placements in placements(),
+        ) {
+            let tech = Technology::s28();
+            let blocks = [blocks.0, blocks.1].map(|(instances, wires, vias, pins)| {
+                let mut block = Layout::new("COLUMN", 2000.0, 5000.0);
+                (block.instances, block.wires, block.vias, block.pins) =
+                    (instances, wires, vias, pins);
+                Arc::new(block)
+            });
+            let mut layout = Layout::new("SAMPLE", 1000.0, 1000.0);
+            for (block, offset, prefix) in placements {
+                layout
+                    .place(Arc::clone(&blocks[block]), offset, prefix)
+                    .expect("the blocks hold no placements");
+            }
+            (layout.instances, layout.wires, layout.vias, layout.pins) = own;
+            // The layout's own objects are not translated: at -0.0 they
+            // print `-0`, where `-0.0 + 0.0` would print `0`.
+            let zero = Point::new(-0.0, -0.0);
+            layout.instances.push(PlacedInstance {
+                name: "XZERO".into(),
+                cell: "BUF",
+                origin: zero,
+                orientation: Orientation::R0,
+                width: 2000.0,
+                height: 632.0,
+            });
+            layout.wires.push(Wire {
+                net: "ZERO".into(),
+                layer: "M2",
+                rect: Rect { min: zero, max: zero },
+            });
+            layout.vias.push(Via {
+                net: "ZERO".into(),
+                from_layer: "M2",
+                to_layer: "M3",
+                at: zero,
+            });
+            let def = write_def(&layout);
+            prop_assert!(def.contains("\n- XZERO BUF + PLACED ( -0 -0 ) R0 ;\n"));
+            prop_assert!(def.contains("\n- ZERO + ROUTED M2 ( -0 -0 ) ( -0 -0 ) ;\n"));
+            prop_assert_eq!(def, oracle_def(&layout));
             prop_assert_eq!(write_gds_text(&layout, &tech), oracle_gds(&layout, &tech));
         }
     }

@@ -22,9 +22,10 @@
 //! 3. **Checks and output** — a lightweight DRC ([`drc`]) verifies spacing
 //!    and overlap rules, and the result can be written as text GDS/DEF
 //!    ([`gds`]); [`metrics`] extracts the dimensions and F²/bit density the
-//!    paper reports in Figure 8.  All three read the layout's flat view
-//!    ([`db`]), which names and places every column's objects as a copy
-//!    of each column would.
+//!    paper reports in Figure 8.  DRC and metrics read the layout's flat
+//!    view ([`db`]), which names and places every column's objects as a
+//!    copy of each column would; the writers emit the same bytes by
+//!    stamping each placed column's lines from the first column's.
 //!
 //! The 3-D grid maze router is exposed on its own, so the `router` bench
 //! can exercise it in isolation (e.g. routing with and without pre-defined

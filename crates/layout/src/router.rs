@@ -50,9 +50,26 @@ const VIA_COST: u32 = 8;
 /// each have a bucket of their own.
 const BUCKETS: usize = VIA_COST as usize + 1;
 
-/// A path search from a net's tree to one target node; see
-/// [`MazeRouter::search`].
-type Search = fn(&MazeRouter, &[GridNode], GridNode, u32) -> Option<Vec<GridNode>>;
+/// Bits of a node's entry in [`MazeRouter::moves`]: its neighbour one
+/// column right and left, one row up and down, one layer up and down, and
+/// whether its layer prefers horizontal moves.
+const EAST: u8 = 1;
+const WEST: u8 = 1 << 1;
+const NORTH: u8 = 1 << 2;
+const SOUTH: u8 = 1 << 3;
+const ABOVE: u8 = 1 << 4;
+const BELOW: u8 = 1 << 5;
+const HORIZONTAL: u8 = 1 << 6;
+
+/// The distances, predecessors and buckets of [`MazeRouter::search`],
+/// kept from one search to the next so that a search resets them instead
+/// of allocating them.
+#[derive(Debug, Clone, Default)]
+struct SearchBuffers {
+    dist: Vec<u32>,
+    previous: Vec<u32>,
+    buckets: [Vec<u32>; BUCKETS],
+}
 
 /// The maze router, owning a routing grid plus layer metadata.
 #[derive(Debug, Clone)]
@@ -60,10 +77,18 @@ pub struct MazeRouter {
     grid: RoutingGrid,
     /// Physical layer names, indexed by routing-layer index.
     layer_names: Vec<&'static str>,
-    /// `true` when the layer's preferred direction is horizontal.
+    /// `true` when the layer's preferred direction is horizontal.  The
+    /// search reads it from [`Self::moves`]; the tests' binary-heap oracle
+    /// reads it here.
+    #[cfg(test)]
     horizontal: Vec<bool>,
     /// Drawn wire width per routing layer, in nanometres.
     wire_widths: Vec<f64>,
+    /// Per node, in grid index order: which neighbours exist and whether
+    /// its layer is horizontal, so the search reads one byte instead of
+    /// dividing the index into layer, row and column.
+    moves: Vec<u8>,
+    buffers: SearchBuffers,
     stats: RouterStats,
 }
 
@@ -105,11 +130,32 @@ impl MazeRouter {
                 reason: "every layer width must be positive".into(),
             });
         }
+        let (cols, rows, layers) = (grid.cols(), grid.rows(), grid.layers());
+        let bit = |set: bool, bit: u8| if set { bit } else { 0 };
+        let mut moves = Vec::with_capacity(cols * rows * layers);
+        for (layer, &layer_horizontal) in horizontal.iter().enumerate() {
+            for row in 0..rows {
+                for col in 0..cols {
+                    moves.push(
+                        bit(col + 1 < cols, EAST)
+                            | bit(col > 0, WEST)
+                            | bit(row + 1 < rows, NORTH)
+                            | bit(row > 0, SOUTH)
+                            | bit(layer + 1 < layers, ABOVE)
+                            | bit(layer > 0, BELOW)
+                            | bit(layer_horizontal, HORIZONTAL),
+                    );
+                }
+            }
+        }
         Ok(Self {
             grid,
             layer_names,
+            #[cfg(test)]
             horizontal,
             wire_widths,
+            moves,
+            buffers: SearchBuffers::default(),
             stats: RouterStats::default(),
         })
     }
@@ -151,14 +197,20 @@ impl MazeRouter {
     /// reached from the net's tree.  The nodes of the paths found before
     /// the failure stay claimed by the net.
     pub fn route(&mut self, request: &RouteRequest) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
-        self.route_with(request, Self::search)
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let routed = self.route_with(request, |router, tree, target, net_id| {
+            router.search(tree, target, net_id, &mut buffers)
+        });
+        self.buffers = buffers;
+        routed
     }
 
-    /// [`Self::route`] with the path search `search`.
+    /// [`Self::route`] with the path search `search`, which finds a path
+    /// from the net's tree to one target node.
     fn route_with(
         &mut self,
         request: &RouteRequest,
-        search: Search,
+        mut search: impl FnMut(&Self, &[GridNode], GridNode, u32) -> Option<Vec<GridNode>>,
     ) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
         if request.terminals.len() < 2 {
             // A single-terminal net needs no wiring.
@@ -218,11 +270,22 @@ impl MazeRouter {
     /// The frontier is a bucket queue: every step costs 1, 4 or 8, so the
     /// costs pending at any time span at most [`BUCKETS`] consecutive
     /// values, and bucket `cost % BUCKETS` holds exactly the nodes pending
-    /// at `cost`.  No push lands in the bucket being drained, and each
-    /// bucket is sorted by node index before it is drained, so nodes are
-    /// settled in (cost, index) order, as from a binary heap of
-    /// (cost, index) pairs, and the search returns the same paths.
-    fn search(&self, tree: &[GridNode], target: GridNode, net_id: u32) -> Option<Vec<GridNode>> {
+    /// at `cost`.  No push lands in the bucket being drained, which is
+    /// drained in push order.  A binary heap of (cost, index) pairs would
+    /// settle each cost's nodes in index order, so of several equal-cost
+    /// relaxations of a node the first, which it keeps as the node's
+    /// predecessor, comes from the lowest index.  Here a relaxation that
+    /// ties a node's cost replaces the node's predecessor when that one
+    /// settled at the same cost and has a larger index.  Every node at or
+    /// below the target's cost then has the heap's predecessor, so the
+    /// search returns the heap's paths.
+    fn search(
+        &self,
+        tree: &[GridNode],
+        target: GridNode,
+        net_id: u32,
+        buffers: &mut SearchBuffers,
+    ) -> Option<Vec<GridNode>> {
         let cols = self.grid.cols();
         let rows = self.grid.rows();
         let layers = self.grid.layers();
@@ -230,9 +293,16 @@ impl MazeRouter {
         let size = plane * layers;
         let index = |n: GridNode| -> usize { (n.layer * rows + n.row) * cols + n.col };
 
-        let mut dist = vec![u32::MAX; size];
-        let mut previous = vec![u32::MAX; size];
-        let mut buckets: [Vec<u32>; BUCKETS] = Default::default();
+        let SearchBuffers {
+            dist,
+            previous,
+            buckets,
+        } = buffers;
+        for buffer in [&mut *dist, &mut *previous] {
+            buffer.clear();
+            buffer.resize(size, u32::MAX);
+        }
+        buckets.iter_mut().for_each(Vec::clear);
         for &node in tree {
             let i = index(node);
             dist[i] = 0;
@@ -248,7 +318,6 @@ impl MazeRouter {
         'search: while pending > 0 {
             let slot = cost as usize % BUCKETS;
             let mut bucket = std::mem::take(&mut buckets[slot]);
-            bucket.sort_unstable();
             pending -= bucket.len();
             for &current in &bucket {
                 let current = current as usize;
@@ -258,40 +327,22 @@ impl MazeRouter {
                 if current == target_index {
                     break 'search;
                 }
-                let layer = current / plane;
-                let row = current % plane / cols;
-                let col = current % cols;
-                let (step_x, step_y) = if self.horizontal[layer] {
+                let moves = self.moves[current];
+                let (step_x, step_y) = if moves & HORIZONTAL != 0 {
                     (1, NON_PREFERRED_COST)
                 } else {
                     (NON_PREFERRED_COST, 1)
                 };
-                let mut neighbours = [(0usize, 0u32); 6];
-                let mut count = 0;
-                let mut add = |next: usize, step: u32| {
-                    neighbours[count] = (next, step);
-                    count += 1;
-                };
-                if col + 1 < cols {
-                    add(current + 1, step_x);
-                }
-                if col > 0 {
-                    add(current - 1, step_x);
-                }
-                if row + 1 < rows {
-                    add(current + cols, step_y);
-                }
-                if row > 0 {
-                    add(current - cols, step_y);
-                }
-                if layer + 1 < layers {
-                    add(current + plane, VIA_COST);
-                }
-                if layer > 0 {
-                    add(current - plane, VIA_COST);
-                }
-                for &(next, step) in &neighbours[..count] {
-                    if !self.grid.usable_at(next, net_id) {
+                // A neighbour's index wraps only where its bit is clear.
+                for (bit, next, step) in [
+                    (EAST, current + 1, step_x),
+                    (WEST, current.wrapping_sub(1), step_x),
+                    (NORTH, current + cols, step_y),
+                    (SOUTH, current.wrapping_sub(cols), step_y),
+                    (ABOVE, current + plane, VIA_COST),
+                    (BELOW, current.wrapping_sub(plane), VIA_COST),
+                ] {
+                    if moves & bit == 0 || !self.grid.usable_at(next, net_id) {
                         continue;
                     }
                     let next_cost = cost.saturating_add(step);
@@ -300,6 +351,11 @@ impl MazeRouter {
                         previous[next] = current as u32;
                         buckets[next_cost as usize % BUCKETS].push(next as u32);
                         pending += 1;
+                    } else if next_cost == dist[next] {
+                        let tied = previous[next] as usize;
+                        if tied > current && dist.get(tied) == Some(&cost) {
+                            previous[next] = current as u32;
+                        }
                     }
                 }
             }

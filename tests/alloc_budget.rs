@@ -17,10 +17,15 @@
 //! and pins name their cell and layer by `&'static str`, so a column build
 //! or macro assembly that copies those names into every object again
 //! (2,292 and 4,815 allocations on 128x128 L8 B3, 1,822 and 15,550 on
-//! 16x1024 L2 B3) fails here.  The DEF and GDS writers
-//! reserve their output once, from the layout's counts, so a writer whose
-//! buffer grows as it writes (20 to 29 allocations on these macros) fails
-//! here too.  DRC formats flat names only for the violations it reports
+//! 16x1024 L2 B3) fails here.  The maze router keeps its search buffers
+//! from one search to the next, so a column build that allocates them per
+//! search again (1,540 and 1,302 allocations) fails here.  The DEF and GDS
+//! writers reserve their output once, from the layout's counts, so a
+//! writer whose buffer grows as it writes (20 to 29 allocations on these
+//! macros) fails here too.  They stamp each placed column from a template
+//! whose five buffers they allocate once per section, not per placement:
+//! 11 allocations for DEF and 23 for GDS on both macros, whatever their
+//! width.  DRC formats flat names only for the violations it reports
 //! and names their layers by `&'static str`, so a DRC run that copies the
 //! flat view again (28,117 allocations on its macro) or copies each
 //! violation's layer name again (188) fails here as well.  So does an
@@ -148,17 +153,17 @@ struct Budget {
 const BUDGETS: [Budget; 2] = [
     Budget {
         dims: (128, 128, 8, 3),
-        column: 1_540,
-        generate: 2_883,
-        def: 1,
-        gds: 8,
+        column: 1_036,
+        generate: 2_379,
+        def: 11,
+        gds: 23,
     },
     Budget {
         dims: (16, 1024, 2, 3),
-        column: 1_302,
-        generate: 8_698,
-        def: 1,
-        gds: 8,
+        column: 798,
+        generate: 8_194,
+        def: 11,
+        gds: 23,
     },
 ];
 
