@@ -10,7 +10,7 @@
 
 use acim_chip::Network;
 use acim_dse::{ChipDesignProblem, ChipDseConfig, Explorable};
-use acim_moga::{CachedProblem, Nsga2, Nsga2Config, Problem};
+use acim_moga::{CacheStore, CachedProblem, Nsga2, Nsga2Config, Problem};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -45,7 +45,7 @@ fn nsga2_batch(c: &mut Criterion) {
     group.bench_function("batch_cached_eval", |b| {
         b.iter(|| {
             // A fresh cache per run, as the explorers use it.
-            let cached = CachedProblem::with_key_fn(&problem, |g| problem.cache_key(g));
+            let cached = CachedProblem::new(&problem, CacheStore::new(), |g| problem.cache_key(g));
             let result = Nsga2::new(&cached, config.clone()).with_seed(7).run();
             black_box((result.evaluations(), cached.stats().hits))
         })

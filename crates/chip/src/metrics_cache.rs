@@ -84,29 +84,20 @@ mod tests {
         assert_eq!(cache.capacity(), None);
         let (key, metrics) = metrics_of(128, 32, 4, 3);
         let alias = cache.clone();
-        assert!(!alias.insert(key, metrics));
+        assert_eq!(alias.import_entries([(key, metrics)]), (1, 0));
         assert_eq!(cache.get(&key), Some(metrics));
         assert_eq!(cache.len(), 1);
-        assert!(cache.shares_entries_with(&alias));
-        assert!(!cache.shares_entries_with(&MacroMetricsCache::new()));
         assert!(format!("{cache:?}").contains("entries"));
-        cache.clear();
-        assert!(alias.is_empty());
     }
 
     #[test]
     fn bounded_cache_evicts_and_stays_within_capacity() {
         let cache = MacroMetricsCache::bounded(2);
         let specs = [(128, 32, 4, 3), (64, 64, 4, 3), (256, 16, 4, 3)];
-        let mut evicted = 0;
         for &(h, w, l, b) in &specs {
-            let (key, metrics) = metrics_of(h, w, l, b);
-            if cache.insert(key, metrics) {
-                evicted += 1;
-            }
+            assert_eq!(cache.import_entries([metrics_of(h, w, l, b)]), (1, 0));
             assert!(cache.len() <= 2);
         }
-        assert_eq!(evicted, 1);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.capacity(), Some(2));
     }
@@ -115,7 +106,7 @@ mod tests {
     fn poisoned_cache_recovers() {
         let cache = MacroMetricsCache::new();
         let (key, metrics) = metrics_of(128, 32, 4, 3);
-        cache.insert(key, metrics);
+        cache.import_entries([(key, metrics)]);
         let poisoner = cache.clone();
         // The import panics mid-merge, while it holds the cache lock.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -125,7 +116,7 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(cache.get(&key), Some(metrics));
-        cache.insert(metrics_of(64, 64, 4, 3).0, metrics_of(64, 64, 4, 3).1);
+        cache.import_entries([metrics_of(64, 64, 4, 3)]);
         assert_eq!(cache.len(), 2);
     }
 }

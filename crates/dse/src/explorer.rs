@@ -394,8 +394,8 @@ impl<S: Explorable> Explorer<S> {
         let problem = &problem;
         // Keyed by decode buckets, the cache answers re-sampled designs for
         // free and forwards only the misses to the problem.
-        let cached = CachedProblem::with_key_fn(problem, |genes| problem.cache_key(genes))
-            .with_shared_store(options.cache.clone().unwrap_or_default());
+        let store = options.cache.clone().unwrap_or_default();
+        let cached = CachedProblem::new(problem, store, |genes| problem.cache_key(genes));
         let mut archive = RunArchive::default();
         // Warm-start seeds are archived up front (feasible ones only), so
         // the warm frontier dominates-or-equals the one it was seeded from.

@@ -7,7 +7,6 @@ use acim_chip::ChipError;
 use acim_dse::DseError;
 use acim_layout::LayoutError;
 use acim_netlist::NetlistError;
-use acim_persist::PersistError;
 
 /// Errors produced by the top flow controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +31,6 @@ pub enum FlowError {
     Layout(LayoutError),
     /// An error from the chip-composition stage.
     Chip(ChipError),
-    /// A snapshot/restore error from the persistence tier.  Restores fail
-    /// *before* any merge, so a service that hits this continues with
-    /// whatever it already held (a clean cold start for a fresh service).
-    Persist(PersistError),
     /// The job was cancelled (`JobHandle::cancel` or a tripped
     /// `CancelToken`) and stopped cooperatively at the next generation /
     /// design boundary, carrying its partial progress.
@@ -78,7 +73,6 @@ impl fmt::Display for FlowError {
             FlowError::Netlist(err) => write!(f, "netlist generation failed: {err}"),
             FlowError::Layout(err) => write!(f, "layout generation failed: {err}"),
             FlowError::Chip(err) => write!(f, "chip composition failed: {err}"),
-            FlowError::Persist(err) => write!(f, "persistence failed: {err}"),
             FlowError::Cancelled { completed, total } => {
                 write!(f, "job cancelled after {completed}/{total} work units")
             }
@@ -99,7 +93,6 @@ impl Error for FlowError {
             FlowError::Netlist(err) => Some(err),
             FlowError::Layout(err) => Some(err),
             FlowError::Chip(err) => Some(err),
-            FlowError::Persist(err) => Some(err),
             _ => None,
         }
     }
@@ -139,12 +132,6 @@ impl From<ChipError> for FlowError {
     }
 }
 
-impl From<PersistError> for FlowError {
-    fn from(err: PersistError) -> Self {
-        FlowError::Persist(err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,9 +143,6 @@ mod tests {
         assert!(FlowError::EmptyDistilledSet
             .to_string()
             .contains("distillation"));
-        let e: FlowError = PersistError::HeaderChecksum.into();
-        assert!(e.to_string().contains("persistence failed"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]

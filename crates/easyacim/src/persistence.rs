@@ -246,13 +246,13 @@ mod tests {
     #[test]
     fn eval_entries_convert_bit_exactly_in_both_directions() {
         let store = CacheStore::new();
-        store.insert(
+        store.import_entries([(
             vec![3, -1, 4],
             Evaluation {
                 objectives: vec![-31.5, -0.0, f64::MIN_POSITIVE].into(),
                 constraint_violation: 0.25,
             },
-        );
+        )]);
         let record = eval_cache_record("chip/x", &store);
         assert_eq!(record.entries.len(), 1);
         let (key, evaluation) = eval_entry(record.entries[0].clone());

@@ -4,23 +4,23 @@
 //! genome) make NSGA-II re-sample the same designs over and over: crossover
 //! between similar parents and no-op mutations routinely reproduce genomes
 //! the optimiser has already paid to evaluate.  [`CachedProblem`] wraps any
-//! [`Problem`] with a hash map keyed by a caller-supplied genome → key
-//! function (the EasyACIM problems key by decode buckets) so duplicate
+//! [`Problem`] with a [`CacheStore`] keyed by a caller-supplied genome →
+//! key function (the EasyACIM problems key by decode buckets) so duplicate
 //! designs are never re-evaluated, and counts hits/misses so run reports
 //! can show how much evaluation work the cache absorbed.
 //!
 //! Caching is transparent to seeded runs: a hit returns a clone of exactly
 //! the evaluation the serial path would have recomputed, so Pareto fronts
 //! are bit-identical with and without the wrapper (provided the key
-//! function is decode-aligned, see [`CachedProblem::with_key_fn`]).
+//! function is decode-aligned, see [`CachedProblem::new`]).
 //!
 //! # Sharing one cache across runs
 //!
 //! The entries live in a [`CacheStore`] — a cheaply cloneable, thread-safe
-//! handle to one shared map.  A long-lived caller (like the `easyacim`
-//! `ExplorationService`) keeps one store per design space and hands clones
-//! of it to every request's [`CachedProblem`] via
-//! [`CachedProblem::with_shared_store`]: entries written by one request are
+//! handle to one shared map.  A single run hands [`CachedProblem::new`] a
+//! fresh store; a long-lived caller (like the `easyacim`
+//! `ExplorationService`) keeps one store per design space and hands a clone
+//! of it to every request's wrapper: entries written by one request are
 //! hits for the next, while the hit/miss counters stay **per wrapper**, so
 //! each request still reports its own [`CacheStats`].
 //!
@@ -41,9 +41,8 @@ use std::hash::Hash;
 
 use acim_telemetry::Counter;
 
-use crate::clock::TryInsert;
 use crate::problem::{Evaluation, Problem};
-use crate::shared_cache::SharedCache;
+use crate::shared_cache::{SharedCache, TryInsert};
 
 /// Hit/miss/eviction counters of a [`CacheClient`]: a [`CachedProblem`]'s
 /// or the chip evaluator's macro-metric cache's.
@@ -79,29 +78,6 @@ impl CacheStats {
     }
 }
 
-/// The hit/miss/eviction counters of one [`CacheClient`]: lock-free
-/// telemetry [`Counter`]s, read out by [`CacheCounters::stats`].  Clones
-/// share the underlying values.
-#[derive(Debug, Clone, Default)]
-struct CacheCounters {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-impl CacheCounters {
-    /// Snapshot in the [`CacheStats`] shape. Values are clamped into
-    /// `usize` (a non-issue on 64-bit targets).
-    fn stats(&self) -> CacheStats {
-        let clamp = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
-        CacheStats {
-            hits: clamp(self.hits.get()),
-            misses: clamp(self.misses.get()),
-            evictions: clamp(self.evictions.get()),
-        }
-    }
-}
-
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -120,7 +96,7 @@ impl std::fmt::Display for CacheStats {
 
 /// One consumer's attributed view of a [`SharedCache`]: the cache handle
 /// (optional: a detached client just computes) plus this consumer's
-/// hit/miss/eviction counters.
+/// hit/miss/eviction counters, lock-free telemetry [`Counter`]s.
 ///
 /// Clones share the counters, so every clone of a problem or evaluator
 /// attributes its lookups to the request that made it, while two clients
@@ -128,7 +104,9 @@ impl std::fmt::Display for CacheStats {
 #[derive(Clone)]
 pub struct CacheClient<K, V> {
     cache: Option<SharedCache<K, V>>,
-    counters: CacheCounters,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> CacheClient<K, V> {
@@ -136,7 +114,9 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheClient<K, V> {
     pub fn detached() -> Self {
         Self {
             cache: None,
-            counters: CacheCounters::default(),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            evictions: Counter::default(),
         }
     }
 
@@ -144,18 +124,19 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheClient<K, V> {
     pub fn attached(cache: SharedCache<K, V>) -> Self {
         Self {
             cache: Some(cache),
-            counters: CacheCounters::default(),
+            ..Self::detached()
         }
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&SharedCache<K, V>> {
-        self.cache.as_ref()
-    }
-
-    /// Snapshot of this client's (and its clones') attribution.
+    /// Snapshot of this client's (and its clones') attribution.  Values
+    /// are clamped into `usize` (a non-issue on 64-bit targets).
     pub fn stats(&self) -> CacheStats {
-        self.counters.stats()
+        let clamp = |counter: &Counter| usize::try_from(counter.get()).unwrap_or(usize::MAX);
+        CacheStats {
+            hits: clamp(&self.hits),
+            misses: clamp(&self.misses),
+            evictions: clamp(&self.evictions),
+        }
     }
 
     /// Returns the cached value of `key`, computing and inserting it on a
@@ -180,28 +161,28 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheClient<K, V> {
             return compute();
         };
         if let Some(value) = cache.get(&key) {
-            self.counters.hits.inc();
+            self.hits.inc();
             return Ok(value);
         }
         let value = compute()?;
         match cache.try_insert(key, value.clone()) {
             TryInsert::Inserted { evicted } => {
-                self.counters.misses.inc();
+                self.misses.inc();
                 if evicted {
-                    self.counters.evictions.inc();
+                    self.evictions.inc();
                 }
             }
-            TryInsert::AlreadyPresent => self.counters.hits.inc(),
+            TryInsert::AlreadyPresent => self.hits.inc(),
         }
         Ok(value)
     }
 }
 
-impl<K: Eq + Hash + Clone, V> std::fmt::Debug for CacheClient<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> std::fmt::Debug for CacheClient<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheClient")
             .field("cache", &self.cache)
-            .field("stats", &self.counters.stats())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -236,7 +217,7 @@ type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + 'k;
 /// # Example
 ///
 /// ```
-/// use acim_moga::{CachedProblem, Evaluation, Problem};
+/// use acim_moga::{CacheStore, CachedProblem, Evaluation, Problem};
 ///
 /// struct Square;
 /// impl Problem for Square {
@@ -247,7 +228,8 @@ type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + 'k;
 ///     }
 /// }
 ///
-/// let cached = CachedProblem::with_key_fn(Square, |genes| {
+/// let store = CacheStore::new();
+/// let cached = CachedProblem::new(Square, store.clone(), |genes| {
 ///     genes.iter().map(|g| g.to_bits() as i64).collect()
 /// });
 /// let a = cached.evaluate(&[0.5]);
@@ -255,6 +237,7 @@ type KeyFn<'k> = dyn Fn(&[f64]) -> Vec<i64> + 'k;
 /// assert_eq!(a, b);
 /// let stats = cached.stats();
 /// assert_eq!((stats.hits, stats.misses), (1, 1));
+/// assert_eq!(store.len(), 1);
 /// ```
 pub struct CachedProblem<'k, P> {
     inner: P,
@@ -272,7 +255,7 @@ impl<P: std::fmt::Debug> std::fmt::Debug for CachedProblem<'_, P> {
 }
 
 impl<'k, P: Problem> CachedProblem<'k, P> {
-    /// Wraps a problem with its genome → key function.
+    /// Wraps a problem over `store`, keyed by its genome → key function.
     ///
     /// The key decides which genomes count as "the same design", and it
     /// must be **decode-aligned**: two genomes may share a key only when
@@ -280,54 +263,28 @@ impl<'k, P: Problem> CachedProblem<'k, P> {
     /// that contract caching stays bit-lossless — e.g. the EasyACIM
     /// problems key by decoded bucket indices, so every genome that lands
     /// in the same (H, L, B, …) design hits one cache entry.
-    pub fn with_key_fn<F>(inner: P, key_fn: F) -> Self
+    ///
+    /// A fresh `CacheStore::new()` memoizes one run.  A clone of a shared
+    /// store makes this wrapper read and write entries other wrappers over
+    /// the same design space already produced; the hit/miss counters
+    /// remain **per wrapper**, so a request served by a pre-populated store
+    /// reports those answers as its own hits — exactly the per-request
+    /// attribution a multi-tenant service wants.  The caller must pair one
+    /// store with one key function: the store trusts its keys.
+    pub fn new<F>(inner: P, store: CacheStore, key_fn: F) -> Self
     where
         F: Fn(&[f64]) -> Vec<i64> + 'k,
     {
         Self {
             inner,
             key_fn: Box::new(key_fn),
-            client: CacheClient::attached(CacheStore::new()),
+            client: CacheClient::attached(store),
         }
-    }
-
-    /// Replaces the wrapper's (fresh, empty) store with a handle to a
-    /// shared one, so this wrapper reads and writes entries other wrappers
-    /// over the same design space already produced.
-    ///
-    /// The hit/miss counters remain **per wrapper**: a request served by a
-    /// pre-populated shared store reports those answers as its own hits,
-    /// which is exactly the per-request attribution a multi-tenant service
-    /// wants.  The caller must pair one store with one key function — the
-    /// store trusts its keys.
-    #[must_use]
-    pub fn with_shared_store(mut self, store: CacheStore) -> Self {
-        self.client.cache = Some(store);
-        self
-    }
-
-    /// The wrapper's store handle (clone it to share entries with another
-    /// wrapper or to inspect the cache after the wrapper is dropped).
-    pub fn store(&self) -> &CacheStore {
-        self.client
-            .cache()
-            .expect("a CachedProblem's client is always attached")
     }
 
     /// The wrapped problem.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// Number of distinct designs currently cached (shared-store wrappers
-    /// count entries written by every wrapper on the store).
-    pub fn len(&self) -> usize {
-        self.store().len()
-    }
-
-    /// Returns `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of the hit/miss/eviction counters.
@@ -407,9 +364,9 @@ mod tests {
         genes.iter().map(|g| g.to_bits() as i64).collect()
     }
 
-    /// Wraps `inner` keyed by the exact genome bits.
-    fn cached<P: Problem>(inner: P) -> CachedProblem<'static, P> {
-        CachedProblem::with_key_fn(inner, bits_key)
+    /// Wraps `inner` over `store`, keyed by the exact genome bits.
+    fn cached<P: Problem>(inner: P, store: &CacheStore) -> CachedProblem<'static, P> {
+        CachedProblem::new(inner, store.clone(), bits_key)
     }
 
     /// Scores a cohort one genome at a time, in order, as the optimisers do.
@@ -422,7 +379,8 @@ mod tests {
 
     #[test]
     fn repeat_evaluations_hit_the_cache() {
-        let cached = cached(Counting::new());
+        let store = CacheStore::new();
+        let cached = cached(Counting::new(), &store);
         let a = cached.evaluate(&[0.25, 0.5]);
         let b = cached.evaluate(&[0.25, 0.5]);
         let c = cached.evaluate(&[0.75, 0.5]);
@@ -430,12 +388,12 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(cached.inner().calls.load(Ordering::Relaxed), 2);
         assert_eq!(cached.stats(), hits_misses(1, 2));
-        assert_eq!(cached.len(), 2);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
     fn batch_deduplicates_within_and_across_batches() {
-        let cached = cached(Counting::new());
+        let cached = cached(Counting::new(), &CacheStore::new());
         let genomes = vec![
             vec![0.1, 0.1],
             vec![0.2, 0.2],
@@ -457,7 +415,7 @@ mod tests {
 
     #[test]
     fn batch_results_preserve_input_order_and_match_serial() {
-        let cached = cached(Counting::new());
+        let cached = cached(Counting::new(), &CacheStore::new());
         let genomes: Vec<Vec<f64>> = (0..10)
             .map(|i| vec![f64::from(i) / 10.0, f64::from(i % 3) / 3.0])
             .collect();
@@ -480,7 +438,7 @@ mod tests {
     fn custom_key_fn_merges_decode_equivalent_genomes() {
         // Key by a 4-bucket decode: all genes in the same quarter of
         // [0, 1] are "the same design".
-        let cached = CachedProblem::with_key_fn(Counting::new(), |genes| {
+        let cached = CachedProblem::new(Counting::new(), CacheStore::new(), |genes| {
             genes
                 .iter()
                 .map(|&g| (g.clamp(0.0, 1.0) * 4.0) as i64)
@@ -498,14 +456,14 @@ mod tests {
     #[test]
     fn shared_store_amortises_across_wrappers_with_per_wrapper_stats() {
         let store = CacheStore::new();
-        let first = cached(Counting::new()).with_shared_store(store.clone());
+        let first = cached(Counting::new(), &store);
         let _ = evaluate_all(&first, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(first.stats(), hits_misses(0, 2));
         assert_eq!(store.len(), 2);
 
         // A second wrapper (a new "request") over the same store: answers
         // come from the shared entries, attributed to this wrapper.
-        let second = cached(Counting::new()).with_shared_store(store.clone());
+        let second = cached(Counting::new(), &store);
         let evals = evaluate_all(&second, &[vec![0.2, 0.2], vec![0.3, 0.3]]);
         assert_eq!(evals.len(), 2);
         assert_eq!(second.stats(), hits_misses(1, 1));
@@ -513,7 +471,6 @@ mod tests {
         assert_eq!(store.len(), 3);
         // The first wrapper's counters are untouched.
         assert_eq!(first.stats(), hits_misses(0, 2));
-        assert!(first.store().shares_entries_with(second.store()));
     }
 
     /// Stands in for a concurrent request that finishes first: while this
@@ -532,7 +489,7 @@ mod tests {
         }
         fn evaluate(&self, genes: &[f64]) -> Evaluation {
             self.store
-                .insert(bits_key(genes), Evaluation::unconstrained(vec![-1.0]));
+                .try_insert(bits_key(genes), Evaluation::unconstrained(vec![-1.0]));
             Evaluation::unconstrained(vec![genes[0]])
         }
     }
@@ -540,10 +497,12 @@ mod tests {
     #[test]
     fn first_insert_wins_and_the_late_lookup_counts_as_a_hit() {
         let store = CacheStore::new();
-        let cached = cached(RacedBy {
-            store: store.clone(),
-        })
-        .with_shared_store(store.clone());
+        let cached = cached(
+            RacedBy {
+                store: store.clone(),
+            },
+            &store,
+        );
         let _ = cached.evaluate(&[0.5]);
         assert_eq!(cached.stats(), hits_misses(1, 0));
         assert_eq!(
@@ -559,18 +518,13 @@ mod tests {
         let store = CacheStore::new();
         assert!(store.is_empty());
         let alias = store.clone();
-        alias.insert(vec![1, 2], Evaluation::unconstrained(vec![0.5]));
+        alias.try_insert(vec![1, 2], Evaluation::unconstrained(vec![0.5]));
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.get(&[1, 2][..]),
             Some(Evaluation::unconstrained(vec![0.5]))
         );
-        assert!(store.shares_entries_with(&alias));
-        assert!(!store.shares_entries_with(&CacheStore::new()));
         assert!(format!("{store:?}").contains("entries"));
-        store.clear();
-        assert!(alias.is_empty());
-        assert_eq!(store.get(&[1, 2][..]), None);
     }
 
     #[test]
@@ -579,7 +533,7 @@ mod tests {
         // the mutex and crash every other tenant's next access.  Here the
         // tenant's snapshot import panics mid-merge, under the lock.
         let store = CacheStore::new();
-        store.insert(vec![1], Evaluation::unconstrained(vec![1.0]));
+        store.try_insert(vec![1], Evaluation::unconstrained(vec![1.0]));
         let poisoner = store.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             poisoner.import_entries(std::iter::from_fn(|| -> Option<(Vec<i64>, Evaluation)> {
@@ -594,9 +548,9 @@ mod tests {
             store.get(&[1][..]),
             Some(Evaluation::unconstrained(vec![1.0]))
         );
-        store.insert(vec![3], Evaluation::unconstrained(vec![3.0]));
+        store.try_insert(vec![3], Evaluation::unconstrained(vec![3.0]));
         assert_eq!(store.len(), 2);
-        let cached = cached(Counting::new()).with_shared_store(store.clone());
+        let cached = cached(Counting::new(), &store);
         let evals = evaluate_all(&cached, &[vec![0.1, 0.1], vec![0.2, 0.2]]);
         assert_eq!(evals.len(), 2);
         assert_eq!(cached.stats(), hits_misses(0, 2));
@@ -610,7 +564,7 @@ mod tests {
                 let store = store.clone();
                 std::thread::spawn(move || {
                     for i in 0..200i64 {
-                        store.insert(
+                        store.try_insert(
                             vec![t, i],
                             Evaluation::unconstrained(vec![(t * 1000 + i) as f64]),
                         );
@@ -630,7 +584,7 @@ mod tests {
     #[test]
     fn bounded_wrapper_attributes_its_own_evictions() {
         let store = CacheStore::bounded(2);
-        let cached = cached(Counting::new()).with_shared_store(store.clone());
+        let cached = cached(Counting::new(), &store);
         for i in 0..5 {
             let _ = cached.evaluate(&[f64::from(i) / 10.0, 0.0]);
         }
@@ -653,7 +607,7 @@ mod tests {
         // occurrence, evaluated) plus one hit (the duplicate) — never two
         // misses — and a triplicate is one miss plus two hits.
         let store = CacheStore::new();
-        let request_a = cached(Counting::new()).with_shared_store(store.clone());
+        let request_a = cached(Counting::new(), &store);
         let cohort = vec![
             vec![0.5, 0.5],
             vec![0.5, 0.5],
@@ -671,7 +625,7 @@ mod tests {
 
         // A second request over the shared store sees the duplicate as a
         // plain cross-request hit.
-        let request_b = cached(Counting::new()).with_shared_store(store.clone());
+        let request_b = cached(Counting::new(), &store);
         let evals_b = evaluate_all(&request_b, &[vec![0.5, 0.5], vec![0.5, 0.5]]);
         assert_eq!(evals_b[0], evals[0]);
         assert_eq!(request_b.stats(), hits_misses(2, 0));
@@ -680,10 +634,11 @@ mod tests {
 
     #[test]
     fn trait_surface_forwards_to_inner() {
-        let cached = cached(Counting::new());
+        let store = CacheStore::new();
+        let cached = cached(Counting::new(), &store);
         assert_eq!(cached.num_variables(), 2);
         assert_eq!(cached.num_objectives(), 1);
         assert_eq!(cached.name(), "counting");
-        assert!(cached.is_empty());
+        assert!(store.is_empty());
     }
 }

@@ -19,7 +19,9 @@
 //! * [`hypervolume`] — exact 2-D and Monte-Carlo N-D hypervolume indicators
 //!   used by the ablation benchmarks,
 //! * [`random_search()`] — a random-sampling baseline for comparison,
-//! * [`cached::CachedProblem`] — a memoizing problem wrapper.
+//! * [`cached::CachedProblem`] — a memoizing problem wrapper,
+//! * [`shared_cache::SharedCache`] — the one cache type: a shareable,
+//!   optionally CLOCK-bounded map with one first-wins insert.
 //!
 //! # Evaluation & caching
 //!
@@ -34,9 +36,10 @@
 //!    generation's offspring before scoring them, so variation never
 //!    interleaves with evaluation and the RNG stream — and therefore the
 //!    Pareto front — depends only on the seed.
-//! 2. **One lookup** — [`CachedProblem`] wraps any problem with a cache
-//!    keyed by a caller-supplied genome key, so duplicate designs (which
-//!    bucketed encodings re-sample constantly) are never re-evaluated.  It
+//! 2. **One lookup** — [`CachedProblem::new`] wraps any problem over a
+//!    [`CacheStore`] (fresh, or shared across runs) keyed by a
+//!    caller-supplied genome key, so duplicate designs (which bucketed
+//!    encodings re-sample constantly) are never re-evaluated.  It
 //!    looks up through [`CacheClient::get_or_compute`], the same
 //!    first-wins get-or-compute the chip evaluator's macro-metric cache
 //!    uses, and its [`CacheStats`] hit/miss counters surface in run
@@ -75,7 +78,6 @@
 pub mod archive;
 pub mod cached;
 pub mod cancel;
-mod clock;
 pub mod crowding;
 pub mod dominance;
 pub mod hypervolume;

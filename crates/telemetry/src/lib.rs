@@ -7,7 +7,7 @@
 //!    fixed-bucket histograms (log-spaced latency buckets with
 //!    p50/p90/p99 estimation). Increments are single atomic operations —
 //!    cheap enough for the per-genome hot path — and the registry mutex
-//!    is poison-tolerant like the workspace's `ClockMap`.
+//!    is poison-tolerant like the workspace's `acim_moga::SharedCache`.
 //! 2. **Tracing spans** ([`Span`], [`SpanRecorder`]): guard-based spans
 //!    with start/stop timestamps, parent links and `key=value`
 //!    attributes, recorded into a bounded ring buffer so memory stays

@@ -184,7 +184,7 @@ impl Registry {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        // Poison tolerance mirrors ClockMap: metric state is a bag of
+        // Poison tolerance mirrors SharedCache: metric state is a bag of
         // atomics, valid regardless of where a panicking thread stopped.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }

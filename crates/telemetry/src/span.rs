@@ -3,8 +3,9 @@
 //! A [`Span`] is a guard: it captures a start timestamp when created and
 //! records itself — name, parent link, duration, `key=value` attributes —
 //! into its [`SpanRecorder`] when dropped. Parent links (span ids) tie
-//! the records into per-request trees: service submit → stage pipeline →
-//! NSGA-II generation → batch eval → macro-cache lookup.
+//! the records into per-request trees: a `request` root whose children
+//! are its steps (`explore`, `distill`, `netlist`, `layout`, `chip`) and
+//! one `generation` span per NSGA-II generation.
 //!
 //! The recorder is a fixed-capacity ring (`VecDeque`): once full, the
 //! oldest record is evicted and a `dropped` counter bumped, so memory

@@ -1,5 +1,6 @@
 //! Heap-allocation budgets for the back half (netlist and layout), for
-//! one NSGA-II run and for one behavioural chip validation.
+//! one NSGA-II run, for one behavioural chip validation and for one warm
+//! cached exploration.
 //!
 //! A counting global allocator wraps [`System`].  The first test below
 //! netlists three pinned macros, lays out two and checks one, and counts
@@ -36,7 +37,11 @@
 //! clones and fully sorts every row to find its median (762 allocations
 //! on its fixture, counted when it read 587) fails here, and so do CDAC
 //! banks that collect their SAR group sizes into a throwaway vector per
-//! column (587).
+//! column (587).  The fourth counts one macro `explore_with` whose every
+//! lookup hits a `CacheStore` an identical run filled: a hit allocates
+//! only its decode-bucket key (the stored evaluation's objectives sit
+//! inline), so a cache or explorer layer that starts allocating per
+//! lookup fails here.
 //!
 //! Only the allocations of the thread running a step are counted: the test
 //! harness's other threads may allocate while a step runs, and under load
@@ -49,9 +54,10 @@ use std::cell::Cell;
 use acim_arch::AcimSpec;
 use acim_cell::CellLibrary;
 use acim_chip::{simulate_mix, ChipSpec, MacroGrid, Network, WorkloadMix};
+use acim_dse::{DesignSpaceExplorer, DseConfig, ExploreOptions};
 use acim_layout::{check_layout, write_def, write_gds_text, ColumnTemplate, LayoutFlow};
 use acim_model::ModelParams;
-use acim_moga::{Evaluation, Nsga2, Nsga2Config, Problem};
+use acim_moga::{CacheStore, Evaluation, Nsga2, Nsga2Config, Problem};
 use acim_netlist::{design_stats, write_spice, NetlistGenerator};
 use acim_tech::Technology;
 
@@ -335,6 +341,42 @@ fn simulate_mix_stays_within_its_allocation_budget() {
         "simulate_mix edge_cnn(1) 2x2".to_string(),
         count,
         SIMULATE_MIX_BUDGET,
+    );
+    assert!(over.is_empty(), "over budget: {over:#?}");
+}
+
+/// The allocations one warm cached macro exploration made when the budget
+/// was recorded: `explore_with` at 4 kb, population 40 × 10 generations,
+/// seed 0xACE5, over a `CacheStore` an identical first run filled, so
+/// every one of its 440 lookups hits: per generation, the offspring
+/// genomes and one key per lookup.  It may make 10 % more, rounded up.
+const WARM_EXPLORE_BUDGET: usize = 1_185;
+
+#[test]
+fn warm_cached_exploration_stays_within_its_allocation_budget() {
+    let config = DseConfig {
+        array_size: 4 * 1024,
+        population_size: 40,
+        generations: 10,
+        ..DseConfig::default()
+    };
+    let explorer = DesignSpaceExplorer::new(config).expect("valid config");
+    let options = ExploreOptions {
+        cache: Some(CacheStore::new()),
+        ..ExploreOptions::default()
+    };
+    let cold = explorer.explore_with(&options, |_| {}).expect("explores");
+    let (warm, count) = counted(|| explorer.explore_with(&options, |_| {}).expect("explores"));
+    assert_eq!(warm.engine.cache.misses, 0);
+    assert_eq!(warm.engine.cache.hits, warm.engine.evaluations);
+    assert_eq!(warm.engine.evaluations, 440);
+    assert_eq!(warm.len(), cold.len());
+    let mut over = Vec::new();
+    check(
+        &mut over,
+        "warm explore_with 4kb 40x10".to_string(),
+        count,
+        WARM_EXPLORE_BUDGET,
     );
     assert!(over.is_empty(), "over budget: {over:#?}");
 }

@@ -8,7 +8,7 @@ use acim_dse::{
     AcimDesignProblem, ChipDseConfig, ChipExplorer, DesignSpaceExplorer, DseConfig, Explorable,
 };
 use acim_model::ModelParams;
-use acim_moga::{CachedProblem, Evaluation, Nsga2, Nsga2Config, Problem};
+use acim_moga::{CacheStore, CachedProblem, Evaluation, Nsga2, Nsga2Config, Problem};
 use proptest::prelude::*;
 
 fn macro_problem() -> AcimDesignProblem {
@@ -36,7 +36,8 @@ proptest! {
         genomes in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 3), 1..40)
     ) {
         let problem = macro_problem();
-        let cached = CachedProblem::with_key_fn(problem.clone(), |genes| problem.cache_key(genes));
+        let cached =
+            CachedProblem::new(problem.clone(), CacheStore::new(), |genes| problem.cache_key(genes));
         let evaluate_all = |p: &dyn Problem| -> Vec<Evaluation> {
             genomes.iter().map(|genes| p.evaluate(genes)).collect()
         };
@@ -88,7 +89,9 @@ fn cached_nsga2_produces_the_same_front_as_uncached() {
         ..Default::default()
     };
     let problem = macro_problem();
-    let cached = CachedProblem::with_key_fn(&problem, |genes| problem.cache_key(genes));
+    let cached = CachedProblem::new(&problem, CacheStore::new(), |genes| {
+        problem.cache_key(genes)
+    });
     let plain_run = Nsga2::new(&problem, config.clone()).with_seed(5).run();
     let cached_run = Nsga2::new(&cached, config).with_seed(5).run();
     assert_eq!(

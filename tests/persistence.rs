@@ -235,10 +235,6 @@ fn foreign_signatures_are_rejected_before_any_merge() {
     assert_eq!(err.reason(), "bad_signature");
     assert_cold(&service);
 
-    // FlowError carries the typed persistence error for flow-level callers.
-    let flow_err: easyacim::FlowError = err.into();
-    assert!(flow_err.to_string().contains("persistence failed"));
-
     fs::remove_file(&path).unwrap();
 }
 
