@@ -325,29 +325,43 @@ mod tests {
         assert_eq!(cache.get(&1), Some("one".into()));
         assert_eq!(cache.len(), 1);
         assert!(format!("{cache:?}").contains("entries"));
+    }
 
-        // Unbounded: a plain hash map that never evicts.
-        for i in 2..=1000 {
-            assert_eq!(alias.try_insert(i, i.to_string()), INSERTED);
+    #[test]
+    fn unbounded_map_behaves_like_a_hash_map() {
+        let cache: SharedCache<u32, u32> = SharedCache::new();
+        for i in 0..1000 {
+            assert_eq!(cache.try_insert(i, i * 2), INSERTED);
         }
         assert_eq!(cache.len(), 1000);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.get(&500), Some("500".into()));
-        assert_eq!(cache.get(&1001), None);
+        assert_eq!(cache.get(&500), Some(1000));
+        assert_eq!(cache.get(&1000), None);
     }
 
     #[test]
     fn bounded_cache_evicts_and_stays_within_capacity() {
-        let cache: SharedCache<u32, u32> = SharedCache::bounded(8);
+        let cache: SharedCache<u32, u32> = SharedCache::bounded(2);
         let mut evicted = 0;
-        for i in 0..100 {
+        for i in 0..3 {
             if cache.try_insert(i, i) == EVICTED {
                 evicted += 1;
             }
+            assert!(cache.len() <= 2);
+        }
+        assert_eq!(evicted, 1);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.capacity(), Some(2));
+    }
+
+    #[test]
+    fn bounded_map_never_exceeds_capacity() {
+        let cache: SharedCache<u32, u32> = SharedCache::bounded(8);
+        for i in 0..100 {
+            cache.try_insert(i, i);
             assert!(cache.len() <= 8);
         }
         assert_eq!(cache.len(), 8);
-        assert_eq!(evicted, 92);
         assert_eq!(cache.evictions(), 92);
         assert_eq!(cache.capacity(), Some(8));
     }
@@ -358,6 +372,14 @@ mod tests {
         assert_eq!(cache.try_insert(7, 70), INSERTED);
         assert_eq!(cache.try_insert(7, 99), TryInsert::AlreadyPresent);
         assert_eq!(cache.get(&7), Some(70), "loser's value is dropped");
+    }
+
+    #[test]
+    fn try_insert_keeps_existing_entries() {
+        let unbounded: SharedCache<u32, u32> = SharedCache::new();
+        assert_eq!(unbounded.try_insert(1, 10), INSERTED);
+        assert_eq!(unbounded.try_insert(1, 99), TryInsert::AlreadyPresent);
+        assert_eq!(unbounded.get(&1), Some(10), "loser's value is dropped");
 
         let bounded: SharedCache<u32, u32> = SharedCache::bounded(2);
         bounded.try_insert(1, 1);
