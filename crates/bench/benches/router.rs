@@ -4,7 +4,7 @@
 //! tracks already reserved.
 
 use acim_cell::{Point, Rect};
-use acim_layout::{MazeRouter, RouteRequest, RoutingGrid};
+use acim_layout::{MazeRouter, Names, RouteRequest, RoutingGrid};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -34,12 +34,12 @@ fn build_router(block_tracks: bool) -> MazeRouter {
 /// Twelve three-terminal nets.  Every terminal is distinct: two nets
 /// sharing a terminal cannot both be routed.
 fn requests() -> Vec<RouteRequest> {
+    let mut names = Names::default();
     let requests: Vec<RouteRequest> = (0..12u32)
         .map(|i| {
             let offset = f64::from(i) * 1_500.0;
             RouteRequest {
-                net: format!("net_{i}"),
-                net_id: i + 1,
+                net: names.add(format_args!("net_{i}")),
                 terminals: vec![
                     (0, Point::new(300.0 + offset, 200.0)),
                     (0, Point::new(18_000.0 - offset, 19_000.0)),

@@ -16,6 +16,7 @@
 //! maze router inside the peripheral region only — the local arrays are
 //! never opened, exactly as the paper's template strategy prescribes.
 
+use std::fmt::Display;
 use std::sync::Arc;
 
 use acim_arch::AcimSpec;
@@ -38,6 +39,8 @@ pub struct ColumnTemplate {
     pub periphery_height: f64,
     /// Y centre of every read word-line pin, indexed by global row.
     pub rwl_pin_y: Vec<f64>,
+    /// Centre of every `DOUT` pin, indexed by output bit.
+    pub dout: Vec<Point>,
 }
 
 impl ColumnTemplate {
@@ -65,81 +68,7 @@ impl ColumnTemplate {
         let locals = spec.capacitors_per_column();
 
         // --- Deterministic stacking ---------------------------------------
-        let mut instances = Vec::new();
-        let mut cursor = 0.0f64;
-        let place = |name: String, cell: &'static str, w: f64, h: f64, y: &mut f64| {
-            let inst = PlacedInstance {
-                name,
-                cell,
-                origin: Point::new(0.0, *y),
-                orientation: Orientation::R0,
-                width: w,
-                height: h,
-            };
-            *y += h;
-            inst
-        };
-
-        instances.push(place(
-            "XSARCTRL".into(),
-            sar_logic.name(),
-            width,
-            sar_logic.height_nm(),
-            &mut cursor,
-        ));
-        let mut dff_origins = Vec::with_capacity(bits);
-        for bit in 0..bits {
-            dff_origins.push(cursor);
-            instances.push(place(
-                format!("XDFF_{bit}"),
-                dff.name(),
-                width,
-                dff.height_nm(),
-                &mut cursor,
-            ));
-        }
-        let switch_origin = cursor;
-        instances.push(place(
-            "XSW".into(),
-            switch.name(),
-            width,
-            switch.height_nm(),
-            &mut cursor,
-        ));
-        let comparator_origin = cursor;
-        instances.push(place(
-            "XCOMP".into(),
-            comparator.name(),
-            width,
-            comparator.height_nm(),
-            &mut cursor,
-        ));
-        let periphery_height = cursor;
-
-        let mut rwl_pin_y = Vec::with_capacity(spec.height());
-        let mut compute_cell_tops = Vec::with_capacity(locals);
-        for j in 0..locals {
-            compute_cell_tops.push(cursor + compute.height_nm() / 2.0);
-            instances.push(place(
-                format!("XLA_{j}/XLC"),
-                compute.name(),
-                width,
-                compute.height_nm(),
-                &mut cursor,
-            ));
-            for i in 0..spec.local_array() {
-                rwl_pin_y.push(cursor + sram.height_nm() / 2.0);
-                instances.push(place(
-                    format!("XLA_{j}/XSRAM_{i}"),
-                    sram.name(),
-                    width,
-                    sram.height_nm(),
-                    &mut cursor,
-                ));
-            }
-        }
-        let height = cursor;
-
+        // The boundary takes its height once every cell is stacked.
         let mut layout = Layout::new(
             format!(
                 "COLUMN_{}x1_l{}_b{}",
@@ -148,9 +77,43 @@ impl ColumnTemplate {
                 spec.adc_bits()
             ),
             width,
-            height,
+            0.0,
         );
-        layout.instances = instances;
+        let mut cursor = 0.0f64;
+        stack(&mut layout, "XSARCTRL", sar_logic, &mut cursor);
+        let mut dff_origins = Vec::with_capacity(bits);
+        for bit in 0..bits {
+            dff_origins.push(cursor);
+            stack(&mut layout, format_args!("XDFF_{bit}"), dff, &mut cursor);
+        }
+        let switch_origin = cursor;
+        stack(&mut layout, "XSW", switch, &mut cursor);
+        let comparator_origin = cursor;
+        stack(&mut layout, "XCOMP", comparator, &mut cursor);
+        let periphery_height = cursor;
+
+        let mut rwl_pin_y = Vec::with_capacity(spec.height());
+        let mut compute_cell_tops = Vec::with_capacity(locals);
+        for j in 0..locals {
+            compute_cell_tops.push(cursor + compute.height_nm() / 2.0);
+            stack(
+                &mut layout,
+                format_args!("XLA_{j}/XLC"),
+                compute,
+                &mut cursor,
+            );
+            for i in 0..spec.local_array() {
+                rwl_pin_y.push(cursor + sram.height_nm() / 2.0);
+                stack(
+                    &mut layout,
+                    format_args!("XLA_{j}/XSRAM_{i}"),
+                    sram,
+                    &mut cursor,
+                );
+            }
+        }
+        let height = cursor;
+        layout.boundary = Rect::new(0.0, 0.0, width, height);
 
         // --- Pre-defined tracks --------------------------------------------
         // Read bit-line: vertical M2 track near the right edge spanning from
@@ -162,26 +125,27 @@ impl ColumnTemplate {
         let rbl_x = width * 0.75;
         let rbl_top = compute_cell_tops.last().copied().unwrap_or(height);
         layout.wires.push(Wire {
-            net: "RBL".into(),
+            net: layout.names.add("RBL"),
             layer: "M2",
             rect: Rect::new(rbl_x, switch_origin, rbl_x + m2_width, rbl_top),
         });
         // Analog reference VCM: vertical M2 track near the left edge.
         let vcm_x = width * 0.2;
         layout.wires.push(Wire {
-            net: "VCM".into(),
+            net: layout.names.add("VCM"),
             layer: "M2",
             rect: Rect::new(vcm_x, 0.0, vcm_x + m2_width, rbl_top),
         });
-        // Power: vertical M4 stripes.
+        // Power: vertical M4 stripes, whose nets the power pins share.
         let m4_width = tech.rules().layer_rule("M4")?.min_width.value();
+        let (vdd, vss) = (layout.names.add("VDD"), layout.names.add("VSS"));
         layout.wires.push(Wire {
-            net: "VDD".into(),
+            net: vdd,
             layer: "M4",
             rect: Rect::new(width * 0.35, 0.0, width * 0.35 + m4_width * 2.0, height),
         });
         layout.wires.push(Wire {
-            net: "VSS".into(),
+            net: vss,
             layer: "M4",
             rect: Rect::new(width * 0.6, 0.0, width * 0.6 + m4_width * 2.0, height),
         });
@@ -227,21 +191,20 @@ impl ColumnTemplate {
         }
         com_terminals.push((0usize, pin_at(sar_logic, "COM", 0.0)?));
         requests.push(RouteRequest {
-            net: "COM".into(),
-            net_id: 1,
+            net: layout.names.add("COM"),
             terminals: com_terminals,
         });
         // COMB: comparator complement output to the SAR logic.
         requests.push(RouteRequest {
-            net: "COMB".into(),
-            net_id: 2,
+            net: layout.names.add("COMB"),
             terminals: vec![
                 (0usize, pin_at(comparator, "COMB", comparator_origin)?),
                 (0usize, pin_at(sar_logic, "COMB", 0.0)?),
             ],
         });
         // CLK: bottom-edge pin to the comparator, every DFF and the SAR
-        // logic.
+        // logic.  The routed net and the CLK pin are one net.
+        let clk = layout.names.add("CLK");
         let clk_entry = Point::new(width * 0.5, 0.0);
         let mut clk_terminals = vec![
             (1usize, clk_entry),
@@ -252,14 +215,12 @@ impl ColumnTemplate {
             clk_terminals.push((0usize, pin_at(dff, "CLK", y)?));
         }
         requests.push(RouteRequest {
-            net: "CLK".into(),
-            net_id: 3,
+            net: clk,
             terminals: clk_terminals,
         });
         // Switch enable from the SAR logic DONE output.
         requests.push(RouteRequest {
-            net: "SW_EN".into(),
-            net_id: 4,
+            net: layout.names.add("SW_EN"),
             terminals: vec![
                 (0usize, pin_at(sar_logic, "DONE", 0.0)?),
                 (0usize, pin_at(switch, "EN", switch_origin)?),
@@ -268,7 +229,12 @@ impl ColumnTemplate {
 
         router.reserve_terminals(&requests);
         for request in &requests {
-            let (wires, vias) = router.route(request)?;
+            let (wires, vias) = router
+                .route(request)
+                .ok_or_else(|| LayoutError::Unroutable {
+                    net: layout.names.get(request.net).to_string(),
+                    context: layout.name.clone(),
+                })?;
             layout.wires.extend(wires);
             layout.vias.extend(vias);
         }
@@ -276,29 +242,38 @@ impl ColumnTemplate {
         // --- Exported pins --------------------------------------------------
         for (row, &y) in rwl_pin_y.iter().enumerate() {
             layout.pins.push(LayoutPin {
-                net: format!("RWL_{row}"),
+                net: layout.names.add(format_args!("RWL_{row}")),
                 layer: "M3",
                 rect: Rect::new(0.0, y - 30.0, 120.0, y + 30.0),
             });
         }
+        let mut dout = Vec::with_capacity(bits);
         for (bit, &y) in dff_origins.iter().enumerate() {
             let q = pin_at(dff, "Q", y)?;
+            let rect = Rect::new(q.x - 60.0, q.y - 30.0, q.x + 60.0, q.y + 30.0);
+            dout.push(rect.center());
             layout.pins.push(LayoutPin {
-                net: format!("DOUT_{bit}"),
+                net: layout.names.add(format_args!("DOUT_{bit}")),
                 layer: "M2",
-                rect: Rect::new(q.x - 60.0, q.y - 30.0, q.x + 60.0, q.y + 30.0),
+                rect,
             });
         }
-        for (net, x_frac) in [("CLK", 0.5), ("PCH", 0.3), ("RST", 0.4), ("START", 0.6)] {
+        let controls = [
+            (clk, 0.5),
+            (layout.names.add("PCH"), 0.3),
+            (layout.names.add("RST"), 0.4),
+            (layout.names.add("START"), 0.6),
+        ];
+        for (net, x_frac) in controls {
             layout.pins.push(LayoutPin {
-                net: net.to_string(),
+                net,
                 layer: "M3",
                 rect: Rect::new(width * x_frac - 60.0, 0.0, width * x_frac + 60.0, 60.0),
             });
         }
-        for (net, x) in [("VDD", width * 0.35), ("VSS", width * 0.6)] {
+        for (net, x) in [(vdd, width * 0.35), (vss, width * 0.6)] {
             layout.pins.push(LayoutPin {
-                net: net.to_string(),
+                net,
                 layer: "M4",
                 rect: Rect::new(x, 0.0, x + m4_width * 2.0, 120.0),
             });
@@ -308,8 +283,24 @@ impl ColumnTemplate {
             layout: Arc::new(layout),
             periphery_height,
             rwl_pin_y,
+            dout,
         })
     }
+}
+
+/// Places `cell`, named `name`, across the column's width with its bottom
+/// at `*y`, and moves `*y` to its top.
+fn stack(layout: &mut Layout, name: impl Display, cell: &LeafCell, y: &mut f64) {
+    let name = layout.names.add(name);
+    layout.instances.push(PlacedInstance {
+        name,
+        cell: cell.name(),
+        origin: Point::new(0.0, *y),
+        orientation: Orientation::R0,
+        width: layout.width(),
+        height: cell.height_nm(),
+    });
+    *y += cell.height_nm();
 }
 
 /// The centre of `cell`'s pin `pin`, for the cell placed at `origin_y` in
@@ -383,22 +374,27 @@ mod tests {
         for pair in t.rwl_pin_y.windows(2) {
             assert!(pair[1] > pair[0], "RWL pin ordering broken");
         }
-        assert!(t.layout.pin("RWL_0").is_some());
-        assert!(t.layout.pin("RWL_31").is_some());
-        assert!(t.layout.pin("DOUT_2").is_some());
-        assert!(t.layout.pin("CLK").is_some());
+        let pins: Vec<&str> = t
+            .layout
+            .pins
+            .iter()
+            .map(|p| t.layout.names.get(p.net))
+            .collect();
+        for pin in ["RWL_0", "RWL_31", "DOUT_2", "CLK"] {
+            assert!(pins.contains(&pin), "missing pin {pin}");
+        }
     }
 
     #[test]
     fn critical_nets_have_predefined_tracks_and_routes() {
         let t = template(32, 8, 4, 3);
-        let nets: std::collections::BTreeSet<&str> =
-            t.layout.wires.iter().map(|w| w.net.as_str()).collect();
-        for net in ["RBL", "VCM", "VDD", "VSS", "COM", "CLK"] {
-            assert!(nets.contains(net), "missing routed net {net}");
+        let net = |wire: &Wire| t.layout.names.get(wire.net);
+        let nets: std::collections::BTreeSet<&str> = t.layout.wires.iter().map(net).collect();
+        for name in ["RBL", "VCM", "VDD", "VSS", "COM", "CLK"] {
+            assert!(nets.contains(name), "missing routed net {name}");
         }
         // The RBL track spans the compute region.
-        let rbl = t.layout.wires.iter().find(|w| w.net == "RBL").unwrap();
+        let rbl = t.layout.wires.iter().find(|w| net(w) == "RBL").unwrap();
         assert!(rbl.rect.height() > t.periphery_height);
     }
 

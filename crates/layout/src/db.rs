@@ -1,5 +1,13 @@
 //! The layout database: placed instances, wires, vias, exported pins and
-//! placements of shared blocks.
+//! placements of shared blocks, each named through its block's name table.
+//!
+//! Every [`Layout`] block holds a name table, [`Names`]: each name's text,
+//! written once while the block is built, and a dense [`NameId`] per name.
+//! Instances, wires, vias, pins and placement prefixes hold ids into the
+//! table of the block that owns them.  A block adds each of its nets once,
+//! so two of its objects are on one net exactly when they hold one id.
+//! Only the DEF and GDS writers ([`crate::gds`]) and DRC's violation text
+//! ([`crate::drc`]) read a name's text.
 //!
 //! A [`Layout`] holds its own shapes plus placements of other layouts
 //! ([`Layout::place`]), each shared through an [`Arc`] and placed at an
@@ -7,22 +15,60 @@
 //! `W` times.  Checks and metrics read the layout through its *flat view*
 //! ([`Layout::flat_instances`], [`Layout::flat_wires`],
 //! [`Layout::flat_vias`]): every placement's objects, in placement order,
-//! then the layout's own, each named with its placement's prefix and
-//! translated by its offset.  The DEF and GDS writers ([`crate::gds`])
+//! then the layout's own, each with the placement it comes from and
+//! translated by its offset.  A flat object's name is its placement's
+//! prefix followed by its own name in its block's table.  The DEF and GDS writers
 //! walk the placements themselves, stamping each placed block's lines, and
 //! write the bytes the flat view lists.
 
+use std::fmt::{Display, Write as _};
 use std::sync::Arc;
 
 use acim_cell::{Orientation, Point, Rect};
 
 use crate::error::LayoutError;
 
+/// A block's name table: the text of every name, back to back in one
+/// buffer, and where each name ends.  Ids count up from 0 in the order the
+/// names were added.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Names {
+    text: String,
+    ends: Vec<usize>,
+}
+
+/// A name in a block's [`Names`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NameId(pub(crate) u32);
+
+impl Names {
+    /// Appends the text of `name`, such as `"VDD"` or
+    /// `format_args!("OUT_{col}_{bit}")`, and returns its id.  Adding a
+    /// text twice gives two ids, which name two nets.
+    pub fn add(&mut self, name: impl Display) -> NameId {
+        let id = u32::try_from(self.ends.len()).expect("a block holds fewer than 2^32 names");
+        let _ = write!(self.text, "{name}");
+        self.ends.push(self.text.len());
+        NameId(id)
+    }
+
+    /// The text of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table holds no name at `id`'s index.
+    pub fn get(&self, id: NameId) -> &str {
+        let index = id.0 as usize;
+        let start = index.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.text[start..self.ends[index]]
+    }
+}
+
 /// A placed leaf-cell (or block) instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacedInstance {
-    /// Instance name (hierarchical, e.g. `"COL_3/XLA_0/XSRAM_2"`).
-    pub name: String,
+    /// Instance name, such as `XLA_0/XSRAM_2`.
+    pub name: NameId,
     /// Name of the placed cell or block template.
     pub cell: &'static str,
     /// Lower-left placement origin in nanometres.
@@ -47,8 +93,8 @@ impl PlacedInstance {
 /// A routed wire segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wire {
-    /// Net name.
-    pub net: String,
+    /// Net.
+    pub net: NameId,
     /// Metal layer name.
     pub layer: &'static str,
     /// Wire geometry in nanometres.
@@ -58,8 +104,8 @@ pub struct Wire {
 /// A via between two adjacent metal layers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Via {
-    /// Net name.
-    pub net: String,
+    /// Net.
+    pub net: NameId,
     /// Lower metal layer name.
     pub from_layer: &'static str,
     /// Upper metal layer name.
@@ -72,8 +118,8 @@ pub struct Via {
 /// the next hierarchy level).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayoutPin {
-    /// Net / pin name.
-    pub net: String,
+    /// Net, which names the pin.
+    pub net: NameId,
     /// Metal layer of the access shape.
     pub layer: &'static str,
     /// Access shape.
@@ -82,7 +128,7 @@ pub struct LayoutPin {
 
 /// A shared block placed into a layout.  In the layout's flat view every
 /// instance, wire and via of `block` is translated by `offset` and named
-/// with `prefix` in front.
+/// with the text of `prefix` in front.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Placement {
     /// The placed block, which holds no placements of its own: the flat
@@ -90,27 +136,50 @@ pub(crate) struct Placement {
     pub(crate) block: Arc<Layout>,
     /// Where the block's origin lands, in nanometres.
     pub(crate) offset: Point,
-    /// Prefix of every flat name, e.g. `"COL_3/"`.
-    pub(crate) prefix: String,
+    /// Prefix of every flat name, such as `COL_3/`, in the placing
+    /// layout's table.
+    pub(crate) prefix: NameId,
 }
 
 /// An object of a layout's flat view: the object as its block holds it,
-/// plus the placement that puts it into the layout.
+/// plus the placement that puts it into the layout.  Two flat objects name
+/// one net when they share a placement, or both are the layout's own, and
+/// hold one id.
 #[derive(Debug, Clone)]
 pub struct Flat<'a, T> {
     /// The object in the frame of the block that holds it.
     pub local: &'a T,
-    /// Name prefix of the placement; empty for the layout's own objects.
-    pub prefix: &'a str,
-    /// Offset of the placement; `None` for the layout's own objects, which
-    /// are not translated.
-    offset: Option<Point>,
+    /// Index of the placement among the layout's; `None` for the layout's
+    /// own objects, which are not translated.
+    pub placement: Option<usize>,
+    /// The layout whose flat view lists the object.
+    layout: &'a Layout,
 }
 
-impl<T> Flat<'_, T> {
+impl<'a, T> Flat<'a, T> {
+    fn placed(&self) -> Option<&'a Placement> {
+        let placements = &self.layout.placements;
+        self.placement.map(|index| &placements[index])
+    }
+
+    /// Name prefix of the placement; empty for the layout's own objects.
+    pub fn prefix(&self) -> &'a str {
+        let names = &self.layout.names;
+        self.placed()
+            .map_or("", |placement| names.get(placement.prefix))
+    }
+
+    /// The text of `id` in the table of the block that holds the object.
+    pub fn name(&self, id: NameId) -> &'a str {
+        let block = self
+            .placed()
+            .map_or(self.layout, |placement| &placement.block);
+        block.names.get(id)
+    }
+
     fn point(&self, point: Point) -> Point {
-        match self.offset {
-            Some(offset) => point.translated(offset.x, offset.y),
+        match self.placed() {
+            Some(placement) => point.translated(placement.offset.x, placement.offset.y),
             None => point,
         }
     }
@@ -126,9 +195,10 @@ impl Flat<'_, PlacedInstance> {
 impl Flat<'_, Wire> {
     /// Wire geometry in the layout's frame.
     pub fn rect(&self) -> Rect {
-        match self.offset {
-            Some(offset) => self.local.rect.translated(offset.x, offset.y),
-            None => self.local.rect,
+        let rect = self.local.rect;
+        Rect {
+            min: self.point(rect.min),
+            max: self.point(rect.max),
         }
     }
 }
@@ -147,6 +217,8 @@ impl Flat<'_, Via> {
 pub struct Layout {
     /// Block name.
     pub name: String,
+    /// The names of the block's objects and of its placements' prefixes.
+    pub names: Names,
     /// Block boundary (origin at (0, 0)).
     pub boundary: Rect,
     /// Placed instances.
@@ -194,8 +266,9 @@ impl Layout {
     }
 
     /// Places `block` with its origin at `offset`, prefixing the names of
-    /// its instances, wires and vias with `prefix` in the flat view.  The
-    /// boundary grows to cover the translated block.
+    /// its instances, wires and vias with `prefix`, a name in this layout's
+    /// table, in the flat view.  The boundary grows to cover the translated
+    /// block.
     ///
     /// # Errors
     ///
@@ -205,7 +278,7 @@ impl Layout {
         &mut self,
         block: Arc<Layout>,
         offset: Point,
-        prefix: impl Into<String>,
+        prefix: NameId,
     ) -> Result<(), LayoutError> {
         if !block.placements.is_empty() {
             return Err(LayoutError::InvalidParameter {
@@ -219,7 +292,7 @@ impl Layout {
         self.placements.push(Placement {
             block,
             offset,
-            prefix: prefix.into(),
+            prefix,
         });
         Ok(())
     }
@@ -259,17 +332,21 @@ impl Layout {
         &'a self,
         objects: fn(&Layout) -> &[T],
     ) -> impl Iterator<Item = Flat<'a, T>> {
-        let placed = self.placements.iter().flat_map(move |placement| {
-            objects(&placement.block).iter().map(move |local| Flat {
-                local,
-                prefix: &placement.prefix,
-                offset: Some(placement.offset),
-            })
-        });
-        let own = objects(self).iter().map(|local| Flat {
+        let placed = self
+            .placements
+            .iter()
+            .enumerate()
+            .flat_map(move |(index, placement)| {
+                objects(&placement.block).iter().map(move |local| Flat {
+                    local,
+                    placement: Some(index),
+                    layout: self,
+                })
+            });
+        let own = objects(self).iter().map(move |local| Flat {
             local,
-            prefix: "",
-            offset: None,
+            placement: None,
+            layout: self,
         });
         placed.chain(own)
     }
@@ -281,20 +358,15 @@ impl Layout {
             .sum::<usize>()
             + objects(self).len()
     }
-
-    /// Finds an exported pin by net name.
-    pub fn pin(&self, net: &str) -> Option<&LayoutPin> {
-        self.pins.iter().find(|p| p.net == net)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn instance(name: &str, x: f64, y: f64) -> PlacedInstance {
+    fn instance(name: NameId, x: f64, y: f64) -> PlacedInstance {
         PlacedInstance {
-            name: name.into(),
+            name,
             cell: "SRAM8T",
             origin: Point::new(x, y),
             orientation: Orientation::R0,
@@ -304,8 +376,24 @@ mod tests {
     }
 
     #[test]
+    fn names_are_dense_and_read_back_exactly() {
+        let mut names = Names::default();
+        let ids = [
+            names.add("VDD"),
+            names.add(""),
+            names.add(format_args!("OUT_{}_{}", 1023, 7)),
+            names.add(format_args!("COL_{}/", 12)),
+            names.add(String::new()),
+            names.add("VDD"),
+        ];
+        assert_eq!(ids.map(|id| id.0), [0, 1, 2, 3, 4, 5]);
+        let texts = ids.map(|id| names.get(id));
+        assert_eq!(texts, ["VDD", "", "OUT_1023_7", "COL_12/", "", "VDD"]);
+    }
+
+    #[test]
     fn instance_boundary() {
-        let inst = instance("X0", 100.0, 200.0);
+        let inst = instance(Names::default().add("X0"), 100.0, 200.0);
         let b = inst.boundary();
         assert_eq!(b.min, Point::new(100.0, 200.0));
         assert_eq!(b.max, Point::new(2100.0, 832.0));
@@ -315,12 +403,12 @@ mod tests {
     fn wirelength_sums_long_dimensions() {
         let mut layout = Layout::new("test", 10_000.0, 10_000.0);
         layout.wires.push(Wire {
-            net: "A".into(),
+            net: layout.names.add("A"),
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
-            net: "B".into(),
+            net: layout.names.add("B"),
             layer: "M3",
             rect: Rect::new(0.0, 0.0, 2000.0, 56.0),
         });
@@ -330,15 +418,17 @@ mod tests {
     /// A two-instance, one-wire, one-via block.
     fn column() -> Arc<Layout> {
         let mut column = Layout::new("COLUMN", 2000.0, 5000.0);
-        column.instances.push(instance("XSRAM_0", 0.0, 0.0));
-        column.instances.push(instance("XSRAM_1", 0.0, 632.0));
+        for (row, y) in [0.0, 632.0].into_iter().enumerate() {
+            let name = column.names.add(format_args!("XSRAM_{row}"));
+            column.instances.push(instance(name, 0.0, y));
+        }
         column.wires.push(Wire {
-            net: "RBL".into(),
+            net: column.names.add("RBL"),
             layer: "M2",
             rect: Rect::new(1900.0, 0.0, 1950.0, 5000.0),
         });
         column.vias.push(Via {
-            net: "COM".into(),
+            net: column.names.add("COM"),
             from_layer: "M2",
             to_layer: "M3",
             at: Point::new(300.0, 400.0),
@@ -350,13 +440,15 @@ mod tests {
     fn flat_view_orders_prefixes_and_translates() {
         let column = column();
         let mut top = Layout::new("TOP", 1000.0, 1000.0);
-        top.place(Arc::clone(&column), Point::new(100.0, 50.0), "COL_0/")
-            .unwrap();
-        top.place(Arc::clone(&column), Point::new(2100.0, 50.0), "COL_1/")
-            .unwrap();
-        top.instances.push(instance("XIBUF_0", 0.0, 0.0));
+        for (col, x) in [100.0, 2100.0].into_iter().enumerate() {
+            let prefix = top.names.add(format_args!("COL_{col}/"));
+            top.place(Arc::clone(&column), Point::new(x, 50.0), prefix)
+                .unwrap();
+        }
+        let name = top.names.add("XIBUF_0");
+        top.instances.push(instance(name, 0.0, 0.0));
         top.wires.push(Wire {
-            net: "RWL_0".into(),
+            net: top.names.add("RWL_0"),
             layer: "M3",
             rect: Rect::new(0.0, 10.0, 4100.0, 66.0),
         });
@@ -364,7 +456,7 @@ mod tests {
         // Placed objects first, in placement order, then the layout's own.
         let names: Vec<String> = top
             .flat_instances()
-            .map(|i| format!("{}{}", i.prefix, i.local.name))
+            .map(|i| format!("{}{}", i.prefix(), i.name(i.local.name)))
             .collect();
         assert_eq!(
             names,
@@ -376,13 +468,15 @@ mod tests {
                 "XIBUF_0"
             ]
         );
+        let placements: Vec<Option<usize>> = top.flat_instances().map(|i| i.placement).collect();
+        assert_eq!(placements, [Some(0), Some(0), Some(1), Some(1), None]);
         let origins: Vec<Point> = top.flat_instances().map(|i| i.origin()).collect();
         assert_eq!(origins[1], Point::new(100.0, 682.0));
         assert_eq!(origins[2], Point::new(2100.0, 50.0));
         assert_eq!(origins[4], Point::new(0.0, 0.0));
         let wires: Vec<(String, Rect)> = top
             .flat_wires()
-            .map(|w| (format!("{}{}", w.prefix, w.local.net), w.rect()))
+            .map(|w| (format!("{}{}", w.prefix(), w.name(w.local.net)), w.rect()))
             .collect();
         assert_eq!(wires.len(), 3);
         assert_eq!(
@@ -394,7 +488,7 @@ mod tests {
             .flat_vias()
             .map(|v| {
                 (
-                    format!("{}{}", v.prefix, v.local.net),
+                    format!("{}{}", v.prefix(), v.name(v.local.net)),
                     v.at(),
                     v.local.to_layer,
                 )
@@ -419,23 +513,15 @@ mod tests {
     #[test]
     fn placed_blocks_may_not_hold_placements() {
         let mut nested = Layout::new("NESTED", 100.0, 100.0);
-        nested.place(column(), Point::new(0.0, 0.0), "C/").unwrap();
+        let prefix = nested.names.add("C/");
+        nested
+            .place(column(), Point::new(0.0, 0.0), prefix)
+            .unwrap();
         let mut top = Layout::new("TOP", 100.0, 100.0);
+        let prefix = top.names.add("N/");
         assert!(top
-            .place(Arc::new(nested), Point::new(0.0, 0.0), "N/")
+            .place(Arc::new(nested), Point::new(0.0, 0.0), prefix)
             .is_err());
         assert!(top.placements.is_empty());
-    }
-
-    #[test]
-    fn pin_lookup() {
-        let mut layout = Layout::new("test", 1000.0, 1000.0);
-        layout.pins.push(LayoutPin {
-            net: "CLK".into(),
-            layer: "M3",
-            rect: Rect::new(0.0, 0.0, 100.0, 100.0),
-        });
-        assert!(layout.pin("CLK").is_some());
-        assert!(layout.pin("MISSING").is_none());
     }
 }

@@ -8,13 +8,18 @@
 //!   minimum spacing,
 //! * wires must meet the layer's minimum width,
 //! * everything must stay inside the layout boundary.
+//!
+//! Two wires are of one net when they share a placement, or are both the
+//! layout's own, and hold one name id ([`crate::db`]).  Names are text only
+//! in the violations: a flat object's placement prefix followed by its own
+//! name.
 
 use std::collections::BTreeMap;
 
 use acim_cell::Rect;
 use acim_tech::Technology;
 
-use crate::db::{Flat, Layout, Wire};
+use crate::db::{Flat, Layout, NameId};
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +80,7 @@ impl DrcReport {
 }
 
 /// Runs the checks on a layout's flat view, in place: a flat object's
-/// name, its placement's prefix followed by its own name, is formatted
-/// only for a violation that reports it.
+/// name is formatted only for a violation that reports it.
 pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
     let mut report = DrcReport {
         checked_objects: layout.instance_count() + layout.wire_count(),
@@ -96,31 +100,30 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
     for (index, (rect_a, a)) in instances.iter().enumerate() {
         if !layout.boundary.contains_rect(rect_a) {
             report.violations.push(DrcViolation::OutsideBoundary {
-                what: format!("instance {}{}", a.prefix, a.local.name),
+                what: format!("instance {}{}", a.prefix(), a.name(a.local.name)),
             });
         }
         for (rect_b, b) in &instances[index + 1..] {
             if rect_a.overlaps(rect_b) {
                 report.violations.push(DrcViolation::InstanceOverlap {
-                    a: format!("{}{}", a.prefix, a.local.name),
-                    b: format!("{}{}", b.prefix, b.local.name),
+                    a: flat_name(a, a.local.name),
+                    b: flat_name(b, b.local.name),
                 });
             }
         }
     }
 
     // Wire width, spacing and containment, grouped per layer.  Each wire
-    // keeps its rectangle and a hash of its flat net name beside it, so
-    // the pairwise loop compares names only when the hashes agree.
+    // keeps its rectangle and its net beside it, the net as one integer:
+    // the placement (0 for the layout's own wires) above the name id.
     let mut by_layer: BTreeMap<&'static str, Vec<_>> = BTreeMap::new();
     for wire in layout.flat_wires() {
-        let hash = flat_net(&wire).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
-        });
+        let placement = wire.placement.map_or(0, |index| index as u64 + 1);
+        let net = (placement << 32) | u64::from(wire.local.net.0);
         by_layer
             .entry(wire.local.layer)
             .or_default()
-            .push((wire.rect(), hash, wire));
+            .push((wire.rect(), net, wire));
     }
     for (layer, wires) in by_layer {
         let Ok(rule) = tech.rules().layer_rule(layer) else {
@@ -131,28 +134,32 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
             if width + 1e-9 < rule.min_width.value() {
                 report.violations.push(DrcViolation::WidthViolation {
                     layer,
-                    net: format!("{}{}", wire.prefix, wire.local.net),
+                    net: flat_name(wire, wire.local.net),
                     width,
                     required: rule.min_width.value(),
                 });
             }
             if !layout.boundary.contains_rect(rect) {
                 report.violations.push(DrcViolation::OutsideBoundary {
-                    what: format!("wire {}{} on {layer}", wire.prefix, wire.local.net),
+                    what: format!(
+                        "wire {}{} on {layer}",
+                        wire.prefix(),
+                        wire.name(wire.local.net)
+                    ),
                 });
             }
         }
-        for (index, (rect_a, hash_a, a)) in wires.iter().enumerate() {
-            for (rect_b, hash_b, b) in &wires[index + 1..] {
-                if hash_a == hash_b && flat_net(a).eq(flat_net(b)) {
+        for (index, (rect_a, net_a, a)) in wires.iter().enumerate() {
+            for (rect_b, net_b, b) in &wires[index + 1..] {
+                if net_a == net_b {
                     continue;
                 }
                 let spacing = rect_a.spacing_to(rect_b);
                 if rect_a.overlaps(rect_b) || spacing + 1e-9 < rule.min_spacing.value() {
                     report.violations.push(DrcViolation::SpacingViolation {
                         layer,
-                        net_a: format!("{}{}", a.prefix, a.local.net),
-                        net_b: format!("{}{}", b.prefix, b.local.net),
+                        net_a: flat_name(a, a.local.net),
+                        net_b: flat_name(b, b.local.net),
                         spacing,
                         required: rule.min_spacing.value(),
                     });
@@ -163,17 +170,17 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
     report
 }
 
-/// The bytes of a flat wire's net name, `prefix + net`, without
-/// formatting it.
-fn flat_net<'a>(wire: &Flat<'a, Wire>) -> impl Iterator<Item = u8> + 'a {
-    wire.prefix.bytes().chain(wire.local.net.bytes())
+/// The flat name of `id` in `object`'s block: its placement's prefix
+/// followed by the id's text.
+fn flat_name<T>(object: &Flat<'_, T>, id: NameId) -> String {
+    format!("{}{}", object.prefix(), object.name(id))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnTemplate;
-    use crate::db::PlacedInstance;
+    use crate::db::{PlacedInstance, Wire};
     use acim_arch::AcimSpec;
     use acim_cell::{CellLibrary, Orientation, Point};
 
@@ -185,12 +192,12 @@ mod tests {
     fn clean_layout_passes() {
         let mut layout = Layout::new("clean", 10_000.0, 10_000.0);
         layout.wires.push(Wire {
-            net: "A".into(),
+            net: layout.names.add("A"),
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 5000.0),
         });
         layout.wires.push(Wire {
-            net: "B".into(),
+            net: layout.names.add("B"),
             layer: "M2",
             rect: Rect::new(500.0, 0.0, 550.0, 5000.0),
         });
@@ -204,7 +211,7 @@ mod tests {
         let mut layout = Layout::new("bad", 10_000.0, 10_000.0);
         for (name, x) in [("X0", 0.0), ("X1", 500.0)] {
             layout.instances.push(PlacedInstance {
-                name: name.into(),
+                name: layout.names.add(name),
                 cell: "SRAM8T",
                 origin: Point::new(x, 0.0),
                 orientation: Orientation::R0,
@@ -224,18 +231,18 @@ mod tests {
         let mut layout = Layout::new("bad", 10_000.0, 10_000.0);
         // Two different nets 10 nm apart on M2 (minimum spacing is 50 nm).
         layout.wires.push(Wire {
-            net: "A".into(),
+            net: layout.names.add("A"),
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
-            net: "B".into(),
+            net: layout.names.add("B"),
             layer: "M2",
             rect: Rect::new(60.0, 0.0, 110.0, 1000.0),
         });
         // A 20 nm-wide wire on M3 (minimum width 56 nm).
         layout.wires.push(Wire {
-            net: "C".into(),
+            net: layout.names.add("C"),
             layer: "M3",
             rect: Rect::new(0.0, 2000.0, 1000.0, 2020.0),
         });
@@ -253,37 +260,40 @@ mod tests {
     #[test]
     fn same_net_wires_may_touch() {
         let mut layout = Layout::new("ok", 10_000.0, 10_000.0);
+        let net = layout.names.add("A");
         layout.wires.push(Wire {
-            net: "A".into(),
+            net,
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         layout.wires.push(Wire {
-            net: "A".into(),
+            net,
             layer: "M2",
             rect: Rect::new(0.0, 950.0, 1000.0, 1000.0),
         });
         assert!(check_layout(&layout, &tech()).is_clean());
     }
 
-    /// Nets compare by flat name, placement prefix included: one local net
-    /// in two placements is two nets, and an own wire named like a placed
-    /// wire's flat name is that wire's net.
+    /// Nets compare by placement and name id: one local net in two
+    /// placements is two nets, and an own wire whose text equals a placed
+    /// wire's flat name is a net of its own.
     #[test]
-    fn flat_names_decide_which_wires_share_a_net() {
+    fn placements_and_ids_decide_which_wires_share_a_net() {
         let mut block = Layout::new("BLOCK", 100.0, 1000.0);
         block.wires.push(Wire {
-            net: "A".into(),
+            net: block.names.add("A"),
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
         let block = std::sync::Arc::new(block);
         let mut top = Layout::new("TOP", 1000.0, 1000.0);
-        top.place(block.clone(), Point::new(0.0, 0.0), "COL_0/")
-            .unwrap();
-        top.place(block, Point::new(60.0, 0.0), "COL_1/").unwrap();
+        for (col, x) in [0.0, 60.0].into_iter().enumerate() {
+            let prefix = top.names.add(format_args!("COL_{col}/"));
+            top.place(block.clone(), Point::new(x, 0.0), prefix)
+                .unwrap();
+        }
         top.wires.push(Wire {
-            net: "COL_0/A".into(),
+            net: top.names.add("COL_0/A"),
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 500.0),
         });
@@ -299,14 +309,21 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(pairs, [("COL_0/A", "COL_1/A"), ("COL_1/A", "COL_0/A")]);
+        assert_eq!(
+            pairs,
+            [
+                ("COL_0/A", "COL_1/A"),
+                ("COL_0/A", "COL_0/A"),
+                ("COL_1/A", "COL_0/A")
+            ]
+        );
     }
 
     #[test]
     fn geometry_outside_the_boundary_is_caught() {
         let mut layout = Layout::new("bad", 1000.0, 1000.0);
         layout.wires.push(Wire {
-            net: "A".into(),
+            net: layout.names.add("A"),
             layer: "M2",
             rect: Rect::new(900.0, 0.0, 1500.0, 60.0),
         });

@@ -83,10 +83,11 @@ impl<'a> LayoutFlow<'a> {
         // --- Core: abutted placements of the column template ----------------
         for col in 0..spec.width() {
             let dx = core_origin.x + col as f64 * column_width;
+            let prefix = layout.names.add(format_args!("COL_{col}/"));
             layout.place(
                 Arc::clone(&column.layout),
                 Point::new(dx, core_origin.y),
-                format!("COL_{col}/"),
+                prefix,
             )?;
         }
 
@@ -94,7 +95,7 @@ impl<'a> LayoutFlow<'a> {
         for row in 0..spec.height() {
             let y = core_origin.y + column.rwl_pin_y[row] - buffer.height_nm() / 2.0;
             layout.instances.push(PlacedInstance {
-                name: format!("XIBUF_{row}"),
+                name: layout.names.add(format_args!("XIBUF_{row}")),
                 cell: buffer.name(),
                 origin: Point::new(0.0, y.max(0.0)),
                 orientation: Orientation::R0,
@@ -107,7 +108,7 @@ impl<'a> LayoutFlow<'a> {
         for col in 0..spec.width() {
             for bit in 0..bits {
                 layout.instances.push(PlacedInstance {
-                    name: format!("XOBUF_{col}_{bit}"),
+                    name: layout.names.add(format_args!("XOBUF_{col}_{bit}")),
                     cell: buffer.name(),
                     origin: Point::new(
                         core_origin.x + col as f64 * column_width,
@@ -126,7 +127,7 @@ impl<'a> LayoutFlow<'a> {
         for row in 0..spec.height() {
             let y = core_origin.y + column.rwl_pin_y[row];
             layout.wires.push(Wire {
-                net: format!("RWL_{row}"),
+                net: layout.names.add(format_args!("RWL_{row}")),
                 layer: "M3",
                 rect: Rect::new(
                     left_strip * 0.5,
@@ -136,38 +137,29 @@ impl<'a> LayoutFlow<'a> {
                 ),
             });
         }
-        // Control nets distributed along the bottom of the core on M5.
+        // Control nets distributed along the bottom of the core on M5.  The
+        // controls and the power nets each name a macro pin too.
+        let controls = ["CLK", "PCH", "RST", "START"].map(|net| layout.names.add(net));
+        let (vdd, vss) = (layout.names.add("VDD"), layout.names.add("VSS"));
         let m5_width = self.tech.rules().layer_rule("M5")?.min_width.value();
-        for (i, net) in ["CLK", "PCH", "RST", "START"].iter().enumerate() {
+        for (i, &net) in controls.iter().enumerate() {
             let y = core_origin.y + (i as f64 + 1.0) * 4.0 * m5_width;
             layout.wires.push(Wire {
-                net: (*net).to_string(),
+                net,
                 layer: "M5",
                 rect: Rect::new(0.0, y - m5_width / 2.0, total_width, y + m5_width / 2.0),
             });
         }
         // Column outputs stitched down to the output buffers on M4.
         let m4_width = self.tech.rules().layer_rule("M4")?.min_width.value();
-        let dout = (0..bits)
-            .map(|bit| {
-                let pin = format!("DOUT_{bit}");
-                match column.layout.pin(&pin) {
-                    Some(found) => Ok(found.rect.center()),
-                    None => Err(LayoutError::MissingPin {
-                        cell: column.layout.name.clone(),
-                        pin,
-                    }),
-                }
-            })
-            .collect::<Result<Vec<Point>, _>>()?;
         for col in 0..spec.width() {
             let base_x = core_origin.x + col as f64 * column_width;
-            for (bit, centre) in dout.iter().enumerate() {
+            for (bit, centre) in column.dout.iter().enumerate() {
                 let x = base_x + centre.x;
                 let y_top = core_origin.y + centre.y;
                 let y_bottom = bit as f64 * buffer.height_nm() + buffer.height_nm() / 2.0;
                 layout.wires.push(Wire {
-                    net: format!("OUT_{col}_{bit}"),
+                    net: layout.names.add(format_args!("OUT_{col}_{bit}")),
                     layer: "M4",
                     rect: Rect::new(x - m4_width / 2.0, y_bottom, x + m4_width / 2.0, y_top),
                 });
@@ -179,16 +171,16 @@ impl<'a> LayoutFlow<'a> {
         let stripe_step = 8usize;
         for (index, col) in (0..spec.width()).step_by(stripe_step).enumerate() {
             let x = core_origin.x + col as f64 * column_width + column_width / 2.0;
-            let net = if index % 2 == 0 { "VDD" } else { "VSS" };
+            let net = if index % 2 == 0 { vdd } else { vss };
             layout.wires.push(Wire {
-                net: net.to_string(),
+                net,
                 layer: "M6",
                 rect: Rect::new(x - m6_width / 2.0, 0.0, x + m6_width / 2.0, total_height),
             });
         }
-        for (net, y) in [("VSS", 0.0), ("VDD", total_height - 2.0 * m5_width)] {
+        for (net, y) in [(vss, 0.0), (vdd, total_height - 2.0 * m5_width)] {
             layout.wires.push(Wire {
-                net: net.to_string(),
+                net,
                 layer: "M5",
                 rect: Rect::new(0.0, y, total_width, y + 2.0 * m5_width),
             });
@@ -198,14 +190,14 @@ impl<'a> LayoutFlow<'a> {
         for row in 0..spec.height() {
             let y = core_origin.y + column.rwl_pin_y[row];
             layout.pins.push(LayoutPin {
-                net: format!("IN_{row}"),
+                net: layout.names.add(format_args!("IN_{row}")),
                 layer: "M3",
                 rect: Rect::new(0.0, y - 60.0, 120.0, y + 60.0),
             });
         }
-        for net in ["CLK", "PCH", "RST", "START", "VDD", "VSS"] {
+        for net in controls.into_iter().chain([vdd, vss]) {
             layout.pins.push(LayoutPin {
-                net: net.to_string(),
+                net,
                 layer: "M5",
                 rect: Rect::new(0.0, 0.0, 200.0, 200.0),
             });
@@ -237,6 +229,7 @@ impl<'a> LayoutFlow<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::NameId;
 
     fn generate(h: usize, w: usize, l: usize, b: u32) -> MacroLayout {
         let tech = Technology::s28();
@@ -299,6 +292,11 @@ mod tests {
         );
     }
 
+    /// The text of `net` in `m`'s top-level table.
+    fn name(m: &MacroLayout, net: NameId) -> &str {
+        m.layout.names.get(net)
+    }
+
     #[test]
     fn every_rwl_track_crosses_every_column() {
         let m = generate(32, 8, 4, 3);
@@ -306,7 +304,7 @@ mod tests {
             .layout
             .wires
             .iter()
-            .filter(|w| w.net.starts_with("RWL_") && w.layer == "M3")
+            .filter(|w| name(&m, w.net).starts_with("RWL_") && w.layer == "M3")
             .collect();
         assert_eq!(rwl_wires.len(), 32);
         for wire in rwl_wires {
@@ -323,7 +321,7 @@ mod tests {
                     m.layout
                         .wires
                         .iter()
-                        .any(|w| w.net == format!("OUT_{col}_{bit}")),
+                        .any(|w| name(&m, w.net) == format!("OUT_{col}_{bit}")),
                     "missing OUT_{col}_{bit}"
                 );
             }
@@ -333,10 +331,10 @@ mod tests {
     #[test]
     fn macro_exports_interface_pins() {
         let m = generate(32, 8, 4, 3);
-        assert!(m.layout.pin("IN_0").is_some());
-        assert!(m.layout.pin("IN_31").is_some());
-        assert!(m.layout.pin("CLK").is_some());
-        assert!(m.layout.pin("VDD").is_some());
+        let pins: Vec<&str> = m.layout.pins.iter().map(|p| name(&m, p.net)).collect();
+        for pin in ["IN_0", "IN_31", "CLK", "VDD"] {
+            assert!(pins.contains(&pin), "missing pin {pin}");
+        }
     }
 
     #[test]
@@ -346,12 +344,49 @@ mod tests {
             .layout
             .wires
             .iter()
-            .any(|w| w.layer == "M6" && w.net == "VDD"));
+            .any(|w| w.layer == "M6" && name(&m, w.net) == "VDD"));
         assert!(m
             .layout
             .wires
             .iter()
-            .any(|w| w.layer == "M5" && w.net == "VSS"));
+            .any(|w| w.layer == "M5" && name(&m, w.net) == "VSS"));
+    }
+
+    /// The `(H, W, L, B_ADC)` of the macros whose bytes
+    /// `tests/emit_bytes.rs` pins.
+    const PINNED: [(usize, usize, usize, u32); 4] = [
+        (64, 16, 4, 3),
+        (256, 16, 4, 4),
+        (1024, 4, 2, 8),
+        (32, 512, 2, 3),
+    ];
+
+    /// Each block adds each of its nets once: no two ids that one block's
+    /// wires, vias or pins reference share a text.  No top-level net holds
+    /// a `/`, which every placed flat name holds.  So on every pinned macro
+    /// "same placement and same id", which DRC compares, agrees with "same
+    /// flat name".
+    #[test]
+    fn each_block_names_each_net_with_one_id() {
+        let tech = Technology::s28();
+        let library = CellLibrary::s28_default(&tech);
+        let flow = LayoutFlow::new(&tech, &library);
+        for (h, w, l, b) in PINNED {
+            let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
+            let m = flow.generate(&spec).unwrap();
+            for (block, top) in [(&m.layout, true), (&*m.column.layout, false)] {
+                let wires = block.wires.iter().map(|wire| wire.net);
+                let vias = block.vias.iter().map(|via| via.net);
+                let pins = block.pins.iter().map(|pin| pin.net);
+                let mut ids = std::collections::BTreeMap::new();
+                for net in wires.chain(vias).chain(pins) {
+                    let text = block.names.get(net);
+                    let first = *ids.entry(text).or_insert(net);
+                    assert_eq!(first, net, "{h}x{w} L{l} B{b} {}: {text}", block.name);
+                    assert!(!(top && text.contains('/')), "{h}x{w} L{l} B{b}: {text}");
+                }
+            }
+        }
     }
 
     /// Every layer a pinned macro names, on a flat wire or via or on the
@@ -363,12 +398,7 @@ mod tests {
         let tech = Technology::s28();
         let library = CellLibrary::s28_default(&tech);
         let flow = LayoutFlow::new(&tech, &library);
-        for (h, w, l, b) in [
-            (64, 16, 4, 3),
-            (256, 16, 4, 4),
-            (1024, 4, 2, 8),
-            (32, 512, 2, 3),
-        ] {
+        for (h, w, l, b) in PINNED {
             let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
             let m = flow.generate(&spec).unwrap();
             let wires = m.layout.flat_wires().map(|w| w.local.layer);

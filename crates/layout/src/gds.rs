@@ -22,7 +22,8 @@
 //!
 //! Both build their file the same way: every line is appended to one byte
 //! buffer, reserved once from the flat view's counts, which becomes the
-//! returned `String` at the end.  Names are copied as they are, every
+//! returned `String` at the end.  Names are copied from the name table of
+//! the block holding the object, prefixes from the layout's own, every
 //! coordinate goes through one formatter and orientations are written by
 //! name.
 
@@ -33,7 +34,7 @@ use std::sync::Arc;
 use acim_cell::{Orientation, Point, Rect};
 use acim_tech::Technology;
 
-use crate::db::{Layout, PlacedInstance, Placement, Via, Wire};
+use crate::db::{Layout, Names, PlacedInstance, Placement, Via, Wire};
 
 /// Writes a GDS-like text representation of the layout.
 pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
@@ -46,17 +47,17 @@ pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
     out.text(&["BOUNDARY_BOX "]);
     out.rect(&layout.boundary, " ");
     out.text(&["\n"]);
-    section(&mut out, layout, instances, |e, instance| {
+    section(&mut out, layout, instances, |e, names, instance| {
         e.text(&["SREF ", instance.cell, " "]);
         e.prefix();
-        e.text(&[&instance.name, " "]);
+        e.text(&[names.get(instance.name), " "]);
         e.point(instance.origin);
         e.text(&[" ", orientation(instance.orientation), "\n"]);
     });
     // Each wire layer's GDS numbers, resolved once per layer name into the
     // record prefix they give.
     let mut prefixes: Vec<(&str, String)> = Vec::new();
-    section(&mut out, layout, wires, |e, wire| {
+    section(&mut out, layout, wires, |e, names, wire| {
         let at = match prefixes.iter().position(|(seen, _)| *seen == wire.layer) {
             Some(at) => at,
             None => {
@@ -73,14 +74,14 @@ pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
         e.rect(&wire.rect, " ");
         e.text(&[" NET "]);
         e.prefix();
-        e.text(&[&wire.net, "\n"]);
+        e.text(&[names.get(wire.net), "\n"]);
     });
-    section(&mut out, layout, vias, |e, via| {
+    section(&mut out, layout, vias, |e, names, via| {
         e.text(&["VIA ", via.from_layer, " ", via.to_layer, " "]);
         e.point(via.at);
         e.text(&[" NET "]);
         e.prefix();
-        e.text(&[&via.net, "\n"]);
+        e.text(&[names.get(via.net), "\n"]);
     });
     let _ = writeln!(out, "ENDSTR");
     let _ = writeln!(out, "ENDLIB");
@@ -97,10 +98,10 @@ pub fn write_def(layout: &Layout) -> String {
     out.def_rect(&layout.boundary);
 
     let _ = writeln!(out, "COMPONENTS {} ;", layout.instance_count());
-    section(&mut out, layout, instances, |e, instance| {
+    section(&mut out, layout, instances, |e, names, instance| {
         e.text(&["- "]);
         e.prefix();
-        e.text(&[&instance.name, " ", instance.cell, " + PLACED ( "]);
+        e.text(&[names.get(instance.name), " ", instance.cell, " + PLACED ( "]);
         e.point(instance.origin);
         e.text(&[" ) ", orientation(instance.orientation), " ;\n"]);
     });
@@ -108,24 +109,17 @@ pub fn write_def(layout: &Layout) -> String {
 
     let _ = writeln!(out, "PINS {} ;", layout.pins.len());
     for pin in &layout.pins {
-        out.text(&[
-            "- ",
-            &pin.net,
-            " + NET ",
-            &pin.net,
-            " + LAYER ",
-            pin.layer,
-            " ",
-        ]);
+        let net = layout.names.get(pin.net);
+        out.text(&["- ", net, " + NET ", net, " + LAYER ", pin.layer, " "]);
         out.def_rect(&pin.rect);
     }
     let _ = writeln!(out, "END PINS");
 
     let _ = writeln!(out, "SPECIALNETS {} ;", layout.wire_count());
-    section(&mut out, layout, wires, |e, wire| {
+    section(&mut out, layout, wires, |e, names, wire| {
         e.text(&["- "]);
         e.prefix();
-        e.text(&[&wire.net, " + ROUTED ", wire.layer, " "]);
+        e.text(&[names.get(wire.net), " + ROUTED ", wire.layer, " "]);
         e.def_rect(&wire.rect);
     });
     let _ = writeln!(out, "END SPECIALNETS");
@@ -190,28 +184,30 @@ fn vias(layout: &Layout) -> &[Via] {
 }
 
 /// Appends one section's lines, those `line` writes for `objects` of each
-/// placement of `layout` and then of the layout itself: every placement's
-/// stamped from its run's template, the layout's own written as they are.
+/// placement of `layout` and then of the layout itself, given the table
+/// naming them: every placement's stamped from its run's template, the
+/// layout's own written as they are.
 fn section<T>(
     out: &mut Vec<u8>,
     layout: &Layout,
     objects: fn(&Layout) -> &[T],
-    mut line: impl FnMut(&mut dyn Emit, &T),
+    mut line: impl FnMut(&mut dyn Emit, &Names, &T),
 ) {
     let mut template = Template::default();
     let mut run: Option<&Placement> = None;
     for placement in &layout.placements {
+        let prefix = layout.names.get(placement.prefix);
         let same_run = run.is_some_and(|first| {
             Arc::ptr_eq(&first.block, &placement.block)
                 && first.offset.y.to_bits() == placement.offset.y.to_bits()
         });
-        if !(same_run && template.stamp(out, placement)) {
-            template.render(out, placement, objects(&placement.block), &mut line);
+        if !(same_run && template.stamp(out, prefix, placement.offset)) {
+            template.render(out, prefix, placement, objects, &mut line);
             run = Some(placement);
         }
     }
     for object in objects(layout) {
-        line(out, object);
+        line(out, &layout.names, object);
     }
 }
 
@@ -241,17 +237,19 @@ struct Template {
 }
 
 impl Template {
-    /// Writes `placement`'s lines of `objects` in full and makes them the
-    /// template.
+    /// Writes `placement`'s lines of `objects`, under `prefix`, in full and
+    /// makes them the template.
     fn render<T>(
         &mut self,
         out: &mut Vec<u8>,
+        prefix: &str,
         placement: &Placement,
-        objects: &[T],
-        line: &mut impl FnMut(&mut dyn Emit, &T),
+        objects: fn(&Layout) -> &[T],
+        line: &mut impl FnMut(&mut dyn Emit, &Names, &T),
     ) {
+        let (block, objects) = (&placement.block, objects(&placement.block));
         self.start = out.len();
-        self.prefix_len = placement.prefix.len();
+        self.prefix_len = prefix.len();
         self.prefixes.clear();
         self.xs.clear();
         self.ids.clear();
@@ -266,10 +264,11 @@ impl Template {
         let mut render = Render {
             out,
             template: self,
-            placement,
+            prefix,
+            offset: placement.offset,
         };
         for object in objects {
-            line(&mut render, object);
+            line(&mut render, &block.names, object);
         }
         self.end = out.len();
         // Room for every local printed as the widest integral coordinate,
@@ -279,19 +278,20 @@ impl Template {
         self.digits.reserve(20 * (self.locals.len() + 1));
     }
 
-    /// Appends `placement`'s lines as a copy of the template with the
-    /// placement's prefix and x coordinates written over the fields, and
-    /// returns `true`.  Returns `false`, appending nothing, when the prefix
-    /// or a coordinate prints to another width than its field.
-    fn stamp(&mut self, out: &mut Vec<u8>, placement: &Placement) -> bool {
-        let prefix = placement.prefix.as_bytes();
+    /// Appends the lines of a placement at `offset` under `prefix` as a
+    /// copy of the template with the prefix and x coordinates written over
+    /// the fields, and returns `true`.  Returns `false`, appending nothing,
+    /// when the prefix or a coordinate prints to another width than its
+    /// field.
+    fn stamp(&mut self, out: &mut Vec<u8>, prefix: &str, offset: Point) -> bool {
+        let prefix = prefix.as_bytes();
         if prefix.len() != self.prefix_len {
             return false;
         }
         self.digits.clear();
         for &(local, _, width) in &self.locals {
             let before = self.digits.len();
-            push_coord(&mut self.digits, local + placement.offset.x);
+            push_coord(&mut self.digits, local + offset.x);
             if self.digits.len() - before != width {
                 return false;
             }
@@ -314,7 +314,8 @@ impl Template {
 struct Render<'a> {
     out: &'a mut Vec<u8>,
     template: &'a mut Template,
-    placement: &'a Placement,
+    prefix: &'a str,
+    offset: Point,
 }
 
 impl Emit for Render<'_> {
@@ -325,11 +326,11 @@ impl Emit for Render<'_> {
     fn prefix(&mut self) {
         let template = &mut *self.template;
         template.prefixes.push(self.out.len() - template.start);
-        self.out.extend_from_slice(self.placement.prefix.as_bytes());
+        self.out.extend_from_slice(self.prefix.as_bytes());
     }
 
     fn point(&mut self, point: Point) {
-        let (out, template, offset) = (&mut *self.out, &mut *self.template, self.placement.offset);
+        let (out, template, offset) = (&mut *self.out, &mut *self.template, self.offset);
         let at = out.len();
         push_coord(out, point.x + offset.x);
         let width = out.len() - at;
@@ -450,7 +451,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::db::{LayoutPin, PlacedInstance, Via, Wire};
+    use crate::db::{LayoutPin, NameId, PlacedInstance, Via, Wire};
     use proptest::prelude::*;
 
     fn coord(value: f64) -> String {
@@ -514,7 +515,7 @@ mod tests {
     fn sample() -> Layout {
         let mut layout = Layout::new("SAMPLE", 4000.0, 4000.0);
         layout.instances.push(PlacedInstance {
-            name: "X0".into(),
+            name: layout.names.add("X0"),
             cell: "SRAM8T",
             origin: Point::new(0.0, 0.0),
             orientation: Orientation::R0,
@@ -522,12 +523,12 @@ mod tests {
             height: 632.0,
         });
         layout.wires.push(Wire {
-            net: "RBL".into(),
+            net: layout.names.add("RBL"),
             layer: "M2",
             rect: Rect::new(100.0, 0.0, 150.0, 4000.0),
         });
         layout.pins.push(LayoutPin {
-            net: "CLK".into(),
+            net: layout.names.add("CLK"),
             layer: "M3",
             rect: Rect::new(0.0, 0.0, 100.0, 100.0),
         });
@@ -561,7 +562,7 @@ mod tests {
         let mut layout = sample();
         for i in 0..5 {
             layout.instances.push(PlacedInstance {
-                name: format!("X{}", i + 1),
+                name: layout.names.add(format_args!("X{}", i + 1)),
                 cell: "BUF",
                 origin: Point::new(0.0, 632.0 * (i + 1) as f64),
                 orientation: Orientation::R0,
@@ -593,7 +594,12 @@ mod tests {
             let (local, origin) = (instance.local, instance.origin());
             out.push_str(&format!(
                 "- {}{} {} + PLACED ( {:.0} {:.0} ) {:?} ;\n",
-                instance.prefix, local.name, local.cell, origin.x, origin.y, local.orientation
+                instance.prefix(),
+                instance.name(local.name),
+                local.cell,
+                origin.x,
+                origin.y,
+                local.orientation
             ));
         }
         out.push_str("END COMPONENTS\n");
@@ -601,7 +607,7 @@ mod tests {
         for pin in &layout.pins {
             out.push_str(&format!(
                 "- {0} + NET {0} + LAYER {1} {2}\n",
-                pin.net,
+                layout.names.get(pin.net),
                 pin.layer,
                 rect(pin.rect)
             ));
@@ -611,8 +617,8 @@ mod tests {
         for wire in layout.flat_wires() {
             out.push_str(&format!(
                 "- {}{} + ROUTED {} {}\n",
-                wire.prefix,
-                wire.local.net,
+                wire.prefix(),
+                wire.name(wire.local.net),
                 wire.local.layer,
                 rect(wire.rect())
             ));
@@ -641,7 +647,12 @@ mod tests {
             let (local, origin) = (instance.local, instance.origin());
             out.push_str(&format!(
                 "SREF {} {}{} {:.0} {:.0} {:?}\n",
-                local.cell, instance.prefix, local.name, origin.x, origin.y, local.orientation
+                local.cell,
+                instance.prefix(),
+                instance.name(local.name),
+                origin.x,
+                origin.y,
+                local.orientation
             ));
         }
         for wire in layout.flat_wires() {
@@ -652,15 +663,20 @@ mod tests {
             out.push_str(&format!(
                 "RECT {gds_layer} {datatype} {} NET {}{}\n",
                 corners(wire.rect()),
-                wire.prefix,
-                wire.local.net
+                wire.prefix(),
+                wire.name(wire.local.net)
             ));
         }
         for via in layout.flat_vias() {
             let at = via.at();
             out.push_str(&format!(
                 "VIA {} {} {:.0} {:.0} NET {}{}\n",
-                via.local.from_layer, via.local.to_layer, at.x, at.y, via.prefix, via.local.net
+                via.local.from_layer,
+                via.local.to_layer,
+                at.x,
+                at.y,
+                via.prefix(),
+                via.name(via.local.net)
             ));
         }
         out.push_str("ENDSTR\n");
@@ -672,6 +688,13 @@ mod tests {
     /// which its layer map lacks.
     const LAYERS: [&str; 6] = ["M2", "M3", "M4", "M5", "M6", "M9"];
     const NAMES: [&str; 4] = ["X0", "XSRAM_12", "RBL_3", "OUT_0_2"];
+
+    /// A name table holding [`NAMES`], and their ids.
+    fn names() -> (Names, [NameId; 4]) {
+        let mut names = Names::default();
+        let ids = NAMES.map(|name| names.add(name));
+        (names, ids)
+    }
     const CELLS: [&str; 3] = ["SRAM8T", "BUF", "DFF"];
     const ORIENTATIONS: [Orientation; 4] = [
         Orientation::R0,
@@ -707,9 +730,10 @@ mod tests {
     }
 
     /// Instances in every orientation, wires on every layer of `LAYERS`,
-    /// vias and pins.
+    /// vias and pins, named from the table of [`names`].
     fn objects() -> impl Strategy<Value = (Vec<PlacedInstance>, Vec<Wire>, Vec<Via>, Vec<LayoutPin>)>
     {
+        let ids = names().1;
         let instance = (
             0..NAMES.len(),
             0..CELLS.len(),
@@ -717,37 +741,39 @@ mod tests {
             coordinate(),
             0..4usize,
         )
-            .prop_map(|(name, cell, x, y, orientation)| PlacedInstance {
-                name: NAMES[name].into(),
+            .prop_map(move |(name, cell, x, y, orientation)| PlacedInstance {
+                name: ids[name],
                 cell: CELLS[cell],
                 origin: Point::new(x, y),
                 orientation: ORIENTATIONS[orientation],
                 width: 2000.0,
                 height: 632.0,
             });
-        let wire = (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(|(net, layer, rect)| Wire {
-            net: NAMES[net].into(),
-            layer: LAYERS[layer],
-            rect,
-        });
+        let wire =
+            (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(move |(net, layer, rect)| Wire {
+                net: ids[net],
+                layer: LAYERS[layer],
+                rect,
+            });
         let via = (
             0..NAMES.len(),
             0..LAYERS.len() - 1,
             coordinate(),
             coordinate(),
         )
-            .prop_map(|(net, layer, x, y)| Via {
-                net: NAMES[net].into(),
+            .prop_map(move |(net, layer, x, y)| Via {
+                net: ids[net],
                 from_layer: LAYERS[layer],
                 to_layer: LAYERS[layer + 1],
                 at: Point::new(x, y),
             });
-        let pin =
-            (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(|(net, layer, rect)| LayoutPin {
-                net: NAMES[net].into(),
+        let pin = (0..NAMES.len(), 0..LAYERS.len(), rect()).prop_map(move |(net, layer, rect)| {
+            LayoutPin {
+                net: ids[net],
                 layer: LAYERS[layer],
                 rect,
-            });
+            }
+        });
         (
             prop::collection::vec(instance, 0..8),
             prop::collection::vec(wire, 0..8),
@@ -769,12 +795,15 @@ mod tests {
             let tech = Technology::s28();
             prop_assert!(tech.layers().by_name("M9").is_none());
             let mut column = Layout::new("COLUMN", width, height);
+            column.names = names().0;
             (column.instances, column.wires, column.vias, column.pins) = block;
             let column = Arc::new(column);
             let mut layout = Layout::new("SAMPLE", height, width);
+            layout.names = names().0;
             for (c, (x, y)) in offsets.into_iter().enumerate() {
+                let prefix = layout.names.add(format_args!("COL_{c}/"));
                 layout
-                    .place(Arc::clone(&column), Point::new(x, y), format!("COL_{c}/"))
+                    .place(Arc::clone(&column), Point::new(x, y), prefix)
                     .expect("the column holds no placements");
             }
             (layout.instances, layout.wires, layout.vias, layout.pins) = own;
@@ -839,12 +868,15 @@ mod tests {
             let tech = Technology::s28();
             let blocks = [blocks.0, blocks.1].map(|(instances, wires, vias, pins)| {
                 let mut block = Layout::new("COLUMN", 2000.0, 5000.0);
+                block.names = names().0;
                 (block.instances, block.wires, block.vias, block.pins) =
                     (instances, wires, vias, pins);
                 Arc::new(block)
             });
             let mut layout = Layout::new("SAMPLE", 1000.0, 1000.0);
+            layout.names = names().0;
             for (block, offset, prefix) in placements {
+                let prefix = layout.names.add(prefix);
                 layout
                     .place(Arc::clone(&blocks[block]), offset, prefix)
                     .expect("the blocks hold no placements");
@@ -854,20 +886,21 @@ mod tests {
             // print `-0`, where `-0.0 + 0.0` would print `0`.
             let zero = Point::new(-0.0, -0.0);
             layout.instances.push(PlacedInstance {
-                name: "XZERO".into(),
+                name: layout.names.add("XZERO"),
                 cell: "BUF",
                 origin: zero,
                 orientation: Orientation::R0,
                 width: 2000.0,
                 height: 632.0,
             });
+            let net = layout.names.add("ZERO");
             layout.wires.push(Wire {
-                net: "ZERO".into(),
+                net,
                 layer: "M2",
                 rect: Rect { min: zero, max: zero },
             });
             layout.vias.push(Via {
-                net: "ZERO".into(),
+                net,
                 from_layer: "M2",
                 to_layer: "M3",
                 at: zero,

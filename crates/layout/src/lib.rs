@@ -23,9 +23,15 @@
 //!    and overlap rules, and the result can be written as text GDS/DEF
 //!    ([`gds`]); [`metrics`] extracts the dimensions and F²/bit density the
 //!    paper reports in Figure 8.  DRC and metrics read the layout's flat
-//!    view ([`db`]), which names and places every column's objects as a
-//!    copy of each column would; the writers emit the same bytes by
-//!    stamping each placed column's lines from the first column's.
+//!    view ([`db`]), which places every column's objects as a copy of each
+//!    column would; the writers emit the same bytes by stamping each placed
+//!    column's lines from the first column's.
+//!
+//! Every block names its objects through one name table ([`Names`]): an
+//! instance, wire, via, pin or placement prefix holds a [`NameId`], each
+//! net is added to its block's table once, and "same net" means "same
+//! placement and same id".  A name's text is written once, while the
+//! block is built, and read only by the writers and DRC's violation text.
 //!
 //! The 3-D grid maze router is exposed on its own, so the `router` bench
 //! can exercise it in isolation (e.g. routing with and without pre-defined
@@ -64,11 +70,11 @@ pub mod metrics;
 pub mod router;
 
 pub use column::ColumnTemplate;
-pub use db::{Flat, Layout, LayoutPin, PlacedInstance, Via, Wire};
+pub use db::{Flat, Layout, LayoutPin, NameId, Names, PlacedInstance, Via, Wire};
 pub use drc::{check_layout, DrcReport, DrcViolation};
 pub use error::LayoutError;
 pub use flow::{LayoutFlow, MacroLayout};
 pub use gds::{write_def, write_gds_text};
 pub use grid::RoutingGrid;
 pub use metrics::LayoutMetrics;
-pub use router::{MazeRouter, RouteRequest, RouterStats};
+pub use router::{MazeRouter, RouteRequest};

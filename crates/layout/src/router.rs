@@ -6,8 +6,8 @@
 //! onto alternating horizontal/vertical layers the way real detailed
 //! routers do.  Multi-terminal nets are routed by sequentially connecting
 //! each terminal to the tree built so far.  A net that cannot be routed is
-//! an error: the search is deterministic, so retrying it on the same grid
-//! would fail the same way.
+//! reported to the caller, which names it: the search is deterministic, so
+//! retrying it on the same grid would fail the same way.
 //!
 //! Because every step costs 1, 4 or 8, the search keeps its frontier in a
 //! bucket queue (Dial, "Algorithm 360", CACM 12(11), 1969) instead of a
@@ -15,30 +15,18 @@
 
 use acim_cell::{Point, Rect};
 
-use crate::db::{Via, Wire};
+use crate::db::{NameId, Via, Wire};
 use crate::error::LayoutError;
 use crate::grid::{GridCell, GridNode, RoutingGrid};
 
-/// A net to route: name, numeric id and its terminals.
+/// A net to route and its terminals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteRequest {
-    /// Net name (used for the produced wires).
-    pub net: String,
-    /// Unique numeric net id (used for grid ownership).
-    pub net_id: u32,
+    /// The net, in the table of the block the route goes into: it names the
+    /// produced wires and vias and owns the grid nodes the route claims.
+    pub net: NameId,
     /// Terminals: (routing-layer index, physical location).
     pub terminals: Vec<(usize, Point)>,
-}
-
-/// Statistics of a routing run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouterStats {
-    /// Nets successfully routed.
-    pub routed_nets: usize,
-    /// Total grid segments used.
-    pub segments: usize,
-    /// Total vias inserted.
-    pub vias: usize,
 }
 
 /// Cost of a move against the layer's preferred direction.
@@ -89,7 +77,6 @@ pub struct MazeRouter {
     /// dividing the index into layer, row and column.
     moves: Vec<u8>,
     buffers: SearchBuffers,
-    stats: RouterStats,
 }
 
 impl MazeRouter {
@@ -156,23 +143,12 @@ impl MazeRouter {
             wire_widths,
             moves,
             buffers: SearchBuffers::default(),
-            stats: RouterStats::default(),
         })
-    }
-
-    /// Immutable access to the grid (for congestion reporting).
-    pub fn grid(&self) -> &RoutingGrid {
-        &self.grid
     }
 
     /// Mutable access to the grid (for blocking obstacles before routing).
     pub fn grid_mut(&mut self) -> &mut RoutingGrid {
         &mut self.grid
-    }
-
-    /// Routing statistics accumulated so far.
-    pub fn stats(&self) -> RouterStats {
-        self.stats
     }
 
     /// Reserves the terminal nodes of every request for its own net, so that
@@ -183,23 +159,19 @@ impl MazeRouter {
             for terminal in &request.terminals {
                 let node = self.terminal_node(terminal);
                 if self.grid.cell(node) == GridCell::Free {
-                    self.grid.set_cell(node, GridCell::Net(request.net_id));
+                    self.grid.set_cell(node, GridCell::Net(request.net.0));
                 }
             }
         }
     }
 
-    /// Routes one net, producing wires and vias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::Unroutable`] when some terminal cannot be
-    /// reached from the net's tree.  The nodes of the paths found before
-    /// the failure stay claimed by the net.
-    pub fn route(&mut self, request: &RouteRequest) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
+    /// Routes one net, producing wires and vias, or `None` when some
+    /// terminal cannot be reached from the net's tree.  The nodes of the
+    /// paths found before such a failure stay claimed by the net.
+    pub fn route(&mut self, request: &RouteRequest) -> Option<(Vec<Wire>, Vec<Via>)> {
         let mut buffers = std::mem::take(&mut self.buffers);
-        let routed = self.route_with(request, |router, tree, target, net_id| {
-            router.search(tree, target, net_id, &mut buffers)
+        let routed = self.route_with(request, |router, tree, target, owner| {
+            router.search(tree, target, owner, &mut buffers)
         });
         self.buffers = buffers;
         routed
@@ -211,11 +183,12 @@ impl MazeRouter {
         &mut self,
         request: &RouteRequest,
         mut search: impl FnMut(&Self, &[GridNode], GridNode, u32) -> Option<Vec<GridNode>>,
-    ) -> Result<(Vec<Wire>, Vec<Via>), LayoutError> {
+    ) -> Option<(Vec<Wire>, Vec<Via>)> {
         if request.terminals.len() < 2 {
             // A single-terminal net needs no wiring.
-            return Ok((Vec::new(), Vec::new()));
+            return Some((Vec::new(), Vec::new()));
         }
+        let owner = request.net.0;
         let mut tree: Vec<GridNode> = Vec::new();
         // Each terminal produces its own contiguous path from the existing
         // tree; geometry is emitted per path so no phantom segment is drawn
@@ -226,19 +199,14 @@ impl MazeRouter {
         let mut terminals = request.terminals.iter();
         let first = terminals.next().expect("at least two terminals");
         let seed = self.terminal_node(first);
-        self.grid.set_cell(seed, GridCell::Net(request.net_id));
+        self.grid.set_cell(seed, GridCell::Net(owner));
         tree.push(seed);
 
         for terminal in terminals {
             let target = self.terminal_node(terminal);
-            let path = search(self, &tree, target, request.net_id).ok_or_else(|| {
-                LayoutError::Unroutable {
-                    net: request.net.clone(),
-                    context: "maze routing".into(),
-                }
-            })?;
+            let path = search(self, &tree, target, owner)?;
             for &node in &path {
-                self.grid.set_cell(node, GridCell::Net(request.net_id));
+                self.grid.set_cell(node, GridCell::Net(owner));
                 tree.push(node);
             }
             paths.push(path);
@@ -247,12 +215,11 @@ impl MazeRouter {
         let mut wires = Vec::new();
         let mut vias = Vec::new();
         for path in &paths {
-            let (w, v) = self.emit_geometry(&request.net, path);
+            let (w, v) = self.emit_geometry(request.net, path);
             wires.extend(w);
             vias.extend(v);
         }
-        self.stats.routed_nets += 1;
-        Ok((wires, vias))
+        Some((wires, vias))
     }
 
     fn terminal_node(&self, terminal: &(usize, Point)) -> GridNode {
@@ -283,7 +250,7 @@ impl MazeRouter {
         &self,
         tree: &[GridNode],
         target: GridNode,
-        net_id: u32,
+        owner: u32,
         buffers: &mut SearchBuffers,
     ) -> Option<Vec<GridNode>> {
         let cols = self.grid.cols();
@@ -310,7 +277,7 @@ impl MazeRouter {
         }
         let mut pending = tree.len();
         let target_index = index(target);
-        if !self.grid.usable_by(target, net_id) {
+        if !self.grid.usable_by(target, owner) {
             return None;
         }
 
@@ -342,7 +309,7 @@ impl MazeRouter {
                     (ABOVE, current + plane, VIA_COST),
                     (BELOW, current.wrapping_sub(plane), VIA_COST),
                 ] {
-                    if moves & bit == 0 || !self.grid.usable_at(next, net_id) {
+                    if moves & bit == 0 || !self.grid.usable_at(next, owner) {
                         continue;
                     }
                     let next_cost = cost.saturating_add(step);
@@ -389,7 +356,7 @@ impl MazeRouter {
     /// Converts a set of path nodes into wires and vias: one wire per grid
     /// step and one via per layer change.  Collinear steps are not merged,
     /// so a straight run of `k` steps is `k` abutting wires.
-    fn emit_geometry(&mut self, net: &str, nodes: &[GridNode]) -> (Vec<Wire>, Vec<Via>) {
+    fn emit_geometry(&self, net: NameId, nodes: &[GridNode]) -> (Vec<Wire>, Vec<Via>) {
         let mut wires = Vec::new();
         let mut vias = Vec::new();
         // Each pair of consecutive nodes on the same layer becomes one wire
@@ -409,20 +376,18 @@ impl MazeRouter {
                     pa.y.max(pb.y) + half,
                 );
                 wires.push(Wire {
-                    net: net.to_string(),
+                    net,
                     layer: self.layer_names[a.layer],
                     rect,
                 });
-                self.stats.segments += 1;
             } else if a.col == b.col && a.row == b.row {
                 let (low, high) = if a.layer < b.layer { (a, b) } else { (b, a) };
                 vias.push(Via {
-                    net: net.to_string(),
+                    net,
                     from_layer: self.layer_names[low.layer],
                     to_layer: self.layer_names[high.layer],
                     at: pa,
                 });
-                self.stats.vias += 1;
             }
         }
         (wires, vias)
@@ -442,7 +407,7 @@ mod tests {
         router: &MazeRouter,
         tree: &[GridNode],
         target: GridNode,
-        net_id: u32,
+        owner: u32,
     ) -> Option<Vec<GridNode>> {
         let cols = router.grid.cols();
         let rows = router.grid.rows();
@@ -460,7 +425,7 @@ mod tests {
             heap.push(Reverse((0, i as u32)));
         }
         let target_index = index(target);
-        if !router.grid.usable_by(target, net_id) {
+        if !router.grid.usable_by(target, owner) {
             return None;
         }
 
@@ -505,7 +470,7 @@ mod tests {
             }
 
             for (next, step) in neighbours {
-                if !router.grid.usable_by(next, net_id) {
+                if !router.grid.usable_by(next, owner) {
                     continue;
                 }
                 let next_index = index(next);
@@ -542,7 +507,7 @@ mod tests {
 
     /// Every node's occupancy, in index order.
     fn occupancy(router: &MazeRouter) -> Vec<GridCell> {
-        let grid = router.grid();
+        let grid = &router.grid;
         let mut cells = Vec::new();
         for layer in 0..grid.layers() {
             for row in 0..grid.rows() {
@@ -592,8 +557,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, terminals)| RouteRequest {
-                    net: format!("N{i}"),
-                    net_id: i as u32 + 1,
+                    net: NameId(i as u32),
                     terminals: terminals
                         .iter()
                         .map(|&(layer, x, y)| (layer, Point::new(x * width, y * height)))
@@ -606,9 +570,8 @@ mod tests {
             for request in &requests {
                 let fast = bucket.route(request);
                 let reference = heap.route_with(request, reference_search);
-                prop_assert_eq!(fast, reference, "net {}", request.net);
+                prop_assert_eq!(fast, reference, "net {:?}", request.net);
             }
-            prop_assert_eq!(bucket.stats(), heap.stats());
             prop_assert_eq!(occupancy(&bucket), occupancy(&heap));
         }
     }
@@ -624,10 +587,9 @@ mod tests {
         .unwrap()
     }
 
-    fn request(net: &str, id: u32, terminals: &[(usize, (f64, f64))]) -> RouteRequest {
+    fn request(net: u32, terminals: &[(usize, (f64, f64))]) -> RouteRequest {
         RouteRequest {
-            net: net.into(),
-            net_id: id,
+            net: NameId(net),
             terminals: terminals
                 .iter()
                 .map(|&(l, (x, y))| (l, Point::new(x, y)))
@@ -639,12 +601,11 @@ mod tests {
     fn routes_a_simple_two_terminal_net() {
         let mut r = router(2000.0, 2000.0);
         let (wires, vias) = r
-            .route(&request("A", 1, &[(0, (0.0, 0.0)), (0, (0.0, 1000.0))]))
+            .route(&request(1, &[(0, (0.0, 0.0)), (0, (0.0, 1000.0))]))
             .unwrap();
         assert!(!wires.is_empty());
         // Same column, vertical-preferred layer 0: no vias needed.
         assert!(vias.is_empty());
-        assert_eq!(r.stats().routed_nets, 1);
         // Total routed length covers the 1000 nm span.
         let length: f64 = wires
             .iter()
@@ -657,7 +618,7 @@ mod tests {
     fn l_shaped_route_prefers_layer_directions() {
         let mut r = router(2000.0, 2000.0);
         let (wires, vias) = r
-            .route(&request("B", 2, &[(0, (0.0, 0.0)), (0, (1000.0, 1000.0))]))
+            .route(&request(2, &[(0, (0.0, 0.0)), (0, (1000.0, 1000.0))]))
             .unwrap();
         assert!(!wires.is_empty());
         // The horizontal leg should end up on the horizontal-preferred M3,
@@ -671,7 +632,6 @@ mod tests {
         let mut r = router(2000.0, 2000.0);
         let (wires, _vias) = r
             .route(&request(
-                "CLK",
                 3,
                 &[(0, (0.0, 0.0)), (0, (0.0, 1500.0)), (0, (1500.0, 0.0))],
             ))
@@ -695,7 +655,7 @@ mod tests {
                 .block_rect(layer, &Rect::new(0.0, 900.0, 1700.0, 1100.0));
         }
         let (wires, _) = r
-            .route(&request("D", 4, &[(0, (0.0, 0.0)), (0, (0.0, 2000.0))]))
+            .route(&request(4, &[(0, (0.0, 0.0)), (0, (0.0, 2000.0))]))
             .unwrap();
         let length: f64 = wires
             .iter()
@@ -712,20 +672,19 @@ mod tests {
             r.grid_mut()
                 .block_rect(layer, &Rect::new(0.0, 400.0, 1000.0, 600.0));
         }
-        let err = r
-            .route(&request("E", 5, &[(0, (0.0, 0.0)), (0, (0.0, 1000.0))]))
-            .unwrap_err();
-        assert!(matches!(err, LayoutError::Unroutable { net, .. } if net == "E"));
+        assert!(r
+            .route(&request(5, &[(0, (0.0, 0.0)), (0, (0.0, 1000.0))]))
+            .is_none());
     }
 
     #[test]
     fn nets_do_not_short_each_other() {
         let mut r = router(2000.0, 2000.0);
         let (wires_a, _) = r
-            .route(&request("A", 1, &[(0, (500.0, 0.0)), (0, (500.0, 2000.0))]))
+            .route(&request(1, &[(0, (500.0, 0.0)), (0, (500.0, 2000.0))]))
             .unwrap();
         let (wires_b, _) = r
-            .route(&request("B", 2, &[(1, (0.0, 500.0)), (1, (2000.0, 500.0))]))
+            .route(&request(2, &[(1, (0.0, 500.0)), (1, (2000.0, 500.0))]))
             .unwrap();
         // The second net crosses the first; it must not reuse layer-0 nodes
         // owned by net A at the crossing.
@@ -745,7 +704,7 @@ mod tests {
     #[test]
     fn single_terminal_nets_need_no_wires() {
         let mut r = router(1000.0, 1000.0);
-        let (wires, vias) = r.route(&request("F", 9, &[(0, (100.0, 100.0))])).unwrap();
+        let (wires, vias) = r.route(&request(9, &[(0, (100.0, 100.0))])).unwrap();
         assert!(wires.is_empty());
         assert!(vias.is_empty());
     }

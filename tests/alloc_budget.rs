@@ -15,18 +15,22 @@
 //! in std.  Allocation counts repeat exactly from run to run, unlike
 //! wall-clock time, so a step that starts allocating per connection, per
 //! shape or per grid node again fails here.  Placed instances, wires, vias
-//! and pins name their cell and layer by `&'static str`, so a column build
-//! or macro assembly that copies those names into every object again
-//! (2,292 and 4,815 allocations on 128x128 L8 B3, 1,822 and 15,550 on
-//! 16x1024 L2 B3) fails here.  The maze router keeps its search buffers
-//! from one search to the next, so a column build that allocates them per
-//! search again (1,540 and 1,302 allocations) fails here.  The DEF and GDS
-//! writers reserve their output once, from the layout's counts, so a
-//! writer whose buffer grows as it writes (20 to 29 allocations on these
-//! macros) fails here too.  They stamp each placed column from a template
-//! whose five buffers they allocate once per section, not per placement:
-//! 11 allocations for DEF and 23 for GDS on both macros, whatever their
-//! width.  DRC formats flat names only for the violations it reports
+//! and pins name their cell and layer by `&'static str`, and themselves and
+//! their nets by an id into their block's name table, whose texts share
+//! one buffer.  So a column build or macro assembly that copies cell or
+//! layer names into every object again (2,292 and 4,815 allocations on
+//! 128x128 L8 B3, 1,822 and 15,550 on 16x1024 L2 B3, counted when these
+//! rows were first recorded) fails here, and so does one that gives every
+//! object a name `String` of its own again (1,036 and 2,379; 798 and
+//! 8,194, counted before the name tables).  The maze router keeps its
+//! search buffers from one search to the next, so a column build that
+//! allocates them per search again (823 and 811 allocations) fails here.
+//! The DEF and GDS writers reserve their output once, from the layout's
+//! counts, so a writer whose buffer grows as it writes (20 to 29
+//! allocations on these macros) fails here too.  They stamp each placed
+//! column from a template whose five buffers they allocate once per
+//! section, not per placement: 11 allocations for DEF and 23 for GDS on
+//! both macros, whatever their width.  DRC formats flat names only for the violations it reports
 //! and names their layers by `&'static str`, so a DRC run that copies the
 //! flat view again (28,117 allocations on its macro) or copies each
 //! violation's layer name again (188) fails here as well.  So does an
@@ -159,15 +163,15 @@ struct Budget {
 const BUDGETS: [Budget; 2] = [
     Budget {
         dims: (128, 128, 8, 3),
-        column: 1_036,
-        generate: 2_379,
+        column: 317,
+        generate: 370,
         def: 11,
         gds: 23,
     },
     Budget {
         dims: (16, 1024, 2, 3),
-        column: 798,
-        generate: 8_194,
+        column: 305,
+        generate: 368,
         def: 11,
         gds: 23,
     },
