@@ -1,27 +1,27 @@
 //! The layout database: placed instances, wires, vias, exported pins and
-//! placements of shared blocks, each named through its block's name table.
+//! an array of one shared column block, each named through its block's
+//! name table.
 //!
 //! Every [`Layout`] block holds a name table, [`Names`]: each name's text,
 //! written once while the block is built, and a dense [`NameId`] per name.
-//! Instances, wires, vias, pins and placement prefixes hold ids into the
-//! table of the block that owns them.  A block adds each of its nets once,
-//! so two of its objects are on one net exactly when they hold one id.
-//! Only the DEF and GDS writers ([`crate::gds`]) and DRC's violation text
-//! ([`crate::drc`]) read a name's text.
+//! Instances, wires, vias and pins hold ids into the table of the block
+//! that owns them.  A block adds each of its nets once, so two of its
+//! objects are on one net exactly when they hold one id.  Only the DEF and
+//! GDS writers ([`crate::gds`]) and DRC's violation text ([`crate::drc`])
+//! read a name's text.
 //!
-//! A [`Layout`] holds its own shapes plus placements of other layouts
-//! ([`Layout::place`]), each shared through an [`Arc`] and placed at an
-//! offset under a name prefix; the macro places its one column template
-//! `W` times.  Checks and metrics read the layout through its *flat view*
-//! ([`Layout::flat_instances`], [`Layout::flat_wires`],
-//! [`Layout::flat_vias`]): every placement's objects, in placement order,
-//! then the layout's own, each with the placement it comes from and
-//! translated by its offset.  A flat object's name is its placement's
-//! prefix followed by its own name in its block's table.  The DEF and GDS writers
-//! walk the placements themselves, stamping each placed block's lines, and
-//! write the bytes the flat view lists.
+//! A [`Layout`] holds its own shapes plus at most one array of a shared
+//! block, [`Columns`]: the macro abuts its one column template `W` times,
+//! as the paper's Figure 7 builds it.  Checks, counts, metrics and the
+//! writers read a layout through one walk, [`Layout::parts`]: each column
+//! of the array in order, then the layout's own objects.  A [`Part`]
+//! translates its block's points into the layout's frame, and names each
+//! object by the part's [`Prefix`], `COL_{c}/` for column `c`, followed by
+//! the object's own name in its block's table.
 
 use std::fmt::{Display, Write as _};
+use std::io::Write as _;
+use std::iter;
 use std::sync::Arc;
 
 use acim_cell::{Orientation, Point, Rect};
@@ -126,98 +126,100 @@ pub struct LayoutPin {
     pub rect: Rect,
 }
 
-/// A shared block placed into a layout.  In the layout's flat view every
-/// instance, wire and via of `block` is translated by `offset` and named
-/// with the text of `prefix` in front.
+/// `count` copies of a shared `block`, abutted along x: column `c` has
+/// its origin at `origin.x + c as f64 * pitch`, `origin.y`.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Placement {
-    /// The placed block, which holds no placements of its own: the flat
-    /// view is one level deep.
-    pub(crate) block: Arc<Layout>,
-    /// Where the block's origin lands, in nanometres.
-    pub(crate) offset: Point,
-    /// Prefix of every flat name, such as `COL_3/`, in the placing
-    /// layout's table.
-    pub(crate) prefix: NameId,
+pub struct Columns {
+    /// The arrayed block, which holds no array of its own: the walk is one
+    /// level deep.
+    pub block: Arc<Layout>,
+    /// Where column 0's origin lands, in nanometres.
+    pub origin: Point,
+    /// The x step from one column's origin to the next, in nanometres.
+    pub pitch: f64,
+    /// Number of columns.
+    pub count: usize,
 }
 
-/// An object of a layout's flat view: the object as its block holds it,
-/// plus the placement that puts it into the layout.  Two flat objects name
-/// one net when they share a placement, or both are the layout's own, and
-/// hold one id.
-#[derive(Debug, Clone)]
-pub struct Flat<'a, T> {
-    /// The object in the frame of the block that holds it.
-    pub local: &'a T,
-    /// Index of the placement among the layout's; `None` for the layout's
-    /// own objects, which are not translated.
-    pub placement: Option<usize>,
-    /// The layout whose flat view lists the object.
-    layout: &'a Layout,
+impl Columns {
+    /// Where column `c`'s origin lands.
+    fn at(&self, c: usize) -> Point {
+        Point::new(self.origin.x + c as f64 * self.pitch, self.origin.y)
+    }
 }
 
-impl<'a, T> Flat<'a, T> {
-    fn placed(&self) -> Option<&'a Placement> {
-        let placements = &self.layout.placements;
-        self.placement.map(|index| &placements[index])
-    }
+/// One part of a layout's walk ([`Layout::parts`]): a column of its array,
+/// or the layout's own objects.  Two objects of the walk name one net when
+/// they share a part and hold one id.
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    /// The column's index in the array; `None` for the layout's own
+    /// objects.
+    pub column: Option<usize>,
+    /// The block holding the part's objects, whose table names them.
+    pub block: &'a Layout,
+    /// Where the block's origin lands, for a column.
+    pub(crate) origin: Point,
+}
 
-    /// Name prefix of the placement; empty for the layout's own objects.
-    pub fn prefix(&self) -> &'a str {
-        let names = &self.layout.names;
-        self.placed()
-            .map_or("", |placement| names.get(placement.prefix))
-    }
-
-    /// The text of `id` in the table of the block that holds the object.
-    pub fn name(&self, id: NameId) -> &'a str {
-        let block = self
-            .placed()
-            .map_or(self.layout, |placement| &placement.block);
-        block.names.get(id)
-    }
-
-    fn point(&self, point: Point) -> Point {
-        match self.placed() {
-            Some(placement) => point.translated(placement.offset.x, placement.offset.y),
+impl Part<'_> {
+    /// `point` of the block in the layout's frame.  The layout's own
+    /// objects are not translated, so `-0.0` stays `-0.0`.
+    pub fn point(&self, point: Point) -> Point {
+        match self.column {
+            Some(_) => point.translated(self.origin.x, self.origin.y),
             None => point,
         }
     }
-}
 
-impl Flat<'_, PlacedInstance> {
-    /// Placement origin in the layout's frame.
-    pub fn origin(&self) -> Point {
-        self.point(self.local.origin)
-    }
-}
-
-impl Flat<'_, Wire> {
-    /// Wire geometry in the layout's frame.
-    pub fn rect(&self) -> Rect {
-        let rect = self.local.rect;
+    /// `rect` of the block in the layout's frame.
+    pub fn rect(&self, rect: Rect) -> Rect {
         Rect {
             min: self.point(rect.min),
             max: self.point(rect.max),
         }
     }
+
+    /// The prefix of the part's object names.
+    pub fn prefix(&self) -> Prefix {
+        let mut prefix = Prefix {
+            bytes: [0; 25],
+            len: 0,
+        };
+        if let Some(c) = self.column {
+            let mut rest = &mut prefix.bytes[..];
+            let _ = write!(rest, "COL_{c}/");
+            prefix.len = 25 - rest.len();
+        }
+        prefix
+    }
 }
 
-impl Flat<'_, Via> {
-    /// Via centre in the layout's frame.
-    pub fn at(&self) -> Point {
-        self.point(self.local.at)
+/// A part's name prefix: `COL_{c}/` for column `c`, empty for the layout's
+/// own objects.  It is formatted on the stack, so naming a column
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Prefix {
+    /// `COL_`, at most 20 digits and `/`.
+    bytes: [u8; 25],
+    len: usize,
+}
+
+impl Prefix {
+    /// The prefix's text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("a prefix is ASCII")
     }
 }
 
 /// A layout block: boundary, placed instances, routed wires/vias, exported
-/// pins and placements of shared blocks.  Used both for intermediate blocks
+/// pins and an array of a shared block.  Used both for intermediate blocks
 /// (the column template) and the final macro.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Layout {
     /// Block name.
     pub name: String,
-    /// The names of the block's objects and of its placements' prefixes.
+    /// The names of the block's objects.
     pub names: Names,
     /// Block boundary (origin at (0, 0)).
     pub boundary: Rect,
@@ -227,11 +229,11 @@ pub struct Layout {
     pub wires: Vec<Wire>,
     /// Vias.
     pub vias: Vec<Via>,
-    /// Exported pins.  Placed blocks' pins are not part of the flat view.
+    /// Exported pins.  The arrayed block's pins are not part of the walk.
     pub pins: Vec<LayoutPin>,
-    /// Shared blocks placed by [`Self::place`], whose objects come first
-    /// in the flat view.
-    pub(crate) placements: Vec<Placement>,
+    /// The array placed by [`Self::place_columns`], whose columns come
+    /// first in the walk.
+    pub(crate) columns: Option<Columns>,
 }
 
 impl Layout {
@@ -255,108 +257,71 @@ impl Layout {
     }
 
     /// Total routed wire length in nanometres: the sum of the long
-    /// dimension of every wire segment of the flat view, in flat order.
+    /// dimension of every wire segment, in the order of [`Self::parts`].
     pub fn total_wirelength(&self) -> f64 {
-        self.flat_wires()
-            .map(|w| {
-                let rect = w.rect();
-                rect.width().max(rect.height())
-            })
+        self.parts()
+            .flat_map(|part| part.block.wires.iter().map(move |w| part.rect(w.rect)))
+            .map(|rect| rect.width().max(rect.height()))
             .sum()
     }
 
-    /// Places `block` with its origin at `offset`, prefixing the names of
-    /// its instances, wires and vias with `prefix`, a name in this layout's
-    /// table, in the flat view.  The boundary grows to cover the translated
-    /// block.
+    /// Places the array `columns`.  The boundary grows to cover every
+    /// translated column.
     ///
     /// # Errors
     ///
-    /// Returns [`LayoutError::InvalidParameter`] when `block` holds
-    /// placements of its own: the flat view is one level deep.
-    pub fn place(
-        &mut self,
-        block: Arc<Layout>,
-        offset: Point,
-        prefix: NameId,
-    ) -> Result<(), LayoutError> {
-        if !block.placements.is_empty() {
+    /// Returns [`LayoutError::InvalidParameter`] when this layout or the
+    /// arrayed block already holds an array: a layout holds one, and the
+    /// walk is one level deep.
+    pub fn place_columns(&mut self, columns: Columns) -> Result<(), LayoutError> {
+        let holder = [&*columns.block, &*self]
+            .into_iter()
+            .find(|layout| layout.columns.is_some());
+        if let Some(holder) = holder {
             return Err(LayoutError::InvalidParameter {
-                name: "block".into(),
-                reason: format!("{} holds placements of its own", block.name),
+                name: "columns".into(),
+                reason: format!("{} already holds a column array", holder.name),
             });
         }
-        self.boundary = self
-            .boundary
-            .union(&block.boundary.translated(offset.x, offset.y));
-        self.placements.push(Placement {
-            block,
-            offset,
-            prefix,
-        });
+        for c in 0..columns.count {
+            let origin = columns.at(c);
+            let column = columns.block.boundary.translated(origin.x, origin.y);
+            self.boundary = self.boundary.union(&column);
+        }
+        self.columns = Some(columns);
         Ok(())
     }
 
-    /// Instances of the flat view: every placement's, in placement order,
-    /// then the layout's own.
-    pub fn flat_instances(&self) -> impl Iterator<Item = Flat<'_, PlacedInstance>> {
-        self.flat(|layout| &layout.instances)
-    }
-
-    /// Wires of the flat view, in the order of [`Self::flat_instances`].
-    pub fn flat_wires(&self) -> impl Iterator<Item = Flat<'_, Wire>> {
-        self.flat(|layout| &layout.wires)
-    }
-
-    /// Vias of the flat view, in the order of [`Self::flat_instances`].
-    pub fn flat_vias(&self) -> impl Iterator<Item = Flat<'_, Via>> {
-        self.flat(|layout| &layout.vias)
-    }
-
-    /// Number of instances in the flat view.
-    pub fn instance_count(&self) -> usize {
-        self.flat_len(|layout| &layout.instances)
-    }
-
-    /// Number of wires in the flat view.
-    pub fn wire_count(&self) -> usize {
-        self.flat_len(|layout| &layout.wires)
-    }
-
-    /// Number of vias in the flat view.
-    pub fn via_count(&self) -> usize {
-        self.flat_len(|layout| &layout.vias)
-    }
-
-    fn flat<'a, T: 'a>(
-        &'a self,
-        objects: fn(&Layout) -> &[T],
-    ) -> impl Iterator<Item = Flat<'a, T>> {
-        let placed = self
-            .placements
-            .iter()
-            .enumerate()
-            .flat_map(move |(index, placement)| {
-                objects(&placement.block).iter().map(move |local| Flat {
-                    local,
-                    placement: Some(index),
-                    layout: self,
-                })
-            });
-        let own = objects(self).iter().map(move |local| Flat {
-            local,
-            placement: None,
-            layout: self,
+    /// The layout's walk: each column of its array in order, then the
+    /// layout's own objects.
+    pub fn parts(&self) -> impl Iterator<Item = Part<'_>> {
+        let columns = self.columns.iter().flat_map(|columns| {
+            (0..columns.count).map(move |c| Part {
+                column: Some(c),
+                block: &columns.block,
+                origin: columns.at(c),
+            })
         });
-        placed.chain(own)
+        columns.chain(iter::once(Part {
+            column: None,
+            block: self,
+            origin: Point::new(0.0, 0.0),
+        }))
     }
 
-    fn flat_len<T>(&self, objects: fn(&Layout) -> &[T]) -> usize {
-        self.placements
-            .iter()
-            .map(|placement| objects(&placement.block).len())
-            .sum::<usize>()
-            + objects(self).len()
+    /// Number of instances in the walk.
+    pub fn instance_count(&self) -> usize {
+        self.parts().map(|part| part.block.instances.len()).sum()
+    }
+
+    /// Number of wires in the walk.
+    pub fn wire_count(&self) -> usize {
+        self.parts().map(|part| part.block.wires.len()).sum()
+    }
+
+    /// Number of vias in the walk.
+    pub fn via_count(&self) -> usize {
+        self.parts().map(|part| part.block.vias.len()).sum()
     }
 }
 
@@ -436,15 +401,20 @@ mod tests {
         Arc::new(column)
     }
 
-    #[test]
-    fn flat_view_orders_prefixes_and_translates() {
-        let column = column();
-        let mut top = Layout::new("TOP", 1000.0, 1000.0);
-        for (col, x) in [100.0, 2100.0].into_iter().enumerate() {
-            let prefix = top.names.add(format_args!("COL_{col}/"));
-            top.place(Arc::clone(&column), Point::new(x, 50.0), prefix)
-                .unwrap();
+    /// Two columns of [`column`], 2000 nm apart, from (100, 50).
+    fn array() -> Columns {
+        Columns {
+            block: column(),
+            origin: Point::new(100.0, 50.0),
+            pitch: 2000.0,
+            count: 2,
         }
+    }
+
+    #[test]
+    fn parts_order_prefixes_and_translate() {
+        let mut top = Layout::new("TOP", 1000.0, 1000.0);
+        top.place_columns(array()).unwrap();
         let name = top.names.add("XIBUF_0");
         top.instances.push(instance(name, 0.0, 0.0));
         top.wires.push(Wire {
@@ -453,11 +423,19 @@ mod tests {
             rect: Rect::new(0.0, 10.0, 4100.0, 66.0),
         });
 
-        // Placed objects first, in placement order, then the layout's own.
-        let names: Vec<String> = top
-            .flat_instances()
-            .map(|i| format!("{}{}", i.prefix(), i.name(i.local.name)))
+        // Columns first, in order, then the layout's own objects.
+        let name =
+            |part: &Part, id| format!("{}{}", part.prefix().as_str(), part.block.names.get(id));
+        let instances: Vec<(Option<usize>, String, Point)> = top
+            .parts()
+            .flat_map(|p| {
+                p.block
+                    .instances
+                    .iter()
+                    .map(move |i| (p.column, name(&p, i.name), p.point(i.origin)))
+            })
             .collect();
+        let names: Vec<&str> = instances.iter().map(|(_, name, _)| name.as_str()).collect();
         assert_eq!(
             names,
             [
@@ -468,15 +446,19 @@ mod tests {
                 "XIBUF_0"
             ]
         );
-        let placements: Vec<Option<usize>> = top.flat_instances().map(|i| i.placement).collect();
-        assert_eq!(placements, [Some(0), Some(0), Some(1), Some(1), None]);
-        let origins: Vec<Point> = top.flat_instances().map(|i| i.origin()).collect();
-        assert_eq!(origins[1], Point::new(100.0, 682.0));
-        assert_eq!(origins[2], Point::new(2100.0, 50.0));
-        assert_eq!(origins[4], Point::new(0.0, 0.0));
+        let columns: Vec<Option<usize>> = instances.iter().map(|(c, _, _)| *c).collect();
+        assert_eq!(columns, [Some(0), Some(0), Some(1), Some(1), None]);
+        assert_eq!(instances[1].2, Point::new(100.0, 682.0));
+        assert_eq!(instances[2].2, Point::new(2100.0, 50.0));
+        assert_eq!(instances[4].2, Point::new(0.0, 0.0));
         let wires: Vec<(String, Rect)> = top
-            .flat_wires()
-            .map(|w| (format!("{}{}", w.prefix(), w.name(w.local.net)), w.rect()))
+            .parts()
+            .flat_map(|p| {
+                p.block
+                    .wires
+                    .iter()
+                    .map(move |w| (name(&p, w.net), p.rect(w.rect)))
+            })
             .collect();
         assert_eq!(wires.len(), 3);
         assert_eq!(
@@ -485,13 +467,12 @@ mod tests {
         );
         assert_eq!(wires[2].0, "RWL_0");
         let vias: Vec<(String, Point, &str)> = top
-            .flat_vias()
-            .map(|v| {
-                (
-                    format!("{}{}", v.prefix(), v.name(v.local.net)),
-                    v.at(),
-                    v.local.to_layer,
-                )
+            .parts()
+            .flat_map(|p| {
+                p.block
+                    .vias
+                    .iter()
+                    .map(move |v| (name(&p, v.net), p.point(v.at), v.to_layer))
             })
             .collect();
         assert_eq!(vias[0].0, "COL_0/COM");
@@ -500,28 +481,56 @@ mod tests {
             ("COL_1/COM".into(), Point::new(2400.0, 450.0), "M3")
         );
 
-        // Counts and wire length agree with the view.
+        // Counts and wire length agree with the walk.
         assert_eq!(
             (top.instance_count(), top.wire_count(), top.via_count()),
             (5, 3, 2)
         );
         assert_eq!(top.total_wirelength(), 5000.0 + 5000.0 + 4100.0);
-        // The boundary grew to cover both placed columns.
+        // The boundary grew to cover both columns.
         assert_eq!(top.boundary, Rect::new(0.0, 0.0, 4100.0, 5050.0));
     }
 
     #[test]
-    fn placed_blocks_may_not_hold_placements() {
+    fn prefixes_name_columns_and_nothing_else() {
+        let block = Layout::default();
+        let prefix = |column| {
+            let origin = Point::new(0.0, 0.0);
+            let part = Part {
+                column,
+                block: &block,
+                origin,
+            };
+            part.prefix().as_str().to_owned()
+        };
+        assert_eq!(prefix(None), "");
+        assert_eq!(prefix(Some(0)), "COL_0/");
+        assert_eq!(prefix(Some(1023)), "COL_1023/");
+        assert_eq!(prefix(Some(usize::MAX)), format!("COL_{}/", usize::MAX));
+    }
+
+    #[test]
+    fn nested_column_arrays_are_rejected() {
         let mut nested = Layout::new("NESTED", 100.0, 100.0);
-        let prefix = nested.names.add("C/");
-        nested
-            .place(column(), Point::new(0.0, 0.0), prefix)
-            .unwrap();
+        nested.place_columns(array()).unwrap();
+        // A layout holds one array.
+        let boundary = nested.boundary;
+        assert!(matches!(
+            nested.place_columns(array()),
+            Err(LayoutError::InvalidParameter { .. })
+        ));
+        assert_eq!(nested.boundary, boundary);
+        // An arrayed block holds no array of its own.
         let mut top = Layout::new("TOP", 100.0, 100.0);
-        let prefix = top.names.add("N/");
-        assert!(top
-            .place(Arc::new(nested), Point::new(0.0, 0.0), prefix)
-            .is_err());
-        assert!(top.placements.is_empty());
+        let nested = Columns {
+            block: Arc::new(nested),
+            ..array()
+        };
+        assert!(matches!(
+            top.place_columns(nested),
+            Err(LayoutError::InvalidParameter { .. })
+        ));
+        assert!(top.columns.is_none());
+        assert_eq!(top.boundary, Rect::new(0.0, 0.0, 100.0, 100.0));
     }
 }

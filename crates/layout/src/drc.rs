@@ -9,17 +9,17 @@
 //! * wires must meet the layer's minimum width,
 //! * everything must stay inside the layout boundary.
 //!
-//! Two wires are of one net when they share a placement, or are both the
-//! layout's own, and hold one name id ([`crate::db`]).  Names are text only
-//! in the violations: a flat object's placement prefix followed by its own
-//! name.
+//! The checks read the layout's walk ([`Layout::parts`]).  Two wires are of
+//! one net when they share a part, a column or the layout's own objects,
+//! and hold one name id ([`crate::db`]).  Names are text only in the
+//! violations: an object's part prefix followed by its own name.
 
 use std::collections::BTreeMap;
 
 use acim_cell::Rect;
 use acim_tech::Technology;
 
-use crate::db::{Flat, Layout, NameId};
+use crate::db::{Layout, NameId, Part};
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,87 +79,81 @@ impl DrcReport {
     }
 }
 
-/// Runs the checks on a layout's flat view, in place: a flat object's
-/// name is formatted only for a violation that reports it.
+/// Runs the checks on a layout's walk, in place: an object's name is
+/// formatted only for a violation that reports it.
 pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
+    let parts: Vec<Part<'_>> = layout.parts().collect();
+    let instance_count = layout.instance_count();
     let mut report = DrcReport {
-        checked_objects: layout.instance_count() + layout.wire_count(),
+        checked_objects: instance_count + layout.wire_count(),
         ..Default::default()
     };
 
-    // Instance overlap and boundary containment.
-    let instances: Vec<_> = layout
-        .flat_instances()
-        .map(|i| {
-            (
-                Rect::from_size(i.origin(), i.local.width, i.local.height),
-                i,
-            )
-        })
-        .collect();
-    for (index, (rect_a, a)) in instances.iter().enumerate() {
-        if !layout.boundary.contains_rect(rect_a) {
+    // Instance overlap and boundary containment.  Each object keeps its
+    // rectangle beside its part's index in `parts` and its name id.
+    let mut instances = Vec::with_capacity(instance_count);
+    for (p, part) in parts.iter().enumerate() {
+        for instance in &part.block.instances {
+            let origin = part.point(instance.origin);
+            let rect = Rect::from_size(origin, instance.width, instance.height);
+            instances.push((rect, p, instance.name));
+        }
+    }
+    for (index, &(rect_a, a, name_a)) in instances.iter().enumerate() {
+        if !layout.boundary.contains_rect(&rect_a) {
             report.violations.push(DrcViolation::OutsideBoundary {
-                what: format!("instance {}{}", a.prefix(), a.name(a.local.name)),
+                what: format!("instance {}", flat_name(&parts[a], name_a)),
             });
         }
-        for (rect_b, b) in &instances[index + 1..] {
-            if rect_a.overlaps(rect_b) {
+        for &(rect_b, b, name_b) in &instances[index + 1..] {
+            if rect_a.overlaps(&rect_b) {
                 report.violations.push(DrcViolation::InstanceOverlap {
-                    a: flat_name(a, a.local.name),
-                    b: flat_name(b, b.local.name),
+                    a: flat_name(&parts[a], name_a),
+                    b: flat_name(&parts[b], name_b),
                 });
             }
         }
     }
 
-    // Wire width, spacing and containment, grouped per layer.  Each wire
-    // keeps its rectangle and its net beside it, the net as one integer:
-    // the placement (0 for the layout's own wires) above the name id.
+    // Wire width, spacing and containment, grouped per layer.
     let mut by_layer: BTreeMap<&'static str, Vec<_>> = BTreeMap::new();
-    for wire in layout.flat_wires() {
-        let placement = wire.placement.map_or(0, |index| index as u64 + 1);
-        let net = (placement << 32) | u64::from(wire.local.net.0);
-        by_layer
-            .entry(wire.local.layer)
-            .or_default()
-            .push((wire.rect(), net, wire));
+    for (p, part) in parts.iter().enumerate() {
+        for wire in &part.block.wires {
+            let wires = by_layer.entry(wire.layer).or_default();
+            wires.push((part.rect(wire.rect), p, wire.net));
+        }
     }
     for (layer, wires) in by_layer {
         let Ok(rule) = tech.rules().layer_rule(layer) else {
             continue;
         };
-        for (rect, _, wire) in &wires {
+        for &(rect, p, net) in &wires {
             let width = rect.width().min(rect.height());
             if width + 1e-9 < rule.min_width.value() {
                 report.violations.push(DrcViolation::WidthViolation {
                     layer,
-                    net: flat_name(wire, wire.local.net),
+                    net: flat_name(&parts[p], net),
                     width,
                     required: rule.min_width.value(),
                 });
             }
-            if !layout.boundary.contains_rect(rect) {
+            if !layout.boundary.contains_rect(&rect) {
                 report.violations.push(DrcViolation::OutsideBoundary {
-                    what: format!(
-                        "wire {}{} on {layer}",
-                        wire.prefix(),
-                        wire.name(wire.local.net)
-                    ),
+                    what: format!("wire {} on {layer}", flat_name(&parts[p], net)),
                 });
             }
         }
-        for (index, (rect_a, net_a, a)) in wires.iter().enumerate() {
-            for (rect_b, net_b, b) in &wires[index + 1..] {
-                if net_a == net_b {
+        for (index, &(rect_a, a, net_a)) in wires.iter().enumerate() {
+            for &(rect_b, b, net_b) in &wires[index + 1..] {
+                if (a, net_a) == (b, net_b) {
                     continue;
                 }
-                let spacing = rect_a.spacing_to(rect_b);
-                if rect_a.overlaps(rect_b) || spacing + 1e-9 < rule.min_spacing.value() {
+                let spacing = rect_a.spacing_to(&rect_b);
+                if rect_a.overlaps(&rect_b) || spacing + 1e-9 < rule.min_spacing.value() {
                     report.violations.push(DrcViolation::SpacingViolation {
                         layer,
-                        net_a: flat_name(a, a.local.net),
-                        net_b: flat_name(b, b.local.net),
+                        net_a: flat_name(&parts[a], net_a),
+                        net_b: flat_name(&parts[b], net_b),
                         spacing,
                         required: rule.min_spacing.value(),
                     });
@@ -170,17 +164,17 @@ pub fn check_layout(layout: &Layout, tech: &Technology) -> DrcReport {
     report
 }
 
-/// The flat name of `id` in `object`'s block: its placement's prefix
+/// The name of `id` in `part`'s block, in the layout: the part's prefix
 /// followed by the id's text.
-fn flat_name<T>(object: &Flat<'_, T>, id: NameId) -> String {
-    format!("{}{}", object.prefix(), object.name(id))
+fn flat_name(part: &Part<'_>, id: NameId) -> String {
+    format!("{}{}", part.prefix().as_str(), part.block.names.get(id))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::ColumnTemplate;
-    use crate::db::{PlacedInstance, Wire};
+    use crate::db::{Columns, PlacedInstance, Wire};
     use acim_arch::AcimSpec;
     use acim_cell::{CellLibrary, Orientation, Point};
 
@@ -274,9 +268,9 @@ mod tests {
         assert!(check_layout(&layout, &tech()).is_clean());
     }
 
-    /// Nets compare by placement and name id: one local net in two
-    /// placements is two nets, and an own wire whose text equals a placed
-    /// wire's flat name is a net of its own.
+    /// Nets compare by column and name id: one local net in two columns is
+    /// two nets, and an own wire whose text equals a column wire's name is
+    /// a net of its own.
     #[test]
     fn placements_and_ids_decide_which_wires_share_a_net() {
         let mut block = Layout::new("BLOCK", 100.0, 1000.0);
@@ -285,13 +279,14 @@ mod tests {
             layer: "M2",
             rect: Rect::new(0.0, 0.0, 50.0, 1000.0),
         });
-        let block = std::sync::Arc::new(block);
         let mut top = Layout::new("TOP", 1000.0, 1000.0);
-        for (col, x) in [0.0, 60.0].into_iter().enumerate() {
-            let prefix = top.names.add(format_args!("COL_{col}/"));
-            top.place(block.clone(), Point::new(x, 0.0), prefix)
-                .unwrap();
-        }
+        top.place_columns(Columns {
+            block: std::sync::Arc::new(block),
+            origin: Point::new(0.0, 0.0),
+            pitch: 60.0,
+            count: 2,
+        })
+        .unwrap();
         top.wires.push(Wire {
             net: top.names.add("COL_0/A"),
             layer: "M2",

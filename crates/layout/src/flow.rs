@@ -5,10 +5,11 @@
 //! the shared word-lines and control nets are dropped on pre-defined
 //! horizontal tracks, a power grid is added on the top metals, and the
 //! column outputs are stitched down to the output buffers.  The result is a
-//! [`Layout`] that places the one shared column layout `W` times and holds
-//! the top-level shapes itself, plus the [`LayoutMetrics`] reported by the
-//! Figure 8 reproduction.  Its flat view (see [`crate::db`]) lists the same
-//! objects, names and coordinates as copying every column would.
+//! [`Layout`] that arrays the one shared column layout `W` times
+//! ([`Columns`]) and holds the top-level shapes itself, plus the
+//! [`LayoutMetrics`] reported by the Figure 8 reproduction.  Its walk (see
+//! [`crate::db`]) lists the same objects, names and coordinates as copying
+//! every column would.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use acim_cell::{CellKind, CellLibrary, Orientation, Point, Rect};
 use acim_tech::Technology;
 
 use crate::column::ColumnTemplate;
-use crate::db::{Layout, LayoutPin, PlacedInstance, Wire};
+use crate::db::{Columns, Layout, LayoutPin, PlacedInstance, Wire};
 use crate::error::LayoutError;
 use crate::metrics::LayoutMetrics;
 
@@ -80,16 +81,13 @@ impl<'a> LayoutFlow<'a> {
             total_height,
         );
 
-        // --- Core: abutted placements of the column template ----------------
-        for col in 0..spec.width() {
-            let dx = core_origin.x + col as f64 * column_width;
-            let prefix = layout.names.add(format_args!("COL_{col}/"));
-            layout.place(
-                Arc::clone(&column.layout),
-                Point::new(dx, core_origin.y),
-                prefix,
-            )?;
-        }
+        // --- Core: the column template, abutted W times --------------------
+        layout.place_columns(Columns {
+            block: Arc::clone(&column.layout),
+            origin: core_origin,
+            pitch: column_width,
+            count: spec.width(),
+        })?;
 
         // --- Input buffers (one per read word-line) -------------------------
         for row in 0..spec.height() {
@@ -246,13 +244,14 @@ mod tests {
         let per_column = 32 + 8 + 3 + 1 + 1 + 1;
         assert_eq!(m.layout.instance_count(), 8 * per_column + 32 + 24);
         assert_eq!(m.metrics.instance_count, m.layout.instance_count());
-        // One shared column template, placed once per column.
-        assert_eq!(m.layout.placements.len(), 8);
-        assert!(m
+        // One shared column template, arrayed once per column.
+        let columns = m
             .layout
-            .placements
-            .iter()
-            .all(|p| Arc::ptr_eq(&p.block, &m.column.layout)));
+            .columns
+            .as_ref()
+            .expect("the macro arrays its column");
+        assert_eq!(columns.count, 8);
+        assert!(Arc::ptr_eq(&columns.block, &m.column.layout));
     }
 
     #[test]
@@ -363,9 +362,9 @@ mod tests {
 
     /// Each block adds each of its nets once: no two ids that one block's
     /// wires, vias or pins reference share a text.  No top-level net holds
-    /// a `/`, which every placed flat name holds.  So on every pinned macro
-    /// "same placement and same id", which DRC compares, agrees with "same
-    /// flat name".
+    /// a `/`, which every column prefix holds.  So on every pinned macro
+    /// "same part and same id", which DRC compares, agrees with "same
+    /// name".
     #[test]
     fn each_block_names_each_net_with_one_id() {
         let tech = Technology::s28();
@@ -389,8 +388,8 @@ mod tests {
         }
     }
 
-    /// Every layer a pinned macro names, on a flat wire or via or on the
-    /// macro's or its column's pins, is in the technology's layer map and
+    /// Every layer a pinned macro names, on a wire or via of its walk or on
+    /// the macro's or its column's pins, is in the technology's layer map and
     /// rule table: the GDS writer never falls back to layer 0, and DRC
     /// checks every wire.
     #[test]
@@ -401,14 +400,14 @@ mod tests {
         for (h, w, l, b) in PINNED {
             let spec = AcimSpec::from_dimensions(h, w, l, b).unwrap();
             let m = flow.generate(&spec).unwrap();
-            let wires = m.layout.flat_wires().map(|w| w.local.layer);
-            let vias = m
-                .layout
-                .flat_vias()
-                .flat_map(|v| [v.local.from_layer, v.local.to_layer]);
+            let mut layers = std::collections::BTreeSet::new();
+            for part in m.layout.parts() {
+                layers.extend(part.block.wires.iter().map(|w| w.layer));
+                let vias = part.block.vias.iter();
+                layers.extend(vias.flat_map(|v| [v.from_layer, v.to_layer]));
+            }
             let pins = m.layout.pins.iter().chain(&m.column.layout.pins);
-            let layers: std::collections::BTreeSet<&str> =
-                wires.chain(vias).chain(pins.map(|p| p.layer)).collect();
+            layers.extend(pins.map(|p| p.layer));
             assert_eq!(
                 layers.iter().copied().collect::<Vec<_>>(),
                 ["M2", "M3", "M4", "M5", "M6"],

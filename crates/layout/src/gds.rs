@@ -8,33 +8,29 @@
 //! * a DEF-like file (`COMPONENTS` / `SPECIALNETS` sections) that follows
 //!   the usual LEF/DEF structure closely enough to be diffed and inspected.
 //!
-//! Both write the bytes of the layout's flat view (see [`crate::db`]), so a
-//! macro that places its column template `W` times emits every column's
-//! shapes under their prefixed names.  They walk the layout's placements
-//! rather than the flat view, though, and stamp each section's lines of a
-//! placed block.  Consecutive placements of one block at one y offset form
-//! a run, and their lines differ only in the name prefix and the x
-//! coordinates.  So the run's first placement is written in full, noting
-//! where its prefix and x fields sit, and each later one copies those bytes
-//! and overwrites only the fields.  A placement whose prefix or an x
-//! coordinate prints to another width is written in full and becomes the
-//! run's new template.  The layout's own objects are written untranslated.
+//! Both write the bytes of the layout's walk (see [`crate::db`]): each
+//! column of the layout's array under its `COL_{c}/` prefix, then the
+//! layout's own objects.  The columns' lines of a section differ only in
+//! the name prefix and the x coordinates.  So each section writes column
+//! 0's lines in full, noting where its prefix and x fields sit, and each
+//! later column copies those bytes and overwrites only the fields.  A
+//! column whose prefix or an x coordinate prints to another width is
+//! written in full and becomes the new template.  The layout's own objects
+//! are written untranslated.
 //!
 //! Both build their file the same way: every line is appended to one byte
-//! buffer, reserved once from the flat view's counts, which becomes the
+//! buffer, reserved once from the walk's counts, which becomes the
 //! returned `String` at the end.  Names are copied from the name table of
-//! the block holding the object, prefixes from the layout's own, every
-//! coordinate goes through one formatter and orientations are written by
-//! name.
+//! the block holding the object, every coordinate goes through one
+//! formatter and orientations are written by name.
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::sync::Arc;
 
 use acim_cell::{Orientation, Point, Rect};
 use acim_tech::Technology;
 
-use crate::db::{Layout, Names, PlacedInstance, Placement, Via, Wire};
+use crate::db::{Layout, Names, Part, PlacedInstance, Via, Wire};
 
 /// Writes a GDS-like text representation of the layout.
 pub fn write_gds_text(layout: &Layout, tech: &Technology) -> String {
@@ -128,11 +124,11 @@ pub fn write_def(layout: &Layout) -> String {
 }
 
 /// Where an object's line goes as `line` writes it: straight into the
-/// file for the layout's own objects, or into a placement's template.
+/// file for the layout's own objects, or into a column's template.
 trait Emit {
     /// Appends `parts` as they are.
     fn text(&mut self, parts: &[&str]);
-    /// Appends the name prefix of the object's placement.
+    /// Appends the name prefix of the object's column.
     fn prefix(&mut self);
     /// Appends `x y`, a point in the frame of the block holding the object.
     fn point(&mut self, point: Point);
@@ -184,9 +180,9 @@ fn vias(layout: &Layout) -> &[Via] {
 }
 
 /// Appends one section's lines, those `line` writes for `objects` of each
-/// placement of `layout` and then of the layout itself, given the table
-/// naming them: every placement's stamped from its run's template, the
-/// layout's own written as they are.
+/// part of `layout`, given the table naming them: column 0's written in
+/// full, every later column's stamped from its template, the layout's own
+/// written as they are.
 fn section<T>(
     out: &mut Vec<u8>,
     layout: &Layout,
@@ -194,31 +190,30 @@ fn section<T>(
     mut line: impl FnMut(&mut dyn Emit, &Names, &T),
 ) {
     let mut template = Template::default();
-    let mut run: Option<&Placement> = None;
-    for placement in &layout.placements {
-        let prefix = layout.names.get(placement.prefix);
-        let same_run = run.is_some_and(|first| {
-            Arc::ptr_eq(&first.block, &placement.block)
-                && first.offset.y.to_bits() == placement.offset.y.to_bits()
-        });
-        if !(same_run && template.stamp(out, prefix, placement.offset)) {
-            template.render(out, prefix, placement, objects, &mut line);
-            run = Some(placement);
+    for part in layout.parts() {
+        match part.column {
+            Some(c) => {
+                if c == 0 || !template.stamp(out, &part) {
+                    template.render(out, &part, objects, &mut line);
+                }
+            }
+            None => {
+                for object in objects(part.block) {
+                    line(out, &part.block.names, object);
+                }
+            }
         }
-    }
-    for object in objects(layout) {
-        line(out, &layout.names, object);
     }
 }
 
-/// One placement's lines of a section, written in full: where they sit in
+/// One column's lines of a section, written in full: where they sit in
 /// the file, and where each of their prefix and x fields sits in them.
 #[derive(Default)]
 struct Template {
     /// Start and end of the lines in the file.
     start: usize,
     end: usize,
-    /// Length of the placement's prefix.
+    /// Length of the column's prefix.
     prefix_len: usize,
     /// Offset of each prefix field from `start`.
     prefixes: Vec<usize>,
@@ -232,24 +227,23 @@ struct Template {
     locals: Vec<(f64, usize, usize)>,
     /// The number of digits of all `locals`.
     digits_len: usize,
-    /// The translated `locals` of the placement being stamped, back to back.
+    /// The translated `locals` of the column being stamped, back to back.
     digits: Vec<u8>,
 }
 
 impl Template {
-    /// Writes `placement`'s lines of `objects`, under `prefix`, in full and
-    /// makes them the template.
+    /// Writes `part`'s lines of `objects` in full and makes them the
+    /// template.
     fn render<T>(
         &mut self,
         out: &mut Vec<u8>,
-        prefix: &str,
-        placement: &Placement,
+        part: &Part<'_>,
         objects: fn(&Layout) -> &[T],
         line: &mut impl FnMut(&mut dyn Emit, &Names, &T),
     ) {
-        let (block, objects) = (&placement.block, objects(&placement.block));
+        let (prefix, objects) = (part.prefix(), objects(part.block));
         self.start = out.len();
-        self.prefix_len = prefix.len();
+        self.prefix_len = prefix.as_str().len();
         self.prefixes.clear();
         self.xs.clear();
         self.ids.clear();
@@ -264,11 +258,11 @@ impl Template {
         let mut render = Render {
             out,
             template: self,
-            prefix,
-            offset: placement.offset,
+            prefix: prefix.as_str(),
+            origin: part.origin,
         };
         for object in objects {
-            line(&mut render, &block.names, object);
+            line(&mut render, &part.block.names, object);
         }
         self.end = out.len();
         // Room for every local printed as the widest integral coordinate,
@@ -278,20 +272,20 @@ impl Template {
         self.digits.reserve(20 * (self.locals.len() + 1));
     }
 
-    /// Appends the lines of a placement at `offset` under `prefix` as a
-    /// copy of the template with the prefix and x coordinates written over
-    /// the fields, and returns `true`.  Returns `false`, appending nothing,
-    /// when the prefix or a coordinate prints to another width than its
-    /// field.
-    fn stamp(&mut self, out: &mut Vec<u8>, prefix: &str, offset: Point) -> bool {
-        let prefix = prefix.as_bytes();
+    /// Appends `part`'s lines as a copy of the template with its prefix and
+    /// x coordinates written over the fields, and returns `true`.  Returns
+    /// `false`, appending nothing, when the prefix or a coordinate prints
+    /// to another width than its field.
+    fn stamp(&mut self, out: &mut Vec<u8>, part: &Part<'_>) -> bool {
+        let prefix = part.prefix();
+        let prefix = prefix.as_str().as_bytes();
         if prefix.len() != self.prefix_len {
             return false;
         }
         self.digits.clear();
         for &(local, _, width) in &self.locals {
             let before = self.digits.len();
-            push_coord(&mut self.digits, local + offset.x);
+            push_coord(&mut self.digits, local + part.origin.x);
             if self.digits.len() - before != width {
                 return false;
             }
@@ -309,13 +303,13 @@ impl Template {
     }
 }
 
-/// A placement's lines being written in full: coordinates translated by
-/// its offset, prefix and x fields noted in its template.
+/// A column's lines being written in full: coordinates translated by its
+/// origin, prefix and x fields noted in its template.
 struct Render<'a> {
     out: &'a mut Vec<u8>,
     template: &'a mut Template,
     prefix: &'a str,
-    offset: Point,
+    origin: Point,
 }
 
 impl Emit for Render<'_> {
@@ -330,9 +324,9 @@ impl Emit for Render<'_> {
     }
 
     fn point(&mut self, point: Point) {
-        let (out, template, offset) = (&mut *self.out, &mut *self.template, self.offset);
+        let (out, template, origin) = (&mut *self.out, &mut *self.template, self.origin);
         let at = out.len();
-        push_coord(out, point.x + offset.x);
+        push_coord(out, point.x + origin.x);
         let width = out.len() - at;
         let next = template.locals.len();
         let id = *template.ids.entry(point.x.to_bits()).or_insert(next);
@@ -344,7 +338,7 @@ impl Emit for Render<'_> {
             .xs
             .push((at - template.start, template.locals[id].1, width));
         out.push(b' ');
-        push_coord(out, point.y + offset.y);
+        push_coord(out, point.y + origin.y);
     }
 }
 
@@ -357,7 +351,7 @@ const LINE_BYTES: usize = 64;
 const FIXED_LINES: usize = 11;
 
 /// An empty buffer with room for `LINE_BYTES` per instance, wire, via and
-/// pin of `layout`'s flat view and per fixed line, which is at least one
+/// pin of `layout`'s walk and per fixed line, which is at least one
 /// per line of either file.  Should the reservation fail, the buffer grows
 /// as it is written.
 fn buffer(layout: &Layout) -> Vec<u8> {
@@ -451,7 +445,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::db::{LayoutPin, NameId, PlacedInstance, Via, Wire};
+    use crate::db::{Columns, LayoutPin, NameId, PlacedInstance, Via, Wire};
     use proptest::prelude::*;
 
     fn coord(value: f64) -> String {
@@ -590,17 +584,19 @@ mod tests {
         out.push_str("UNITS DISTANCE MICRONS 1000 ;\n");
         out.push_str(&format!("DIEAREA {}\n", rect(layout.boundary)));
         out.push_str(&format!("COMPONENTS {} ;\n", layout.instance_count()));
-        for instance in layout.flat_instances() {
-            let (local, origin) = (instance.local, instance.origin());
-            out.push_str(&format!(
-                "- {}{} {} + PLACED ( {:.0} {:.0} ) {:?} ;\n",
-                instance.prefix(),
-                instance.name(local.name),
-                local.cell,
-                origin.x,
-                origin.y,
-                local.orientation
-            ));
+        for part in layout.parts() {
+            for instance in &part.block.instances {
+                let origin = part.point(instance.origin);
+                out.push_str(&format!(
+                    "- {}{} {} + PLACED ( {:.0} {:.0} ) {:?} ;\n",
+                    part.prefix().as_str(),
+                    part.block.names.get(instance.name),
+                    instance.cell,
+                    origin.x,
+                    origin.y,
+                    instance.orientation
+                ));
+            }
         }
         out.push_str("END COMPONENTS\n");
         out.push_str(&format!("PINS {} ;\n", layout.pins.len()));
@@ -614,14 +610,16 @@ mod tests {
         }
         out.push_str("END PINS\n");
         out.push_str(&format!("SPECIALNETS {} ;\n", layout.wire_count()));
-        for wire in layout.flat_wires() {
-            out.push_str(&format!(
-                "- {}{} + ROUTED {} {}\n",
-                wire.prefix(),
-                wire.name(wire.local.net),
-                wire.local.layer,
-                rect(wire.rect())
-            ));
+        for part in layout.parts() {
+            for wire in &part.block.wires {
+                out.push_str(&format!(
+                    "- {}{} + ROUTED {} {}\n",
+                    part.prefix().as_str(),
+                    part.block.names.get(wire.net),
+                    wire.layer,
+                    rect(part.rect(wire.rect))
+                ));
+            }
         }
         out.push_str("END SPECIALNETS\n");
         out.push_str("END DESIGN\n");
@@ -643,41 +641,47 @@ mod tests {
         out.push_str("UNITS 0.001 1e-09\n");
         out.push_str(&format!("BGNSTR {}\n", layout.name));
         out.push_str(&format!("BOUNDARY_BOX {}\n", corners(layout.boundary)));
-        for instance in layout.flat_instances() {
-            let (local, origin) = (instance.local, instance.origin());
-            out.push_str(&format!(
-                "SREF {} {}{} {:.0} {:.0} {:?}\n",
-                local.cell,
-                instance.prefix(),
-                instance.name(local.name),
-                origin.x,
-                origin.y,
-                local.orientation
-            ));
+        for part in layout.parts() {
+            for instance in &part.block.instances {
+                let origin = part.point(instance.origin);
+                out.push_str(&format!(
+                    "SREF {} {}{} {:.0} {:.0} {:?}\n",
+                    instance.cell,
+                    part.prefix().as_str(),
+                    part.block.names.get(instance.name),
+                    origin.x,
+                    origin.y,
+                    instance.orientation
+                ));
+            }
         }
-        for wire in layout.flat_wires() {
-            let (gds_layer, datatype) = tech
-                .layers()
-                .by_name(wire.local.layer)
-                .map_or((0, 0), |l| (l.gds_layer(), l.gds_datatype()));
-            out.push_str(&format!(
-                "RECT {gds_layer} {datatype} {} NET {}{}\n",
-                corners(wire.rect()),
-                wire.prefix(),
-                wire.name(wire.local.net)
-            ));
+        for part in layout.parts() {
+            for wire in &part.block.wires {
+                let (gds_layer, datatype) = tech
+                    .layers()
+                    .by_name(wire.layer)
+                    .map_or((0, 0), |l| (l.gds_layer(), l.gds_datatype()));
+                out.push_str(&format!(
+                    "RECT {gds_layer} {datatype} {} NET {}{}\n",
+                    corners(part.rect(wire.rect)),
+                    part.prefix().as_str(),
+                    part.block.names.get(wire.net)
+                ));
+            }
         }
-        for via in layout.flat_vias() {
-            let at = via.at();
-            out.push_str(&format!(
-                "VIA {} {} {:.0} {:.0} NET {}{}\n",
-                via.local.from_layer,
-                via.local.to_layer,
-                at.x,
-                at.y,
-                via.prefix(),
-                via.name(via.local.net)
-            ));
+        for part in layout.parts() {
+            for via in &part.block.vias {
+                let at = part.point(via.at);
+                out.push_str(&format!(
+                    "VIA {} {} {:.0} {:.0} NET {}{}\n",
+                    via.from_layer,
+                    via.to_layer,
+                    at.x,
+                    at.y,
+                    part.prefix().as_str(),
+                    part.block.names.get(via.net)
+                ));
+            }
         }
         out.push_str("ENDSTR\n");
         out.push_str("ENDLIB\n");
@@ -729,10 +733,12 @@ mod tests {
             .prop_map(|(x0, y0, x1, y1)| Rect::new(x0, y0, x1, y1))
     }
 
+    /// A block's instances, wires, vias and pins.
+    type Objects = (Vec<PlacedInstance>, Vec<Wire>, Vec<Via>, Vec<LayoutPin>);
+
     /// Instances in every orientation, wires on every layer of `LAYERS`,
     /// vias and pins, named from the table of [`names`].
-    fn objects() -> impl Strategy<Value = (Vec<PlacedInstance>, Vec<Wire>, Vec<Via>, Vec<LayoutPin>)>
-    {
+    fn objects() -> impl Strategy<Value = Objects> {
         let ids = names().1;
         let instance = (
             0..NAMES.len(),
@@ -782,6 +788,32 @@ mod tests {
         )
     }
 
+    /// A `height` by `width` layout holding `own` objects and an array of
+    /// a `width` by `height` block of `block`'s objects, all named from
+    /// the table of [`names`].
+    fn arrayed(
+        block: Objects,
+        (width, height): (f64, f64),
+        (origin, pitch, count): (Point, f64, usize),
+        own: Objects,
+    ) -> Layout {
+        let mut column = Layout::new("COLUMN", width, height);
+        column.names = names().0;
+        (column.instances, column.wires, column.vias, column.pins) = block;
+        let mut layout = Layout::new("SAMPLE", height, width);
+        layout.names = names().0;
+        layout
+            .place_columns(Columns {
+                block: Arc::new(column),
+                origin,
+                pitch,
+                count,
+            })
+            .expect("the column holds no array");
+        (layout.instances, layout.wires, layout.vias, layout.pins) = own;
+        layout
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -789,99 +821,42 @@ mod tests {
         fn writers_match_the_plain_oracle_byte_for_byte(
             block in objects(),
             own in objects(),
-            offsets in prop::collection::vec((coordinate(), coordinate()), 0..4),
-            (width, height) in (coordinate(), coordinate()),
+            (x, y, pitch) in (coordinate(), coordinate(), coordinate()),
+            count in 0..4usize,
+            size in (coordinate(), coordinate()),
         ) {
             let tech = Technology::s28();
             prop_assert!(tech.layers().by_name("M9").is_none());
-            let mut column = Layout::new("COLUMN", width, height);
-            column.names = names().0;
-            (column.instances, column.wires, column.vias, column.pins) = block;
-            let column = Arc::new(column);
-            let mut layout = Layout::new("SAMPLE", height, width);
-            layout.names = names().0;
-            for (c, (x, y)) in offsets.into_iter().enumerate() {
-                let prefix = layout.names.add(format_args!("COL_{c}/"));
-                layout
-                    .place(Arc::clone(&column), Point::new(x, y), prefix)
-                    .expect("the column holds no placements");
-            }
-            (layout.instances, layout.wires, layout.vias, layout.pins) = own;
+            let layout = arrayed(block, size, (Point::new(x, y), pitch, count), own);
             prop_assert_eq!(write_def(&layout), oracle_def(&layout));
             prop_assert_eq!(write_gds_text(&layout, &tech), oracle_gds(&layout, &tech));
         }
     }
 
-    /// Where the x offsets of [`placements`] start: below 10^4, 10^5 and
-    /// 10^6, where translated coordinates gain a digit, and below zero,
-    /// where they change sign.
+    /// Where an array's x origin sits: below 10^4, 10^5 and 10^6, where
+    /// translated coordinates gain a digit, and below zero, where they
+    /// change sign.
     const STARTS: [f64; 4] = [-60_000.0, 9_000.0, 99_000.0, 999_000.0];
-
-    /// Up to 120 placements of two blocks, each a block index, an offset
-    /// and a prefix, in runs of one block at one y offset.  The x offsets
-    /// step by a pitch from one of [`STARTS`]; about one in five is instead
-    /// fractional, `-0.0`, 2^63 or more, or negated, or has a longer
-    /// prefix than its neighbours.  The other prefixes count placements,
-    /// so they cross `COL_9/` and `COL_99/`.
-    fn placements() -> impl Strategy<Value = Vec<(usize, Point, String)>> {
-        let run = (0..2usize, 1..=60usize, coordinate());
-        let kinds = prop::collection::vec((0u8..24, 0.0..1.0f64), 120);
-        (
-            prop::collection::vec(run, 1..8),
-            0..STARTS.len(),
-            16u64..2_000,
-            kinds,
-        )
-            .prop_map(|(runs, start, pitch, kinds)| {
-                let mut placed = Vec::new();
-                for (block, len, y) in runs {
-                    for _ in 0..len.min(120 - placed.len()) {
-                        let c = placed.len();
-                        let regular = STARTS[start] + (c as u64 * pitch) as f64;
-                        let x = match kinds[c] {
-                            (0, fraction) => regular + fraction,
-                            (1, _) => -0.0,
-                            (2, fraction) => 2f64.powi(63) * (1.0 + fraction),
-                            (3, _) => -regular,
-                            _ => regular,
-                        };
-                        let prefix = match kinds[c] {
-                            (4, _) => format!("SPARE_{c}/"),
-                            _ => format!("COL_{c}/"),
-                        };
-                        placed.push((block, Point::new(x, y), prefix));
-                    }
-                }
-                placed
-            })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Arrays of up to 120 columns, so their prefixes cross `COL_9/`
+        /// and `COL_99/`, from one of [`STARTS`] at an integral or a
+        /// fractional pitch.
         #[test]
         fn stamped_runs_match_the_plain_oracle_byte_for_byte(
-            blocks in (objects(), objects()),
+            block in objects(),
             own in objects(),
-            placements in placements(),
+            (start, pitch, fraction) in (0..STARTS.len(), 16u64..2_000, 0.0..1.0f64),
+            fractional in 0..2u8,
+            y in coordinate(),
+            count in 1..=120usize,
         ) {
             let tech = Technology::s28();
-            let blocks = [blocks.0, blocks.1].map(|(instances, wires, vias, pins)| {
-                let mut block = Layout::new("COLUMN", 2000.0, 5000.0);
-                block.names = names().0;
-                (block.instances, block.wires, block.vias, block.pins) =
-                    (instances, wires, vias, pins);
-                Arc::new(block)
-            });
-            let mut layout = Layout::new("SAMPLE", 1000.0, 1000.0);
-            layout.names = names().0;
-            for (block, offset, prefix) in placements {
-                let prefix = layout.names.add(prefix);
-                layout
-                    .place(Arc::clone(&blocks[block]), offset, prefix)
-                    .expect("the blocks hold no placements");
-            }
-            (layout.instances, layout.wires, layout.vias, layout.pins) = own;
+            let pitch = pitch as f64 + if fractional == 1 { fraction } else { 0.0 };
+            let array = (Point::new(STARTS[start], y), pitch, count);
+            let mut layout = arrayed(block, (2000.0, 5000.0), array, own);
             // The layout's own objects are not translated: at -0.0 they
             // print `-0`, where `-0.0 + 0.0` would print `0`.
             let zero = Point::new(-0.0, -0.0);

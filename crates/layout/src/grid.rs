@@ -126,11 +126,6 @@ impl RoutingGrid {
         self.cells[index] = value;
     }
 
-    /// Returns `true` when the node is inside the grid.
-    pub fn contains(&self, node: GridNode) -> bool {
-        node.layer < self.layers && node.col < self.cols && node.row < self.rows
-    }
-
     /// Snaps a physical point to the nearest grid (col, row).
     pub fn snap(&self, point: Point) -> (usize, usize) {
         let col = ((point.x - self.origin.x) / self.pitch).round().max(0.0) as usize;

@@ -14,24 +14,26 @@
 //!    block; the read bit-line and the power rails use pre-defined routing
 //!    tracks, the remaining intra-column nets are routed by the grid-based
 //!    maze router ([`router`]).
-//! 2. **Macro assembly** ([`flow`]) — the one column template is placed `W`
-//!    times, abutted, as a shared block ([`Layout::place`]); the
-//!    input/output buffer peripheries are placed, the shared word-lines and
-//!    control nets are routed on pre-defined horizontal tracks, and the
-//!    power grid is dropped on the top metals.
+//! 2. **Macro assembly** ([`flow`]) — the one column template is abutted
+//!    `W` times as one array of a shared block ([`Columns`],
+//!    [`Layout::place_columns`]); the input/output buffer peripheries are
+//!    placed, the shared word-lines and control nets are routed on
+//!    pre-defined horizontal tracks, and the power grid is dropped on the
+//!    top metals.
 //! 3. **Checks and output** — a lightweight DRC ([`drc`]) verifies spacing
 //!    and overlap rules, and the result can be written as text GDS/DEF
 //!    ([`gds`]); [`metrics`] extracts the dimensions and F²/bit density the
-//!    paper reports in Figure 8.  DRC and metrics read the layout's flat
-//!    view ([`db`]), which places every column's objects as a copy of each
-//!    column would; the writers emit the same bytes by stamping each placed
-//!    column's lines from the first column's.
+//!    paper reports in Figure 8.  DRC, the metrics and the writers read the
+//!    layout through one walk ([`Layout::parts`]): each column in order,
+//!    then the top level's own objects, with the names and coordinates a
+//!    copy of each column would have.  The writers stamp each column's
+//!    lines from column 0's.
 //!
 //! Every block names its objects through one name table ([`Names`]): an
-//! instance, wire, via, pin or placement prefix holds a [`NameId`], each
-//! net is added to its block's table once, and "same net" means "same
-//! placement and same id".  A name's text is written once, while the
-//! block is built, and read only by the writers and DRC's violation text.
+//! instance, wire, via or pin holds a [`NameId`], each net is added to its
+//! block's table once, and "same net" means "same part of the walk and
+//! same id".  A name's text is written once, while the block is built, and
+//! read only by the writers and DRC's violation text.
 //!
 //! The 3-D grid maze router is exposed on its own, so the `router` bench
 //! can exercise it in isolation (e.g. routing with and without pre-defined
@@ -70,7 +72,7 @@ pub mod metrics;
 pub mod router;
 
 pub use column::ColumnTemplate;
-pub use db::{Flat, Layout, LayoutPin, NameId, Names, PlacedInstance, Via, Wire};
+pub use db::{Columns, Layout, LayoutPin, NameId, Names, Part, PlacedInstance, Via, Wire};
 pub use drc::{check_layout, DrcReport, DrcViolation};
 pub use error::LayoutError;
 pub use flow::{LayoutFlow, MacroLayout};

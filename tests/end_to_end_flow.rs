@@ -34,8 +34,9 @@ fn flow_produces_consistent_netlist_and_layout() {
     let sram_instances = design
         .layout
         .layout
-        .flat_instances()
-        .filter(|i| i.local.cell == "SRAM8T")
+        .parts()
+        .flat_map(|part| &part.block.instances)
+        .filter(|i| i.cell == "SRAM8T")
         .count();
     assert_eq!(sram_instances, spec.array_size());
 

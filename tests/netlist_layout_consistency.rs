@@ -46,8 +46,9 @@ proptest! {
         let count = |cell: &str| {
             macro_layout
                 .layout
-                .flat_instances()
-                .filter(|i| i.local.cell == cell)
+                .parts()
+                .flat_map(|part| &part.block.instances)
+                .filter(|i| i.cell == cell)
                 .count()
         };
         prop_assert_eq!(count("SRAM8T"), stats.sram_cells);
